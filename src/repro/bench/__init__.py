@@ -3,11 +3,13 @@
 One entry point per artifact (see DESIGN.md's experiment index):
 
 * :func:`repro.bench.tables.table1` — Table 1, the application inventory;
-* :func:`repro.bench.figures.fig7_series` — the three panels of Fig. 7
-  (weak-scaling throughput of stencil / iPiC3D / TPC, AllScale vs MPI vs
-  linear);
+* :func:`repro.bench.figures.fig7_stencil` / ``fig7_ipic3d`` /
+  ``fig7_tpc`` — the three panels of Fig. 7 (weak-scaling throughput,
+  AllScale vs MPI vs linear);
 * :mod:`repro.bench.harness` — generic node-count sweeps and shape checks
-  (who wins, by what factor, where curves flatten).
+  (who wins, by what factor, where curves flatten);
+* :mod:`repro.bench.panel` — the one protocol behind every pinned
+  ``BENCH_*_baseline.json`` (scaling, placement, churn, service, comms).
 
 Absolute numbers come from a simulator calibrated at single-node scale, so
 EXPERIMENTS.md compares *shapes* against the paper, not raw values.

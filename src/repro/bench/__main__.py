@@ -5,9 +5,11 @@ Usage::
     python -m repro.bench table1
     python -m repro.bench stencil ipic3d tpc          # Fig. 7 panels
     python -m repro.bench all --quick --out results/  # CSV per panel
+    python -m repro.bench --scaling --churn --smoke --check  # pinned panels
 
-Each panel prints the regenerated table; with ``--out`` the raw numbers
-are additionally written as CSV files.
+Each Fig. 7 panel prints the regenerated table; with ``--out`` the raw
+numbers are additionally written as CSV files.  The pinned panels
+(:data:`PANELS`) all go through :func:`repro.bench.panel.run_panel`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import pathlib
 import sys
 import time
 
-from repro.bench.figures import fig7_ipic3d, fig7_stencil, fig7_tpc
+from repro.bench import churn, comms, placement, scaling, service
+from repro.bench.figures import FIG7_BUILDERS
+from repro.bench.panel import panel_mode, run_panel
 from repro.bench.report import (
     region_cache_csv,
     region_cache_stats,
@@ -28,11 +32,15 @@ from repro.bench.report import (
 )
 from repro.bench.tables import table1
 
-PANELS = {
-    "stencil": fig7_stencil,
-    "ipic3d": fig7_ipic3d,
-    "tpc": fig7_tpc,
-}
+#: every pinned panel, in the order the CLI runs them; to add one,
+#: define a ``Panel`` (see :mod:`repro.bench.panel`) and list it here
+PANELS = (
+    scaling.PANEL,
+    placement.PANEL,
+    churn.PANEL,
+    service.PANEL,
+    comms.PANEL,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,7 +48,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.bench",
         description="Regenerate the paper's evaluation tables and figures.",
     )
-    choices = ["table1", *PANELS, "all"]
+    choices = ["table1", *FIG7_BUILDERS, "all"]
+    panel_flags = "/".join(f"--{panel.name}" for panel in PANELS)
     parser.add_argument(
         "artifacts",
         nargs="*",
@@ -63,61 +72,28 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="directory to write CSV files into",
     )
-    parser.add_argument(
-        "--comms",
-        action="store_true",
-        help="run the communication-layer panel: each app with transfer "
-        "coalescing + replica prefetch off vs. on, reporting message "
-        "counts, bytes, and wall-clock deltas (non-zero exit if the "
-        "optimised run changes computed outputs or moved bytes)",
-    )
-    parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="run the Fig. 7 weak-scaling sweep for all three apps "
-        "(full 1-64 nodes by default; --quick/--smoke shrink it) and "
-        "print per-app host timing",
-    )
-    parser.add_argument(
-        "--placement",
-        action="store_true",
-        help="run the placement policy tournament: the offline planner "
-        "vs. data-aware/round-robin/random across all three apps and "
-        "three fat-tree topologies, reporting wall clock, messages, "
-        "bytes moved, and balancer migrations",
-    )
-    parser.add_argument(
-        "--churn",
-        action="store_true",
-        help="run the elasticity panel: each app under node churn "
-        "(scale-out, graceful drain, failure storms with checkpoint "
-        "recovery) sweeping churn rate x storm size; simulated values "
-        "are pinned exactly in BENCH_churn_baseline.json",
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="run the multi-tenant service panel: replay the committed "
-        "arrival trace plus the contended fair-share demo, reporting "
-        "per-tenant latency/throughput and the fairness index",
-    )
+    for panel in PANELS:
+        parser.add_argument(
+            f"--{panel.name}", action="store_true", help=panel.help
+        )
     parser.add_argument(
         "--write-baseline",
         action="store_true",
-        help="with --scaling/--service: merge this run's section into "
-        "the matching BENCH_*_baseline.json",
+        help="with any panel flag (" + panel_flags + "): merge this run's "
+        "section into the panel's BENCH_*_baseline.json; refused if the "
+        "run fails the panel's own claims",
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="with --scaling/--service: compare against the committed "
-        "baseline; non-zero exit if any simulated value differs or "
-        "wall clock regresses >20%%",
+        help="with any panel flag (" + panel_flags + "): compare against "
+        "the committed baseline; non-zero exit if any simulated value "
+        "differs or wall clock regresses >20%%",
     )
     parser.add_argument(
         "--profile",
         metavar="APP",
-        choices=sorted(PANELS),
+        choices=sorted(FIG7_BUILDERS),
         default=None,
         help="profile one panel under cProfile and print the top-20 "
         "functions by cumulative time (quick mode unless --smoke)",
@@ -147,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
 
     wanted = set(args.artifacts or ["all"])
     if "all" in wanted:
-        wanted = {"table1", *PANELS}
+        wanted = {"table1", *FIG7_BUILDERS}
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
 
@@ -155,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         import cProfile
         import pstats
 
-        build = PANELS[args.profile]
+        build = FIG7_BUILDERS[args.profile]
         quick = args.quick or not args.smoke
         profiler = cProfile.Profile()
         profiler.enable()
@@ -164,154 +140,21 @@ def main(argv: list[str] | None = None) -> int:
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
         return 0
 
-    if args.scaling:
-        from repro.bench.scaling import (
-            check_panel,
-            load_baseline,
-            render_scaling_summary,
-            scaling_panel,
-            write_baseline,
+    requested = [panel for panel in PANELS if getattr(args, panel.name)]
+    # every requested panel runs, even after an earlier one failed
+    passed = [
+        run_panel(
+            panel,
+            panel_mode(args.quick, args.smoke),
+            write=args.write_baseline,
+            check=args.check,
         )
-
-        panel = scaling_panel(quick=args.quick, smoke=args.smoke)
-        for series in panel.series.values():
-            print(render_series(series))
-            print()
-        print(render_scaling_summary(panel))
-        print()
-        if args.write_baseline:
-            path = write_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_panel(panel, load_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"scaling check: {problem}")
-                return 1
-            print("scaling check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.placement:
-        from repro.bench.placement import (
-            check_panel as check_placement,
-            load_baseline as load_placement_baseline,
-            placement_panel,
-            render_placement_leaderboard,
-            semantic_problems as placement_semantic_problems,
-            write_baseline as write_placement_baseline,
-        )
-
-        panel = placement_panel(quick=args.quick, smoke=args.smoke)
-        print(render_placement_leaderboard(panel))
-        print()
-        if args.write_baseline:
-            problems = placement_semantic_problems(panel)
-            if problems:
-                for problem in problems:
-                    print(f"placement panel: {problem}")
-                return 1
-            path = write_placement_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_placement(panel, load_placement_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"placement check: {problem}")
-                return 1
-            print("placement check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.churn:
-        from repro.bench.churn import (
-            check_panel as check_churn,
-            churn_panel,
-            load_baseline as load_churn_baseline,
-            render_churn_summary,
-            semantic_problems as churn_semantic_problems,
-            write_baseline as write_churn_baseline,
-        )
-
-        panel = churn_panel(quick=args.quick, smoke=args.smoke)
-        print(render_churn_summary(panel))
-        print()
-        if args.write_baseline:
-            problems = churn_semantic_problems(panel)
-            if problems:
-                for problem in problems:
-                    print(f"churn panel: {problem}")
-                return 1
-            path = write_churn_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_churn(panel, load_churn_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"churn check: {problem}")
-                return 1
-            print("churn check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.service:
-        from repro.bench.service import (
-            check_panel as check_service,
-            load_baseline as load_service_baseline,
-            render_service_summary,
-            semantic_problems,
-            service_panel,
-            write_baseline as write_service_baseline,
-        )
-
-        panel = service_panel()
-        print(render_service_summary(panel))
-        print()
-        if args.write_baseline:
-            problems = semantic_problems(panel)
-            if problems:
-                for problem in problems:
-                    print(f"service panel: {problem}")
-                return 1
-            path = write_service_baseline(panel)
-            print(f"wrote {path}")
-            print()
-        if args.check:
-            problems = check_service(panel, load_service_baseline())
-            if problems:
-                for problem in problems:
-                    print(f"service check: {problem}")
-                return 1
-            print("service check: matches committed baseline")
-            print()
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
-
-    if args.comms:
-        from repro.bench.comms import comms_panel, comms_to_json, render_comms
-
-        started = time.perf_counter()
-        points = comms_panel(quick=args.quick, smoke=args.smoke)
-        elapsed = time.perf_counter() - started
-        print(render_comms(points))
-        print(f"(regenerated in {elapsed:.1f}s wall time)")
-        print()
-        if args.out is not None:
-            path = args.out / "comms.json"
-            path.write_text(comms_to_json(points))
-            print(f"wrote {path}")
-            print()
-        if not all(p.outputs_identical for p in points):
-            print("comms: optimised run changed outputs or moved bytes")
-            return 1
-        if not (args.artifacts or args.sentinel or args.analyze):
-            return 0
+        for panel in requested
+    ]
+    if not all(passed):
+        return 1
+    if requested and not (args.artifacts or args.sentinel or args.analyze):
+        return 0
 
     if "table1" in wanted:
         print(render_table1(table1()))
@@ -320,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     ran_panels = False
     total_violations = 0
     total_analysis_errors = 0
-    for name, build in PANELS.items():
+    for name, build in FIG7_BUILDERS.items():
         if name not in wanted:
             continue
         ran_panels = True

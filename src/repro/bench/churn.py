@@ -13,9 +13,9 @@ whose membership changes *mid-run* through
 
 Every simulated quantity a cell reports (elapsed seconds, churn event
 counts, evacuated/restored bytes, forwarded tasks, recovery time) is
-deterministic, so ``--check`` demands exact equality against the
-committed ``BENCH_churn_baseline.json`` — any drift is a behaviour
-change.  Host wall clock gets the usual :data:`ELAPSED_TOLERANCE`.
+deterministic, so :mod:`repro.bench.panel`'s ``--check`` demands exact
+equality against the committed ``BENCH_churn_baseline.json`` — any
+drift is a behaviour change.
 
 The panel is sentinel-aware: run under ``REPRO_SENTINEL=1`` the runtimes
 attach strict invariant sentinels, the panel records their violation
@@ -26,28 +26,16 @@ churn sweep" as a hard gate.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass, field
 
 from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale
 from repro.apps.stencil import StencilWorkload, stencil_allscale
 from repro.apps.tpc import TPCWorkload, tpc_allscale
+from repro.bench.panel import Panel
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.elastic import ChurnController, ChurnEvent
 from repro.sim.cluster import Cluster, meggie_like_spec
-
-#: schema version of the JSON baseline; bump on any section-shape change
-CHURN_SCHEMA_VERSION = 1
-
-#: committed location of the pinned sweep
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3] / "BENCH_churn_baseline.json"
-)
-
-#: relative wall-clock regression ``--check`` tolerates
-ELAPSED_TOLERANCE = 0.20
 
 #: metrics every cell snapshots (exact simulated values)
 _PINNED_METRICS = (
@@ -63,12 +51,6 @@ _PINNED_METRICS = (
     "elastic.recovery_time.mean",
     "dm.dead_letter_payloads",
 )
-
-
-def panel_mode(quick: bool, smoke: bool) -> str:
-    if smoke:
-        return "smoke"
-    return "quick" if quick else "full"
 
 
 def _grid(mode: str) -> tuple[int, list[tuple[int, int]]]:
@@ -202,9 +184,8 @@ def _run_cell(app: str, workload, nodes: int, events: list[ChurnEvent]):
     return result, runtime, controller, snapshot, violations
 
 
-def churn_panel(quick: bool = False, smoke: bool = False) -> ChurnPanel:
+def churn_panel(mode: str) -> ChurnPanel:
     """Run the full churn sweep: every app × every scenario."""
-    mode = panel_mode(quick, smoke)
     nodes, grid = _grid(mode)
     workloads = _workloads(mode)
     panel = ChurnPanel(mode=mode, start_nodes=nodes)
@@ -278,28 +259,6 @@ def panel_section(panel: ChurnPanel) -> dict:
     }
 
 
-def load_baseline(path: pathlib.Path | None = None) -> dict | None:
-    path = path or BASELINE_PATH
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def write_baseline(
-    panel: ChurnPanel, path: pathlib.Path | None = None
-) -> pathlib.Path:
-    """Merge this run's mode section into the baseline file."""
-    path = path or BASELINE_PATH
-    baseline = load_baseline(path) or {
-        "schema": CHURN_SCHEMA_VERSION,
-        "modes": {},
-    }
-    baseline["schema"] = CHURN_SCHEMA_VERSION
-    baseline["modes"][panel.mode] = panel_section(panel)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def semantic_problems(panel: ChurnPanel) -> list[str]:
     """Model-level sanity gates a run must clear to be pinned."""
     problems: list[str] = []
@@ -331,60 +290,6 @@ def semantic_problems(panel: ChurnPanel) -> list[str]:
     return problems
 
 
-def check_panel(panel: ChurnPanel, baseline: dict | None) -> list[str]:
-    """Exact comparison of simulated values against the committed pin."""
-    if baseline is None:
-        return [f"no baseline file at {BASELINE_PATH}"]
-    section = baseline.get("modes", {}).get(panel.mode)
-    if section is None:
-        return [f"baseline has no {panel.mode!r} section"]
-    problems = list(semantic_problems(panel))
-    if section.get("start_nodes") != panel.start_nodes:
-        problems.append(
-            f"start nodes changed: baseline {section.get('start_nodes')}, "
-            f"run {panel.start_nodes}"
-        )
-    pinned = section.get("cells", {})
-    for cell in panel.cells:
-        key = f"{cell.app}/{cell.scenario}"
-        row = pinned.get(key)
-        if row is None:
-            problems.append(f"{key}: not in baseline")
-            continue
-        if cell.sim_elapsed != row.get("sim_elapsed"):
-            problems.append(
-                f"{key}: simulated elapsed changed "
-                f"(baseline {row.get('sim_elapsed')!r}, "
-                f"run {cell.sim_elapsed!r})"
-            )
-        for name, got in cell.metrics.items():
-            want = row.get("metrics", {}).get(name, 0.0)
-            if got != want:
-                problems.append(
-                    f"{key} {name}: changed (baseline {want!r}, run {got!r})"
-                )
-        for attr in ("membership_changes", "final_processes"):
-            if getattr(cell, attr) != row.get(attr):
-                problems.append(
-                    f"{key} {attr}: changed (baseline {row.get(attr)!r}, "
-                    f"run {getattr(cell, attr)!r})"
-                )
-    have = {f"{c.app}/{c.scenario}" for c in panel.cells}
-    for key in pinned:
-        if key not in have:
-            problems.append(f"{key}: in baseline but not in run")
-    pinned_total = section.get("wall_seconds_total")
-    if pinned_total:
-        limit = pinned_total * (1.0 + ELAPSED_TOLERANCE)
-        if panel.wall_total > limit:
-            problems.append(
-                f"wall clock regressed: {panel.wall_total:.1f}s vs "
-                f"baseline {pinned_total:.1f}s "
-                f"(>{ELAPSED_TOLERANCE * 100.0:.0f}% over)"
-            )
-    return problems
-
-
 def render_churn_summary(panel: ChurnPanel) -> str:
     lines = [
         f"Churn sweep ({panel.mode}: {panel.start_nodes} starting nodes"
@@ -409,3 +314,16 @@ def render_churn_summary(panel: ChurnPanel) -> str:
         lines.append(f"  {app:<8} {wall:7.1f}s wall")
     lines.append(f"  {'total':<8} {panel.wall_total:7.1f}s wall")
     return "\n".join(lines)
+
+
+PANEL = Panel(
+    name="churn",
+    help="run the elasticity panel: each app under node churn "
+    "(scale-out, graceful drain, failure storms with checkpoint "
+    "recovery) sweeping churn rate x storm size; simulated values "
+    "are pinned exactly in BENCH_churn_baseline.json",
+    run=churn_panel,
+    section=panel_section,
+    render=render_churn_summary,
+    semantic=semantic_problems,
+)

@@ -8,20 +8,23 @@ wall-clock for both, plus the ``comms.*`` counters of the optimised run.
 
 The two runs must agree on *what* was computed and moved: identical
 work, identical data payload bytes.  Only message counts and timing may
-differ — that is the optimisation's contract, and
-``tests/test_determinism.py`` pins it per app while
-``BENCH_comms_baseline.json`` pins the panel's measured shape.
+differ — that is the optimisation's contract (this panel's semantic
+gate), and ``tests/test_determinism.py`` pins it per app while
+``BENCH_comms_baseline.json`` pins the panel's measured values through
+:mod:`repro.bench.panel`.
 """
 
 from __future__ import annotations
 
-import json
+import time
 from dataclasses import dataclass, field
 
 from repro.apps.common import AppResult
 from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale
 from repro.apps.stencil import StencilWorkload, stencil_allscale
 from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale
+from repro.bench.panel import Panel
+from repro.bench.report import render_table
 from repro.runtime.config import RuntimeConfig
 from repro.sim.cluster import Cluster, meggie_like_spec
 
@@ -29,9 +32,6 @@ from repro.sim.cluster import Cluster, meggie_like_spec
 #: already fully visible at a handful of nodes; the panel is about
 #: counts and deltas, not scaling curves)
 COMMS_NODE_COUNT = 4
-
-#: schema version of the JSON baseline; bump on any row-shape change
-COMMS_SCHEMA_VERSION = 1
 
 #: metric keys copied verbatim from the optimised run into each row
 _ON_COUNTERS = (
@@ -149,9 +149,18 @@ def _measure(app: str, run, nodes: int) -> CommsPoint:
     )
 
 
-def comms_panel(quick: bool = False, smoke: bool = False) -> list[CommsPoint]:
+@dataclass
+class CommsPanel:
+    """One off-versus-on comparison of every app, with host timing."""
+
+    points: list[CommsPoint]
+    wall_seconds: float = 0.0
+
+
+def comms_panel(mode: str) -> CommsPanel:
     """Off-versus-on comparison for all three applications."""
-    reduced = quick or smoke
+    started = time.perf_counter()
+    reduced = mode != "full"  # quick and smoke share one reduced size
     nodes = COMMS_NODE_COUNT
     cluster = lambda: Cluster(meggie_like_spec(nodes))  # noqa: E731
 
@@ -176,7 +185,7 @@ def comms_panel(quick: bool = False, smoke: bool = False) -> list[CommsPoint]:
     )
     tpc_problem = make_problem(tpc_wl, nodes)
 
-    return [
+    points = [
         _measure(
             "stencil",
             lambda cfg: stencil_allscale(cluster(), stencil_wl, cfg),
@@ -195,14 +204,13 @@ def comms_panel(quick: bool = False, smoke: bool = False) -> list[CommsPoint]:
             nodes,
         ),
     ]
+    return CommsPanel(points, time.perf_counter() - started)
 
 
-def render_comms(points: list[CommsPoint]) -> str:
+def render_comms(panel: CommsPanel) -> str:
     """The panel as a fixed-width table."""
-    from repro.bench.report import render_table
-
     rows = []
-    for p in points:
+    for p in panel.points:
         rows.append(
             (
                 p.app,
@@ -232,14 +240,36 @@ def render_comms(points: list[CommsPoint]) -> str:
         ],
         rows,
     )
-    return f"{title}\n{body}"
+    return (
+        f"{title}\n{body}\n"
+        f"(regenerated in {panel.wall_seconds:.1f}s wall time)"
+    )
 
 
-def comms_to_json(points: list[CommsPoint]) -> str:
-    """Serialize the panel for ``BENCH_comms_baseline.json``."""
-    payload = {
-        "schema": COMMS_SCHEMA_VERSION,
+def panel_section(panel: CommsPanel) -> dict:
+    return {
         "nodes": COMMS_NODE_COUNT,
-        "apps": {p.app: p.to_row() for p in points},
+        "apps": {p.app: p.to_row() for p in panel.points},
+        "wall_seconds": round(panel.wall_seconds, 2),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def semantic_problems(panel: CommsPanel) -> list[str]:
+    return [
+        f"{p.app}: optimised run changed outputs or moved bytes"
+        for p in panel.points
+        if not p.outputs_identical
+    ]
+
+
+PANEL = Panel(
+    name="comms",
+    help="run the communication-layer panel: each app with transfer "
+    "coalescing + replica prefetch off vs. on, reporting message "
+    "counts, bytes, and wall-clock deltas (non-zero exit if the "
+    "optimised run changes computed outputs or moved bytes)",
+    run=comms_panel,
+    section=panel_section,
+    render=render_comms,
+    semantic=semantic_problems,
+)

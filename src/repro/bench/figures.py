@@ -105,3 +105,11 @@ def fig7_tpc(quick: bool = False, smoke: bool = False) -> ScalingSeries:
         mpi = tpc_mpi(Cluster(meggie_like_spec(nodes)), workload, problem=problem)
         series.add(allscale, mpi)
     return series
+
+
+#: the three Fig. 7 panels by CLI name, in the paper's left-to-right order
+FIG7_BUILDERS = {
+    "stencil": fig7_stencil,
+    "ipic3d": fig7_ipic3d,
+    "tpc": fig7_tpc,
+}

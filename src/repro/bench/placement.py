@@ -16,16 +16,14 @@ races: the ``reset()`` contract (invoked at runtime construction) must
 make back-to-back runs identical, and this panel's exact-match baseline
 is the standing proof.
 
-Results are pinned in ``BENCH_placement_baseline.json``.  ``--check``
-demands exact simulated values (the simulator is deterministic) and
-enforces the planner's headline guarantee: ``planned`` moves strictly
-fewer bytes than both ablation baselines for every application.
+Results — every race, every plan digest, the topologies — are pinned in
+``BENCH_placement_baseline.json`` through :mod:`repro.bench.panel`; the
+semantic gate is the planner's headline guarantee: ``planned`` moves
+strictly fewer bytes than both ablation baselines for every application.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass, field, replace
 
@@ -39,7 +37,7 @@ from repro.apps.tpc import (
     tpc_allscale,
     tpc_program,
 )
-from repro.bench.scaling import panel_mode
+from repro.bench.panel import Panel
 from repro.placement import PlannedPolicy, plan_placement
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import (
@@ -49,18 +47,6 @@ from repro.runtime.policies import (
     SchedulingPolicy,
 )
 from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
-
-#: schema version of the JSON baseline; bump on any section-shape change
-PLACEMENT_SCHEMA_VERSION = 1
-
-#: committed location of the pinned tournament
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3]
-    / "BENCH_placement_baseline.json"
-)
-
-#: relative host wall-clock regression ``--check`` tolerates
-ELAPSED_TOLERANCE = 0.20
 
 #: name → (node count, fat-tree switch radix).  Three shapes: a single
 #: edge-switch group, a deep skinny tree (every hop counts), and a wide
@@ -274,11 +260,8 @@ def _measure(
     )
 
 
-def placement_panel(
-    quick: bool = False, smoke: bool = False
-) -> PlacementPanel:
+def placement_panel(mode: str) -> PlacementPanel:
     """Run the full tournament: apps × topologies × policies."""
-    mode = panel_mode(quick, smoke)
     panel = PlacementPanel(mode=mode)
     started = time.perf_counter()
     # shared across every race on purpose: reset() must isolate runs
@@ -364,71 +347,6 @@ def panel_section(panel: PlacementPanel) -> dict:
     }
 
 
-def load_baseline(path: pathlib.Path | None = None) -> dict | None:
-    path = path or BASELINE_PATH
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def write_baseline(
-    panel: PlacementPanel, path: pathlib.Path | None = None
-) -> pathlib.Path:
-    """Merge this run's section into the baseline file (kept per mode)."""
-    path = path or BASELINE_PATH
-    baseline = load_baseline(path) or {
-        "schema": PLACEMENT_SCHEMA_VERSION,
-        "modes": {},
-    }
-    baseline["schema"] = PLACEMENT_SCHEMA_VERSION
-    baseline["modes"][panel.mode] = panel_section(panel)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def check_panel(panel: PlacementPanel, baseline: dict | None) -> list[str]:
-    """Exact-match the committed baseline, then the semantic claims."""
-    if baseline is None:
-        return [f"no baseline file at {BASELINE_PATH}"]
-    section = baseline.get("modes", {}).get(panel.mode)
-    if section is None:
-        return [f"baseline has no {panel.mode!r} section"]
-    problems: list[str] = []
-    pinned = {
-        (row["app"], row["topology"], row["policy"]): row
-        for row in section.get("races", ())
-    }
-    for result in panel.results:
-        key = (result.app, result.topology, result.policy)
-        row = pinned.get(key)
-        if row is None:
-            problems.append(f"{'/'.join(key)}: not in baseline")
-            continue
-        for metric, got in result.values().items():
-            want = row.get(metric)
-            if got != want:
-                problems.append(
-                    f"{'/'.join(key)} {metric}: output changed "
-                    f"(baseline {want!r}, run {got!r})"
-                )
-    for key in pinned:
-        if key not in {
-            (r.app, r.topology, r.policy) for r in panel.results
-        }:
-            problems.append(f"{'/'.join(key)}: in baseline but not run")
-    pinned_wall = section.get("wall_seconds")
-    if pinned_wall:
-        limit = pinned_wall * (1.0 + ELAPSED_TOLERANCE)
-        if panel.wall_seconds > limit:
-            problems.append(
-                f"wall clock regressed: {panel.wall_seconds:.1f}s vs "
-                f"baseline {pinned_wall:.1f}s "
-                f"(>{ELAPSED_TOLERANCE * 100.0:.0f}% over)"
-            )
-    problems.extend(semantic_problems(panel))
-    return problems
-
-
 def render_placement_leaderboard(panel: PlacementPanel) -> str:
     """Per app × topology leaderboard, best simulated wall clock first."""
     lines = [f"Placement tournament ({panel.mode})"]
@@ -462,3 +380,16 @@ def render_placement_leaderboard(panel: PlacementPanel) -> str:
             lines.append("")
     lines.append(f"(tournament ran in {panel.wall_seconds:.1f}s wall time)")
     return "\n".join(lines)
+
+
+PANEL = Panel(
+    name="placement",
+    help="run the placement policy tournament: the offline planner "
+    "vs. data-aware/round-robin/random across all three apps and "
+    "three fat-tree topologies, reporting wall clock, messages, "
+    "bytes moved, and balancer migrations",
+    run=placement_panel,
+    section=panel_section,
+    render=render_placement_leaderboard,
+    semantic=semantic_problems,
+)

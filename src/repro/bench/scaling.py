@@ -7,13 +7,9 @@ to regenerate routinely; this panel runs it end to end, times each
 application, and pins the result in ``BENCH_scaling_baseline.json`` at
 the repository root.
 
-The baseline file holds one section per sweep *mode* (``full``,
-``quick``, ``smoke``) because the reduced modes shrink the workloads,
-not just the x-axis — their throughput values legitimately differ from
-the full sweep's.  ``--check`` compares a fresh run against the matching
-section: every throughput value must be *identical* (the simulator is
-deterministic; any drift is a behaviour change, not noise) and the wall
-clock must not regress by more than :data:`ELAPSED_TOLERANCE`.
+The reduced modes shrink the workloads, not just the x-axis, so each
+mode pins its own section; file layout and ``--check`` are
+:mod:`repro.bench.panel`'s.
 
 The ``quick`` section additionally records the speedup against the
 pre-refactor quick-bench wall clock (:data:`PR5_QUICK_SECONDS`), which
@@ -22,47 +18,18 @@ is the flat-core work's headline number.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass
 
-from repro.bench.figures import (
-    fig7_ipic3d,
-    fig7_stencil,
-    fig7_tpc,
-    quick_node_counts,
-)
+from repro.bench.figures import FIG7_BUILDERS, quick_node_counts
 from repro.bench.harness import ScalingSeries
-
-#: schema version of the JSON baseline; bump on any section-shape change
-SCALING_SCHEMA_VERSION = 1
-
-#: committed location of the pinned sweep
-BASELINE_PATH = (
-    pathlib.Path(__file__).resolve().parents[3] / "BENCH_scaling_baseline.json"
-)
+from repro.bench.panel import Panel
+from repro.bench.report import render_series
 
 #: quick-bench wall clock (stencil + ipic3d + tpc, 1/4/16 nodes) measured
 #: at the PR-5 state, immediately before the flat-core refactor; the
 #: ``quick`` section's ``speedup_vs_pr5`` is anchored against it
 PR5_QUICK_SECONDS = 86.4
-
-#: relative wall-clock regression ``--check`` tolerates (CI machines are
-#: noisy; simulated outputs are exact, host timing is not)
-ELAPSED_TOLERANCE = 0.20
-
-_BUILDERS = {
-    "stencil": fig7_stencil,
-    "ipic3d": fig7_ipic3d,
-    "tpc": fig7_tpc,
-}
-
-
-def panel_mode(quick: bool, smoke: bool) -> str:
-    if smoke:
-        return "smoke"
-    return "quick" if quick else "full"
 
 
 @dataclass
@@ -79,16 +46,17 @@ class ScalingPanel:
         return sum(self.wall_seconds.values())
 
 
-def scaling_panel(quick: bool = False, smoke: bool = False) -> ScalingPanel:
+def scaling_panel(mode: str) -> ScalingPanel:
     """Run the Fig. 7 sweep for every application, timing each panel."""
+    quick, smoke = mode == "quick", mode == "smoke"
     series: dict[str, ScalingSeries] = {}
     wall: dict[str, float] = {}
-    for name, build in _BUILDERS.items():
+    for name, build in FIG7_BUILDERS.items():
         started = time.perf_counter()
         series[name] = build(quick=quick, smoke=smoke)
         wall[name] = time.perf_counter() - started
     return ScalingPanel(
-        mode=panel_mode(quick, smoke),
+        mode=mode,
         node_counts=quick_node_counts(quick, smoke),
         series=series,
         wall_seconds=wall,
@@ -118,84 +86,13 @@ def panel_section(panel: ScalingPanel) -> dict:
     return section
 
 
-def load_baseline(path: pathlib.Path | None = None) -> dict | None:
-    path = path or BASELINE_PATH
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def write_baseline(
-    panel: ScalingPanel, path: pathlib.Path | None = None
-) -> pathlib.Path:
-    """Merge this run's section into the baseline file (kept per mode)."""
-    path = path or BASELINE_PATH
-    baseline = load_baseline(path) or {
-        "schema": SCALING_SCHEMA_VERSION,
-        "modes": {},
-    }
-    baseline["schema"] = SCALING_SCHEMA_VERSION
-    baseline["modes"][panel.mode] = panel_section(panel)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def check_panel(panel: ScalingPanel, baseline: dict | None) -> list[str]:
-    """Compare a fresh sweep against the committed baseline.
-
-    Returns a list of human-readable problems; empty means the run
-    matches.  Throughput values must be exactly equal — the simulation is
-    deterministic, so the committed numbers are goldens, not estimates.
-    Host wall clock may vary but must not regress beyond the tolerance.
-    """
-    if baseline is None:
-        return [f"no baseline file at {BASELINE_PATH}"]
-    section = baseline.get("modes", {}).get(panel.mode)
-    if section is None:
-        return [f"baseline has no {panel.mode!r} section"]
-    problems: list[str] = []
-    if section.get("node_counts") != list(panel.node_counts):
-        problems.append(
-            f"node counts changed: baseline {section.get('node_counts')}, "
-            f"run {list(panel.node_counts)}"
-        )
-    for name, series in panel.series.items():
-        pinned = section.get("apps", {}).get(name)
-        if pinned is None:
-            problems.append(f"{name}: missing from baseline")
-            continue
-        rows = {row["nodes"]: row for row in pinned.get("points", ())}
-        for point in series.points:
-            row = rows.get(point.nodes)
-            if row is None:
-                problems.append(f"{name}@{point.nodes}: not in baseline")
-                continue
-            for system, got in (
-                ("allscale", point.allscale),
-                ("mpi", point.mpi),
-            ):
-                want = row.get(system)
-                if got != want:
-                    problems.append(
-                        f"{name}@{point.nodes} {system}: output changed "
-                        f"(baseline {want!r}, run {got!r})"
-                    )
-    pinned_total = section.get("wall_seconds_total")
-    if pinned_total:
-        limit = pinned_total * (1.0 + ELAPSED_TOLERANCE)
-        if panel.wall_total > limit:
-            problems.append(
-                f"wall clock regressed: {panel.wall_total:.1f}s vs "
-                f"baseline {pinned_total:.1f}s "
-                f"(>{ELAPSED_TOLERANCE * 100.0:.0f}% over)"
-            )
-    return problems
-
-
 def render_scaling_summary(panel: ScalingPanel) -> str:
-    """Per-app host timing plus the quick-mode speedup line."""
-    lines = [f"Scaling sweep ({panel.mode}: {list(panel.node_counts)} nodes)"]
-    for name in _BUILDERS:
+    """Every series, then per-app host timing and the quick-mode speedup."""
+    lines = [render_series(series) + "\n" for series in panel.series.values()]
+    lines.append(
+        f"Scaling sweep ({panel.mode}: {list(panel.node_counts)} nodes)"
+    )
+    for name in panel.series:
         lines.append(f"  {name:<8} {panel.wall_seconds[name]:7.1f}s wall")
     lines.append(f"  {'total':<8} {panel.wall_total:7.1f}s wall")
     if panel.mode == "quick":
@@ -204,3 +101,14 @@ def render_scaling_summary(panel: ScalingPanel) -> str:
             f"{PR5_QUICK_SECONDS / panel.wall_total:.1f}x"
         )
     return "\n".join(lines)
+
+
+PANEL = Panel(
+    name="scaling",
+    help="run the Fig. 7 weak-scaling sweep for all three apps "
+    "(full 1-64 nodes by default; --quick/--smoke shrink it) and "
+    "print per-app host timing",
+    run=scaling_panel,
+    section=panel_section,
+    render=render_scaling_summary,
+)

@@ -13,21 +13,18 @@ estimates):
   node-second shares at the 72-dispatch contended horizon, where the
   stride scheduler's split must match the configured weights exactly.
 
-``--check`` compares a fresh run against
-``BENCH_service_baseline.json``: every simulated value must be
-*identical* (any drift is a scheduler behaviour change, not noise), the
-contended shares must sit within :data:`SHARE_TOLERANCE` of the
-configured weights, no racy job may ever be admitted, and host wall
-clock must not regress by more than :data:`ELAPSED_TOLERANCE`.
+Both are pinned in ``BENCH_service_baseline.json`` through
+:mod:`repro.bench.panel` (one mode: the replay has no reduced size).
+The semantic gate: contended shares within :data:`SHARE_TOLERANCE` of
+the configured weights, and no racy job ever admitted.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from dataclasses import dataclass
 
+from repro.bench.panel import REPO_ROOT, Panel
 from repro.service.trace import (
     DEMO_HORIZON_DISPATCHES,
     Trace,
@@ -35,19 +32,8 @@ from repro.service.trace import (
     replay,
 )
 
-#: schema version of the JSON baseline; bump on any section-shape change
-SERVICE_SCHEMA_VERSION = 1
-
-_REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
-
-#: committed location of the pinned replay numbers
-BASELINE_PATH = _REPO_ROOT / "BENCH_service_baseline.json"
-
 #: the committed arrival trace the smoke sub-panel replays
-SMOKE_TRACE_PATH = _REPO_ROOT / "traces" / "multi_tenant_smoke.json"
-
-#: relative wall-clock regression ``--check`` tolerates
-ELAPSED_TOLERANCE = 0.20
+SMOKE_TRACE_PATH = REPO_ROOT / "traces" / "multi_tenant_smoke.json"
 
 #: maximum relative deviation of an observed contended share from the
 #: configured weight share (the ISSUE's 10% acceptance bound)
@@ -88,40 +74,6 @@ def panel_section(panel: ServicePanel) -> dict:
     }
 
 
-def load_baseline(path: pathlib.Path | None = None) -> dict | None:
-    path = path or BASELINE_PATH
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def write_baseline(
-    panel: ServicePanel, path: pathlib.Path | None = None
-) -> pathlib.Path:
-    path = path or BASELINE_PATH
-    baseline = {
-        "schema": SERVICE_SCHEMA_VERSION,
-        "service": panel_section(panel),
-    }
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _diff(path: str, want, got, problems: list[str]) -> None:
-    """Recursive exact comparison with dotted-path problem reports."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        for key in sorted(set(want) | set(got)):
-            if key not in want:
-                problems.append(f"{path}.{key}: not in baseline")
-            elif key not in got:
-                problems.append(f"{path}.{key}: missing from run")
-            else:
-                _diff(f"{path}.{key}", want[key], got[key], problems)
-        return
-    if want != got:
-        problems.append(f"{path}: baseline {want!r}, run {got!r}")
-
-
 def semantic_problems(panel: ServicePanel) -> list[str]:
     """Baseline-independent acceptance checks on a fresh run."""
     problems: list[str] = []
@@ -141,39 +93,6 @@ def semantic_problems(panel: ServicePanel) -> list[str]:
                 f"contended: tenant {name} share {observed:.4f} deviates "
                 f"{error:.1%} from configured {configured:.4f} "
                 f"(tolerance {SHARE_TOLERANCE:.0%})"
-            )
-    return problems
-
-
-def check_panel(panel: ServicePanel, baseline: dict | None) -> list[str]:
-    """Compare a fresh run against the committed baseline.
-
-    Simulated values must match exactly; wall clock may drift within
-    the tolerance; the semantic share/false-accept bounds apply on top
-    (they would catch a baseline that was itself regenerated broken).
-    """
-    problems = semantic_problems(panel)
-    if baseline is None:
-        problems.append(f"no baseline file at {BASELINE_PATH}")
-        return problems
-    if baseline.get("schema") != SERVICE_SCHEMA_VERSION:
-        problems.append(
-            f"baseline schema {baseline.get('schema')!r} != "
-            f"{SERVICE_SCHEMA_VERSION}"
-        )
-        return problems
-    section = baseline.get("service", {})
-    _diff("pins", section.get("pins"), panel_section(panel)["pins"], problems)
-    pinned_wall = section.get("wall_seconds")
-    if pinned_wall:
-        # the replay takes well under a second, where relative tolerance
-        # is all noise — allow one absolute second of host jitter on top
-        limit = pinned_wall * (1.0 + ELAPSED_TOLERANCE) + 1.0
-        if panel.wall_seconds > limit:
-            problems.append(
-                f"wall clock regressed: {panel.wall_seconds:.1f}s vs "
-                f"baseline {pinned_wall:.1f}s "
-                f"(>{ELAPSED_TOLERANCE * 100.0:.0f}% over)"
             )
     return problems
 
@@ -214,3 +133,16 @@ def render_service_summary(panel: ServicePanel) -> str:
         )
     lines.append(f"  total {panel.wall_seconds:.1f}s wall")
     return "\n".join(lines)
+
+
+PANEL = Panel(
+    name="service",
+    help="run the multi-tenant service panel: replay the committed "
+    "arrival trace plus the contended fair-share demo, reporting "
+    "per-tenant latency/throughput and the fairness index",
+    run=lambda _mode: service_panel(),
+    section=panel_section,
+    render=render_service_summary,
+    semantic=semantic_problems,
+    modes=("full",),
+)

@@ -170,13 +170,34 @@ class TestCommsPoint:
         assert row["counters"] == {}
 
     def test_render_and_json(self):
-        from repro.bench.comms import comms_to_json, render_comms
+        from repro.bench.comms import CommsPanel, panel_section, render_comms
 
-        points = [self.make_point()]
-        text = render_comms(points)
-        assert "+40.0%" in text and "yes" in text
-        payload = json.loads(comms_to_json(points))
-        assert payload["apps"]["x"]["messages_on"] == 600.0
+        panel = CommsPanel([self.make_point()], wall_seconds=1.234)
+        text = render_comms(panel)
+        assert "+40.0%" in text and "yes" in text and "1.2s wall" in text
+        section = json.loads(json.dumps(panel_section(panel)))
+        assert section["apps"]["x"]["messages_on"] == 600.0
+        assert section["wall_seconds"] == 1.23
+
+    def test_semantic_gate_and_committed_smoke_section(self):
+        """``--comms`` is a checked panel: the off/on contract gates every
+        run, and the committed smoke section matches a fresh run exactly."""
+        from repro.bench.comms import PANEL, CommsPanel
+        from repro.bench.panel import check_panel, load_baseline
+
+        broken = CommsPanel([self.make_point(work_on=11.0)])
+        assert PANEL.semantic(broken) == [
+            "x: optimised run changed outputs or moved bytes"
+        ]
+        committed = load_baseline(PANEL.baseline_path)
+        run = PANEL.run("smoke")
+        run.wall_seconds = 0.0  # simulated values only; hosts differ
+        assert check_panel(PANEL, "smoke", run, committed) == []
+        run.points[2].counters["comms.batched_tasks"] += 1.0
+        (problem,) = check_panel(PANEL, "smoke", run, committed)
+        assert problem.startswith(
+            "smoke.apps.tpc.counters.comms.batched_tasks: baseline"
+        )
 
 
 class TestCommsBaseline:
@@ -202,30 +223,40 @@ class TestCommsBaseline:
     }
 
     @pytest.fixture
-    def baseline(self):
+    def modes(self):
         path = (
             pathlib.Path(__file__).resolve().parent.parent
             / "BENCH_comms_baseline.json"
         )
-        return json.loads(path.read_text())
+        return json.loads(path.read_text())["modes"]
 
-    def test_schema_pinned(self, baseline):
-        from repro.bench.comms import COMMS_NODE_COUNT, COMMS_SCHEMA_VERSION
+    @pytest.fixture
+    def baseline(self, modes):
+        # the acceptance targets are stated for the full-size panel
+        return modes["full"]
 
-        assert baseline["schema"] == COMMS_SCHEMA_VERSION
-        assert baseline["nodes"] == COMMS_NODE_COUNT
-        assert set(baseline["apps"]) == {"stencil", "ipic3d", "tpc"}
-        for row in baseline["apps"].values():
+    @pytest.fixture
+    def rows(self, modes):
+        return [row for s in modes.values() for row in s["apps"].values()]
+
+    def test_schema_pinned(self, modes, rows):
+        from repro.bench.comms import COMMS_NODE_COUNT
+
+        assert set(modes) == {"full", "smoke"}
+        for section in modes.values():
+            assert section["nodes"] == COMMS_NODE_COUNT
+            assert set(section["apps"]) == {"stencil", "ipic3d", "tpc"}
+        for row in rows:
             assert set(row) == self.ROW_KEYS
 
-    def test_counters_pinned(self, baseline):
+    def test_counters_pinned(self, rows):
         from repro.bench.comms import _ON_COUNTERS
 
-        for row in baseline["apps"].values():
+        for row in rows:
             assert set(row["counters"]) == set(_ON_COUNTERS)
 
-    def test_outputs_identical_everywhere(self, baseline):
-        for row in baseline["apps"].values():
+    def test_outputs_identical_everywhere(self, rows):
+        for row in rows:
             assert row["outputs_identical"] is True
             assert row["data_bytes_off"] == row["data_bytes_on"]
             assert row["work_off"] == row["work_on"]
@@ -237,8 +268,8 @@ class TestCommsBaseline:
         for row in baseline["apps"].values():
             assert row["message_reduction"] >= 0.25
 
-    def test_comms_layer_actually_engaged(self, baseline):
-        for row in baseline["apps"].values():
+    def test_comms_layer_actually_engaged(self, rows):
+        for row in rows:
             counters = row["counters"]
             assert counters["net.bulk_messages"] > 0
             if row["data_bytes_off"]:

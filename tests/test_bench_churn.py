@@ -14,20 +14,16 @@ import dataclasses
 
 from repro.apps.stencil import StencilWorkload
 from repro.bench.churn import (
-    CHURN_SCHEMA_VERSION,
+    PANEL,
     ChurnCell,
     ChurnPanel,
     _grid,
     _run_cell,
     _schedule,
-    check_panel,
-    load_baseline,
-    panel_mode,
-    panel_section,
     render_churn_summary,
     semantic_problems,
-    write_baseline,
 )
+from repro.bench.panel import SCHEMA, check_panel, load_baseline, write_baseline
 from repro.runtime.elastic import ChurnEvent
 
 APPS = ("stencil", "ipic3d", "tpc")
@@ -79,13 +75,6 @@ def _replace_cell(panel, app, scenario, **changes):
 
 
 class TestModeAndSchedule:
-    def test_panel_mode(self):
-        assert panel_mode(quick=False, smoke=True) == "smoke"
-        assert panel_mode(quick=True, smoke=False) == "quick"
-        assert panel_mode(quick=False, smoke=False) == "full"
-        # smoke wins over quick, matching the CLI's precedence
-        assert panel_mode(quick=True, smoke=True) == "smoke"
-
     def test_grid_grows_with_mode(self):
         smoke_nodes, smoke_grid = _grid("smoke")
         quick_nodes, quick_grid = _grid("quick")
@@ -180,109 +169,91 @@ class TestSemanticProblems:
 
 
 class TestCheckPanel:
-    def _baseline(self, panel):
-        return {
-            "schema": CHURN_SCHEMA_VERSION,
-            "modes": {panel.mode: panel_section(panel)},
-        }
+    def _check(self, run, tmp_path, mode="smoke"):
+        path = tmp_path / "baseline.json"
+        write_baseline(PANEL, "smoke", _panel(), path)
+        return check_panel(PANEL, mode, run, load_baseline(path))
 
     def test_no_baseline(self):
-        problems = check_panel(_panel(), None)
-        assert problems and "no baseline" in problems[0]
+        (problem,) = check_panel(PANEL, "smoke", _panel(), None)
+        assert "BENCH_churn_baseline.json" in problem
 
-    def test_missing_mode_section(self):
-        panel = _panel()
-        problems = check_panel(panel, {"schema": 1, "modes": {}})
-        assert problems == [f"baseline has no {panel.mode!r} section"]
+    def test_missing_mode_section(self, tmp_path):
+        problems = self._check(_panel("quick"), tmp_path, mode="quick")
+        assert problems == ["baseline has no 'quick' section"]
 
-    def test_exact_match_passes(self):
-        panel = _panel()
-        assert check_panel(panel, self._baseline(panel)) == []
+    def test_exact_match_passes(self, tmp_path):
+        assert self._check(_panel(), tmp_path) == []
 
-    def test_sim_elapsed_drift_is_exact(self):
+    def test_sim_elapsed_drift_is_exact(self, tmp_path):
         panel = _panel()
-        baseline = self._baseline(panel)
         _replace_cell(panel, "stencil", "drain", sim_elapsed=99.0)
-        problems = check_panel(panel, baseline)
-        assert any(
-            "stencil/drain" in p and "simulated elapsed changed" in p
-            for p in problems
-        )
+        assert self._check(panel, tmp_path) == [
+            "smoke.cells.stencil/drain.sim_elapsed: baseline 0.52, run 99.0"
+        ]
 
-    def test_metric_drift_is_exact(self):
+    def test_metric_drift_is_exact(self, tmp_path):
         panel = _panel()
-        baseline = self._baseline(panel)
         metrics = dict(_metrics("drain"))
         metrics["elastic.evacuated_bytes"] += 1.0
         _replace_cell(panel, "tpc", "drain", metrics=metrics)
-        problems = check_panel(panel, baseline)
-        assert any(
-            "tpc/drain elastic.evacuated_bytes" in p for p in problems
-        )
+        (problem,) = self._check(panel, tmp_path)
+        assert "tpc/drain.metrics.elastic.evacuated_bytes" in problem
 
-    def test_membership_and_survivors_pinned(self):
+    def test_membership_and_survivors_pinned(self, tmp_path):
         panel = _panel()
-        baseline = self._baseline(panel)
         _replace_cell(
             panel, "ipic3d", "scale_out",
             membership_changes=5, final_processes=9,
         )
-        problems = check_panel(panel, baseline)
+        problems = self._check(panel, tmp_path)
         assert any("membership_changes" in p for p in problems)
         assert any("final_processes" in p for p in problems)
 
-    def test_cell_set_must_match(self):
+    def test_cell_set_must_match(self, tmp_path):
         panel = _panel()
-        baseline = self._baseline(panel)
         extra = dataclasses.replace(panel.cells[-1], scenario="storm9xr9")
         panel.cells.append(extra)
         del panel.cells[0]
-        problems = check_panel(panel, baseline)
-        assert any("not in baseline" in p for p in problems)
-        assert any("in baseline but not in run" in p for p in problems)
+        problems = self._check(panel, tmp_path)
+        assert "smoke.cells.tpc/storm9xr9: not in baseline" in problems
+        assert (
+            "smoke.cells.stencil/baseline: in baseline but not in run"
+            in problems
+        )
 
-    def test_start_nodes_pinned(self):
+    def test_start_nodes_pinned(self, tmp_path):
         panel = _panel()
-        baseline = self._baseline(panel)
         panel.start_nodes = 7
-        assert any(
-            "start nodes changed" in p
-            for p in check_panel(panel, baseline)
-        )
+        assert self._check(panel, tmp_path) == [
+            "smoke.start_nodes: baseline 3, run 7"
+        ]
 
-    def test_wall_clock_tolerance(self):
+    def test_wall_clock_tolerance(self, tmp_path):
+        # the gate reads the total across apps: 3 x 1.0 s pinned
         panel = _panel()
-        baseline = self._baseline(panel)
         for app in panel.wall_seconds:
-            panel.wall_seconds[app] *= 10.0
-        assert any(
-            "wall clock regressed" in p
-            for p in check_panel(panel, baseline)
-        )
-        # simulated drift is exact, wall drift is tolerated up to 20%
+            panel.wall_seconds[app] = 1.6
+        (problem,) = self._check(panel, tmp_path)
+        assert problem.startswith("wall clock regressed: 4.8s vs baseline 3.0s")
         for app in panel.wall_seconds:
-            panel.wall_seconds[app] = 1.1
-        assert check_panel(panel, baseline) == []
+            panel.wall_seconds[app] = 1.5
+        assert self._check(panel, tmp_path) == []
 
 
 class TestBaselineFile:
     def test_roundtrip_merges_per_mode(self, tmp_path):
         path = tmp_path / "baseline.json"
-        assert load_baseline(path) is None
-        smoke = _panel("smoke")
-        quick = _panel("quick")
-        write_baseline(smoke, path)
-        write_baseline(quick, path)
+        smoke, quick = _panel("smoke"), _panel("quick")
+        write_baseline(PANEL, "smoke", smoke, path)
+        write_baseline(PANEL, "quick", quick, path)
         baseline = load_baseline(path)
-        assert baseline["schema"] == CHURN_SCHEMA_VERSION
-        assert set(baseline["modes"]) == {"smoke", "quick"}
-        assert check_panel(smoke, baseline) == []
-        assert check_panel(quick, baseline) == []
+        assert check_panel(PANEL, "smoke", smoke, baseline) == []
+        assert check_panel(PANEL, "quick", quick, baseline) == []
 
     def test_committed_baseline_has_all_modes(self):
-        baseline = load_baseline()
-        assert baseline is not None
-        assert baseline["schema"] == CHURN_SCHEMA_VERSION
+        baseline = load_baseline(PANEL.baseline_path)
+        assert baseline is not None and baseline["schema"] == SCHEMA
         assert set(baseline["modes"]) >= {"smoke", "quick", "full"}
 
 

@@ -2,25 +2,26 @@
 
 These use hand-built panels (the real tournament is exercised by the
 ``--placement`` CLI and its committed baseline); what is under test here
-is the exact-match checking, the semantic planner guarantees, and the
-merge-per-mode baseline file handling.
+is what the panel pins (every race, plan digest and topology), the
+semantic planner guarantees, and the leaderboard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
+from repro.bench import placement
+from repro.bench.panel import check_panel, load_baseline, write_baseline
 from repro.bench.placement import (
+    PANEL,
     POLICIES,
     TOPOLOGIES,
     PlacementPanel,
     RaceResult,
-    check_panel,
-    load_baseline,
     panel_section,
     render_placement_leaderboard,
     semantic_problems,
-    write_baseline,
 )
 
 APPS = ("stencil", "ipic3d", "tpc")
@@ -46,7 +47,10 @@ def _panel(mode="smoke"):
                         preplaced=2.0 if policy == "planned" else 0.0,
                     )
                 )
-            panel.plans[f"{app}/{topo}"] = {"processes": 4, "pins": 7}
+            panel.plans[f"{app}/{topo}"] = {
+                "pins": 7,
+                "stats": {"transfer_cost": 0.25},
+            }
     panel.wall_seconds = 10.0
     return panel
 
@@ -93,71 +97,79 @@ class TestSemanticProblems:
         assert problems == ["stencil/wide16: planned race missing"]
 
 
+def _check(run, tmp_path, pinned=None):
+    path = tmp_path / "baseline.json"
+    write_baseline(PANEL, "smoke", pinned or _panel(), path)
+    return check_panel(PANEL, "smoke", run, load_baseline(path))
+
+
 class TestBaselineRoundtrip:
     def test_write_then_check_is_clean(self, tmp_path):
-        panel = _panel()
-        path = tmp_path / "baseline.json"
-        write_baseline(panel, path)
-        assert check_panel(panel, load_baseline(path)) == []
+        assert _check(_panel(), tmp_path) == []
 
     def test_modes_merge_not_overwrite(self, tmp_path):
         path = tmp_path / "baseline.json"
-        write_baseline(_panel(mode="smoke"), path)
-        write_baseline(_panel(mode="quick"), path)
+        write_baseline(PANEL, "smoke", _panel("smoke"), path)
+        write_baseline(PANEL, "quick", _panel("quick"), path)
         baseline = load_baseline(path)
-        assert set(baseline["modes"]) == {"smoke", "quick"}
-        assert check_panel(_panel(mode="smoke"), baseline) == []
+        assert check_panel(PANEL, "smoke", _panel("smoke"), baseline) == []
+        assert check_panel(PANEL, "quick", _panel("quick"), baseline) == []
 
-    def test_missing_file_and_missing_mode(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") is None
-        problems = check_panel(_panel(), None)
-        assert problems and "no baseline" in problems[0]
-        path = tmp_path / "baseline.json"
-        write_baseline(_panel(mode="quick"), path)
-        problems = check_panel(_panel(mode="smoke"), load_baseline(path))
-        assert problems == ["baseline has no 'smoke' section"]
+    def test_missing_file_and_missing_mode(self):
+        (problem,) = check_panel(PANEL, "smoke", _panel(), None)
+        assert "BENCH_placement_baseline.json" in problem
+        # the tournament is too slow to pin at full size
+        committed = load_baseline(PANEL.baseline_path)
+        problems = check_panel(PANEL, "full", _panel(), committed)
+        assert problems == ["baseline has no 'full' section"]
 
 
 class TestCheckPanel:
     def test_detects_changed_metric(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(_panel(), path)
         panel = _panel()
         _replace_race(panel, "stencil", "edge4", "random", messages=999.0)
-        problems = check_panel(panel, load_baseline(path))
-        assert len(problems) == 1
-        assert "stencil/edge4/random messages" in problems[0]
+        assert _check(panel, tmp_path) == [
+            "smoke.races[3].messages: baseline 130.0, run 999.0"
+        ]
+
+    def test_detects_drifted_plan_digest(self, tmp_path):
+        panel = _panel()
+        stats = panel.plans["ipic3d/deep8"]["stats"]
+        stats["transfer_cost"] = math.nextafter(0.25, 1.0)
+        (problem,) = _check(panel, tmp_path)
+        assert problem.startswith(
+            "smoke.plans.ipic3d/deep8.stats.transfer_cost: baseline 0.25"
+        )
+
+    def test_detects_changed_topology(self, tmp_path, monkeypatch):
+        path = tmp_path / "baseline.json"
+        write_baseline(PANEL, "smoke", _panel(), path)
+        monkeypatch.setitem(placement.TOPOLOGIES, "deep8", (8, 4))
+        assert check_panel(PANEL, "smoke", _panel(), load_baseline(path)) == [
+            "smoke.topologies.deep8.radix: baseline 2, run 4"
+        ]
 
     def test_detects_race_missing_from_baseline(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        baseline_panel = _panel()
-        baseline_panel.results = [
-            r for r in baseline_panel.results if r.policy != "random"
-        ]
-        write_baseline(baseline_panel, path)
-        problems = check_panel(_panel(), load_baseline(path))
-        assert any("random: not in baseline" in p for p in problems)
+        pinned = _panel()
+        pinned.results = [r for r in pinned.results if r.policy != "random"]
+        problems = _check(_panel(), tmp_path, pinned)
+        assert "smoke.races[27]: not in baseline" in problems
 
     def test_detects_baseline_race_not_run(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(_panel(), path)
         panel = _panel()
         panel.results = [r for r in panel.results if r.app != "tpc"]
-        problems = check_panel(panel, load_baseline(path))
-        assert any("in baseline but not run" in p for p in problems)
+        problems = _check(panel, tmp_path)
+        assert "smoke.races[35]: in baseline but not in run" in problems
         # the semantic layer flags the dropped planned races too
         assert any("planned race missing" in p for p in problems)
 
     def test_wall_clock_tolerance(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(_panel(), path)
         panel = _panel()
-        panel.wall_seconds = 11.9  # +19%: inside the 20% band
-        assert check_panel(panel, load_baseline(path)) == []
-        panel.wall_seconds = 12.5  # +25%: regression
-        problems = check_panel(panel, load_baseline(path))
-        assert problems == [
-            "wall clock regressed: 12.5s vs baseline 10.0s (>20% over)"
+        panel.wall_seconds = 12.9  # 10 s pinned: +20% and 1 s of slack
+        assert _check(panel, tmp_path) == []
+        panel.wall_seconds = 13.5
+        assert _check(panel, tmp_path) == [
+            "wall clock regressed: 13.5s vs baseline 10.0s (>20% + 1s over)"
         ]
 
 

@@ -1,21 +1,17 @@
-"""Schema and check-logic tests for the pinned weak-scaling baseline."""
+"""What the weak-scaling panel pins, and the committed baseline itself."""
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 from repro.bench.harness import ScalingPoint, ScalingSeries
-from repro.bench.scaling import (
-    BASELINE_PATH,
-    SCALING_SCHEMA_VERSION,
-    ScalingPanel,
-    check_panel,
-    panel_mode,
-    panel_section,
-)
+from repro.bench.panel import SCHEMA, check_panel
+from repro.bench.scaling import PANEL, ScalingPanel
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+BASELINE_PATH = PANEL.baseline_path
 
 
 def _panel(allscale: float = 10.0, wall: float = 1.0) -> ScalingPanel:
@@ -38,56 +34,48 @@ def _panel(allscale: float = 10.0, wall: float = 1.0) -> ScalingPanel:
     )
 
 
-def _baseline(panel: ScalingPanel) -> dict:
-    return {
-        "schema": SCALING_SCHEMA_VERSION,
-        "modes": {panel.mode: panel_section(panel)},
-    }
+def _check(run: ScalingPanel, pinned: ScalingPanel, mode: str = "smoke") -> list[str]:
+    baseline = {"schema": SCHEMA, "modes": {"smoke": PANEL.section(pinned)}}
+    return check_panel(PANEL, mode, run, json.loads(json.dumps(baseline)))
 
 
 class TestCheckPanel:
     def test_identical_run_passes(self) -> None:
-        panel = _panel()
-        assert check_panel(panel, _baseline(panel)) == []
+        assert _check(_panel(), _panel()) == []
 
     def test_missing_baseline_reported(self) -> None:
-        assert check_panel(_panel(), None)
+        (problem,) = check_panel(PANEL, "smoke", _panel(), None)
+        assert "BENCH_scaling_baseline.json" in problem
 
     def test_missing_mode_section_reported(self) -> None:
-        baseline = _baseline(_panel())
-        baseline["modes"] = {}
-        problems = check_panel(_panel(), baseline)
-        assert any("no 'smoke' section" in p for p in problems)
+        problems = _check(_panel(), _panel(), mode="full")
+        assert problems == ["baseline has no 'full' section"]
 
     def test_changed_output_detected(self) -> None:
-        baseline = _baseline(_panel(allscale=10.0))
-        problems = check_panel(_panel(allscale=10.0001), baseline)
-        assert any("output changed" in p for p in problems)
+        problems = _check(_panel(allscale=10.0001), _panel())
+        assert "smoke.apps.ipic3d.points[0].allscale: baseline 10.0" in problems[0]
+        assert len(problems) == 6  # 3 apps x 2 points
 
     def test_tiny_drift_is_still_a_failure(self) -> None:
-        # determinism means exact equality — no epsilon
-        baseline = _baseline(_panel(allscale=10.0))
-        problems = check_panel(
-            _panel(allscale=10.0 + 1e-9), baseline
-        )
-        assert any("output changed" in p for p in problems)
+        # determinism means exact equality — no epsilon, one ulp fails
+        assert len(_check(_panel(math.nextafter(10.0, 11.0)), _panel())) == 6
+
+    def test_pinned_app_or_point_not_run_is_reported(self) -> None:
+        run = _panel()
+        del run.series["tpc"], run.wall_seconds["tpc"]
+        run.series["stencil"].points.pop()
+        assert _check(run, _panel()) == [
+            "smoke.apps.stencil.points[1]: in baseline but not in run",
+            "smoke.apps.tpc: in baseline but not in run",
+        ]
 
     def test_wall_clock_regression_detected(self) -> None:
-        baseline = _baseline(_panel(wall=1.0))
-        problems = check_panel(_panel(wall=1.5), baseline)
-        assert any("wall clock regressed" in p for p in problems)
+        # the gate reads the total across apps: 3 x 1.6 s > 3.0 * 1.2 + 1
+        (problem,) = _check(_panel(wall=1.6), _panel(wall=1.0))
+        assert problem.startswith("wall clock regressed: 4.8s vs baseline 3.0s")
 
     def test_wall_clock_within_tolerance_passes(self) -> None:
-        baseline = _baseline(_panel(wall=1.0))
-        assert check_panel(_panel(wall=1.1), baseline) == []
-
-
-class TestPanelMode:
-    def test_modes(self) -> None:
-        assert panel_mode(False, False) == "full"
-        assert panel_mode(True, False) == "quick"
-        assert panel_mode(False, True) == "smoke"
-        assert panel_mode(True, True) == "smoke"
+        assert _check(_panel(wall=1.5), _panel(wall=1.0)) == []
 
 
 class TestCommittedBaseline:
@@ -99,7 +87,7 @@ class TestCommittedBaseline:
 
     def test_location_and_schema(self) -> None:
         assert BASELINE_PATH == REPO_ROOT / "BENCH_scaling_baseline.json"
-        assert self._load()["schema"] == SCALING_SCHEMA_VERSION
+        assert self._load()["schema"] == SCHEMA
 
     def test_full_sweep_covers_the_paper_axis(self) -> None:
         section = self._load()["modes"]["full"]

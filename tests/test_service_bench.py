@@ -5,17 +5,14 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.bench.panel import SCHEMA, check_panel, load_baseline, write_baseline
 from repro.bench.service import (
-    BASELINE_PATH,
-    SERVICE_SCHEMA_VERSION,
+    PANEL,
     SHARE_TOLERANCE,
     SMOKE_TRACE_PATH,
     ServicePanel,
-    check_panel,
-    load_baseline,
     semantic_problems,
     service_panel,
-    write_baseline,
 )
 from repro.service.__main__ import main as service_main
 from repro.service.trace import (
@@ -39,19 +36,22 @@ def test_committed_trace_matches_builder():
     assert committed.to_dict() == smoke_trace().to_dict()
 
 
+def _committed() -> dict:
+    baseline = load_baseline(PANEL.baseline_path)
+    assert baseline is not None, "BENCH_service_baseline.json missing"
+    return baseline
+
+
 def test_committed_baseline_matches_fresh_run():
     """A fresh panel reproduces the committed baseline bit for bit."""
-    panel = service_panel()
-    problems = check_panel(panel, load_baseline())
+    problems = check_panel(PANEL, "full", service_panel(), _committed())
     assert problems == [], "\n".join(problems)
 
 
 def test_baseline_schema_shape():
-    baseline = load_baseline()
-    assert baseline is not None and baseline["schema"] == (
-        SERVICE_SCHEMA_VERSION
-    )
-    pins = baseline["service"]["pins"]
+    baseline = _committed()
+    assert baseline["schema"] == SCHEMA and set(baseline["modes"]) == {"full"}
+    pins = baseline["modes"]["full"]["pins"]
     assert pins["smoke"]["false_accepts"] == 0
     assert pins["smoke"]["rejected_by_reason"] == {
         "analysis": 3,
@@ -71,30 +71,24 @@ def _panel() -> ServicePanel:
     return service_panel()
 
 
-def test_check_detects_drifted_pin(tmp_path):
+def test_check_detects_drifted_pin():
     panel = _panel()
-    path = tmp_path / "baseline.json"
-    write_baseline(panel, path)
-    baseline = json.loads(path.read_text())
-    baseline["service"]["pins"]["smoke"]["fairness_index"] = 0.5
-    problems = check_panel(panel, baseline)
-    assert any("fairness_index" in problem for problem in problems)
+    panel.smoke["fairness_index"] = 0.5
+    problems = check_panel(PANEL, "full", panel, _committed())
+    assert [p.split(":")[0] for p in problems] == [
+        "full.pins.smoke.fairness_index"
+    ]
 
 
-def test_check_detects_wall_regression(tmp_path):
+def test_check_detects_wall_regression():
     panel = _panel()
-    path = tmp_path / "baseline.json"
-    write_baseline(panel, path)
-    baseline = json.loads(path.read_text())
-    baseline["service"]["wall_seconds"] = 1e-6
     panel.wall_seconds = 10.0
-    problems = check_panel(panel, baseline)
-    assert any("wall clock" in problem for problem in problems)
+    (problem,) = check_panel(PANEL, "full", panel, _committed())
+    assert problem.startswith("wall clock regressed: 10.0s")
 
 
 def test_check_rejects_schema_mismatch():
-    panel = _panel()
-    problems = check_panel(panel, {"schema": 999})
+    problems = check_panel(PANEL, "full", _panel(), {"schema": 999})
     assert any("schema" in problem for problem in problems)
 
 
@@ -165,10 +159,10 @@ def test_bench_cli_service_check():
 
 def test_committed_baseline_fresh(tmp_path):
     """write_baseline output equals the committed file (regen safety)."""
-    panel = _panel()
     path = tmp_path / "baseline.json"
-    write_baseline(panel, path)
-    fresh = json.loads(path.read_text())
-    committed = json.loads(BASELINE_PATH.read_text())
-    fresh["service"]["wall_seconds"] = committed["service"]["wall_seconds"]
+    write_baseline(PANEL, "full", _panel(), path)
+    fresh, committed = json.loads(path.read_text()), _committed()
+    fresh["modes"]["full"]["wall_seconds"] = committed["modes"]["full"][
+        "wall_seconds"
+    ]
     assert fresh == committed
