@@ -16,7 +16,6 @@ separated by a barrier, hence ordered, hence silent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from repro.analysis.coverage import check_coverage
 from repro.analysis.expansion import AnalysisConfig, TaskNode, expand_task
@@ -27,26 +26,7 @@ from repro.analysis.races import (
     check_tree_races,
     effective_requirements,
 )
-from repro.runtime.tasks import TaskSpec
-
-
-@dataclass
-class TaskProgram:
-    """Phase-structured task submissions of one application run.
-
-    ``phases[k]`` holds the root tasks submitted concurrently in phase
-    ``k``; a barrier orders phase ``k`` before phase ``k+1``.
-    """
-
-    label: str
-    phases: list[list[TaskSpec]] = field(default_factory=list)
-
-    def add_phase(self, *roots: TaskSpec) -> "TaskProgram":
-        self.phases.append(list(roots))
-        return self
-
-    def all_roots(self) -> list[TaskSpec]:
-        return [root for phase in self.phases for root in phase]
+from repro.runtime.tasks import TaskProgram, TaskSpec
 
 
 def analyze_task(

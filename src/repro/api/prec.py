@@ -143,9 +143,10 @@ def loop_granularity(
 ) -> float:
     """Leaf size targeting ``total/(processes × cores × oversub)``.
 
-    The runtime-free form of :func:`default_granularity`: static program
-    builders (``repro.placement``) use it to construct the *same* task
-    trees the drivers submit, so offline plans pin real task names.
+    The runtime-free form of :func:`default_granularity`: program
+    builders (``repro.apps``) size their loops with it — at the process
+    count the program is declared for and, for a program that regrains,
+    again at the live count on submission.
     """
     workers = max(1, processes * cores_per_node)
     return max(

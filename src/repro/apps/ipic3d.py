@@ -35,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.analysis.program import TaskProgram
 from repro.api import box_region, expand_box, pfor_task
-from repro.api.prec import default_granularity, loop_granularity
+from repro.api.prec import loop_granularity
+from repro.api.program import execute_program
 from repro.apps.common import AppResult
-from repro.apps.stencil import replace_functional
 from repro.items.grid import Grid
 from repro.mpi.comm import Communicator
 from repro.mpi.halo import plan_halo_exchange
@@ -47,8 +46,7 @@ from repro.mpi.program import run_spmd
 from repro.regions.box import grid_block_decomposition
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import SchedulingPolicy
-from repro.runtime.runtime import AllScaleRuntime
-from repro.runtime.tasks import TaskSpec
+from repro.runtime.tasks import TaskProgram, TaskSpec
 from repro.sim.cluster import Cluster
 
 
@@ -87,9 +85,35 @@ class IPic3DWorkload:
         return float(self.total_particles(nodes)) * self.timesteps
 
 
-def _make_items(workload: IPic3DWorkload, nodes: int) -> tuple[Grid, Grid, Grid, Grid]:
+def _noop_body(ctx, box) -> None:
+    return None
+
+
+def ipic3d_program(
+    workload: IPic3DWorkload,
+    nodes: int,
+    *,
+    cores_per_node: int = 20,
+    config: RuntimeConfig | None = None,
+) -> TaskProgram:
+    """The implicit-moment PIC cycle: the one declaration of an iPiC3D run.
+
+    Three initialization sweeps spread fields and particle populations;
+    the measured window is four phases per timestep.  One granularity,
+    fixed at the declared node count, serves every phase (the port sizes
+    its loops once, before the first sweep — membership changes during
+    the run do not re-grain it).
+    """
+    config = config or RuntimeConfig()
     shape = workload.field_shape(nodes)
     ppc = workload.particles_per_cell(nodes)
+    gran = loop_granularity(
+        float(shape[0] * shape[1] * shape[2]),
+        nodes,
+        cores_per_node,
+        config.min_task_size,
+        config.oversubscription,
+    )
     # E and B carry 3 components per cell (3 × 8 B)
     e_field = Grid(shape, name="ipic3d.E", element_bytes=24)
     b_field = Grid(shape, name="ipic3d.B", element_bytes=24)
@@ -107,146 +131,68 @@ def _make_items(workload: IPic3DWorkload, nodes: int) -> tuple[Grid, Grid, Grid,
             1, int(ppc * workload.crossing_fraction * workload.particle_bytes)
         ),
     )
-    return e_field, b_field, particles, xfer
 
+    def sweep(name: str, cost: float, reads=None, writes=None) -> TaskSpec:
+        """One cost-only ``pfor`` over every cell."""
+        return pfor_task(
+            (0, 0, 0),
+            shape,
+            body=_noop_body,
+            reads=reads,
+            writes=writes,
+            flops_per_element=cost,
+            granularity=gran,
+            name=name,
+        )
 
-def _noop_body(ctx, box) -> None:
-    return None
+    def cells_of(*grids: Grid):
+        return lambda box: {g: box_region(g, box) for g in grids}
 
+    def halo_of(grid: Grid):
+        return lambda box: {grid: expand_box(grid, box, 1)}
 
-def ipic3d_init_task(
-    item: Grid, cost: float, granularity: float | None = None
-) -> TaskSpec:
-    """Spread one grid (fields or particle populations) by first touch."""
-    return pfor_task(
-        (0, 0, 0),
-        item.shape,
-        body=_noop_body,
-        writes=lambda box, g=item: {g: box_region(g, box)},
-        flops_per_element=cost,
-        granularity=granularity,
-        name=f"init.{item.name}",
+    program = TaskProgram(
+        f"ipic3d[{nodes}]",
+        items=[e_field, b_field, particles, xfer],
+        measured_from=3,
     )
-
-
-def ipic3d_field_task(
-    step: int,
-    dst: Grid,
-    src: Grid,
-    workload: IPic3DWorkload,
-    granularity: float | None = None,
-) -> TaskSpec:
-    """One field-solver sweep: ``dst`` updated from ``src``'s halo."""
-    return pfor_task(
-        (0, 0, 0),
-        dst.shape,
-        body=_noop_body,
-        reads=lambda box, g=src: {g: expand_box(g, box, 1)},
-        writes=lambda box, g=dst: {g: box_region(g, box)},
-        flops_per_element=workload.flops_per_field_cell / 2.0,
-        granularity=granularity,
-        name=f"field{step}.{dst.name}",
-    )
-
-
-def ipic3d_push_task(
-    step: int,
-    e_field: Grid,
-    b_field: Grid,
-    particles: Grid,
-    xfer: Grid,
-    workload: IPic3DWorkload,
-    ppc: float,
-    granularity: float | None = None,
-) -> TaskSpec:
-    """Particle push + moment gather: the dominant per-step cost."""
-    return pfor_task(
-        (0, 0, 0),
-        particles.shape,
-        body=_noop_body,
-        reads=lambda box: {
-            e_field: box_region(e_field, box),
-            b_field: box_region(b_field, box),
-            particles: box_region(particles, box),
-        },
-        writes=lambda box: {
-            particles: box_region(particles, box),
-            xfer: box_region(xfer, box),
-        },
-        flops_per_element=ppc * workload.flops_per_particle_update,
-        granularity=granularity,
-        name=f"push{step}",
-    )
-
-
-def ipic3d_absorb_task(
-    step: int,
-    particles: Grid,
-    xfer: Grid,
-    workload: IPic3DWorkload,
-    ppc: float,
-    granularity: float | None = None,
-) -> TaskSpec:
-    """Absorb neighbors' crossing buffers into the local populations."""
-    return pfor_task(
-        (0, 0, 0),
-        particles.shape,
-        body=_noop_body,
-        reads=lambda box: {xfer: expand_box(xfer, box, 1)},
-        writes=lambda box: {particles: box_region(particles, box)},
-        flops_per_element=ppc * workload.crossing_fraction * 10.0,
-        granularity=granularity,
-        name=f"absorb{step}",
-    )
-
-
-def ipic3d_program(
-    workload: IPic3DWorkload,
-    nodes: int,
-    *,
-    cores_per_node: int = 20,
-    config: RuntimeConfig | None = None,
-) -> TaskProgram:
-    """The driver's exact submission structure, built without a runtime."""
-    config = config or RuntimeConfig()
-    shape = workload.field_shape(nodes)
-    cells = float(shape[0] * shape[1] * shape[2])
-    gran = loop_granularity(
-        cells,
-        nodes,
-        cores_per_node,
-        config.min_task_size,
-        config.oversubscription,
-    )
-    e_field, b_field, particles, xfer = _make_items(workload, nodes)
-    ppc = workload.particles_per_cell(nodes)
-    program = TaskProgram(f"ipic3d[{nodes}]")
+    # initialization: first touch spreads fields and particle populations
     for item, cost in (
         (e_field, 3.0),
         (b_field, 3.0),
         (particles, ppc * 2.0),
     ):
-        program.add_phase(ipic3d_init_task(item, cost, granularity=gran))
+        program.add_phase(
+            sweep(f"init.{item.name}", cost, writes=cells_of(item))
+        )
     for step in range(workload.timesteps):
+        # 1. field solve: E reads B's halo and vice versa
         for dst, src in ((e_field, b_field), (b_field, e_field)):
             program.add_phase(
-                ipic3d_field_task(step, dst, src, workload, granularity=gran)
+                sweep(
+                    f"field{step}.{dst.name}",
+                    workload.flops_per_field_cell / 2.0,
+                    reads=halo_of(src),
+                    writes=cells_of(dst),
+                )
             )
+        # 2. particle push + moment gather, the dominant cost: per cell
+        #    ∝ its population; reads local fields, emits crossing buffers
         program.add_phase(
-            ipic3d_push_task(
-                step,
-                e_field,
-                b_field,
-                particles,
-                xfer,
-                workload,
-                ppc,
-                granularity=gran,
+            sweep(
+                f"push{step}",
+                ppc * workload.flops_per_particle_update,
+                reads=cells_of(e_field, b_field, particles),
+                writes=cells_of(particles, xfer),
             )
         )
+        # 3. particle exchange: absorb neighbors' crossing buffers
         program.add_phase(
-            ipic3d_absorb_task(
-                step, particles, xfer, workload, ppc, granularity=gran
+            sweep(
+                f"absorb{step}",
+                ppc * workload.crossing_fraction * 10.0,
+                reads=halo_of(xfer),
+                writes=cells_of(particles),
             )
         )
     return program
@@ -261,85 +207,23 @@ def ipic3d_allscale(
 ) -> AppResult:
     """Run the AllScale port of iPiC3D.
 
-    ``on_runtime`` is called with the assembled runtime before the
-    driver starts (churn-bench hook; see :func:`stencil_allscale`).
+    ``on_runtime``: see :func:`~repro.api.program.execute_program`.
     """
-    if config is None:
-        config = RuntimeConfig()
-    config = replace_functional(config, False)
-    runtime = AllScaleRuntime(cluster, config, policy)
     nodes = cluster.num_nodes
-    shape = workload.field_shape(nodes)
-    e_field, b_field, particles, xfer = _make_items(workload, nodes)
-    for item in (e_field, b_field, particles, xfer):
-        runtime.register_item(item)
-    ppc = workload.particles_per_cell(nodes)
-    cells = float(shape[0] * shape[1] * shape[2])
-    if on_runtime is not None:
-        on_runtime(runtime)
-
-    def driver() -> Generator:
-        if runtime.balancer is not None:
-            runtime.balancer.start()
-        gran = default_granularity(runtime, cells)
-        # initialization: spread fields and particle populations
-        for item, cost in (
-            (e_field, 3.0),
-            (b_field, 3.0),
-            (particles, ppc * 2.0),
-        ):
-            init = runtime.submit(
-                ipic3d_init_task(item, cost, granularity=gran)
-            )
-            yield init.future
-        t0 = runtime.now
-        for step in range(workload.timesteps):
-            # 1. field solve: E reads B's halo and vice versa
-            for dst, src in ((e_field, b_field), (b_field, e_field)):
-                sweep = runtime.submit(
-                    ipic3d_field_task(
-                        step, dst, src, workload, granularity=gran
-                    )
-                )
-                yield sweep.future
-            # 2. particle push + moments: per-cell cost ∝ population;
-            #    reads local fields, emits crossing buffers
-            push = runtime.submit(
-                ipic3d_push_task(
-                    step,
-                    e_field,
-                    b_field,
-                    particles,
-                    xfer,
-                    workload,
-                    ppc,
-                    granularity=gran,
-                )
-            )
-            yield push.future
-            # 3. particle exchange: absorb neighbors' crossing buffers
-            absorb = runtime.submit(
-                ipic3d_absorb_task(
-                    step, particles, xfer, workload, ppc, granularity=gran
-                )
-            )
-            yield absorb.future
-        if runtime.balancer is not None:
-            runtime.balancer.stop()
-        return runtime.now - t0
-
-    result_future = runtime.spawn(driver())
-    runtime.run()
-    if not result_future.done:
-        raise RuntimeError("iPiC3D AllScale driver did not complete")
-    elapsed = result_future.value
+    program = ipic3d_program(
+        workload,
+        nodes,
+        cores_per_node=cluster.spec.cores_per_node,
+        config=config,
+    )
+    run = execute_program(cluster, program, config, policy, on_runtime)
     return AppResult(
         app="ipic3d",
         system="allscale",
         nodes=nodes,
-        elapsed=elapsed,
+        elapsed=run.elapsed,
         work=workload.total_updates(nodes),
-        extras={"runtime": runtime},
+        extras={"runtime": run.runtime},
     )
 
 

@@ -23,9 +23,9 @@ from typing import Generator
 
 import numpy as np
 
-from repro.analysis.program import TaskProgram
 from repro.api import expand_box, box_region, pfor_task
-from repro.api.prec import default_granularity, loop_granularity
+from repro.api.prec import loop_granularity
+from repro.api.program import execute_program
 from repro.apps.common import AppResult
 from repro.items.grid import Grid, GridFragment
 from repro.mpi.comm import Communicator
@@ -34,8 +34,7 @@ from repro.mpi.program import run_spmd
 from repro.regions.box import Box, grid_block_decomposition
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import SchedulingPolicy
-from repro.runtime.runtime import AllScaleRuntime
-from repro.runtime.tasks import TaskSpec
+from repro.runtime.tasks import TaskProgram, TaskSpec
 from repro.sim.cluster import Cluster
 
 
@@ -107,43 +106,6 @@ def _step_body(src: Grid, dst: Grid, c: float, shape: tuple[int, int]):
     return body
 
 
-def stencil_init_task(
-    grid: Grid, granularity: float | None = None
-) -> TaskSpec:
-    """The initialization sweep of one buffer (Fig. 6b lines 5-7)."""
-    return pfor_task(
-        (0, 0),
-        grid.shape,
-        body=_init_body(grid),
-        writes=lambda box, g=grid: {g: box_region(g, box)},
-        flops_per_element=2.0,
-        granularity=granularity,
-        name=f"init.{grid.name}",
-    )
-
-
-def stencil_step_task(
-    step: int,
-    src: Grid,
-    dst: Grid,
-    workload: StencilWorkload,
-    granularity: float | None = None,
-) -> TaskSpec:
-    """One interior update sweep ``src -> dst`` (Fig. 6b lines 10-17)."""
-    shape = src.shape
-    rows, cols = shape
-    return pfor_task(
-        (1, 1),
-        (rows - 1, cols - 1),
-        body=_step_body(src, dst, workload.diffusion, shape),
-        reads=lambda box, g=src: {g: expand_box(g, box, 1)},
-        writes=lambda box, g=dst: {g: box_region(g, box)},
-        flops_per_element=workload.flops_per_cell,
-        granularity=granularity,
-        name=f"step{step}",
-    )
-
-
 def stencil_program(
     workload: StencilWorkload,
     nodes: int,
@@ -151,44 +113,71 @@ def stencil_program(
     cores_per_node: int = 20,
     config: RuntimeConfig | None = None,
 ) -> TaskProgram:
-    """The driver's exact submission structure, built without a runtime.
+    """The Fig. 6b program: the one declaration of a stencil run.
 
-    Phases mirror :func:`stencil_allscale`'s treeture barriers: one phase
-    per initialization sweep, one per timestep.  Task names and
-    granularities match what the driver submits (same builders, same
-    :func:`~repro.api.prec.loop_granularity`), so an offline placement
-    plan extracted from this program pins the runtime's real tasks.
+    Two initialization sweeps (first touch spreads A and B across the
+    nodes through the scheduling policy), then — the measured window —
+    one update sweep per timestep, each ending in the ``swap(A, B)``
+    barrier of Fig. 6b line 18.  Every sweep derives its granularity
+    from the process count *at submission* (``regrain``), so after a
+    scale-out the remaining sweeps split finer.  The program's result is
+    the buffer holding the final field.
     """
     config = config or RuntimeConfig()
     shape = workload.global_shape(nodes)
     rows, cols = shape
 
-    def gran(total: float) -> float:
+    def gran(total: float, processes: int) -> float:
         return loop_granularity(
             total,
-            nodes,
+            processes,
             cores_per_node,
             config.min_task_size,
             config.oversubscription,
         )
 
-    grid_a = Grid(shape, name="stencil.A")
-    grid_b = Grid(shape, name="stencil.B")
-    program = TaskProgram(f"stencil[{nodes}]")
-    for grid in (grid_a, grid_b):
-        program.add_phase(
-            stencil_init_task(grid, granularity=gran(float(rows * cols)))
-        )
-    interior = float((rows - 2) * (cols - 2))
-    src, dst = grid_a, grid_b
-    for step in range(workload.timesteps):
-        program.add_phase(
-            stencil_step_task(
-                step, src, dst, workload, granularity=gran(interior)
+    grids = [Grid(shape, name="stencil.A"), Grid(shape, name="stencil.B")]
+
+    def sweep(index: int, processes: int) -> list[TaskSpec]:
+        if index < 2:  # initialization of one buffer (Fig. 6b lines 5-7)
+            grid = grids[index]
+            return [
+                pfor_task(
+                    (0, 0),
+                    shape,
+                    body=_init_body(grid),
+                    writes=lambda box: {grid: box_region(grid, box)},
+                    flops_per_element=2.0,
+                    granularity=gran(float(rows * cols), processes),
+                    name=f"init.{grid.name}",
+                )
+            ]
+        step = index - 2  # interior update src -> dst (Fig. 6b lines 10-17)
+        src, dst = grids[step % 2], grids[(step + 1) % 2]
+        return [
+            pfor_task(
+                (1, 1),
+                (rows - 1, cols - 1),
+                body=_step_body(src, dst, workload.diffusion, shape),
+                reads=lambda box: {src: expand_box(src, box, 1)},
+                writes=lambda box: {dst: box_region(dst, box)},
+                flops_per_element=workload.flops_per_cell,
+                granularity=gran(
+                    float((rows - 2) * (cols - 2)), processes
+                ),
+                name=f"step{step}",
             )
-        )
-        src, dst = dst, src
-    return program
+        ]
+
+    return TaskProgram(
+        f"stencil[{nodes}]",
+        [sweep(index, nodes) for index in range(2 + workload.timesteps)],
+        items=grids,
+        functional=workload.functional,
+        measured_from=2,
+        regrain=sweep,
+        finalize=lambda _values: grids[workload.timesteps % 2],
+    )
 
 
 def stencil_allscale(
@@ -201,70 +190,25 @@ def stencil_allscale(
     """Run the AllScale port and return the measured result.
 
     The returned extras include the runtime (``"runtime"``) so tests can
-    inspect final data distribution and invariants.  ``on_runtime`` is
-    called with the assembled runtime before the driver starts — the
-    churn bench uses it to attach an elasticity controller whose
-    membership changes then run concurrently with the timesteps.
+    inspect final data distribution and invariants.  ``on_runtime``: see
+    :func:`~repro.api.program.execute_program`.
     """
-    if config is None:
-        config = RuntimeConfig()
-    config = replace_functional(config, workload.functional)
-    runtime = AllScaleRuntime(cluster, config, policy)
-    shape = workload.global_shape(cluster.num_nodes)
-    rows, cols = shape
-    grid_a = Grid(shape, name="stencil.A")
-    grid_b = Grid(shape, name="stencil.B")
-    runtime.register_item(grid_a)
-    runtime.register_item(grid_b)
-    if on_runtime is not None:
-        on_runtime(runtime)
-
-    def driver() -> Generator:
-        if runtime.balancer is not None:
-            runtime.balancer.start()
-        # initialization phase (Fig. 6b lines 5-7): first-touch spreads A
-        # and B across the nodes through the scheduling policy
-        for grid in (grid_a, grid_b):
-            init = runtime.submit(
-                stencil_init_task(
-                    grid,
-                    granularity=default_granularity(
-                        runtime, float(rows * cols)
-                    ),
-                )
-            )
-            yield init.future
-        t0 = runtime.now
-        interior = float((rows - 2) * (cols - 2))
-        src, dst = grid_a, grid_b
-        for step in range(workload.timesteps):
-            sweep = runtime.submit(
-                stencil_step_task(
-                    step,
-                    src,
-                    dst,
-                    workload,
-                    granularity=default_granularity(runtime, interior),
-                )
-            )
-            yield sweep.future  # the swap(A, B) barrier of Fig. 6b line 18
-            src, dst = dst, src
-        if runtime.balancer is not None:
-            runtime.balancer.stop()
-        return runtime.now - t0, src
-
-    result_future = runtime.spawn(driver())
-    runtime.run()
-    if not result_future.done:
-        raise RuntimeError("stencil AllScale driver did not complete")
-    elapsed, final_grid = result_future.value
+    program = stencil_program(
+        workload,
+        cluster.num_nodes,
+        cores_per_node=cluster.spec.cores_per_node,
+        config=config,
+    )
+    run = execute_program(cluster, program, config, policy, on_runtime)
+    # nodes/work read the node count *after* the run (joins included) —
+    # kept as is, pinned by the churn baselines; see ROADMAP
     return AppResult(
         app="stencil",
         system="allscale",
         nodes=cluster.num_nodes,
-        elapsed=elapsed,
+        elapsed=run.elapsed,
         work=workload.total_flops(cluster.num_nodes),
-        extras={"runtime": runtime, "final_grid": final_grid},
+        extras={"runtime": run.runtime, "final_grid": run.result},
     )
 
 
@@ -369,15 +313,6 @@ def _interior_slices(
 
 def _shift(s: slice, delta: int) -> slice:
     return slice(s.start + delta, s.stop + delta)
-
-
-def replace_functional(config: RuntimeConfig, functional: bool) -> RuntimeConfig:
-    """Copy ``config`` with its ``functional`` flag forced to the workload's."""
-    from dataclasses import replace as dc_replace
-
-    if config.functional == functional:
-        return config
-    return dc_replace(config, functional=functional)
 
 
 def sequential_reference(

@@ -37,9 +37,8 @@ from typing import Generator
 
 import numpy as np
 
-from repro.analysis.program import TaskProgram
+from repro.api.program import execute_program
 from repro.apps.common import AppResult
-from repro.apps.stencil import replace_functional
 from repro.items.kdtree import (
     KDTreeItem,
     KDTreeStructure,
@@ -51,8 +50,7 @@ from repro.mpi.comm import Communicator
 from repro.mpi.program import run_spmd
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import SchedulingPolicy
-from repro.runtime.runtime import AllScaleRuntime
-from repro.runtime.tasks import TaskSpec
+from repro.runtime.tasks import TaskProgram, TaskSpec
 from repro.sim.cluster import Cluster
 
 
@@ -263,8 +261,7 @@ def _plan_top(
 
 
 def tpc_batch_task(problem: TPCProblem, batch: list[int]) -> TaskSpec:
-    """The task tree of one query batch (module-level so the offline
-    placement planner can build the same specs the driver submits)."""
+    """The task tree of one query batch."""
     workload = problem.workload
     # the root's requirement must subsume its children's (the spawn
     # rule's precondition): the union of every sub-tree any batched
@@ -329,17 +326,23 @@ def tpc_batch_task(problem: TPCProblem, batch: list[int]) -> TaskSpec:
 
 
 def tpc_program(problem: TPCProblem) -> TaskProgram:
-    """The driver's exact submission structure, built without a runtime.
+    """The query window: the one declaration of a TPC run.
 
     One phase per submission wave — batches within a wave are submitted
-    concurrently, waves are separated by an ``all_of`` barrier, exactly
-    like :func:`tpc_allscale`'s driver.
+    concurrently, from submission points rotating over the processes,
+    and waves are separated by a barrier.  The kd-tree starts out in the
+    problem's band placement; everything is measured (no init phase).
     """
     workload = problem.workload
     batches = _query_batches(problem, workload.task_batch)
     waves = max(1, min(workload.submission_waves, len(batches)))
     per_wave = (len(batches) + waves - 1) // waves
-    program = TaskProgram(f"tpc[{problem.nodes}]")
+    program = TaskProgram(
+        f"tpc[{problem.nodes}]",
+        items=[problem.item],
+        placement={problem.item: problem.placement},
+        rotate_origins=True,
+    )
     for wave in range(waves):
         chunk = batches[wave * per_wave : (wave + 1) * per_wave]
         if chunk:
@@ -359,63 +362,24 @@ def tpc_allscale(
 ) -> AppResult:
     """Run the AllScale port: per-query task trees routed by the scheduler.
 
-    ``on_runtime`` is called with the assembled runtime before the
-    driver starts (churn-bench hook; see :func:`stencil_allscale`).
+    ``on_runtime``: see :func:`~repro.api.program.execute_program`.
     """
     if problem is None:
         problem = make_problem(workload, cluster.num_nodes)
-    if config is None:
-        config = RuntimeConfig()
-    config = replace_functional(config, False)
-    runtime = AllScaleRuntime(cluster, config, policy)
-    runtime.register_item(problem.item, placement=problem.placement)
-    batches = _query_batches(problem, workload.task_batch)
-    if on_runtime is not None:
-        on_runtime(runtime)
-
-    def driver() -> Generator:
-        if runtime.balancer is not None:
-            runtime.balancer.start()
-        t0 = runtime.now
-        waves = max(1, min(workload.submission_waves, len(batches)))
-        per_wave = (len(batches) + waves - 1) // waves
-        values: list = []
-        for wave in range(waves):
-            chunk = batches[wave * per_wave : (wave + 1) * per_wave]
-            # submission points rotate over the processes that can take
-            # work *now* — on a static cluster this is every pid, under
-            # churn it skips corpses and leavers
-            origins = runtime.available_processes() or runtime.alive_processes()
-            treetures = [
-                runtime.submit(
-                    tpc_batch_task(problem, batch),
-                    origin=origins[(wave * per_wave + k) % len(origins)],
-                )
-                for k, batch in enumerate(chunk)
-            ]
-            wave_values = yield runtime.engine.all_of(
-                [t.future for t in treetures]
-            )
-            values.extend(wave_values)
-        if runtime.balancer is not None:
-            runtime.balancer.stop()
-        return runtime.now - t0, values
-
-    result_future = runtime.spawn(driver())
-    runtime.run()
-    if not result_future.done:
-        raise RuntimeError("TPC AllScale driver did not complete")
-    elapsed, counts = result_future.value
+    run = execute_program(
+        cluster, tpc_program(problem), config, policy, on_runtime
+    )
+    # nodes reads the node count *after* the run; see ROADMAP
     return AppResult(
         app="tpc",
         system="allscale",
         nodes=cluster.num_nodes,
-        elapsed=elapsed,
+        elapsed=run.elapsed,
         work=float(len(problem.queries)),
         extras={
-            "runtime": runtime,
-            "counts": counts,
-            "batches": batches,
+            "runtime": run.runtime,
+            "counts": [count for wave in run.values for count in wave],
+            "batches": _query_batches(problem, workload.task_batch),
             "problem": problem,
         },
     )

@@ -27,16 +27,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.apps.common import AppResult
-from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale, ipic3d_program
-from repro.apps.stencil import StencilWorkload, stencil_allscale, stencil_program
-from repro.apps.tpc import (
-    TPCProblem,
-    TPCWorkload,
-    make_problem,
-    tpc_allscale,
-    tpc_program,
-)
+from typing import Callable
+
+from repro.api.program import ProgramRun, execute_program
+from repro.apps.ipic3d import IPic3DWorkload, ipic3d_program
+from repro.apps.stencil import StencilWorkload, stencil_program
+from repro.apps.tpc import TPCProblem, TPCWorkload, make_problem, tpc_program
 from repro.bench.panel import Panel
 from repro.placement import PlannedPolicy, plan_placement
 from repro.runtime.config import RuntimeConfig
@@ -46,6 +42,7 @@ from repro.runtime.policies import (
     RoundRobinPolicy,
     SchedulingPolicy,
 )
+from repro.runtime.tasks import TaskProgram
 from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
 
 #: name → (node count, fat-tree switch radix).  Three shapes: a single
@@ -130,13 +127,13 @@ def _config(balancer_interval: float) -> RuntimeConfig:
 
 @dataclass
 class _AppSetup:
-    """One app's workload, program builder, and driver at one mode."""
+    """One app's program builder at one mode."""
 
     name: str
     #: balancer period, scaled to the app's simulated duration
     balancer_interval: float
-    program: object  # Callable[[int], TaskProgram]
-    run: object  # Callable[[ClusterSpec, SchedulingPolicy], AppResult]
+    #: (nodes, config) -> the app's program; planned *and* raced from it
+    program: Callable[[int, RuntimeConfig | None], TaskProgram]
 
 
 def _apps(mode: str) -> list[_AppSetup]:
@@ -196,61 +193,43 @@ def _apps(mode: str) -> list[_AppSetup]:
             problems[nodes] = make_problem(tpc_wl, nodes)
         return problems[nodes]
 
-    def run_stencil(spec: ClusterSpec, policy: SchedulingPolicy) -> AppResult:
-        return stencil_allscale(
-            Cluster(spec), stencil_wl, _config(2e-4), policy
-        )
-
-    def run_ipic3d(spec: ClusterSpec, policy: SchedulingPolicy) -> AppResult:
-        return ipic3d_allscale(
-            Cluster(spec), ipic3d_wl, _config(20.0), policy
-        )
-
-    def run_tpc(spec: ClusterSpec, policy: SchedulingPolicy) -> AppResult:
-        return tpc_allscale(
-            Cluster(spec),
-            tpc_wl,
-            _config(2e-3),
-            policy,
-            problem=tpc_problem(spec.num_nodes),
-        )
-
     return [
         _AppSetup(
             "stencil",
             2e-4,
-            lambda nodes: stencil_program(
-                stencil_wl, nodes, cores_per_node=TOURNAMENT_CORES
+            lambda nodes, config: stencil_program(
+                stencil_wl,
+                nodes,
+                cores_per_node=TOURNAMENT_CORES,
+                config=config,
             ),
-            run_stencil,
         ),
         _AppSetup(
             "ipic3d",
             20.0,
-            lambda nodes: ipic3d_program(
-                ipic3d_wl, nodes, cores_per_node=TOURNAMENT_CORES
+            lambda nodes, config: ipic3d_program(
+                ipic3d_wl,
+                nodes,
+                cores_per_node=TOURNAMENT_CORES,
+                config=config,
             ),
-            run_ipic3d,
         ),
         _AppSetup(
-            "tpc",
-            2e-3,
-            lambda nodes: tpc_program(tpc_problem(nodes)),
-            run_tpc,
+            "tpc", 2e-3, lambda nodes, config: tpc_program(tpc_problem(nodes))
         ),
     ]
 
 
 def _measure(
-    app: str, topology: str, policy_name: str, result: AppResult
+    app: str, topology: str, policy_name: str, run: ProgramRun
 ) -> RaceResult:
-    runtime = result.extras["runtime"]
+    runtime = run.runtime
     counters = runtime.metrics
     return RaceResult(
         app=app,
         topology=topology,
         policy=policy_name,
-        elapsed=result.elapsed,
+        elapsed=run.elapsed,
         messages=counters.counter("net.messages"),
         bytes_moved=(
             counters.counter("net.bytes") + runtime.data_bytes_moved()
@@ -271,9 +250,12 @@ def placement_panel(mode: str) -> PlacementPanel:
         "random": RandomPolicy(seed=0),
     }
     for setup in _apps(mode):
+        config = _config(setup.balancer_interval)
         for topo_name, (nodes, radix) in TOPOLOGIES.items():
             spec = _spec(nodes, radix)
-            plan = plan_placement(setup.program(nodes), Cluster(spec))
+            # planned at the builder's default config, raced at ``config``:
+            # the pinned plan digests were solved that way (ROADMAP note)
+            plan = plan_placement(setup.program(nodes, None), Cluster(spec))
             panel.plans[f"{setup.name}/{topo_name}"] = plan.summary()
             for policy_name in POLICIES:
                 policy: SchedulingPolicy
@@ -286,7 +268,12 @@ def placement_panel(mode: str) -> PlacementPanel:
                         setup.name,
                         topo_name,
                         policy_name,
-                        setup.run(spec, policy),
+                        execute_program(
+                            Cluster(spec),
+                            setup.program(nodes, config),
+                            config,
+                            policy,
+                        ),
                     )
                 )
     panel.wall_seconds = time.perf_counter() - started

@@ -15,8 +15,8 @@ class PlacementPlan:
     ``p`` should own *before the first task runs* (disjoint across
     processes by construction); ``pins[task_name]`` is the process a task
     of that name should be routed to.  Both are keyed by *name* rather
-    than object identity so a plan computed from a statically-built
-    program applies to the driver's separately-constructed instances.
+    than object identity so a plan computed from one build of a program
+    applies to the item instances of the next build of it.
     """
 
     label: str

@@ -47,7 +47,7 @@ class PlannedPolicy(SchedulingPolicy):
     def reset(self) -> None:
         self.fallback.reset()
 
-    # -- planner hooks (consulted by runtime and scheduler) ----------------------
+    # -- SchedulingPolicy's offline-plan hooks ----------------------------------
 
     def planned_layout(
         self, item: DataItem, num_processes: int

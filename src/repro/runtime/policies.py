@@ -64,6 +64,20 @@ class SchedulingPolicy(ABC):
         depend on the first.  Stateless policies inherit this no-op.
         """
 
+    # -- offline-plan hooks (only a policy carrying a plan answers) ---------------
+
+    def preferred_target(self, task: TaskSpec) -> int | None:
+        """A pinned process for ``task``; the scheduler uses it to break
+        requirement-coverage ties (Algorithm 2).  ``None``: no opinion."""
+        return None
+
+    def planned_layout(
+        self, item: DataItem, num_processes: int
+    ) -> list[Region] | None:
+        """Initial per-process ownership of ``item``, pre-distributed at
+        registration.  ``None``: leave it to placement / first touch."""
+        return None
+
     # -- shared granularity logic ------------------------------------------------
 
     def _should_split(self, task: TaskSpec, runtime: "AllScaleRuntime") -> bool:

@@ -276,7 +276,7 @@ class RuntimeProcess:
             value = None
             if task.body is not None and (
                 self.runtime.config.functional
-                or getattr(task, "body_in_virtual", False)
+                or task.body_in_virtual
             ):
                 context = TaskExecutionContext(
                     self.pid,

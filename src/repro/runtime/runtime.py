@@ -145,12 +145,10 @@ class AllScaleRuntime:
         """
         if item in self._home_maps:
             raise ValueError(f"item {item.name!r} registered twice")
-        planned_layout = getattr(self.policy, "planned_layout", None)
-        if planned_layout is not None:
-            planned = planned_layout(item, self.num_processes)
-            if planned is not None:
-                placement = planned
-                self.metrics.incr("placement.preplaced_items")
+        planned = self.policy.planned_layout(item, self.num_processes)
+        if planned is not None:
+            placement = planned
+            self.metrics.incr("placement.preplaced_items")
         self.index.register_item(item)
         try:
             homes: list[Region] | None = item.decompose(self.num_processes)

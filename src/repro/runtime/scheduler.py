@@ -241,14 +241,11 @@ class Scheduler:
         # a policy holding an offline plan may pin this task; the pin wins
         # whenever it sits inside the cascade tier that would fire anyway,
         # so a plan can steer ties without weakening the coverage rules
-        preferred: int | None = None
-        preferred_fn = getattr(runtime.policy, "preferred_target", None)
-        if preferred_fn is not None:
-            preferred = preferred_fn(task)
-            if preferred is not None and not (
-                0 <= preferred < runtime.num_processes
-            ):
-                preferred = None
+        preferred = runtime.policy.preferred_target(task)
+        if preferred is not None and not (
+            0 <= preferred < runtime.num_processes
+        ):
+            preferred = None
         target: int | None = None
         if lookup:
             # per-item owner shares are built once and reused by both

@@ -121,6 +121,53 @@ class TaskSpec:
         return f"TaskSpec({self.name!r}, {kind}, size={self.size_hint:g})"
 
 
+@dataclass
+class TaskProgram:
+    """The one declaration of an application run or a service job.
+
+    Data items plus barrier-separated phases of root tasks (the paper's
+    compiler output, §3: one source yields what the analysis *and* the
+    runtime consume).  The static analyzer and the placement planner read
+    ``phases``; :func:`repro.api.program.run_program` submits the same
+    phases — the graph that was planned or admitted is the graph that runs.
+    """
+
+    label: str
+    #: ``phases[k]``: the roots submitted concurrently in phase ``k``; a
+    #: barrier orders phase ``k`` before phase ``k + 1``
+    phases: list[list[TaskSpec]] = field(default_factory=list)
+    #: data items to register before phase 0 ...
+    items: list[DataItem] = field(default_factory=list)
+    #: ... and, per item, an initial ownership (default: first touch)
+    placement: dict[DataItem, list[Region]] = field(default_factory=dict)
+    #: run the runtime in functional mode (bodies compute values)
+    functional: bool = False
+    #: index of the first phase inside the measured window — earlier
+    #: phases (initialization) run before the clock starts
+    measured_from: int = 0
+    #: submit root ``k`` of the whole program at the ``k``-th available
+    #: process (round robin) instead of at process 0
+    rotate_origins: bool = False
+    #: ``(phase index, live process count) -> roots`` for a program whose
+    #: tasks depend on the process count *at submission* (a loop that
+    #: re-grains after a scale-out); ``phases`` is then its value at the
+    #: count the program was declared for.  None: submit ``phases`` as is
+    regrain: Callable[[int, int], list[TaskSpec]] | None = None
+    #: fold the last phase's root values into the program's result
+    finalize: Callable[[list], Any] | None = None
+
+    def add_phase(self, *roots: TaskSpec) -> "TaskProgram":
+        self.phases.append(list(roots))
+        return self
+
+    def all_roots(self) -> list[TaskSpec]:
+        return [root for phase in self.phases for root in phase]
+
+    def total_flops(self) -> float:
+        """Sequential FLOPs of every root — the admission cost estimate."""
+        return sum(root.flops for root in self.all_roots())
+
+
 class Treeture:
     """Handle to an (eventually computed) task result.
 

@@ -16,7 +16,7 @@ over a local socket plus in-process replay of recorded multi-tenant
 arrival traces (:mod:`repro.service.trace`).
 """
 
-from repro.service.catalog import JobProgram, job_kinds, register_kind
+from repro.service.catalog import job_kinds, register_kind
 from repro.service.core import ServiceConfig, ServiceCore
 from repro.service.fairshare import FairShareScheduler
 from repro.service.jobs import (
@@ -30,7 +30,6 @@ from repro.service.quotas import QuotaError, TenantConfig, TenantLedger
 __all__ = [
     "AdmissionVerdict",
     "FairShareScheduler",
-    "JobProgram",
     "JobRecord",
     "JobSpec",
     "JobState",

@@ -2,7 +2,7 @@
 
 A job crosses the client/service boundary as JSON, so it cannot carry
 callables — instead it names a *kind* from this catalog plus parameters,
-and the service builds the actual task graph (a :class:`JobProgram`) on
+and the service builds the actual task graph (a :class:`TaskProgram`) on
 its side of the boundary.  The built program is what the admission gate
 statically analyzes and what the dispatcher executes, so the graph the
 analyzer approved is exactly the graph that runs.
@@ -22,40 +22,12 @@ In-process embedders (apps, examples, tests) can extend the catalog with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.api import box_region, expand_box, pfor_task
-from repro.items.base import DataItem
 from repro.items.grid import Grid
 from repro.regions.base import Region
-from repro.runtime.tasks import TaskSpec
-
-
-@dataclass
-class JobProgram:
-    """A built job: data items plus phase-structured root tasks.
-
-    ``phases[k]`` holds root tasks submitted concurrently; a barrier
-    orders phase ``k`` before ``k+1`` — the same structure
-    :func:`repro.analysis.program.analyze_program` checks, so admission
-    covers cross-root races within each phase too.
-    """
-
-    #: data items to register on the job's runtime before phase 0
-    items: list[DataItem] = field(default_factory=list)
-    phases: list[list[TaskSpec]] = field(default_factory=list)
-    #: run the job's runtime in functional mode (bodies compute values)
-    functional: bool = False
-    #: fold the last phase's root values into the job result (JSON-able)
-    finalize: Callable[[list], Any] | None = None
-
-    def total_flops(self) -> float:
-        """Sequential FLOPs of every root — the admission cost estimate."""
-        return sum(root.flops for phase in self.phases for root in phase)
-
-    def all_roots(self) -> list[TaskSpec]:
-        return [root for phase in self.phases for root in phase]
+from repro.runtime.tasks import TaskProgram, TaskSpec
 
 
 def _merge_params(kind: str, params: dict, defaults: dict) -> dict:
@@ -73,7 +45,7 @@ def _merge_params(kind: str, params: dict, defaults: dict) -> dict:
 # -- built-in kinds ---------------------------------------------------------------
 
 
-def _build_compute(params: dict) -> JobProgram:
+def _build_compute(params: dict) -> TaskProgram:
     """Pure-cost leaf tasks; node-seconds = flops / flops_per_core exactly."""
     p = _merge_params(
         "compute", params, {"flops": 2.0e7, "tasks": 4, "phases": 1}
@@ -95,7 +67,7 @@ def _build_compute(params: dict) -> JobProgram:
         ]
         for phase in range(n_phases)
     ]
-    return JobProgram(phases=phases)
+    return TaskProgram("compute", phases)
 
 
 def _grid_init_task(grid: Grid, n: int, granularity: float) -> TaskSpec:
@@ -121,7 +93,7 @@ def _scatter_coords(grid: Grid):
     return body
 
 
-def _build_grid_sum(params: dict) -> JobProgram:
+def _build_grid_sum(params: dict) -> TaskProgram:
     """Quickstart-shaped functional job: parallel init, then sum of squares."""
     p = _merge_params("grid_sum", params, {"n": 16})
     n = int(p["n"])
@@ -144,15 +116,16 @@ def _build_grid_sum(params: dict) -> JobProgram:
         granularity=granularity,
         name="svc-sumsq",
     )
-    return JobProgram(
+    return TaskProgram(
+        "grid_sum",
+        [[init], [reduce_task]],
         items=[grid],
-        phases=[[init], [reduce_task]],
         functional=True,
         finalize=lambda values: float(values[0]),
     )
 
 
-def _build_stencil(params: dict) -> JobProgram:
+def _build_stencil(params: dict) -> TaskProgram:
     """Cost-only stencil sweeps (ping-pong grids, halo reads)."""
     p = _merge_params("stencil", params, {"n": 24, "steps": 2})
     n = int(p["n"])
@@ -180,10 +153,10 @@ def _build_stencil(params: dict) -> JobProgram:
                 )
             ]
         )
-    return JobProgram(items=grids, phases=phases)
+    return TaskProgram("stencil", phases, items=grids)
 
 
-def _build_particles(params: dict) -> JobProgram:
+def _build_particles(params: dict) -> TaskProgram:
     """iPiC3D-flavored pushes: read a field grid, update a particle array."""
     p = _merge_params(
         "particles", params, {"particles": 4096, "cells": 8, "steps": 2}
@@ -233,10 +206,10 @@ def _build_particles(params: dict) -> JobProgram:
                 )
             ]
         )
-    return JobProgram(items=[field_grid, particles], phases=phases)
+    return TaskProgram("particles", phases, items=[field_grid, particles])
 
 
-def _build_queries(params: dict) -> JobProgram:
+def _build_queries(params: dict) -> TaskProgram:
     """TPC-flavored batch: read-only queries over a shared structure."""
     p = _merge_params("queries", params, {"queries": 16, "n": 32})
     queries = int(p["queries"])
@@ -265,14 +238,15 @@ def _build_queries(params: dict) -> JobProgram:
         name="svc-queries",
         body_in_virtual=True,
     )
-    return JobProgram(
+    return TaskProgram(
+        "queries",
+        [[init], [batch]],
         items=[grid],
-        phases=[[init], [batch]],
         finalize=lambda values: float(values[0]),
     )
 
 
-def _build_bad_overlap(params: dict) -> JobProgram:
+def _build_bad_overlap(params: dict) -> TaskProgram:
     """Deliberately racy: every sibling writes the whole grid.
 
     The race detector reports sibling write/write overlaps as errors, so
@@ -294,10 +268,10 @@ def _build_bad_overlap(params: dict) -> JobProgram:
         granularity=float(max(1, (n * n) // 4)),
         name="svc-racy",
     )
-    return JobProgram(items=[grid], phases=[[racy]])
+    return TaskProgram("bad_overlap", [[racy]], items=[grid])
 
 
-_KINDS: dict[str, Callable[[dict], JobProgram]] = {
+_KINDS: dict[str, Callable[[dict], TaskProgram]] = {
     "compute": _build_compute,
     "grid_sum": _build_grid_sum,
     "stencil": _build_stencil,
@@ -313,7 +287,7 @@ def job_kinds() -> tuple[str, ...]:
 
 
 def register_kind(
-    name: str, builder: Callable[[dict], JobProgram], replace: bool = False
+    name: str, builder: Callable[[dict], TaskProgram], replace: bool = False
 ) -> None:
     """Extend the catalog (in-process embedders: apps, examples, tests)."""
     if name in _KINDS and not replace:
@@ -330,7 +304,7 @@ def unregister_kind(name: str) -> None:
 _BUILTINS = tuple(_KINDS)
 
 
-def build_program(kind: str, params: dict) -> JobProgram:
+def build_program(kind: str, params: dict) -> TaskProgram:
     """Build the task graph of one job; raises KeyError/ValueError."""
     try:
         builder = _KINDS[kind]

@@ -36,11 +36,13 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Generator
 
 from repro.analysis.expansion import AnalysisConfig
-from repro.analysis.program import TaskProgram, analyze_program
+from repro.analysis.program import analyze_program
+from repro.api.program import register_items, run_program
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.jobs import JobContext
 from repro.runtime.runtime import AllScaleRuntime
-from repro.service.catalog import JobProgram, build_program
+from repro.runtime.tasks import TaskProgram
+from repro.service.catalog import build_program
 from repro.service.fairshare import FairShareScheduler, jain_fairness
 from repro.service.jobs import AdmissionVerdict, JobRecord, JobSpec, JobState
 from repro.service.quotas import TenantConfig, TenantLedger
@@ -133,7 +135,7 @@ class _RunningJob:
     record: JobRecord
     runtime: AllScaleRuntime
     future: Any
-    program: JobProgram
+    program: TaskProgram
     estimate: float
 
 
@@ -159,7 +161,7 @@ class ServiceCore:
             self.fairshare.register_tenant(tenant.name, tenant.weight)
             self.ledgers[tenant.name] = TenantLedger(tenant)
         self.jobs: dict[str, JobRecord] = {}
-        self._programs: dict[str, tuple[JobProgram, float]] = {}
+        self._programs: dict[str, tuple[TaskProgram, float]] = {}
         self._running: list[_RunningJob] = []
         self._seq = 0
         self.draining = False
@@ -210,7 +212,7 @@ class ServiceCore:
 
     def _admit(
         self, spec: JobSpec, ledger: TenantLedger | None
-    ) -> tuple[AdmissionVerdict, JobProgram | None]:
+    ) -> tuple[AdmissionVerdict, TaskProgram | None]:
         if self.draining:
             return (
                 AdmissionVerdict.refusal(
@@ -236,11 +238,7 @@ class ServiceCore:
             )
         except ValueError as exc:
             return AdmissionVerdict.refusal("build_error", str(exc)), None
-        label = f"{spec.tenant}/{spec.kind}"
-        report = analyze_program(
-            TaskProgram(label=label, phases=program.phases),
-            self.config.analysis,
-        )
+        report = analyze_program(program, self.config.analysis)
         estimate = program.total_flops() / self.config.flops_per_core
         verdict = AdmissionVerdict.from_report(report, estimate)
         if not verdict.accepted:
@@ -282,7 +280,7 @@ class ServiceCore:
     def _start(
         self,
         record: JobRecord,
-        program: JobProgram,
+        program: TaskProgram,
         estimate: float,
         ledger: TenantLedger,
     ) -> None:
@@ -308,8 +306,7 @@ class ServiceCore:
         )
         runtime.job_context = context
         record.context = context
-        for item in program.items:
-            runtime.register_item(item)
+        register_items(runtime, program)
         record.state = JobState.RUNNING
         record.started_at = self.engine.now
         wait = record.started_at - record.submitted_at
@@ -326,20 +323,13 @@ class ServiceCore:
         )
 
     def _driver(
-        self, runtime: AllScaleRuntime, program: JobProgram
+        self, runtime: AllScaleRuntime, program: TaskProgram
     ) -> Generator:
-        """Engine process executing one job phase by phase."""
-        values: list[Any] = []
-        for phase in program.phases:
-            treetures = [runtime.submit(root) for root in phase]
-            values = yield runtime.engine.all_of(
-                [t.future for t in treetures]
-            )
+        """Engine process executing one job; returns the job's result."""
+        run = yield from run_program(runtime, program)
         if runtime.sentinel is not None:
             runtime.sentinel.verify_all()
-        if program.finalize is not None:
-            return program.finalize(values)
-        return None
+        return run.result
 
     # -- completion --------------------------------------------------------------
 

@@ -10,10 +10,12 @@ from repro.api.access import (
 )
 from repro.api.pfor import pfor, pfor_task
 from repro.api.prec import default_granularity, prec
+from repro.api.program import execute_program
 from repro.items.grid import Grid
 from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.runtime import AllScaleRuntime
+from repro.runtime.tasks import TaskProgram, Treeture, constant_task
 from repro.sim.cluster import Cluster, ClusterSpec
 
 
@@ -183,3 +185,28 @@ class TestPfor:
         children = task.splitter()
         assert len(children) == 2
         assert sum(c.size_hint for c in children) == 64
+
+
+class TestExecuteProgram:
+    def test_stalled_barrier_names_program_phase_and_roots(self):
+        program = TaskProgram(
+            "toy",
+            [
+                [constant_task(1, "ok")],
+                [constant_task(2, "stuck-a"), constant_task(3, "stuck-b")],
+            ],
+        )
+
+        def lose_a_dependency(runtime):
+            submit = runtime.submit
+            never = Treeture(runtime.engine, "never")
+            runtime.submit = lambda task, origin=0, after=None: submit(
+                task, origin, [never] if task.name == "stuck-b" else after
+            )
+
+        cluster = Cluster(ClusterSpec(num_nodes=2, cores_per_node=1))
+        with pytest.raises(RuntimeError) as raised:
+            execute_program(cluster, program, on_runtime=lose_a_dependency)
+        message = str(raised.value)
+        assert "program 'toy' did not complete" in message
+        assert "phase 1 (roots: stuck-a, stuck-b)" in message

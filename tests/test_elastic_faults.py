@@ -516,6 +516,69 @@ class TestChurnController:
         assert owned_coverage(runtime, grid).same_elements(grid.full_region)
         assert_clean(runtime)
 
+    @staticmethod
+    def _submissions_under_two_joins(run, workload, monkeypatch):
+        """``(granularity, live process count)`` per root submission of an
+        app run on 3 nodes with joins at 30 % and 55 % of its duration."""
+        def cluster():
+            return Cluster(
+                ClusterSpec(num_nodes=3, cores_per_node=2, flops_per_core=1e9)
+            )
+
+        config = RuntimeConfig(functional=False, oversubscription=2)
+        total = run(cluster(), workload, config).extras["runtime"].now
+        seen = []
+        real_submit = AllScaleRuntime.submit
+
+        def spy(self, task, origin=0, after=None):
+            seen.append((task.granularity, self.num_processes))
+            return real_submit(self, task, origin=origin, after=after)
+
+        monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+        joins = [
+            ChurnEvent(at=total * 0.30, kind="join"),
+            ChurnEvent(at=total * 0.55, kind="join"),
+        ]
+        run(
+            cluster(),
+            workload,
+            config,
+            on_runtime=lambda rt: ChurnController(rt, joins).start(),
+        )
+        assert [n for _, n in seen][0] == 3 and seen[-1][1] == 5
+        return seen
+
+    def test_stencil_regrains_each_sweep_at_the_live_process_count(
+        self, monkeypatch
+    ):
+        from repro.apps.stencil import StencilWorkload, stencil_allscale
+
+        seen = self._submissions_under_two_joins(
+            stencil_allscale,
+            StencilWorkload(n_per_node=200, timesteps=4),
+            monkeypatch,
+        )
+        interior = 598.0 * 198.0  # 3 nodes x 200 rows, minus the border
+        assert seen[2:] == [
+            (interior / (n * 2 * 2), n) for n in (3, 4, 5, 5)
+        ]
+
+    def test_ipic3d_keeps_the_granularity_it_started_with(self, monkeypatch):
+        from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale
+
+        seen = self._submissions_under_two_joins(
+            ipic3d_allscale,
+            IPic3DWorkload(
+                particles_per_node=1_000_000,
+                cells_per_node_side=4,
+                timesteps=2,
+            ),
+            monkeypatch,
+        )
+        # 12 x 4 x 4 cells over 3 processes x 2 cores x oversubscription 2
+        assert {g for g, _ in seen} == {192.0 / (3 * 2 * 2)}
+        assert {n for _, n in seen} == {3, 4, 5}
+
 
 # -- capacity-change-safe accessors (static-count assumption audit) -----------------
 

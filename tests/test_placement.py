@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale, ipic3d_program
 from repro.apps.stencil import StencilWorkload, stencil_allscale, stencil_program
+from repro.apps.tpc import (
+    TPCWorkload,
+    make_problem,
+    tpc_allscale,
+    tpc_program,
+)
 from repro.items.grid import Grid
 from repro.placement import (
     CostModel,
@@ -224,3 +231,67 @@ class TestEndToEnd:
         planned = race(PlannedPolicy(plan))
         random = race(RandomPolicy(seed=0))
         assert planned < random
+
+
+def _stencil(config):
+    return (
+        lambda: stencil_program(WORKLOAD, NODES, cores_per_node=2, config=config),
+        lambda: stencil_allscale(make_cluster(), WORKLOAD, config),
+    )
+
+
+def _ipic3d(config):
+    workload = IPic3DWorkload(
+        particles_per_node=1_000_000, cells_per_node_side=4, timesteps=2
+    )
+    return (
+        lambda: ipic3d_program(workload, NODES, cores_per_node=2, config=config),
+        lambda: ipic3d_allscale(make_cluster(), workload, config),
+    )
+
+
+def _tpc(config):
+    workload = TPCWorkload(
+        total_points=2**12,
+        depth=8,
+        queries_total=12,
+        task_subtree_height=4,
+        task_batch=2,
+        submission_waves=2,
+    )
+    problem = make_problem(workload, NODES)
+    return (
+        lambda: tpc_program(problem),
+        lambda: tpc_allscale(make_cluster(), workload, config, problem=problem),
+    )
+
+
+class TestDriverSubmitsTheProgram:
+    """The planner pins tasks *by name* and the analyzer admits *by graph*:
+    both read ``program.phases``, so what the driver hands to
+    ``AllScaleRuntime.submit`` must be exactly the program's roots."""
+
+    @pytest.mark.parametrize("app", [_stencil, _ipic3d, _tpc])
+    def test_submissions_equal_all_roots(self, app, monkeypatch):
+        # non-default oversubscription: the config must reach the builder
+        build, run = app(RuntimeConfig(functional=False, oversubscription=2))
+        submitted = []
+        real_submit = AllScaleRuntime.submit
+
+        def spy(self, task, origin=0, after=None):
+            submitted.append((task.name, task.granularity, origin))
+            return real_submit(self, task, origin=origin, after=after)
+
+        monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+        run()
+        program = build()
+        assert submitted == [
+            (
+                root.name,
+                root.granularity,
+                k % NODES if program.rotate_origins else 0,
+            )
+            for k, root in enumerate(program.all_roots())
+        ]
+        if program.rotate_origins:  # ... and the rotation was exercised
+            assert {origin for _, _, origin in submitted} == set(range(NODES))

@@ -8,7 +8,7 @@ respected within tolerance on synthetic arrival traces.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import (
@@ -107,6 +107,7 @@ def test_invariants_hold_for_any_interleaving(subs, budget, arrivals):
 
 
 @settings(max_examples=15, deadline=None)
+@example(weights=(1, 1, 3), jobs_per_tenant=17)  # the bound, met exactly
 @given(
     weights=st.tuples(
         st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)
@@ -130,21 +131,32 @@ def test_weights_respected_on_synthetic_traces(weights, jobs_per_tenant):
             core.submit(
                 JobSpec(tenant=tenant, kind="compute", params=COMPUTE)
             )
-    # horizon: every tenant still backlogged afterwards, with enough
-    # dispatches that one-job quantization stays inside the tolerance
+    # horizon: every tenant still backlogged afterwards
     total_weight = sum(weights)
     rounds = (jobs_per_tenant - 2) // max(weights)
     horizon = max(total_weight, rounds * total_weight // 2)
     while core.fairshare.dispatches < horizon:
         core.step()
     snapshot = contended_shares(core)
-    for name, weight in zip(TENANTS, weights):
+    dispatched = core.fairshare.dispatches
+    for index, (name, weight) in enumerate(zip(TENANTS, weights)):
         share = snapshot["tenants"][name]
-        expected = weight / total_weight
-        # within one job's worth of the horizon, relative to the share
-        slack = 0.022 / (horizon * 0.02 * expected)
+        # stride's guarantee is pairwise: two backlogged tenants' passes
+        # never differ by more than one job's stride, so tenant i trails
+        # or leads tenant j by at most max(w_i, w_j) / W jobs.  Summed
+        # over its competitors that bounds a tenant's error at *any* cut,
+        # and the bound is reached when the cut lands just after the
+        # lighter tenants of a tied round: weights (1, 1, 3) cut at 12
+        # dispatches run alpha, beta, 3 x gamma twice and then alpha,
+        # beta — gamma holds 6 of 12 against 7.2, (3 + 3) / 5 jobs short
+        # (so "within one job" is not a property of stride scheduling).
+        bound_jobs = sum(
+            max(weight, other)
+            for k, other in enumerate(weights)
+            if k != index
+        ) / total_weight
         assert share["observed_share"] == pytest.approx(
-            expected, rel=max(0.1, slack)
+            weight / total_weight, abs=bound_jobs / dispatched + 1e-9
         )
     core.run_until_drained()
     core.check_invariants()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.items.grid import Grid
+from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.jobs import JobContext
 from repro.runtime.runtime import AllScaleRuntime
+from repro.runtime.tasks import TaskProgram, TaskSpec
 from repro.service import (
     JobSpec,
     JobState,
@@ -275,6 +279,65 @@ def test_registered_kind_is_admitted_and_runs():
         unregister_kind("noop")
     with pytest.raises(ValueError):
         unregister_kind("compute")  # built-ins cannot be removed
+
+
+def _two_phase_program(racy: bool) -> TaskProgram:
+    """Fill an 8x8 grid with ones, then count them; ``racy``: both fill
+    roots write the whole grid."""
+    grid = Grid((8, 8), name="ones")
+    halves = [Box((0, 0), (4, 8)), Box((4, 0), (8, 8))]
+
+    def fill(box):
+        return TaskSpec(
+            name=f"fill{box!r}",
+            writes={grid: grid.full_region if racy else grid.box(box.lo, box.hi)},
+            flops=64.0,
+            body=lambda ctx: ctx.fragment(grid).scatter(
+                box, np.ones(box.widths())
+            ),
+        )
+
+    count = TaskSpec(
+        name="count",
+        reads={grid: grid.full_region},
+        flops=64.0,
+        body=lambda ctx: float(
+            ctx.fragment(grid).gather(Box((0, 0), (8, 8))).sum()
+        ),
+    )
+    return TaskProgram(
+        "ones",
+        [[fill(box) for box in halves], [count]],
+        items=[grid],
+        functional=True,
+        finalize=lambda values: {"ones": values[0]},
+    )
+
+
+def test_registered_task_program_runs_and_racy_one_never_submits(monkeypatch):
+    submitted = []
+    real_submit = AllScaleRuntime.submit
+
+    def spy(self, task, origin=0, after=None):
+        submitted.append(task.name)
+        return real_submit(self, task, origin=origin, after=after)
+
+    monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+    register_kind("ones", lambda params: _two_phase_program(params["racy"]))
+    try:
+        core = small_core()
+        racy = core.submit(JobSpec("alpha", "ones", params={"racy": True}))
+        assert racy.state == JobState.REJECTED
+        assert racy.verdict.reason == "analysis"
+        core.run_until_drained()
+        assert submitted == []  # rejected before anything reached a runtime
+        clean = core.submit(JobSpec("alpha", "ones", params={"racy": False}))
+        core.run_until_drained()
+        assert clean.state == JobState.COMPLETED
+        assert clean.result == {"ones": 64.0}
+        assert submitted[-1] == "count" and len(submitted) == 3
+    finally:
+        unregister_kind("ones")
 
 
 # -- runtime-layer job context -----------------------------------------------------
