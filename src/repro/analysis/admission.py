@@ -9,22 +9,24 @@ metrics; **strict** mode raises :class:`AdmissionError` on any
 error-severity finding, rejecting the task before a single simulation
 event runs — the static counterpart of the sentinel's strict mode.
 
-Enablement mirrors :mod:`repro.runtime.sentinel`: per-runtime
-(``AdmissionController(runtime).attach()``), process-wide
+The controller subscribes to the ``submit`` event of the runtime's probe
+(:mod:`repro.runtime.probe`).  Enablement is the same
+:class:`~repro.runtime.probe.Enablement` switch the sentinel uses:
+per-runtime (``AdmissionController(runtime).attach()``), process-wide
 (:func:`enable_globally`, used by ``bench --analyze`` and the CLI), or
 for a whole test run (``REPRO_ANALYZE=1`` / ``warn`` / ``strict``,
-consumed in ``AllScaleRuntime.__init__`` via :func:`attach_from_global`).
+honoured by every new ``AllScaleRuntime``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.expansion import AnalysisConfig
 from repro.analysis.findings import AnalysisReport
 from repro.analysis.program import analyze_task
+from repro.runtime.probe import Enablement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -66,14 +68,14 @@ class AdmissionController:
         self.skipped = 0
 
     def attach(self) -> "AdmissionController":
-        if self.runtime.analyzer is not None and self.runtime.analyzer is not self:
+        probe = self.runtime.probe
+        if probe.observer(AdmissionController) not in (None, self):
             raise RuntimeError("runtime already has an admission controller")
-        self.runtime.analyzer = self
+        probe.attach(self)
         return self
 
     def detach(self) -> None:
-        if self.runtime.analyzer is self:
-            self.runtime.analyzer = None
+        self.runtime.probe.detach(self)
 
     def on_submit(self, task: "TaskSpec") -> None:
         """Analyze one root submission; raises in strict mode on errors."""
@@ -108,60 +110,14 @@ class AdmissionController:
 
 # -- process-wide enablement (bench --analyze, REPRO_ANALYZE=1) -----------------
 
-#: explicit-off marker: distinguishes "never configured, fall back to the
-#: environment variable" (None) from "switched off programmatically"
-_DISABLED = object()
-_global_config: object = None
-#: controllers created while global enablement was active (drained by the
-#: CLI, the bench reporter, and the test fixture)
-_created: list[AdmissionController] = []
-
-
-def enable_globally(config: AdmissionConfig | None = None) -> None:
-    """Attach admission to every :class:`AllScaleRuntime` created from now on."""
-    global _global_config
-    _global_config = config or AdmissionConfig()
-    _created.clear()
-
-
-def disable_globally() -> None:
-    """Switch auto-attachment off, overriding ``REPRO_ANALYZE`` too.
-
-    Seeded-defect tests use this: they submit deliberately broken task
-    trees and run the analyzer by hand instead.
-    """
-    global _global_config
-    _global_config = _DISABLED
-
-
-def reset_global() -> None:
-    """Back to the default: enabled iff ``REPRO_ANALYZE`` is set."""
-    global _global_config
-    _global_config = None
-
-
-def global_config() -> AdmissionConfig | None:
-    """Active process-wide config, if any (``REPRO_ANALYZE`` counts)."""
-    if _global_config is _DISABLED:
-        return None
-    if _global_config is not None:
-        return _global_config  # type: ignore[return-value]
-    value = os.environ.get("REPRO_ANALYZE", "0").strip().lower()
-    if value in ("", "0"):
-        return None
-    return AdmissionConfig(strict=value == "strict")
-
-
-def drain_created() -> list[AdmissionController]:
-    """Return and forget the controllers auto-attached since the last drain."""
-    out, _created[:] = list(_created), []
-    return out
-
-
-def attach_from_global(runtime: "AllScaleRuntime") -> None:
-    """Auto-attach admission if process-wide enablement is active."""
-    config = global_config()
-    if config is None:
-        return
-    controller = AdmissionController(runtime, config).attach()
-    _created.append(controller)
+ENABLEMENT: Enablement[AdmissionConfig, AdmissionController] = Enablement(
+    "REPRO_ANALYZE",
+    lambda value: AdmissionConfig(strict=value == "strict"),
+    lambda runtime, config: AdmissionController(runtime, config).attach(),
+)
+enable_globally = ENABLEMENT.enable_globally
+disable_globally = ENABLEMENT.disable_globally
+reset_global = ENABLEMENT.reset_global
+global_config = ENABLEMENT.global_config
+drain_created = ENABLEMENT.drain_created
+attach_from_global = ENABLEMENT.attach_from_global

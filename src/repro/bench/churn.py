@@ -35,6 +35,7 @@ from repro.apps.tpc import TPCWorkload, tpc_allscale
 from repro.bench.panel import Panel
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.elastic import ChurnController, ChurnEvent
+from repro.runtime.sentinel import RuntimeSentinel
 from repro.sim.cluster import Cluster, meggie_like_spec
 
 #: metrics every cell snapshots (exact simulated values)
@@ -178,9 +179,10 @@ def _run_cell(app: str, workload, nodes: int, events: list[ChurnEvent]):
     snapshot = runtime.metrics.snapshot()
     runtime.check_ownership_invariants()
     violations = None
-    if runtime.sentinel is not None:
-        runtime.sentinel.verify_all()
-        violations = len(runtime.sentinel.violations)
+    sentinel = runtime.probe.observer(RuntimeSentinel)
+    if sentinel is not None:
+        sentinel.verify_all()
+        violations = len(sentinel.violations)
     return result, runtime, controller, snapshot, violations
 
 
@@ -196,7 +198,7 @@ def churn_panel(mode: str) -> ChurnPanel:
             app, workload, nodes, []
         )
         panel.sentinel_attached = (
-            panel.sentinel_attached or runtime.sentinel is not None
+            panel.sentinel_attached or violations is not None
         )
         total = runtime.now
         scenarios: list[tuple[str, int, int]] = [

@@ -30,7 +30,6 @@ from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
 from repro.runtime.tasks import TaskSpec
 from repro.runtime.transfers import ReplicaCache, TransferPlan
-from repro.verify import monitor as _verify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.process import RuntimeProcess
@@ -39,23 +38,77 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PLAN_LOG_LIMIT = 128
 
 
+class TransferMarkers:
+    """Per-item regions one kind of transfer has on the wire towards a
+    process, and the futures waiting for them to land.
+
+    One of the bookkeeping tables the happens-before monitor watches:
+    reads announce ``table_read``, changes ``table_publish``.
+    """
+
+    def __init__(self, manager: "DataItemManager", kind: str) -> None:
+        self.manager = manager
+        self.probe = manager.probe
+        self.kind = kind
+        self.regions: dict[DataItem, Region] = {}
+        self._waiters: list = []
+
+    def __bool__(self) -> bool:
+        return bool(self.regions)
+
+    def region(self, item: DataItem) -> Region:
+        for notify in self.probe.table_read:
+            notify((self.kind, self.manager.pid, item.name), None)
+        region = self.regions.get(item)
+        return region if region is not None else item.empty_region()
+
+    def mark(self, item: DataItem, region: Region) -> None:
+        self._publish(item, region)
+        self.regions[item] = self.region(item).union(region)
+
+    def clear(self, item: DataItem, region: Region) -> None:
+        self._publish(item, region)
+        remaining = self.region(item).difference(region)
+        if remaining.is_empty():
+            self.regions.pop(item, None)
+        else:
+            self.regions[item] = remaining
+        self.wake()
+
+    def _publish(self, item: DataItem, region: Region) -> None:
+        for notify in self.probe.table_publish:
+            notify((self.kind, self.manager.pid, item.name), region)
+
+    def change(self):
+        """Future completing at the next :meth:`clear` (or node failure)."""
+        future = self.manager.process.runtime.engine.future()
+        self._waiters.append(future)
+        return future
+
+    def wake(self) -> None:
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            waiter.complete(None)
+
+
 class DataItemManager:
     """Fragments, ownership, and replicas of one address space."""
 
     def __init__(self, process: "RuntimeProcess") -> None:
         self.process = process
+        self.probe = process.runtime.probe
         self.fragments: dict[DataItem, Fragment] = {}
         self.owned: dict[DataItem, Region] = {}
         # regions whose ownership already arrived here but whose bytes are
         # still on the wire; tasks must not touch them until they land
-        self._in_flight: dict[DataItem, Region] = {}
-        self._in_flight_waiters: list = []
+        self.in_flight = TransferMarkers(self, "inflight")
+        self.in_flight_region = self.in_flight.region
         # replica regions some fetch already put on the wire towards this
         # process; concurrent stagers wait instead of fetching them again,
         # so each element travels at most once per demand epoch whether or
         # not coalescing is enabled
-        self._fetching: dict[DataItem, Region] = {}
-        self._fetching_waiters: list = []
+        self.fetching = TransferMarkers(self, "fetching")
+        self.fetching_region = self.fetching.region
         self.replica_cache = ReplicaCache(
             self, process.runtime.config.replica_cache_bytes
         )
@@ -86,68 +139,6 @@ class DataItemManager:
     def replica_region(self, item: DataItem) -> Region:
         return self.present_region(item).difference(self.owned_region(item))
 
-    def in_flight_region(self, item: DataItem) -> Region:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("inflight", self.pid, item.name))
-        region = self._in_flight.get(item)
-        return region if region is not None else item.empty_region()
-
-    def _mark_in_flight(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("inflight", self.pid, item.name), region)
-        self._in_flight[item] = self.in_flight_region(item).union(region)
-
-    def _clear_in_flight(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("inflight", self.pid, item.name), region)
-        remaining = self.in_flight_region(item).difference(region)
-        if remaining.is_empty():
-            self._in_flight.pop(item, None)
-        else:
-            self._in_flight[item] = remaining
-        waiters, self._in_flight_waiters = self._in_flight_waiters, []
-        for waiter in waiters:
-            waiter.complete(None)
-
-    def _in_flight_change(self):
-        future = self.process.runtime.engine.future()
-        self._in_flight_waiters.append(future)
-        return future
-
-    def fetching_region(self, item: DataItem) -> Region:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("fetching", self.pid, item.name))
-        region = self._fetching.get(item)
-        return region if region is not None else item.empty_region()
-
-    def _mark_fetching(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("fetching", self.pid, item.name), region)
-        self._fetching[item] = self.fetching_region(item).union(region)
-
-    def _clear_fetching(self, item: DataItem, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("fetching", self.pid, item.name), region)
-        remaining = self.fetching_region(item).difference(region)
-        if remaining.is_empty():
-            self._fetching.pop(item, None)
-        else:
-            self._fetching[item] = remaining
-        waiters, self._fetching_waiters = self._fetching_waiters, []
-        for waiter in waiters:
-            waiter.complete(None)
-
-    def _fetching_change(self):
-        future = self.process.runtime.engine.future()
-        self._fetching_waiters.append(future)
-        return future
-
     # -- ownership changes (synchronous bookkeeping) --------------------------------
 
     def allocate(self, item: DataItem, region: Region) -> None:
@@ -175,9 +166,8 @@ class DataItemManager:
         # MemoryExhaustedError must not leave present-but-unowned bytes
         self.process.node.allocate(added_bytes)
         fragment.resize(grown)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, region, "allocate")
+        for notify in self.probe.frag_write:
+            notify(self.pid, item, region, "allocate", None)
         self.owned[item] = self.owned_region(item).union(region)
         # a local replica of an unowned region (e.g. orphaned by a node
         # failure) may be claimed here: it is now owned, not replicated
@@ -192,31 +182,32 @@ class DataItemManager:
         runtime = self.process.runtime
         part = self.owned_region(item).intersect(region)
         fragment = self.fragment(item)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, part, "migrate-out")
         payload = fragment.extract(part)
+        for notify in self.probe.frag_write:
+            notify(self.pid, item, part, "migrate-out", payload)
         fragment.resize(fragment.region.difference(part))
         self.process.node.free(item.region_bytes(part))
         self.owned[item] = self.owned_region(item).difference(part)
         runtime.index.update_ownership(item, self.pid, self.owned[item])
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_export(self.pid, item, payload)
         runtime.metrics.incr("dm.exports")
         return payload
+
+    def _splice(
+        self, item: DataItem, payload: FragmentPayload, kind: str
+    ) -> None:
+        """Grow the fragment by an arrived payload (the one place payload
+        bytes enter this address space)."""
+        fragment = self.fragment(item)
+        added = payload.region.difference(fragment.region)
+        self.process.node.allocate(item.region_bytes(added))
+        for notify in self.probe.frag_write:
+            notify(self.pid, item, payload.region, kind, payload)
+        fragment.insert(payload)
 
     def import_owned(self, item: DataItem, payload: FragmentPayload) -> None:
         """Splice migrated-in data; ownership follows the data."""
         runtime = self.process.runtime
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_import(self.pid, item, payload)
-        fragment = self.fragment(item)
-        added = payload.region.difference(fragment.region)
-        self.process.node.allocate(item.region_bytes(added))
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, payload.region, "migrate-in")
-        fragment.insert(payload)
+        self._splice(item, payload, "migrate-in")
         self.owned[item] = self.owned_region(item).union(payload.region)
         # data this process previously held as a replica is now owned here
         runtime.unregister_replica(item, self.pid, payload.region)
@@ -227,15 +218,7 @@ class DataItemManager:
     def insert_replica(self, item: DataItem, payload: FragmentPayload) -> None:
         """Splice replicated (read-only) data; ownership unchanged."""
         runtime = self.process.runtime
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_import(self.pid, item, payload)
-        fragment = self.fragment(item)
-        added = payload.region.difference(fragment.region)
-        self.process.node.allocate(item.region_bytes(added))
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, payload.region, "replica-in")
-        fragment.insert(payload)
+        self._splice(item, payload, "replica-in")
         # anything that became locally *owned* while the payload was in
         # transit (a concurrent write staging here) is not a replica
         replicated = payload.region.difference(self.owned_region(item))
@@ -249,9 +232,8 @@ class DataItemManager:
         if victim.is_empty():
             return
         fragment = self.fragment(item)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, victim, "invalidate")
+        for notify in self.probe.frag_write:
+            notify(self.pid, item, victim, "invalidate", None)
         fragment.resize(fragment.region.difference(victim))
         self.process.node.free(item.region_bytes(victim))
         self.process.runtime.unregister_replica(item, self.pid, victim)
@@ -335,7 +317,7 @@ class DataItemManager:
             # the wire is not usable yet
             accessed = task.accessed_region(item)
             while self.in_flight_region(item).overlaps(accessed):
-                yield self._in_flight_change()
+                yield self.in_flight.change()
         self._finish_plan(plan)
 
     def _finish_plan(self, plan: TransferPlan) -> None:
@@ -454,7 +436,7 @@ class DataItemManager:
         while peer.locks.any_locked(item, region):
             yield peer.locks.wait_for_change()
         while peer.data_manager.in_flight_region(item).overlaps(region):
-            yield peer.data_manager._in_flight_change()
+            yield peer.data_manager.in_flight.change()
         part = peer.data_manager.owned_region(item).intersect(region)
         if part.is_empty():
             return  # someone else migrated it away meanwhile
@@ -465,12 +447,12 @@ class DataItemManager:
         runtime.unregister_replica(item, self.pid, payload.region)
         self.replica_cache.note_dropped(item, payload.region)
         runtime.index.update_ownership(item, self.pid, self.owned[item])
-        self._mark_in_flight(item, payload.region)
+        self.in_flight.mark(item, payload.region)
         try:
             yield network.send(src, self.pid, max(1, payload.nbytes))
             yield from self._land_migration(item, payload)
         finally:
-            self._clear_in_flight(item, payload.region)
+            self.in_flight.clear(item, payload.region)
         runtime.metrics.incr("dm.migrations")
         runtime.metrics.incr("dm.migrated_bytes", payload.nbytes)
         if plan is not None:
@@ -505,17 +487,8 @@ class DataItemManager:
 
     def _store_payload(self, item: DataItem, payload: FragmentPayload) -> None:
         """Splice arrived bytes into the fragment (ownership already here)."""
-        runtime = self.process.runtime
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_payload_import(self.pid, item, payload)
-        fragment = self.fragment(item)
-        added = payload.region.difference(fragment.region)
-        self.process.node.allocate(item.region_bytes(added))
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_write(self.pid, item, payload.region, "migrate-land")
-        fragment.insert(payload)
-        runtime.metrics.incr("dm.imports")
+        self._splice(item, payload, "migrate-land")
+        self.process.runtime.metrics.incr("dm.imports")
 
     def _fetch_replicas(
         self,
@@ -543,11 +516,11 @@ class DataItemManager:
             # has those bytes on the wire towards this process — wait for
             # them to land instead of moving the same elements twice
             while self.fetching_region(item).overlaps(missing):
-                yield self._fetching_change()
+                yield self.fetching.change()
                 missing = want.difference(self.present_region(item))
                 if missing.is_empty():
                     return
-            self._mark_fetching(item, missing)
+            self.fetching.mark(item, missing)
             try:
                 mapping, unresolved = yield from runtime.index.lookup(
                     item, missing, self.pid
@@ -577,7 +550,7 @@ class DataItemManager:
                         )
                     runtime.metrics.incr("dm.uninitialized_reads")
             finally:
-                self._clear_fetching(item, missing)
+                self.fetching.clear(item, missing)
         missing = want.difference(self.present_region(item))
         if missing.is_empty():
             return
@@ -623,7 +596,7 @@ class DataItemManager:
             while peer.locks.write_locked(item, part):
                 yield peer.locks.wait_for_change()
             while peer.data_manager.in_flight_region(item).overlaps(part):
-                yield peer.data_manager._in_flight_change()
+                yield peer.data_manager.in_flight.change()
             # the data may have moved away while we waited; take what
             # is still there and retry for the rest
             part = part.intersect(
@@ -632,9 +605,8 @@ class DataItemManager:
             if part.is_empty():
                 continue
             yield peer.node.execute(cfg.fragment_op_overhead)
-            monitor = _verify.current
-            if monitor is not None:
-                monitor.frag_read(owner, item, part, "replica-read")
+            for notify in self.probe.frag_read:
+                notify(owner, item, part, "replica-read")
             payload = peer.data_manager.fragment(item).extract(part)
             yield network.send(owner, self.pid, max(1, payload.nbytes))
             yield self.process.node.execute(cfg.fragment_op_overhead)
@@ -694,7 +666,7 @@ class DataItemManager:
         while peer.locks.write_locked(item, region):
             yield peer.locks.wait_for_change()
         while peer.data_manager.in_flight_region(item).overlaps(region):
-            yield peer.data_manager._in_flight_change()
+            yield peer.data_manager.in_flight.change()
         pieces = []
         for part in parts:
             still = part.intersect(peer.data_manager.present_region(item))
@@ -706,15 +678,12 @@ class DataItemManager:
         for piece in pieces[1:]:
             union = union.union(piece)
         yield peer.node.execute(cfg.fragment_op_overhead)
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.frag_read(owner, item, union, "replica-read")
+        for notify in self.probe.frag_read:
+            notify(owner, item, union, "replica-read")
         payload = peer.data_manager.fragment(item).extract(union)
         sizes = [item.region_bytes(piece) for piece in pieces]
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_coalesced_transfer(
-                owner, self.pid, item, payload, pieces, sizes
-            )
+        for notify in self.probe.coalesced_transfer:
+            notify(owner, self.pid, item, payload, pieces, sizes)
         yield network.send_bulk(
             owner, self.pid, sizes if payload.nbytes else [1]
         )
@@ -781,7 +750,7 @@ class DataItemManager:
             for pieces in grouped.values():
                 for piece in pieces:
                     covered = covered.union(piece)
-            self._mark_fetching(item, covered)
+            self.fetching.mark(item, covered)
             marked.append((item, covered))
             for owner in sorted(grouped):
                 fetchers.append(
@@ -798,7 +767,7 @@ class DataItemManager:
             yield engine.all_of(fetchers)
         finally:
             for item, covered in marked:
-                self._clear_fetching(item, covered)
+                self.fetching.clear(item, covered)
         runtime.metrics.incr("comms.prefetched_bytes", plan.moved_bytes())
         self._finish_plan(plan)
 

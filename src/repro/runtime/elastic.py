@@ -164,11 +164,11 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
         if process.active:
             yield process._slot_free()
             continue
-        if manager._in_flight:
-            yield manager._in_flight_change()
+        if manager.in_flight:
+            yield manager.in_flight.change()
             continue
-        if manager._fetching:
-            yield manager._fetching_change()
+        if manager.fetching:
+            yield manager.fetching.change()
             continue
         break
 
@@ -263,8 +263,8 @@ def failure_storm(
         return bool(
             victim.queue
             or victim.active
-            or manager._in_flight
-            or manager._fetching
+            or manager.in_flight
+            or manager.fetching
         )
 
     while True:

@@ -30,8 +30,8 @@ from typing import Generator
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.runtime.probe import INERT, Probe
 from repro.sim.network import Network
-from repro.verify import monitor as _verify
 
 
 class HierarchicalIndex:
@@ -42,12 +42,14 @@ class HierarchicalIndex:
         network: Network,
         num_processes: int,
         control_message_bytes: int = 96,
+        probe: Probe = INERT,
     ) -> None:
         if num_processes < 1:
             raise ValueError("num_processes must be >= 1")
         self.network = network
         self.num_processes = num_processes
         self.control_message_bytes = control_message_bytes
+        self.probe = probe
         # number of hierarchy levels: leaves at 1, root at `levels`
         self.levels = 1
         while (1 << (self.levels - 1)) < num_processes:
@@ -70,9 +72,6 @@ class HierarchicalIndex:
         self._lookup_cache: dict[tuple[int, DataItem], dict] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        #: optional invariant sentinel, notified after each applied update
-        #: (set by RuntimeSentinel.attach)
-        self.sentinel = None
 
     # -- elastic membership -----------------------------------------------------------
 
@@ -132,9 +131,8 @@ class HierarchicalIndex:
         self._items.add(item)
 
     def covered(self, item: DataItem, level: int, root: int) -> Region:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("own", item.name))
+        for notify in self.probe.table_read:
+            notify(("own", item.name), None)
         region = self._cover.get((item, level, root))
         return region if region is not None else item.empty_region()
 
@@ -189,13 +187,10 @@ class HierarchicalIndex:
             if host != process:
                 self.update_messages += 1
                 self.network.send(process, host, self.control_message_bytes)
-        monitor = _verify.current
-        if monitor is not None:
-            # publish the new covers: lookups that observe them (via
-            # ``covered``) order after this update
-            monitor.sync_release(("own", item.name))
-        if self.sentinel is not None:
-            self.sentinel.on_ownership_update(item, process, new_region)
+        # the new covers are published: lookups that observe them (via
+        # ``covered``) order after this update
+        for notify in self.probe.ownership_update:
+            notify(item, process, new_region)
 
     # -- Algorithm 1: region location resolution ------------------------------------------
 

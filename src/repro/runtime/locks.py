@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
-from repro.verify import monitor as _verify
+from repro.runtime.probe import INERT, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Future, SimEngine
@@ -38,27 +38,28 @@ class _Hold:
 class LockTable:
     """All locks held within one address space."""
 
-    def __init__(self, engine: "SimEngine", pid: int = -1) -> None:
+    def __init__(
+        self, engine: "SimEngine", pid: int = -1, probe: Probe = INERT
+    ) -> None:
         self.engine = engine
         self.pid = pid
+        self.probe = probe
         self._holds: list[_Hold] = []
         self._waiters: list["Future"] = []
 
     # -- queries -------------------------------------------------------------------
 
     def write_locked(self, item: DataItem, region: Region) -> bool:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("locks", self.pid, item.name), region)
+        for notify in self.probe.table_read:
+            notify(("locks", self.pid, item.name), region)
         return any(
             h.write and h.item is item and h.region.overlaps(region)
             for h in self._holds
         )
 
     def any_locked(self, item: DataItem, region: Region) -> bool:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("locks", self.pid, item.name), region)
+        for notify in self.probe.table_read:
+            notify(("locks", self.pid, item.name), region)
         return any(
             h.item is item and h.region.overlaps(region) for h in self._holds
         )
@@ -76,18 +77,10 @@ class LockTable:
         not self-deadlock.  Pass ``owner=None`` (the default) to treat
         every hold as foreign.
         """
-        monitor = _verify.current
-        if monitor is not None:
-            for item, region in writes.items():
+        for notify in self.probe.table_read:
+            for item, region in (*writes.items(), *reads.items()):
                 if not region.is_empty():
-                    monitor.sync_acquire(
-                        ("locks", self.pid, item.name), region
-                    )
-            for item, region in reads.items():
-                if not region.is_empty():
-                    monitor.sync_acquire(
-                        ("locks", self.pid, item.name), region
-                    )
+                    notify(("locks", self.pid, item.name), region)
         for item, region in writes.items():
             if region.is_empty():
                 continue
@@ -122,20 +115,12 @@ class LockTable:
         """Atomically acquire all locks, or none."""
         if self.conflicts(reads, writes, owner=owner):
             return False
-        monitor = _verify.current
-        if monitor is not None:
-            # publish the new lock state: later guard checks that observe
-            # these holds (or their absence) order after this acquisition
-            for item, region in writes.items():
+        # publish the new lock state: later guard checks that observe
+        # these holds (or their absence) order after this acquisition
+        for notify in self.probe.table_publish:
+            for item, region in (*writes.items(), *reads.items()):
                 if not region.is_empty():
-                    monitor.sync_release(
-                        ("locks", self.pid, item.name), region
-                    )
-            for item, region in reads.items():
-                if not region.is_empty():
-                    monitor.sync_release(
-                        ("locks", self.pid, item.name), region
-                    )
+                    notify(("locks", self.pid, item.name), region)
         for item, region in writes.items():
             if not region.is_empty():
                 # interned hold regions make the per-hold overlap checks
@@ -159,13 +144,10 @@ class LockTable:
     def release(self, owner: object) -> None:
         """Drop all locks of ``owner`` and wake queued waiters."""
         before = len(self._holds)
-        monitor = _verify.current
-        if monitor is not None:
+        for notify in self.probe.table_publish:
             for hold in self._holds:
                 if hold.owner is owner:
-                    monitor.sync_release(
-                        ("locks", self.pid, hold.item.name), hold.region
-                    )
+                    notify(("locks", self.pid, hold.item.name), hold.region)
         self._holds = [h for h in self._holds if h.owner is not owner]
         if len(self._holds) != before and self._waiters:
             waiters, self._waiters = self._waiters, []

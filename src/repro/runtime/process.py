@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Generator
 from repro.runtime.data_manager import DataItemManager
 from repro.runtime.locks import LockTable
 from repro.runtime.tasks import TaskExecutionContext, TaskSpec, Treeture
-from repro.verify import monitor as _verify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -43,7 +42,8 @@ class RuntimeProcess:
         self.runtime = runtime
         self.pid = pid
         self.node = node
-        self.locks = LockTable(runtime.engine, pid=pid)
+        self.probe = runtime.probe
+        self.locks = LockTable(runtime.engine, pid=pid, probe=self.probe)
         self.data_manager = DataItemManager(self)
         self.queue: deque[tuple[TaskSpec, Treeture, str]] = deque()
         self.active = 0
@@ -79,11 +79,8 @@ class RuntimeProcess:
                 self.runtime.metrics.incr("elastic.forwarded_tasks")
                 self.runtime.process(target).enqueue(task, treeture, variant)
                 return
-        tracer = self.runtime.tracer
-        if tracer is not None and variant != "split":
-            tracer.on_enqueue(
-                treeture, task.name, self.pid, self.runtime.engine.now
-            )
+        for notify in self.probe.task_enqueued:
+            notify(task, treeture, self.pid, variant, self.runtime.engine.now)
         self.queue.append((task, treeture, variant))
         if (
             self.runtime.config.work_stealing
@@ -175,13 +172,10 @@ class RuntimeProcess:
     def _run_leaf(
         self, task: TaskSpec, treeture: Treeture, offload: bool = False
     ) -> Generator:
-        tracer = self.runtime.tracer
-        sentinel = self.runtime.sentinel
-        now = self.runtime.engine.now
-        if tracer is not None:
-            tracer.on_start(treeture, now)
-        if sentinel is not None:
-            sentinel.on_task_start(task, self.pid)
+        probe = self.probe
+        engine = self.runtime.engine
+        for notify in probe.task_start:
+            notify(task, treeture, self.pid, engine.now)
         # stage data and take region locks.  Between staging completing and
         # the locks being granted other processes run, so the premises can
         # be invalidated again (a remote read re-replicates the write set;
@@ -208,8 +202,8 @@ class RuntimeProcess:
         try:
             for _attempt in range(16):
                 yield from self.data_manager.ensure_for_task(task)
-                if tracer is not None:
-                    tracer.on_data_ready(treeture, self.runtime.engine.now)
+                for notify in probe.task_data_ready:
+                    notify(task, treeture, self.pid, engine.now)
                 # take region locks; queue behind conflicting holders
                 while not self.locks.try_acquire(task, task.reads, task.writes):
                     self.runtime.metrics.incr("proc.lock_waits")
@@ -228,26 +222,9 @@ class RuntimeProcess:
             # the verified locks take over protection from here
             if intents:
                 self.runtime.clear_write_intent(task)
-        if tracer is not None:
-            tracer.on_locks_held(treeture, self.runtime.engine.now)
-        if sentinel is not None:
-            sentinel.on_locks_acquired(self.pid, task)
-            sentinel.on_task_executing(task, self.pid)
-        monitor = _verify.current
-        if monitor is not None:
-            # the task body's accesses, recorded while the verified locks
-            # are held (they protect the whole execution window)
-            for item in task.accessed_items_ordered():
-                write = task.write_region(item)
-                if not write.is_empty():
-                    monitor.frag_write(
-                        self.pid, item, write, f"task:{task.name}"
-                    )
-                read = task.read_region(item).difference(write)
-                if not read.is_empty():
-                    monitor.frag_read(
-                        self.pid, item, read, f"task:{task.name}"
-                    )
+        # the verified locks protect the whole execution window from here
+        for notify in probe.task_locks_held:
+            notify(task, treeture, self.pid, engine.now)
         try:
             devices = self.runtime.cluster.accelerators[self.pid]
             if offload and devices and task.gpu_flops is not None:
@@ -291,10 +268,8 @@ class RuntimeProcess:
             self.locks.release(task)
         self.executed_leaves += 1
         self.runtime.metrics.incr("proc.leaves")
-        if tracer is not None:
-            tracer.on_finish(treeture, self.runtime.engine.now)
-        if sentinel is not None:
-            sentinel.on_task_finish(task, self.pid)
+        for notify in probe.task_finish:
+            notify(task, treeture, self.pid, engine.now)
         treeture.complete(value)
 
     # -- work stealing -----------------------------------------------------------------

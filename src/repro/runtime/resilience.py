@@ -88,9 +88,8 @@ class ResilienceManager:
                 entries.append((process.pid, payload))
             if entries:
                 snapshot.payloads[item.name] = entries
-        if runtime.sentinel is not None:
-            # record coverage + byte totals the restore must reproduce
-            runtime.sentinel.on_checkpoint(snapshot)
+        for notify in runtime.probe.checkpoint:
+            notify(snapshot)
         runtime.metrics.incr("resilience.checkpoints")
         return snapshot
 
@@ -166,8 +165,8 @@ class ResilienceManager:
                     sub = _extract_sub_payload(item, sub, still_lost)
                 target.data_manager.import_owned(item, sub)
             runtime.metrics.incr("resilience.recovered_items")
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_recovery(snapshot)
+        for notify in runtime.probe.recovery:
+            notify(snapshot)
         runtime.metrics.incr("resilience.recoveries")
 
     # -- restore ---------------------------------------------------------------------
@@ -199,6 +198,6 @@ class ResilienceManager:
                 )
                 yield process.node.execute(cfg.fragment_op_overhead)
                 process.data_manager.import_owned(item, payload)
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_restore(snapshot)
+        for notify in runtime.probe.restore:
+            notify(snapshot)
         runtime.metrics.incr("resilience.restores")

@@ -20,20 +20,26 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.analysis.admission import attach_from_global as attach_analysis
+from repro.analysis import admission
 from repro.items.base import DataItem
 from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint, corner_bounds
 from repro.regions.kernel import get_kernel
+from repro.runtime import sentinel
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.index import HierarchicalIndex
 from repro.runtime.policies import DataAwarePolicy, SchedulingPolicy
+from repro.runtime.probe import Probe
 from repro.runtime.process import RuntimeProcess
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sentinel import attach_from_global
 from repro.runtime.tasks import TaskSpec, Treeture
 from repro.sim.cluster import Cluster
-from repro.verify import monitor as _verify
+
+#: process-wide observer switches every new runtime honours (REPRO_SENTINEL,
+#: REPRO_ANALYZE, ``enable_globally``).  Importing ``repro.analysis`` for it
+#: is the runtime layer's one sanctioned upward import: the env vars must
+#: work from entry points that import neither module.
+AUTO_ATTACHED = (sentinel.ENABLEMENT, admission.ENABLEMENT)
 
 
 class AllScaleRuntime:
@@ -54,10 +60,14 @@ class AllScaleRuntime:
         self.engine = cluster.engine
         self.network = cluster.network
         self.metrics = cluster.metrics
+        #: the one instrumentation seam (repro.runtime.probe): sentinel,
+        #: happens-before monitor, tracer and admission subscribe here
+        self.probe = Probe(self.engine)
         self.index = HierarchicalIndex(
             self.network,
             cluster.num_nodes,
             self.config.control_message_bytes,
+            probe=self.probe,
         )
         self.scheduler = Scheduler(self)
         self.processes = [
@@ -76,12 +86,6 @@ class AllScaleRuntime:
         ] = {}
         self._intent_seq = 0
         self._intent_waiters: list = []
-        #: optional per-task lifecycle tracing (repro.runtime.tracing)
-        self.tracer = None
-        #: optional invariant sentinel (repro.runtime.sentinel)
-        self.sentinel = None
-        #: optional submit-time admission controller (repro.analysis.admission)
-        self.analyzer = None
         #: optional job-level accounting context (repro.runtime.jobs) —
         #: set by the service layer when this runtime executes one tenant
         #: job over a shared cluster
@@ -101,12 +105,8 @@ class AllScaleRuntime:
         # kernel counters are process-wide; remember the creation-time
         # snapshot so this runtime's metrics report only its own activity
         self._region_stats_base = get_kernel().stats()
-        # honor process-wide sentinel enablement (REPRO_SENTINEL=1,
-        # bench --sentinel, the tier-1 sentinel fixture)
-        attach_from_global(self)
-        # honor process-wide admission enablement (REPRO_ANALYZE=1,
-        # bench --analyze, the analysis CLI targets)
-        attach_analysis(self)
+        for enablement in AUTO_ATTACHED:
+            enablement.attach_from_global(self)
 
     # -- structure ---------------------------------------------------------------
 
@@ -156,8 +156,8 @@ class AllScaleRuntime:
             homes = None
         self._home_maps[item] = homes
         self._items.append(item)
-        if self.sentinel is not None:
-            self.sentinel.on_item_registered(item)
+        for notify in self.probe.item_registered:
+            notify(item)
         if placement is not None:
             if len(placement) != self.num_processes:
                 raise ValueError(
@@ -174,9 +174,9 @@ class AllScaleRuntime:
 
     def destroy_item(self, item: DataItem) -> None:
         """Drop an item's fragments and bookkeeping (the *destroy* action)."""
-        if self.sentinel is not None:
-            # sanctioned coverage drop: stop tracking before the teardown
-            self.sentinel.on_item_destroyed(item)
+        # announced before the teardown: a sanctioned coverage drop
+        for notify in self.probe.item_destroyed:
+            notify(item)
         for process in self.processes:
             manager = process.data_manager
             fragment = manager.fragments.pop(item, None)
@@ -269,19 +269,13 @@ class AllScaleRuntime:
         # ownership they covered was just dropped above), and any payload
         # still on the wire is discarded on arrival (dead-lettered) —
         # waiters re-check and find the regions present nowhere
-        manager._in_flight.clear()
-        manager._fetching.clear()
-        for waiters in (
-            manager._in_flight_waiters,
-            manager._fetching_waiters,
-        ):
-            pending, waiters[:] = list(waiters), []
-            for waiter in pending:
-                waiter.complete(None)
+        manager.in_flight.regions.clear()
+        manager.fetching.regions.clear()
+        manager.in_flight.wake()
+        manager.fetching.wake()
         process.node.memory_used = 0.0
-        if self.sentinel is not None:
-            # sanctioned coverage drop: re-baseline global coverage
-            self.sentinel.on_process_failed(pid)
+        for notify in self.probe.process_failed:
+            notify(pid)
         self.metrics.incr("runtime.node_failures")
 
     def alive_processes(self) -> list[int]:
@@ -321,17 +315,15 @@ class AllScaleRuntime:
     # -- replica registry ---------------------------------------------------------------
 
     def register_replica(self, item: DataItem, pid: int, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("rep", item.name), region)
+        for notify in self.probe.table_publish:
+            notify(("rep", item.name), region)
         holders = self._replicas.setdefault(item, {})
         current = holders.get(pid, item.empty_region())
         holders[pid] = current.union(region)
 
     def unregister_replica(self, item: DataItem, pid: int, region: Region) -> None:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_release(("rep", item.name), region)
+        for notify in self.probe.table_publish:
+            notify(("rep", item.name), region)
         holders = self._replicas.get(item)
         if not holders or pid not in holders:
             return
@@ -342,9 +334,8 @@ class AllScaleRuntime:
             holders[pid] = remaining
 
     def replica_holders(self, item: DataItem) -> dict[int, Region]:
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("rep", item.name))
+        for notify in self.probe.table_read:
+            notify(("rep", item.name), None)
         return dict(self._replicas.get(item, {}))
 
     # -- write-intent reservations ----------------------------------------------------
@@ -366,10 +357,9 @@ class AllScaleRuntime:
         still fetching, or the pair ping-pongs re-fetch against
         invalidation until the fetch loop gives up.
         """
-        monitor = _verify.current
-        if monitor is not None:
-            for item in set(regions) | set(reads or {}):
-                monitor.sync_release(("intent", item.name))
+        for notify in self.probe.table_publish:
+            for item in {**regions, **(reads or {})}:
+                notify(("intent", item.name), None)
         self._intent_seq += 1
         # bounding corners are precomputed so the blocked-check can
         # reject non-overlapping intents without touching the region
@@ -393,11 +383,10 @@ class AllScaleRuntime:
     def clear_write_intent(self, owner: object) -> None:
         entry = self._write_intents.pop(id(owner), None)
         if entry is not None:
-            monitor = _verify.current
-            if monitor is not None:
+            for notify in self.probe.table_publish:
                 _seq, _pid, regions, reads, _ref = entry
-                for item in set(regions) | set(reads):
-                    monitor.sync_release(("intent", item.name))
+                for item in {**regions, **reads}:
+                    notify(("intent", item.name), None)
             self._signal_intent_change()
 
     def write_intent_blocked(
@@ -417,9 +406,8 @@ class AllScaleRuntime:
         replicas an older stager is still assembling.  Readers never
         block on reads, so the reader-side gates leave it off.
         """
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("intent", item.name))
+        for notify in self.probe.table_read:
+            notify(("intent", item.name), None)
         if not self._write_intents:
             return False
         own = self._write_intents.get(id(owner)) if owner is not None else None
@@ -467,9 +455,8 @@ class AllScaleRuntime:
         waits for local locks at each holder, exactly like the *migrate*
         guard would.
         """
-        monitor = _verify.current
-        if monitor is not None:
-            monitor.sync_acquire(("rep", item.name))
+        for notify in self.probe.table_read:
+            notify(("rep", item.name), None)
         holders = self._replicas.get(item, {})
         for pid in sorted(holders):
             if pid == keeper:
@@ -499,11 +486,10 @@ class AllScaleRuntime:
         ``after`` defers placement until the listed treetures complete —
         dependency chaining without a global barrier.
         """
-        if self.analyzer is not None:
-            # static admission sees root submissions only: children
-            # re-dispatched during splitting go through scheduler.assign
-            # directly, and the expansion already covered them
-            self.analyzer.on_submit(task)
+        # root submissions only: children re-dispatched during splitting
+        # go through scheduler.assign directly
+        for notify in self.probe.submit:
+            notify(task)
         return self.scheduler.assign(task, origin=origin, after=after)
 
     def spawn(self, gen: Generator):
@@ -515,31 +501,27 @@ class AllScaleRuntime:
 
     def wait(self, treeture: Treeture) -> Any:
         """Drive the event loop until ``treeture`` completes; return value."""
-        while not treeture.done:
-            processed = self.engine.run(max_events=100_000)
-            if processed == 0 and not treeture.done:
-                raise RuntimeError(
-                    f"event queue drained but {treeture!r} never completed "
-                    "(lost dependency or deadlock)"
-                )
-        if self.sentinel is not None:
-            self.sentinel.verify_all()
-        self.sync_region_metrics()
-        return treeture.value
+        return self._run_to_barrier(
+            treeture, "{!r} never completed (lost dependency or deadlock)"
+        )
 
     def wait_process(self, gen: Generator) -> Any:
         """Spawn an application driver and run until it returns."""
-        future = self.engine.spawn(gen)
-        while not future.done:
+        return self._run_to_barrier(
+            self.engine.spawn(gen), "the driver never returned"
+        )
+
+    def _run_to_barrier(self, awaited: Any, stalled: str) -> Any:
+        while not awaited.done:
             processed = self.engine.run(max_events=100_000)
-            if processed == 0 and not future.done:
+            if processed == 0 and not awaited.done:
                 raise RuntimeError(
-                    "event queue drained but the driver never returned"
+                    "event queue drained but " + stalled.format(awaited)
                 )
-        if self.sentinel is not None:
-            self.sentinel.verify_all()
+        for notify in self.probe.barrier:
+            notify()
         self.sync_region_metrics()
-        return future.value
+        return awaited.value
 
     def sync_region_metrics(self) -> None:
         """Publish region-kernel cache counters into :attr:`metrics`.

@@ -9,32 +9,33 @@ a scheduler, lock-table, index, or resilience bug would violate them:
 §2.5 property          runtime-level check (hook point)
 =====================  =====================================================
 single execution       each submitted :class:`TaskSpec` enters leaf
-                       execution at most once (``on_task_start``)
+                       execution at most once (``task_start``)
 satisfied reqs.        at dispatch the executing process owns the write
                        set, holds all accessed data locally, covers it
                        with its own locks, and nothing is still in flight
-                       (``on_task_executing``)
+                       (``task_locks_held``)
 exclusive writes       a granted write hold never overlaps another owner's
                        hold in any process's :class:`LockTable`, and no
                        remote address space holds bytes of the written
-                       region (``on_locks_acquired`` / ``on_task_executing``
-                       / periodic scan)
+                       region (``task_locks_held`` / periodic scan)
 data preservation      the global owned coverage of every live item never
                        shrinks except through *destroy* or node failure,
                        and every fragment payload carries exactly
                        ``region_bytes(payload.region)`` bytes across
                        migrations, checkpoints, and restores
-                       (periodic scan / ``on_payload_*`` / ``on_restore``)
+                       (periodic scan / ``frag_write`` / ``restore``)
 termination            the engine draining with queued/active tasks, held
                        locks, or in-flight data is a detectable wedge
                        (:meth:`RuntimeSentinel.check_terminal`; ``wait()``
                        already raises on a drained-but-incomplete queue)
 =====================  =====================================================
 
-The sentinel is opt-in and always-on once attached: it registers as a
+The hook points are events of the runtime's probe
+(:mod:`repro.runtime.probe`); the sentinel is one of its subscribers.  It
+is opt-in and always-on once attached: it also registers as a
 :class:`~repro.sim.engine.SimEngine` listener and runs a full coherence
-scan every ``scan_stride`` events plus whenever ``runtime.wait`` reaches a
-barrier.  Violations become structured :class:`Violation` reports (item,
+scan every ``scan_stride`` events plus at every ``barrier`` event
+(``runtime.wait``).  Violations become structured :class:`Violation` reports (item,
 region, holders, simulated timestamp, task provenance), surface as
 ``sentinel.*`` counters in ``runtime.metrics``, and — in strict mode —
 raise :class:`SentinelViolationError` at the exact event that broke the
@@ -47,17 +48,17 @@ whole test run (``REPRO_SENTINEL=1``, consumed by ``tests/conftest.py``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.items.base import DataItem, FragmentPayload
 from repro.regions.bounds import NO_BOUNDS, bounds_disjoint, corner_bounds
+from repro.runtime.probe import Enablement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.resilience import Checkpoint
     from repro.runtime.runtime import AllScaleRuntime
-    from repro.runtime.tasks import TaskSpec
+    from repro.runtime.tasks import TaskSpec, Treeture
 
 
 class SentinelViolationError(AssertionError):
@@ -107,10 +108,10 @@ class SentinelConfig:
     #: run the full coherence scan every N engine events (0 disables the
     #: periodic scan; barrier scans in ``runtime.wait`` still run)
     scan_stride: int = 4096
-    #: deep-verify every Nth leaf-task dispatch (requirements at
-    #: ``on_task_executing``, double grants at ``on_locks_acquired``); the
-    #: cheap hooks (single execution, payload bytes, ownership updates)
-    #: always run.  1 = exhaustive (the test default).
+    #: deep-verify every Nth leaf-task dispatch (requirements and double
+    #: grants at ``task_locks_held``); the cheap hooks (single execution,
+    #: payload bytes, ownership updates) always run.  1 = exhaustive (the
+    #: test default).
     task_stride: int = 1
 
     @classmethod
@@ -131,57 +132,6 @@ _NO_BOUNDS = NO_BOUNDS
 _bounds_disjoint = bounds_disjoint
 
 
-# -- process-wide enablement (bench --sentinel, REPRO_SENTINEL=1) ---------------
-
-#: explicit-off marker: distinguishes "never configured, fall back to the
-#: environment variable" (None) from "switched off programmatically"
-_DISABLED = object()
-_global_config: object = None
-#: sentinels created while global enablement was active (drained by the
-#: test fixture and the bench reporter)
-_created: list["RuntimeSentinel"] = []
-
-
-def enable_globally(config: SentinelConfig | None = None) -> None:
-    """Attach a sentinel to every :class:`AllScaleRuntime` created from now on."""
-    global _global_config
-    _global_config = config or SentinelConfig()
-    _created.clear()
-
-
-def disable_globally() -> None:
-    """Switch auto-attachment off, overriding ``REPRO_SENTINEL`` too.
-
-    Fault-injection tests use this: they build broken runtime states on
-    purpose and attach their own non-strict sentinels.
-    """
-    global _global_config
-    _global_config = _DISABLED
-
-
-def reset_global() -> None:
-    """Back to the default: enabled iff ``REPRO_SENTINEL`` is set."""
-    global _global_config
-    _global_config = None
-
-
-def global_config() -> SentinelConfig | None:
-    """Active process-wide config, if any (env var ``REPRO_SENTINEL`` counts)."""
-    if _global_config is _DISABLED:
-        return None
-    if _global_config is not None:
-        return _global_config  # type: ignore[return-value]
-    if os.environ.get("REPRO_SENTINEL", "0") not in ("", "0"):
-        return SentinelConfig()
-    return None
-
-
-def drain_created() -> list["RuntimeSentinel"]:
-    """Return and forget the sentinels auto-attached since the last drain."""
-    out, _created[:] = list(_created), []
-    return out
-
-
 class RuntimeSentinel:
     """Continuously validates one runtime against the §2.5 properties."""
 
@@ -197,10 +147,8 @@ class RuntimeSentinel:
         self.checks = 0
         #: full coherence scans executed
         self.scans = 0
-        self._attached = False
         self._events_seen = 0
         self._tasks_seen = 0
-        self._grants_seen = 0
         #: id(region) -> (region ref, bounds) — the ref pins the id
         self._bounds_cache: dict[int, tuple[Any, Any]] = {}
         #: items currently tracked (registered and not destroyed)
@@ -215,29 +163,23 @@ class RuntimeSentinel:
     # -- lifecycle -----------------------------------------------------------------
 
     def attach(self) -> "RuntimeSentinel":
-        """Hook the runtime's components and event loop; returns self."""
-        if self._attached:
-            return self
+        """Subscribe to the runtime's probe and event loop; returns self."""
         runtime = self.runtime
-        if runtime.sentinel is not None and runtime.sentinel is not self:
+        attached = runtime.probe.observer(RuntimeSentinel)
+        if attached is self:
+            return self
+        if attached is not None:
             raise RuntimeError("runtime already has a sentinel attached")
-        runtime.sentinel = self
-        runtime.index.sentinel = self
+        runtime.probe.attach(self)
         runtime.engine.add_listener(self._on_event)
         for item in runtime.items:
             self.on_item_registered(item)
-        self._attached = True
         return self
 
     def detach(self) -> None:
-        if not self._attached:
-            return
+        """Unsubscribe (a no-op when not attached)."""
         self.runtime.engine.remove_listener(self._on_event)
-        if self.runtime.index.sentinel is self:
-            self.runtime.index.sentinel = None
-        if self.runtime.sentinel is self:
-            self.runtime.sentinel = None
-        self._attached = False
+        self.runtime.probe.detach(self)
 
     # -- reporting -----------------------------------------------------------------
 
@@ -338,7 +280,10 @@ class RuntimeSentinel:
 
     # -- task lifecycle hooks --------------------------------------------------------
 
-    def on_task_start(self, task: "TaskSpec", pid: int) -> None:
+    def on_task_start(
+        self, task: "TaskSpec", treeture: "Treeture | None", pid: int,
+        now: float,
+    ) -> None:
         """Single execution: no task enters leaf execution twice."""
         self._check()
         previous = self._started.get(id(task))
@@ -352,12 +297,20 @@ class RuntimeSentinel:
             return
         self._started[id(task)] = (task, pid)
 
-    def on_task_executing(self, task: "TaskSpec", pid: int) -> None:
-        """Satisfied requirements + exclusive writes at the start rule."""
+    def on_task_locks_held(
+        self, task: "TaskSpec", treeture: "Treeture | None", pid: int,
+        now: float,
+    ) -> None:
+        """The start rule, observed under the task's verified locks."""
         self._tasks_seen += 1
         stride = self.config.task_stride
         if stride > 1 and self._tasks_seen % stride:
             return
+        self._check_fresh_grant(pid, task)
+        self._check_requirements(task, pid)
+
+    def _check_requirements(self, task: "TaskSpec", pid: int) -> None:
+        """Satisfied requirements + exclusive writes at the start rule."""
         runtime = self.runtime
         manager = runtime.process(pid).data_manager
         locks = runtime.process(pid).locks
@@ -457,23 +410,20 @@ class RuntimeSentinel:
                     task=task.name,
                 )
 
-    def on_task_finish(self, task: "TaskSpec", pid: int) -> None:
+    def on_task_finish(
+        self, task: "TaskSpec", treeture: "Treeture | None", pid: int,
+        now: float,
+    ) -> None:
         self._check()
 
-    # -- lock-table hooks -------------------------------------------------------------
-
-    def on_locks_acquired(self, pid: int, owner: object) -> None:
+    def _check_fresh_grant(self, pid: int, owner: object) -> None:
         """Double-grant detection: a fresh grant never conflicts locally.
 
         Cross-process exclusion is deliberately *not* checked here — a
         transient grant that fails requirement re-verification is released
-        within the same event; it is checked at ``on_task_executing`` and
-        by the periodic scan, which only observe settled states.
+        within the same event; :meth:`_check_requirements` and the
+        periodic scan check it, which only observe settled states.
         """
-        self._grants_seen += 1
-        stride = self.config.task_stride
-        if stride > 1 and self._grants_seen % stride:
-            return
         self._check()
         table = self.runtime.process(pid).locks
         for hold in table._holds:
@@ -503,15 +453,13 @@ class RuntimeSentinel:
 
     # -- data-movement hooks ----------------------------------------------------------
 
-    def on_payload_export(
-        self, pid: int, item: DataItem, payload: FragmentPayload
+    def on_frag_write(
+        self, pid: int, item: DataItem, region: Any, kind: str,
+        payload: FragmentPayload | None,
     ) -> None:
-        self._check_payload("export", pid, item, payload)
-
-    def on_payload_import(
-        self, pid: int, item: DataItem, payload: FragmentPayload
-    ) -> None:
-        self._check_payload("import", pid, item, payload)
+        if payload is not None:
+            direction = "export" if kind == "migrate-out" else "import"
+            self._check_payload(direction, pid, item, payload)
 
     def _check_payload(
         self, direction: str, pid: int, item: DataItem, payload: FragmentPayload
@@ -765,8 +713,8 @@ class RuntimeSentinel:
     def verify_all(self) -> None:
         """One full scan of every cross-component invariant.
 
-        Runs at every ``scan_stride`` engine events, at each ``wait()``
-        barrier, and on demand (tests, fixture teardown).  Scans observe
+        Runs at every ``scan_stride`` engine events, at each ``barrier``
+        event (``wait()``), and on demand (tests, fixture teardown).  Scans observe
         only event-boundary states, which the runtime keeps transiently
         consistent (ownership handover is atomic, transient lock grants
         never cross a yield).
@@ -775,6 +723,8 @@ class RuntimeSentinel:
         self.runtime.metrics.incr("sentinel.scans")
         self._scan_items()
         self._scan_locks()
+
+    on_barrier = verify_all
 
     def _scan_items(self) -> None:
         runtime = self.runtime
@@ -941,10 +891,16 @@ class RuntimeSentinel:
                     )
 
 
-def attach_from_global(runtime: "AllScaleRuntime") -> None:
-    """Auto-attach a sentinel if process-wide enablement is active."""
-    config = global_config()
-    if config is None:
-        return
-    sentinel = RuntimeSentinel(runtime, config).attach()
-    _created.append(sentinel)
+# -- process-wide enablement (bench --sentinel, REPRO_SENTINEL=1) ---------------
+
+ENABLEMENT: Enablement[SentinelConfig, RuntimeSentinel] = Enablement(
+    "REPRO_SENTINEL",
+    lambda value: SentinelConfig(),
+    lambda runtime, config: RuntimeSentinel(runtime, config).attach(),
+)
+enable_globally = ENABLEMENT.enable_globally
+disable_globally = ENABLEMENT.disable_globally
+reset_global = ENABLEMENT.reset_global
+global_config = ENABLEMENT.global_config
+drain_created = ENABLEMENT.drain_created
+attach_from_global = ENABLEMENT.attach_from_global

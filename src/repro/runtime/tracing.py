@@ -1,9 +1,11 @@
 """Per-task execution tracing and timeline rendering.
 
-An optional deep-inspection layer over the monitoring component: when an
-:class:`ExecutionTracer` is attached to a runtime, every leaf task records
-its lifecycle timestamps — enqueue, handling start, data staged, locks
-acquired, compute done — and where it ran.  The tracer can then report
+An optional deep-inspection layer over the monitoring component: an
+:class:`ExecutionTracer` subscribed to a runtime's probe
+(:mod:`repro.runtime.probe`, the five ``task_*`` events) records every
+leaf task's lifecycle timestamps — enqueue, handling start, data staged,
+locks acquired, compute done — and where it ran.  The tracer can then
+report
 
 * per-task phase breakdowns (queueing vs. data staging vs. lock waiting
   vs. compute),
@@ -23,7 +25,10 @@ class TaskRecord:
     """Lifecycle timestamps (simulated seconds) of one leaf task."""
 
     name: str
+    #: the process that executed the task (stamped at start: a stolen or
+    #: forwarded task runs elsewhere than where it was first queued)
     pid: int
+    #: first time the task entered any queue
     enqueued: float = 0.0
     started: float = 0.0
     data_ready: float = 0.0
@@ -81,7 +86,7 @@ class ExecutionTracer:
     Attach before submitting work::
 
         tracer = ExecutionTracer()
-        runtime.tracer = tracer
+        runtime.probe.attach(tracer)
         ... run ...
         print(tracer.render_gantt(num_processes=runtime.num_processes))
     """
@@ -91,29 +96,34 @@ class ExecutionTracer:
         self.max_records = max_records
         self._open: dict[object, TaskRecord] = {}
 
-    # -- hooks (called by RuntimeProcess) --------------------------------------
+    # -- probe subscriptions (records are keyed by treeture) ----------------------
 
-    def on_enqueue(self, key: object, name: str, pid: int, now: float) -> None:
+    def on_task_enqueued(
+        self, task, key: object, pid: int, variant: str, now: float
+    ) -> None:
+        if variant == "split" or key in self._open:
+            return  # a forward re-queues the task: the first enqueue counts
         if len(self.records) + len(self._open) >= self.max_records:
             return
-        self._open[key] = TaskRecord(name=name, pid=pid, enqueued=now)
+        self._open[key] = TaskRecord(name=task.name, pid=pid, enqueued=now)
 
-    def on_start(self, key: object, now: float) -> None:
+    def on_task_start(self, task, key: object, pid: int, now: float) -> None:
         record = self._open.get(key)
         if record:
+            record.pid = pid
             record.started = now
 
-    def on_data_ready(self, key: object, now: float) -> None:
+    def on_task_data_ready(self, task, key: object, pid: int, now: float) -> None:
         record = self._open.get(key)
         if record:
             record.data_ready = now
 
-    def on_locks_held(self, key: object, now: float) -> None:
+    def on_task_locks_held(self, task, key: object, pid: int, now: float) -> None:
         record = self._open.get(key)
         if record:
             record.locks_held = now
 
-    def on_finish(self, key: object, now: float) -> None:
+    def on_task_finish(self, task, key: object, pid: int, now: float) -> None:
         record = self._open.pop(key, None)
         if record:
             record.finished = now

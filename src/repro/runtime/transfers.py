@@ -171,8 +171,8 @@ class TransferPlan:
         refetched = self.refetched_bytes()
         if refetched:
             metrics.incr("comms.refetched_bytes", refetched)
-        if runtime.sentinel is not None:
-            runtime.sentinel.on_plan_finished(self)
+        for notify in runtime.probe.plan_finished:
+            notify(self)
 
     def __repr__(self) -> str:
         return (

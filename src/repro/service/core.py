@@ -41,6 +41,7 @@ from repro.api.program import register_items, run_program
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.jobs import JobContext
 from repro.runtime.runtime import AllScaleRuntime
+from repro.runtime.sentinel import RuntimeSentinel
 from repro.runtime.tasks import TaskProgram
 from repro.service.catalog import build_program
 from repro.service.fairshare import FairShareScheduler, jain_fairness
@@ -327,8 +328,9 @@ class ServiceCore:
     ) -> Generator:
         """Engine process executing one job; returns the job's result."""
         run = yield from run_program(runtime, program)
-        if runtime.sentinel is not None:
-            runtime.sentinel.verify_all()
+        sentinel = runtime.probe.observer(RuntimeSentinel)
+        if sentinel is not None:
+            sentinel.verify_all()
         return run.result
 
     # -- completion --------------------------------------------------------------

@@ -51,6 +51,7 @@ cost one attribute check on the hot paths.
 from __future__ import annotations
 
 import heapq
+import weakref
 from math import inf
 from typing import Any, Callable, Generator
 
@@ -151,6 +152,7 @@ class SimEngine:
         "_listeners",
         "_oracle",
         "_hb",
+        "_hb_followers",
         "_labels",
         "_ctl_times",
     )
@@ -183,6 +185,8 @@ class SimEngine:
         # normal runs, costing one attribute check on the hot paths
         self._oracle: Any = None
         self._hb: Any = None
+        # runtime probes subscribed to whichever observer set_hb installs
+        self._hb_followers: weakref.WeakSet = weakref.WeakSet()
         self._labels: dict[int, Any] | None = None
         # controlled mode keeps pending (seq -> time) here instead of in
         # the sorted run, so any live event is addressable by the oracle
@@ -215,12 +219,27 @@ class SimEngine:
         edges (``on_scheduled``), coroutine lifecycle (``on_spawn`` /
         ``on_resume`` / ``on_suspend``), and future causality
         (``on_future_complete`` / ``on_future_read`` / ``note_future_dep``).
+        Every :meth:`follow_hb` follower is re-subscribed to it as well.
         """
+        for follower in self._hb_followers:
+            if self._hb is not None:
+                follower.detach(self._hb)
+            if hb is not None:
+                follower.attach(hb)
         self._hb = hb
         if hb is not None and self._labels is None:
             self._labels = {}
         if hb is None and self._oracle is None:
             self._exit_controlled()
+
+    def follow_hb(self, follower: Any) -> None:
+        """Keep ``follower`` (a runtime probe: ``attach`` / ``detach``)
+        subscribed to whatever :meth:`set_hb` installs.  The observer
+        arrives after a scenario is built and must also reach runtimes
+        born mid-run; they meet here.  Followers are held weakly."""
+        self._hb_followers.add(follower)
+        if self._hb is not None:
+            follower.attach(self._hb)
 
     def _exit_controlled(self) -> None:
         """Fold controlled-mode pending events back into the overflow heap."""

@@ -22,7 +22,7 @@ schedules instead:
 
 Run ``python -m repro.verify --help`` for the CLI.
 
-This module stays import-light: runtime modules import
-``repro.verify.monitor`` at module load, so nothing here may import the
-runtime back.
+The dependency points one way: the runtime knows nothing of this package.
+The monitor reaches it as a subscriber of the runtime's probe
+(:mod:`repro.runtime.probe`), installed through ``SimEngine.set_hb``.
 """

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis.findings import Finding
-from repro.verify import monitor as monitor_mod
 from repro.verify.monitor import FootprintOp, VerifyMonitor, ops_conflict
 from repro.verify.oracle import (
     ChoicePoint,
@@ -114,7 +113,6 @@ def run_schedule(
     oracle.position = lambda: len(monitor.exec_order)
     engine.set_hb(monitor)
     engine.set_oracle(oracle)
-    monitor_mod.install(monitor)
     status, error, fingerprint = "ok", None, None
     try:
         instance.run()
@@ -124,7 +122,6 @@ def run_schedule(
     except Exception as exc:
         status, error = "fail", f"{type(exc).__name__}: {exc}"
     finally:
-        monitor_mod.install(None)
         engine.set_oracle(None)
         engine.set_hb(None)
     return (

@@ -2,10 +2,11 @@
 
 One :class:`VerifyMonitor` observes one simulation run.  It plugs into the
 engine through :meth:`~repro.sim.engine.SimEngine.set_hb` (event
-attribution, coroutine lifecycle, future causality) and into the runtime
-protocol layer through the module-global :data:`current` hook, which the
-instrumented call sites in ``repro.runtime.*`` consult with one ``is not
-None`` check.
+attribution, coroutine lifecycle, future causality), and the same call
+subscribes it to the probe (:mod:`repro.runtime.probe`) of every runtime
+riding that engine — those built before it was installed and those born
+mid-run — for the protocol-layer events: bookkeeping-table reads and
+publishes, fragment accesses, ownership updates and task bodies.
 
 **Thread model.**  Logical threads are the spawned generator coroutines
 (tasks, staging passes, balancer rounds, fetchers) plus thread 0 for the
@@ -19,17 +20,15 @@ practice.
 
 **Sync edges.**  Protocol guards synchronize through flags rather than
 locks (write intents, the replica registry, in-flight / fetching markers,
-lock-table queries, index covers).  Each publishing site calls
-:meth:`VerifyMonitor.sync_release` and each observing guard calls
-:meth:`VerifyMonitor.sync_acquire` on a shared key, creating the
+lock-table queries, index covers).  Each publishing site emits
+``table_publish`` (:meth:`VerifyMonitor.sync_release`) and each observing
+guard ``table_read`` (:meth:`VerifyMonitor.sync_acquire`) on a shared key,
+creating the
 release→acquire edge vector-clock race detection needs.  Both calls also
 record a dependence footprint op, which is what the DPOR layer uses as its
 independence relation: two events are independent unless their footprints
 share a key with at least one writer (and, for region-tagged ops,
 overlapping regions).
-
-This module must not import anything from ``repro.runtime`` (the runtime
-imports it at module load).
 """
 
 from __future__ import annotations
@@ -41,18 +40,8 @@ from repro.analysis.findings import Finding
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.items.base import DataItem
     from repro.regions.base import Region
+    from repro.runtime.tasks import TaskSpec, Treeture
     from repro.sim.engine import Future
-
-#: the active monitor, consulted by instrumented runtime call sites;
-#: ``None`` (the overwhelmingly common case) costs one attribute read
-current: "VerifyMonitor | None" = None
-
-
-def install(monitor: "VerifyMonitor | None") -> None:
-    """Set (or with ``None`` clear) the process-global monitor hook."""
-    global current
-    current = monitor
-
 
 VectorClock = dict[int, int]
 
@@ -210,7 +199,7 @@ class VerifyMonitor:
         pending = self._future_pending.setdefault(id(future), {})
         _merge(pending, self.clocks[self._stack[-1]])
 
-    # -- runtime-side instrumentation API ----------------------------------------
+    # -- runtime-side instrumentation (probe subscriptions) -----------------------
 
     def op(
         self, key: tuple, write: bool, region: "Region | None" = None
@@ -252,9 +241,34 @@ class VerifyMonitor:
         self._access(pid, item, region, False, note)
 
     def frag_write(
-        self, pid: int, item: "DataItem", region: "Region", note: str
+        self, pid: int, item: "DataItem", region: "Region", note: str,
+        payload: object = None,
     ) -> None:
         self._access(pid, item, region, True, note)
+
+    on_table_read = sync_acquire
+    on_table_publish = sync_release
+    on_frag_read = frag_read
+    on_frag_write = frag_write
+
+    def on_ownership_update(
+        self, item: "DataItem", pid: int, region: "Region"
+    ) -> None:
+        self.sync_release(("own", item.name))
+
+    def on_task_locks_held(
+        self, task: "TaskSpec", treeture: "Treeture", pid: int, now: float
+    ) -> None:
+        """The task body's accesses, recorded while its verified locks are
+        held (they protect the whole execution window)."""
+        note = f"task:{task.name}"
+        for item in task.accessed_items_ordered():
+            write = task.write_region(item)
+            if not write.is_empty():
+                self._access(pid, item, write, True, note)
+            read = task.read_region(item).difference(write)
+            if not read.is_empty():
+                self._access(pid, item, read, False, note)
 
     # -- race detection -----------------------------------------------------------
 

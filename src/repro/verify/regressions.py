@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterator
 
 from repro.analysis.findings import Finding
-from repro.verify import monitor as _verify
 from repro.verify.explorer import (
     DEFAULT_BUDGET,
     ExploreResult,
@@ -53,11 +52,10 @@ def revert_write_intents() -> Iterator[None]:
     def reverted(
         self, item, region, owner, against_reads: bool = False
     ) -> bool:
-        monitor = _verify.current
-        if monitor is not None:
-            # keep the sync edge so the happens-before relation stays
-            # sound while the guard itself is disabled
-            monitor.sync_acquire(("intent", item.name))
+        # keep the sync edge so the happens-before relation stays sound
+        # while the guard itself is disabled
+        for notify in self.probe.table_read:
+            notify(("intent", item.name), None)
         return False
 
     AllScaleRuntime.write_intent_blocked = reverted  # type: ignore[method-assign]

@@ -63,7 +63,9 @@ def _make_runtime(nodes: int, **config: Any) -> AllScaleRuntime:
     runtime = AllScaleRuntime(
         cluster, RuntimeConfig(functional=True, **config)
     )
-    RuntimeSentinel(runtime, SentinelConfig(strict=True)).attach()
+    # REPRO_SENTINEL=1 auto-attaches a strict sentinel of its own
+    if runtime.probe.observer(RuntimeSentinel) is None:
+        RuntimeSentinel(runtime, SentinelConfig(strict=True)).attach()
     return runtime
 
 
@@ -372,7 +374,7 @@ def _node_failure_during_migration() -> ScenarioInstance:
         )
         # fail the destination the moment the payload is marked in
         # flight — after the atomic ownership handover, before landing
-        while not destination._in_flight:
+        while not destination.in_flight:
             yield 1e-7
         runtime.fail_process(dst)
         while not migration.done:

@@ -113,16 +113,17 @@ class TestController:
         runtime = make_runtime()
         controller = AdmissionController(runtime).attach()
         controller.detach()
-        assert runtime.analyzer is None
+        assert runtime.probe.observer(AdmissionController) is None
 
 
 class TestGlobalEnablement:
     def test_enable_globally_auto_attaches(self):
         admission.enable_globally(AdmissionConfig())
         runtime = make_runtime()
-        assert runtime.analyzer is not None
+        controller = runtime.probe.observer(AdmissionController)
+        assert controller is not None
         created = admission.drain_created()
-        assert created == [runtime.analyzer]
+        assert created == [controller]
         assert admission.drain_created() == []
 
     def test_disable_globally_overrides_env(self, monkeypatch):
@@ -130,7 +131,7 @@ class TestGlobalEnablement:
         admission.disable_globally()
         assert admission.global_config() is None
         runtime = make_runtime()
-        assert runtime.analyzer is None
+        assert runtime.probe.observer(AdmissionController) is None
 
     def test_env_variable_strict(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYZE", "strict")
@@ -146,4 +147,4 @@ class TestGlobalEnablement:
         config = admission.global_config()
         assert config is not None and not config.strict
         runtime = make_runtime()
-        assert runtime.analyzer is not None
+        assert runtime.probe.observer(AdmissionController) is not None

@@ -82,7 +82,7 @@ def canonical_trace(result) -> bytes:
     """The run as bytes: every traced task lifecycle (in completion
     order) plus the full metric dump, `repr`-exact floats included."""
     runtime = result.extras["runtime"]
-    tracer = runtime.tracer
+    tracer = runtime.probe.observer(ExecutionTracer)
     lines = [
         f"{r.name} p{r.pid} {r.enqueued!r} {r.started!r} "
         f"{r.data_ready!r} {r.locks_held!r} {r.finished!r}"
@@ -103,7 +103,7 @@ def traced(monkeypatch):
 
     def patched(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        self.tracer = ExecutionTracer()
+        self.probe.attach(ExecutionTracer())
 
     monkeypatch.setattr(AllScaleRuntime, "__init__", patched)
 
@@ -135,7 +135,8 @@ class TestGoldenTraces:
 
     def test_trace_captures_tasks(self, traced):
         result = run_app("stencil", comm_config(True))
-        assert result.extras["runtime"].tracer.records
+        runtime = result.extras["runtime"]
+        assert runtime.probe.observer(ExecutionTracer).records
 
 
 class TestOffOnEquivalence:

@@ -43,7 +43,8 @@ def make_runtime(nodes=4, strict_sentinel=True):
         ClusterSpec(num_nodes=nodes, cores_per_node=2, flops_per_core=1e9)
     )
     runtime = AllScaleRuntime(cluster, RuntimeConfig(functional=True))
-    if strict_sentinel:
+    # under REPRO_SENTINEL=1 the fixture's strict sentinel is already there
+    if strict_sentinel and runtime.probe.observer(RuntimeSentinel) is None:
         RuntimeSentinel(runtime, SentinelConfig(strict=True)).attach()
     return runtime
 
@@ -114,9 +115,10 @@ def owned_coverage(runtime, grid):
 
 def assert_clean(runtime):
     runtime.check_ownership_invariants()
-    if runtime.sentinel is not None:
-        runtime.sentinel.verify_all()
-        assert runtime.sentinel.violations == []
+    sentinel = runtime.probe.observer(RuntimeSentinel)
+    if sentinel is not None:
+        sentinel.verify_all()
+        assert sentinel.violations == []
 
 
 # -- scale-out ----------------------------------------------------------------------
@@ -302,7 +304,7 @@ class TestFaultMatrix:
         migration = runtime.engine.spawn(
             dst_manager._migrate_in(grid, moving, src)
         )
-        run_until(runtime, lambda: bool(dst_manager._in_flight))
+        run_until(runtime, lambda: bool(dst_manager.in_flight))
         runtime.fail_process(dst)
         runtime.run()
         assert migration.done
@@ -347,7 +349,7 @@ class TestFaultMatrix:
             ),
             origin=reader,
         )
-        run_until(runtime, lambda: bool(manager._fetching))
+        run_until(runtime, lambda: bool(manager.fetching))
         runtime.fail_process(victim)
         runtime.wait(treeture)  # raises on deadlock — the no-hang assertion
         assert (
@@ -439,7 +441,7 @@ class TestFaultMatrix:
             ),
             origin=reader,
         )
-        run_until(runtime, lambda: bool(manager._fetching))
+        run_until(runtime, lambda: bool(manager.fetching))
         recovery = runtime.engine.spawn(
             failure_storm(
                 runtime, [3, 4], snapshot=snapshot, resilience=resilience

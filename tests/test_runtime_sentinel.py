@@ -43,8 +43,9 @@ def make_runtime(nodes=4, **config):
 
 def watched_runtime(nodes=4, strict=True, **config):
     runtime = make_runtime(nodes, **config)
-    if runtime.sentinel is not None:  # REPRO_SENTINEL fixture beat us to it
-        runtime.sentinel.detach()
+    auto = runtime.probe.observer(RuntimeSentinel)
+    if auto is not None:  # REPRO_SENTINEL fixture beat us to it
+        auto.detach()
     sentinel = RuntimeSentinel(
         runtime, SentinelConfig(strict=strict)
     ).attach()
@@ -379,7 +380,9 @@ class TestSentinelFaultInjection:
         task = rw_task(grid, "dup", reads=box_region(grid, 0, 0, 3, 3))
         runtime.wait(runtime.submit(task, origin=0))
         assert sentinel.violations == []
-        sentinel.on_task_start(task, 1)  # second dispatch of the same task
+        # second dispatch of the same task
+        for notify in runtime.probe.task_start:
+            notify(task, None, 1, runtime.now)
         assert "single_execution" in _checks(sentinel)
 
     def test_wedged_runtime_fails_terminal_check(self):
@@ -453,8 +456,9 @@ class TestSampledProfileStillDetects:
         """Sampling skips per-dispatch checks; the (unsampled) scan must
         still catch a cross-table overlapping write pair."""
         runtime = make_runtime(2)
-        if runtime.sentinel is not None:
-            runtime.sentinel.detach()
+        auto = runtime.probe.observer(RuntimeSentinel)
+        if auto is not None:
+            auto.detach()
         sentinel = RuntimeSentinel(
             runtime, SentinelConfig.bench_profile()
         ).attach()

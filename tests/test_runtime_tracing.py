@@ -4,19 +4,22 @@
 from repro.api import box_region, pfor
 from repro.items.grid import Grid
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.elastic import drain
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskSpec
 from repro.runtime.tracing import ExecutionTracer, TaskRecord
 from repro.sim.cluster import Cluster, ClusterSpec
 
 
-def traced_runtime(nodes=2):
+def traced_runtime(nodes=2, cores=2, **config):
     cluster = Cluster(
-        ClusterSpec(num_nodes=nodes, cores_per_node=2, flops_per_core=1e9)
+        ClusterSpec(num_nodes=nodes, cores_per_node=cores, flops_per_core=1e9)
     )
-    runtime = AllScaleRuntime(cluster, RuntimeConfig(functional=False))
+    runtime = AllScaleRuntime(
+        cluster, RuntimeConfig(functional=False, **config)
+    )
     tracer = ExecutionTracer()
-    runtime.tracer = tracer
+    runtime.probe.attach(tracer)
     return runtime, tracer
 
 
@@ -99,11 +102,63 @@ class TestExecutionTracer:
         breakdown = tracer.render_breakdown()
         assert "compute" in breakdown and "%" in breakdown
 
+    def test_stolen_task_is_credited_to_the_process_that_ran_it(self):
+        runtime, tracer = traced_runtime(
+            cores=1, work_stealing=True, seed=3
+        )
+        # no data requirements: the policy queues every task at origin 0
+        treetures = [
+            runtime.submit(
+                TaskSpec(name=f"t{k}", flops=5e6, size_hint=1), origin=0
+            )
+            for k in range(20)
+        ]
+        for treeture in treetures:
+            runtime.wait(treeture)
+        assert runtime.metrics.counter("proc.stolen_tasks") >= 1
+        per_pid = [
+            sum(1 for record in tracer.records if record.pid == pid)
+            for pid in range(2)
+        ]
+        assert per_pid == [p.executed_leaves for p in runtime.processes]
+        # the thief's compute shows up in its own utilization row
+        assert sum(tracer.utilization(2)[1]) > 0
+
+    def test_forwarded_task_keeps_its_first_enqueue_time(self):
+        runtime, tracer = traced_runtime(nodes=2, cores=1)
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        home = runtime.process(1).data_manager.owned_region(grid)
+        submitted = runtime.now
+        # more work than the victim can start at once, then it leaves
+        treetures = [
+            runtime.submit(
+                TaskSpec(
+                    name=f"w{k}", writes={grid: home}, flops=1e5,
+                    size_hint=home.size(),
+                ),
+                origin=1,
+            )
+            for k in range(6)
+        ]
+        leaving = runtime.engine.spawn(drain(runtime, 1))
+        for treeture in treetures:
+            runtime.wait(treeture)
+        runtime.run()
+        assert leaving.done
+        assert runtime.metrics.counter("elastic.evacuated_tasks") >= 1
+        assert len(tracer.records) == 6
+        for record in tracer.records:
+            # queue wait counts from submission, not from the forward
+            assert record.enqueued == submitted
+        assert any(record.pid == 0 for record in tracer.records)
+
     def test_record_cap(self):
         tracer = ExecutionTracer(max_records=2)
         for k in range(5):
-            tracer.on_enqueue(k, f"t{k}", 0, 0.0)
-            tracer.on_finish(k, 1.0)
+            task = TaskSpec(name=f"t{k}")
+            tracer.on_task_enqueued(task, k, 0, "leaf", 0.0)
+            tracer.on_task_finish(task, k, 0, 1.0)
         assert len(tracer.records) <= 2
 
     def test_empty_tracer_renders(self):

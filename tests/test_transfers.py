@@ -282,13 +282,13 @@ class TestReplicaCache:
         assert not replica.is_empty()
         # pin everything via the fetch marker; a new over-budget entry
         # must then survive (nothing evictable)
-        manager._mark_fetching(grid, replica)
+        manager.fetching.mark(grid, replica)
         try:
             before = cache.tracked_bytes()
             cache._evict(grid)
             assert cache.tracked_bytes() == before
         finally:
-            manager._clear_fetching(grid, replica)
+            manager.fetching.clear(grid, replica)
 
     def test_unbounded_cache_never_evicts(self):
         runtime = make_runtime(nodes=2)  # replica_cache_bytes=None

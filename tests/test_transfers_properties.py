@@ -33,7 +33,8 @@ def make_runtime(nodes, enabled):
             comm_coalescing=enabled, replica_prefetch=enabled
         ),
     )
-    if runtime.sentinel is None:  # REPRO_SENTINEL fixture may have attached
+    # REPRO_SENTINEL fixture may have attached one already
+    if runtime.probe.observer(RuntimeSentinel) is None:
         RuntimeSentinel(runtime, SentinelConfig(strict=True)).attach()
     return runtime
 
@@ -116,7 +117,7 @@ class TestPlanProperties:
         check_plans(
             runtime, require_no_refetch=True, require_exact=not enabled
         )
-        assert not runtime.sentinel.violations
+        assert not runtime.probe.observer(RuntimeSentinel).violations
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -142,4 +143,4 @@ class TestPlanProperties:
         # contended: refetches are legal (writers may invalidate replicas
         # mid-staging), but moved-never-planned still must not happen
         check_plans(runtime, require_no_refetch=False)
-        assert not runtime.sentinel.violations
+        assert not runtime.probe.observer(RuntimeSentinel).violations

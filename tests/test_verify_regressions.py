@@ -27,6 +27,10 @@ from repro.verify.regressions import (
     replay_trace,
 )
 
+# every test here runs with a fix reverted at some point: corrupt states
+# on purpose, judged by the scenarios' own strict sentinels
+pytestmark = pytest.mark.sentinel_injection
+
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 
 PINNED = {
