@@ -87,6 +87,6 @@ print(
     f"MPI {mpi_result.throughput / 1e9:.3f} GFLOPS"
 )
 print(
-    "note: at this toy size per-task overheads dominate; the benchmark\n"
-    "suite (benchmarks/test_fig7_stencil.py) runs the paper-scale problem."
+    "note: at this toy size per-task overheads dominate;\n"
+    "python -m repro.bench stencil runs the paper-scale problem."
 )

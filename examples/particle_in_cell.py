@@ -2,7 +2,7 @@
 """A miniature functional particle-in-cell step on the AllScale runtime.
 
 The full iPiC3D application is benchmarked at paper scale in virtual mode
-(`benchmarks/test_fig7_ipic3d.py`); this example shows the same structure
+(`python -m repro.bench ipic3d`); this example shows the same structure
 *computing real physics* at toy scale, with every piece of state held in
 runtime-managed data items:
 

@@ -6,10 +6,11 @@ One entry point per artifact (see DESIGN.md's experiment index):
 * :func:`repro.bench.figures.fig7_stencil` / ``fig7_ipic3d`` /
   ``fig7_tpc`` — the three panels of Fig. 7 (weak-scaling throughput,
   AllScale vs MPI vs linear);
-* :mod:`repro.bench.harness` — generic node-count sweeps and shape checks
-  (who wins, by what factor, where curves flatten);
+* :mod:`repro.bench.harness` — generic node-count sweeps and shape metrics;
 * :mod:`repro.bench.panel` — the one protocol behind every pinned
-  ``BENCH_*_baseline.json`` (scaling, placement, churn, service, comms).
+  ``BENCH_*_baseline.json`` (scaling, placement, churn, service, comms,
+  ablations): a panel's ``semantic`` is the only place a paper claim is
+  asserted, and ``python -m repro.bench`` runs nothing but panels.
 
 Absolute numbers come from a simulator calibrated at single-node scale, so
 EXPERIMENTS.md compares *shapes* against the paper, not raw values.

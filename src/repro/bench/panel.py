@@ -15,7 +15,9 @@ Everything else lives here, once:
   and any key present on one side only, is a behaviour change), then one
   host wall-clock gate;
 * the CLI step — run → render → ``--write-baseline`` (refused when the
-  run fails its own claims) → ``--check``.
+  run fails its own claims) → ``--check`` → ``--out`` → one more run per
+  requested :class:`Observer` (``--sentinel``, ``--analyze``), whatever
+  the panel.
 
 The result classes the panel modules define (``ScalingPanel``,
 ``ChurnPanel``, …) are one *run* of a panel; :class:`Panel` is the
@@ -24,10 +26,17 @@ recipe.
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
+import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
+
+from repro.analysis import admission
+from repro.regions.kernel import get_kernel
+from repro.runtime import sentinel
+from repro.runtime.probe import Enablement
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 
@@ -167,17 +176,123 @@ def check_panel(
     return problems
 
 
+# -- observers: re-run any panel under a process-wide Enablement ----------------
+
+
+@dataclass(frozen=True)
+class Observer:
+    """A runtime observer kind every panel can be re-run under."""
+
+    #: CLI flag (``--<flag>``)
+    flag: str
+    #: CLI help text
+    help: str
+    #: the switch that auto-attaches the observer to every new runtime ...
+    enablement: Enablement
+    #: ... and the config it is enabled with for a bench run
+    config: Callable[[], Any]
+    #: (attached observers, plain wall, observed wall) → report lines and
+    #: the failure that makes the run exit non-zero (``None`` = clean)
+    summarise: Callable[[list, float, float], tuple[list[str], str | None]]
+
+
+def _sentinel_summary(
+    sentinels: list[sentinel.RuntimeSentinel], plain: float, observed: float
+) -> tuple[list[str], str | None]:
+    checks = sum(s.checks for s in sentinels)
+    scans = sum(s.scans for s in sentinels)
+    violations = sum(len(s.violations) for s in sentinels)
+    overhead = (observed / plain - 1.0) * 100.0 if plain else 0.0
+    lines = [
+        f"(sentinel: {observed:.1f}s wall time, {overhead:+.1f}% overhead, "
+        f"{checks} checks, {scans} scans, {violations} violation(s))"
+    ]
+    lines += [line for s in sentinels for line in s.report_lines()[1:]]
+    failure = f"{violations} invariant violation(s) detected"
+    return lines, failure if violations else None
+
+
+def _analysis_summary(
+    controllers: list[admission.AdmissionController],
+    plain: float,
+    observed: float,
+) -> tuple[list[str], str | None]:
+    reports = [report for c in controllers for report in c.reports]
+    analysis_time = sum(report.elapsed for report in reports)
+    counts = {"error": 0, "warning": 0, "info": 0}
+    for report in reports:
+        for severity, count in report.counts().items():
+            counts[severity] += count
+    share = analysis_time / observed * 100.0 if observed else 0.0
+    lines = [
+        f"(analysis: {analysis_time * 1000.0:.1f} ms over {len(reports)} "
+        f"submission(s) ({share:.1f}% of {observed:.1f}s wall time), "
+        f"{counts['error']} error(s), {counts['warning']} warning(s), "
+        f"{counts['info']} info(s))"
+    ]
+    for report in reports:
+        if not report.clean:
+            lines += [f"  {line}" for line in report.render_lines(max_findings=10)]
+    failure = f"{counts['error']} error finding(s) detected"
+    return lines, failure if counts["error"] else None
+
+
+OBSERVERS = (
+    Observer(
+        flag="sentinel",
+        help="re-run each requested panel with the runtime invariant "
+        "sentinel attached; report checking overhead and any violations "
+        "(non-zero exit if an invariant fails)",
+        enablement=sentinel.ENABLEMENT,
+        config=sentinel.SentinelConfig.bench_profile,
+        summarise=_sentinel_summary,
+    ),
+    Observer(
+        flag="analyze",
+        help="re-run each requested panel with static admission analysis "
+        "attached; report analysis wall time and finding counts "
+        "(non-zero exit if any error finding surfaces)",
+        enablement=admission.ENABLEMENT,
+        config=lambda: admission.AdmissionConfig(strict=False),
+        summarise=_analysis_summary,
+    ),
+)
+
+
+def _timed_run(panel: Panel, mode: str, cold: bool) -> tuple[Any, float]:
+    if cold:
+        # a second run in the same process inherits the first one's
+        # interned regions and op-LRU entries plus their GC pressure,
+        # which alone inflates wall time by >10% on the stencil sweep.
+        # Cold-start every compared run so the delta measures the
+        # observer, not cache history.
+        get_kernel().reset()
+        gc.collect()
+    started = time.perf_counter()
+    result = panel.run(mode)
+    return result, time.perf_counter() - started
+
+
 def run_panel(
-    panel: Panel, mode: str, *, write: bool = False, check: bool = False
+    panel: Panel,
+    mode: str,
+    *,
+    write: bool = False,
+    check: bool = False,
+    out: pathlib.Path | None = None,
+    observers: Sequence[Observer] = (),
 ) -> bool:
     """The CLI step for one panel; returns whether it passed.
 
     A run that violates the panel's own claims fails with or without
-    ``--check``, and is never written as a baseline.
+    ``--check``, and is never written as a baseline.  ``out`` receives
+    ``<panel>.json``, the section ``--write-baseline`` would pin.  Each
+    observer costs one more run, whose result is discarded: only what
+    the observer saw is reported.
     """
     if mode not in panel.modes:
         mode = panel.modes[0]
-    result = panel.run(mode)
+    result, plain_wall = _timed_run(panel, mode, cold=bool(observers))
     print(panel.render(result))
     print()
     problems = panel.semantic(result)
@@ -193,5 +308,25 @@ def run_panel(
         print(f"{panel.name} {'check' if check else 'panel'}: {problem}")
     if check and not problems:
         print(f"{panel.name} check: matches committed baseline")
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / f"{panel.name}.json"
+        section = panel.section(result)
+        path.write_text(json.dumps(section, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
     print()
-    return not problems
+    passed = not problems
+    for observer in observers:
+        observer.enablement.enable_globally(observer.config())
+        try:
+            _, observed_wall = _timed_run(panel, mode, cold=True)
+        finally:
+            attached = observer.enablement.drain_created()
+            observer.enablement.reset_global()
+        lines, failure = observer.summarise(attached, plain_wall, observed_wall)
+        if failure:
+            lines.append(f"{panel.name} --{observer.flag}: {failure}")
+            passed = False
+        print("\n".join(lines))
+        print()
+    return passed

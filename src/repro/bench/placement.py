@@ -18,8 +18,10 @@ is the standing proof.
 
 Results — every race, every plan digest, the topologies — are pinned in
 ``BENCH_placement_baseline.json`` through :mod:`repro.bench.panel`; the
-semantic gate is the planner's headline guarantee: ``planned`` moves
-strictly fewer bytes than both ablation baselines for every application.
+semantic gate is the planner's headline guarantee — ``planned`` moves
+strictly fewer bytes than both ablation baselines for every application
+— plus EXPERIMENTS.md's Ablation C: on the stencil the data-aware tiers
+of Algorithm 2 beat round-robin and random on wall clock *and* bytes.
 """
 
 from __future__ import annotations
@@ -285,7 +287,10 @@ def semantic_problems(panel: PlacementPanel) -> list[str]:
 
     ``planned`` must move strictly fewer bytes than *both* ablation
     baselines on every app × topology, and must pre-distribute at least
-    one item everywhere (proof the plan actually engaged).
+    one item everywhere (proof the plan actually engaged).  Ablation C:
+    removing Algorithm 2's data-aware tiers turns the stencil into a
+    data-shipping workload, so ``data-aware`` must beat both ablation
+    baselines on simulated wall clock and on bytes, on every topology.
     """
     problems: list[str] = []
     for setup_app in ("stencil", "ipic3d", "tpc"):
@@ -307,6 +312,17 @@ def semantic_problems(panel: PlacementPanel) -> list[str]:
                         f"{planned.bytes_moved:.0f} bytes, not fewer than "
                         f"{rival_name}'s {rival.bytes_moved:.0f}"
                     )
+                if setup_app != "stencil":
+                    continue
+                aware = panel.race(setup_app, topo_name, "data-aware")
+                for metric in ("elapsed", "bytes_moved"):
+                    if not getattr(aware, metric) < getattr(rival, metric):
+                        problems.append(
+                            f"{setup_app}/{topo_name}: data-aware "
+                            f"{metric} {getattr(aware, metric):.6g} does "
+                            f"not beat {rival_name}'s "
+                            f"{getattr(rival, metric):.6g}"
+                        )
     return problems
 
 

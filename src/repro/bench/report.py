@@ -7,7 +7,6 @@ from typing import Sequence
 
 from repro.bench.harness import ScalingSeries
 from repro.bench.tables import Table1Row
-from repro.regions.kernel import get_kernel
 
 
 def render_table(
@@ -65,20 +64,8 @@ def render_series(series: ScalingSeries) -> str:
     return f"{title}\n{body}"
 
 
-def region_cache_stats() -> dict[str, int]:
-    """Region-kernel efficiency counters for benchmark reports.
-
-    Returns the ``region.cache_hits`` / ``region.cache_misses`` /
-    ``region.interned`` totals plus the per-op breakdown, so BENCH_*.json
-    files can track region-op efficiency across PRs.
-    """
-    return get_kernel().stats()
-
-
-def render_region_cache(stats: dict[str, int] | None = None) -> str:
+def render_region_cache(stats: dict[str, int]) -> str:
     """The kernel's per-op hit/miss counters as an ASCII table."""
-    if stats is None:
-        stats = region_cache_stats()
     ops = sorted(
         {
             name.split(".")[1]
@@ -103,17 +90,6 @@ def render_region_cache(stats: dict[str, int] | None = None) -> str:
     return (
         f"Region kernel cache ({interned} regions interned)\n{body}"
     )
-
-
-def region_cache_csv(stats: dict[str, int] | None = None) -> str:
-    """CSV text with the raw region-kernel counters."""
-    if stats is None:
-        stats = region_cache_stats()
-    out = io.StringIO()
-    out.write("counter,value\n")
-    for name in sorted(stats):
-        out.write(f"{name},{stats[name]}\n")
-    return out.getvalue()
 
 
 def series_to_csv(series: ScalingSeries) -> str:

@@ -15,8 +15,9 @@ estimates):
 
 Both are pinned in ``BENCH_service_baseline.json`` through
 :mod:`repro.bench.panel` (one mode: the replay has no reduced size).
-The semantic gate: contended shares within :data:`SHARE_TOLERANCE` of
-the configured weights, and no racy job ever admitted.
+The semantic gate: contended shares within
+:data:`~repro.service.trace.SHARE_TOLERANCE` of the configured weights,
+and no racy job ever admitted.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ from dataclasses import dataclass
 from repro.bench.panel import REPO_ROOT, Panel
 from repro.service.trace import (
     DEMO_HORIZON_DISPATCHES,
+    SHARE_TOLERANCE,
     Trace,
     demo_trace,
     replay,
+    share_problems,
 )
 
 #: the committed arrival trace the smoke sub-panel replays
 SMOKE_TRACE_PATH = REPO_ROOT / "traces" / "multi_tenant_smoke.json"
-
-#: maximum relative deviation of an observed contended share from the
-#: configured weight share (the ISSUE's 10% acceptance bound)
-SHARE_TOLERANCE = 0.10
 
 
 @dataclass
@@ -82,19 +81,10 @@ def semantic_problems(panel: ServicePanel) -> list[str]:
             problems.append(
                 f"{name}: {report['false_accepts']} racy job(s) admitted"
             )
-    for name, share in panel.contended["contended"]["tenants"].items():
-        observed = share["observed_share"]
-        configured = share["configured_share"]
-        if configured <= 0:
-            continue
-        error = abs(observed - configured) / configured
-        if error > SHARE_TOLERANCE:
-            problems.append(
-                f"contended: tenant {name} share {observed:.4f} deviates "
-                f"{error:.1%} from configured {configured:.4f} "
-                f"(tolerance {SHARE_TOLERANCE:.0%})"
-            )
-    return problems
+    return problems + [
+        f"contended: tenant {name} {problem} (tolerance {SHARE_TOLERANCE:.0%})"
+        for name, problem in share_problems(panel.contended, SHARE_TOLERANCE)
+    ]
 
 
 def render_service_summary(panel: ServicePanel) -> str:

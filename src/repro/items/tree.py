@@ -4,9 +4,8 @@ The paper's Fig. 4b/4c present the same tree structure under two different
 region schemes — flexible include/exclude sub-trees and blocked bitmasks.
 :class:`BalancedTree` supports both: pass ``scheme="flexible"`` (default)
 or ``scheme="blocked"`` with a root-tree height.  The choice trades
-representation cost against distribution flexibility; the ablation
-benchmark ``benchmarks/test_ablation_regions.py`` measures exactly this
-trade-off.
+representation cost against distribution flexibility; ablation A of
+``python -m repro.bench --ablations`` measures exactly this trade-off.
 
 Nodes are addressed in binary-heap order (root = 1), matching
 :mod:`repro.regions.tree`.

@@ -38,9 +38,11 @@ from repro.service.frontend import (
 from repro.service.jobs import JobSpec, JobState
 from repro.service.trace import (
     DEMO_HORIZON_DISPATCHES,
+    SHARE_TOLERANCE,
     Trace,
     demo_trace,
     replay,
+    share_problems,
     smoke_trace,
 )
 
@@ -49,9 +51,6 @@ from repro.service.trace import (
 #: weight-normalized share), so 0.75 catches a broken scheduler while
 #: tolerating protocol-level arrival reordering
 SMOKE_FAIRNESS_FLOOR = 0.75
-
-#: relative share tolerance the demo enforces at the contended horizon
-DEMO_SHARE_TOLERANCE = 0.10
 
 
 def _load_config(path: str | None) -> ServiceConfig:
@@ -181,17 +180,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
     if terminal:
         failures.append(f"{terminal} job(s) neither completed nor rejected")
-    for name, share in report["contended"]["tenants"].items():
-        observed = share["observed_share"]
-        configured = share["configured_share"]
-        if configured <= 0:
-            continue
-        error = abs(observed - configured) / configured
-        if error > DEMO_SHARE_TOLERANCE:
-            failures.append(
-                f"tenant {name}: share {observed:.4f} deviates "
-                f"{error:.1%} from configured {configured:.4f}"
-            )
+    failures += [
+        f"tenant {name}: {problem}"
+        for name, problem in share_problems(report, SHARE_TOLERANCE)
+    ]
     if failures:
         for failure in failures:
             print(f"DEMO FAIL: {failure}", file=sys.stderr)
@@ -199,7 +191,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(
         f"demo ok: {report['jobs']} jobs across "
         f"{len(report['tenants'])} tenants, shares within "
-        f"{DEMO_SHARE_TOLERANCE:.0%} of weights at the contended horizon "
+        f"{SHARE_TOLERANCE:.0%} of weights at the contended horizon "
         f"(fairness {report['contended']['fairness_index']:.4f})"
     )
     return 0

@@ -287,6 +287,34 @@ def smoke_trace() -> Trace:
 #: divisible by the 3+2+1 weight total so the stride split is exact
 DEMO_HORIZON_DISPATCHES = 72
 
+#: maximum relative deviation of an observed contended share from the
+#: configured weight share that the demo and the bench panel accept
+SHARE_TOLERANCE = 0.10
+
+
+def share_problems(report: dict, tolerance: float) -> list[tuple[str, str]]:
+    """Tenants whose contended share misses its configured weight share.
+
+    Returns ``(tenant, "share X deviates Y% from configured Z")`` for each
+    tenant of a :func:`replay` report off by more than ``tolerance``.
+    """
+    problems = []
+    for name, share in report["contended"]["tenants"].items():
+        observed = share["observed_share"]
+        configured = share["configured_share"]
+        if configured <= 0:
+            continue
+        error = abs(observed - configured) / configured
+        if error > tolerance:
+            problems.append(
+                (
+                    name,
+                    f"share {observed:.4f} deviates {error:.1%} from "
+                    f"configured {configured:.4f}",
+                )
+            )
+    return problems
+
 
 def demo_trace() -> Trace:
     """The acceptance demo: 3 tenants, 120+ concurrent jobs at t=0.

@@ -1,5 +1,7 @@
 """End-to-end stencil application tests: both ports vs the sequential kernel."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import RoundRobinPolicy
 from repro.runtime.tasks import TaskSpec
-from repro.sim.cluster import Cluster, ClusterSpec
+from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
 
 
 def small_cluster(nodes):
@@ -61,6 +63,27 @@ class TestFunctionalCorrectness:
                 block.lo[0] : block.hi[0], block.lo[1] : block.hi[1]
             ] = ghosted[si, sj]
         assert np.allclose(assembled, reference)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known silent corruption (ledger/README.md finding 2, ROADMAP "
+        "item 3): a leaf reads a halo the balancer has just shipped away; 40 "
+        "migrations, wrong values, and a RuntimeSentinel reports 0 "
+        "violations.  Periods 2e-4, 2e-5 and 1e-5 are exact.",
+    )
+    def test_round_robin_under_aggressive_balancer_matches_sequential(self):
+        # the 4-node radix-2 cluster and runtime config of the placement
+        # tournament, with the balancer period cut from 2e-4 to 5e-5
+        spec = replace(meggie_like_spec(4), switch_radix=2, cores_per_node=4)
+        config = RuntimeConfig(
+            oversubscription=2, load_balancing=True, balancer_interval=5e-5
+        )
+        workload = StencilWorkload(n_per_node=128, timesteps=3, functional=True)
+        result = stencil_allscale(
+            Cluster(spec), workload, config, policy=RoundRobinPolicy()
+        )
+        values = read_final_grid(result)
+        assert np.allclose(values, sequential_reference(workload, 4))
 
     def test_odd_timestep_count_swaps_buffers(self):
         workload = StencilWorkload(n_per_node=10, timesteps=1, functional=True)

@@ -92,6 +92,19 @@ class TestTable1:
         assert rows["TPC"].problem_size == "2^29 points in [0, 100)^7 with radius 20"
         assert rows["TPC"].metric == "queries per second"
 
+    def test_inventory_order_structures_and_metrics(self):
+        assert [row.name for row in TABLE1_ROWS] == ["stencil", "iPiC3D", "TPC"]
+        assert [row.data_structure for row in TABLE1_ROWS] == [
+            "regular 2D grid",
+            "multiple regular 3D grids",
+            "kd-tree",
+        ]
+        assert [row.metric for row in TABLE1_ROWS] == [
+            "FLOPS",
+            "particle updates per second",
+            "queries per second",
+        ]
+
     def test_customized_workloads(self):
         from repro.apps.stencil import StencilWorkload
 

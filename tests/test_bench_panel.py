@@ -1,6 +1,7 @@
 """The panel protocol itself, over a toy panel: baseline file layout,
-exact-match check, wall gate, and the CLI step.  Per-panel files test only
-what a panel supplies (section, semantic claims, rendering, schedules)."""
+exact-match check, wall gate, and the CLI step with its ``--out`` file and
+observer re-runs.  Per-panel files test only what a panel supplies
+(section, semantic claims, rendering, schedules)."""
 
 from __future__ import annotations
 
@@ -11,9 +12,12 @@ import math
 
 import pytest
 
+from repro.analysis.admission import AdmissionController
+from repro.analysis.findings import AnalysisReport, Finding
 from repro.bench import __main__ as bench_main
 from repro.bench import panel as panel_mod
 from repro.bench.panel import (
+    OBSERVERS,
     SCHEMA,
     Panel,
     check_panel,
@@ -22,6 +26,9 @@ from repro.bench.panel import (
     run_panel,
     write_baseline,
 )
+from repro.runtime.runtime import AllScaleRuntime
+from repro.runtime.sentinel import RuntimeSentinel
+from repro.sim.cluster import Cluster, ClusterSpec
 
 
 def _result(**changes) -> dict:
@@ -211,3 +218,53 @@ class TestCli:
         assert "good check: matches committed baseline" in out
         monkeypatch.setattr(bench_main, "PANELS", (good, drifted))
         assert bench_main.main([*argv, "--check"]) == 1
+
+    def test_out_receives_the_section_a_write_would_pin(self, tmp_path, capsys):
+        out = tmp_path / "results" / "nested"
+        assert run_panel(TOY, "smoke", out=out)
+        assert json.loads((out / "toy.json").read_text()) == _baseline()[
+            "modes"
+        ]["smoke"]
+        assert f"wrote {out / 'toy.json'}" in capsys.readouterr().out
+
+    def test_observers_rerun_the_requested_panels_and_nothing_else(
+        self, monkeypatch, capsys
+    ):
+        runs: list = []
+        monkeypatch.setattr(
+            bench_main, "PANELS", (_toy("one", runs), _toy("two", runs))
+        )
+        argv = ["--one", "--two", "--smoke", "--sentinel", "--analyze"]
+        assert bench_main.main(argv) == 0
+        # once plain, then once per observer, panel by panel
+        assert runs == [("one", "smoke")] * 3 + [("two", "smoke")] * 3
+        out = capsys.readouterr().out
+        assert out.count("(sentinel: ") == 2 and out.count("(analysis: ") == 2
+        assert out.count("0 violation(s))") == 2 and out.count("0 error(s)") == 2
+
+    @pytest.mark.sentinel_injection
+    def test_what_an_observer_saw_fails_the_run(self, capsys):
+        def run(mode: str) -> dict:
+            runtime = AllScaleRuntime(Cluster(ClusterSpec(num_nodes=1)))
+            watcher = runtime.probe.observer(RuntimeSentinel)
+            if watcher is not None:
+                watcher._report("toy", "injected")
+            controller = runtime.probe.observer(AdmissionController)
+            if controller is not None:
+                finding = Finding("race.write_write", "error", "injected")
+                controller.reports.append(AnalysisReport("toy", [finding]))
+            return _result()
+
+        noisy = dataclasses.replace(TOY, run=run)
+        with_sentinel, with_analysis = OBSERVERS
+        assert run_panel(noisy, "smoke")
+        assert not run_panel(noisy, "smoke", observers=[with_analysis])
+        out = capsys.readouterr().out
+        assert "(analysis: " in out and "1 error(s)" in out
+        assert "toy --analyze: 1 error finding(s) detected" in out
+        # last: the re-run ends in reset_global(), which under
+        # REPRO_SENTINEL=1 undoes this test's sentinel_injection opt-out
+        assert not run_panel(noisy, "smoke", observers=[with_sentinel])
+        out = capsys.readouterr().out
+        assert "1 violation(s))" in out and "injected" in out
+        assert "toy --sentinel: 1 invariant violation(s) detected" in out

@@ -96,6 +96,34 @@ class TestSemanticProblems:
         problems = semantic_problems(panel)
         assert problems == ["stencil/wide16: planned race missing"]
 
+    def test_data_aware_losing_to_round_robin_on_the_stencil(self):
+        # Ablation C: Algorithm 2's data-aware tiers must beat both
+        # ablation baselines on wall clock and bytes, on every topology
+        panel = _panel()
+        rival = panel.race("stencil", "deep8", "round-robin")
+        _replace_race(
+            panel, "stencil", "deep8", "data-aware",
+            elapsed=rival.elapsed, bytes_moved=rival.bytes_moved + 1.0,
+        )
+        assert semantic_problems(panel) == [
+            "stencil/deep8: data-aware elapsed 0.03 does not beat "
+            "round-robin's 0.03",
+            "stencil/deep8: data-aware bytes_moved 6001 does not beat "
+            "round-robin's 6000",
+        ]
+        # the claim is the stencil's only
+        panel = _panel()
+        _replace_race(panel, "tpc", "deep8", "data-aware", elapsed=1.0)
+        assert semantic_problems(panel) == []
+
+    def test_committed_sections_satisfy_the_claims(self):
+        committed = load_baseline(PANEL.baseline_path)["modes"]
+        assert set(committed) == {"quick", "smoke"}
+        for mode, section in committed.items():
+            panel = PlacementPanel(mode=mode)
+            panel.results = [RaceResult(**race) for race in section["races"]]
+            assert semantic_problems(panel) == [], mode
+
 
 def _check(run, tmp_path, pinned=None):
     path = tmp_path / "baseline.json"

@@ -6,6 +6,8 @@ import json
 import math
 import pathlib
 
+import pytest
+
 from repro.bench.harness import ScalingPoint, ScalingSeries
 from repro.bench.panel import SCHEMA, check_panel
 from repro.bench.scaling import PANEL, ScalingPanel
@@ -76,6 +78,76 @@ class TestCheckPanel:
 
     def test_wall_clock_within_tolerance_passes(self) -> None:
         assert _check(_panel(wall=1.5), _panel(wall=1.0)) == []
+
+
+class TestShapeCriteria:
+    """The Fig. 7 gates fire, and name the app and the point."""
+
+    def test_synthetic_panel_is_clean(self) -> None:
+        assert PANEL.semantic(_panel()) == []
+
+    def test_widening_gap_names_the_app_and_point(self) -> None:
+        run = _panel()
+        run.series["stencil"].points[1].allscale = 0.45 * 48.0
+        problems = PANEL.semantic(run)
+        assert problems[0].startswith("stencil: AllScale/MPI ratio 0.45 at 4 nodes")
+        assert all(problem.startswith("stencil: ") for problem in problems)
+
+    def test_non_monotone_series_names_the_app_and_points(self) -> None:
+        run = _panel()
+        run.series["ipic3d"].points[1].mpi = 11.0
+        problems = PANEL.semantic(run)
+        assert (
+            "ipic3d: mpi throughput does not increase from 1 to 4 nodes"
+            in problems
+        )
+        assert all(problem.startswith("ipic3d: ") for problem in problems)
+
+    def test_tpc_must_trail_and_flatten_at_scale(self) -> None:
+        run = _panel()
+        # AllScale keeps pace with MPI all the way: not the paper's TPC
+        run.series["tpc"].points = [
+            ScalingPoint(nodes=n, allscale=10.0 * n, mpi=12.0 * n)
+            for n in (1, 8, 64)
+        ]
+        problems = PANEL.semantic(run)
+        assert [p.split(" nodes")[0] for p in problems] == [
+            "tpc: expected AllScale ≪ MPI at 64",
+            "tpc: the AllScale/MPI gap does not grow from 1 to 64",
+            "tpc: AllScale gains 8.00x from 8 to 64",
+        ]
+
+    def test_calibration_anchor_applies_to_absolute_metrics(self) -> None:
+        run = _panel()
+        run.series["ipic3d"].metric = "particles/s"
+        (problem,) = PANEL.semantic(run)
+        assert problem.startswith("ipic3d: single-node AllScale at 10 particles/s")
+
+    @pytest.mark.parametrize("mode", ["full", "quick", "smoke"])
+    def test_committed_sections_satisfy_the_gates(self, mode: str) -> None:
+        # the gates must hold at all three pinned sizes, so size-dependent
+        # criteria (TPC's gap opens only from 16 nodes up) keep their guards
+        section = json.loads(BASELINE_PATH.read_text())["modes"][mode]
+        run = ScalingPanel(
+            mode=mode,
+            node_counts=tuple(section["node_counts"]),
+            series={
+                app: ScalingSeries(
+                    app=app,
+                    metric=pinned["metric"],
+                    points=[ScalingPoint(**point) for point in pinned["points"]],
+                )
+                for app, pinned in section["apps"].items()
+            },
+            wall_seconds={
+                app: pinned["wall_seconds"]
+                for app, pinned in section["apps"].items()
+            },
+        )
+        assert PANEL.semantic(run) == []
+        # ... and the re-hydration is faithful: it pins what the file pins
+        baseline = {"schema": SCHEMA, "modes": {mode: section}}
+        assert check_panel(PANEL, mode, run, baseline) == []
 
 
 class TestCommittedBaseline:
