@@ -4,30 +4,36 @@ Individual axis-aligned bounding boxes are *not* closed under union or
 set-difference, but finite sets of disjoint boxes are — this is exactly the
 region scheme the paper uses for its N-dimensional grid data item.
 
-A :class:`BoxSetRegion` maintains a list of pairwise-disjoint half-open boxes
-and implements the full region algebra:
-
-* ``intersect`` — pairwise box intersection (disjointness is preserved),
-* ``difference`` — per-axis slab splitting (a box minus a box yields at most
-  ``2·dims`` disjoint boxes),
-* ``union`` — concatenate and re-canonicalize.
-
-The stored representation is *canonical*: :func:`_canonical_boxes` slices
-the element set along axis 0 at exactly the coordinates where its
-cross-section changes, merges maximal runs of equal cross-sections, and
-recurses over the remaining axes.  The resulting box list depends only on
-the addressed element set — never on how the inputs were split — so
-``==`` and ``hash`` are cheap *and* semantic, which is what lets the
+A :class:`BoxSetRegion` stores the *slab normal form* of its element set:
+a sorted tuple of axis-0 slabs ``(lo, hi, cross-section)`` whose
+cross-sections are rank ``d-1`` normal forms, down to rank 1, a sorted
+tuple of disjoint non-touching ``(lo, hi)`` spans.  Touching slabs always
+differ in cross-section, so the form depends only on the addressed
+element set — never on how the inputs were split — and ``==``/``hash`` on
+the nested int tuples are cheap *and* semantic, which is what lets the
 region kernel intern box regions and memoize their algebra.
+
+``union``/``intersect``/``difference`` are one recursive two-pointer sweep
+(:func:`_combine`) over the operands' slab breakpoints — ``O(|A| + |B|)``
+per level, canonical by construction.  :class:`Box` objects are
+materialised only when ``.boxes`` is read, in slab order, then
+cross-section order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+import operator
+from typing import Any, Hashable, Iterable, Iterator, Sequence, Union, cast
 
 from repro.regions.base import Region, RegionMismatchError
+from repro.regions.interval import (
+    Spans,
+    intersect_spans,
+    normalize_spans,
+    subtract_spans,
+)
 
 
 class Box:
@@ -118,25 +124,7 @@ class Box:
 
     def subtract(self, other: "Box") -> list["Box"]:
         """Return disjoint boxes covering ``self − other`` (at most 2·dims)."""
-        cut = self.intersect(other)
-        if cut.is_empty():
-            return [] if self.is_empty() else [self]
-        pieces: list[Box] = []
-        lo = list(self.lo)
-        hi = list(self.hi)
-        # peel slabs off one axis at a time; what remains shrinks toward `cut`
-        for axis in range(self.dims):
-            if lo[axis] < cut.lo[axis]:
-                piece_hi = hi.copy()
-                piece_hi[axis] = cut.lo[axis]
-                pieces.append(Box(tuple(lo), tuple(piece_hi)))
-                lo[axis] = cut.lo[axis]
-            if cut.hi[axis] < hi[axis]:
-                piece_lo = lo.copy()
-                piece_lo[axis] = cut.hi[axis]
-                pieces.append(Box(tuple(piece_lo), tuple(hi)))
-                hi[axis] = cut.hi[axis]
-        return [p for p in pieces if not p.is_empty()]
+        return list(BoxSetRegion((self,))._difference(BoxSetRegion((other,))).boxes)
 
     def points(self) -> Iterator[tuple[int, ...]]:
         if self.is_empty():
@@ -167,54 +155,100 @@ class Box:
         return f"Box({list(self.lo)}..{list(self.hi)})"
 
 
-def _canonical_boxes(boxes: list[Box], dims: int) -> tuple[Box, ...]:
-    """Unique disjoint decomposition of the union of ``boxes``.
+#: rank >= 2: sorted, disjoint axis-0 slabs ``(lo, hi, non-empty cross-section)``
+Slabs = tuple[tuple[int, int, "Nest"], ...]
+#: any rank: ``()`` is empty, rank 1 is :data:`Spans`, rank 0's one point ``((),)``
+Nest = Union[Spans, Slabs, tuple[tuple[()]]]
 
-    Slice along axis 0 at every coordinate where some input box starts or
-    ends; between two adjacent cuts the cross-section (a rank ``dims-1``
-    set) is constant, so it can be canonicalized recursively.  Adjacent
-    slabs with identical canonical cross-sections are merged into maximal
-    runs.  The output therefore depends only on the addressed element set:
-    the same set always canonicalizes to the same box tuple, regardless of
-    how (or with what overlaps) the inputs were split.
+_UNION, _INTERSECT, _DIFFERENCE = range(3)
+
+
+def _combine(a: Nest, b: Nest, rank: int, op: int) -> Nest:
+    """``a op b`` of two rank-``rank`` normal forms.
+
+    Sweeps a cursor ``x`` over both operands' axis-0 breakpoints: on
+    ``[x, nxt)`` each operand is inside one slab or in a gap (an empty
+    cross-section), so the result's cross-section there is one recursive
+    call.  Touching pieces with equal cross-sections merge as they are
+    emitted: the output is canonical by construction.
     """
-    if not boxes:
-        return ()
-    if dims == 0:
-        # rank-0 boxes address the single empty-tuple point
-        return (boxes[0],)
-    cuts = sorted({b.lo[0] for b in boxes} | {b.hi[0] for b in boxes})
-    # (lo0, hi0, canonical cross-section) maximal slabs along axis 0
-    slabs: list[tuple[int, int, tuple[Box, ...]]] = []
-    for lo0, hi0 in zip(cuts, cuts[1:]):
-        # cuts include every box boundary, so each box either spans the
-        # whole slab or misses it entirely
-        cross = [
-            Box(b.lo[1:], b.hi[1:])
-            for b in boxes
-            if b.lo[0] <= lo0 and hi0 <= b.hi[0]
-        ]
-        if not cross:
-            continue
-        canonical = _canonical_boxes(cross, dims - 1)
-        if slabs and slabs[-1][1] == lo0 and slabs[-1][2] == canonical:
-            slabs[-1] = (slabs[-1][0], hi0, canonical)
-        else:
-            slabs.append((lo0, hi0, canonical))
-    out: list[Box] = []
-    for lo0, hi0, canonical in slabs:
-        for cross_box in canonical:
-            out.append(Box((lo0,) + cross_box.lo, (hi0,) + cross_box.hi))
+    if not (a and b) or a is b or a == b:  # absent or identical partner
+        if op == _UNION:
+            return a or b
+        if op == _INTERSECT:
+            return a if a and b else ()
+        return () if a and b else a
+    if rank == 1:
+        if op == _UNION:
+            return normalize_spans(cast(Spans, a + b))
+        span_op = intersect_spans if op == _INTERSECT else subtract_spans
+        return span_op(cast(Spans, a), cast(Spans, b))
+    sa, sb = cast(Slabs, a), cast(Slabs, b)
+    alo, ahi, ac = sa[0]
+    blo, bhi, bc = sb[0]
+    a_end, b_end = sa[-1][1], sb[-1][1]
+    if op == _UNION:
+        end = max(a_end, b_end)
+    elif a_end <= blo or b_end <= alo:
+        # disjoint axis-0 extents, the common miss: nothing to sweep
+        return a if op == _DIFFERENCE else ()
+    else:
+        end = a_end if op == _DIFFERENCE else min(a_end, b_end)
+    # nothing past `end` reaches the result; an operand that runs out
+    # earlier is one gap up to it
+    out: list[tuple[int, int, Nest]] = []
+    i = j = 0
+    x = min(alo, blo)
+    while x < end:
+        ca = ac if alo <= x else ()
+        cb = bc if blo <= x else ()
+        nxt = min(ahi if ca else alo, bhi if cb else blo)
+        cross = _combine(ca, cb, rank - 1, op)
+        if cross:
+            if out and out[-1][1] == x and out[-1][2] == cross:
+                out[-1] = (out[-1][0], nxt, cross)
+            else:
+                out.append((x, nxt, cross))
+        x = nxt
+        if x == ahi:
+            i += 1
+            alo, ahi, ac = sa[i] if i < len(sa) else (end, end, ())
+        if x == bhi:
+            j += 1
+            blo, bhi, bc = sb[j] if j < len(sb) else (end, end, ())
     return tuple(out)
 
 
-class BoxSetRegion(Region):
-    """Region stored as the canonical set of pairwise-disjoint boxes."""
+def _box_nest(lo: tuple[int, ...], hi: tuple[int, ...]) -> Nest:
+    """Normal form of one non-empty box."""
+    if not lo:
+        return ((),)
+    nest: Nest = ((lo[-1], hi[-1]),)
+    for k in range(len(lo) - 2, -1, -1):
+        nest = ((lo[k], hi[k], nest),)
+    return nest
 
-    __slots__ = ("_boxes", "_dims", "_ckey")
+
+def _corners(nest: Nest, rank: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Box corners of a normal form: slab order, then cross-section order."""
+    if rank == 0:
+        return [((), ())] if nest else []
+    if rank == 1:
+        return [((lo,), (hi,)) for lo, hi in cast(Spans, nest)]
+    return [
+        ((lo,) + clo, (hi,) + chi)
+        for lo, hi, cross in cast(Slabs, nest)
+        for clo, chi in _corners(cross, rank - 1)
+    ]
+
+
+class BoxSetRegion(Region):
+    """Region stored as the slab normal form of its element set."""
+
+    __slots__ = ("_slabs", "_dims", "_ckey", "_boxes", "_bbox", "_size")
 
     def __init__(self, boxes: Iterable[Box] = (), dims: int | None = None) -> None:
-        live: list[Box] = []
+        slabs: Nest = ()
         for box in boxes:
             if box.is_empty():
                 continue
@@ -224,11 +258,15 @@ class BoxSetRegion(Region):
                 raise RegionMismatchError(
                     f"box of rank {box.dims} in a rank-{dims} region"
                 )
-            live.append(box)
-        self._boxes: tuple[Box, ...] = _canonical_boxes(live, dims or 0)
+            slabs = _combine(slabs, _box_nest(box.lo, box.hi), dims, _UNION)
+        self._slabs = slabs
         self._dims = dims
         self._ckey: Hashable = None
         self._rid: int | None = None
+        # derived views, built on first read (the instance is immutable)
+        self._boxes: tuple[Box, ...] | None = None
+        self._bbox: Box | None = None
+        self._size: int | None = None
 
     @classmethod
     def empty(cls, dims: int | None = None) -> "BoxSetRegion":
@@ -244,6 +282,10 @@ class BoxSetRegion(Region):
 
     @property
     def boxes(self) -> tuple[Box, ...]:
+        """The canonical disjoint boxes: slab order, then cross-section order."""
+        if self._boxes is None:
+            corners = _corners(self._slabs, self._dims or 0)
+            self._boxes = tuple(Box(lo, hi) for lo, hi in corners)
         return self._boxes
 
     @property
@@ -251,22 +293,16 @@ class BoxSetRegion(Region):
         return self._dims
 
     def bounding_box(self) -> Box | None:
-        if not self._boxes:
-            return None
-        dims = self._boxes[0].dims
-        lo = tuple(min(b.lo[a] for b in self._boxes) for a in range(dims))
-        hi = tuple(max(b.hi[a] for b in self._boxes) for a in range(dims))
-        return Box(lo, hi)
+        if self._bbox is None and self._slabs:
+            los, his = zip(*_corners(self._slabs, self._dims or 0))
+            self._bbox = Box(tuple(map(min, zip(*los))), tuple(map(max, zip(*his))))
+        return self._bbox
 
     # -- closure operations ---------------------------------------------------
 
     def _coerce(self, other: Region) -> "BoxSetRegion":
         if isinstance(other, BoxSetRegion):
-            if (
-                self._dims is not None
-                and other._dims is not None
-                and self._dims != other._dims
-            ):
+            if self._dims != other._dims and None not in (self._dims, other._dims):
                 raise RegionMismatchError(
                     f"rank mismatch: {self._dims} vs {other._dims}"
                 )
@@ -275,102 +311,79 @@ class BoxSetRegion(Region):
             f"cannot combine BoxSetRegion with {type(other).__name__}"
         )
 
-    def _union(self, other: Region) -> "BoxSetRegion":
+    def _swept(self, other: Region, op: int) -> "BoxSetRegion":
         other = self._coerce(other)
-        if not other._boxes:
+        dims = self._dims if self._dims is not None else other._dims
+        slabs = _combine(self._slabs, other._slabs, dims or 0, op)
+        # an operand passed through untouched keeps its interned identity
+        if slabs is self._slabs:
             return self
-        if not self._boxes:
+        if slabs is other._slabs:
             return other
-        return BoxSetRegion(
-            self._boxes + other._boxes, dims=self._dims or other._dims
-        )
+        result = BoxSetRegion(dims=dims)
+        result._slabs = slabs  # the sweep's output is already canonical
+        return result
+
+    def _union(self, other: Region) -> "BoxSetRegion":
+        return self._swept(other, _UNION)
 
     def _intersect(self, other: Region) -> "BoxSetRegion":
-        other = self._coerce(other)
-        if not self._boxes or not other._boxes:
-            return BoxSetRegion.empty(self._dims or other._dims)
-        cuts = []
-        for a in self._boxes:
-            for b in other._boxes:
-                cut = a.intersect(b)
-                if not cut.is_empty():
-                    cuts.append(cut)
-        return BoxSetRegion(cuts, dims=self._dims or other._dims)
+        return self._swept(other, _INTERSECT)
 
     def _difference(self, other: Region) -> "BoxSetRegion":
-        other = self._coerce(other)
-        if not self._boxes:
-            return self
-        remaining = list(self._boxes)
-        touched = False
-        for cutter in other._boxes:
-            pieces = []
-            for box in remaining:
-                if box.overlaps(cutter):
-                    pieces.extend(box.subtract(cutter))
-                    touched = True
-                else:
-                    pieces.append(box)
-            remaining = pieces
-        if not touched:
-            return self
-        return BoxSetRegion(remaining, dims=self._dims or other._dims)
+        return self._swept(other, _DIFFERENCE)
 
     # -- cardinality and membership ------------------------------------------
 
     def cache_key(self) -> Hashable:
         if self._ckey is None:
-            self._ckey = ("box", self._dims, self._boxes)
+            self._ckey = ("box", self._dims, self._slabs)
         return self._ckey
 
     def _is_empty(self) -> bool:
-        return not self._boxes
+        return not self._slabs
 
     def size(self) -> int:
-        return sum(b.size() for b in self._boxes)
+        if self._size is None:
+            self._size = sum(
+                math.prod(map(operator.sub, hi, lo))
+                for lo, hi in _corners(self._slabs, self._dims or 0)
+            )
+        return self._size
 
     def elements(self) -> Iterator[tuple[int, ...]]:
-        for box in self._boxes:
+        for box in self.boxes:
             yield from box.points()
 
     def contains(self, element: Any) -> bool:
         if not isinstance(element, tuple):
             return False
-        return any(b.contains(element) for b in self._boxes)
+        return any(b.contains(element) for b in self.boxes)
 
     def _covers(self, other: Region) -> bool:
-        """Containment with a fast path for box-in-box (the hot case)."""
-        if isinstance(other, BoxSetRegion):
-            remaining = []
-            for box in other._boxes:
-                for mine in self._boxes:
-                    if mine.encloses(box):
-                        break
-                else:
-                    remaining.append(box)
-            if not remaining:
-                return True
-            other = BoxSetRegion(remaining, dims=other._dims)
-        return other.difference(self).is_empty()
+        if not isinstance(other, BoxSetRegion):
+            return super()._covers(other)
+        other._coerce(self)  # rank check, worded as ``other − self`` words it
+        return not _combine(other._slabs, self._slabs, self._dims or 0, _DIFFERENCE)
 
     def surface(self) -> int:
         """Sum of per-box boundary element counts (halo volume estimate)."""
-        return sum(b.surface() for b in self._boxes)
+        return sum(b.surface() for b in self.boxes)
 
     # -- value semantics --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoxSetRegion):
             return NotImplemented
-        # the representation is canonical, so structural equality of the
-        # box tuples *is* semantic equality (dims of empties excluded)
-        return self._boxes == other._boxes
+        # the normal form is canonical, so structural equality of the
+        # nested tuples *is* semantic equality (dims of empties excluded)
+        return self._slabs == other._slabs
 
     def __hash__(self) -> int:
-        return hash(self._boxes)
+        return hash(self._slabs)
 
     def __repr__(self) -> str:
-        return f"BoxSetRegion({list(self._boxes)!r})"
+        return f"BoxSetRegion({list(self.boxes)!r})"
 
 
 def grid_block_decomposition(shape: Sequence[int], parts: int) -> list[Box]:

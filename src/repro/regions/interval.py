@@ -2,8 +2,10 @@
 
 An :class:`IntervalRegion` is a sorted list of disjoint, non-adjacent,
 half-open integer intervals ``[lo, hi)``.  It addresses elements of 1-D
-arrays and is also the per-axis building block used by the N-dimensional
-box-set regions of :mod:`repro.regions.box`.
+arrays; its algebra — three merges over plain ``(lo, hi)`` pairs — is also
+the rank-1 base case of the N-dimensional box-set sweep of
+:mod:`repro.regions.box`.  :class:`Interval` objects are only built when
+``.intervals`` is read.
 
 All three closure operations run in ``O(n + m)`` over the interval counts of
 the operands, and the representation is canonical: two regions address the
@@ -13,6 +15,8 @@ cheap and semantic.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator
 
@@ -45,31 +49,69 @@ class Interval:
         return f"[{self.lo},{self.hi})"
 
 
-def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    """Sort, drop empties, and merge overlapping/adjacent intervals."""
-    pending = sorted(i for i in intervals if not i.is_empty())
-    merged: list[Interval] = []
-    for iv in pending:
-        if merged and iv.lo <= merged[-1].hi:
-            last = merged[-1]
-            if iv.hi > last.hi:
-                merged[-1] = Interval(last.lo, iv.hi)
+Span = tuple[int, int]
+#: sorted, disjoint, non-touching, non-empty ``(lo, hi)`` pairs
+Spans = tuple[Span, ...]
+
+
+def normalize_spans(spans: Iterable[Span]) -> Spans:
+    """Sort, drop empties, merge overlapping/adjacent spans (``a + b``: union)."""
+    merged: list[Span] = []
+    for span in sorted(s for s in spans if s[0] < s[1]):
+        if merged and span[0] <= merged[-1][1]:
+            if span[1] > merged[-1][1]:
+                merged[-1] = (merged[-1][0], span[1])
         else:
-            merged.append(iv)
+            merged.append(span)
     return tuple(merged)
+
+
+def intersect_spans(a: Spans, b: Spans) -> Spans:
+    """``a ∩ b`` of two normal forms by one two-pointer sweep."""
+    out: list[Span] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        # advance whichever span ends first
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def subtract_spans(a: Spans, b: Spans) -> Spans:
+    """``a − b`` of two normal forms by one two-pointer sweep."""
+    out: list[Span] = []
+    j = 0
+    for lo, hi in a:
+        while j < len(b) and b[j][1] <= lo:
+            j += 1
+        k = j
+        while k < len(b) and b[k][0] < hi:
+            if b[k][0] > lo:
+                out.append((lo, b[k][0]))
+            lo = max(lo, b[k][1])
+            if lo >= hi:
+                break
+            k += 1
+        if lo < hi:
+            out.append((lo, hi))
+    return tuple(out)
 
 
 class IntervalRegion(Region):
     """Canonical union of disjoint half-open integer intervals."""
 
-    __slots__ = ("_intervals", "_ckey")
+    __slots__ = ("_spans", "_ckey")
 
     def __init__(self, intervals: Iterable[Interval | tuple[int, int]] = ()) -> None:
-        coerced = [
-            iv if isinstance(iv, Interval) else Interval(int(iv[0]), int(iv[1]))
+        self._spans = normalize_spans(
+            (iv.lo, iv.hi) if isinstance(iv, Interval) else (int(iv[0]), int(iv[1]))
             for iv in intervals
-        ]
-        self._intervals = _normalize(coerced)
+        )
         self._ckey: Hashable = None
         self._rid: int | None = None
 
@@ -88,13 +130,13 @@ class IntervalRegion(Region):
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
-        return self._intervals
+        return tuple(Interval(lo, hi) for lo, hi in self._spans)
 
     def bounds(self) -> Interval | None:
         """Smallest single interval covering the region, or ``None`` if empty."""
-        if not self._intervals:
+        if not self._spans:
             return None
-        return Interval(self._intervals[0].lo, self._intervals[-1].hi)
+        return Interval(self._spans[0][0], self._spans[-1][1])
 
     # -- closure operations ---------------------------------------------------
 
@@ -106,97 +148,50 @@ class IntervalRegion(Region):
         )
 
     def _union(self, other: Region) -> "IntervalRegion":
-        other = self._coerce(other)
-        if not other._intervals:
-            return self
-        if not self._intervals:
-            return other
-        return IntervalRegion(self._intervals + other._intervals)
+        return IntervalRegion(self._spans + self._coerce(other)._spans)
 
     def _intersect(self, other: Region) -> "IntervalRegion":
-        other = self._coerce(other)
-        result: list[Interval] = []
-        a, b = self._intervals, other._intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            cut = a[i].intersect(b[j])
-            if not cut.is_empty():
-                result.append(cut)
-            # advance whichever interval ends first
-            if a[i].hi <= b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalRegion(result)
+        return IntervalRegion(intersect_spans(self._spans, self._coerce(other)._spans))
 
     def _difference(self, other: Region) -> "IntervalRegion":
-        other = self._coerce(other)
-        if not self._intervals or not other._intervals:
-            return self
-        result: list[Interval] = []
-        b = other._intervals
-        j = 0
-        for iv in self._intervals:
-            lo = iv.lo
-            while j < len(b) and b[j].hi <= lo:
-                j += 1
-            k = j
-            while k < len(b) and b[k].lo < iv.hi:
-                if b[k].lo > lo:
-                    result.append(Interval(lo, b[k].lo))
-                lo = max(lo, b[k].hi)
-                if lo >= iv.hi:
-                    break
-                k += 1
-            if lo < iv.hi:
-                result.append(Interval(lo, iv.hi))
-        return IntervalRegion(result)
+        return IntervalRegion(subtract_spans(self._spans, self._coerce(other)._spans))
 
     # -- cardinality and membership ------------------------------------------
 
     def cache_key(self) -> Hashable:
         if self._ckey is None:
-            self._ckey = ("interval", self._intervals)
+            self._ckey = ("interval", self._spans)
         return self._ckey
 
     def _is_empty(self) -> bool:
-        return not self._intervals
+        return not self._spans
 
     def size(self) -> int:
-        return sum(iv.size() for iv in self._intervals)
+        return sum(hi - lo for lo, hi in self._spans)
 
     def elements(self) -> Iterator[int]:
-        for iv in self._intervals:
-            yield from range(iv.lo, iv.hi)
+        for lo, hi in self._spans:
+            yield from range(lo, hi)
 
     def contains(self, element: Any) -> bool:
         if not isinstance(element, int):
             return False
-        # binary search over the sorted disjoint intervals
-        lo, hi = 0, len(self._intervals)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            iv = self._intervals[mid]
-            if element < iv.lo:
-                hi = mid
-            elif element >= iv.hi:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        # the last span starting at or before ``element`` decides
+        k = bisect_right(self._spans, (element, math.inf)) - 1
+        return k >= 0 and element < self._spans[k][1]
 
     # -- value semantics --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalRegion):
             return NotImplemented
-        return self._intervals == other._intervals
+        return self._spans == other._spans
 
     def __hash__(self) -> int:
-        return hash(self._intervals)
+        return hash(self._spans)
 
     def __repr__(self) -> str:
-        return f"IntervalRegion({list(self._intervals)!r})"
+        return f"IntervalRegion({list(self.intervals)!r})"
 
 
 def split_interval_region(region: IntervalRegion, parts: int) -> list[IntervalRegion]:

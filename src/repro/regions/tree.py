@@ -81,30 +81,42 @@ class TreeGeometry:
         return iter(range(1 << (self.depth - 1), 1 << self.depth))
 
 
+def _merge_marks(
+    a: Mapping[int, bool], b: Mapping[int, bool], op: Callable[[bool, bool], bool]
+) -> dict[int, bool]:
+    """Minimal change-point marks of ``op(a, b)`` taken node by node."""
+    touched: set[int] = set()
+    for node in (*a, *b):
+        while node >= 1 and node not in touched:  # ancestors come with it
+            touched.add(node)
+            node //= 2
+    marks: dict[int, bool] = {}
+
+    def rec(node: int, ia: bool, ib: bool, inherited: bool) -> None:
+        va = a.get(node, ia)
+        vb = b.get(node, ib)
+        vo = op(va, vb)
+        if vo != inherited:
+            marks[node] = vo
+        # `touched` holds only in-range nodes, so membership of the heap
+        # children is the whole leaf/range check
+        if 2 * node in touched:
+            rec(2 * node, va, vb, vo)
+        if 2 * node + 1 in touched:
+            rec(2 * node + 1, va, vb, vo)
+
+    if touched:
+        rec(1, False, False, False)
+    return marks
+
+
 def _canonical_marks(
     geometry: TreeGeometry, raw: Mapping[int, bool]
 ) -> dict[int, bool]:
     """Reduce an arbitrary mark map to its unique minimal change-point form."""
-    touched: set[int] = set()
     for node in raw:
         geometry.check_node(node)
-        m = node
-        while m >= 1:
-            touched.add(m)
-            m //= 2
-    marks: dict[int, bool] = {}
-
-    def rec(node: int, inherited: bool) -> None:
-        value = raw.get(node, inherited)
-        if value != inherited:
-            marks[node] = value
-        for child in geometry.children(node):
-            if child in touched:
-                rec(child, value)
-
-    if touched:
-        rec(1, False)
-    return marks
+    return _merge_marks(raw, {}, lambda value, _: value)
 
 
 class TreeRegion(Region):
@@ -206,29 +218,9 @@ class TreeRegion(Region):
     def _combine(
         self, other: "TreeRegion", op: Callable[[bool, bool], bool]
     ) -> "TreeRegion":
-        geometry = self._geometry
-        touched: set[int] = set()
-        for node in (*self._marks, *other._marks):
-            m = node
-            while m >= 1:
-                touched.add(m)
-                m //= 2
-        marks: dict[int, bool] = {}
-
-        def rec(node: int, ia: bool, ib: bool, inherited: bool) -> None:
-            va = self._marks.get(node, ia)
-            vb = other._marks.get(node, ib)
-            vo = op(va, vb)
-            if vo != inherited:
-                marks[node] = vo
-            for child in geometry.children(node):
-                if child in touched:
-                    rec(child, va, vb, vo)
-
-        if touched:
-            rec(1, False, False, False)
+        marks = _merge_marks(self._marks, other._marks, op)
         result = TreeRegion.__new__(TreeRegion)
-        result._geometry = geometry
+        result._geometry = self._geometry
         result._marks = marks
         result._key = frozenset(marks.items())
         result._ckey = None

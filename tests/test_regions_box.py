@@ -168,3 +168,136 @@ class TestGridBlockDecomposition:
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
             grid_block_decomposition((4, 4), 0)
+
+
+# -- the pre-sweep canonicaliser, kept verbatim as the order oracle -----------------
+
+
+def _canonical_boxes(boxes: list[Box], dims: int) -> tuple[Box, ...]:
+    """Unique disjoint decomposition of the union of ``boxes``.
+
+    Slice along axis 0 at every coordinate where some input box starts or
+    ends; between two adjacent cuts the cross-section (a rank ``dims-1``
+    set) is constant, so it can be canonicalized recursively.  Adjacent
+    slabs with identical canonical cross-sections are merged into maximal
+    runs.  The output therefore depends only on the addressed element set:
+    the same set always canonicalizes to the same box tuple, regardless of
+    how (or with what overlaps) the inputs were split.
+    """
+    if not boxes:
+        return ()
+    if dims == 0:
+        # rank-0 boxes address the single empty-tuple point
+        return (boxes[0],)
+    cuts = sorted({b.lo[0] for b in boxes} | {b.hi[0] for b in boxes})
+    # (lo0, hi0, canonical cross-section) maximal slabs along axis 0
+    slabs: list[tuple[int, int, tuple[Box, ...]]] = []
+    for lo0, hi0 in zip(cuts, cuts[1:]):
+        # cuts include every box boundary, so each box either spans the
+        # whole slab or misses it entirely
+        cross = [
+            Box(b.lo[1:], b.hi[1:])
+            for b in boxes
+            if b.lo[0] <= lo0 and hi0 <= b.hi[0]
+        ]
+        if not cross:
+            continue
+        canonical = _canonical_boxes(cross, dims - 1)
+        if slabs and slabs[-1][1] == lo0 and slabs[-1][2] == canonical:
+            slabs[-1] = (slabs[-1][0], hi0, canonical)
+        else:
+            slabs.append((lo0, hi0, canonical))
+    out: list[Box] = []
+    for lo0, hi0, canonical in slabs:
+        for cross_box in canonical:
+            out.append(Box((lo0,) + cross_box.lo, (hi0,) + cross_box.hi))
+    return tuple(out)
+
+
+def _random_boxes(rng, rank, count, max_coord=7, max_width=4):
+    boxes = []
+    for _ in range(count):
+        lo = [rng.randint(0, max_coord) for _ in range(rank)]
+        boxes.append(Box.of(lo, [l + rng.randint(0, max_width) for l in lo]))
+    return boxes
+
+
+class TestBoxOrderPin:
+    """``.boxes`` is exactly the pre-sweep canonical tuple, order included.
+
+    Transfer, message and migration order follow ``.boxes``, so this pins
+    every simulated statistic to the old decomposition.
+    """
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_random_overlapping_inputs(self, rng, rank):
+        for _ in range(150):
+            boxes = _random_boxes(rng, rank, rng.randint(0, 6))
+            live = [b for b in boxes if not b.is_empty()]
+            region = BoxSetRegion(boxes, dims=rank)
+            assert region.boxes == _canonical_boxes(live, rank)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_chained_results(self, rng, rank):
+        def unit_boxes(points):
+            return [Box(p, tuple(x + 1 for x in p)) for p in points]
+
+        for _ in range(60):
+            a, b, c = (
+                BoxSetRegion(_random_boxes(rng, rank, rng.randint(1, 4)), dims=rank)
+                for _ in range(3)
+            )
+            pa, pb, pc = (set(r.elements()) for r in (a, b, c))
+            for result, points in (
+                (a._union(b)._difference(c), (pa | pb) - pc),
+                (a._difference(b)._union(c), (pa - pb) | pc),
+                (a._union(c)._intersect(b._union(c)), (pa | pc) & (pb | pc)),
+                (a._difference(b)._difference(c)._union(b), (pa - pc) | pb),
+            ):
+                # the oracle rebuilds the decomposition from single points
+                assert result.boxes == _canonical_boxes(unit_boxes(points), rank)
+
+
+class TestSweepCost:
+    """Counted, not timed: a pairwise box product cannot come back unseen."""
+
+    SLABS = 64
+
+    def _checkerboard(self, cell):
+        # row r holds the cells of width `cell` whose index has r's parity
+        return BoxSetRegion(
+            Box((r, c * cell), (r + 1, (c + 1) * cell))
+            for r in range(self.SLABS)
+            for c in range(r % 2, 16 // cell, 2)
+        )
+
+    def test_intersect_allocates_no_boxes_and_merges_per_slab(self, monkeypatch):
+        from repro.regions import box as box_module
+
+        a, b = self._checkerboard(1), self._checkerboard(2)
+        assert len(a._slabs) == len(b._slabs) == self.SLABS
+        counts = {"boxes": 0, "merges": 0}
+        box_init = Box.__init__
+
+        def counting_init(self, lo, hi):
+            counts["boxes"] += 1
+            box_init(self, lo, hi)
+
+        def counting_merge(fn):
+            def merge(x, y):
+                counts["merges"] += 1
+                return fn(x, y)
+
+            return merge
+
+        monkeypatch.setattr(Box, "__init__", counting_init)
+        for name in ("intersect_spans", "subtract_spans", "normalize_spans"):
+            monkeypatch.setattr(
+                box_module, name, counting_merge(getattr(box_module, name))
+            )
+        cut = a._intersect(b)
+        assert cut.size() == 4 * self.SLABS
+        # one rank-1 merge per aligned slab pair — not one per box pair —
+        # and no Box until someone asks for them
+        assert counts == {"boxes": 0, "merges": self.SLABS}
+        assert len(cut.boxes) == counts["boxes"] == 4 * self.SLABS

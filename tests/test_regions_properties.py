@@ -7,7 +7,9 @@ reference, plus the algebraic laws the runtime relies on.
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.regions.box import Box, BoxSetRegion
 from repro.regions.kernel import get_kernel
 from tests.conftest import (
     as_explicit,
@@ -48,7 +50,7 @@ def _check_kernel_consistency(a, b):
     """The memoized kernel path must agree with the raw family operations.
 
     ``union``/``intersect``/``difference`` on the public API route through
-    :class:`RegionKernel` (interning + LRU memoization); ``_union`` etc. are
+    :class:`RegionKernel` (interning + memoization); ``_union`` etc. are
     the uncached per-family implementations.  Both must produce the same
     element set, and the memoized path must return the *identical* interned
     object on a repeat call.
@@ -176,3 +178,43 @@ def test_box_region_membership_agrees_with_reference(a, b):
     for x in range(0, 10):
         for y in range(0, 10):
             assert union.contains((x, y)) == reference.contains((x, y))
+
+
+# -- box sweep vs a brute-force point-set oracle, ranks 1-3 -------------------------
+
+
+@st.composite
+def _box_operands(draw, max_coord=5, max_width=3, max_boxes=4):
+    rank = draw(st.integers(1, 3))
+    corner = st.lists(st.integers(0, max_coord), min_size=rank, max_size=rank)
+    widths = st.lists(st.integers(0, max_width), min_size=rank, max_size=rank)
+    box = st.tuples(corner, widths).map(
+        lambda lw: Box.of(lw[0], [l + w for l, w in zip(*lw)])
+    )
+    operand = st.lists(box, max_size=max_boxes)
+    return rank, draw(operand), draw(operand)
+
+
+@given(_box_operands())
+@settings(max_examples=200, deadline=None)
+def test_box_sweep_matches_point_set_oracle(case):
+    rank, xs, ys = case
+    a, b = BoxSetRegion(xs, dims=rank), BoxSetRegion(ys, dims=rank)
+    # the oracle never touches the region code: points of the *input* boxes
+    pa = {p for box in xs for p in box.points()}
+    pb = {p for box in ys for p in box.points()}
+    for result, points in (
+        (a, pa),
+        (b, pb),
+        (a._union(b), pa | pb),
+        (a._intersect(b), pa & pb),
+        (a._difference(b), pa - pb),
+        (b._difference(a), pb - pa),
+    ):
+        listed = list(result.elements())
+        assert len(listed) == len(points) == result.size()  # boxes are disjoint
+        assert set(listed) == points
+        assert all(result.contains(p) for p in points)
+    assert a._covers(b) == (pb <= pa)
+    assert b._covers(a) == (pa <= pb)
+    assert a._union(b)._covers(a)
