@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import types
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import ERROR, INFO, WARNING, Finding
@@ -57,10 +59,6 @@ READ_METHODS = frozenset(
 )
 
 _FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
-
-#: source file -> parsed module (or None if unparseable); lint is called
-#: once per leaf of large pfor trees, all sharing a handful of files
-_MODULE_CACHE: dict[str, ast.Module | None] = {}
 
 
 @dataclass
@@ -331,35 +329,126 @@ def _function_node(fn) -> tuple[_FunctionNode | None, str]:
         filename = None
     if filename is None:
         return None, "no source file"
-    module = _module_ast(filename)
-    if module is None:
+    source = _source_file(filename)
+    if source is None or source.module is None:
         return None, f"could not parse {filename!r}"
     lineno = code.co_firstlineno
     name = getattr(fn, "__name__", "<lambda>")
-    candidates: list[_FunctionNode] = []
-    for n in ast.walk(module):
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            start = min(
-                [n.lineno] + [d.lineno for d in n.decorator_list]
-            )
-            if start == lineno and n.name == name:
-                candidates.append(n)
-        elif isinstance(n, ast.Lambda) and n.lineno == lineno:
-            if len(n.args.posonlyargs + n.args.args) == code.co_argcount:
-                candidates.append(n)
+    at_line = source.defs.get(lineno, ())
+    candidates: list[_FunctionNode]
+    if code.co_name == "<lambda>":
+        candidates = [
+            n
+            for n in at_line
+            if isinstance(n, ast.Lambda)
+            and len(n.args.posonlyargs + n.args.args) == code.co_argcount
+        ]
+    else:
+        candidates = [
+            n
+            for n in at_line
+            if not isinstance(n, ast.Lambda) and n.name == name
+        ]
+    if len(candidates) > 1:
+        candidates = _holding_instructions(code, candidates)
     if not candidates:
         return None, f"no def at {filename}:{lineno}"
+    if len(candidates) > 1:
+        return None, f"ambiguous def at {filename}:{lineno}"
     return candidates[0], ""
 
 
-def _module_ast(filename: str) -> ast.Module | None:
-    if filename not in _MODULE_CACHE:
-        try:
-            with open(filename, "r", encoding="utf-8") as handle:
-                _MODULE_CACHE[filename] = ast.parse(handle.read())
-        except (OSError, SyntaxError, ValueError):
-            _MODULE_CACHE[filename] = None
-    return _MODULE_CACHE[filename]
+def _holding_instructions(
+    code: types.CodeType, candidates: list[_FunctionNode]
+) -> list[_FunctionNode]:
+    """Narrow same-line candidates to the one whose body ``code`` compiles.
+
+    Several lambdas of equal arity can share a source line; the columns
+    of ``code``'s instructions (``co_positions``, Python >= 3.11) lie
+    inside exactly one candidate's body — or, for a lambda nested in
+    another candidate, inside the enclosing bodies too, so the innermost
+    holder wins.  Without column data the candidates come back as they
+    are and the caller reports the ambiguity instead of guessing.
+    """
+    positions = getattr(code, "co_positions", None)
+    if positions is None:
+        return candidates
+    spots = [
+        (line, col)
+        for line, _end_line, col, _end_col in positions()
+        if line is not None and col is not None
+    ]
+
+    def body_span(
+        node: _FunctionNode,
+    ) -> tuple[tuple[int, int], tuple[int, int]]:
+        body = node.body if isinstance(node.body, list) else [node.body]
+        first, last = body[0], body[-1]
+        # ``ast.parse`` sets end positions on every statement and expression
+        assert last.end_lineno is not None and last.end_col_offset is not None
+        return (
+            (first.lineno, first.col_offset),
+            (last.end_lineno, last.end_col_offset),
+        )
+
+    holders = [
+        node
+        for node, (start, end) in ((n, body_span(n)) for n in candidates)
+        if any(start <= spot < end for spot in spots)
+    ]
+    # of nested holders the innermost body starts last
+    return [max(holders, key=body_span)] if holders else candidates
+
+
+@dataclass
+class _SourceFile:
+    """One parsed source file and its def index, valid while ``stamp`` is."""
+
+    #: ``(st_mtime_ns, st_size)`` of the file when it was parsed
+    stamp: tuple[int, int]
+    #: None: unreadable or unparseable at this stamp
+    module: ast.Module | None
+    #: first line (decorators included: that is ``co_firstlineno``) ->
+    #: def/lambda nodes starting there, in ``ast.walk`` order
+    defs: dict[int, list[_FunctionNode]] = field(default_factory=dict)
+
+
+#: source file -> its parse.  Lint is called once per distinct leaf
+#: kernel, thousands of times in a service's life, against a handful of
+#: files: each is parsed and indexed once, and again only when its stamp
+#: changes — a long-lived service that reloads an embedder module must
+#: not lint the new kernels against the old AST
+_SOURCES: dict[str, _SourceFile] = {}
+
+
+def _source_file(filename: str) -> _SourceFile | None:
+    try:
+        status = os.stat(filename)
+    except OSError:
+        return None
+    stamp = (status.st_mtime_ns, status.st_size)
+    source = _SOURCES.get(filename)
+    if source is None or source.stamp != stamp:
+        source = _SOURCES[filename] = _parse(filename, stamp)
+    return source
+
+
+def _parse(filename: str, stamp: tuple[int, int]) -> _SourceFile:
+    try:
+        with open(filename, "r", encoding="utf-8") as handle:
+            module = ast.parse(handle.read())
+    except (OSError, SyntaxError, ValueError):
+        return _SourceFile(stamp, None)
+    source = _SourceFile(stamp, module)
+    for n in ast.walk(module):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([n.lineno] + [d.lineno for d in n.decorator_list])
+        elif isinstance(n, ast.Lambda):
+            first = n.lineno
+        else:
+            continue
+        source.defs.setdefault(first, []).append(n)
+    return source
 
 
 def _resolver(fn):

@@ -28,6 +28,7 @@ from repro.regions.kernel import get_kernel
 from repro.runtime import sentinel
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.index import HierarchicalIndex
+from repro.runtime.jobs import JobContext
 from repro.runtime.policies import DataAwarePolicy, SchedulingPolicy
 from repro.runtime.probe import Probe
 from repro.runtime.process import RuntimeProcess
@@ -89,7 +90,7 @@ class AllScaleRuntime:
         #: optional job-level accounting context (repro.runtime.jobs) —
         #: set by the service layer when this runtime executes one tenant
         #: job over a shared cluster
-        self.job_context = None
+        self.job_context: JobContext | None = None
         #: optional periodic load balancer; created (but not started) when
         #: the config asks for it — drivers start it around the measured
         #: phase and stop it before returning, so the event loop drains

@@ -4,8 +4,9 @@ A job crosses the client/service boundary as JSON, so it cannot carry
 callables — instead it names a *kind* from this catalog plus parameters,
 and the service builds the actual task graph (a :class:`TaskProgram`) on
 its side of the boundary.  The built program is what the admission gate
-statically analyzes and what the dispatcher executes, so the graph the
-analyzer approved is exactly the graph that runs.
+statically analyzes (once per distinct builder and parameters, see
+:func:`register_kind`) and what the dispatcher executes, so the graph
+that runs is always one the catalog built and the analyzer approved.
 
 The built-in kinds are service-sized ports of the repository's workload
 families: ``compute`` (pure-cost tasks with exactly predictable
@@ -289,7 +290,17 @@ def job_kinds() -> tuple[str, ...]:
 def register_kind(
     name: str, builder: Callable[[dict], TaskProgram], replace: bool = False
 ) -> None:
-    """Extend the catalog (in-process embedders: apps, examples, tests)."""
+    """Extend the catalog (in-process embedders: apps, examples, tests).
+
+    ``builder`` must be *pure in its parameters*: called twice with equal
+    ``params`` it returns structurally the same program — same phases,
+    task names, requirement functions and kernels — over fresh data
+    items.  The service's determinism guarantee always assumed this; the
+    admission gate now relies on it too, analysing one program per
+    (builder, params) and reusing that report for every later submission
+    that builds an equal one.  A builder that reads a clock, a counter or
+    a mutable global must fold that input into ``params`` instead.
+    """
     if name in _KINDS and not replace:
         raise ValueError(f"job kind {name!r} already registered")
     _KINDS[name] = builder
@@ -304,12 +315,16 @@ def unregister_kind(name: str) -> None:
 _BUILTINS = tuple(_KINDS)
 
 
-def build_program(kind: str, params: dict) -> TaskProgram:
-    """Build the task graph of one job; raises KeyError/ValueError."""
+def kind_builder(kind: str) -> Callable[[dict], TaskProgram]:
+    """The builder currently registered for ``kind``; raises KeyError."""
     try:
-        builder = _KINDS[kind]
+        return _KINDS[kind]
     except KeyError:
         raise KeyError(
             f"unknown job kind {kind!r}; available: {', '.join(job_kinds())}"
         ) from None
-    return builder(dict(params))
+
+
+def build_program(kind: str, params: dict) -> TaskProgram:
+    """Build the task graph of one job; raises KeyError/ValueError."""
+    return kind_builder(kind)(dict(params))

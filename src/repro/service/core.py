@@ -13,11 +13,14 @@ A submission passes through the gates in order:
 
 1. **draining / tenant / kind** — structural refusals, no analysis run.
 2. **build** — the catalog materializes the task graph on the service
-   side of the boundary, so the graph the analyzer sees is the graph
-   that runs.
+   side of the boundary, so what the analyzer judges is what the
+   catalog builds, never a client's description of it.
 3. **analysis** — :func:`repro.analysis.program.analyze_program` under
    the bounded admission profile; any error-severity finding rejects the
-   job with the findings attached to the structured verdict.
+   job with the findings attached to the structured verdict.  A job's
+   requirements are a static function of its declaration, so the report
+   is computed once per distinct (builder, params, analysis config) and
+   looked up for every later submission of an equal program.
 4. **budget** — the static node-seconds estimate must fit the tenant's
    remaining budget (used + reserved headroom).
 
@@ -32,10 +35,12 @@ items and schedulers stay isolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Generator
+import json
+from dataclasses import astuple, dataclass, field, replace
+from typing import Any, Callable, Generator, Mapping
 
 from repro.analysis.expansion import AnalysisConfig
+from repro.analysis.findings import AnalysisReport
 from repro.analysis.program import analyze_program
 from repro.api.program import register_items, run_program
 from repro.runtime.config import RuntimeConfig
@@ -43,7 +48,7 @@ from repro.runtime.jobs import JobContext
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.sentinel import RuntimeSentinel
 from repro.runtime.tasks import TaskProgram
-from repro.service.catalog import build_program
+from repro.service.catalog import kind_builder
 from repro.service.fairshare import FairShareScheduler, jain_fairness
 from repro.service.jobs import AdmissionVerdict, JobRecord, JobSpec, JobState
 from repro.service.quotas import TenantConfig, TenantLedger
@@ -129,6 +134,11 @@ class ServiceConfig:
         return cls(**kwargs)
 
 
+#: memo key of an admission report: the registered builder object, the
+#: params as canonical JSON text, the fields of the ``AnalysisConfig``
+_ReportKey = tuple[Callable[[dict], TaskProgram], str, tuple]
+
+
 @dataclass
 class _RunningJob:
     """Book-keeping for one job currently on the cluster."""
@@ -163,6 +173,10 @@ class ServiceCore:
             self.ledgers[tenant.name] = TenantLedger(tenant)
         self.jobs: dict[str, JobRecord] = {}
         self._programs: dict[str, tuple[TaskProgram, float]] = {}
+        #: the report of the first program built from each key; one entry
+        #: per *distinct* program, each smaller than the ``JobRecord`` the
+        #: service keeps per submission
+        self._reports: dict[_ReportKey, AnalysisReport] = {}
         self._running: list[_RunningJob] = []
         self._seq = 0
         self.draining = False
@@ -230,8 +244,11 @@ class ServiceCore:
                 ),
                 None,
             )
+        # every job is built: it needs its own data items, and the graph
+        # that runs is the graph the catalog built for *this* submission
         try:
-            program = build_program(spec.kind, dict(spec.params))
+            builder = kind_builder(spec.kind)
+            program = builder(dict(spec.params))
         except KeyError as exc:
             return (
                 AdmissionVerdict.refusal("unknown_kind", str(exc.args[0])),
@@ -239,7 +256,7 @@ class ServiceCore:
             )
         except ValueError as exc:
             return AdmissionVerdict.refusal("build_error", str(exc)), None
-        report = analyze_program(program, self.config.analysis)
+        report = self._analyze(builder, spec.params, program)
         estimate = program.total_flops() / self.config.flops_per_core
         verdict = AdmissionVerdict.from_report(report, estimate)
         if not verdict.accepted:
@@ -250,8 +267,37 @@ class ServiceCore:
             verdict.reason = "quota"
             verdict.detail = refusal
             return verdict, None
-        # the program the analyzer approved is exactly what will run
+        # what runs is the program built for this very submission
         return verdict, program
+
+    def _analyze(
+        self,
+        builder: Callable[[dict], TaskProgram],
+        params: Mapping[str, Any],
+        program: TaskProgram,
+    ) -> AnalysisReport:
+        """The analyzer's report on ``program``, computed once per program.
+
+        Builders are pure in their params (:func:`register_kind`), so
+        equal (builder, params) build structurally equal programs and
+        the analyzer — a function of the declaration alone — reports the
+        same findings on each.  Keying on the builder *object*, not the
+        kind name, means a re-registered or unregistered kind can never
+        be served its predecessor's report.
+        """
+        try:
+            # JSON text tells 1 from 1.0 from true and a list from its repr
+            canonical = json.dumps(dict(params), sort_keys=True)
+        except (TypeError, ValueError):
+            # an in-process embedder passed non-JSON values: no safe key
+            return analyze_program(program, self.config.analysis)
+        key: _ReportKey = (builder, canonical, astuple(self.config.analysis))
+        report = self._reports.get(key)
+        if report is None:
+            report = self._reports[key] = analyze_program(
+                program, self.config.analysis
+            )
+        return report
 
     def schedule(self, spec: JobSpec, at: float) -> None:
         """Arrange a future submission at simulated time ``at``.
@@ -265,7 +311,12 @@ class ServiceCore:
 
     def _dispatch(self) -> int:
         started = 0
-        while len(self._running) < self.config.max_running_jobs:
+        # ``_programs`` holds exactly the admitted-but-not-started jobs:
+        # with none, the scheduler's scan over tenants can select nothing
+        while (
+            self._programs
+            and len(self._running) < self.config.max_running_jobs
+        ):
             record = self.fairshare.select(
                 self.engine.now,
                 lambda tenant: self.ledgers[tenant].can_start(),
@@ -336,6 +387,11 @@ class ServiceCore:
     # -- completion --------------------------------------------------------------
 
     def _collect(self) -> int:
+        for run in self._running:
+            if run.future.done:
+                break
+        else:
+            return 0
         finished = 0
         still_running: list[_RunningJob] = []
         for run in self._running:
@@ -418,15 +474,28 @@ class ServiceCore:
             )
         return progressed
 
-    def run_until_drained(self, max_steps: int = 1_000_000) -> None:
-        """Pump until every submitted and scheduled job is terminal."""
-        for _ in range(max_steps):
+    def run_until_drained(self) -> None:
+        """Pump until every submitted and scheduled job is terminal.
+
+        What is bounded is *steps that move nothing*, not steps: a
+        healthy replay at one event per slice takes hundreds of steps per
+        job.  Nothing but an engine event changes what a step sees, so a
+        step without progress on a non-idle service will not progress
+        next time either — the stall is reported at once, naming what is
+        stuck.
+        """
+        while True:
+            if self.step():
+                continue
             if self.idle:
                 return
-            self.step()
-        raise RuntimeError(
-            f"service did not drain within {max_steps} steps"
-        )
+            queued = self.fairshare.queued()
+            running = [run.record.job_id for run in self._running]
+            raise RuntimeError(
+                "service did not drain: a step made no progress with "
+                f"queued {queued!r}, running {running!r}, "
+                f"{self.engine.pending_events} engine event(s) pending"
+            )
 
     def drain(self) -> None:
         """Stop admitting; already-queued jobs still run to completion."""

@@ -81,6 +81,14 @@ class FairShareScheduler:
         """Total queued jobs across all tenants."""
         return sum(len(q) for q in self._queues.values())
 
+    def queued(self) -> dict[str, list[str]]:
+        """Queued job ids per backlogged tenant, in arrival order."""
+        return {
+            tenant: [job.job_id for job in queue]
+            for tenant, queue in self._queues.items()
+            if queue
+        }
+
     def pass_value(self, tenant: str) -> float:
         return self._passes[tenant]
 

@@ -1,7 +1,14 @@
 """AST lint tests: declared requirements vs. actual ``ctx`` accesses."""
 
-from repro.analysis import AnalysisConfig, analyze_task
+import ast
+import pathlib
+import types
+
+import pytest
+
+from repro.analysis import AnalysisConfig, analyze_task, lint
 from repro.analysis.lint import lint_key, lint_spec
+from repro.analysis.targets import EXAMPLES_DIR
 from repro.api.pfor import pfor_task
 from repro.items.grid import Grid
 from repro.runtime.tasks import TaskSpec
@@ -213,3 +220,135 @@ class TestPforIntegration:
         assert report.clean
         # one shared kernel: linted once despite several leaves
         assert report.bodies_linted >= 1
+
+
+# -- kernel source resolution ---------------------------------------------------
+
+
+def _walk_based_function_node(fn, module):
+    """The pre-index ``_function_node`` search, kept verbatim as oracle."""
+    code = fn.__code__
+    lineno = code.co_firstlineno
+    name = getattr(fn, "__name__", "<lambda>")
+    candidates = []
+    for n in ast.walk(module):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            start = min(
+                [n.lineno] + [d.lineno for d in n.decorator_list]
+            )
+            if start == lineno and n.name == name:
+                candidates.append(n)
+        elif isinstance(n, ast.Lambda) and n.lineno == lineno:
+            if len(n.args.posonlyargs + n.args.args) == code.co_argcount:
+                candidates.append(n)
+    return candidates
+
+
+def _functions_of(path):
+    """A function object per def/lambda code object compiled from ``path``."""
+    with open(path, encoding="utf-8") as handle:
+        pending = [compile(handle.read(), str(path), "exec")]
+    while pending:
+        code = pending.pop()
+        pending.extend(
+            const for const in code.co_consts if isinstance(const, types.CodeType)
+        )
+        if code.co_name == "<lambda>" or not code.co_name.startswith("<"):
+            cells = tuple(types.CellType() for _ in code.co_freevars)
+            yield types.FunctionType(code, {}, None, None, cells)
+
+
+SRC = pathlib.Path(lint.__file__).resolve().parents[1]
+KERNEL_SOURCES = [
+    SRC / "service" / "catalog.py",
+    *sorted((SRC / "apps").glob("[!_]*.py")),
+    *sorted(EXAMPLES_DIR.glob("*.py")),
+    pathlib.Path(__file__),  # decorated and nested defs, call-site lambdas
+]
+
+
+def _decorate(fn):
+    return fn
+
+
+@_decorate
+@_decorate
+def _decorated_kernel(ctx, box):
+    def nested(ctx, box):
+        return ctx.fragment(GRID).gather(box)
+
+    return nested(ctx, box)
+
+
+class TestFunctionNodeIndex:
+    @pytest.mark.parametrize(
+        "path", KERNEL_SOURCES, ids=[p.name for p in KERNEL_SOURCES]
+    )
+    def test_index_finds_the_node_the_module_walk_found(self, path):
+        module = lint._source_file(str(path)).module
+        found = 0
+        for fn in _functions_of(path):
+            expected = _walk_based_function_node(fn, module)
+            node, problem = lint._function_node(fn)
+            if len(expected) == 1:
+                assert node is expected[0], (fn, problem)
+                found += 1
+            elif not expected:
+                assert node is None and "no def" in problem
+            else:
+                # the walk silently took the first of several; the index
+                # must name one of them or say it cannot tell
+                assert node in expected or "ambiguous" in problem
+        assert found
+
+    def test_decorated_def_is_found_at_its_first_decorator_line(self):
+        node, _ = lint._function_node(_decorated_kernel)
+        assert node.name == "_decorated_kernel"
+        assert node.lineno == _decorated_kernel.__code__.co_firstlineno + 2
+
+    def test_same_line_same_arity_lambdas_are_told_apart(self):
+        # fmt: off
+        first, second = (lambda ctx, b: ctx.fragment(GRID).gather(b), lambda ctx, b: ctx.fragment(OTHER).gather(b))  # noqa: E501
+        # fmt: on
+        declared = {"reads": {GRID: span(0, 8)}}
+        assert lint_spec(TaskSpec(name="t", body=first, **declared)) == []
+        # the walk linted ``second`` as ``first`` and accepted it
+        assert "lint.undeclared_item" in checks(
+            lint_spec(TaskSpec(name="t", body=second, **declared))
+        )
+
+    def test_nested_same_line_lambdas_resolve_to_their_own_body(self):
+        outer = lambda ctx, b: (lambda c, d: c.fragment(OTHER).gather(d))  # noqa: E731,E501
+        outer_node, _ = lint._function_node(outer)
+        inner_node, _ = lint._function_node(outer(None, None))
+        assert outer_node.body is inner_node
+
+    def test_unresolvable_ambiguity_is_reported_not_guessed(self, monkeypatch):
+        # what an interpreter without ``code.co_positions`` (3.10) sees
+        monkeypatch.setattr(
+            lint, "_holding_instructions", lambda code, candidates: candidates
+        )
+        pair = (lambda ctx, b: ctx.fragment(GRID).gather(b), lambda ctx, b: ctx.fragment(OTHER).gather(b))  # noqa: E501
+        findings = lint_spec(
+            TaskSpec(name="t", body=pair[1], reads={GRID: span(0, 8)})
+        )
+        assert checks(findings) == ["lint.no_source"]
+        assert findings[0].severity == "info"
+        assert "ambiguous def at" in findings[0].message
+
+    def test_changed_file_is_reparsed(self, tmp_path):
+        path = tmp_path / "embedder.py"
+
+        def load(text):
+            path.write_text(text)
+            scope = {}
+            exec(compile(text, str(path), "exec"), scope)
+            return scope["kernel"]
+
+        old = load("def kernel(ctx):\n    return 1\n")
+        assert lint._function_node(old)[0].name == "kernel"
+        # same path, the def moved down a line: a stale AST has no def there
+        new = load("import os\ndef kernel(ctx):\n    return 22\n")
+        node, problem = lint._function_node(new)
+        assert node is not None, problem
+        assert node.lineno == 2 and node.body[0].value.value == 22

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pathlib
+import random
+
 import numpy as np
 import pytest
 
+from repro.analysis import AnalysisConfig, analyze_program
 from repro.items.grid import Grid
 from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
@@ -18,12 +22,16 @@ from repro.service import (
     ServiceCore,
     TenantConfig,
 )
+from repro.service import core as core_module
 from repro.service.catalog import (
     build_program,
     job_kinds,
+    kind_builder,
     register_kind,
     unregister_kind,
 )
+from repro.service.jobs import AdmissionVerdict
+from repro.service.trace import Trace, TraceEvent, replay
 from repro.sim.cluster import Cluster, ClusterSpec
 
 COMPUTE = {"flops": 4.8e7, "tasks": 4}  # 0.02 node-seconds at 2.4e9 flops/core
@@ -338,6 +346,253 @@ def test_registered_task_program_runs_and_racy_one_never_submits(monkeypatch):
         assert submitted[-1] == "count" and len(submitted) == 3
     finally:
         unregister_kind("ones")
+
+
+# -- analysis memo -----------------------------------------------------------------
+
+KIND_PARAMS = {
+    "compute": ({}, {"flops": 4.8e7, "tasks": 4, "phases": 2}),
+    "grid_sum": ({}, {"n": 8}),
+    "stencil": ({}, {"n": 16, "steps": 3}),
+    "particles": ({}, {"particles": 1024, "cells": 4, "steps": 1}),
+    "queries": ({}, {"queries": 8, "n": 16}),
+    "bad_overlap": ({}, {"n": 4}),
+}
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """Labels of the programs ``ServiceCore`` handed to the analyzer."""
+    analysed = []
+
+    def counting(program, config=None):
+        analysed.append(program.label)
+        return analyze_program(program, config)
+
+    monkeypatch.setattr(core_module, "analyze_program", counting)
+    return analysed
+
+
+def open_loop_mix(jobs: int = 60) -> Trace:
+    """Every built-in kind at its defaults, one engine event per slice."""
+    rng = random.Random(17)
+    kinds = [kind for kind in sorted(KIND_PARAMS) for _ in range(jobs // 6)]
+    rng.shuffle(kinds)
+    tenants = ("alpha", "beta", "gamma")
+    return Trace(
+        config=ServiceConfig(
+            max_running_jobs=3,
+            events_per_slice=1,
+            tenants=tuple(TenantConfig(name) for name in tenants),
+        ),
+        events=[
+            TraceEvent(index / 600.0, JobSpec(tenants[index % 3], kind))
+            for index, kind in enumerate(kinds)
+        ],
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+def test_memoised_verdict_equals_fresh_analysis_of_own_program(
+    kind, monkeypatch, analyses
+):
+    built = []
+    real = kind_builder(kind)
+
+    def recording(params):
+        built.append(real(params))
+        return built[-1]
+
+    monkeypatch.setattr(core_module, "kind_builder", lambda kind: recording)
+    core = small_core()
+    for params in KIND_PARAMS[kind]:
+        for _ in range(3):
+            record = core.submit(JobSpec("alpha", kind, params=params))
+            own = built[-1]
+            fresh = AdmissionVerdict.from_report(
+                analyze_program(own, core.config.analysis),
+                own.total_flops() / core.config.flops_per_core,
+            )
+            assert record.verdict.to_dict() == fresh.to_dict()
+            assert record.verdict.accepted == (kind != "bad_overlap")
+    assert len(built) == 6 and len({id(p) for p in built}) == 6
+    assert analyses == [kind, kind]  # once per param set, not per job
+
+
+def test_analysis_runs_once_per_distinct_program(analyses):
+    trace = open_loop_mix()
+    core = ServiceCore(trace.config)
+    report = replay(trace, core)
+    assert sorted(analyses) == sorted(KIND_PARAMS)
+    assert report["rejected_by_reason"] == {"analysis": 10}
+    assert report["false_accepts"] == 0
+    racy = [r for r in core.jobs.values() if r.spec.kind == "bad_overlap"]
+    assert len(racy) == 10
+    assert all(r.verdict.findings == racy[0].verdict.findings for r in racy)
+    assert racy[0].verdict.counts["error"] > 0
+
+
+def test_reregistered_kind_is_not_served_its_predecessors_report(analyses):
+    register_kind("ones", lambda params: _two_phase_program(False))
+    try:
+        core = small_core()
+        for _ in range(2):
+            assert core.submit(JobSpec("alpha", "ones")).verdict.accepted
+        register_kind(
+            "ones", lambda params: _two_phase_program(True), replace=True
+        )
+        swapped = core.submit(JobSpec("alpha", "ones"))
+        assert swapped.state == JobState.REJECTED
+        assert swapped.verdict.reason == "analysis"
+        assert analyses == ["ones", "ones"]
+    finally:
+        unregister_kind("ones")
+
+
+def test_list_and_non_json_params_neither_crash_nor_alias(analyses):
+    register_kind("ones", lambda params: _two_phase_program(params["racy"][0]))
+    try:
+        core = small_core()
+        verdicts = [
+            core.submit(JobSpec("alpha", "ones", params={"racy": racy})).verdict
+            for racy in ([False], [True], [False], [True], [0], (False,))
+        ]
+        assert [v.accepted for v in verdicts] == [
+            True, False, True, False, True, True,
+        ]
+        # [False] / [True] / [0] are three programs; the tuple is [False]
+        # on the wire
+        assert len(analyses) == 3
+        # a set is not JSON: no key, analysed on every submission
+        register_kind(
+            "ones",
+            lambda params: _two_phase_program(True in params["racy"]),
+            replace=True,
+        )
+        for _ in range(2):
+            record = core.submit(JobSpec("alpha", "ones", params={"racy": {True}}))
+            assert record.verdict.reason == "analysis"
+        assert len(analyses) == 5
+    finally:
+        unregister_kind("ones")
+
+
+def test_cores_with_different_analysis_configs_share_nothing(analyses):
+    lenient = small_core(
+        analysis=AnalysisConfig(races=False, coverage=False)
+    )
+    strict = small_core()
+    for _ in range(2):
+        assert lenient.submit(JobSpec("alpha", "bad_overlap")).verdict.accepted
+        assert strict.submit(JobSpec("alpha", "bad_overlap")).verdict.reason == (
+            "analysis"
+        )
+    assert len(analyses) == 2
+
+
+# -- the pump ----------------------------------------------------------------------
+
+#: ``replay`` of the committed smoke trace at the parent of the PR that
+#: made idle steps free — dispatch instants and order must not move
+SMOKE_REPLAY = {
+    "events": 26,
+    "jobs": 26,
+    "makespan": 0.11080805751999963,
+    "total_node_seconds": 0.3003364266666667,
+    "fairness_index": 0.818645419092335,
+    "rejected_by_reason": {"analysis": 3, "quota": 3},
+    "false_accepts": 0,
+    "tenants": {
+        "alpha": {
+            "weight": 3.0,
+            "submitted": 9,
+            "admitted": 8,
+            "rejected": 1,
+            "completed": 8,
+            "node_seconds": 0.12033418666666669,
+            "observed_share": 0.40066464132311713,
+            "configured_share": 0.5,
+            "mean_queue_wait": 0.050897104219999864,
+            "mean_turnaround": 0.05847906824333316,
+            "throughput_jobs_per_second": 72.19691581143445,
+            "over_budget_jobs": 0,
+        },
+        "beta": {
+            "weight": 2.0,
+            "submitted": 7,
+            "admitted": 6,
+            "rejected": 1,
+            "completed": 6,
+            "node_seconds": 0.08000213333333332,
+            "observed_share": 0.26637505886731816,
+            "configured_share": 0.3333333333333333,
+            "mean_queue_wait": 0.050260635479999864,
+            "mean_turnaround": 0.0586698847377776,
+            "throughput_jobs_per_second": 54.147686858575845,
+            "over_budget_jobs": 0,
+        },
+        "gamma": {
+            "weight": 1.0,
+            "submitted": 10,
+            "admitted": 6,
+            "rejected": 4,
+            "completed": 6,
+            "node_seconds": 0.10000010666666667,
+            "observed_share": 0.33296029980956465,
+            "configured_share": 0.16666666666666666,
+            "mean_queue_wait": 0.06959189776444424,
+            "mean_turnaround": 0.07467578231555531,
+            "throughput_jobs_per_second": 54.147686858575845,
+            "over_budget_jobs": 0,
+        },
+    },
+}
+
+
+def test_smoke_trace_replay_is_unchanged():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    trace = Trace.load(str(root / "traces" / "multi_tenant_smoke.json"))
+    assert replay(trace) == SMOKE_REPLAY
+
+
+def test_open_loop_drains_and_idle_steps_never_reach_the_scheduler(monkeypatch):
+    trace = open_loop_mix()
+    core = ServiceCore(trace.config)
+    select = core.fairshare.select
+    steps = []
+
+    def guarded_select(now, eligible):
+        assert core.fairshare.backlog() > 0, "scheduler scanned empty queues"
+        return select(now, eligible)
+
+    step = core.step
+    monkeypatch.setattr(core.fairshare, "select", guarded_select)
+    monkeypatch.setattr(
+        core, "step", lambda until=None: steps.append(1) or step(until)
+    )
+    for event in trace.events:
+        core.schedule(event.spec, event.at)
+    # hundreds of steps per job: what is bounded is stalls, not steps
+    core.run_until_drained()
+    assert len(steps) > 100 * len(trace.events)
+    assert core.idle and core.fairshare.dispatches == 50
+
+
+def test_queue_that_can_never_dispatch_is_reported_at_once(monkeypatch):
+    core = small_core()
+    monkeypatch.setattr(core.ledgers["alpha"], "can_start", lambda: False)
+    stuck = core.submit(JobSpec("alpha", "compute", params=COMPUTE))
+    steps = []
+    step = core.step
+    monkeypatch.setattr(
+        core, "step", lambda until=None: steps.append(1) or step(until)
+    )
+    with pytest.raises(RuntimeError) as raised:
+        core.run_until_drained()
+    message = str(raised.value)
+    assert len(steps) == 1
+    assert f"'alpha': ['{stuck.job_id}']" in message
+    assert "running []" in message and "0 engine event(s) pending" in message
 
 
 # -- runtime-layer job context -----------------------------------------------------
