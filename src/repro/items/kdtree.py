@@ -67,6 +67,7 @@ class KDTreeStructure:
         leaf_points: dict[int, np.ndarray] | None,
     ) -> None:
         self.geometry = TreeGeometry(depth)
+        self._first_leaf = 1 << (depth - 1)  # heap ids from here on are leaves
         self.dims = dims
         self.bbox_lo = bbox_lo  # shape (num_nodes + 1, dims); row 0 unused
         self.bbox_hi = bbox_hi
@@ -86,7 +87,7 @@ class KDTreeStructure:
         return float(self.counts[1])
 
     def is_leaf(self, node: int) -> bool:
-        return self.geometry.is_leaf(node)
+        return node >= self._first_leaf
 
     # -- geometric predicates ------------------------------------------------------
 
@@ -153,8 +154,9 @@ class KDTreeStructure:
             elif kind is Visit.SCAN_LEAF:
                 stats.count += self.leaf_tally(node, q, radius)
                 stats.scanned_points += float(self.counts[node])
-            else:
-                stack.extend(self.geometry.children(node))
+            else:  # RECURSE: not a leaf
+                stack.append(2 * node)
+                stack.append(2 * node + 1)
         return stats
 
     def brute_force_count(self, q: Sequence[float], radius: float) -> int:

@@ -220,14 +220,47 @@ def _cheapest_pid(
     tasks spill off a hot process once the wait exceeds the transfer.
     """
     best: tuple[float, float, int] | None = None
+    pulls = _pulls(task, claims, items)
     for pid in range(processes):
-        seconds = _task_seconds(task, pid, claims, items, cost)
+        seconds = _pull_seconds(pulls, pid, cost)
         queueing = max(0.0, phase_loads[pid] + task.flops - phase_mean)
         key = (seconds + cost.compute_seconds(queueing), loads[pid], pid)
         if best is None or key < best:
             best = key
     assert best is not None
     return best[2]
+
+
+def _pulls(
+    task: PlacementTask,
+    claims: dict[str, list[Region]],
+    items: dict[str, DataItem],
+) -> list[tuple[float, int, int]]:
+    """``(weight, bytes, owner)`` of every claimed part the task touches.
+
+    Which process runs the task changes neither list nor order, so one
+    scan of the claims prices the task on every candidate.
+    """
+    pulls = []
+    for weight, regions in ((WRITE_WEIGHT, task.writes), (READ_WEIGHT, task.reads)):
+        for name, wanted in regions.items():
+            item = items[name]
+            for owner, claimed in enumerate(claims[name]):
+                overlap = claimed.intersect(wanted)
+                if not overlap.is_empty():
+                    pulls.append((weight, item.region_bytes(overlap), owner))
+    return pulls
+
+
+def _pull_seconds(
+    pulls: list[tuple[float, int, int]], pid: int, cost: CostModel
+) -> float:
+    """Estimated time to pull the remote bytes among ``pulls`` to ``pid``."""
+    seconds = 0.0
+    for weight, nbytes, owner in pulls:
+        if owner != pid:
+            seconds += weight * cost.transfer_seconds(nbytes, owner, pid)
+    return seconds
 
 
 def _task_seconds(
@@ -238,19 +271,7 @@ def _task_seconds(
     cost: CostModel,
 ) -> float:
     """Estimated time to pull the task's remote bytes to ``pid``."""
-    seconds = 0.0
-    for weight, regions in ((WRITE_WEIGHT, task.writes), (READ_WEIGHT, task.reads)):
-        for name, wanted in regions.items():
-            item = items[name]
-            for owner, claimed in enumerate(claims[name]):
-                if owner == pid:
-                    continue
-                overlap = claimed.intersect(wanted)
-                if not overlap.is_empty():
-                    seconds += weight * cost.transfer_seconds(
-                        item.region_bytes(overlap), owner, pid
-                    )
-    return seconds
+    return _pull_seconds(_pulls(task, claims, items), pid, cost)
 
 
 def _claim(
@@ -301,7 +322,8 @@ def _refine(
         improved = False
         for index, task in enumerate(tasks):
             current = assignment[index]
-            here = _task_seconds(task, current, claims, items, cost)
+            pulls = _pulls(task, claims, items)
+            here = _pull_seconds(pulls, current, cost)
             if here <= 0.0:
                 continue
             bottleneck = max(loads)
@@ -311,7 +333,7 @@ def _refine(
                     continue
                 if loads[pid] + task.flops > bottleneck:
                     continue
-                there = _task_seconds(task, pid, claims, items, cost)
+                there = _pull_seconds(pulls, pid, cost)
                 if there < here and (best is None or (there, pid) < best):
                     best = (there, pid)
             if best is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Hashable, Iterator
 
+from repro.regions.bounds import NO_BOUNDS, Hull
 from repro.regions.kernel import get_kernel
 
 
@@ -43,8 +44,13 @@ class Region(ABC):
 
     #: interned id — ``None`` until the kernel interns this instance, then a
     #: process-unique integer that marks it canonical and keys the memo
-    #: cache (see :class:`~repro.regions.kernel.RegionKernel`)
-    __slots__ = ("_rid",)
+    #: cache (see :class:`~repro.regions.kernel.RegionKernel`, whose hot
+    #: paths read it as the ``int`` it is once interned, hence ``Any``)
+    __slots__ = ("_rid", "_hull")
+    _rid: Any
+    #: conservative hull, filled on the first :meth:`hull` read — at the
+    #: latest when the kernel interns the instance
+    _hull: Hull
 
     # -- kernel-routed closure operations (Section 3.1 requirements) -------
 
@@ -77,6 +83,30 @@ class Region(ABC):
     def _covers(self, other: "Region") -> bool:
         """Uncached containment; families may override with a fast path."""
         return other.difference(self).is_empty()
+
+    def _empty_like(self) -> "Region":
+        """The empty region of this family and universe; hull-stating
+        families override it with a constructor call."""
+        return self._difference(self)
+
+    # -- conservative hull (see :mod:`repro.regions.bounds`) ------------------
+
+    def hull(self) -> Hull:
+        """Half-open bounding corners ``(space, lo, hi)`` of the element
+        set, ``None`` when empty, ``NO_BOUNDS`` when the family states none.
+
+        Computed once per instance.  The kernel answers a same-family pair
+        with disjoint hulls without running the family algebra.
+        """
+        try:
+            return self._hull
+        except AttributeError:
+            hull = self._hull = self._compute_hull()
+            return hull
+
+    def _compute_hull(self) -> Hull:
+        """Uncached hull; families with cheap corners override."""
+        return NO_BOUNDS
 
     # -- canonical identity -------------------------------------------------
 

@@ -1,61 +1,73 @@
-"""Cheap bounding-corner summaries for conservative overlap rejection.
+"""Conservative hulls for overlap rejection: one definition, two readers.
 
 Pairwise region sweeps (the sentinel's race checks, the runtime's
-write-intent reservation) mostly compare regions that are nowhere near
-each other.  Routing every pair through the memoized region algebra
-churns the op cache — each unique pair is a miss — so hot paths first
-compare *bounding corners*: a pair whose axis-aligned bounds are
-disjoint provably cannot overlap and is rejected with a few tuple
-comparisons.  The test is conservative: it only ever rejects pairs the
+write-intent reservation, the lock tables' conflict scans) mostly compare
+regions that are nowhere near each other.  Every region states one cached
+*hull* through :meth:`repro.regions.base.Region.hull` — half-open bounding
+corners that contain every addressed element — and a pair whose hulls are
+disjoint provably cannot overlap: a few tuple comparisons instead of the
+family algebra.  The test is conservative: it only ever rejects pairs the
 full algebra would also reject, never pairs that might overlap.
 
-Summaries are tri-state:
+A hull is tri-state:
 
-* ``(lo, hi)`` corner tuples — half-open on every axis, like ``Box``;
+* ``(space, lo, hi)`` — corner tuples, half-open on every axis like
+  ``Box``, in the coordinate ``space`` they live in.  Hulls compare only
+  within one space: box sets and interval sets state corners over the
+  element addresses themselves (:data:`ADDRESSES`); tree regions state
+  the first/last pre-order position of a depth-``d`` tree;
 * ``None`` — the region is empty (disjoint from everything);
-* ``NO_BOUNDS`` — the scheme exposes no cheap corners (tree/bitmask/
-  set-based regions), so no rejection is possible and the caller must
-  fall through to the exact ``overlaps`` check.
+* ``NO_BOUNDS`` — the scheme states no hull (bitmask and explicit-set
+  regions), so no rejection is possible and the caller must fall through
+  to the exact check.
+
+The region kernel gates its memo misses on the hull itself
+(:mod:`repro.regions.kernel`).  The runtime's linear scans read it through
+:func:`corner_bounds`, which only passes on hulls over element addresses.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Hashable, Optional
 
-#: marker for "region scheme exposes no cheap bounds" (tree/bitmask/set)
+#: marker for "region scheme states no hull" (bitmask/set)
 NO_BOUNDS: Any = object()
 
+#: hull space of box and interval sets: the corners are element addresses
+ADDRESSES = "addresses"
 
-def corner_bounds(region) -> Any:
-    """Bounding-corner summary of ``region`` (see module docstring).
+#: ``(space, lo, hi)`` or ``None`` (empty); the third state, :data:`NO_BOUNDS`,
+#: is typed ``Any`` and so fits every annotation
+Hull = Optional[tuple[Hashable, tuple[int, ...], tuple[int, ...]]]
 
-    Box-set regions report their bounding box; interval regions report
-    their hull as a 1-D corner pair; anything else yields ``NO_BOUNDS``.
+
+def corner_bounds(region) -> Hull:
+    """Address-space view of ``region.hull()`` (see module docstring).
+
+    Box-set regions report their bounding corners; interval regions report
+    ``(lo, hi)`` as a 1-D corner pair; anything else — tree regions too,
+    whose hull counts pre-order positions, not addresses — ``NO_BOUNDS``.
     """
-    box_fn = getattr(region, "bounding_box", None)
-    if box_fn is not None:
-        box = box_fn()
-        return None if box is None else (box.lo, box.hi)
-    iv_fn = getattr(region, "bounds", None)
-    if iv_fn is not None:
-        iv = iv_fn()
-        return None if iv is None else ((iv.lo,), (iv.hi,))
+    hull = region.hull()
+    if hull is None or hull is NO_BOUNDS or hull[0] is ADDRESSES:
+        return hull
     return NO_BOUNDS
 
 
-def bounds_disjoint(a, b) -> bool:
-    """True when two bound summaries *provably* do not overlap.
+def bounds_disjoint(a: Hull, b: Hull) -> bool:
+    """True when two hulls *provably* do not overlap.
 
     ``None`` means an empty region (disjoint from everything);
-    ``NO_BOUNDS`` means unknown, so no rejection is possible.
+    ``NO_BOUNDS``, another space or another rank means unknown, so no
+    rejection is possible.
     """
     if a is None or b is None:
         return True
     if a is NO_BOUNDS or b is NO_BOUNDS:
         return False
-    alo, ahi = a
-    blo, bhi = b
-    if len(alo) != len(blo):
+    aspace, alo, ahi = a
+    bspace, blo, bhi = b
+    if aspace != bspace or len(alo) != len(blo):
         return False
     for k in range(len(alo)):
         if alo[k] >= bhi[k] or blo[k] >= ahi[k]:

@@ -28,6 +28,7 @@ import operator
 from typing import Any, Hashable, Iterable, Iterator, Sequence, Union, cast
 
 from repro.regions.base import Region, RegionMismatchError
+from repro.regions.bounds import ADDRESSES, Hull
 from repro.regions.interval import (
     Spans,
     intersect_spans,
@@ -242,10 +243,25 @@ def _corners(nest: Nest, rank: int) -> list[tuple[tuple[int, ...], tuple[int, ..
     ]
 
 
+def _widen(nest: Nest, rank: int, lo: list[int], hi: list[int]) -> None:
+    """Grow the last ``rank`` entries of ``lo``/``hi`` to cover a non-empty
+    normal form: extents are read off the first and last slab (or span),
+    only the cross-sections are visited."""
+    axis = len(lo) - rank
+    pieces = cast(Slabs, nest)  # rank 1: spans, read the same way
+    if pieces[0][0] < lo[axis]:
+        lo[axis] = pieces[0][0]
+    if pieces[-1][1] > hi[axis]:
+        hi[axis] = pieces[-1][1]
+    if rank > 1:
+        for _, _, cross in pieces:
+            _widen(cross, rank - 1, lo, hi)
+
+
 class BoxSetRegion(Region):
     """Region stored as the slab normal form of its element set."""
 
-    __slots__ = ("_slabs", "_dims", "_ckey", "_boxes", "_bbox", "_size")
+    __slots__ = ("_slabs", "_dims", "_ckey", "_boxes", "_size")
 
     def __init__(self, boxes: Iterable[Box] = (), dims: int | None = None) -> None:
         slabs: Nest = ()
@@ -265,7 +281,6 @@ class BoxSetRegion(Region):
         self._rid: int | None = None
         # derived views, built on first read (the instance is immutable)
         self._boxes: tuple[Box, ...] | None = None
-        self._bbox: Box | None = None
         self._size: int | None = None
 
     @classmethod
@@ -293,10 +308,20 @@ class BoxSetRegion(Region):
         return self._dims
 
     def bounding_box(self) -> Box | None:
-        if self._bbox is None and self._slabs:
-            los, his = zip(*_corners(self._slabs, self._dims or 0))
-            self._bbox = Box(tuple(map(min, zip(*los))), tuple(map(max, zip(*his))))
-        return self._bbox
+        hull = self.hull()
+        return None if hull is None else Box(hull[1], hull[2])
+
+    def _compute_hull(self) -> Hull:
+        if not self._slabs:
+            return None
+        dims = self._dims or 0
+        lo, hi = [cast(int, math.inf)] * dims, [cast(int, -math.inf)] * dims
+        if dims:
+            _widen(self._slabs, dims, lo, hi)
+        return (ADDRESSES, tuple(lo), tuple(hi))
+
+    def _empty_like(self) -> "BoxSetRegion":
+        return BoxSetRegion(dims=self._dims)
 
     # -- closure operations ---------------------------------------------------
 

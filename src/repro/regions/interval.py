@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator
 
 from repro.regions.base import Region, RegionMismatchError
+from repro.regions.bounds import ADDRESSES, Hull
 
 
 @dataclass(frozen=True, order=True)
@@ -102,6 +103,13 @@ def subtract_spans(a: Spans, b: Spans) -> Spans:
     return tuple(out)
 
 
+def spans_contain(spans: Spans, point: int) -> bool:
+    """Membership in a normal form: the last span starting at or before
+    ``point`` decides."""
+    k = bisect_right(spans, (point, math.inf)) - 1
+    return k >= 0 and point < spans[k][1]
+
+
 class IntervalRegion(Region):
     """Canonical union of disjoint half-open integer intervals."""
 
@@ -137,6 +145,14 @@ class IntervalRegion(Region):
         if not self._spans:
             return None
         return Interval(self._spans[0][0], self._spans[-1][1])
+
+    def _compute_hull(self) -> Hull:
+        if not self._spans:
+            return None
+        return (ADDRESSES, (self._spans[0][0],), (self._spans[-1][1],))
+
+    def _empty_like(self) -> "IntervalRegion":
+        return IntervalRegion()
 
     # -- closure operations ---------------------------------------------------
 
@@ -174,11 +190,7 @@ class IntervalRegion(Region):
             yield from range(lo, hi)
 
     def contains(self, element: Any) -> bool:
-        if not isinstance(element, int):
-            return False
-        # the last span starting at or before ``element`` decides
-        k = bisect_right(self._spans, (element, math.inf)) - 1
-        return k >= 0 and element < self._spans[k][1]
+        return isinstance(element, int) and spans_contain(self._spans, element)
 
     # -- value semantics --------------------------------------------------------
 

@@ -32,21 +32,37 @@ paths run on:
   touching the cache at all.  ``is_empty`` is O(1) on every canonical
   form and is therefore delegated (and merely counted), not cached.
 
-* **Counters** — per-op hit/miss counters plus the intern count are
-  exposed through :meth:`RegionKernel.stats` and surfaced as
-  ``region.*`` counters in ``runtime.metrics`` and the bench report.
+* **Hull gate** — most calls come from linear scans and ask about
+  operands that are nowhere near each other.  Every region states one
+  cached, conservative hull (:meth:`~repro.regions.base.Region.hull`,
+  filled at the latest when the region is interned).  On a memo miss,
+  ``intersect``/``difference``/``covers``/``overlaps`` answer a
+  same-family pair whose hulls are provably disjoint directly — the
+  interned empty region, the left operand, ``False``, ``False`` — without
+  the family algebra and **without a memo entry**: the memo holds
+  overlapping pairs only, so "empty" results no longer evict useful
+  ones.  Hulls compare only within one coordinate space and rank, so a
+  rank or geometry mismatch is never answered here.
+
+* **Counters** — per-op hit/miss counters, the hull-reject count and the
+  intern count are exposed through :meth:`RegionKernel.stats` and
+  surfaced as ``region.*`` counters in ``runtime.metrics`` and the bench
+  report.
 
 The kernel is deliberately family-agnostic: it never inspects region
-internals, it only calls the raw ``_union``/``_intersect``/``_difference``
-/``_covers`` implementations the families provide.  Type and geometry
-mismatch errors therefore surface exactly as they would without the
-kernel (and failed operations are never cached).
+internals, it only reads the hull and calls the raw ``_union``/
+``_intersect``/``_difference``/``_covers``/``_empty_like``
+implementations the families provide.  Type and geometry mismatch errors
+therefore surface exactly as they would without the kernel (and failed
+operations are never cached).
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import TYPE_CHECKING, Hashable
+
+from repro.regions.bounds import bounds_disjoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.regions.base import Region
@@ -74,6 +90,7 @@ class RegionKernel:
         "_misses",
         "_interned_count",
         "_is_empty_calls",
+        "_hull_rejects",
     )
 
     def __init__(
@@ -92,6 +109,7 @@ class RegionKernel:
         self._misses = [0, 0, 0, 0, 0]
         self._is_empty_calls = 0
         self._interned_count = 0
+        self._hull_rejects = 0
 
     # -- interning ------------------------------------------------------------
 
@@ -111,6 +129,7 @@ class RegionKernel:
         if rep is not None:
             return rep
         region._rid = next(_RID_COUNTER)
+        region.hull()  # fills ``_hull``, which the gated operations read
         table[key] = region
         self._interned_count += 1
         if len(table) > self.intern_capacity:
@@ -178,6 +197,9 @@ class RegionKernel:
         if result is not None:
             self._hits[_INTERSECT] += 1
             return result  # type: ignore[return-value]
+        if type(a) is type(b) and bounds_disjoint(a._hull, b._hull):
+            self._hull_rejects += 1
+            return self.intern(a._empty_like())
         self._misses[_INTERSECT] += 1
         result = self.intern(a._intersect(b))
         self._store(key, result)
@@ -195,6 +217,9 @@ class RegionKernel:
         if result is not None:
             self._hits[_DIFFERENCE] += 1
             return result  # type: ignore[return-value]
+        if type(a) is type(b) and bounds_disjoint(a._hull, b._hull):
+            self._hull_rejects += 1
+            return a
         self._misses[_DIFFERENCE] += 1
         result = self.intern(a._difference(b))
         self._store(key, result)
@@ -218,6 +243,9 @@ class RegionKernel:
         if result is not None:
             self._hits[_COVERS] += 1
             return result is True
+        if type(a) is type(b) and bounds_disjoint(a._hull, b._hull):
+            self._hull_rejects += 1
+            return False  # ``b`` is not empty: answered above
         self._misses[_COVERS] += 1
         verdict = a._covers(b)
         self._store(key, verdict)
@@ -243,6 +271,9 @@ class RegionKernel:
         if result is not None:
             self._hits[_OVERLAPS] += 1
             return result is True
+        if type(a) is type(b) and bounds_disjoint(a._hull, b._hull):
+            self._hull_rejects += 1
+            return False
         self._misses[_OVERLAPS] += 1
         verdict = not self.intersect(a, b)._is_empty()
         self._store(key, verdict)
@@ -278,6 +309,7 @@ class RegionKernel:
             "region.cache_hits": self.cache_hits,
             "region.cache_misses": self.cache_misses,
             "region.interned": self._interned_count,
+            "region.hull_rejects": self._hull_rejects,
         }
         for code, op in enumerate(_OP_NAMES):
             hits = self._hits[code]
@@ -301,6 +333,7 @@ class RegionKernel:
         self._misses = [0, 0, 0, 0, 0]
         self._is_empty_calls = 0
         self._interned_count = 0
+        self._hull_rejects = 0
 
     def __repr__(self) -> str:
         return (

@@ -149,8 +149,6 @@ class RuntimeSentinel:
         self.scans = 0
         self._events_seen = 0
         self._tasks_seen = 0
-        #: id(region) -> (region ref, bounds) — the ref pins the id
-        self._bounds_cache: dict[int, tuple[Any, Any]] = {}
         #: items currently tracked (registered and not destroyed)
         self._items: set[DataItem] = set()
         #: id(task) -> (task ref, pid) — the ref pins the id
@@ -212,22 +210,10 @@ class RuntimeSentinel:
     def _check(self) -> None:
         self.checks += 1
 
-    def _bounds(self, region):
-        """Bounding corners of ``region``, cached by instance identity.
-
-        Regions flowing through the hot paths are interned, so identity is
-        a stable key; the cached entry pins the instance to keep it so.
-        """
-        cache = self._bounds_cache
-        key = id(region)
-        entry = cache.get(key)
-        if entry is not None and entry[0] is region:
-            return entry[1]
-        out = corner_bounds(region)
-        if len(cache) > 16384:
-            cache.clear()
-        cache[key] = (region, out)
-        return out
+    @staticmethod
+    def _bounds(region):
+        """Bounding corners of ``region``: its hull, cached on the instance."""
+        return corner_bounds(region)
 
     def report_lines(self) -> list[str]:
         lines = [

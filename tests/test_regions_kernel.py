@@ -139,6 +139,113 @@ class TestMemoization:
         assert kernel.live_interned == 0
 
 
+# fresh instances per test: an interned region keeps its id across kernels
+DISJOINT_PAIRS = {
+    "box": lambda: (
+        BoxSetRegion([Box.of((0, 0), (4, 4)), Box.of((0, 6), (2, 8))]),
+        BoxSetRegion([Box.of((4, 0), (8, 4))]),  # touching: half-open corners
+    ),
+    "interval": lambda: (IntervalRegion([(0, 4), (6, 8)]), IntervalRegion([(8, 12)])),
+    "tree": lambda: (
+        TreeRegion.of_subtrees(TreeGeometry(4), [2], [5]),
+        TreeRegion.of_subtrees(TreeGeometry(4), [6]),
+    ),
+}
+OVERLAPPING_PAIRS = {
+    "box": lambda: (
+        BoxSetRegion([Box.of((0, 0), (4, 4))]),
+        BoxSetRegion([Box.of((2, 2), (6, 6))]),
+    ),
+    "interval": lambda: (IntervalRegion([(0, 4)]), IntervalRegion([(2, 8)])),
+    "tree": lambda: (
+        TreeRegion.of_subtrees(TreeGeometry(4), [2]),
+        TreeRegion.of_nodes(TreeGeometry(4), [1, 5]),
+    ),
+}
+
+
+class TestHullGate:
+    """Counted, not timed: a hull-disjoint pair reaches neither the family
+    algebra nor the memo, and an overlapping pair is memoized as before."""
+
+    @staticmethod
+    def _count_family_calls(monkeypatch, family):
+        calls = {"_intersect": 0, "_difference": 0, "_covers": 0}
+        for name in calls:
+            original = getattr(family, name)
+
+            def counted(self, other, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, other)
+
+            monkeypatch.setattr(family, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("family", DISJOINT_PAIRS)
+    def test_disjoint_hulls_skip_algebra_and_memo(self, monkeypatch, family):
+        kernel = RegionKernel()
+        a, b = map(kernel.intern, DISJOINT_PAIRS[family]())
+        calls = self._count_family_calls(monkeypatch, type(a))
+        for _ in range(2):
+            for x, y in ((a, b), (b, a)):
+                cut = kernel.intersect(x, y)
+                assert cut.is_empty() and kernel.intern(cut) is cut
+                assert kernel.difference(x, y) is x
+                assert not kernel.covers(x, y)
+                assert not kernel.overlaps(x, y)
+        assert calls == {"_intersect": 0, "_difference": 0, "_covers": 0}
+        assert len(kernel._ops) == 0
+        stats = kernel.stats()
+        assert stats["region.hull_rejects"] == 16
+        assert stats["region.cache_hits"] == stats["region.cache_misses"] == 0
+        assert stats["region.interned"] == 3  # a, b and the family's empty
+
+    @pytest.mark.parametrize("family", OVERLAPPING_PAIRS)
+    def test_overlapping_pair_is_one_miss_then_hits(self, monkeypatch, family):
+        kernel = RegionKernel()
+        a, b = OVERLAPPING_PAIRS[family]()
+        calls = self._count_family_calls(monkeypatch, type(a))
+        first = kernel.intersect(a, b)
+        assert not first.is_empty()
+        for _ in range(3):
+            assert kernel.intersect(a, b) is first
+            assert kernel.intersect(b, a) is first
+        assert calls["_intersect"] == 1
+        stats = kernel.stats()
+        assert stats["region.intersect.misses"] == 1
+        assert stats["region.intersect.hits"] == 6
+        assert stats["region.hull_rejects"] == 0
+        assert len(kernel._ops) == 1
+
+    def test_families_without_a_hull_are_never_rejected(self):
+        from repro.regions.blocked_tree import (
+            BlockedTreeGeometry,
+            BlockedTreeRegion,
+        )
+
+        blocked = BlockedTreeGeometry(depth=4, root_height=2)
+        kernel = RegionKernel()
+        for a, b in (
+            (ExplicitSetRegion([1]), ExplicitSetRegion([9])),
+            (
+                BlockedTreeRegion.of_blocks(blocked, [1]),
+                BlockedTreeRegion.of_blocks(blocked, [4]),
+            ),
+        ):
+            assert kernel.intersect(a, b).is_empty()
+            assert not kernel.overlaps(a, b)
+        stats = kernel.stats()
+        assert stats["region.hull_rejects"] == 0
+        assert stats["region.cache_misses"] == 4
+
+    def test_reset_clears_the_reject_counter(self):
+        kernel = RegionKernel()
+        kernel.overlaps(*DISJOINT_PAIRS["interval"]())
+        assert kernel.stats()["region.hull_rejects"] == 1
+        kernel.reset()
+        assert kernel.stats()["region.hull_rejects"] == 0
+
+
 class TestPublicApiRouting:
     """Region.union/intersect/difference/covers route through the kernel."""
 

@@ -6,11 +6,17 @@ checks the three operations element-for-element against the explicit-set
 reference, plus the algebraic laws the runtime relies on.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.regions.base import RegionMismatchError
+from repro.regions.bounds import ADDRESSES, NO_BOUNDS, bounds_disjoint
 from repro.regions.box import Box, BoxSetRegion
-from repro.regions.kernel import get_kernel
+from repro.regions.explicit import ExplicitSetRegion
+from repro.regions.interval import IntervalRegion
+from repro.regions.kernel import RegionKernel, get_kernel
+from repro.regions.tree import TreeGeometry, TreeRegion
 from tests.conftest import (
     as_explicit,
     blocked_tree_regions,
@@ -70,12 +76,44 @@ def _check_kernel_consistency(a, b):
     assert a.covers(b) == b._difference(a)._is_empty()
 
 
+def _check_hull_gate(a, b):
+    """The hull is conservative, and the gate never changes an answer.
+
+    A private kernel starts with an empty memo, so each call below is a
+    miss and passes the hull gate before it may reach the family.
+    """
+    for region in (a, b):
+        hull = region.hull()
+        if hull is NO_BOUNDS:  # bitmask and explicit sets state none
+            continue
+        assert (hull is None) == region.is_empty()
+        if hull is None:
+            continue
+        space, lo, hi = hull
+        for element in region.elements():
+            if space is ADDRESSES:
+                point = element if isinstance(element, tuple) else (element,)
+            else:
+                point = (region.geometry.position(element),)
+            assert all(l <= x < h for l, x, h in zip(lo, point, hi))
+    if bounds_disjoint(a.hull(), b.hull()):
+        assert a._intersect(b)._is_empty()
+    kernel = RegionKernel()
+    assert kernel.union(a, b) == a._union(b)
+    assert kernel.intersect(a, b) == a._intersect(b)
+    assert kernel.difference(a, b) == a._difference(b)
+    assert kernel.covers(a, b) == b._difference(a)._is_empty()
+    assert kernel.overlaps(a, b) == (not a._intersect(b)._is_empty())
+    assert kernel.intern(kernel.intersect(a, b)) is kernel.intersect(a, b)
+
+
 @given(explicit_regions(), explicit_regions())
 @settings(max_examples=120)
 def test_explicit_regions_closure(a, b):
     _check_closure(a, b)
     _check_laws(a, b)
     _check_kernel_consistency(a, b)
+    _check_hull_gate(a, b)
     assert (a == b) == a.same_elements(b)
 
 
@@ -85,6 +123,7 @@ def test_interval_regions_closure(a, b):
     _check_closure(a, b)
     _check_laws(a, b)
     _check_kernel_consistency(a, b)
+    _check_hull_gate(a, b)
 
 
 @given(box_set_regions(), box_set_regions())
@@ -93,6 +132,7 @@ def test_box_set_regions_closure(a, b):
     _check_closure(a, b)
     _check_laws(a, b)
     _check_kernel_consistency(a, b)
+    _check_hull_gate(a, b)
     # canonical box decomposition: semantic equality == structural equality
     assert (a == b) == a.same_elements(b)
 
@@ -103,6 +143,7 @@ def test_tree_regions_closure(a, b):
     _check_closure(a, b)
     _check_laws(a, b)
     _check_kernel_consistency(a, b)
+    _check_hull_gate(a, b)
     # canonical representation: semantic equality == structural equality
     assert (a == b) == a.same_elements(b)
 
@@ -113,6 +154,7 @@ def test_blocked_tree_regions_closure(a, b):
     _check_closure(a, b)
     _check_laws(a, b)
     _check_kernel_consistency(a, b)
+    _check_hull_gate(a, b)
     assert (a == b) == a.same_elements(b)
 
 
@@ -120,6 +162,53 @@ def test_blocked_tree_regions_closure(a, b):
 @settings(max_examples=60)
 def test_blocked_to_flexible_conversion_is_lossless(a):
     assert set(a.to_tree_region().elements()) == set(a.elements())
+
+
+def _kernel_ops(kernel):
+    return (
+        kernel.union,
+        kernel.intersect,
+        kernel.difference,
+        kernel.covers,
+        kernel.overlaps,
+    )
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # same family, hulls far apart, different universes
+        (
+            BoxSetRegion([Box.of((0, 0), (2, 2))]),
+            BoxSetRegion([Box.of((5, 5, 5), (6, 6, 6))]),
+        ),
+        (
+            TreeRegion.of_nodes(TreeGeometry(3), [4]),
+            TreeRegion.of_nodes(TreeGeometry(4), [15]),
+        ),
+        # different families whose hulls live in the same space and rank
+        (IntervalRegion.span(0, 2), BoxSetRegion([Box.of((5,), (6,))])),
+        (BoxSetRegion([Box.of((5,), (6,))]), IntervalRegion.span(0, 2)),
+        (IntervalRegion.span(0, 2), TreeRegion.of_nodes(TreeGeometry(4), [15])),
+    ],
+)
+def test_hull_gate_leaves_mismatches_to_the_families(a, b):
+    """Disjoint hulls answer nothing across universes: the family still raises."""
+    for op in _kernel_ops(RegionKernel()):
+        with pytest.raises(RegionMismatchError):
+            op(a, b)
+
+
+def test_hull_gate_keeps_the_explicit_reference_coercion():
+    # the explicit scheme absorbs any family on its right, hulls or not
+    explicit, interval = ExplicitSetRegion([0, 1]), IntervalRegion.span(5, 8)
+    kernel = RegionKernel()
+    assert kernel.intersect(explicit, interval).is_empty()
+    assert kernel.difference(explicit, interval) == explicit
+    assert set(kernel.union(explicit, interval).elements()) == {0, 1, 5, 6, 7}
+    assert not kernel.overlaps(explicit, interval)
+    with pytest.raises(RegionMismatchError):  # covers subtracts the other way
+        kernel.covers(explicit, interval)
 
 
 def _check_associativity(a, b, c):
