@@ -1,8 +1,8 @@
 """The ``--scaling`` panel: Fig. 7's weak-scaling sweep as a pinned artifact.
 
 The paper's evaluation (§4, Fig. 7) sweeps all three applications from 1
-to 64 nodes.  Before the flat-core refactor (array-backed event queue,
-slotted hot classes, interned region ids) the full sweep was impractical
+to 64 nodes.  Before the flat-core refactor (slotted hot classes, flat
+metric counters, interned region ids) the full sweep was impractical
 to regenerate routinely; this panel runs it end to end, times each
 application, and pins the result in ``BENCH_scaling_baseline.json`` at
 the repository root.

@@ -42,7 +42,6 @@ from repro.items.kdtree import (
     build_kdtree,
     synthetic_kdtree,
 )
-from repro.items.hashmap import HashMapItem, HashMapFragment
 from repro.items.graph import PartitionedGraph, GraphFragment
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "KDTreeStructure",
     "build_kdtree",
     "synthetic_kdtree",
-    "HashMapItem",
-    "HashMapFragment",
     "PartitionedGraph",
     "GraphFragment",
 ]

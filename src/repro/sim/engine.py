@@ -1,27 +1,21 @@
-"""Discrete-event simulation core on a flat, array-backed calendar queue.
+"""Discrete-event simulation core: one ``heapq`` and a callback table.
 
 Events are ordered by ``(time, sequence)`` — the sequence number makes
 simultaneous events fire in scheduling order, so every run of the same
 scenario is deterministic regardless of hash randomization or dict
 ordering.
 
-The queue is a struct-of-arrays calendar rather than a heap of event
-objects:
+The queue is the textbook one, because that is the traffic: no ledger
+workload or bench panel holds more than ~3,500 pending events, where a
+binary heap of tuples is as fast as anything built on top of it
+(``docs/runtime.md`` § "The flat core" has the counts):
 
-* **sorted run** — two parallel numpy arrays (``float64`` times,
-  ``int64`` sequence numbers) sorted by ``(time, seq)``, consumed through
-  a cursor.  Same-timestamp events form a contiguous slice of the run and
-  are dispatched as one batch.
-* **overflow heap** — events scheduled since the last merge live in a
-  small ``(time, seq)`` tuple heap.  Because sequence numbers are
-  monotone, every overflow entry sorts after every run entry at equal
-  timestamps, which is what makes batched run dispatch safe.  When the
-  overflow outgrows the remaining run it is merged in with one
-  ``numpy.lexsort`` — amortized O(1) per event.
+* **heap** — ``(time, seq)`` pairs in a ``heapq``; every event enters
+  through ``heappush`` and leaves through ``heappop``.
 * **callback table** — ``seq -> callable``.  Cancellation removes the
-  entry (the array slot becomes a tombstone, skipped on pop); when more
-  than half the pending slots are tombstones the queue compacts itself
-  and counts it in :attr:`SimEngine.compactions`.
+  entry (the heap slot becomes a tombstone, skipped on pop); when more
+  than half the heap is tombstones it is rebuilt in place and the pass
+  counted in :attr:`SimEngine.compactions`.
 
 Two programming styles are supported on top of the raw event queue:
 
@@ -54,15 +48,6 @@ import heapq
 import weakref
 from math import inf
 from typing import Any, Callable, Generator
-
-import numpy as np
-
-#: merge the overflow heap into the sorted run once it outgrows both this
-#: floor and the unconsumed remainder of the run
-_MERGE_FLOOR = 1024
-
-_EMPTY_TIMES = np.empty(0, dtype=np.float64)
-_EMPTY_SEQS = np.empty(0, dtype=np.int64)
 
 
 class Event:
@@ -133,21 +118,15 @@ ProcessGen = Generator[Any, Any, Any]
 
 
 class SimEngine:
-    """Deterministic discrete-event loop over the flat calendar queue."""
+    """Deterministic discrete-event loop over one ``(time, seq)`` heap."""
 
     __slots__ = (
         "now",
         "compactions",
-        "_run_times",
-        "_run_seqs",
-        "_rt",
-        "_rs",
-        "_run_pos",
-        "_over",
+        "_heap",
         "_fns",
         "_next_seq",
         "_cancelled",
-        "_gen",
         "_events_processed",
         "_listeners",
         "_oracle",
@@ -161,22 +140,14 @@ class SimEngine:
         self.now = 0.0
         #: number of tombstone-compaction passes the queue has performed
         self.compactions = 0
-        # sorted run (struct-of-arrays) + python-list dispatch mirrors;
-        # the numpy arrays are canonical storage for merge/compaction,
-        # the lists give O(1) scalar reads in the dispatch loop
-        self._run_times = _EMPTY_TIMES
-        self._run_seqs = _EMPTY_SEQS
-        self._rt: list[float] = []
-        self._rs: list[int] = []
-        self._run_pos = 0
-        # overflow: (time, seq) heap of events scheduled since last merge
-        self._over: list[tuple[float, int]] = []
+        # (time, seq) heapq; only ever mutated in place, so the alias an
+        # active run() holds survives a compaction issued from a callback
+        self._heap: list[tuple[float, int]] = []
         # seq -> callback; absent seq == cancelled tombstone
         self._fns: dict[int, Callable[[], None]] = {}
         self._next_seq = 0
+        # tombstones currently sitting in the heap
         self._cancelled = 0
-        # bumped by merge/compaction so an active run() reloads its locals
-        self._gen = 0
         self._events_processed = 0
         # post-event observers (e.g. the runtime invariant sentinel);
         # called with no arguments after each executed event
@@ -189,7 +160,7 @@ class SimEngine:
         self._hb_followers: weakref.WeakSet = weakref.WeakSet()
         self._labels: dict[int, Any] | None = None
         # controlled mode keeps pending (seq -> time) here instead of in
-        # the sorted run, so any live event is addressable by the oracle
+        # the heap, so any live event is addressable by the oracle
         self._ctl_times: dict[int, float] = {}
 
     # -- verification seam ----------------------------------------------------------
@@ -242,11 +213,11 @@ class SimEngine:
             follower.attach(self._hb)
 
     def _exit_controlled(self) -> None:
-        """Fold controlled-mode pending events back into the overflow heap."""
+        """Fold controlled-mode pending events back into the heap."""
         if self._ctl_times:
             for seq, time in self._ctl_times.items():
                 if seq in self._fns:
-                    heapq.heappush(self._over, (time, seq))
+                    heapq.heappush(self._heap, (time, seq))
             self._ctl_times = {}
         self._labels = None
 
@@ -276,7 +247,7 @@ class SimEngine:
         seq = self._next_seq
         self._next_seq = seq + 1
         self._fns[seq] = fn
-        heapq.heappush(self._over, (time, seq))
+        heapq.heappush(self._heap, (time, seq))
         if self._labels is not None:
             if label is not None:
                 self._labels[seq] = label
@@ -301,7 +272,7 @@ class SimEngine:
         seq = self._next_seq
         self._next_seq = seq + 1
         self._fns[seq] = fn
-        heapq.heappush(self._over, (time, seq))
+        heapq.heappush(self._heap, (time, seq))
         if self._labels is not None:
             if label is not None:
                 self._labels[seq] = label
@@ -382,77 +353,26 @@ class SimEngine:
     def _cancel(self, seq: int) -> None:
         if self._fns.pop(seq, None) is None:
             return  # already executed, already cancelled, or never queued
-        if self._ctl_times:
-            self._ctl_times.pop(seq, None)
         if self._labels is not None:
             self._labels.pop(seq, None)
+        if self._ctl_times.pop(seq, None) is not None:
+            return  # held by controlled dispatch: no heap slot left behind
         self._cancelled += 1
-        pending_slots = (len(self._rs) - self._run_pos) + len(self._over)
-        if self._cancelled * 2 > pending_slots:
+        if self._cancelled * 2 > len(self._heap):
             self._compact()
 
-    def _merge(self) -> None:
-        """Fold the overflow heap into the sorted run with one lexsort."""
-        over = self._over
-        if not over:
-            return
-        count = len(over)
-        times = np.concatenate(
-            (
-                self._run_times[self._run_pos :],
-                np.fromiter((e[0] for e in over), dtype=np.float64, count=count),
-            )
-        )
-        seqs = np.concatenate(
-            (
-                self._run_seqs[self._run_pos :],
-                np.fromiter((e[1] for e in over), dtype=np.int64, count=count),
-            )
-        )
-        order = np.lexsort((seqs, times))
-        self._run_times = times[order]
-        self._run_seqs = seqs[order]
-        self._rt = self._run_times.tolist()
-        self._rs = self._run_seqs.tolist()
-        self._run_pos = 0
-        over.clear()
-        self._gen += 1
-
     def _compact(self) -> None:
-        """Drop tombstoned slots from both the run and the overflow."""
+        """Drop tombstoned slots from the heap, in place."""
         self.compactions += 1
         fns = self._fns
-        times = self._run_times[self._run_pos :]
-        seqs = self._run_seqs[self._run_pos :]
-        if len(seqs):
-            if fns:
-                live = np.isin(
-                    seqs,
-                    np.fromiter(fns.keys(), dtype=np.int64, count=len(fns)),
-                )
-                times = np.ascontiguousarray(times[live])
-                seqs = np.ascontiguousarray(seqs[live])
-            else:
-                times = _EMPTY_TIMES
-                seqs = _EMPTY_SEQS
-        self._run_times = times
-        self._run_seqs = seqs
-        self._rt = times.tolist()
-        self._rs = seqs.tolist()
-        self._run_pos = 0
-        if self._over:
-            self._over = [e for e in self._over if e[1] in fns]
-            heapq.heapify(self._over)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[1] in fns]
+        heapq.heapify(heap)
         self._cancelled = 0
-        self._gen += 1
 
     def _peek_time(self) -> float:
         """Time of the earliest pending slot (tombstones included)."""
-        head = inf
-        if self._run_pos < len(self._rt):
-            head = self._rt[self._run_pos]
-        if self._over and self._over[0][0] < head:
-            head = self._over[0][0]
+        head = self._heap[0][0] if self._heap else inf
         if self._ctl_times:
             fns = self._fns
             for seq, time in self._ctl_times.items():
@@ -474,79 +394,25 @@ class SimEngine:
         horizon = inf if until is None else until
         limit = inf if max_events is None else max_events
         processed = 0
-        if len(self._over) > min(_MERGE_FLOOR, 32 + len(self._rs) - self._run_pos):
-            self._merge()
+        heap = self._heap
         fns = self._fns
         listeners = self._listeners
-        rt, rs = self._rt, self._rs
-        pos, n = self._run_pos, len(self._rs)
-        over = self._over
-        gen = self._gen
-        while processed < limit:
-            if len(over) > _MERGE_FLOOR and len(over) > n - pos:
-                self._run_pos = pos
-                self._merge()
-                rt, rs = self._rt, self._rs
-                pos, n = 0, len(rs)
-                gen = self._gen
-            if pos < n:
-                t = rt[pos]
-                from_over = bool(over) and over[0][0] < t
-            elif over:
-                from_over = True
-            else:
+        heappop = heapq.heappop
+        while heap and processed < limit:
+            time = heap[0][0]
+            if time > horizon:
                 break
-            if from_over:
-                t = over[0][0]
-                if t > horizon:
-                    break
-                seq = heapq.heappop(over)[1]
-                fn = fns.pop(seq, None)
-                if fn is None:
-                    self._cancelled -= 1
-                    continue
-                self.now = t
-                self._run_pos = pos  # keep honest: fn may compact/merge
-                fn()
-                processed += 1
-                self._events_processed += 1
-                if listeners:
-                    for listener in tuple(listeners):
-                        listener()
-                if self._gen != gen:
-                    rt, rs = self._rt, self._rs
-                    pos, n = self._run_pos, len(rs)
-                    gen = self._gen
+            fn = fns.pop(heappop(heap)[1], None)
+            if fn is None:
+                self._cancelled -= 1
                 continue
-            if t > horizon:
-                break
-            # batched same-timestamp dispatch: every run entry at time t
-            # precedes every overflow entry at time t (overflow seqs are
-            # strictly larger), so the whole contiguous slice is safe
-            end = pos + 1
-            while end < n and rt[end] == t:
-                end += 1
-            self.now = t
-            while pos < end and processed < limit:
-                seq = rs[pos]
-                pos += 1
-                fn = fns.pop(seq, None)
-                if fn is None:
-                    self._cancelled -= 1
-                    continue
-                self._run_pos = pos
-                fn()
-                processed += 1
-                self._events_processed += 1
-                if listeners:
-                    for listener in tuple(listeners):
-                        listener()
-                if self._gen != gen:
-                    rt, rs = self._rt, self._rs
-                    pos, n = self._run_pos, len(rs)
-                    gen = self._gen
-                    break
-        self._run_pos = pos
+            self.now = time
+            fn()
+            processed += 1
+            self._events_processed += 1
+            if listeners:
+                for listener in tuple(listeners):
+                    listener()
         if until is not None and self._peek_time() > until:
             self.now = max(self.now, until)
         return processed
@@ -572,27 +438,19 @@ class SimEngine:
         processed = 0
         fns = self._fns
         times = self._ctl_times
-        # fold the sorted run into the controlled map once
-        if self._run_pos < len(self._rs):
-            for i in range(self._run_pos, len(self._rs)):
-                seq = self._rs[i]
-                if seq in fns:
-                    times[seq] = self._rt[i]
-        self._run_times = _EMPTY_TIMES
-        self._run_seqs = _EMPTY_SEQS
-        self._rt = []
-        self._rs = []
-        self._run_pos = 0
-        over = self._over
+        heap = self._heap
         oracle = self._oracle
         hb = self._hb
         labels = self._labels
         while processed < limit:
-            if over:
-                for time, seq in over:
+            if heap:
+                # fold what was scheduled since the last dispatch into the
+                # controlled map; its tombstones go with the heap
+                for time, seq in heap:
                     if seq in fns:
                         times[seq] = time
-                over.clear()
+                heap.clear()
+                self._cancelled = 0
             if not times:
                 break
             tmin = inf
