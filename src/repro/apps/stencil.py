@@ -65,10 +65,6 @@ class StencilWorkload:
         return self.interior_cells(nodes) * self.timesteps * self.flops_per_cell
 
 
-def _initial_value(coord: tuple[int, ...]) -> float:
-    return float(coord[0] + coord[1])
-
-
 def _init_body(grid: Grid):
     def body(ctx, box: Box) -> None:
         values = np.add.outer(

@@ -138,10 +138,6 @@ class TPCProblem:
             self.queries[qi], self.workload.radius
         ).count
 
-    def traversal_cost(self, stats_visits: float, stats_scanned: float) -> float:
-        wl = self.workload
-        return stats_visits * wl.visit_flops + stats_scanned * wl.point_flops
-
 
 def make_problem(workload: TPCWorkload, nodes: int) -> TPCProblem:
     """Build the tree, the queries, and all per-query traversal plans."""

@@ -299,9 +299,6 @@ class KDTreeItem(DataItem):
     def subtree_region(self, root: int) -> TreeRegion:
         return TreeRegion.of_subtrees(self.geometry, [root])
 
-    def node_region(self, node: int) -> TreeRegion:
-        return TreeRegion.of_nodes(self.geometry, [node])
-
     def decompose(self, parts: int) -> list[Region]:
         """Whole-sub-tree decomposition; top tree joins part 0.
 

@@ -171,13 +171,6 @@ class SystemState:
             self.write_locked(memory, item)
         )
 
-    def write_locked_anywhere(self, item: DataItemDecl) -> Region:
-        total = item.empty_region()
-        for (_, _, d), region in self.write_locks.items():
-            if d is item:
-                total = total.union(region)
-        return total
-
     def release_locks_of(self, variant: Variant) -> None:
         """Drop ``{v} × M × D × E`` from both lock relations (rule *end*)."""
         for locks in (self.read_locks, self.write_locks):

@@ -18,7 +18,7 @@ The paper's well-formedness assumptions are enforced structurally:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, TYPE_CHECKING
+from typing import Callable, Iterator, Mapping, TYPE_CHECKING
 
 from repro.model.elements import DataItemDecl
 from repro.regions.base import Region
@@ -180,13 +180,3 @@ class Program:
 
     def __repr__(self) -> str:
         return f"Program(entry={self.entry.name!r})"
-
-
-def reachable_tasks(program: Program, known: Iterable[Task]) -> set[Task]:
-    """Helper for tests: the task set a finished interpreter run touched.
-
-    The true reachable set ``T_p`` of Definition A.5 is semantic; traces
-    report the tasks they actually spawned, which is what property checks
-    compare against.
-    """
-    return {program.entry, *known}

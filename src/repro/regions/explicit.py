@@ -27,10 +27,6 @@ class ExplicitSetRegion(Region):
     def empty(cls) -> "ExplicitSetRegion":
         return cls(())
 
-    @property
-    def element_set(self) -> frozenset:
-        return self._elements
-
     # -- closure operations ---------------------------------------------------
 
     def _coerce(self, other: Region) -> frozenset:

@@ -86,38 +86,15 @@ class Scheduler:
         self, task: TaskSpec, treeture: Treeture, origin: int
     ) -> Generator:
         runtime = self.runtime
-        cfg = runtime.config
         variant = runtime.policy.pick_variant(task, runtime)
-
         lookup: dict[DataItem, list[tuple[Region, int]]] = {}
         if task.accessed_items():
             lookup = yield from self._locate_requirements(task, origin)
         target = self._choose_target(task, lookup, origin)
-
-        job = runtime.job_context
-        if job is not None:
-            job.on_dispatch(remote=target != origin)
-        if target != origin:
-            runtime.metrics.incr("sched.remote_dispatch")
-            # closure serialization at the origin, parcel decode at the
-            # target — the per-remote-task CPU cost of the prototype
-            yield runtime.process(origin).node.execute(
-                cfg.remote_task_cpu_overhead
-            )
-            yield runtime.network.send(origin, target, cfg.task_message_bytes)
-            # the target can fail or start draining while the parcel is on
-            # the wire; land at the process dispatch would pick *now*
-            target = runtime._redirect_if_failed(target)
-            yield runtime.process(target).node.execute(
-                cfg.remote_task_cpu_overhead
-            )
-            self._maybe_prefetch(task, target, variant, lookup)
-            inner = self._remote_treeture(task, target, origin, treeture)
-            runtime.process(target).enqueue(task, inner, variant)
-        else:
-            runtime.metrics.incr("sched.local_dispatch")
-            self._maybe_prefetch(task, target, variant, lookup)
-            runtime.process(target).enqueue(task, treeture, variant)
+        # inline, not spawned: the task's dispatch events keep their order
+        yield from self._dispatch_group(
+            target, [(task, treeture, variant, lookup)], origin, bulk=False
+        )
 
     def _assign_batch_process(
         self, tasks: list[TaskSpec], treetures: list[Treeture], origin: int
@@ -181,7 +158,7 @@ class Scheduler:
             runtime.metrics.incr("comms.batch_clip_reuses", clip_reuses)
         dispatchers = [
             runtime.engine.spawn(
-                self._dispatch_group(target, groups[target], origin)
+                self._dispatch_group(target, groups[target], origin, bulk=True)
             )
             for target in sorted(groups)
         ]
@@ -189,10 +166,12 @@ class Scheduler:
             yield runtime.engine.all_of(dispatchers)
 
     def _dispatch_group(
-        self, target: int, entries: list, origin: int
+        self, target: int, entries: list, origin: int, bulk: bool
     ) -> Generator:
-        """Ship one batch's tasks bound for one destination: the parcels
-        coalesce into a single bulk message, charged once on the NIC."""
+        """Algorithm 2's dispatch of placed ``(task, treeture, variant,
+        lookup)`` entries to ``target``.  ``bulk`` picks only the wire
+        accounting: a batch's parcels coalesce into one ``send_bulk``,
+        charged once on the NIC, instead of a plain ``send``."""
         runtime = self.runtime
         cfg = runtime.config
         job = runtime.job_context
@@ -201,21 +180,28 @@ class Scheduler:
                 job.on_dispatch(remote=target != origin)
         if target != origin:
             runtime.metrics.incr("sched.remote_dispatch", len(entries))
-            runtime.metrics.incr("comms.batched_dispatches")
-            runtime.metrics.incr("comms.batched_tasks", len(entries))
-            # store-and-forward: every closure serializes before the bulk
-            # parcel leaves, and the receiver's progress thread decodes
-            # (and enqueues) the constituents one by one — per-task CPU
-            # costs are unchanged, only the wire messages merge
+            if bulk:
+                runtime.metrics.incr("comms.batched_dispatches")
+                runtime.metrics.incr("comms.batched_tasks", len(entries))
+            # closure serialization at the origin, parcel decode at the
+            # target — the prototype's per-task CPU cost.  Store-and-
+            # forward: every closure serializes before the parcel leaves,
+            # the receiver decodes (and enqueues) the tasks one by one
             for _ in entries:
                 yield runtime.process(origin).node.execute(
                     cfg.remote_task_cpu_overhead
                 )
-            yield runtime.network.send_bulk(
-                origin, target, [cfg.task_message_bytes] * len(entries)
-            )
+            if bulk:
+                yield runtime.network.send_bulk(
+                    origin, target, [cfg.task_message_bytes] * len(entries)
+                )
+            else:
+                yield runtime.network.send(
+                    origin, target, cfg.task_message_bytes
+                )
             # the destination may have failed or begun draining while the
-            # bulk parcel travelled; the whole batch lands at its stand-in
+            # parcel travelled; the tasks land at the process dispatch
+            # would pick *now*
             target = runtime._redirect_if_failed(target)
             for task, treeture, variant, lookup in entries:
                 yield runtime.process(target).node.execute(

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.items.base import DataItem, FragmentPayload
-from repro.regions.bounds import NO_BOUNDS, bounds_disjoint, corner_bounds
+from repro.regions.bounds import bounds_disjoint, corner_bounds
 from repro.runtime.probe import Enablement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,12 +124,6 @@ class SentinelConfig:
         over the final state of each run.
         """
         return cls(strict=False, scan_stride=65536, task_stride=16)
-
-
-# shared with the runtime's write-intent reservation; see the module
-# docstring of :mod:`repro.regions.bounds` for the rejection semantics
-_NO_BOUNDS = NO_BOUNDS
-_bounds_disjoint = bounds_disjoint
 
 
 class RuntimeSentinel:
@@ -209,11 +203,6 @@ class RuntimeSentinel:
 
     def _check(self) -> None:
         self.checks += 1
-
-    @staticmethod
-    def _bounds(region):
-        """Bounding corners of ``region``: its hull, cached on the instance."""
-        return corner_bounds(region)
 
     def report_lines(self) -> list[str]:
         lines = [
@@ -305,7 +294,7 @@ class RuntimeSentinel:
             write = task.write_region(item)
             accessed = task.accessed_region(item)
             if not write.is_empty():
-                write_bounds = self._bounds(write)
+                write_bounds = corner_bounds(write)
                 if not manager.owned_region(item).covers(write):
                     self._report(
                         "satisfied_requirements",
@@ -318,7 +307,7 @@ class RuntimeSentinel:
                 for other, region in runtime.replica_holders(item).items():
                     if other == pid:
                         continue
-                    if _bounds_disjoint(write_bounds, self._bounds(region)):
+                    if bounds_disjoint(write_bounds, corner_bounds(region)):
                         continue
                     if region.overlaps(write):
                         self._report(
@@ -336,8 +325,8 @@ class RuntimeSentinel:
                     for hold in other_proc.locks._holds:
                         if hold.item is not item:
                             continue
-                        if _bounds_disjoint(
-                            write_bounds, self._bounds(hold.region)
+                        if bounds_disjoint(
+                            write_bounds, corner_bounds(hold.region)
                         ):
                             continue
                         if hold.region.overlaps(write):
@@ -415,13 +404,13 @@ class RuntimeSentinel:
         for hold in table._holds:
             if hold.owner is not owner:
                 continue
-            hold_bounds = self._bounds(hold.region)
+            hold_bounds = corner_bounds(hold.region)
             for other in table._holds:
                 if other.owner is owner or hold.item is not other.item:
                     continue
                 if not (hold.write or other.write):
                     continue
-                if _bounds_disjoint(hold_bounds, self._bounds(other.region)):
+                if bounds_disjoint(hold_bounds, corner_bounds(other.region)):
                     continue
                 if hold.region.overlaps(other.region):
                     self._report(
@@ -811,7 +800,7 @@ class RuntimeSentinel:
         for process in runtime.processes:
             for hold in process.locks._holds:
                 all_holds.append(
-                    (process.pid, hold, self._bounds(hold.region))
+                    (process.pid, hold, corner_bounds(hold.region))
                 )
         for i, (pid_a, a, bounds_a) in enumerate(all_holds):
             self._check()
@@ -823,7 +812,7 @@ class RuntimeSentinel:
                     continue
                 if not (write_a or b.write):
                     continue
-                if _bounds_disjoint(bounds_a, bounds_b):
+                if bounds_disjoint(bounds_a, bounds_b):
                     continue
                 if a.region.overlaps(b.region):
                     check = (

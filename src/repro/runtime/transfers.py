@@ -189,8 +189,9 @@ def plan_for_task(
     the *current* ownership state — synchronously, with no messages and no
     side effects.
 
-    This is the static-audit entry point: the analyzer and tests compare
-    it against the plans the data manager actually executed.
+    A static-audit entry point for tests, which compare it against the
+    plans the data manager actually executed; neither the runtime nor the
+    analyzer calls it.
     """
     plan = TransferPlan(dst=target, purpose=f"static:{task.name}")
     manager = runtime.process(target).data_manager

@@ -115,9 +115,6 @@ class SimNode:
         """Seconds for ``flops`` spread perfectly over all cores."""
         return flops / (self.flops_per_core * self.num_cores)
 
-    def earliest_core_free(self) -> float:
-        return min(self._core_free_at)
-
     def backlog(self) -> float:
         """Average seconds of queued work per core — a load signal."""
         now = self.engine.now

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.items.grid import Grid
+from repro.regions.bounds import NO_BOUNDS, bounds_disjoint, corner_bounds
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.locks import _Hold
 from repro.runtime.resilience import ResilienceManager
@@ -395,54 +396,43 @@ class TestSentinelFaultInjection:
 
 
 class TestBoundsPrefilter:
-    """The cheap bounding-corner rejection must never mask a real overlap."""
-
-    def _sentinel(self):
-        _runtime, sentinel = watched_runtime(nodes=2, strict=False)
-        return sentinel
+    """The cheap bounding-corner rejection the sentinel's scans use must
+    never mask a real overlap."""
 
     def test_box_bounds_classification(self):
-        from repro.runtime.sentinel import _NO_BOUNDS, _bounds_disjoint
-
-        sentinel = self._sentinel()
         grid = Grid((8, 8), name="b")
-        a = sentinel._bounds(box_region(grid, 0, 0, 4, 4))
-        b = sentinel._bounds(box_region(grid, 4, 4, 8, 8))
-        c = sentinel._bounds(box_region(grid, 3, 3, 5, 5))
-        empty = sentinel._bounds(grid.empty_region())
-        assert _bounds_disjoint(a, b)  # half-open boxes: touching corners
-        assert not _bounds_disjoint(a, c)
-        assert not _bounds_disjoint(b, c)
-        assert _bounds_disjoint(a, empty) and _bounds_disjoint(empty, empty)
+        a = corner_bounds(box_region(grid, 0, 0, 4, 4))
+        b = corner_bounds(box_region(grid, 4, 4, 8, 8))
+        c = corner_bounds(box_region(grid, 3, 3, 5, 5))
+        empty = corner_bounds(grid.empty_region())
+        assert bounds_disjoint(a, b)  # half-open boxes: touching corners
+        assert not bounds_disjoint(a, c)
+        assert not bounds_disjoint(b, c)
+        assert bounds_disjoint(a, empty) and bounds_disjoint(empty, empty)
         # unknown schemes can never be rejected
-        assert not _bounds_disjoint(a, _NO_BOUNDS)
-        assert not _bounds_disjoint(_NO_BOUNDS, _NO_BOUNDS)
+        assert not bounds_disjoint(a, NO_BOUNDS)
+        assert not bounds_disjoint(NO_BOUNDS, NO_BOUNDS)
 
     def test_interval_bounds(self):
         from repro.regions.interval import IntervalRegion
-        from repro.runtime.sentinel import _bounds_disjoint
 
-        sentinel = self._sentinel()
-        a = sentinel._bounds(IntervalRegion.span(0, 10))
-        b = sentinel._bounds(IntervalRegion.span(10, 20))
-        c = sentinel._bounds(IntervalRegion.span(5, 15))
-        assert _bounds_disjoint(a, b)
-        assert not _bounds_disjoint(a, c)
+        a = corner_bounds(IntervalRegion.span(0, 10))
+        b = corner_bounds(IntervalRegion.span(10, 20))
+        c = corner_bounds(IntervalRegion.span(5, 15))
+        assert bounds_disjoint(a, b)
+        assert not bounds_disjoint(a, c)
 
     def test_bounds_are_conservative_for_schemes_without_corners(self):
         from repro.items.tree import BalancedTree
-        from repro.runtime.sentinel import _NO_BOUNDS
 
-        sentinel = self._sentinel()
         tree = BalancedTree(3, name="t")
-        assert sentinel._bounds(tree.full_region) is _NO_BOUNDS
+        assert corner_bounds(tree.full_region) is NO_BOUNDS
 
     def test_bounds_cache_keys_by_identity(self):
-        sentinel = self._sentinel()
         grid = Grid((8, 8), name="b2")
         region = box_region(grid, 1, 1, 3, 3)
-        first = sentinel._bounds(region)
-        assert sentinel._bounds(region) is first
+        first = corner_bounds(region)
+        assert corner_bounds(region) is first
 
 
 @pytest.mark.sentinel_injection
