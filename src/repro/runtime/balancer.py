@@ -119,6 +119,8 @@ class LoadBalancer:
         self.rebalances = 0
         self._last_busy = [0.0] * runtime.num_processes
         self._running = False
+        #: bumped by every stop(); a loop spawned before it retires
+        self._generation = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -126,14 +128,19 @@ class LoadBalancer:
         """Begin periodic balancing (runs while the event loop is driven)."""
         if not self._running:
             self._running = True
-            self.runtime.engine.spawn(self._loop())
+            self.runtime.engine.spawn(self._loop(self._generation))
 
     def stop(self) -> None:
         self._running = False
+        self._generation += 1
 
-    def _loop(self) -> Generator:
-        while self._running:
+    def _loop(self, generation: int) -> Generator:
+        while True:
             yield self.interval
+            # re-check after the sleep: a stop() during it ends this loop,
+            # even when a start() has already spawned its successor
+            if generation != self._generation:
+                return
             yield from self.rebalance_once()
 
     # -- one balancing round -------------------------------------------------------

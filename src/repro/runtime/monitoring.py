@@ -85,6 +85,8 @@ class Monitor:
         self.runtime = runtime
         self.samples: list[RuntimeReport] = []
         self._sampling = False
+        #: bumped by every stop; a loop spawned before it retires
+        self._generation = 0
 
     # -- periodic sampling -----------------------------------------------------
 
@@ -93,14 +95,21 @@ class Monitor:
             raise ValueError("interval must be positive")
         if not self._sampling:
             self._sampling = True
-            self.runtime.engine.spawn(self._sample_loop(interval))
+            self.runtime.engine.spawn(
+                self._sample_loop(interval, self._generation)
+            )
 
     def stop_sampling(self) -> None:
         self._sampling = False
+        self._generation += 1
 
-    def _sample_loop(self, interval: float):
-        while self._sampling:
+    def _sample_loop(self, interval: float, generation: int):
+        while True:
             yield interval
+            # re-check after the sleep: a stop during it records nothing,
+            # even when a restart has already spawned the next loop
+            if generation != self._generation:
+                return
             self.samples.append(self.report())
 
     def utilization_series(self) -> list[tuple[float, float]]:

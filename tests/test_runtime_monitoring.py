@@ -81,3 +81,27 @@ class TestPeriodicSampling:
         runtime.run(until=runtime.now + 5e-3)
         # a second start must not double the sampling rate
         assert len(monitor.samples) <= 6
+
+    def test_stop_records_no_sample_after_it(self):
+        runtime = make_runtime()
+        monitor = Monitor(runtime)
+        monitor.start_sampling(1e-3)
+        runtime.run(until=3.5e-3)
+        monitor.stop_sampling()
+        runtime.run(until=1e-2)
+        # samples at 1, 2 and 3 ms only: none after the stop
+        assert len(monitor.samples) == 3
+
+    def test_restart_within_one_interval_leaves_one_loop(self):
+        runtime = make_runtime()
+        monitor = Monitor(runtime)
+        monitor.start_sampling(1e-3)
+        runtime.run(until=1.5e-3)
+        monitor.stop_sampling()
+        monitor.start_sampling(1e-3)
+        runtime.run(until=1e-2)
+        monitor.stop_sampling()
+        times = [s.sim_time for s in monitor.samples]
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert len(times) >= 5
+        assert min(gaps) > 1e-3 - 1e-9

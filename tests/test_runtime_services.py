@@ -223,6 +223,44 @@ class TestLoadBalancer:
         runtime.run(until=0.2)
         assert not balancer._running
 
+    @staticmethod
+    def _counted_rounds(runtime, balancer):
+        rounds = []
+        rebalance_once = balancer.rebalance_once
+
+        def counted():
+            rounds.append(runtime.now)
+            return rebalance_once()
+
+        balancer.rebalance_once = counted
+        return rounds
+
+    def test_stop_ends_the_loop_before_its_next_round(self):
+        runtime = make_runtime(nodes=2, functional=False)
+        balancer = LoadBalancer(runtime, interval=0.01)
+        rounds = self._counted_rounds(runtime, balancer)
+        balancer.start()
+        runtime.run(until=0.035)
+        balancer.stop()
+        runtime.run(until=0.2)
+        # rounds at 0.01, 0.02, 0.03 only: none after stop() — a round
+        # there can migrate data after a program's last barrier
+        assert len(rounds) == 3
+
+    def test_restart_within_one_interval_leaves_one_loop(self):
+        runtime = make_runtime(nodes=2, functional=False)
+        balancer = LoadBalancer(runtime, interval=0.01)
+        rounds = self._counted_rounds(runtime, balancer)
+        balancer.start()
+        runtime.run(until=0.015)
+        balancer.stop()
+        balancer.start()
+        runtime.run(until=0.1)
+        balancer.stop()
+        gaps = [later - earlier for earlier, later in zip(rounds, rounds[1:])]
+        assert len(rounds) >= 5
+        assert min(gaps) > 0.01 - 1e-9
+
     def test_validation(self):
         runtime = make_runtime(nodes=2)
         with pytest.raises(ValueError):
