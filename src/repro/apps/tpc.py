@@ -13,6 +13,8 @@ structural metadata).  A query runs in two phases:
    sub-trees and identifies the distribution roots needing real descent;
 2. **sub-tree traversals** at the owners of those roots.
 
+Both phases' work is derived per query at set-up (:func:`make_problem`).
+
 The two ports differ exactly as the paper describes (§4.2):
 
 * :func:`tpc_allscale` — one small task per (query, sub-tree), forwarded
@@ -42,7 +44,6 @@ from repro.apps.common import AppResult
 from repro.items.kdtree import (
     KDTreeItem,
     KDTreeStructure,
-    Visit,
     build_kdtree,
     synthetic_kdtree,
 )
@@ -159,61 +160,36 @@ def make_problem(workload: TPCWorkload, nodes: int) -> TPCProblem:
         workload.low, workload.high, size=(workload.total_queries(nodes), workload.dims)
     )
 
-    # ownership bands: the shallowest level with a sub-tree per process
-    band_level = 1
-    while (1 << (band_level - 1)) < nodes and band_level < structure.depth:
-        band_level += 1
+    # ownership bands: the shallowest level with a sub-tree per process;
+    # process 0 additionally owns the (replicated-as-metadata) top tree
+    band_level, owner_of_band, placement = item.bands(
+        nodes, interleave=workload.interleave_ownership
+    )
     # traversal task units: fixed-height sub-trees (granularity does not
     # change with the node count), but never shallower than the bands and
     # never below the leaves
     task_level = structure.depth - workload.task_subtree_height
     task_level = max(band_level, min(structure.depth - 1, task_level))
 
-    band_roots = list(range(1 << (band_level - 1), 1 << band_level))
-    owner_of_band: dict[int, int] = {}
-    per = len(band_roots) / nodes
-    for k, root in enumerate(band_roots):
-        if workload.interleave_ownership:
-            owner_of_band[root] = k % nodes
-        else:
-            owner_of_band[root] = min(nodes - 1, int(k / per))
-
     # a task root's owner is its band ancestor's owner
-    owner_of_root: dict[int, int] = {}
-    for root in range(1 << (task_level - 1), 1 << task_level):
-        ancestor = root >> (task_level - band_level)
-        owner_of_root[root] = owner_of_band[ancestor]
+    owner_of_root = {
+        root: owner_of_band[root >> (task_level - band_level)]
+        for root in range(1 << (task_level - 1), 1 << task_level)
+    }
 
-    # per-process owned regions: the bands it owns; process 0 additionally
-    # owns the (replicated-as-metadata) top tree
-    from repro.regions.tree import TreeRegion
-
-    geometry = structure.geometry
-    placement = []
-    top = TreeRegion.full(geometry)
-    for root in band_roots:
-        top = top.difference(TreeRegion.of_subtrees(geometry, [root]))
-    for pid in range(nodes):
-        mine = [r for r in band_roots if owner_of_band[r] == pid]
-        region = TreeRegion.of_subtrees(geometry, mine)
-        if pid == 0:
-            region = region.union(top)
-        placement.append(region)
-
+    # one top pass and one pass over every sub-tree it leaves open, per query
     plans: list[QueryPlan] = []
     band_work: dict[tuple[int, int], tuple[float, float]] = {}
-    radius = workload.radius
-    for qi in range(len(queries)):
-        q = queries[qi]
-        plan = _plan_top(structure, q, radius, task_level)
+    for qi, q in enumerate(queries):
+        plan = _plan_top(structure, q, workload.radius, task_level)
         plans.append(plan)
-        for root in plan.recurse_roots:
-            stats = structure.query_from(root, q, radius)
-            flops = (
-                stats.visited_nodes * workload.visit_flops
-                + stats.scanned_points * workload.point_flops
-            )
-            band_work[(qi, root)] = (flops, stats.count)
+        descent = structure.traverse(q, workload.radius, plan.recurse_roots)
+        flops = (
+            descent.visited * workload.visit_flops
+            + descent.scanned * workload.point_flops
+        )
+        for i, root in enumerate(plan.recurse_roots):
+            band_work[(qi, root)] = (float(flops[i]), float(descent.count[i]))
     return TPCProblem(
         workload=workload,
         nodes=nodes,
@@ -233,22 +209,8 @@ def _plan_top(
     structure: KDTreeStructure, q: np.ndarray, radius: float, dist_level: int
 ) -> QueryPlan:
     """Traverse the (replicated) top tree, collecting sub-trees to descend."""
-    plan = QueryPlan(top_count=0.0, top_visits=0)
-    stack = [1]
-    while stack:
-        node = stack.pop()
-        plan.top_visits += 1
-        kind = structure.classify(node, q, radius)
-        if kind is Visit.PRUNE_OUT:
-            continue
-        if kind is Visit.PRUNE_IN:
-            plan.top_count += float(structure.counts[node])
-            continue
-        if node.bit_length() == dist_level:
-            plan.recurse_roots.append(node)
-            continue
-        stack.extend(structure.geometry.children(node))
-    return plan
+    top = structure.traverse(q, radius, [1], stop_level=dist_level)
+    return QueryPlan(float(top.count[0]), int(top.visited[0]), top.partial)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.api.access import box_region
@@ -177,14 +177,16 @@ def run_tpc_batching(mode: str) -> Rows:
     """Bundles of 1/8/32 whole queries per AllScale task tree — the
     *naive* version of the aggregation the MPI port applies."""
     nodes, queries, _, _ = TPC_SIZES[mode]
+    # the batch size only regroups the same plans into task trees
+    problem = make_problem(_tpc_workload(queries, 9), nodes)
     rows = {}
     for batch in (1, 8, 32):
-        workload = _tpc_workload(queries, 9, task_batch=batch)
+        workload = replace(problem.workload, task_batch=batch)
         result = tpc_allscale(
             Cluster(meggie_like_spec(nodes)),
             workload,
             _config(),
-            problem=make_problem(workload, nodes),
+            problem=replace(problem, workload=workload),
         )
         metrics = result.extras["runtime"].metrics
         rows[str(batch)] = {

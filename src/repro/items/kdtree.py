@@ -18,15 +18,16 @@ Two constructions are provided:
   Traversals visit the same nodes a real uniform tree would, which is all
   the cost model needs; leaf tallies are estimated from box/ball overlap.
 
-The per-node classification primitive :meth:`KDTreeStructure.classify`
-drives both the sequential reference query and the distributed task-based
-traversal of :mod:`repro.apps.tpc`.
+One traversal, :meth:`KDTreeStructure.traverse`, serves the sequential
+reference query, the sub-tree descents and the top-tree plans of
+:mod:`repro.apps.tpc`.  It is level-synchronous: each level classifies
+the whole frontier below a set of roots with a few array operations and
+sums the work per root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -36,15 +37,6 @@ from repro.regions.base import Region
 from repro.regions.tree import TreeGeometry, TreeRegion
 
 
-class Visit(Enum):
-    """Outcome of examining one node during a range-count traversal."""
-
-    PRUNE_OUT = "prune_out"  # box entirely outside the ball: contribute 0
-    PRUNE_IN = "prune_in"  # box entirely inside: contribute subtree count
-    SCAN_LEAF = "scan_leaf"  # leaf partially overlapping: scan its bucket
-    RECURSE = "recurse"  # internal node partially overlapping: descend
-
-
 @dataclass
 class QueryStats:
     """Work performed by one range-count query."""
@@ -52,6 +44,18 @@ class QueryStats:
     count: float = 0.0
     visited_nodes: int = 0
     scanned_points: float = 0.0
+
+
+@dataclass
+class Traversal:
+    """Per-root totals of one frontier traversal (entry ``i`` is ``roots[i]``)."""
+
+    visited: np.ndarray
+    scanned: np.ndarray
+    count: np.ndarray
+    #: partial nodes at the stop level, in descending node id — the order a
+    #: right-first depth-first traversal meets them
+    partial: list[int]
 
 
 class KDTreeStructure:
@@ -86,47 +90,80 @@ class KDTreeStructure:
     def total_points(self) -> float:
         return float(self.counts[1])
 
-    def is_leaf(self, node: int) -> bool:
-        return node >= self._first_leaf
+    def traverse(
+        self,
+        q: Sequence[float],
+        radius: float,
+        roots: Sequence[int],
+        stop_level: int | None = None,
+    ) -> Traversal:
+        """Pruned range count below each of ``roots``, a level at a time.
 
-    # -- geometric predicates ------------------------------------------------------
-
-    def min_dist2(self, node: int, q: np.ndarray) -> float:
-        """Squared distance from ``q`` to the node's bounding box."""
-        d = np.maximum(self.bbox_lo[node] - q, 0.0)
-        d = np.maximum(d, q - self.bbox_hi[node])
-        return float(np.dot(d, d))
-
-    def max_dist2(self, node: int, q: np.ndarray) -> float:
-        """Squared distance from ``q`` to the farthest box corner."""
-        d = np.maximum(np.abs(q - self.bbox_lo[node]), np.abs(q - self.bbox_hi[node]))
-        return float(np.dot(d, d))
-
-    def classify(self, node: int, q: np.ndarray, radius: float) -> Visit:
+        Every level classifies the whole frontier at once: a node whose box
+        lies outside the ball is pruned, one inside it contributes its
+        subtree count, a partial leaf is scanned and any other partial node
+        descends.  Partial nodes at ``stop_level`` (no root may lie deeper)
+        are collected in :attr:`Traversal.partial` instead of descended.
+        """
+        q = np.asarray(q, dtype=np.float64)
         r2 = radius * radius
-        if self.min_dist2(node, q) > r2:
-            return Visit.PRUNE_OUT
-        if self.max_dist2(node, q) <= r2:
-            return Visit.PRUNE_IN
-        return Visit.SCAN_LEAF if self.is_leaf(node) else Visit.RECURSE
+        stop = self.num_nodes + 1 if stop_level is None else 1 << (stop_level - 1)
+        nodes = np.asarray(roots, dtype=np.int64)
+        tags = np.arange(len(nodes))  # index of the root each node descends from
+        visited, partial = [tags], [nodes[:0]]
+        count_tags, count_vals = [tags[:0]], [np.zeros(0)]
+        scan_tags, scan_vals = [tags[:0]], [np.zeros(0)]
+        while len(nodes):
+            lo, hi = self.bbox_lo[nodes], self.bbox_hi[nodes]
+            below, above = lo - q, q - hi
+            near = np.maximum(np.maximum(below, 0.0), above)
+            far = np.maximum(np.abs(below), np.abs(above))
+            outside = np.einsum("ij,ij->i", near, near) > r2
+            inside = ~outside & (np.einsum("ij,ij->i", far, far) <= r2)
+            count_tags.append(tags[inside])
+            count_vals.append(self.counts[nodes[inside]])
+            open_ = ~(outside | inside)
+            at_stop = open_ & (nodes >= stop)
+            partial.append(nodes[at_stop])
+            open_ &= ~at_stop
+            leaf = open_ & (nodes >= self._first_leaf)
+            if leaf.any():
+                count_tags.append(tags[leaf])
+                count_vals.append(self._leaf_tallies(nodes[leaf], q, radius))
+                scan_tags.append(tags[leaf])
+                scan_vals.append(self.counts[nodes[leaf]])
+                open_ &= ~leaf
+            kids, tags = 2 * nodes[open_], tags[open_]
+            nodes = np.concatenate((kids, kids + 1))
+            tags = np.concatenate((tags, tags))
+            visited.append(tags)
+        n = len(roots)
+        return Traversal(
+            visited=np.bincount(np.concatenate(visited), minlength=n),
+            scanned=np.bincount(
+                np.concatenate(scan_tags), np.concatenate(scan_vals), minlength=n
+            ),
+            count=np.bincount(
+                np.concatenate(count_tags), np.concatenate(count_vals), minlength=n
+            ),
+            partial=np.sort(np.concatenate(partial))[::-1].tolist(),
+        )
 
-    def leaf_tally(self, node: int, q: np.ndarray, radius: float) -> float:
-        """Points of leaf ``node`` within the ball (exact or estimated)."""
+    def _leaf_tallies(
+        self, leaves: np.ndarray, q: np.ndarray, radius: float
+    ) -> np.ndarray:
+        """Points of each leaf within the ball (exact or estimated)."""
         if self.leaf_points is not None:
-            points = self.leaf_points.get(node)
-            if points is None or len(points) == 0:
-                return 0.0
-            delta = points - q
-            return float(np.count_nonzero(np.einsum("ij,ij->i", delta, delta)
-                                           <= radius * radius))
+            bucket = self.leaf_points.get
+            return np.array([_within(bucket(n), q, radius) for n in leaves.tolist()])
         # virtual: estimate by the fraction of the box inside the ball's
         # enclosing cube — deterministic and cheap; only the *cost* of the
         # scan matters for the benchmarks
-        lo, hi = self.bbox_lo[node], self.bbox_hi[node]
+        lo, hi = self.bbox_lo[leaves], self.bbox_hi[leaves]
         widths = np.maximum(hi - lo, 1e-300)
         overlap = np.minimum(hi, q + radius) - np.maximum(lo, q - radius)
-        frac = float(np.prod(np.clip(overlap / widths, 0.0, 1.0)))
-        return float(self.counts[node]) * frac * 0.5
+        frac = np.prod(np.clip(overlap / widths, 0.0, 1.0), axis=1)
+        return self.counts[leaves] * frac * 0.5
 
     def query(self, q: Sequence[float], radius: float) -> QueryStats:
         """Sequential pruned range count from the root."""
@@ -140,41 +177,29 @@ class KDTreeStructure:
         The unit of work the distributed TPC traversal ships to the
         process owning that sub-tree.
         """
-        q = np.asarray(q, dtype=np.float64)
-        stats = QueryStats()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            stats.visited_nodes += 1
-            kind = self.classify(node, q, radius)
-            if kind is Visit.PRUNE_OUT:
-                continue
-            if kind is Visit.PRUNE_IN:
-                stats.count += float(self.counts[node])
-            elif kind is Visit.SCAN_LEAF:
-                stats.count += self.leaf_tally(node, q, radius)
-                stats.scanned_points += float(self.counts[node])
-            else:  # RECURSE: not a leaf
-                stack.append(2 * node)
-                stack.append(2 * node + 1)
-        return stats
+        walk = self.traverse(q, radius, [start])
+        return QueryStats(
+            count=float(walk.count[0]),
+            visited_nodes=int(walk.visited[0]),
+            scanned_points=float(walk.scanned[0]),
+        )
 
     def brute_force_count(self, q: Sequence[float], radius: float) -> int:
         """Exact count over all leaf buckets (functional trees only)."""
         if self.leaf_points is None:
             raise RuntimeError("virtual kd-trees hold no points")
         q = np.asarray(q, dtype=np.float64)
-        total = 0
-        for points in self.leaf_points.values():
-            if len(points) == 0:
-                continue
-            delta = points - q
-            total += int(
-                np.count_nonzero(
-                    np.einsum("ij,ij->i", delta, delta) <= radius * radius
-                )
-            )
-        return total
+        return sum(_within(bucket, q, radius) for bucket in self.leaf_points.values())
+
+
+def _within(points: np.ndarray | None, q: np.ndarray, radius: float) -> int:
+    """Exact number of ``points`` within ``radius`` of ``q``."""
+    if points is None or len(points) == 0:
+        return 0
+    delta = points - q
+    return int(
+        np.count_nonzero(np.einsum("ij,ij->i", delta, delta) <= radius * radius)
+    )
 
 
 def build_kdtree(points: np.ndarray, depth: int) -> KDTreeStructure:
@@ -243,22 +268,22 @@ def synthetic_kdtree(
     bbox_lo[1] = low
     bbox_hi[1] = high
     counts[1] = total_points
-    for node in range(1, geometry.num_nodes + 1):
-        if geometry.is_leaf(node):
-            continue
-        axis = int(np.argmax(bbox_hi[node] - bbox_lo[node]))
-        mid = 0.5 * (bbox_lo[node, axis] + bbox_hi[node, axis])
-        for child, new_lo, new_hi in (
-            (2 * node, None, mid),
-            (2 * node + 1, mid, None),
-        ):
-            bbox_lo[child] = bbox_lo[node]
-            bbox_hi[child] = bbox_hi[node]
-            if new_lo is not None:
-                bbox_lo[child, axis] = new_lo
-            if new_hi is not None:
-                bbox_hi[child, axis] = new_hi
-            counts[child] = counts[node] / 2.0
+    # one level at a time: each parent's box split at the midpoint of its
+    # widest axis (the first, on ties); children are heap ids 2p and 2p + 1
+    for level in range(1, depth):
+        first = 1 << (level - 1)
+        parents = slice(first, 2 * first)
+        lo, hi = bbox_lo[parents], bbox_hi[parents]
+        rows = np.arange(first)
+        axis = np.argmax(hi - lo, axis=1)
+        mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+        for side in (0, 1):
+            kids = slice(2 * first + side, 4 * first, 2)
+            bbox_lo[kids], bbox_hi[kids] = lo, hi
+            counts[kids] = counts[parents] / 2.0
+        left = 2 * (first + rows)
+        bbox_hi[left, axis] = mid
+        bbox_lo[left + 1, axis] = mid
     return KDTreeStructure(depth, dims, bbox_lo, bbox_hi, counts, None)
 
 
@@ -300,11 +325,21 @@ class KDTreeItem(DataItem):
         return TreeRegion.of_subtrees(self.geometry, [root])
 
     def decompose(self, parts: int) -> list[Region]:
-        """Whole-sub-tree decomposition; top tree joins part 0.
+        """Whole-sub-tree decomposition in contiguous bands (see :meth:`bands`)."""
+        return self.bands(parts)[2]
 
-        Matches how the TPC workload distributes its kd-tree: each process
-        owns a contiguous band of sub-trees, so traversals stay local until
-        they cross a sub-tree boundary.
+    def bands(
+        self, parts: int, interleave: bool = False
+    ) -> tuple[int, dict[int, int], list[Region]]:
+        """Deal the sub-trees of the band level out to ``parts`` processes.
+
+        The band level is the shallowest with a sub-tree per process.
+        Returns it, each band root's owner, and each process's region; the
+        top tree above the bands joins part 0.  Contiguous bands (the
+        default) keep sibling sub-trees — which queries visit together — on
+        one process, so traversals stay local until they cross a sub-tree
+        boundary; ``interleave`` deals them round-robin instead (the
+        flexible Fig. 4b distribution, maximising locality crossings).
         """
         if parts < 1:
             raise ValueError(f"parts must be >= 1, got {parts}")
@@ -312,23 +347,22 @@ class KDTreeItem(DataItem):
         level = 1
         while (1 << (level - 1)) < parts and level < geometry.depth:
             level += 1
-        roots = list(range(1 << (level - 1), 1 << level))
-        groups: list[list[int]] = [[] for _ in range(parts)]
-        # contiguous bands (not round-robin): keeps sibling sub-trees —
-        # which queries visit together — on the same process
+        roots = range(1 << (level - 1), 1 << level)
         per = len(roots) / parts
-        for k, root in enumerate(roots):
-            groups[min(parts - 1, int(k / per))].append(root)
+        owner = {
+            root: k % parts if interleave else min(parts - 1, int(k / per))
+            for k, root in enumerate(roots)
+        }
         top = TreeRegion.full(geometry)
         for root in roots:
             top = top.difference(TreeRegion.of_subtrees(geometry, [root]))
         regions: list[Region] = []
-        for k, group in enumerate(groups):
-            region = TreeRegion.of_subtrees(geometry, group)
-            if k == 0:
-                region = region.union(top)
-            regions.append(region)
-        return regions
+        for pid in range(parts):
+            region = TreeRegion.of_subtrees(
+                geometry, [root for root in roots if owner[root] == pid]
+            )
+            regions.append(region.union(top) if pid == 0 else region)
+        return level, owner, regions
 
     def new_fragment(
         self, region: Region, functional: bool = True

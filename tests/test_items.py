@@ -1,16 +1,25 @@
 """Tests for data item implementations (façade/fragment behaviour)."""
 
+from enum import Enum
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.tpc import QueryPlan, TPCWorkload, _plan_top, make_problem
 from repro.items import (
     BalancedTree,
     Grid,
     KDTreeItem,
+    KDTreeStructure,
     ScalarItem,
     build_kdtree,
     synthetic_kdtree,
 )
+from repro.items.kdtree import QueryStats
+from repro.regions.tree import TreeGeometry
 from repro.regions.box import Box
 from repro.regions.blocked_tree import BlockedTreeRegion
 from repro.regions.tree import TreeRegion
@@ -264,3 +273,342 @@ class TestKDTree:
             build_kdtree(np.zeros(5), depth=3)
         with pytest.raises(ValueError):
             synthetic_kdtree(100, depth=4, low=[0, 0], high=[1])
+
+
+# -- oracle: the scalar traversal the frontier traversal replaced ------------------
+#
+# Before the level-synchronous frontier traversal, every kd-tree traversal
+# classified one node per call, and the synthetic tree and the TPC band
+# placement were built by the loops below.  These are that implementation,
+# verbatim (the methods lifted onto a test-only subclass); every observable
+# of ``KDTreeStructure.traverse``, ``synthetic_kdtree`` and
+# ``KDTreeItem.bands`` is compared against them.
+
+
+class Visit(Enum):
+    """Outcome of examining one node during a range-count traversal."""
+
+    PRUNE_OUT = "prune_out"  # box entirely outside the ball: contribute 0
+    PRUNE_IN = "prune_in"  # box entirely inside: contribute subtree count
+    SCAN_LEAF = "scan_leaf"  # leaf partially overlapping: scan its bucket
+    RECURSE = "recurse"  # internal node partially overlapping: descend
+
+
+class ScalarKDTree(KDTreeStructure):
+    def is_leaf(self, node: int) -> bool:
+        return node >= self._first_leaf
+
+    # -- geometric predicates ------------------------------------------------------
+
+    def min_dist2(self, node: int, q: np.ndarray) -> float:
+        """Squared distance from ``q`` to the node's bounding box."""
+        d = np.maximum(self.bbox_lo[node] - q, 0.0)
+        d = np.maximum(d, q - self.bbox_hi[node])
+        return float(np.dot(d, d))
+
+    def max_dist2(self, node: int, q: np.ndarray) -> float:
+        """Squared distance from ``q`` to the farthest box corner."""
+        d = np.maximum(np.abs(q - self.bbox_lo[node]), np.abs(q - self.bbox_hi[node]))
+        return float(np.dot(d, d))
+
+    def classify(self, node: int, q: np.ndarray, radius: float) -> Visit:
+        r2 = radius * radius
+        if self.min_dist2(node, q) > r2:
+            return Visit.PRUNE_OUT
+        if self.max_dist2(node, q) <= r2:
+            return Visit.PRUNE_IN
+        return Visit.SCAN_LEAF if self.is_leaf(node) else Visit.RECURSE
+
+    def leaf_tally(self, node: int, q: np.ndarray, radius: float) -> float:
+        """Points of leaf ``node`` within the ball (exact or estimated)."""
+        if self.leaf_points is not None:
+            points = self.leaf_points.get(node)
+            if points is None or len(points) == 0:
+                return 0.0
+            delta = points - q
+            return float(np.count_nonzero(np.einsum("ij,ij->i", delta, delta)
+                                           <= radius * radius))
+        # virtual: estimate by the fraction of the box inside the ball's
+        # enclosing cube — deterministic and cheap; only the *cost* of the
+        # scan matters for the benchmarks
+        lo, hi = self.bbox_lo[node], self.bbox_hi[node]
+        widths = np.maximum(hi - lo, 1e-300)
+        overlap = np.minimum(hi, q + radius) - np.maximum(lo, q - radius)
+        frac = float(np.prod(np.clip(overlap / widths, 0.0, 1.0)))
+        return float(self.counts[node]) * frac * 0.5
+
+    def query_from(
+        self, start: int, q: Sequence[float], radius: float
+    ) -> QueryStats:
+        """Pruned range count restricted to the sub-tree rooted at ``start``.
+
+        The unit of work the distributed TPC traversal ships to the
+        process owning that sub-tree.
+        """
+        q = np.asarray(q, dtype=np.float64)
+        stats = QueryStats()
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            stats.visited_nodes += 1
+            kind = self.classify(node, q, radius)
+            if kind is Visit.PRUNE_OUT:
+                continue
+            if kind is Visit.PRUNE_IN:
+                stats.count += float(self.counts[node])
+            elif kind is Visit.SCAN_LEAF:
+                stats.count += self.leaf_tally(node, q, radius)
+                stats.scanned_points += float(self.counts[node])
+            else:  # RECURSE: not a leaf
+                stack.append(2 * node)
+                stack.append(2 * node + 1)
+        return stats
+
+
+def scalar_plan_top(
+    structure: ScalarKDTree, q: np.ndarray, radius: float, dist_level: int
+) -> QueryPlan:
+    """Traverse the (replicated) top tree, collecting sub-trees to descend."""
+    plan = QueryPlan(top_count=0.0, top_visits=0)
+    stack = [1]
+    while stack:
+        node = stack.pop()
+        plan.top_visits += 1
+        kind = structure.classify(node, q, radius)
+        if kind is Visit.PRUNE_OUT:
+            continue
+        if kind is Visit.PRUNE_IN:
+            plan.top_count += float(structure.counts[node])
+            continue
+        if node.bit_length() == dist_level:
+            plan.recurse_roots.append(node)
+            continue
+        stack.extend(structure.geometry.children(node))
+    return plan
+
+
+def scalar_synthetic_boxes(
+    total_points: float, depth: int, low: Sequence[float], high: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-node loop ``synthetic_kdtree`` used to run."""
+    low = np.asarray(low, dtype=np.float64)
+    high = np.asarray(high, dtype=np.float64)
+    dims = len(low)
+    geometry = TreeGeometry(depth)
+    size = geometry.num_nodes + 1
+    bbox_lo = np.zeros((size, dims))
+    bbox_hi = np.zeros((size, dims))
+    counts = np.zeros(size, dtype=np.float64)
+    bbox_lo[1] = low
+    bbox_hi[1] = high
+    counts[1] = total_points
+    for node in range(1, geometry.num_nodes + 1):
+        if geometry.is_leaf(node):
+            continue
+        axis = int(np.argmax(bbox_hi[node] - bbox_lo[node]))
+        mid = 0.5 * (bbox_lo[node, axis] + bbox_hi[node, axis])
+        for child, new_lo, new_hi in (
+            (2 * node, None, mid),
+            (2 * node + 1, mid, None),
+        ):
+            bbox_lo[child] = bbox_lo[node]
+            bbox_hi[child] = bbox_hi[node]
+            if new_lo is not None:
+                bbox_lo[child, axis] = new_lo
+            if new_hi is not None:
+                bbox_hi[child, axis] = new_hi
+            counts[child] = counts[node] / 2.0
+    return bbox_lo, bbox_hi, counts
+
+
+def scalar_bands(item: KDTreeItem, parts: int, interleave: bool) -> list:
+    """The band placement ``make_problem`` used to build inline."""
+    structure = item.structure
+    nodes = parts
+    band_level = 1
+    while (1 << (band_level - 1)) < nodes and band_level < structure.depth:
+        band_level += 1
+    band_roots = list(range(1 << (band_level - 1), 1 << band_level))
+    owner_of_band: dict[int, int] = {}
+    per = len(band_roots) / nodes
+    for k, root in enumerate(band_roots):
+        if interleave:
+            owner_of_band[root] = k % nodes
+        else:
+            owner_of_band[root] = min(nodes - 1, int(k / per))
+    geometry = structure.geometry
+    placement = []
+    top = TreeRegion.full(geometry)
+    for root in band_roots:
+        top = top.difference(TreeRegion.of_subtrees(geometry, [root]))
+    for pid in range(nodes):
+        mine = [r for r in band_roots if owner_of_band[r] == pid]
+        region = TreeRegion.of_subtrees(geometry, mine)
+        if pid == 0:
+            region = region.union(top)
+        placement.append(region)
+    return placement
+
+
+def scalar(tree: KDTreeStructure) -> ScalarKDTree:
+    return ScalarKDTree(
+        tree.depth, tree.dims, tree.bbox_lo, tree.bbox_hi, tree.counts,
+        tree.leaf_points,
+    )
+
+
+def assert_counts_match(new: float, old: float, functional: bool) -> None:
+    # functional counts are integer sums; virtual leaf estimates are summed
+    # in another order, so they may differ in the last bits
+    if functional:
+        assert new == old
+    else:
+        assert new == pytest.approx(old, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def traversal_cases(draw):
+    """A tree, a query on or off its box boundaries, and a radius."""
+    dims = draw(st.integers(1, 7))
+    depth = draw(st.integers(3, 10))
+    functional = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    high = rng.uniform(1.0, 100.0, size=dims)
+    if functional:
+        # up to 300 points: at depth >= 10 leaves outnumber points, leaving
+        # empty nodes with all-zero boxes
+        points = rng.uniform(0.0, high, size=(draw(st.integers(1, 300)), dims))
+        tree = build_kdtree(points, depth)
+    else:
+        total = draw(st.sampled_from([1000.0, 12345.0, float(2**24)]))
+        tree = synthetic_kdtree(total, depth, [0.0] * dims, high)
+    node = draw(st.integers(1, tree.num_nodes))
+    lo, hi = tree.bbox_lo[node], tree.bbox_hi[node]
+    where = draw(st.sampled_from(["uniform", "corner", "plane"]))
+    q = rng.uniform(0.0, high)
+    if where == "corner":
+        q = np.where(rng.integers(0, 2, size=dims) == 1, lo, hi)
+    elif where == "plane":
+        axis = int(rng.integers(0, dims))
+        q[axis] = lo[axis] if rng.integers(0, 2) else hi[axis]
+    diagonal = float(np.sqrt(np.sum(high * high)))
+    radius = draw(
+        st.sampled_from(
+            [0.0, 1e-9, 2.0 * diagonal + 1.0, float(rng.uniform(0.02, 0.6) * diagonal)]
+        )
+    )
+    return tree, q, radius
+
+
+class TestFrontierTraversal:
+    """``traverse`` against the scalar oracle above."""
+
+    @given(traversal_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_traversal(self, case, data):
+        tree, q, radius = case
+        oracle = scalar(tree)
+        functional = tree.leaf_points is not None
+        stop = data.draw(st.integers(1, tree.depth))
+        old_plan = scalar_plan_top(oracle, q, radius, stop)
+        plan = _plan_top(tree, q, radius, stop)
+        assert plan.recurse_roots == old_plan.recurse_roots
+        assert plan.top_visits == old_plan.top_visits
+        assert plan.top_count == old_plan.top_count
+        # one pass below every root left open, and one per-root query
+        walk = tree.traverse(q, radius, plan.recurse_roots)
+        for i, root in enumerate(plan.recurse_roots):
+            old = oracle.query_from(root, q, radius)
+            assert int(walk.visited[i]) == old.visited_nodes
+            assert float(walk.scanned[i]) == old.scanned_points
+            assert_counts_match(float(walk.count[i]), old.count, functional)
+            new = tree.query_from(root, q, radius)
+            assert new.visited_nodes == old.visited_nodes
+            assert new.scanned_points == old.scanned_points
+            assert_counts_match(new.count, old.count, functional)
+            # the cost model's flops, exactly
+            assert (
+                walk.visited[i] * 150.0 + walk.scanned[i] * 30.0
+                == old.visited_nodes * 150.0 + old.scanned_points * 30.0
+            )
+        whole = tree.query(q, radius)
+        old = oracle.query_from(1, q, radius)
+        assert whole.visited_nodes == old.visited_nodes
+        assert whole.scanned_points == old.scanned_points
+        assert_counts_match(whole.count, old.count, functional)
+        if functional:
+            assert whole.count == tree.brute_force_count(q, radius)
+
+    def test_no_roots(self):
+        tree = synthetic_kdtree(1024.0, depth=4, low=[0, 0], high=[8, 8])
+        walk = tree.traverse([1.0, 1.0], 2.0, [])
+        assert len(walk.visited) == len(walk.count) == 0
+        assert walk.partial == []
+
+    def test_make_problem_matches_scalar_plans(self):
+        # the repository benchmark's smoke TPC shape
+        workload = TPCWorkload(
+            total_points=2**24,
+            depth=12,
+            task_subtree_height=7,
+            queries_total=96,
+            visit_flops=150.0,
+            point_flops=30.0,
+            seed=1,
+        )
+        problem = make_problem(workload, 8)
+        oracle = scalar(problem.structure)
+        keys = []
+        for qi, q in enumerate(problem.queries):
+            old_plan = scalar_plan_top(oracle, q, workload.radius, problem.task_level)
+            assert problem.plans[qi] == old_plan
+            for root in old_plan.recurse_roots:
+                old = oracle.query_from(root, q, workload.radius)
+                flops, count = problem.band_work[(qi, root)]
+                assert flops == (
+                    old.visited_nodes * workload.visit_flops
+                    + old.scanned_points * workload.point_flops
+                )
+                assert count == pytest.approx(old.count, rel=1e-12, abs=0.0)
+                keys.append((qi, root))
+        assert list(problem.band_work) == keys
+
+
+class TestKDTreeConstruction:
+    @pytest.mark.parametrize(
+        "total, depth, low, high",
+        [
+            (2**29, 16, [0.0] * 7, [100.0] * 7),
+            (1000.0, 1, [0.0], [1.0]),
+            (12345.0, 9, [0.0, -3.0, 2.0], [5.0, 4.0, 9.5]),
+            (2**20, 11, [0.0] * 4, [1.0, 1.0, 1.0, 1.0]),  # ties: first axis
+        ],
+    )
+    def test_synthetic_matches_per_node_loop(self, total, depth, low, high):
+        tree = synthetic_kdtree(total, depth, low, high)
+        lo, hi, counts = scalar_synthetic_boxes(total, depth, low, high)
+        assert np.array_equal(tree.bbox_lo, lo)
+        assert np.array_equal(tree.bbox_hi, hi)
+        assert np.array_equal(tree.counts, counts)
+
+    def test_bands_match_inline_placement(self):
+        item = KDTreeItem(synthetic_kdtree(2**12, depth=8, low=[0] * 2, high=[1] * 2))
+        for parts in range(1, 65):
+            contiguous = scalar_bands(item, parts, interleave=False)
+            assert item.decompose(parts) == contiguous
+            assert item.bands(parts, interleave=True)[2] == scalar_bands(
+                item, parts, interleave=True
+            )
+
+    @pytest.mark.parametrize("interleave", [False, True])
+    def test_tpc_placement_matches_inline_placement(self, interleave):
+        workload = TPCWorkload(
+            total_points=2**12,
+            depth=8,
+            task_subtree_height=3,
+            queries_total=1,
+            interleave_ownership=interleave,
+        )
+        for nodes in range(1, 65):
+            problem = make_problem(workload, nodes)
+            assert problem.placement == scalar_bands(problem.item, nodes, interleave)
