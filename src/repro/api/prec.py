@@ -24,6 +24,7 @@ from typing import Any, Callable, Generic, TypeVar
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.runtime.config import MIN_TASK_SIZE
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskExecutionContext, TaskSpec, Treeture
 from repro.util.ids import fresh_id
@@ -138,7 +139,6 @@ def loop_granularity(
     total_size: float,
     processes: int,
     cores_per_node: int,
-    min_task_size: float,
     oversubscription: int,
 ) -> float:
     """Leaf size targeting ``total/(processes × cores × oversub)``.
@@ -149,10 +149,7 @@ def loop_granularity(
     again at the live count on submission.
     """
     workers = max(1, processes * cores_per_node)
-    return max(
-        float(min_task_size),
-        total_size / (workers * oversubscription),
-    )
+    return max(MIN_TASK_SIZE, total_size / (workers * oversubscription))
 
 
 def default_granularity(runtime: AllScaleRuntime, total_size: float) -> float:
@@ -166,6 +163,5 @@ def default_granularity(runtime: AllScaleRuntime, total_size: float) -> float:
         total_size,
         runtime.num_processes,
         runtime.cluster.spec.cores_per_node,
-        runtime.config.min_task_size,
         runtime.config.oversubscription,
     )

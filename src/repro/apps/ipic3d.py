@@ -111,7 +111,6 @@ def ipic3d_program(
         float(shape[0] * shape[1] * shape[2]),
         nodes,
         cores_per_node,
-        config.min_task_size,
         config.oversubscription,
     )
     # E and B carry 3 components per cell (3 × 8 B)

@@ -125,11 +125,7 @@ def stencil_program(
 
     def gran(total: float, processes: int) -> float:
         return loop_granularity(
-            total,
-            processes,
-            cores_per_node,
-            config.min_task_size,
-            config.oversubscription,
+            total, processes, cores_per_node, config.oversubscription
         )
 
     grids = [Grid(shape, name="stencil.A"), Grid(shape, name="stencil.B")]

@@ -1,41 +1,47 @@
-"""Runtime cost-model and behaviour configuration.
+"""Runtime cost-model constants and behaviour configuration.
 
 The time constants approximate an HPX-class task runtime: single-digit
 microsecond task overheads and sub-microsecond bookkeeping.  They matter
 most for the TPC benchmark, where per-task overheads and small control
 messages dominate; for stencil/iPiC3D the compute and halo terms dominate
-and these knobs are second-order.
+and these costs are second-order.  They are fixed properties of the
+modelled prototype, so they are module constants; :class:`RuntimeConfig`
+keeps only the knobs callers set.  The balancer's trigger ratio is
+:class:`~repro.runtime.balancer.LoadBalancer`'s own
+``imbalance_threshold`` default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+# -- task machinery ----------------------------------------------------------
+#: core time to create/enqueue a task locally (allocation, queue ops)
+TASK_SPAWN_OVERHEAD = 1.5e-6
+#: core time to begin executing a dequeued task (dequeue, requirement check)
+TASK_START_OVERHEAD = 0.8e-6
+#: wire size of a task closure shipped to another process
+TASK_MESSAGE_BYTES = 512
+#: CPU time per *remote* task transfer at each end (closure serialization,
+#: parcel handling) — an HPX-prototype-class cost; it is what makes
+#: fine-grained remote tasks expensive (the paper's TPC observation)
+REMOTE_TASK_CPU_OVERHEAD = 25e-6
+#: wire size of a task-completion notification
+COMPLETION_MESSAGE_BYTES = 64
+#: never split tasks below this many elements/iterations
+MIN_TASK_SIZE = 1.0
+
+# -- data item manager -------------------------------------------------------
+#: wire size of a data request / index control message
+CONTROL_MESSAGE_BYTES = 96
+#: core time for fragment resize/import/export bookkeeping per operation
+FRAGMENT_OP_OVERHEAD = 0.6e-6
+
 
 @dataclass
 class RuntimeConfig:
-    """Knobs of the AllScale runtime prototype."""
+    """Knobs of the AllScale runtime prototype that callers set."""
 
-    # -- task machinery ------------------------------------------------------
-    #: core time to create/enqueue a task locally (allocation, queue ops)
-    task_spawn_overhead: float = 1.5e-6
-    #: core time to begin executing a dequeued task (dequeue, requirement check)
-    task_start_overhead: float = 0.8e-6
-    #: wire size of a task closure shipped to another process
-    task_message_bytes: int = 512
-    #: CPU time per *remote* task transfer at each end (closure
-    #: serialization, parcel handling) — an HPX-prototype-class cost; it is
-    #: what makes fine-grained remote tasks expensive (the paper's TPC
-    #: observation)
-    remote_task_cpu_overhead: float = 25e-6
-    #: wire size of a task-completion notification
-    completion_message_bytes: int = 64
-
-    # -- data item manager -----------------------------------------------------
-    #: wire size of a data request / index control message
-    control_message_bytes: int = 96
-    #: core time for fragment resize/import/export bookkeeping per operation
-    fragment_op_overhead: float = 0.6e-6
     #: whether fragments materialize values (False = virtual, benchmark mode)
     functional: bool = True
     #: cache Algorithm-1 lookup results at their origin, invalidated by
@@ -58,17 +64,6 @@ class RuntimeConfig:
     #: unbounded; eviction goes through the comms.* metered replica cache)
     replica_cache_bytes: float | None = None
 
-    # -- service tenancy (repro.service; inert for one-shot runs) ----------------
-    #: tenant label this runtime executes on behalf of, for per-tenant
-    #: ``service.*`` metric attribution (None = not a service job)
-    tenant: str | None = None
-    #: core-seconds this job may charge before its
-    #: :class:`~repro.runtime.jobs.JobContext` raises the sticky
-    #: ``over_budget`` flag (None = unlimited).  Enforcement is a flag,
-    #: not an exception: the simulation stays deterministic and the
-    #: service settles the overrun at job completion.
-    job_node_seconds_cap: float | None = None
-
     # -- load balancing (repro.runtime.balancer) ---------------------------------
     #: create a periodic data-migration load balancer at runtime
     #: construction (drivers start/stop it around their measured phase);
@@ -76,14 +71,10 @@ class RuntimeConfig:
     load_balancing: bool = False
     #: sampling interval of the configured balancer, simulated seconds
     balancer_interval: float = 0.01
-    #: busiest/mean load ratio that triggers a migration
-    balancer_threshold: float = 1.5
 
     # -- scheduling policy -------------------------------------------------------
     #: target number of leaf tasks per core (oversubscription factor)
     oversubscription: int = 4
-    #: never split tasks below this many elements/iterations
-    min_task_size: float = 1.0
     #: enable idle-time work stealing between processes
     work_stealing: bool = False
     #: seed for any randomized policy decisions
@@ -92,23 +83,7 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.oversubscription < 1:
             raise ValueError("oversubscription must be >= 1")
-        if self.min_task_size < 1:
-            raise ValueError("min_task_size must be >= 1")
-        for name in (
-            "task_spawn_overhead",
-            "task_start_overhead",
-            "fragment_op_overhead",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if self.replica_cache_bytes is not None and self.replica_cache_bytes <= 0:
             raise ValueError("replica_cache_bytes must be positive or None")
         if self.balancer_interval <= 0:
             raise ValueError("balancer_interval must be positive")
-        if self.balancer_threshold <= 1.0:
-            raise ValueError("balancer_threshold must exceed 1.0")
-        if (
-            self.job_node_seconds_cap is not None
-            and self.job_node_seconds_cap < 0
-        ):
-            raise ValueError("job_node_seconds_cap must be >= 0 or None")

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
+from repro.runtime.config import CONTROL_MESSAGE_BYTES, FRAGMENT_OP_OVERHEAD
 from repro.runtime.tasks import TaskSpec
 from repro.runtime.transfers import ReplicaCache, TransferPlan
 
@@ -420,9 +421,7 @@ class DataItemManager:
         """
         if plan is not None:
             plan.plan(item, unresolved, self.pid, "allocate")
-        yield self.process.node.execute(
-            self.process.runtime.config.fragment_op_overhead
-        )
+        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
         before = self.owned_region(item)
         self.allocate(item, grab)
         if plan is not None:
@@ -447,10 +446,9 @@ class DataItemManager:
         tasks and replica fetches wait on that marker.
         """
         runtime = self.process.runtime
-        cfg = runtime.config
         network = runtime.network
         peer = runtime.process(src)
-        yield network.send(self.pid, src, cfg.control_message_bytes)
+        yield network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
         # (migrate) guard: no locks at the source on the moving region,
         # and the source must actually hold the bytes (not in flight)
         while peer.locks.any_locked(item, region):
@@ -460,7 +458,7 @@ class DataItemManager:
         part = peer.data_manager.owned_region(item).intersect(region)
         if part.is_empty():
             return  # someone else migrated it away meanwhile
-        yield peer.node.execute(cfg.fragment_op_overhead)
+        yield peer.node.execute(FRAGMENT_OP_OVERHEAD)
         payload = peer.data_manager.export_owned(item, part)
         # atomic handover: ownership (and the index) move now
         self._take_ownership(item, payload.region)
@@ -493,9 +491,7 @@ class DataItemManager:
         if self.process.failed:
             self.process.runtime.metrics.incr("dm.dead_letter_payloads")
             return
-        yield self.process.node.execute(
-            self.process.runtime.config.fragment_op_overhead
-        )
+        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
         if self.process.failed:
             # died during the splice overhead window
             self.process.runtime.metrics.incr("dm.dead_letter_payloads")
@@ -610,13 +606,12 @@ class DataItemManager:
         plain ``send``.
         """
         runtime = self.process.runtime
-        cfg = runtime.config
         network = runtime.network
         peer = runtime.process(owner)
         region = _union(parts)
         if plan is not None:
             plan.plan(item, region, owner, "replicate")
-        yield network.send(self.pid, owner, cfg.control_message_bytes)
+        yield network.send(self.pid, owner, CONTROL_MESSAGE_BYTES)
         # (replicate) guard: no *write* locks at the source, and the
         # source's bytes must have physically arrived
         while peer.locks.write_locked(item, region):
@@ -631,7 +626,7 @@ class DataItemManager:
         if not pieces:
             return
         union = _union(pieces)
-        yield peer.node.execute(cfg.fragment_op_overhead)
+        yield peer.node.execute(FRAGMENT_OP_OVERHEAD)
         for notify in self.probe.frag_read:
             notify(owner, item, union, "replica-read")
         payload = peer.data_manager.fragment(item).extract(union)
@@ -644,7 +639,7 @@ class DataItemManager:
             )
         else:
             yield network.send(owner, self.pid, max(1, payload.nbytes))
-        yield self.process.node.execute(cfg.fragment_op_overhead)
+        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
         self.insert_replica(item, payload)
         self.replica_cache.note_fetched(item, payload.region)
         runtime.metrics.incr("dm.replicated_bytes", payload.nbytes)

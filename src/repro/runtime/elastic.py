@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
 from repro.runtime.balancer import take_slice
-from repro.runtime.resilience import Checkpoint, ResilienceManager
+from repro.runtime.config import TASK_MESSAGE_BYTES
+from repro.runtime.resilience import Checkpoint, ResilienceManager, lost_region
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -138,7 +139,6 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
         raise RuntimeError(
             f"process {pid} is the last one alive; nowhere to evacuate"
         )
-    cfg = runtime.config
     manager = process.data_manager
     t0 = runtime.now
     process.draining = True
@@ -151,9 +151,10 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
             target = runtime._redirect_if_failed(pid)
             if target != pid:
                 task, treeture, variant = process.queue.popleft()
-                yield runtime.network.send(
-                    pid, target, cfg.task_message_bytes
-                )
+                yield runtime.network.send(pid, target, TASK_MESSAGE_BYTES)
+                # a storm may fail the target while the task travels
+                if runtime.process(target).failed:
+                    target = runtime._redirect_if_failed(target)
                 runtime.process(target).enqueue(task, treeture, variant)
                 runtime.metrics.incr("elastic.evacuated_tasks")
                 continue
@@ -295,13 +296,7 @@ def failure_storm(
         item = by_name.get(item_name)
         if item is None:
             continue
-        lost = item.full_region
-        for p in runtime.processes:
-            lost = lost.difference(p.data_manager.present_region(item))
-            if not p.failed:
-                lost = lost.difference(
-                    p.data_manager.in_flight_region(item)
-                )
+        lost = lost_region(runtime, item, item.full_region)
         if lost.is_empty():
             continue
         for _pid, payload in entries:

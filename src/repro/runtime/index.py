@@ -30,6 +30,7 @@ from typing import Generator
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.runtime.config import CONTROL_MESSAGE_BYTES
 from repro.runtime.probe import INERT, Probe
 from repro.sim.network import Network
 
@@ -41,14 +42,12 @@ class HierarchicalIndex:
         self,
         network: Network,
         num_processes: int,
-        control_message_bytes: int = 96,
         probe: Probe = INERT,
     ) -> None:
         if num_processes < 1:
             raise ValueError("num_processes must be >= 1")
         self.network = network
         self.num_processes = num_processes
-        self.control_message_bytes = control_message_bytes
         self.probe = probe
         # number of hierarchy levels: leaves at 1, root at `levels`
         self.levels = 1
@@ -186,7 +185,7 @@ class HierarchicalIndex:
             host = self.host_of(level, root)
             if host != process:
                 self.update_messages += 1
-                self.network.send(process, host, self.control_message_bytes)
+                self.network.send(process, host, CONTROL_MESSAGE_BYTES)
         # the new covers are published: lookups that observe them (via
         # ``covered``) order after this update
         for notify in self.probe.ownership_update:
@@ -226,9 +225,7 @@ class HierarchicalIndex:
             host = self.host_of(level, root)
             if host != caller:
                 self.lookup_hops += 1
-                yield self.network.send(
-                    caller, host, self.control_message_bytes
-                )
+                yield self.network.send(caller, host, CONTROL_MESSAGE_BYTES)
                 caller = host
             part, remaining = yield from self._resolve(
                 item, remaining, level, root, exclude_child=prev_root
@@ -238,7 +235,7 @@ class HierarchicalIndex:
         # the collected mapping travels back to the origin
         if caller != origin:
             self.lookup_hops += 1
-            yield self.network.send(caller, origin, self.control_message_bytes)
+            yield self.network.send(caller, origin, CONTROL_MESSAGE_BYTES)
         return mapping, remaining
 
     def _resolve(
@@ -301,13 +298,13 @@ class HierarchicalIndex:
         child_host = self.host_of(level - 1, child_root)
         if child_host != host:
             self.lookup_hops += 1
-            yield self.network.send(host, child_host, self.control_message_bytes)
+            yield self.network.send(host, child_host, CONTROL_MESSAGE_BYTES)
         part, _ = yield from self._resolve(
             item, overlap, level - 1, child_root, exclude_child=None
         )
         if child_host != host:
             self.lookup_hops += 1
-            yield self.network.send(child_host, host, self.control_message_bytes)
+            yield self.network.send(child_host, host, CONTROL_MESSAGE_BYTES)
         return part
 
     # -- origin-side lookup caching (a §6 "closing the gap" optimization) -----------

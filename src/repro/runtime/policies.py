@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.runtime.config import MIN_TASK_SIZE
 from repro.runtime.tasks import TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,14 +81,13 @@ class SchedulingPolicy(ABC):
 
     # -- shared granularity logic ------------------------------------------------
 
-    def _should_split(self, task: TaskSpec, runtime: "AllScaleRuntime") -> bool:
+    def _should_split(self, task: TaskSpec) -> bool:
         if not task.splittable:
             return False
-        cfg = runtime.config
         granularity = task.granularity
         if granularity is None:
-            granularity = cfg.min_task_size
-        return task.size_hint > max(granularity, cfg.min_task_size)
+            granularity = MIN_TASK_SIZE
+        return task.size_hint > max(granularity, MIN_TASK_SIZE)
 
     def _should_offload(self, task: TaskSpec, runtime: "AllScaleRuntime") -> bool:
         """Pick the GPU variant when the device beats a CPU core end to end.
@@ -117,7 +117,7 @@ class DataAwarePolicy(SchedulingPolicy):
     """Default policy: follow the data; spread evenly on first touch."""
 
     def pick_variant(self, task: TaskSpec, runtime: "AllScaleRuntime") -> str:
-        if self._should_split(task, runtime):
+        if self._should_split(task):
             return "split"
         if self._should_offload(task, runtime):
             return "gpu"
@@ -171,7 +171,7 @@ class RoundRobinPolicy(SchedulingPolicy):
         self._next = 0
 
     def pick_variant(self, task: TaskSpec, runtime: "AllScaleRuntime") -> str:
-        return "split" if self._should_split(task, runtime) else "leaf"
+        return "split" if self._should_split(task) else "leaf"
 
     def pick_target(self, task: TaskSpec, ctx: PlacementContext) -> int:
         target = self._next % ctx.runtime.num_processes
@@ -190,7 +190,7 @@ class RandomPolicy(SchedulingPolicy):
         self._rng = random.Random(self.seed)
 
     def pick_variant(self, task: TaskSpec, runtime: "AllScaleRuntime") -> str:
-        return "split" if self._should_split(task, runtime) else "leaf"
+        return "split" if self._should_split(task) else "leaf"
 
     def pick_target(self, task: TaskSpec, ctx: PlacementContext) -> int:
         return self._rng.randrange(ctx.runtime.num_processes)

@@ -8,8 +8,8 @@ it happens, through the :class:`Probe` of the runtime it belongs to::
 
 — one attribute read and an empty iteration when nobody listens; arguments
 are only built inside the loop.  Observers (the invariant sentinel, the
-happens-before monitor, the lifecycle tracer, the admission controller)
-are subscribers and nothing else: pure listeners that may not schedule an
+happens-before monitor, the lifecycle tracer, the admission controller,
+the service's job accounting) are subscribers and nothing else: pure listeners that may not schedule an
 engine event, and whose exceptions propagate from the emitting transition.
 Emitting sites and the §2 rule behind each event are tabulated in
 ``docs/runtime.md`` ("Instrumenting the runtime").

@@ -24,6 +24,12 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, Generator
 
+from repro.runtime.config import (
+    CONTROL_MESSAGE_BYTES,
+    TASK_MESSAGE_BYTES,
+    TASK_SPAWN_OVERHEAD,
+    TASK_START_OVERHEAD,
+)
 from repro.runtime.data_manager import DataItemManager
 from repro.runtime.locks import LockTable
 from repro.runtime.tasks import TaskExecutionContext, TaskSpec, Treeture
@@ -125,20 +131,17 @@ class RuntimeProcess:
     def _handle(
         self, task: TaskSpec, treeture: Treeture, variant: str
     ) -> Generator:
-        cfg = self.runtime.config
         slot_released = False
         try:
-            yield self.node.execute(cfg.task_start_overhead)
+            yield self.node.execute(TASK_START_OVERHEAD)
             if variant == "split" and task.splittable:
                 children = task.splitter()  # type: ignore[misc]
                 if not children:
                     raise RuntimeError(
                         f"splitter of {task.name!r} produced no children"
                     )
-                yield self.node.execute(
-                    cfg.task_spawn_overhead * len(children)
-                )
-                if cfg.comm_coalescing and len(children) > 1:
+                yield self.node.execute(TASK_SPAWN_OVERHEAD * len(children))
+                if self.runtime.config.comm_coalescing and len(children) > 1:
                     # co-scheduled siblings: one shared lookup, task
                     # parcels coalesced per destination
                     child_treetures = self.runtime.scheduler.assign_batch(
@@ -247,9 +250,6 @@ class RuntimeProcess:
                 cost = self.node.flops_to_seconds(task.flops)
                 if cost > 0:
                     yield self.node.execute(cost)
-                job = self.runtime.job_context
-                if job is not None:
-                    job.on_leaf(cost)
             value = None
             if task.body is not None and (
                 self.runtime.config.functional
@@ -290,11 +290,10 @@ class RuntimeProcess:
         if probe >= self.pid:
             probe += 1
         thief = runtime.process(probe)
-        cfg = runtime.config
         if thief.failed or thief.draining:
             return  # corpses and leavers don't steal
         # steal handshake: probe + response
-        yield runtime.network.send(probe, self.pid, cfg.control_message_bytes)
+        yield runtime.network.send(probe, self.pid, CONTROL_MESSAGE_BYTES)
         if thief.failed or thief.draining:
             return  # the peer left while the probe travelled
         if thief.active > 0 or thief.queue_length() > 0:
@@ -304,7 +303,7 @@ class RuntimeProcess:
         loot_count = self.queue_length() // 2
         loot = [self.queue.pop() for _ in range(loot_count)]
         yield runtime.network.send(
-            self.pid, probe, cfg.task_message_bytes * loot_count
+            self.pid, probe, TASK_MESSAGE_BYTES * loot_count
         )
         runtime.metrics.incr("proc.steals")
         runtime.metrics.incr("proc.stolen_tasks", loot_count)

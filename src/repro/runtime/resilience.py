@@ -18,9 +18,25 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
 from repro.items.base import DataItem, FragmentPayload
+from repro.regions.base import Region
+from repro.runtime.config import FRAGMENT_OP_OVERHEAD
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
+
+
+def lost_region(
+    runtime: "AllScaleRuntime", item: DataItem, region: Region
+) -> Region:
+    """The part of ``region`` a node loss took: present on no process,
+    and not on the wire to a live one (those bytes are arriving —
+    restoring them would double-own)."""
+    lost = region
+    for process in runtime.processes:
+        lost = lost.difference(process.data_manager.present_region(item))
+        if not process.failed:
+            lost = lost.difference(process.data_manager.in_flight_region(item))
+    return lost
 
 
 def _extract_sub_payload(
@@ -68,7 +84,6 @@ class ResilienceManager:
         construction.
         """
         runtime = self.runtime
-        cfg = runtime.config
         snapshot = Checkpoint(sim_time=runtime.now)
         for item in runtime.items:
             entries: list[tuple[int, FragmentPayload]] = []
@@ -77,7 +92,7 @@ class ResilienceManager:
                 owned = manager.owned_region(item)
                 if owned.is_empty():
                     continue
-                yield process.node.execute(cfg.fragment_op_overhead)
+                yield process.node.execute(FRAGMENT_OP_OVERHEAD)
                 payload = manager.fragment(item).extract(owned)
                 # stream to stable storage: modelled as a full-bandwidth
                 # send to the process's own NIC (stable store is off-node)
@@ -107,7 +122,6 @@ class ResilienceManager:
         preservation property makes safe between task barriers.
         """
         runtime = self.runtime
-        cfg = runtime.config
         by_name = {item.name: item for item in runtime.items}
         survivors = [
             p.pid for p in runtime.processes if not p.failed
@@ -119,17 +133,7 @@ class ResilienceManager:
             item = by_name.get(item_name)
             if item is None:
                 continue
-            lost = item.full_region
-            for process in runtime.processes:
-                lost = lost.difference(
-                    process.data_manager.present_region(item)
-                )
-                if not process.failed:
-                    # in flight to a live owner: the bytes are on the
-                    # wire, not lost — restoring them would double-own
-                    lost = lost.difference(
-                        process.data_manager.in_flight_region(item)
-                    )
+            lost = lost_region(runtime, item, item.full_region)
             if lost.is_empty():
                 continue
             for _pid, payload in entries:
@@ -143,22 +147,14 @@ class ResilienceManager:
                 yield runtime.network.send(
                     source, target.pid, max(1, sub.nbytes)
                 )
-                yield target.node.execute(cfg.fragment_op_overhead)
+                yield target.node.execute(FRAGMENT_OP_OVERHEAD)
                 # re-check under the synchronous horizon: while the restore
                 # payload was on the wire, a running task may have first-
                 # touched part of the lost region (the index reported it
                 # present nowhere — that is what "lost" means).  The live
                 # allocation wins; restoring over it would create two
                 # owners.  Only what is *still* absent everywhere lands.
-                still_lost = sub.region
-                for process in runtime.processes:
-                    still_lost = still_lost.difference(
-                        process.data_manager.present_region(item)
-                    )
-                    if not process.failed:
-                        still_lost = still_lost.difference(
-                            process.data_manager.in_flight_region(item)
-                        )
+                still_lost = lost_region(runtime, item, sub.region)
                 if still_lost.is_empty():
                     continue
                 if not still_lost.same_elements(sub.region):
@@ -180,7 +176,6 @@ class ResilienceManager:
         model's resilience story.
         """
         runtime = self.runtime
-        cfg = runtime.config
         by_name = {item.name: item for item in runtime.items}
         for item_name, entries in snapshot.payloads.items():
             item = by_name.get(item_name)
@@ -196,7 +191,7 @@ class ResilienceManager:
                 yield runtime.network.send(
                     source, target, max(1, payload.nbytes)
                 )
-                yield process.node.execute(cfg.fragment_op_overhead)
+                yield process.node.execute(FRAGMENT_OP_OVERHEAD)
                 process.data_manager.import_owned(item, payload)
         for notify in runtime.probe.restore:
             notify(snapshot)

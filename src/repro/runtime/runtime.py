@@ -26,9 +26,8 @@ from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint, corner_bounds
 from repro.regions.kernel import get_kernel
 from repro.runtime import sentinel
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import CONTROL_MESSAGE_BYTES, RuntimeConfig
 from repro.runtime.index import HierarchicalIndex
-from repro.runtime.jobs import JobContext
 from repro.runtime.policies import DataAwarePolicy, SchedulingPolicy
 from repro.runtime.probe import Probe
 from repro.runtime.process import RuntimeProcess
@@ -65,10 +64,7 @@ class AllScaleRuntime:
         #: happens-before monitor, tracer and admission subscribe here
         self.probe = Probe(self.engine)
         self.index = HierarchicalIndex(
-            self.network,
-            cluster.num_nodes,
-            self.config.control_message_bytes,
-            probe=self.probe,
+            self.network, cluster.num_nodes, probe=self.probe
         )
         self.scheduler = Scheduler(self)
         self.processes = [
@@ -87,10 +83,6 @@ class AllScaleRuntime:
         ] = {}
         self._intent_seq = 0
         self._intent_waiters: list = []
-        #: optional job-level accounting context (repro.runtime.jobs) —
-        #: set by the service layer when this runtime executes one tenant
-        #: job over a shared cluster
-        self.job_context: JobContext | None = None
         #: optional periodic load balancer; created (but not started) when
         #: the config asks for it — drivers start it around the measured
         #: phase and stop it before returning, so the event loop drains
@@ -99,9 +91,7 @@ class AllScaleRuntime:
             from repro.runtime.balancer import LoadBalancer
 
             self.balancer = LoadBalancer(
-                self,
-                interval=self.config.balancer_interval,
-                imbalance_threshold=self.config.balancer_threshold,
+                self, interval=self.config.balancer_interval
             )
         # kernel counters are process-wide; remember the creation-time
         # snapshot so this runtime's metrics report only its own activity
@@ -465,9 +455,7 @@ class AllScaleRuntime:
             overlap = holders.get(pid, item.empty_region()).intersect(region)
             if overlap.is_empty():
                 continue
-            yield self.network.send(
-                keeper, pid, self.config.control_message_bytes
-            )
+            yield self.network.send(keeper, pid, CONTROL_MESSAGE_BYTES)
             process = self.processes[pid]
             while process.locks.any_locked(item, overlap):
                 yield process.locks.wait_for_change()

@@ -19,6 +19,11 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.runtime.config import (
+    COMPLETION_MESSAGE_BYTES,
+    REMOTE_TASK_CPU_OVERHEAD,
+    TASK_MESSAGE_BYTES,
+)
 from repro.runtime.policies import PlacementContext
 from repro.runtime.tasks import TaskSpec, Treeture
 
@@ -173,11 +178,6 @@ class Scheduler:
         accounting: a batch's parcels coalesce into one ``send_bulk``,
         charged once on the NIC, instead of a plain ``send``."""
         runtime = self.runtime
-        cfg = runtime.config
-        job = runtime.job_context
-        if job is not None:
-            for _ in entries:
-                job.on_dispatch(remote=target != origin)
         if target != origin:
             runtime.metrics.incr("sched.remote_dispatch", len(entries))
             if bulk:
@@ -189,24 +189,27 @@ class Scheduler:
             # the receiver decodes (and enqueues) the tasks one by one
             for _ in entries:
                 yield runtime.process(origin).node.execute(
-                    cfg.remote_task_cpu_overhead
+                    REMOTE_TASK_CPU_OVERHEAD
                 )
             if bulk:
                 yield runtime.network.send_bulk(
-                    origin, target, [cfg.task_message_bytes] * len(entries)
+                    origin, target, [TASK_MESSAGE_BYTES] * len(entries)
                 )
             else:
-                yield runtime.network.send(
-                    origin, target, cfg.task_message_bytes
-                )
+                yield runtime.network.send(origin, target, TASK_MESSAGE_BYTES)
             # the destination may have failed or begun draining while the
             # parcel travelled; the tasks land at the process dispatch
             # would pick *now*
             target = runtime._redirect_if_failed(target)
             for task, treeture, variant, lookup in entries:
                 yield runtime.process(target).node.execute(
-                    cfg.remote_task_cpu_overhead
+                    REMOTE_TASK_CPU_OVERHEAD
                 )
+                # a storm may fail the target mid-decode: this task and
+                # the rest of the parcel land at a survivor.  A draining
+                # target is left alone — its ``enqueue`` forwards
+                if runtime.process(target).failed:
+                    target = runtime._redirect_if_failed(target)
                 self._maybe_prefetch(task, target, variant, lookup)
                 inner = self._remote_treeture(task, target, origin, treeture)
                 runtime.process(target).enqueue(task, inner, variant)
@@ -264,7 +267,7 @@ class Scheduler:
 
         def forward(value: Any) -> None:
             notify = runtime.network.send(
-                target, origin, runtime.config.completion_message_bytes
+                target, origin, COMPLETION_MESSAGE_BYTES
             )
             notify.add_callback(lambda _at: treeture.complete(value))
 

@@ -47,8 +47,8 @@ class TaskSpec:
     splitter: Callable[[], list["TaskSpec"]] | None = None
     #: fold child values into this task's value (default: list of them)
     combiner: Callable[[list[Any]], Any] | None = None
-    #: stop splitting once size_hint falls to this value (None: use the
-    #: runtime config's min_task_size); set by pfor/prec from range sizes
+    #: stop splitting once size_hint falls to this value (None: use
+    #: ``config.MIN_TASK_SIZE``); set by pfor/prec from range sizes
     granularity: float | None = None
     #: run the body even when fragments are virtual (the body must then not
     #: touch fragment values — e.g. TPC bodies read the shared kd-tree

@@ -44,13 +44,18 @@ from repro.analysis.findings import AnalysisReport
 from repro.analysis.program import analyze_program
 from repro.api.program import register_items, run_program
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.jobs import JobContext
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.sentinel import RuntimeSentinel
 from repro.runtime.tasks import TaskProgram
 from repro.service.catalog import kind_builder
 from repro.service.fairshare import FairShareScheduler, jain_fairness
-from repro.service.jobs import AdmissionVerdict, JobRecord, JobSpec, JobState
+from repro.service.jobs import (
+    AdmissionVerdict,
+    JobContext,
+    JobRecord,
+    JobSpec,
+    JobState,
+)
 from repro.service.quotas import TenantConfig, TenantLedger
 from repro.sim.cluster import Cluster, ClusterSpec
 
@@ -148,6 +153,7 @@ class _RunningJob:
     future: Any
     program: TaskProgram
     estimate: float
+    context: JobContext
 
 
 class ServiceCore:
@@ -340,24 +346,17 @@ class ServiceCore:
         # but never another admitted job's reservation
         headroom = ledger.remaining_node_seconds()
         runtime = AllScaleRuntime(
-            self.cluster,
-            RuntimeConfig(
-                functional=program.functional,
-                tenant=record.spec.tenant,
-                job_node_seconds_cap=(
-                    None
-                    if headroom == float("inf")
-                    else estimate + max(0.0, headroom)
-                ),
-            ),
+            self.cluster, RuntimeConfig(functional=program.functional)
         )
         context = JobContext(
-            job_id=record.job_id,
-            tenant=record.spec.tenant,
-            node_seconds_cap=runtime.config.job_node_seconds_cap,
+            runtime,
+            node_seconds_cap=(
+                None
+                if headroom == float("inf")
+                else estimate + max(0.0, headroom)
+            ),
         )
-        runtime.job_context = context
-        record.context = context
+        runtime.probe.attach(context)
         register_items(runtime, program)
         record.state = JobState.RUNNING
         record.started_at = self.engine.now
@@ -366,7 +365,7 @@ class ServiceCore:
         self.fairshare.charge(record.spec.tenant, estimate)
         future = self.engine.spawn(self._driver(runtime, program))
         self._running.append(
-            _RunningJob(record, runtime, future, program, estimate)
+            _RunningJob(record, runtime, future, program, estimate, context)
         )
         self.metrics.incr("service.dispatched")
         self.metrics.incr(f"service.tenant.{record.spec.tenant}.dispatched")
@@ -401,8 +400,10 @@ class ServiceCore:
             record = run.record
             tenant = record.spec.tenant
             ledger = self.ledgers[tenant]
-            context = record.context
-            assert context is not None
+            # the job is over: unsubscribe (a subscriber left on finished
+            # runtimes' probes raised an 800-job replay's peak RSS ~1 MB)
+            context = run.context
+            run.runtime.probe.detach(context)
             actual = context.cpu_seconds
             ledger.on_finish(run.estimate, actual)
             # deficit correction: the dispatch charge used the estimate;

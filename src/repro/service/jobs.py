@@ -6,7 +6,8 @@ The service turns each submission into a :class:`JobRecord` that tracks
 the job through its lifecycle and carries the :class:`AdmissionVerdict`
 the static analyzer produced at the front door — rejections are not
 exceptions but structured API responses, so a client can always ask
-*why* a job never ran.
+*why* a job never ran.  While a job runs, its :class:`JobContext` listens
+on the job's runtime probe and charges the core-seconds its leaves use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.findings import AnalysisReport
-    from repro.runtime.jobs import JobContext
+    from repro.runtime.runtime import AllScaleRuntime
+    from repro.runtime.tasks import TaskSpec
 
 
 class JobState:
@@ -132,6 +134,37 @@ class AdmissionVerdict:
         }
 
 
+@dataclass(eq=False)
+class JobContext:
+    """Core-second accounting of one running job: a probe subscriber on
+    the job's own runtime over the shared cluster.
+
+    ``over_budget`` is sticky and side-effect free: the simulation stays
+    deterministic (no mid-run exception through shared engine state), and
+    the service settles the overrun when the job completes.
+    """
+
+    runtime: "AllScaleRuntime" = field(repr=False)
+    #: core-seconds this job may charge before ``over_budget`` is raised
+    #: (None = unlimited)
+    node_seconds_cap: float | None = None
+    #: core-seconds charged by leaf executions so far
+    cpu_seconds: float = 0.0
+    #: sticky flag: the cap was exceeded at some leaf boundary
+    over_budget: bool = False
+
+    def on_task_finish(
+        self, task: "TaskSpec", treeture: object, pid: int, now: float
+    ) -> None:
+        # service clusters have no accelerators: every leaf ran on a core
+        self.cpu_seconds += self.runtime.process(pid).node.flops_to_seconds(
+            task.flops
+        )
+        cap = self.node_seconds_cap
+        if cap is not None and self.cpu_seconds > cap:
+            self.over_budget = True
+
+
 @dataclass
 class JobRecord:
     """Server-side state of one submission, from arrival to terminal."""
@@ -155,8 +188,6 @@ class JobRecord:
     over_budget: bool = False
     #: monotonically increasing arrival sequence (tie-breaks scheduling)
     seq: int = 0
-    #: live accounting context while running (not serialized)
-    context: "JobContext | None" = field(default=None, repr=False)
 
     @property
     def terminal(self) -> bool:

@@ -97,14 +97,13 @@ def revert_migration_dead_letter() -> Iterator[None]:
     invisible to the index — which the sentinel's coherence scan flags
     as a registry/fragment disagreement.
     """
+    from repro.runtime.config import FRAGMENT_OP_OVERHEAD
     from repro.runtime.data_manager import DataItemManager
 
     original = DataItemManager._land_migration
 
     def reverted(self, item, payload) -> Generator:
-        yield self.process.node.execute(
-            self.process.runtime.config.fragment_op_overhead
-        )
+        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
         self._store_payload(item, payload)
 
     DataItemManager._land_migration = reverted  # type: ignore[method-assign]

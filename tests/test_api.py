@@ -13,7 +13,7 @@ from repro.api.prec import default_granularity, prec
 from repro.api.program import execute_program
 from repro.items.grid import Grid
 from repro.regions.box import Box
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import MIN_TASK_SIZE, RuntimeConfig
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskProgram, Treeture, constant_task
 from repro.sim.cluster import Cluster, ClusterSpec
@@ -106,9 +106,7 @@ class TestPrec:
         g = default_granularity(runtime, 1600.0)
         # 2 nodes × 2 cores × oversubscription(4) = 16 slots
         assert g == pytest.approx(100.0)
-        assert default_granularity(runtime, 1.0) == pytest.approx(
-            float(runtime.config.min_task_size)
-        )
+        assert default_granularity(runtime, 1.0) == MIN_TASK_SIZE
 
 
 class TestPfor:

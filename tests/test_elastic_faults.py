@@ -18,6 +18,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.stencil import (
+    StencilWorkload,
+    sequential_reference,
+    stencil_allscale,
+)
 from repro.items.grid import Grid
 from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
@@ -32,7 +37,7 @@ from repro.runtime.resilience import ResilienceManager
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.sentinel import RuntimeSentinel, SentinelConfig
 from repro.runtime.tasks import TaskSpec
-from repro.sim.cluster import Cluster, ClusterSpec
+from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
 from repro.sim.network import FatTreeTopology
 
 # -- harness ------------------------------------------------------------------------
@@ -454,6 +459,63 @@ class TestFaultMatrix:
         assert owned_coverage(runtime, grid).same_elements(grid.full_region)
         assert np.all(read_all(runtime, grid) == 8.0)
         assert_clean(runtime)
+
+
+class TestStormMidStencil:
+    """A two-node storm halfway (``0.5·T``, T the unchurned run's duration)
+    through a 4-node functional stencil, on-demand checkpoint."""
+
+    @staticmethod
+    def _run(n_per_node):
+        workload = StencilWorkload(
+            n_per_node=n_per_node, timesteps=6, functional=True
+        )
+        config = RuntimeConfig(functional=True, oversubscription=2)
+        total = stencil_allscale(
+            Cluster(meggie_like_spec(4)), workload, config
+        ).extras["runtime"].now
+        storm = [ChurnEvent(at=0.5 * total, kind="storm", count=2)]
+        controllers = []
+
+        def on_runtime(runtime):
+            if runtime.probe.observer(RuntimeSentinel) is None:
+                RuntimeSentinel(runtime, SentinelConfig(strict=True)).attach()
+            controllers.append(ChurnController(runtime, storm))
+            controllers[0].start()
+
+        result = stencil_allscale(
+            Cluster(meggie_like_spec(4)), workload, config, on_runtime=on_runtime
+        )
+        assert controllers[0].done
+        return workload, result.extras["runtime"], result.extras["final_grid"]
+
+    def test_storm_while_a_task_parcel_decodes_reroutes_it(self):
+        """The storm's barrier sees queues, active tasks and transfers, not
+        a task parcel being decoded at its target; a victim failed in that
+        window used to raise ``dispatched to failed process``."""
+        _, runtime, _ = self._run(16)
+        assert runtime.metrics.counter("elastic.failures") == 2
+        assert_clean(runtime)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known silent corruption (ROADMAP item 1(ii)): before "
+        "recovery, 34 elements of row 64 live on a survivor only as "
+        "replicas and nobody owns them.  Recovery restores what is present "
+        "nowhere, so it restores none of them: 34 wrong cells in rows "
+        "61-67, 4 uninitialized reads, and the sentinel reports nothing.",
+    )
+    def test_two_node_storm_restores_every_lost_cell(self):
+        workload, runtime, grid = self._run(32)
+        values = np.full(grid.shape, np.nan)
+        for pid in runtime.alive_processes():
+            manager = runtime.process(pid).data_manager
+            for box in manager.owned_region(grid).boxes:
+                values[box.lo[0] : box.hi[0], box.lo[1] : box.hi[1]] = (
+                    manager.fragment(grid).gather(box)
+                )
+        assert np.allclose(values, sequential_reference(workload, 4))
+        assert runtime.metrics.counter("dm.uninitialized_reads") == 0
 
 
 # -- churn controller ---------------------------------------------------------------

@@ -147,6 +147,6 @@ class TestMalformedUsage:
         with pytest.raises(ValueError):
             RuntimeConfig(oversubscription=0)
         with pytest.raises(ValueError):
-            RuntimeConfig(min_task_size=0)
+            RuntimeConfig(balancer_interval=0.0)
         with pytest.raises(ValueError):
-            RuntimeConfig(task_spawn_overhead=-1.0)
+            RuntimeConfig(replica_cache_bytes=0)

@@ -1,4 +1,7 @@
-"""Unit tests for lock tables, task specs, treetures, and policies."""
+"""Unit tests for lock tables, task specs, treetures, policies, and the
+runtime configuration."""
+
+import dataclasses
 
 import pytest
 
@@ -106,6 +109,26 @@ class TestTaskSpec:
     def test_constant_task(self):
         task = constant_task(99)
         assert task.body(None) == 99
+
+
+class TestRuntimeConfig:
+    def test_fields_are_the_knobs_callers_set(self):
+        """A field stays only if two callers outside the tests set it to
+        different values.  The modelled prototype's fixed costs are module
+        constants of ``repro.runtime.config``, and job accounting lives in
+        the service layer."""
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "functional",
+            "index_caching",
+            "comm_coalescing",
+            "replica_prefetch",
+            "replica_cache_bytes",
+            "load_balancing",
+            "balancer_interval",
+            "oversubscription",
+            "work_stealing",
+            "seed",
+        ]
 
 
 class TestTreeture:

@@ -11,8 +11,6 @@ import pytest
 from repro.analysis import AnalysisConfig, analyze_program
 from repro.items.grid import Grid
 from repro.regions.box import Box
-from repro.runtime.config import RuntimeConfig
-from repro.runtime.jobs import JobContext
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskProgram, TaskSpec
 from repro.service import (
@@ -30,7 +28,7 @@ from repro.service.catalog import (
     register_kind,
     unregister_kind,
 )
-from repro.service.jobs import AdmissionVerdict
+from repro.service.jobs import AdmissionVerdict, JobContext
 from repro.service.trace import Trace, TraceEvent, replay
 from repro.sim.cluster import Cluster, ClusterSpec
 
@@ -595,33 +593,39 @@ def test_queue_that_can_never_dispatch_is_reported_at_once(monkeypatch):
     assert "running []" in message and "0 engine event(s) pending" in message
 
 
-# -- runtime-layer job context -----------------------------------------------------
+# -- job accounting ----------------------------------------------------------------
 
 
 def test_one_shot_runtime_has_no_job_context():
     runtime = AllScaleRuntime(
         Cluster(ClusterSpec(num_nodes=1, cores_per_node=1))
     )
-    assert runtime.job_context is None
-    assert runtime.config.tenant is None
-    assert runtime.config.job_node_seconds_cap is None
+    assert runtime.probe.observer(JobContext) is None
 
 
 def test_job_context_over_budget_is_sticky_not_fatal():
-    context = JobContext(
-        job_id="j", tenant="alpha", node_seconds_cap=0.05
-    )
-    context.on_leaf(0.04)
-    assert not context.over_budget
-    context.on_leaf(0.02)
-    assert context.over_budget
-    context.on_leaf(0.01)  # no exception: determinism preserved
-    assert context.over_budget
-    assert context.cpu_seconds == pytest.approx(0.07)
-    snap = context.snapshot()
-    assert snap["over_budget"] and snap["leaves_executed"] == 3
+    """Leaves charging ten times what the root declares: the job runs to
+    completion, and its ``JobContext`` — subscribed to the job's runtime
+    probe — only raises the sticky flag the service settles at the end."""
 
+    def build_underdeclared(params):
+        leaves = [TaskSpec(name=f"leaf{i}", flops=2.4e7) for i in range(2)]
+        root = TaskSpec(
+            name="root", flops=4.8e6, size_hint=2, splitter=lambda: leaves
+        )
+        return TaskProgram("underdeclared", [[root]])
 
-def test_runtime_config_rejects_negative_cap():
-    with pytest.raises(ValueError):
-        RuntimeConfig(job_node_seconds_cap=-1.0)
+    register_kind("underdeclared", build_underdeclared)
+    try:
+        core = small_core(
+            tenants=(TenantConfig("alpha", weight=1.0, max_node_seconds=0.01),)
+        )
+        record = core.submit(JobSpec("alpha", "underdeclared"))
+        assert record.verdict.estimated_node_seconds == pytest.approx(0.002)
+        core.run_until_drained()
+    finally:
+        unregister_kind("underdeclared")
+    assert record.state == JobState.COMPLETED
+    assert record.over_budget
+    assert record.node_seconds == pytest.approx(0.02)
+    assert core.metrics.counter("service.over_budget") == 1
