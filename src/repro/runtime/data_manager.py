@@ -1,10 +1,12 @@
 """The data item manager (paper §3.2).
 
 One manager per runtime process.  It maintains the process's fragments,
-tracks which region of each item the process *owns* (the authoritative
-copy, registered in the hierarchical index) versus merely *replicates*
-(read-only halo data), and implements the data movement a task's
-requirements demand before it may start:
+tells the region of each item the process *owns* (the authoritative copy)
+from what it merely *replicates* (read-only halo data), and implements the
+data movement a task's requirements demand before it may start.  The owned
+region is not stored here: it *is* the process's leaf of the hierarchical
+index, and every ownership change writes only through
+:meth:`~repro.runtime.index.HierarchicalIndex.update_ownership`.
 
 * **allocate** — the *(init)* rule: first-touch allocation of data present
   nowhere;
@@ -118,8 +120,8 @@ class DataItemManager:
     def __init__(self, process: "RuntimeProcess") -> None:
         self.process = process
         self.probe = process.runtime.probe
+        self.index = process.runtime.index
         self.fragments: dict[DataItem, Fragment] = {}
-        self.owned: dict[DataItem, Region] = {}
         # regions whose ownership already arrived here but whose bytes are
         # still on the wire; tasks must not touch them until they land
         self.in_flight = TransferMarkers(self, "inflight")
@@ -152,7 +154,7 @@ class DataItemManager:
         return fragment
 
     def owned_region(self, item: DataItem) -> Region:
-        return self.owned.get(item, item.empty_region())
+        return self.index.leaf(item, self.process.pid)
 
     def present_region(self, item: DataItem) -> Region:
         return self.fragment(item).region
@@ -197,26 +199,24 @@ class DataItemManager:
         """The ownership handover every gain of ``region`` goes through:
         own it, stop counting it as a replica here (a replica orphaned by
         a node failure, or one held before a migration, is now owned) and
-        publish the new owned region in the index."""
-        runtime = self.process.runtime
-        self.owned[item] = self.owned_region(item).union(region)
-        runtime.unregister_replica(item, self.pid, region)
+        write the grown leaf to the index."""
+        owned = self.owned_region(item).union(region)
+        self.process.runtime.unregister_replica(item, self.pid, region)
         self.replica_cache.note_dropped(item, region)
-        runtime.index.update_ownership(item, self.pid, self.owned[item])
+        self.index.update_ownership(item, self.pid, owned)
 
     def export_owned(self, item: DataItem, region: Region) -> FragmentPayload:
         """Cut owned data out for a migration; caller charges the transfer."""
-        runtime = self.process.runtime
-        part = self.owned_region(item).intersect(region)
+        owned = self.owned_region(item)
+        part = owned.intersect(region)
         fragment = self.fragment(item)
         payload = fragment.extract(part)
         for notify in self.probe.frag_write:
             notify(self.pid, item, part, "migrate-out", payload)
         fragment.resize(fragment.region.difference(part))
         self.process.node.free(item.region_bytes(part))
-        self.owned[item] = self.owned_region(item).difference(part)
-        runtime.index.update_ownership(item, self.pid, self.owned[item])
-        runtime.metrics.incr("dm.exports")
+        self.index.update_ownership(item, self.pid, owned.difference(part))
+        self.process.runtime.metrics.incr("dm.exports")
         return payload
 
     def _splice(

@@ -186,7 +186,7 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
         pending = sorted(
             (
                 item
-                for item in list(manager.owned)
+                for item in runtime.items
                 if not manager.owned_region(item).is_empty()
             ),
             key=lambda item: item.name,

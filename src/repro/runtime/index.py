@@ -21,7 +21,10 @@ the parent that just called it.  The subtraction on the paper's lines
 
 Index *maintenance* (``update_ownership``) recomputes the covered regions
 along the leaf-to-root path whenever ownership changes, charging one
-fire-and-forget control message per remote ancestor host.
+fire-and-forget control message per remote ancestor host.  It is the only
+writer of ownership: a leaf is the one record of what its process owns,
+and that process's data manager reads it through
+:meth:`HierarchicalIndex.leaf`.
 """
 
 from __future__ import annotations
@@ -137,6 +140,13 @@ class HierarchicalIndex:
 
     def owned_region(self, item: DataItem, process: int) -> Region:
         return self.covered(item, 1, process)
+
+    def leaf(self, item: DataItem, process: int) -> Region:
+        """``process``'s leaf, read without announcing a ``table_read``: a
+        process consulting its own owned map, the way its data manager
+        does, is not an index access the happens-before monitor orders."""
+        region = self._cover.get((item, 1, process))
+        return region if region is not None else item.empty_region()
 
     def ownership_version(self, item: DataItem) -> int:
         """Monotone per-item ownership epoch (bumped on every applied

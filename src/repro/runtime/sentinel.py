@@ -30,6 +30,10 @@ termination            the engine draining with queued/active tasks, held
                        already raises on a drained-but-incomplete queue)
 =====================  =====================================================
 
+Ownership is stored once, as each process's leaf of the hierarchical index
+(the data managers read it), so the scan checks the index's own shape:
+leaves pairwise disjoint and every inner node the union of its children.
+
 The hook points are events of the runtime's probe
 (:mod:`repro.runtime.probe`); the sentinel is one of its subscribers.  It
 is opt-in and always-on once attached: it also registers as a
@@ -110,8 +114,7 @@ class SentinelConfig:
     scan_stride: int = 4096
     #: deep-verify every Nth leaf-task dispatch (requirements and double
     #: grants at ``task_locks_held``); the cheap hooks (single execution,
-    #: payload bytes, ownership updates) always run.  1 = exhaustive (the
-    #: test default).
+    #: payload bytes) always run.  1 = exhaustive (the test default).
     task_stride: int = 1
 
     @classmethod
@@ -546,25 +549,6 @@ class RuntimeSentinel:
                     task=plan.purpose,
                 )
 
-    def on_ownership_update(self, item: DataItem, pid: int, region) -> None:
-        """Index/data-manager leaf coherence at every ownership change."""
-        if item not in self._items:
-            return
-        self._check()
-        runtime = self.runtime
-        if pid >= runtime.num_processes:
-            return
-        owned = runtime.process(pid).data_manager.owned_region(item)
-        if not owned.same_elements(region):
-            self._report(
-                "index_coherence",
-                f"ownership update for process {pid} recorded a region "
-                "different from the data manager's owned region",
-                item=item,
-                region=owned.difference(region).union(region.difference(owned)),
-                task=self._active_tasks(pid),
-            )
-
     # -- resilience hooks ---------------------------------------------------------------
 
     def on_checkpoint(self, snapshot: "Checkpoint") -> None:
@@ -720,18 +704,6 @@ class RuntimeSentinel:
                         region=overlap,
                     )
                 seen = seen.union(owned)
-                # leaf coherence: the index mirrors the data manager
-                indexed = index.owned_region(item, process.pid)
-                if not indexed.same_elements(owned):
-                    self._report(
-                        "index_coherence",
-                        f"index leaf for process {process.pid} disagrees "
-                        "with the data manager",
-                        item=item,
-                        region=indexed.difference(owned).union(
-                            owned.difference(indexed)
-                        ),
-                    )
                 # owned bytes are present unless still in flight
                 missing = owned.difference(manager.present_region(item))
                 if not missing.difference(

@@ -319,6 +319,10 @@ class ReplicaCache:
         else:
             self._entries.pop(item, None)
 
+    def forget(self, item: DataItem) -> None:
+        """The item was destroyed: stop tracking all of its replicas."""
+        self._entries.pop(item, None)
+
     def record_hit(self, item: DataItem, region: Region) -> None:
         """A read was served from already-present replicated bytes."""
         metrics = self._runtime.metrics
@@ -376,8 +380,12 @@ class ReplicaCache:
                     continue
                 nbytes = victim_item.region_bytes(victim)
                 # drop_replica calls back into note_dropped, which trims
-                # or removes this entry
+                # or removes this entry; a drop that frees nothing tracked
+                # is no progress, so the next candidate gets its turn
+                tracked = self.tracked_bytes()
                 self.manager.drop_replica(victim_item, victim)
+                if self.tracked_bytes() == tracked:
+                    continue
                 metrics.incr("comms.replica_evictions")
                 metrics.incr("comms.replica_evicted_bytes", nbytes)
                 evicted_any = True

@@ -24,7 +24,7 @@ decision list *is* a replayable repro.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.analysis.findings import Finding
 from repro.verify.monitor import FootprintOp, VerifyMonitor, ops_conflict

@@ -55,6 +55,42 @@ class TestAllocation:
             runtime.register_item(grid, placement=[grid.full_region])
 
 
+class TestOwnershipHome:
+    """Ownership is stored once: a process's owned map is its index leaf."""
+
+    def test_owned_region_reads_the_index_leaf(self):
+        runtime = make_runtime(nodes=2)
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        manager = runtime.process(1).data_manager
+        original = runtime.index.owned_region(grid, 1)
+        # ends where it started, so a REPRO_SENTINEL teardown scan is clean
+        for edited in (grid.box((0, 0), (2, 2)), grid.empty_region(), original):
+            runtime.index.update_ownership(grid, 1, edited)
+            assert manager.owned_region(grid).same_elements(edited)
+            assert manager.owned_region(grid).same_elements(
+                runtime.index.owned_region(grid, 1)
+            )
+
+    def test_owned_region_read_is_unannounced(self):
+        """The manager reading its own leaf is no ``table_read``: the
+        happens-before monitor's event stream stays what it was."""
+        runtime = make_runtime(nodes=2)
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        reads = []
+
+        class Recorder:
+            def on_table_read(self, key, region):
+                reads.append(key)
+
+        runtime.probe.attach(Recorder())
+        assert not runtime.process(0).data_manager.owned_region(grid).is_empty()
+        assert reads == []
+        runtime.index.owned_region(grid, 0)
+        assert reads == [("own", "g")]
+
+
 class TestMigrationAndReplication:
     def run_task(self, runtime, task):
         return runtime.wait(runtime.submit(task))

@@ -7,7 +7,7 @@ Three layers:
   sentinel: any false positive raises;
 * a property-based sweep driving randomized task DAGs through the same
   machinery;
-* fault injection — deliberately corrupted lock tables, ownership maps,
+* fault injection — deliberately corrupted lock tables, index leaves,
   and checkpoint payloads, asserting the sentinel *catches* each with the
   right check name (these carry the ``sentinel_injection`` marker so the
   ``REPRO_SENTINEL=1`` fixture does not auto-attach a strict sentinel on
@@ -316,15 +316,19 @@ class TestSentinelFaultInjection:
         sentinel.verify_all()
         assert "exclusive_writes" in _checks(sentinel)
 
+    @staticmethod
+    def _edit_leaf(runtime, grid, pid, region):
+        """Overwrite ``pid``'s index leaf behind its ancestors' back — the
+        one ownership corruption left once ownership is stored only there."""
+        runtime.index._cover[(grid, 1, pid)] = region
+
     def test_ownership_index_desync_is_caught(self):
-        """Fault 2: the ownership map shrinks behind the index's back."""
+        """Fault 2: a leaf shrinks behind its ancestors' back."""
         runtime, sentinel, grid = _filled_runtime()
-        manager = runtime.process(0).data_manager
-        owned = manager.owned_region(grid)
-        assert not owned.is_empty()
-        manager.owned[grid] = owned.difference(
-            box_region(grid, 0, 0, 2, 2)
-        )
+        owned = runtime.process(0).data_manager.owned_region(grid)
+        bite = box_region(grid, 0, 0, 2, 2)
+        assert owned.covers(bite)
+        self._edit_leaf(runtime, grid, 0, owned.difference(bite))
         sentinel.verify_all()
         assert "index_coherence" in _checks(sentinel)
 
@@ -336,15 +340,15 @@ class TestSentinelFaultInjection:
         runtime, sentinel, grid = _filled_runtime()
         rng = random.Random(seed)
         pid = rng.randrange(runtime.num_processes)
-        manager = runtime.process(pid).data_manager
-        owned = manager.owned_region(grid)
+        owned = runtime.process(pid).data_manager.owned_region(grid)
         x = rng.randrange(GRID_SIDE - 1)
         y = rng.randrange(GRID_SIDE - 1)
         bite = box_region(grid, x, y, x + 1, y + 1)
         if owned.covers(bite):
-            manager.owned[grid] = owned.difference(bite)  # shrink
+            edited = owned.difference(bite)  # shrink
         else:
-            manager.owned[grid] = owned.union(bite)  # steal
+            edited = owned.union(bite)  # steal
+        self._edit_leaf(runtime, grid, pid, edited)
         sentinel.verify_all()
         assert "index_coherence" in _checks(sentinel)
 

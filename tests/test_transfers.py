@@ -290,6 +290,23 @@ class TestReplicaCache:
         finally:
             manager.fetching.clear(grid, replica)
 
+    def test_destroyed_item_leaves_no_cache_entries(self):
+        """A destroyed item's replicas leave the cache with it: a stale
+        entry would be the oldest eviction candidate, and dropping it frees
+        nothing, so a later bounded fetch would evict it forever."""
+        runtime = make_runtime(nodes=2, replica_cache_bytes=64)
+        a = Grid((4, 4), name="a")
+        b = Grid((4, 4), name="b")
+        for grid in (a, b):
+            runtime.register_item(grid, placement=grid.decompose(2))
+        cache = runtime.process(0).data_manager.replica_cache
+        self.replicate(runtime, a, runtime.index.owned_region(a, 1))
+        assert cache.tracked_bytes(a) == 64
+        runtime.destroy_item(a)
+        assert cache.tracked_bytes(a) == 0
+        self.replicate(runtime, b, runtime.index.owned_region(b, 1))
+        assert cache.tracked_bytes() == cache.tracked_bytes(b) == 64
+
     def test_unbounded_cache_never_evicts(self):
         runtime = make_runtime(nodes=2)  # replica_cache_bytes=None
         grid = Grid((16, 16), name="g")
