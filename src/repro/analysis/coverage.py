@@ -80,22 +80,25 @@ def _check_children(parent: TaskNode, findings: list[Finding]) -> None:
 def _check_sibling_writes(parent: TaskNode, findings: list[Finding]) -> None:
     """Exclusive writes by construction: sibling writes pairwise disjoint."""
     children = parent.children
-    # per child and item: (write region, corner bounds) — the bounding-box
-    # prefilter rejects far-apart siblings without touching the algebra
-    summaries: list[dict] = []
-    for child in children:
-        per_item = {}
-        for item, region in child.spec.writes.items():
-            if not region.is_empty():
-                per_item[item] = (region, corner_bounds(region))
-        summaries.append(per_item)
+    writes: list[dict] = [
+        {
+            item: region
+            for item, region in child.spec.writes.items()
+            if not region.is_empty()
+        }
+        for child in children
+    ]
     for i in range(len(children)):
         for j in range(i + 1, len(children)):
-            shared = summaries[i].keys() & summaries[j].keys()
+            shared = writes[i].keys() & writes[j].keys()
             for item in sorted(shared, key=lambda it: it.name):
-                region_a, bounds_a = summaries[i][item]
-                region_b, bounds_b = summaries[j][item]
-                if bounds_disjoint(bounds_a, bounds_b):
+                region_a = writes[i][item]
+                region_b = writes[j][item]
+                # the bounding-box prefilter rejects far-apart siblings
+                # without touching the algebra
+                if bounds_disjoint(
+                    corner_bounds(region_a), corner_bounds(region_b)
+                ):
                     continue
                 overlap = region_a.intersect(region_b)
                 if overlap.is_empty():

@@ -42,14 +42,12 @@ from repro.regions.bounds import bounds_disjoint, corner_bounds
 class EffectiveRequirements:
     """A task subtree's declared requirements, unioned over all levels."""
 
-    __slots__ = ("path", "reads", "writes", "_bounds")
+    __slots__ = ("path", "reads", "writes")
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.reads: dict[DataItem, Region] = {}
         self.writes: dict[DataItem, Region] = {}
-        #: (item, "r"/"w") -> corner bounds of the effective region
-        self._bounds: dict = {}
 
     def absorb_spec(self, spec) -> None:
         for item, region in spec.reads.items():
@@ -69,14 +67,6 @@ class EffectiveRequirements:
             return
         current = target.get(item)
         target[item] = region if current is None else current.union(region)
-
-    def bounds(self, item: DataItem, kind: str) -> object:
-        key = (item, kind)
-        if key not in self._bounds:
-            source = self.reads if kind == "r" else self.writes
-            region = source.get(item)
-            self._bounds[key] = None if region is None else corner_bounds(region)
-        return self._bounds[key]
 
 
 def effective_requirements(root: TaskNode) -> dict[int, EffectiveRequirements]:
@@ -143,9 +133,10 @@ def _check_pair(
 ) -> None:
     # write/write — exclusive-writes violation
     for item in sorted(a.writes.keys() & b.writes.keys(), key=lambda i: i.name):
-        if bounds_disjoint(a.bounds(item, "w"), b.bounds(item, "w")):
+        write_a, write_b = a.writes[item], b.writes[item]
+        if bounds_disjoint(corner_bounds(write_a), corner_bounds(write_b)):
             continue
-        overlap = a.writes[item].intersect(b.writes[item])
+        overlap = write_a.intersect(write_b)
         if overlap.is_empty():
             continue
         findings.append(
@@ -166,9 +157,10 @@ def _check_pair(
         for item in sorted(
             reader.reads.keys() & writer.writes.keys(), key=lambda i: i.name
         ):
-            if bounds_disjoint(reader.bounds(item, "r"), writer.bounds(item, "w")):
+            read, write = reader.reads[item], writer.writes[item]
+            if bounds_disjoint(corner_bounds(read), corner_bounds(write)):
                 continue
-            overlap = reader.reads[item].intersect(writer.writes[item])
+            overlap = read.intersect(write)
             if overlap.is_empty():
                 continue
             findings.append(

@@ -66,11 +66,7 @@ class HierarchicalIndex:
         # lookup caches can validate their entries cheaply
         self._version: dict[DataItem, int] = {}
         # (origin, item) -> {"version", "pieces": [(region, pid)],
-        #                    "resolved": Region, "checked": Region,
-        #                    "fast": {rid -> (mapping, unresolved)}}
-        # "fast" is the O(1) tier: repeated lookups of the *same interned*
-        # region within one ownership epoch return their answer by integer
-        # id, skipping the covers/intersect/difference chain entirely
+        #                    "resolved": Region, "checked": Region}
         self._lookup_cache: dict[tuple[int, DataItem], dict] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -175,23 +171,15 @@ class HierarchicalIndex:
             return
         self._version[item] = self._version.get(item, 0) + 1
         self._cover[(item, 1, process)] = new_region
-        # pure growth is the common case (first-touch allocation, imports);
-        # propagating only the delta keeps ancestor updates cheap
-        added = new_region.difference(old)
-        grew_only = old.difference(new_region).is_empty()
+        # each ancestor on the leaf-to-root path is the union of its two
+        # children (Fig. 5), re-merged bottom-up
         for level in range(2, self.levels + 1):
             root = self.node_root(level, process)
-            if grew_only:
-                if not added.is_empty():
-                    self._cover[(item, level, root)] = self.covered(
-                        item, level, root
-                    ).union(added)
-            else:
-                left, right = self.children_of(level, root)
-                merged = self.covered(item, level - 1, left)
-                if right < self.num_processes:
-                    merged = merged.union(self.covered(item, level - 1, right))
-                self._cover[(item, level, root)] = merged
+            left, right = self.children_of(level, root)
+            merged = self.covered(item, level - 1, left)
+            if right < self.num_processes:
+                merged = merged.union(self.covered(item, level - 1, right))
+            self._cover[(item, level, root)] = merged
             host = self.host_of(level, root)
             if host != process:
                 self.update_messages += 1
@@ -333,31 +321,20 @@ class HierarchicalIndex:
         workloads like TPC.
         """
         version = self._version.get(item, 0)
-        if region._rid is None:
-            region = region.interned()
         key = (origin, item)
         entry = self._lookup_cache.get(key)
         if entry is not None and entry["version"] != version:
             entry = None  # ownership changed: forget everything learned
-        if entry is not None:
-            fast = entry["fast"].get(region._rid)
-            if fast is not None:
-                # O(1) epoch-validated hit on the interned region's id
-                self.cache_hits += 1
-                self.lookups += 1
-                mapping, unresolved = fast
-                return list(mapping), unresolved
-            if entry["checked"].covers(region):
-                self.cache_hits += 1
-                self.lookups += 1
-                mapping = []
-                for piece, pid in entry["pieces"]:
-                    overlap = piece.intersect(region)
-                    if not overlap.is_empty():
-                        mapping.append((overlap, pid))
-                unresolved = region.difference(entry["resolved"])
-                entry["fast"][region._rid] = (mapping, unresolved)
-                return list(mapping), unresolved
+        if entry is not None and entry["checked"].covers(region):
+            # the answer is a clip of what this origin has learned
+            self.cache_hits += 1
+            self.lookups += 1
+            mapping = []
+            for piece, pid in entry["pieces"]:
+                overlap = piece.intersect(region)
+                if not overlap.is_empty():
+                    mapping.append((overlap, pid))
+            return mapping, region.difference(entry["resolved"])
         self.cache_misses += 1
         mapping, unresolved = yield from self.lookup(item, region, origin)
         # re-validate: ownership may have changed *during* the lookup, and
@@ -371,7 +348,6 @@ class HierarchicalIndex:
                     "pieces": [],
                     "resolved": item.empty_region(),
                     "checked": item.empty_region(),
-                    "fast": {},
                 }
                 self._lookup_cache[key] = entry
             for piece, pid in mapping:
@@ -380,7 +356,6 @@ class HierarchicalIndex:
                     entry["pieces"].append((fresh, pid))
                     entry["resolved"] = entry["resolved"].union(fresh)
             entry["checked"] = entry["checked"].union(region)
-            entry["fast"][region._rid] = (list(mapping), unresolved)
         return mapping, unresolved
 
     # -- convenience -----------------------------------------------------------------------

@@ -128,7 +128,7 @@ class DataAwarePolicy(SchedulingPolicy):
         # 1. the process owning the largest share of the write set (then
         #    the read set) — keeps tasks near their data
         shares: dict[int, float] = {}
-        for item in task.accessed_items():
+        for item in task.accessed_items_ordered():
             weight = 4.0 if item in task.writes else 1.0
             wanted = task.accessed_region(item)
             for part, owner in ctx.lookup.get(item, ()):  # charged lookup
@@ -146,8 +146,9 @@ class DataAwarePolicy(SchedulingPolicy):
         return ctx.origin
 
     def _home_hint(self, task: TaskSpec, runtime: "AllScaleRuntime") -> int | None:
+        # items in name order: the first item's home wins a tie
         best: tuple[float, int] | None = None
-        for item in task.accessed_items():
+        for item in task.accessed_items_ordered():
             wanted = task.write_region(item)
             if wanted.is_empty():
                 wanted = task.read_region(item)

@@ -517,7 +517,6 @@ class AllScaleRuntime:
         pollute each other.  Called automatically when :meth:`wait` /
         :meth:`wait_process` complete; idempotent.
         """
-        self.metrics.flush()
         stats = get_kernel().stats()
         base = self._region_stats_base
         for name, value in stats.items():

@@ -36,6 +36,12 @@ class Scheduler:
 
     def __init__(self, runtime: "AllScaleRuntime") -> None:
         self.runtime = runtime
+        index = runtime.index
+        #: one Algorithm-1 lookup ``(item, region, origin)``, through the
+        #: origin's locality cache when ``index_caching`` is on
+        self._lookup = (
+            index.lookup_cached if runtime.config.index_caching else index.lookup
+        )
 
     # -- public entry -------------------------------------------------------------
 
@@ -105,12 +111,6 @@ class Scheduler:
         self, tasks: list[TaskSpec], treetures: list[Treeture], origin: int
     ) -> Generator:
         runtime = self.runtime
-        index = runtime.index
-        resolve = (
-            index.lookup_cached
-            if runtime.config.index_caching
-            else index.lookup
-        )
         # one charged lookup per item over the union of sibling regions
         union: dict[DataItem, Region] = {}
         order: list[DataItem] = []
@@ -124,43 +124,28 @@ class Scheduler:
                     union[item] = union[item].union(region)
         shared: dict[DataItem, list[tuple[Region, int]]] = {}
         for item in order:
-            mapping, _unresolved = yield from resolve(
+            mapping, _unresolved = yield from self._lookup(
                 item, union[item], origin
             )
             shared[item] = mapping
         # place each sibling from its clip of the shared mapping, then
-        # group the dispatches by destination.  Siblings of one split
-        # frequently access the *same* region of shared items (stencil
-        # readback planes, TPC's kd-tree), so clips are memoized on the
-        # (item, interned-region-id) pair — repeat clips are one dict hit
-        clip_memo: dict[tuple[int, int], list[tuple[Region, int]]] = {}
-        clip_reuses = 0
+        # group the dispatches by destination
         groups: dict[int, list] = {}
         for task, treeture in zip(tasks, treetures):
             variant = runtime.policy.pick_variant(task, runtime)
             lookup: dict[DataItem, list[tuple[Region, int]]] = {}
             for item in task.accessed_items_ordered():
                 region = task.accessed_region(item)
-                if region._rid is None:
-                    region = region.interned()
-                memo_key = (id(item), region._rid)
-                pieces = clip_memo.get(memo_key)
-                if pieces is None:
-                    pieces = []
-                    for part, owner in shared.get(item, ()):
-                        overlap = part.intersect(region)
-                        if not overlap.is_empty():
-                            pieces.append((overlap, owner))
-                    clip_memo[memo_key] = pieces
-                else:
-                    clip_reuses += 1
+                pieces = []
+                for part, owner in shared.get(item, ()):
+                    overlap = part.intersect(region)
+                    if not overlap.is_empty():
+                        pieces.append((overlap, owner))
                 lookup[item] = pieces
             target = self._choose_target(task, lookup, origin)
             groups.setdefault(target, []).append(
                 (task, treeture, variant, lookup)
             )
-        if clip_reuses:
-            runtime.metrics.incr("comms.batch_clip_reuses", clip_reuses)
         dispatchers = [
             runtime.engine.spawn(
                 self._dispatch_group(target, groups[target], origin, bulk=True)
@@ -298,16 +283,10 @@ class Scheduler:
     def _locate_requirements(
         self, task: TaskSpec, origin: int
     ) -> Generator:
-        index = self.runtime.index
-        resolve = (
-            index.lookup_cached
-            if self.runtime.config.index_caching
-            else index.lookup
-        )
         lookup: dict[DataItem, list[tuple[Region, int]]] = {}
         for item in task.accessed_items_ordered():
             region = task.accessed_region(item)
-            mapping, _unresolved = yield from resolve(item, region, origin)
+            mapping, _unresolved = yield from self._lookup(item, region, origin)
             lookup[item] = mapping
         return lookup
 

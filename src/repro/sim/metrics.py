@@ -4,16 +4,12 @@ The AllScale runtime's monitoring infrastructure (paper §3.2, deliverable
 D5.2) observes task and data management activity; this registry is the
 substrate it records into.
 
-Two recording paths exist:
-
-* **named** — ``incr``/``observe`` with a metric name; fine for cold
-  paths (scheduler decisions, resilience events, once-per-run totals).
-* **flat** — a :class:`CounterBlock` of preallocated, index-addressed
-  slots handed to per-event hot paths (node execution, NIC sends).  The
-  hot loop touches a slot by integer index; the block is folded back into
-  the named dicts at flush barriers (end of a ``runtime.wait`` drive, or
-  lazily whenever the named view is read), so readers always see totals
-  while the per-event cost drops to one list-index add.
+There is one recording path: ``incr``/``observe`` with a metric name,
+from cold paths (scheduler decisions, resilience events) and per-event
+ones (node execution, NIC sends) alike.  A named record costs about
+0.08 µs more per event than a preallocated index-addressed slot; at the
+~150k events of the busiest ledger run that is ~15 ms, below run-to-run
+noise, so the hot paths use the names too.
 """
 
 from __future__ import annotations
@@ -44,138 +40,33 @@ class Stat:
         return self.total / self.count if self.count else 0.0
 
 
-class CounterBlock:
-    """Preallocated flat counter/stat slots for per-event hot paths.
-
-    A hot path resolves its slot indices once (at construction time) and
-    then records with ``block.counts[i] += x`` or ``block.note(i, v)`` —
-    no string hashing, no dict lookups, no attribute dispatch beyond the
-    block itself.  :meth:`MetricRegistry.flush` drains the slots into the
-    registry's named counters/stats and zeroes them; empty slots cost
-    nothing to flush.
-    """
-
-    __slots__ = ("counts", "rows", "_counter_names", "_stat_names")
-
-    def __init__(
-        self,
-        counter_names: tuple[str, ...],
-        stat_names: tuple[str, ...] = (),
-    ) -> None:
-        self._counter_names = tuple(counter_names)
-        self._stat_names = tuple(stat_names)
-        #: one accumulator slot per counter name, addressed by index
-        self.counts: list[float] = [0.0] * len(self._counter_names)
-        #: one ``[count, total, min, max]`` row per stat name
-        self.rows: list[list[float]] = [
-            [0.0, 0.0, inf, -inf] for _ in self._stat_names
-        ]
-
-    def note(self, index: int, value: float) -> None:
-        """Record one observation into stat row ``index``."""
-        row = self.rows[index]
-        row[0] += 1.0
-        row[1] += value
-        if value < row[2]:
-            row[2] = value
-        if value > row[3]:
-            row[3] = value
-
-    def _drain_into(
-        self, counters: dict[str, float], stats: dict[str, Stat]
-    ) -> None:
-        counts = self.counts
-        for index, name in enumerate(self._counter_names):
-            value = counts[index]
-            if value:
-                counters[name] = counters.get(name, 0.0) + value
-                counts[index] = 0.0
-        for index, name in enumerate(self._stat_names):
-            row = self.rows[index]
-            if row[0]:
-                stat = stats.get(name)
-                if stat is None:
-                    stat = stats[name] = Stat()
-                stat.count += int(row[0])
-                stat.total += row[1]
-                if row[2] < stat.minimum:
-                    stat.minimum = row[2]
-                if row[3] > stat.maximum:
-                    stat.maximum = row[3]
-                row[0] = 0.0
-                row[1] = 0.0
-                row[2] = inf
-                row[3] = -inf
-
-    def __repr__(self) -> str:
-        return (
-            f"CounterBlock({len(self._counter_names)} counters, "
-            f"{len(self._stat_names)} stats)"
-        )
-
-
 class MetricRegistry:
     """Hierarchically named counters and statistics."""
 
-    __slots__ = ("_counters", "_stats", "_blocks")
+    __slots__ = ("counters", "stats")
 
     def __init__(self) -> None:
-        self._counters: dict[str, float] = {}
-        self._stats: dict[str, Stat] = {}
-        self._blocks: list[CounterBlock] = []
-
-    # -- flat hot-path blocks ------------------------------------------------
-
-    def block(
-        self,
-        counter_names: tuple[str, ...],
-        stat_names: tuple[str, ...] = (),
-    ) -> CounterBlock:
-        """Allocate a flat counter block that flushes into this registry."""
-        blk = CounterBlock(counter_names, stat_names)
-        self._blocks.append(blk)
-        return blk
-
-    def flush(self) -> None:
-        """Fold every block's slots into the named counters/stats."""
-        for blk in self._blocks:
-            blk._drain_into(self._counters, self._stats)
-
-    # -- named views (always flushed-consistent) -----------------------------
-
-    @property
-    def counters(self) -> dict[str, float]:
-        self.flush()
-        return self._counters
-
-    @property
-    def stats(self) -> dict[str, Stat]:
-        self.flush()
-        return self._stats
-
-    # -- named recording -----------------------------------------------------
+        self.counters: dict[str, float] = {}
+        self.stats: dict[str, Stat] = {}
 
     def incr(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+        self.counters[name] = self.counters.get(name, 0.0) + amount
 
     def set(self, name: str, value: float) -> None:
         """Overwrite a counter with an externally computed value."""
-        self.flush()
-        self._counters[name] = value
+        self.counters[name] = value
 
     def counter(self, name: str) -> float:
-        self.flush()
-        return self._counters.get(name, 0.0)
+        return self.counters.get(name, 0.0)
 
     def observe(self, name: str, value: float) -> None:
-        stat = self._stats.get(name)
+        stat = self.stats.get(name)
         if stat is None:
-            stat = self._stats[name] = Stat()
+            stat = self.stats[name] = Stat()
         stat.observe(value)
 
     def stat(self, name: str) -> Stat:
-        self.flush()
-        return self._stats.get(name, Stat())
+        return self.stats.get(name, Stat())
 
     def merged(self, other: "MetricRegistry") -> "MetricRegistry":
         """Return a new registry combining both operands."""
@@ -184,7 +75,7 @@ class MetricRegistry:
             for name, value in src.counters.items():
                 out.incr(name, value)
             for name, stat in src.stats.items():
-                dst = out._stats.setdefault(name, Stat())
+                dst = out.stats.setdefault(name, Stat())
                 dst.count += stat.count
                 dst.total += stat.total
                 dst.minimum = min(dst.minimum, stat.minimum)
@@ -194,14 +85,13 @@ class MetricRegistry:
     def snapshot(self) -> dict[str, float]:
         """Flat dict of counters plus ``<stat>.mean`` entries."""
         out = dict(self.counters)
-        for name, stat in self._stats.items():
+        for name, stat in self.stats.items():
             out[f"{name}.mean"] = stat.mean
             out[f"{name}.count"] = float(stat.count)
         return out
 
     def __repr__(self) -> str:
-        self.flush()
         return (
-            f"MetricRegistry({len(self._counters)} counters, "
-            f"{len(self._stats)} stats)"
+            f"MetricRegistry({len(self.counters)} counters, "
+            f"{len(self.stats)} stats)"
         )

@@ -66,7 +66,7 @@ class _NicState:
 class Network:
     """Message transport between simulated nodes."""
 
-    __slots__ = ("engine", "topology", "config", "metrics", "_nics", "_ctr")
+    __slots__ = ("engine", "topology", "config", "metrics", "_nics")
 
     def __init__(
         self,
@@ -80,13 +80,6 @@ class Network:
         self.config = config or NetworkConfig()
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self._nics = [_NicState() for _ in range(topology.num_nodes)]
-        # flat per-message slots, flushed into ``metrics`` at barriers:
-        # counts = (net.messages, net.bytes, net.bulk_messages,
-        # net.bulk_parts), rows[0] = net.send_queue_wait
-        self._ctr = self.metrics.block(
-            ("net.messages", "net.bytes", "net.bulk_messages", "net.bulk_parts"),
-            ("net.send_queue_wait",),
-        )
 
     # -- core transfer ---------------------------------------------------------------
 
@@ -101,9 +94,9 @@ class Network:
         engine = self.engine
         cfg = self.config
         done = engine.future()
-        ctr = self._ctr
-        ctr.counts[0] += 1.0
-        ctr.counts[1] += nbytes
+        metrics = self.metrics
+        metrics.incr("net.messages")
+        metrics.incr("net.bytes", nbytes)
 
         # trace labels are built only under repro.verify (labels active)
         label = (
@@ -124,7 +117,7 @@ class Network:
         send_start = max(engine.now, nic.send_free_at)
         send_done = send_start + cfg.send_overhead + serialization
         nic.send_free_at = send_done
-        ctr.note(0, send_start - engine.now)
+        metrics.observe("net.send_queue_wait", send_start - engine.now)
 
         wire = cfg.base_latency + cfg.hop_latency * self.topology.switch_hops(
             src, dst
@@ -166,13 +159,16 @@ class Network:
         for nbytes in sizes:
             if nbytes < 0:
                 raise ValueError(f"negative constituent size {nbytes}")
-        ctr = self._ctr
-        ctr.counts[2] += 1.0
-        ctr.counts[3] += len(sizes)
+        self.metrics.incr("net.bulk_messages")
+        self.metrics.incr("net.bulk_parts", len(sizes))
         return self.send(src, dst, sum(sizes))
 
     def transfer_time_estimate(self, src: int, dst: int, nbytes: int) -> float:
-        """Unloaded-network latency estimate (no queueing); used by policies."""
+        """Unloaded-network latency of one message (no queueing).
+
+        Nothing in the runtime calls it; tests use it as the closed-form
+        cost of a lone message against which the queued model is checked.
+        """
         cfg = self.config
         if src == dst:
             return cfg.loopback_overhead

@@ -10,7 +10,6 @@ effect.
 
 from __future__ import annotations
 
-
 from repro.sim.engine import Future, SimEngine
 from repro.sim.metrics import MetricRegistry
 
@@ -32,7 +31,6 @@ class SimNode:
         "metrics",
         "_core_free_at",
         "_busy_time",
-        "_ctr",
     )
 
     def __init__(
@@ -57,13 +55,6 @@ class SimNode:
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self._core_free_at = [0.0] * cores
         self._busy_time = 0.0
-        # flat per-event slots, flushed into ``metrics`` at barriers:
-        # counts[0]=node.tasks_executed, counts[1]=node.parallel_regions,
-        # rows[0]=node.queue_wait
-        self._ctr = self.metrics.block(
-            ("node.tasks_executed", "node.parallel_regions"),
-            ("node.queue_wait",),
-        )
 
     # -- compute -------------------------------------------------------------------
 
@@ -81,9 +72,9 @@ class SimNode:
         finish = start + cost_seconds
         free_at[core] = finish
         self._busy_time += cost_seconds
-        ctr = self._ctr
-        ctr.counts[0] += 1.0
-        ctr.note(0, start - engine.now)
+        metrics = self.metrics
+        metrics.incr("node.tasks_executed")
+        metrics.observe("node.queue_wait", start - engine.now)
         done = engine.future()
         engine.schedule_at(finish, lambda: done.complete(engine.now))
         return done
@@ -102,7 +93,7 @@ class SimNode:
         for core in range(self.num_cores):
             self._core_free_at[core] = finish
         self._busy_time += cost_seconds * self.num_cores
-        self._ctr.counts[1] += 1.0
+        self.metrics.incr("node.parallel_regions")
         done = engine.future()
         engine.schedule_at(finish, lambda: done.complete(engine.now))
         return done

@@ -105,6 +105,32 @@ class TestDataAwareFallbackTiers:
         task = _task(name="r", reads={grid: homes[2]})
         assert policy.pick_target(task, _ctx(runtime, origin=0)) == 2
 
+    def test_home_hint_tie_goes_to_first_item_by_name(self):
+        """A cross-item tie in the home hint is broken by item name, not
+        by the order the items happen to hash into a set."""
+
+        class PinnedHashGrid(Grid):
+            def __init__(self, shape, name, pinned_hash):
+                super().__init__(shape, name=name)
+                self._pinned_hash = pinned_hash
+
+            def __hash__(self):
+                return self._pinned_hash
+
+        policy = DataAwarePolicy()
+        runtime = make_runtime(nodes=2, policy=policy)
+        a = PinnedHashGrid((4, 4), "a", pinned_hash=1)
+        b = PinnedHashGrid((4, 4), "b", pinned_hash=0)
+        runtime.register_item(a)
+        runtime.register_item(b)
+        task = _task(
+            name="w",
+            writes={a: runtime.home_map(a)[0], b: runtime.home_map(b)[1]},
+        )
+        # the set iterates ``b`` first; the tie must still go to ``a``
+        assert next(iter(task.accessed_items())) is b
+        assert policy.pick_target(task, _ctx(runtime, origin=1)) == 0
+
     def test_no_requirements_stays_at_origin(self):
         """Tier 3: a task touching no data stays where it was submitted."""
         policy = DataAwarePolicy()
