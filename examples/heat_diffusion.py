@@ -21,8 +21,7 @@ from repro.apps.stencil import (
     stencil_mpi,
 )
 from repro.regions.box import Box
-from repro.runtime import TaskSpec
-from repro.runtime.monitoring import Monitor
+from repro.runtime import TaskSpec, monitoring
 from repro.sim import Cluster, ClusterSpec
 
 NODES = 4
@@ -63,7 +62,7 @@ values = runtime.wait(
 )
 assert np.allclose(values, reference)
 print("AllScale port matches the sequential kernel ✓")
-report = Monitor(runtime).report()
+report = monitoring.report(runtime)
 print(
     f"  simulated {result.elapsed * 1e3:.3f} ms for the time loop; "
     f"{report.migrations:.0f} migrations, {report.replications:.0f} halo "

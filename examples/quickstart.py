@@ -13,8 +13,7 @@ import numpy as np
 from repro.api import box_region, pfor
 from repro.items import Grid
 from repro.regions.box import Box
-from repro.runtime import AllScaleRuntime, RuntimeConfig
-from repro.runtime.monitoring import Monitor
+from repro.runtime import AllScaleRuntime, RuntimeConfig, monitoring
 from repro.sim import Cluster, ClusterSpec
 
 N = 64
@@ -72,5 +71,5 @@ for pid in range(runtime.num_processes):
     print(f"  node {pid}: owns {owned.size():4d} of {N * N} elements")
 print()
 print("runtime monitoring summary:")
-for line in Monitor(runtime).report().summary_lines():
+for line in monitoring.report(runtime).summary_lines():
     print(" ", line)

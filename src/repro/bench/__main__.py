@@ -22,8 +22,6 @@ import sys
 
 from repro.bench import ablations, churn, comms, placement, scaling, service
 from repro.bench.panel import OBSERVERS, panel_mode, run_panel
-from repro.bench.report import render_table1
-from repro.bench.tables import table1
 
 #: every pinned panel, in the order the CLI runs them; to add one,
 #: define a ``Panel`` (see :mod:`repro.bench.panel`) and list it here
@@ -125,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     if "all" in wanted:
         wanted |= {"table1", *scaling.APPS}
     if "table1" in wanted:
-        print(render_table1(table1()))
+        print(scaling.render_table1(scaling.table1()))
         print()
     apps = [app for app in scaling.APPS if app in wanted]
     if args.write_baseline and 0 < len(apps) < len(scaling.APPS):

@@ -25,8 +25,7 @@ from repro.api.access import box_region
 from repro.api.pfor import _split_box
 from repro.api.prec import PrecFunction, default_granularity
 from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale, tpc_mpi
-from repro.bench.panel import Panel
-from repro.bench.report import _fmt, render_table
+from repro.bench.panel import Panel, _fmt, render_table
 from repro.items.grid import Grid
 from repro.regions.blocked_tree import BlockedTreeGeometry, BlockedTreeRegion
 from repro.regions.box import Box

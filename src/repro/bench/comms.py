@@ -23,8 +23,7 @@ from repro.apps.common import AppResult
 from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale
 from repro.apps.stencil import StencilWorkload, stencil_allscale
 from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale
-from repro.bench.panel import Panel
-from repro.bench.report import render_table
+from repro.bench.panel import Panel, render_table
 from repro.runtime.config import RuntimeConfig
 from repro.sim.cluster import Cluster, meggie_like_spec
 

@@ -176,6 +176,36 @@ def check_panel(
     return problems
 
 
+# -- rendering: the fixed-width tables every panel prints ------------------------
+
+
+def render_table(
+    headers: Sequence[str], rows: Sequence[Sequence[str]]
+) -> str:
+    """Plain fixed-width ASCII table."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for k, cell in enumerate(row):
+            widths[k] = max(widths[k], len(str(cell)))
+    lines = []
+    header = "  ".join(h.ljust(widths[k]) for k, h in enumerate(headers))
+    lines.append(header)
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append(
+            "  ".join(str(cell).ljust(widths[k]) for k, cell in enumerate(row))
+        )
+    return "\n".join(lines)
+
+
+def _fmt(value: float) -> str:
+    if value >= 1e6:
+        return f"{value:.4g}"
+    if value >= 100:
+        return f"{value:.1f}"
+    return f"{value:.3g}"
+
+
 # -- observers: re-run any panel under a process-wide Enablement ----------------
 
 

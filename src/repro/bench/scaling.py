@@ -1,15 +1,24 @@
-"""The ``--scaling`` panel: Fig. 7's weak-scaling sweep as a pinned artifact.
+"""Table 1 and Fig. 7: the paper's two evaluation artifacts (§4).
 
-The paper's evaluation (§4, Fig. 7) sweeps all three applications from 1
-to 64 nodes.  Before the flat-core refactor (slotted hot classes, flat
-metric counters, interned region ids) the full sweep was impractical
-to regenerate routinely; this panel runs it end to end, times each
-application, and pins the result in ``BENCH_scaling_baseline.json`` at
-the repository root.
+:func:`table1` regenerates the application inventory from the workload
+dataclasses, so the table states what the benchmarks actually run.
 
-The reduced modes shrink the workloads, not just the x-axis, so each
-mode pins its own section; file layout and ``--check`` are
-:mod:`repro.bench.panel`'s.
+The ``--scaling`` panel is Fig. 7's weak-scaling sweep as a pinned
+artifact: each ``fig7_*`` builder sweeps node counts and returns a
+:class:`ScalingSeries` with AllScale and MPI throughput per node count,
+and the panel times each application and pins the result in
+``BENCH_scaling_baseline.json`` at the repository root.  The full mode
+is the paper's 1–64 node x-axis; the reduced modes shrink the
+workloads, not just the x-axis, so each mode pins its own section; file
+layout and ``--check`` are :mod:`repro.bench.panel`'s.
+
+Calibration (single-node anchors, see DESIGN.md §5):
+
+* stencil — effective 2.4 GFLOP/s/core ⇒ ≈45 GFLOPS/node, matching the
+  paper's leftmost stencil point;
+* iPiC3D — ``flops_per_particle_update = 7·10⁵`` ⇒ ≈6.5·10⁴ particle
+  updates/s/node;
+* TPC — ``visit_flops=150 / point_flops=30`` ⇒ ≈600 q/s single node.
 
 The ``quick`` section additionally records the speedup against the
 pre-refactor quick-bench wall clock (:data:`PR5_QUICK_SECONDS`), which
@@ -28,14 +37,263 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.bench.figures import FIG7_BUILDERS, quick_node_counts
-from repro.bench.harness import ScalingSeries, parallel_efficiency
-from repro.bench.panel import Panel
-from repro.bench.report import render_region_cache, render_series
+from repro.apps.common import AppResult
+from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale, ipic3d_mpi
+from repro.apps.stencil import StencilWorkload, stencil_allscale, stencil_mpi
+from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale, tpc_mpi
+from repro.bench.panel import Panel, _fmt, render_table
 from repro.regions.kernel import get_kernel
+from repro.runtime.config import RuntimeConfig
+from repro.sim.cluster import Cluster, meggie_like_spec
 
-#: the Fig. 7 applications by CLI name, in the paper's left-to-right order
+# -- Table 1 ---------------------------------------------------------------------
+
+
+def table1(
+    stencil: StencilWorkload | None = None,
+    ipic3d: IPic3DWorkload | None = None,
+    tpc: TPCWorkload | None = None,
+) -> list[tuple[str, str, str, str, str]]:
+    """Table 1's rows (name, description, data structure, problem size,
+    metric) from (possibly customized) workload definitions."""
+    stencil = stencil or StencilWorkload()
+    ipic3d = ipic3d or IPic3DWorkload()
+    tpc = tpc or TPCWorkload()
+    return [
+        (
+            "stencil",
+            "2D stencil kernel [12]",
+            "regular 2D grid",
+            f"{stencil.n_per_node:,}² elements per node",
+            "FLOPS",
+        ),
+        (
+            "iPiC3D",
+            "particle-in-cell simulator [13]",
+            "multiple regular 3D grids",
+            f"{ipic3d.particles_per_node / 1e6:.0f} · 10⁶ particles per node",
+            "particle updates per second",
+        ),
+        (
+            "TPC",
+            "two-point-correlation search [14]",
+            "kd-tree",
+            f"2^{tpc.total_points.bit_length() - 1} points in "
+            f"[{tpc.low:g}, {tpc.high:g})^{tpc.dims} with radius "
+            f"{tpc.radius:g}",
+            "queries per second",
+        ),
+    ]
+
+
+def render_table1(rows: Sequence[Sequence[str]]) -> str:
+    return render_table(
+        ["Name", "Description", "Data Structure", "Problem Size", "Metric"],
+        rows,
+    )
+
+
+# -- Fig. 7: one series per application -------------------------------------------
+
+#: the node counts of the paper's Fig. 7 x-axis
+FIG7_NODE_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
+
+
+@dataclass
+class ScalingPoint:
+    """One x-position of a Fig. 7 panel."""
+
+    nodes: int
+    allscale: float
+    mpi: float
+
+    @property
+    def ratio(self) -> float:
+        """AllScale throughput as a fraction of MPI's."""
+        return self.allscale / self.mpi if self.mpi else float("nan")
+
+
+@dataclass
+class ScalingSeries:
+    """One full panel: throughput vs node count for both systems."""
+
+    app: str
+    metric: str
+    points: list[ScalingPoint] = field(default_factory=list)
+
+    def add(self, allscale: AppResult, mpi: AppResult) -> None:
+        if allscale.nodes != mpi.nodes:
+            raise ValueError("mismatched node counts in a scaling point")
+        self.points.append(
+            ScalingPoint(allscale.nodes, allscale.throughput, mpi.throughput)
+        )
+
+    def node_counts(self) -> list[int]:
+        return [p.nodes for p in self.points]
+
+    def linear(self, system: str = "allscale") -> list[float]:
+        """The ideal-scaling reference line anchored at the first point."""
+        if not self.points:
+            return []
+        base = getattr(self.points[0], system) / self.points[0].nodes
+        return [base * p.nodes for p in self.points]
+
+    def point_at(self, nodes: int) -> ScalingPoint:
+        for p in self.points:
+            if p.nodes == nodes:
+                return p
+        raise KeyError(f"no point at {nodes} nodes")
+
+
+def parallel_efficiency(series: ScalingSeries, system: str) -> float:
+    """Efficiency at the largest node count vs the single-node anchor."""
+    first, last = series.points[0], series.points[-1]
+    base = getattr(first, system) / first.nodes
+    return getattr(last, system) / (base * last.nodes)
+
+
+def quick_node_counts(quick: bool, smoke: bool = False) -> tuple[int, ...]:
+    if smoke:
+        return (1, 4)
+    return (1, 4, 16) if quick else FIG7_NODE_COUNTS
+
+
+def _runtime_config() -> RuntimeConfig:
+    # modest oversubscription keeps task counts (and simulation cost)
+    # reasonable without changing the scaling shape
+    return RuntimeConfig(functional=False, oversubscription=2)
+
+
+def fig7_stencil(quick: bool = False, smoke: bool = False) -> ScalingSeries:
+    """Fig. 7, left panel: stencil throughput [GFLOPS]."""
+    reduced = quick or smoke
+    workload = StencilWorkload(
+        n_per_node=20_000 if not reduced else 4_000,
+        timesteps=4 if not reduced else 2,
+        functional=False,
+    )
+    series = ScalingSeries(app="stencil", metric="GFLOPS")
+    for nodes in quick_node_counts(quick, smoke):
+        series.add(
+            stencil_allscale(
+                Cluster(meggie_like_spec(nodes)), workload, _runtime_config()
+            ),
+            stencil_mpi(Cluster(meggie_like_spec(nodes)), workload),
+        )
+    return series
+
+
+def fig7_ipic3d(quick: bool = False, smoke: bool = False) -> ScalingSeries:
+    """Fig. 7, middle panel: iPiC3D throughput [particles/s]."""
+    reduced = quick or smoke
+    workload = IPic3DWorkload(
+        particles_per_node=48_000_000,
+        cells_per_node_side=16 if not reduced else 8,
+        timesteps=3 if not reduced else 2,
+    )
+    series = ScalingSeries(app="ipic3d", metric="particles/s")
+    for nodes in quick_node_counts(quick, smoke):
+        series.add(
+            ipic3d_allscale(
+                Cluster(meggie_like_spec(nodes)), workload, _runtime_config()
+            ),
+            ipic3d_mpi(Cluster(meggie_like_spec(nodes)), workload),
+        )
+    return series
+
+
+def fig7_tpc(quick: bool = False, smoke: bool = False) -> ScalingSeries:
+    """Fig. 7, right panel: TPC throughput [queries/s].
+
+    Offered load: a fixed window of queries per measurement (see the
+    ``queries_total`` note in :class:`~repro.apps.tpc.TPCWorkload`); both
+    systems process the identical window.
+    """
+    reduced = quick or smoke
+    workload = TPCWorkload(
+        total_points=2**29,
+        depth=16,
+        queries_total=384 if not reduced else 128,
+        functional=False,
+        visit_flops=150.0,
+        point_flops=30.0,
+        task_subtree_height=9,
+    )
+    series = ScalingSeries(app="tpc", metric="queries/s")
+    for nodes in quick_node_counts(quick, smoke):
+        problem = make_problem(workload, nodes)
+        allscale = tpc_allscale(
+            Cluster(meggie_like_spec(nodes)),
+            workload,
+            _runtime_config(),
+            problem=problem,
+        )
+        mpi = tpc_mpi(Cluster(meggie_like_spec(nodes)), workload, problem=problem)
+        series.add(allscale, mpi)
+    return series
+
+
+#: the three Fig. 7 panels by CLI name, in the paper's left-to-right order
+FIG7_BUILDERS = {
+    "stencil": fig7_stencil,
+    "ipic3d": fig7_ipic3d,
+    "tpc": fig7_tpc,
+}
+
+#: the Fig. 7 applications by CLI name
 APPS = tuple(FIG7_BUILDERS)
+
+
+def render_series(series: ScalingSeries) -> str:
+    """One Fig. 7 panel as a table: nodes | AllScale | MPI | linear."""
+    linear = series.linear("allscale")
+    rows = []
+    for point, ideal in zip(series.points, linear):
+        rows.append(
+            (
+                str(point.nodes),
+                _fmt(point.allscale),
+                _fmt(point.mpi),
+                _fmt(ideal),
+                f"{point.ratio:.2f}",
+            )
+        )
+    title = f"Fig. 7 — {series.app} throughput [{series.metric}]"
+    body = render_table(
+        ["nodes", "AllScale", "MPI", "linear", "AS/MPI"], rows
+    )
+    return f"{title}\n{body}"
+
+
+def render_region_cache(stats: dict[str, int]) -> str:
+    """The kernel's per-op hit/miss counters as an ASCII table."""
+    ops = sorted(
+        {
+            name.split(".")[1]
+            for name in stats
+            if name.count(".") == 2 and name.endswith(".hits")
+        }
+    )
+    rows = []
+    for op in ops:
+        hits = stats.get(f"region.{op}.hits", 0)
+        misses = stats.get(f"region.{op}.misses", 0)
+        total = hits + misses
+        rate = f"{hits / total:.1%}" if total else "-"
+        rows.append((op, str(hits), str(misses), rate))
+    hits = stats.get("region.cache_hits", 0)
+    misses = stats.get("region.cache_misses", 0)
+    total = hits + misses
+    rate = f"{hits / total:.1%}" if total else "-"
+    rows.append(("TOTAL", str(hits), str(misses), rate))
+    body = render_table(["op", "hits", "misses", "hit rate"], rows)
+    interned = stats.get("region.interned", 0)
+    return (
+        f"Region kernel cache ({interned} regions interned)\n{body}"
+    )
+
+
+# -- the --scaling panel -----------------------------------------------------------
 
 #: quick-bench wall clock (stencil + ipic3d + tpc, 1/4/16 nodes) measured
 #: at the PR-5 state, immediately before the flat-core refactor; the

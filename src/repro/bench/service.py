@@ -17,7 +17,7 @@ Both are pinned in ``BENCH_service_baseline.json`` through
 :mod:`repro.bench.panel` (one mode: the replay has no reduced size).
 The semantic gate: contended shares within
 :data:`~repro.service.trace.SHARE_TOLERANCE` of the configured weights,
-and no racy job ever admitted.
+no racy job ever admitted, and every job completed or rejected.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ def semantic_problems(panel: ServicePanel) -> list[str]:
         if report["false_accepts"]:
             problems.append(
                 f"{name}: {report['false_accepts']} racy job(s) admitted"
+            )
+        unfinished = report["jobs"] - sum(
+            t["completed"] + t["rejected"] for t in report["tenants"].values()
+        )
+        if unfinished:
+            problems.append(
+                f"{name}: {unfinished} job(s) neither completed nor rejected"
             )
     return problems + [
         f"contended: tenant {name} {problem} (tolerance {SHARE_TOLERANCE:.0%})"

@@ -268,11 +268,33 @@ def failure_storm(
             or manager.fetching
         )
 
+    def _holds(pid: int) -> str:
+        victim = runtime.process(pid)
+        manager = victim.data_manager
+        moving = sorted(
+            item.name
+            for item in {*manager.in_flight.regions, *manager.fetching.regions}
+        )
+        return (
+            f"pid {pid}: {len(victim.queue)} queued, {victim.active} active, "
+            f"items in transfer {moving}"
+        )
+
     while True:
         delay = poll
         while any(_busy(pid) for pid in targets):
             yield delay
             delay = min(delay * 2.0, 1.0)
+            # the poll was the last pending event: nothing can ever idle
+            # the victims, so re-arming would spin forever
+            if runtime.engine.pending_events == 0 and any(
+                _busy(pid) for pid in targets
+            ):
+                raise RuntimeError(
+                    "storm victims never reach the barrier, event queue "
+                    "drained: "
+                    + "; ".join(_holds(pid) for pid in targets if _busy(pid))
+                )
         if snapshot is not None:
             break
         # checkpoint on demand — it streams to stable storage in simulated

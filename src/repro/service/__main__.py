@@ -13,7 +13,6 @@ Client/server commands speak the newline-delimited JSON protocol of
 Batch commands run in-process and deterministically::
 
     python -m repro.service replay traces/multi_tenant_smoke.json
-    python -m repro.service demo
     python -m repro.service smoke   # what the CI service job runs
 
 ``smoke`` starts a real frontend on an ephemeral port, replays the
@@ -36,15 +35,7 @@ from repro.service.frontend import (
     call,
 )
 from repro.service.jobs import JobSpec, JobState
-from repro.service.trace import (
-    DEMO_HORIZON_DISPATCHES,
-    SHARE_TOLERANCE,
-    Trace,
-    demo_trace,
-    replay,
-    share_problems,
-    smoke_trace,
-)
+from repro.service.trace import Trace, demo_trace, replay, smoke_trace
 
 #: fairness-index floor the smoke run enforces; the smoke trace's
 #: demand-driven drain fairness is ~0.82 (gamma's quota cap skews its
@@ -165,35 +156,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     report = replay(trace, horizon_dispatches=args.horizon)
     _print(report)
-    return 0
-
-
-def cmd_demo(args: argparse.Namespace) -> int:
-    trace = demo_trace()
-    report = replay(trace, horizon_dispatches=DEMO_HORIZON_DISPATCHES)
-    _print(report)
-    failures: list[str] = []
-    if report["false_accepts"]:
-        failures.append(f"{report['false_accepts']} racy job(s) admitted")
-    terminal = report["jobs"] - sum(
-        t["completed"] + t["rejected"] for t in report["tenants"].values()
-    )
-    if terminal:
-        failures.append(f"{terminal} job(s) neither completed nor rejected")
-    failures += [
-        f"tenant {name}: {problem}"
-        for name, problem in share_problems(report, SHARE_TOLERANCE)
-    ]
-    if failures:
-        for failure in failures:
-            print(f"DEMO FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"demo ok: {report['jobs']} jobs across "
-        f"{len(report['tenants'])} tenants, shares within "
-        f"{SHARE_TOLERANCE:.0%} of weights at the contended horizon "
-        f"(fairness {report['contended']['fairness_index']:.4f})"
-    )
     return 0
 
 
@@ -377,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(fn=cmd_replay)
-
-    p = sub.add_parser("demo", help="acceptance demo (3 tenants, 126 jobs)")
-    p.set_defaults(fn=cmd_demo)
 
     p = sub.add_parser("smoke", help="frontend smoke over a real socket")
     p.add_argument(

@@ -126,6 +126,8 @@ class ServiceFrontend:
                     break
                 try:
                     request = json.loads(line)
+                    if not isinstance(request, dict):
+                        raise TypeError("a request must be a JSON object")
                     response = await self._dispatch(request)
                 except ServiceError as exc:
                     response = {"ok": False, "error": str(exc)}
@@ -157,6 +159,8 @@ class ServiceFrontend:
         if op == "kinds":
             return {"ok": True, "kinds": list(job_kinds())}
         if op == "submit":
+            if not isinstance(request["spec"], dict):
+                raise TypeError("a submit's spec must be a JSON object")
             spec = JobSpec.from_dict(request["spec"])
             record = self.core.submit(spec)
             return {"ok": True, "job": record.to_status()}

@@ -1,10 +1,9 @@
-"""Small shared utilities: id generation, validation, lightweight logging.
+"""Small shared utilities: id generation.
 
 These helpers are deliberately dependency-free so every other subpackage can
 use them without import cycles.
 """
 
 from repro.util.ids import IdGenerator, fresh_id
-from repro.util.validation import check_type, require
 
-__all__ = ["IdGenerator", "fresh_id", "check_type", "require"]
+__all__ = ["IdGenerator", "fresh_id"]

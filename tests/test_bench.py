@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness, reporting, and Table 1 regeneration."""
+"""Tests for Table 1, the Fig. 7 series and the panels' table rendering."""
 
 import json
 import pathlib
@@ -6,20 +6,16 @@ import pathlib
 import pytest
 
 from repro.apps.common import AppResult
-from repro.bench.harness import (
+from repro.bench.panel import render_table
+from repro.bench.scaling import (
     FIG7_NODE_COUNTS,
     ScalingPoint,
     ScalingSeries,
     parallel_efficiency,
-    sweep,
-)
-from repro.bench.report import (
     render_series,
-    render_table,
     render_table1,
-    series_to_csv,
+    table1,
 )
-from repro.bench.tables import TABLE1_ROWS, table1
 
 
 def make_series(values_as, values_mpi, nodes=(1, 2, 4)):
@@ -60,56 +56,39 @@ class TestScalingSeries:
         assert parallel_efficiency(series, "allscale") == pytest.approx(0.875)
         assert parallel_efficiency(series, "mpi") == pytest.approx(1.0)
 
-    def test_speedup(self):
-        series = make_series([100, 200, 300], [100, 100, 100])
-        assert series.speedup("allscale") == [1, 2, 3]
-
-    def test_sweep_runs_both_systems(self):
-        calls = []
-
-        def run(system):
-            def inner(nodes):
-                calls.append((system, nodes))
-                return AppResult("a", system, nodes, elapsed=1.0, work=nodes)
-
-            return inner
-
-        series = sweep("a", "m", (1, 2), run("allscale"), run("mpi"))
-        assert [p.nodes for p in series.points] == [1, 2]
-        assert ("allscale", 1) in calls and ("mpi", 2) in calls
-
     def test_fig7_axis(self):
         assert FIG7_NODE_COUNTS == (1, 2, 4, 8, 16, 32, 64)
 
 
 class TestTable1:
     def test_default_rows_match_paper(self):
-        rows = {row.name: row for row in TABLE1_ROWS}
-        assert rows["stencil"].problem_size == "20,000² elements per node"
-        assert rows["stencil"].metric == "FLOPS"
-        assert rows["iPiC3D"].problem_size == "48 · 10⁶ particles per node"
-        assert rows["iPiC3D"].data_structure == "multiple regular 3D grids"
-        assert rows["TPC"].problem_size == "2^29 points in [0, 100)^7 with radius 20"
-        assert rows["TPC"].metric == "queries per second"
+        rows = {row[0]: row for row in table1()}
+        assert rows["stencil"][3] == "20,000² elements per node"
+        assert rows["stencil"][4] == "FLOPS"
+        assert rows["iPiC3D"][3] == "48 · 10⁶ particles per node"
+        assert rows["iPiC3D"][2] == "multiple regular 3D grids"
+        assert rows["TPC"][3] == "2^29 points in [0, 100)^7 with radius 20"
+        assert rows["TPC"][4] == "queries per second"
 
     def test_inventory_order_structures_and_metrics(self):
-        assert [row.name for row in TABLE1_ROWS] == ["stencil", "iPiC3D", "TPC"]
-        assert [row.data_structure for row in TABLE1_ROWS] == [
+        names, _, structures, _, metrics = zip(*table1())
+        assert names == ("stencil", "iPiC3D", "TPC")
+        assert structures == (
             "regular 2D grid",
             "multiple regular 3D grids",
             "kd-tree",
-        ]
-        assert [row.metric for row in TABLE1_ROWS] == [
+        )
+        assert metrics == (
             "FLOPS",
             "particle updates per second",
             "queries per second",
-        ]
+        )
 
     def test_customized_workloads(self):
         from repro.apps.stencil import StencilWorkload
 
         rows = table1(stencil=StencilWorkload(n_per_node=100))
-        assert rows[0].problem_size == "100² elements per node"
+        assert rows[0][3] == "100² elements per node"
 
 
 class TestReports:
@@ -121,7 +100,7 @@ class TestReports:
         assert "333" in lines[3]
 
     def test_render_table1(self):
-        text = render_table1(TABLE1_ROWS)
+        text = render_table1(table1())
         assert "stencil" in text and "kd-tree" in text
 
     def test_render_series(self):
@@ -130,14 +109,6 @@ class TestReports:
         assert "Fig. 7" in text
         assert "AS/MPI" in text
         assert "400" in text  # linear column
-
-    def test_series_to_csv(self):
-        series = make_series([100.0, 190.0], [120.0, 240.0], nodes=(1, 2))
-        csv = series_to_csv(series)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "app,metric,nodes,allscale,mpi,linear"
-        assert len(lines) == 3
-        assert lines[1].startswith("x,u/s,1,100.0,120.0")
 
 
 class TestCommsPoint:

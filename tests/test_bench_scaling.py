@@ -8,9 +8,8 @@ import pathlib
 
 import pytest
 
-from repro.bench.harness import ScalingPoint, ScalingSeries
 from repro.bench.panel import SCHEMA, check_panel
-from repro.bench.scaling import PANEL, ScalingPanel
+from repro.bench.scaling import PANEL, ScalingPanel, ScalingPoint, ScalingSeries
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 BASELINE_PATH = PANEL.baseline_path

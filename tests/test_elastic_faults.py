@@ -461,6 +461,33 @@ class TestFaultMatrix:
         assert_clean(runtime)
 
 
+class TestStormBarrier:
+    def test_storm_on_a_wedged_victim_raises_instead_of_spinning(self):
+        """A victim that can never go idle: a foreign write lock holds its
+        one task forever.  The storm's idle poll is then the only pending
+        event; it must raise, naming the victim and what holds it, rather
+        than re-arm until ``max_events`` runs out."""
+        runtime = AllScaleRuntime(
+            Cluster(meggie_like_spec(3)), RuntimeConfig(functional=True)
+        )
+        grid = Grid((6, 4), name="g")
+        runtime.register_item(grid, placement=grid.decompose(3))
+        victim = 1
+        block = runtime.process(victim).data_manager.owned_region(grid)
+        assert runtime.process(victim).locks.try_acquire(
+            object(), {}, {grid: block}
+        )
+        runtime.submit(
+            TaskSpec(name="wedged", writes={grid: block}, size_hint=1),
+            origin=victim,
+        )
+        runtime.engine.spawn(failure_storm(runtime, [victim]))
+        with pytest.raises(RuntimeError, match="never reach the barrier") as err:
+            runtime.engine.run(max_events=200_000)
+        assert "pid 1: 0 queued, 1 active" in str(err.value)
+        assert runtime.engine.events_processed < 200_000
+
+
 class TestStormMidStencil:
     """A two-node storm halfway (``0.5·T``, T the unchurned run's duration)
     through a 4-node functional stencil, on-demand checkpoint."""

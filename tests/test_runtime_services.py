@@ -8,7 +8,7 @@ from repro.regions.box import Box
 from repro.regions.interval import IntervalRegion
 from repro.runtime.balancer import LoadBalancer, take_slice
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.monitoring import Monitor
+from repro.runtime import monitoring
 from repro.runtime.resilience import ResilienceManager
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskSpec
@@ -34,7 +34,7 @@ class TestMonitoring:
             size_hint=64,
         )
         runtime.wait(runtime.submit(task))
-        report = Monitor(runtime).report()
+        report = monitoring.report(runtime)
         assert report.total_leaves == 1
         assert report.total_messages > 0
         assert report.replications >= 1

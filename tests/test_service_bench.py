@@ -99,6 +99,14 @@ def test_semantic_problems_flag_false_accepts():
     assert any("racy" in p for p in semantic_problems(panel))
 
 
+def test_semantic_problems_flag_a_job_neither_completed_nor_rejected():
+    panel = _panel()
+    panel.contended["jobs"] += 1
+    assert semantic_problems(panel) == [
+        "contended: 1 job(s) neither completed nor rejected"
+    ]
+
+
 # -- the acceptance demo -----------------------------------------------------------
 
 
@@ -144,11 +152,6 @@ def test_cli_smoke_over_socket(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "smoke ok" in out
-
-
-def test_cli_demo(capsys):
-    assert service_main(["demo"]) == 0
-    assert "demo ok" in capsys.readouterr().out
 
 
 def test_bench_cli_service_check():

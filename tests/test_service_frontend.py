@@ -150,12 +150,24 @@ def test_unknown_job_and_bad_requests():
                 await client.status("job-99999")
             with pytest.raises(ServiceError, match="unknown op"):
                 await client.request("frobnicate")
-        # raw garbage gets a structured error, not a dropped connection
+        # raw garbage, and well-formed JSON that is not a request object,
+        # get a structured error on one connection that stays open
         reader, writer = await asyncio.open_connection(host, port)
-        writer.write(b"this is not json\n")
+        for line in (
+            b"this is not json",
+            b"[1, 2]",
+            b"42",
+            b'"ping"',
+            b'{"op": "submit", "spec": 7}',
+        ):
+            writer.write(line + b"\n")
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            assert response["ok"] is False, line
+            assert "bad request" in response["error"], line
+        writer.write(b'{"op": "ping"}\n')
         await writer.drain()
-        response = json.loads(await reader.readline())
-        assert response["ok"] is False and "bad request" in response["error"]
+        assert json.loads(await reader.readline())["ok"] is True
         writer.close()
         await writer.wait_closed()
 

@@ -1,14 +1,6 @@
 """Tests for shared utilities."""
 
-import pytest
-
 from repro.util.ids import IdGenerator, fresh_id
-from repro.util.validation import (
-    check_non_negative,
-    check_positive,
-    check_type,
-    require,
-)
 
 
 class TestIds:
@@ -27,28 +19,3 @@ class TestIds:
         b = fresh_id("testns")
         assert a != b
         assert a.startswith("testns:")
-
-
-class TestValidation:
-    def test_require(self):
-        require(True, "fine")
-        with pytest.raises(ValueError, match="broken"):
-            require(False, "broken")
-
-    def test_check_type(self):
-        assert check_type(3, int, "n") == 3
-        assert check_type("s", (int, str), "v") == "s"
-        with pytest.raises(TypeError, match="must be of type int"):
-            check_type("s", int, "n")
-        with pytest.raises(TypeError, match="int, str"):
-            check_type(3.5, (int, str), "v")
-
-    def test_check_positive(self):
-        assert check_positive(1.5, "x") == 1.5
-        with pytest.raises(ValueError):
-            check_positive(0, "x")
-
-    def test_check_non_negative(self):
-        assert check_non_negative(0, "x") == 0
-        with pytest.raises(ValueError):
-            check_non_negative(-0.1, "x")
