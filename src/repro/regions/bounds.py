@@ -1,4 +1,4 @@
-"""Conservative hulls for overlap rejection: one definition, two readers.
+"""Conservative hulls for overlap rejection: one definition, three readers.
 
 Pairwise region sweeps (the sentinel's race checks, the runtime's
 write-intent reservation, the lock tables' conflict scans) mostly compare
@@ -22,8 +22,13 @@ A hull is tri-state:
   to the exact check.
 
 The region kernel gates its memo misses on the hull itself
-(:mod:`repro.regions.kernel`).  The runtime's linear scans read it through
-:func:`corner_bounds`, which only passes on hulls over element addresses.
+(:mod:`repro.regions.kernel`).  The runtime's tables — write intents, lock
+tables, the replica registry, home maps and index covers — read the raw
+``region.hull()`` too, per item, and reject an entry before they call the
+kernel at all: all regions of one item share a family, so tree hulls
+reject as well as box hulls, and a pair across spaces is never rejected.
+The sentinel and the static analyzer read it through :func:`corner_bounds`,
+which only passes on hulls over element addresses.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
+from repro.regions.bounds import bounds_disjoint
 from repro.runtime.config import CONTROL_MESSAGE_BYTES, FRAGMENT_OP_OVERHEAD
 from repro.runtime.tasks import TaskSpec
 from repro.runtime.transfers import ReplicaCache, TransferPlan
@@ -283,8 +284,13 @@ class DataItemManager:
             if not write.is_empty():
                 if not self.owned_region(item).covers(write):
                     return False
+                hull = write.hull()
                 for pid, region in runtime.replica_holders(item).items():
-                    if pid != self.pid and region.overlaps(write):
+                    if (
+                        pid != self.pid
+                        and not bounds_disjoint(hull, region.hull())
+                        and region.overlaps(write)
+                    ):
                         return False
             accessed = task.accessed_region(item)
             if not self.present_region(item).covers(accessed):

@@ -33,6 +33,7 @@ from typing import Generator
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.regions.bounds import bounds_disjoint
 from repro.runtime.config import CONTROL_MESSAGE_BYTES
 from repro.runtime.probe import INERT, Probe
 from repro.sim.network import Network
@@ -250,6 +251,8 @@ class HierarchicalIndex:
             return mapping, region
         if level == 1:
             local = self.covered(item, 1, root)
+            if bounds_disjoint(region.hull(), local.hull()):
+                return mapping, region
             found = region.intersect(local)
             if not found.is_empty():
                 mapping.append((found, root))
@@ -261,6 +264,8 @@ class HierarchicalIndex:
             if child_root == exclude_child or child_root >= self.num_processes:
                 continue
             child_cover = self.covered(item, level - 1, child_root)
+            if bounds_disjoint(region.hull(), child_cover.hull()):
+                continue
             overlap = region.intersect(child_cover)
             if overlap.is_empty():
                 continue

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.regions.bounds import bounds_disjoint
 from repro.runtime.probe import INERT, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,20 +49,32 @@ class LockTable:
         self._waiters: list["Future"] = []
 
     # -- queries -------------------------------------------------------------------
+    #
+    # Every scan rejects a hold whose cached hull is disjoint from the
+    # query's before it asks the region algebra: most holds of a table are
+    # nowhere near the region asked about.
 
     def write_locked(self, item: DataItem, region: Region) -> bool:
         for notify in self.probe.table_read:
             notify(("locks", self.pid, item.name), region)
+        hull = region.hull()
         return any(
-            h.write and h.item is item and h.region.overlaps(region)
+            h.write
+            and h.item is item
+            and not bounds_disjoint(hull, h.region.hull())
+            and h.region.overlaps(region)
             for h in self._holds
         )
 
     def any_locked(self, item: DataItem, region: Region) -> bool:
         for notify in self.probe.table_read:
             notify(("locks", self.pid, item.name), region)
+        hull = region.hull()
         return any(
-            h.item is item and h.region.overlaps(region) for h in self._holds
+            h.item is item
+            and not bounds_disjoint(hull, h.region.hull())
+            and h.region.overlaps(region)
+            for h in self._holds
         )
 
     def conflicts(
@@ -84,21 +97,25 @@ class LockTable:
         for item, region in writes.items():
             if region.is_empty():
                 continue
+            hull = region.hull()
             for hold in self._holds:
                 if (
                     hold.owner is not owner
                     and hold.item is item
+                    and not bounds_disjoint(hull, hold.region.hull())
                     and hold.region.overlaps(region)
                 ):
                     return True
         for item, region in reads.items():
             if region.is_empty():
                 continue
+            hull = region.hull()
             for hold in self._holds:
                 if (
                     hold.owner is not owner
                     and hold.write
                     and hold.item is item
+                    and not bounds_disjoint(hull, hold.region.hull())
                     and hold.region.overlaps(region)
                 ):
                     return True

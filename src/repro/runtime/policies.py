@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
+from repro.regions.bounds import bounds_disjoint
 from repro.runtime.config import MIN_TASK_SIZE
 from repro.runtime.tasks import TaskSpec
 
@@ -155,7 +156,10 @@ class DataAwarePolicy(SchedulingPolicy):
             homes = runtime.home_map(item)
             if homes is None:
                 continue
+            hull = wanted.hull()
             for pid, home_region in enumerate(homes):
+                if bounds_disjoint(hull, home_region.hull()):
+                    continue
                 overlap = home_region.intersect(wanted).size()
                 if overlap and (best is None or overlap > best[0]):
                     best = (overlap, pid)

@@ -18,12 +18,14 @@ invalidated before the write starts).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right, insort
 from typing import Any, Generator
 
 from repro.analysis import admission
 from repro.items.base import DataItem
 from repro.regions.base import Region
-from repro.regions.bounds import bounds_disjoint, corner_bounds
+from repro.regions.bounds import NO_BOUNDS, Hull, bounds_disjoint
 from repro.regions.kernel import get_kernel
 from repro.runtime import sentinel
 from repro.runtime.config import CONTROL_MESSAGE_BYTES, RuntimeConfig
@@ -40,6 +42,75 @@ from repro.sim.cluster import Cluster
 #: is the runtime layer's one sanctioned upward import: the env vars must
 #: work from entry points that import neither module.
 AUTO_ATTACHED = (sentinel.ENABLEMENT, admission.ENABLEMENT)
+
+
+class _IntentIndex:
+    """One item's live intent regions of one kind (write or read premise).
+
+    Entries ``(seq, key, region, hull)`` are kept sorted by their hull's
+    ``lo`` on axis 0, and the window is the widest live hull on that axis,
+    so an entry whose ``lo`` is at most ``q.lo - window`` or at least
+    ``q.hi`` cannot reach the query's hull ``q``.  A query visits only the
+    entries in between.  All regions of one item share a family and so a
+    hull space; hulls without corners (``NO_BOUNDS``) sit in ``loose``,
+    which every query visits.
+    """
+
+    __slots__ = ("los", "entries", "widths", "loose")
+
+    def __init__(self) -> None:
+        self.los: list[int] = []
+        self.entries: list[tuple[int, int, Region, Hull]] = []
+        #: the sorted entries' axis-0 widths, ascending: the window is last
+        self.widths: list[int] = []
+        self.loose: list[tuple[int, int, Region, Hull]] = []
+
+    def add(self, seq: int, key: int, region: Region) -> None:
+        hull = region.hull()
+        if hull is None:
+            return  # empty: overlaps nothing
+        entry = (seq, key, region, hull)
+        if hull is NO_BOUNDS:
+            self.loose.append(entry)
+            return
+        lo = hull[1][0]
+        at = bisect_right(self.los, lo)
+        self.los.insert(at, lo)
+        self.entries.insert(at, entry)
+        insort(self.widths, hull[2][0] - lo)
+
+    def remove(self, key: int, region: Region) -> None:
+        hull = region.hull()
+        if hull is None:
+            return
+        if hull is NO_BOUNDS:
+            self.loose = [e for e in self.loose if e[1] != key]
+            return
+        at = bisect_left(self.los, hull[1][0])
+        while self.entries[at][1] != key:
+            at += 1
+        del self.los[at], self.entries[at]
+        widths = self.widths
+        del widths[bisect_left(widths, hull[2][0] - hull[1][0])]
+
+    def blocks(self, region: Region, hull: Hull, before: float) -> bool:
+        """Does an entry older than ``before`` overlap ``region``?"""
+        if hull is NO_BOUNDS:
+            candidates = self.entries
+        else:
+            window = self.widths[-1] if self.widths else 0
+            start = bisect_right(self.los, hull[1][0] - window)
+            stop = bisect_left(self.los, hull[2][0], start)
+            candidates = self.entries[start:stop]
+        for entries in (candidates, self.loose):
+            for seq, _key, other, other_hull in entries:
+                if (
+                    seq < before
+                    and not bounds_disjoint(hull, other_hull)
+                    and other.overlaps(region)
+                ):
+                    return True
+        return False
 
 
 class AllScaleRuntime:
@@ -74,13 +145,17 @@ class AllScaleRuntime:
         #: registered items, in registration order, with their home maps
         self._home_maps: dict[DataItem, list[Region] | None] = {}
         self._replicas: dict[DataItem, dict[int, Region]] = {}
-        #: staging write intents: id(task) -> (seq, pid, {item: (write
-        #: region, corner bounds)}, task ref — pins the id).  Registered
-        #: while a leaf stages its write set, cleared once its locks are
-        #: verified; competing stagers defer to *older* intents.
+        #: staging write intents: id(task) -> (seq, pid, {item: write
+        #: region}, {item: read premise}, task ref — pins the id).
+        #: Registered while a leaf stages its write set, cleared once its
+        #: locks are verified; competing stagers defer to *older* intents.
         self._write_intents: dict[
             int, tuple[int, int, dict, dict, object]
         ] = {}
+        #: the same intents per item, hull-sorted: write regions and read
+        #: premises apart, so a check visits only nearby entries
+        self._intent_writes: dict[DataItem, _IntentIndex] = {}
+        self._intent_reads: dict[DataItem, _IntentIndex] = {}
         self._intent_seq = 0
         self._intent_waiters: list = []
         #: optional periodic load balancer; created (but not started) when
@@ -348,33 +423,42 @@ class AllScaleRuntime:
             for item in {**regions, **(reads or {})}:
                 notify(("intent", item.name), None)
         self._intent_seq += 1
-        # bounding corners are precomputed so the blocked-check can
-        # reject non-overlapping intents without touching the region
-        # algebra (every stager probes every older intent — the exact
-        # overlap test on unique pairs would churn the op cache)
-        self._write_intents[id(owner)] = (
-            self._intent_seq,
-            pid,
-            {
-                item: (region, corner_bounds(region))
-                for item, region in regions.items()
-            },
-            {
-                item: (region, corner_bounds(region))
-                for item, region in (reads or {}).items()
-            },
-            owner,
+        key = id(owner)
+        if key in self._write_intents:
+            self._unindex_intent(key)
+        reads = reads or {}
+        self._write_intents[key] = (
+            self._intent_seq, pid, dict(regions), dict(reads), owner
         )
+        for table, kind in (
+            (self._intent_writes, regions),
+            (self._intent_reads, reads),
+        ):
+            for item, region in kind.items():
+                index = table.get(item)
+                if index is None:
+                    index = table[item] = _IntentIndex()
+                index.add(self._intent_seq, key, region)
         self._signal_intent_change()
 
     def clear_write_intent(self, owner: object) -> None:
-        entry = self._write_intents.pop(id(owner), None)
+        entry = self._write_intents.get(id(owner))
         if entry is not None:
             for notify in self.probe.table_publish:
                 _seq, _pid, regions, reads, _ref = entry
                 for item in {**regions, **reads}:
                     notify(("intent", item.name), None)
+            self._unindex_intent(id(owner))
             self._signal_intent_change()
+
+    def _unindex_intent(self, key: int) -> None:
+        _seq, _pid, regions, reads, _ref = self._write_intents.pop(key)
+        for table, kind in (
+            (self._intent_writes, regions),
+            (self._intent_reads, reads),
+        ):
+            for item, region in kind.items():
+                table[item].remove(key, region)
 
     def write_intent_blocked(
         self,
@@ -398,27 +482,18 @@ class AllScaleRuntime:
         if not self._write_intents:
             return False
         own = self._write_intents.get(id(owner)) if owner is not None else None
-        own_seq = own[0] if own is not None else None
-        bounds = corner_bounds(region)
-        for key, (seq, _pid, regions, reads, _ref) in self._write_intents.items():
-            if owner is not None and key == id(owner):
-                continue
-            if own_seq is not None and seq > own_seq:
-                continue
-            entry = regions.get(item)
-            if entry is not None:
-                other_region, other_bounds = entry
-                if not bounds_disjoint(bounds, other_bounds):
-                    if other_region.overlaps(region):
-                        return True
-            if against_reads:
-                entry = reads.get(item)
-                if entry is not None:
-                    other_region, other_bounds = entry
-                    if bounds_disjoint(bounds, other_bounds):
-                        continue
-                    if other_region.overlaps(region):
-                        return True
+        # intent seqs are unique: "older than the owner's own" also skips it
+        before = own[0] if own is not None else math.inf
+        hull = region.hull()
+        if hull is None:
+            return False
+        index = self._intent_writes.get(item)
+        if index is not None and index.blocks(region, hull, before):
+            return True
+        if against_reads:
+            index = self._intent_reads.get(item)
+            if index is not None and index.blocks(region, hull, before):
+                return True
         return False
 
     def intent_change(self):
@@ -445,10 +520,15 @@ class AllScaleRuntime:
         for notify in self.probe.table_read:
             notify(("rep", item.name), None)
         holders = self._replicas.get(item, {})
+        hull = region.hull()
+        # ascending pid: the sends this yields must keep their order
         for pid in sorted(holders):
             if pid == keeper:
                 continue
-            overlap = holders.get(pid, item.empty_region()).intersect(region)
+            held = holders.get(pid)
+            if held is None or bounds_disjoint(hull, held.hull()):
+                continue
+            overlap = held.intersect(region)
             if overlap.is_empty():
                 continue
             yield self.network.send(keeper, pid, CONTROL_MESSAGE_BYTES)
