@@ -60,9 +60,6 @@ class RuntimeConfig:
     #: (single fan-out, all_of join) so the transfers overlap dispatch;
     #: identical bytes move either way, earlier
     replica_prefetch: bool = False
-    #: LRU bound on the replicated bytes tracked per process (None =
-    #: unbounded; eviction goes through the comms.* metered replica cache)
-    replica_cache_bytes: float | None = None
 
     # -- load balancing (repro.runtime.balancer) ---------------------------------
     #: create a periodic data-migration load balancer at runtime
@@ -77,13 +74,9 @@ class RuntimeConfig:
     oversubscription: int = 4
     #: enable idle-time work stealing between processes
     work_stealing: bool = False
-    #: seed for any randomized policy decisions
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.oversubscription < 1:
             raise ValueError("oversubscription must be >= 1")
-        if self.replica_cache_bytes is not None and self.replica_cache_bytes <= 0:
-            raise ValueError("replica_cache_bytes must be positive or None")
         if self.balancer_interval <= 0:
             raise ValueError("balancer_interval must be positive")

@@ -62,7 +62,7 @@ class RuntimeProcess:
         self.executed_splits = 0
         self._dispatching = False
         self._slot_waiters: list = []
-        self._rng = random.Random(runtime.config.seed * 7919 + pid)
+        self._rng = random.Random(pid)
 
     # -- queue ---------------------------------------------------------------------
 

@@ -12,12 +12,11 @@ against:
   the sentinel and the static analyzer can audit planned bytes against
   moved bytes, and tests can assert that no region travels twice within
   one plan.
-* :class:`ReplicaCache` — LRU-bounded accounting of the replicated
-  (read-only) bytes a process holds, version-tagged with the hierarchical
-  index's per-item ownership epoch.  Hits, misses, revalidations and
-  evictions surface as ``comms.*`` metrics; when a byte bound is
-  configured (``RuntimeConfig.replica_cache_bytes``) the least recently
-  used unpinned replicas are dropped to stay under it.
+* :class:`ReplicaCache` — accounting of the replicated (read-only) bytes
+  a process holds, version-tagged with the hierarchical index's per-item
+  ownership epoch.  Hits, misses and revalidations surface as ``comms.*``
+  metrics.  There is no byte bound: as in the paper's data item manager,
+  a replica stays until a writer invalidates it.
 
 Plans are pure bookkeeping: they charge no messages and hold no locks.
 The data movement itself still goes through
@@ -237,47 +236,25 @@ class _CacheEntry:
     region: Region
     #: index ownership epoch at fetch time
     version: int
-    #: LRU clock value of the last touch
-    tick: int
-    nbytes: int
 
 
 class ReplicaCache:
-    """LRU accounting of one process's replicated bytes.
+    """Accounting of one process's replicated bytes.
 
     The cache does not store data — fragments do; it tracks *what* was
-    fetched, *when* it was last useful, and under which ownership epoch,
-    and (when bounded) evicts cold replicas through
-    :meth:`DataItemManager.drop_replica`.  Correctness never depends on
-    it: writers still invalidate replicas explicitly, and an evicted
-    region is simply re-fetched on next use.
+    fetched and under which ownership epoch.  Correctness never depends
+    on it: writers invalidate replicas explicitly.
     """
 
-    __slots__ = ("manager", "max_bytes", "_entries", "_tick")
+    __slots__ = ("manager", "_entries")
 
-    def __init__(
-        self, manager: "DataItemManager", max_bytes: float | None = None
-    ) -> None:
+    def __init__(self, manager: "DataItemManager") -> None:
         self.manager = manager
-        self.max_bytes = max_bytes
         self._entries: dict[DataItem, list[_CacheEntry]] = {}
-        self._tick = 0
-
-    # -- helpers -------------------------------------------------------------------
 
     @property
     def _runtime(self) -> "AllScaleRuntime":
         return self.manager.process.runtime
-
-    def _next_tick(self) -> int:
-        self._tick += 1
-        return self._tick
-
-    def tracked_bytes(self, item: DataItem | None = None) -> int:
-        items = [item] if item is not None else list(self._entries)
-        return sum(
-            entry.nbytes for it in items for entry in self._entries.get(it, [])
-        )
 
     def entries(self, item: DataItem) -> list[_CacheEntry]:
         return list(self._entries.get(item, []))
@@ -294,14 +271,11 @@ class ReplicaCache:
             _CacheEntry(
                 region=replicated,
                 version=self._runtime.index.ownership_version(item),
-                tick=self._next_tick(),
-                nbytes=item.region_bytes(replicated),
             )
         )
-        self._evict(item)
 
     def note_dropped(self, item: DataItem, region: Region) -> None:
-        """Replica bytes left the fragment (invalidation, claim, eviction)."""
+        """Replica bytes left the fragment (invalidation or claim)."""
         entries = self._entries.get(item)
         if not entries:
             return
@@ -310,9 +284,7 @@ class ReplicaCache:
             remaining = entry.region.difference(region)
             if remaining.is_empty():
                 continue
-            if remaining is not entry.region:
-                entry.region = remaining
-                entry.nbytes = item.region_bytes(remaining)
+            entry.region = remaining
             kept.append(entry)
         if kept:
             self._entries[item] = kept
@@ -330,65 +302,14 @@ class ReplicaCache:
         metrics.incr("comms.replica_hit_bytes", item.region_bytes(region))
         version = self._runtime.index.ownership_version(item)
         for entry in self._entries.get(item, []):
-            if entry.region.overlaps(region):
-                entry.tick = self._next_tick()
-                if entry.version != version:
-                    # the ownership epoch moved since the fetch; the bytes
-                    # are still valid (writers invalidate explicitly) but
-                    # the placement knowledge behind them is stale
-                    metrics.incr("comms.replica_revalidations")
-                    entry.version = version
+            if entry.region.overlaps(region) and entry.version != version:
+                # the ownership epoch moved since the fetch; the bytes
+                # are still valid (writers invalidate explicitly) but
+                # the placement knowledge behind them is stale
+                metrics.incr("comms.replica_revalidations")
+                entry.version = version
 
     def record_miss(self, item: DataItem, region: Region) -> None:
         metrics = self._runtime.metrics
         metrics.incr("comms.replica_misses")
         metrics.incr("comms.replica_miss_bytes", item.region_bytes(region))
-
-    # -- eviction ------------------------------------------------------------------
-
-    def _pinned_region(self, item: DataItem) -> Region:
-        """Replica bytes that must not be evicted right now: locked by a
-        local task, still arriving, or mid-fetch."""
-        manager = self.manager
-        pinned = manager.in_flight_region(item).union(
-            manager.fetching_region(item)
-        )
-        for hold in manager.process.locks._holds:
-            if hold.item is item:
-                pinned = pinned.union(hold.region)
-        return pinned
-
-    def _evict(self, item: DataItem) -> None:
-        if self.max_bytes is None:
-            return
-        metrics = self._runtime.metrics
-        while self.tracked_bytes() > self.max_bytes:
-            candidates = [
-                (entry.tick, it, entry)
-                for it, entries in self._entries.items()
-                for entry in entries
-            ]
-            if not candidates:
-                return
-            candidates.sort(key=lambda c: c[0])
-            evicted_any = False
-            for _tick, victim_item, entry in candidates:
-                victim = entry.region.difference(
-                    self._pinned_region(victim_item)
-                )
-                if victim.is_empty():
-                    continue
-                nbytes = victim_item.region_bytes(victim)
-                # drop_replica calls back into note_dropped, which trims
-                # or removes this entry; a drop that frees nothing tracked
-                # is no progress, so the next candidate gets its turn
-                tracked = self.tracked_bytes()
-                self.manager.drop_replica(victim_item, victim)
-                if self.tracked_bytes() == tracked:
-                    continue
-                metrics.incr("comms.replica_evictions")
-                metrics.incr("comms.replica_evicted_bytes", nbytes)
-                evicted_any = True
-                break
-            if not evicted_any:
-                return  # everything left is pinned; stay over budget

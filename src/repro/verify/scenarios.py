@@ -254,12 +254,7 @@ def _write_intent_chain() -> ScenarioInstance:
 
 
 def _replica_cache_invalidation() -> ScenarioInstance:
-    runtime = _make_runtime(
-        2,
-        comm_coalescing=True,
-        replica_prefetch=True,
-        replica_cache_bytes=64.0,
-    )
+    runtime = _make_runtime(2, comm_coalescing=True, replica_prefetch=True)
     grid = Grid((4, 2), name="g")
     runtime.register_item(grid, placement=grid.decompose(2))
     results: list[Any] = []
@@ -471,8 +466,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "replica_cache_invalidation",
-            "coalesced + prefetched replica fetches against a tiny "
-            "replica cache and an invalidating writer (2 nodes)",
+            "coalesced + prefetched replica fetches against an "
+            "invalidating writer (2 nodes)",
             _replica_cache_invalidation,
         ),
         Scenario(

@@ -96,9 +96,7 @@ def test_both_levels_agree_on_the_outcome(seed):
     cluster = Cluster(
         ClusterSpec(num_nodes=WORKERS, cores_per_node=1, flops_per_core=1e9)
     )
-    runtime = AllScaleRuntime(
-        cluster, RuntimeConfig(functional=True, seed=seed)
-    )
+    runtime = AllScaleRuntime(cluster, RuntimeConfig(functional=True))
     grid = Grid((TOTAL,), name="slabbed")
     runtime.register_item(grid)
 

@@ -148,5 +148,3 @@ class TestMalformedUsage:
             RuntimeConfig(oversubscription=0)
         with pytest.raises(ValueError):
             RuntimeConfig(balancer_interval=0.0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(replica_cache_bytes=0)

@@ -122,12 +122,10 @@ class TestRuntimeConfig:
             "index_caching",
             "comm_coalescing",
             "replica_prefetch",
-            "replica_cache_bytes",
             "load_balancing",
             "balancer_interval",
             "oversubscription",
             "work_stealing",
-            "seed",
         ]
 
 

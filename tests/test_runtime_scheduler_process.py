@@ -117,7 +117,7 @@ class TestForkJoin:
 
 class TestWorkStealing:
     def test_idle_process_steals_queued_tasks(self):
-        runtime = make_runtime(nodes=2, cores=1, work_stealing=True, seed=3)
+        runtime = make_runtime(nodes=2, cores=1, work_stealing=True)
         # pin many independent tasks to process 0 via explicit origin and
         # no data requirements (policy keeps them at origin)
         treetures = [

@@ -212,11 +212,10 @@ dag_ops = st.lists(
 @given(
     ops=dag_ops,
     nodes=st.integers(1, 4),
-    seed=st.integers(0, 1000),
     mid_checkpoint=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_random_dags_have_zero_violations(ops, nodes, seed, mid_checkpoint):
+def test_random_dags_have_zero_violations(ops, nodes, mid_checkpoint):
     """Correct runs — whatever the DAG shape — never trip the sentinel.
 
     Tasks with overlapping read/write regions are submitted from rotating
@@ -225,7 +224,7 @@ def test_random_dags_have_zero_violations(ops, nodes, seed, mid_checkpoint):
     node failure, and a recovery in the middle.  The sentinel is strict:
     a single false positive fails the test at the violating event.
     """
-    runtime, sentinel = watched_runtime(nodes=nodes, seed=seed)
+    runtime, sentinel = watched_runtime(nodes=nodes)
     grid = Grid((GRID_SIDE, GRID_SIDE), name="g")
     runtime.register_item(grid)
     submitted = []

@@ -62,16 +62,13 @@ operations = st.lists(
 @given(
     ops=operations,
     nodes=st.integers(1, 4),
-    seed=st.integers(0, 1000),
 )
 @settings(max_examples=30, deadline=None)
-def test_random_workload_stays_consistent(ops, nodes, seed):
+def test_random_workload_stays_consistent(ops, nodes):
     cluster = Cluster(
         ClusterSpec(num_nodes=nodes, cores_per_node=2, flops_per_core=1e9)
     )
-    runtime = AllScaleRuntime(
-        cluster, RuntimeConfig(functional=True, seed=seed)
-    )
+    runtime = AllScaleRuntime(cluster, RuntimeConfig(functional=True))
     grid = Grid((GRID_SIDE, GRID_SIDE), name="g")
     runtime.register_item(grid)
     reference = np.zeros((GRID_SIDE, GRID_SIDE))
@@ -133,16 +130,14 @@ def test_random_workload_stays_consistent(ops, nodes, seed):
     assert np.array_equal(final, reference)
 
 
-@given(seed=st.integers(0, 500), nodes=st.integers(2, 4))
+@given(nodes=st.integers(2, 4))
 @settings(max_examples=10, deadline=None)
-def test_concurrent_disjoint_writers(seed, nodes):
+def test_concurrent_disjoint_writers(nodes):
     """Many simultaneous writers on disjoint regions never interfere."""
     cluster = Cluster(
         ClusterSpec(num_nodes=nodes, cores_per_node=2, flops_per_core=1e9)
     )
-    runtime = AllScaleRuntime(
-        cluster, RuntimeConfig(functional=True, seed=seed)
-    )
+    runtime = AllScaleRuntime(cluster, RuntimeConfig(functional=True))
     grid = Grid((GRID_SIDE, GRID_SIDE), name="g")
     runtime.register_item(grid)
 

@@ -103,9 +103,7 @@ class TestExecutionTracer:
         assert "compute" in breakdown and "%" in breakdown
 
     def test_stolen_task_is_credited_to_the_process_that_ran_it(self):
-        runtime, tracer = traced_runtime(
-            cores=1, work_stealing=True, seed=3
-        )
+        runtime, tracer = traced_runtime(cores=1, work_stealing=True)
         # no data requirements: the policy queues every task at origin 0
         treetures = [
             runtime.submit(

@@ -1,7 +1,6 @@
 """Unit tests for transfer plans and the replica cache."""
 
 import numpy as np
-import pytest
 
 from repro.items.grid import Grid
 from repro.regions.box import Box
@@ -163,6 +162,14 @@ class TestPlanForTask:
         assert static.planned_region(grid).difference(moved).is_empty()
 
 
+def tracked(cache, item):
+    """The replica region ``cache`` tracks for ``item``."""
+    region = item.empty_region()
+    for entry in cache.entries(item):
+        region = region.union(entry.region)
+    return region
+
+
 class TestReplicaCache:
     def replicate(self, runtime, grid, region, target=0):
         """Fetch a read replica of ``region`` into ``target`` directly."""
@@ -178,7 +185,7 @@ class TestReplicaCache:
         cache = manager.replica_cache
         # owned bytes are not replicas: nothing to track
         cache.note_fetched(grid, manager.owned_region(grid))
-        assert cache.tracked_bytes() == 0
+        assert cache.entries(grid) == []
 
     def test_fetch_then_drop(self):
         runtime = make_runtime(nodes=2)
@@ -189,12 +196,10 @@ class TestReplicaCache:
         cache = manager.replica_cache
         replica = manager.replica_region(grid)
         assert not replica.is_empty()
-        assert cache.tracked_bytes(grid) == grid.region_bytes(replica)
+        assert tracked(cache, grid).same_elements(replica)
         half = cache.entries(grid)[0].region
         manager.drop_replica(grid, half)
-        assert cache.tracked_bytes(grid) == grid.region_bytes(
-            replica.difference(half)
-        )
+        assert tracked(cache, grid).same_elements(replica.difference(half))
 
     def pinned_reader(self, grid, placement, name):
         """A task pinned at process 0 whose read spans the remote half."""
@@ -246,81 +251,24 @@ class TestReplicaCache:
         cache.record_hit(grid, remote)
         assert runtime.metrics.counter("comms.replica_revalidations") == 0
 
-    def test_lru_eviction_respects_bound(self):
-        bound = 8 * 2 * 8  # room for one two-row strip of the grid
-        runtime = make_runtime(nodes=2, replica_cache_bytes=bound)
-        grid = Grid((8, 8), name="g")
-        runtime.register_item(grid, placement=grid.decompose(2))
-        manager = runtime.process(0).data_manager
-        cache = manager.replica_cache
-        assert cache.max_bytes == bound
-        # two strip fetches, each exactly at the bound: the second fetch
-        # must evict the by-then-cold first strip
-        first = grid.box((4, 0), (6, 8))
-        second = grid.box((6, 0), (8, 8))
-        self.replicate(runtime, grid, first, target=0)
-        assert cache.tracked_bytes() == grid.region_bytes(first)
-        self.replicate(runtime, grid, second, target=0)
-        assert runtime.metrics.counter("comms.replica_evictions") >= 1
-        assert runtime.metrics.counter(
-            "comms.replica_evicted_bytes"
-        ) == grid.region_bytes(first)
-        assert cache.tracked_bytes() <= bound
-        # the evicted replica bytes actually left the fragment
-        assert manager.replica_region(grid).same_elements(second)
-        runtime.check_ownership_invariants()
-
-    def test_eviction_skips_pinned_bytes(self):
-        bound = 16.0
-        runtime = make_runtime(nodes=2, replica_cache_bytes=bound)
-        grid = Grid((8, 8), name="g")
-        runtime.register_item(grid, placement=grid.decompose(2))
-        manager = runtime.process(0).data_manager
-        cache = manager.replica_cache
-        self.replicate(runtime, grid, runtime.index.owned_region(grid, 1))
-        replica = manager.replica_region(grid)
-        assert not replica.is_empty()
-        # pin everything via the fetch marker; a new over-budget entry
-        # must then survive (nothing evictable)
-        manager.fetching.mark(grid, replica)
-        try:
-            before = cache.tracked_bytes()
-            cache._evict(grid)
-            assert cache.tracked_bytes() == before
-        finally:
-            manager.fetching.clear(grid, replica)
-
     def test_destroyed_item_leaves_no_cache_entries(self):
-        """A destroyed item's replicas leave the cache with it: a stale
-        entry would be the oldest eviction candidate, and dropping it frees
-        nothing, so a later bounded fetch would evict it forever."""
-        runtime = make_runtime(nodes=2, replica_cache_bytes=64)
+        """A destroyed item's replicas leave the cache with it, and a later
+        fetch of another item is tracked as usual."""
+        runtime = make_runtime(nodes=2)
         a = Grid((4, 4), name="a")
         b = Grid((4, 4), name="b")
         for grid in (a, b):
             runtime.register_item(grid, placement=grid.decompose(2))
         cache = runtime.process(0).data_manager.replica_cache
-        self.replicate(runtime, a, runtime.index.owned_region(a, 1))
-        assert cache.tracked_bytes(a) == 64
+        remote_a = runtime.index.owned_region(a, 1)
+        self.replicate(runtime, a, remote_a)
+        assert tracked(cache, a).same_elements(remote_a)
         runtime.destroy_item(a)
-        assert cache.tracked_bytes(a) == 0
-        self.replicate(runtime, b, runtime.index.owned_region(b, 1))
-        assert cache.tracked_bytes() == cache.tracked_bytes(b) == 64
-
-    def test_unbounded_cache_never_evicts(self):
-        runtime = make_runtime(nodes=2)  # replica_cache_bytes=None
-        grid = Grid((16, 16), name="g")
-        runtime.register_item(grid, placement=grid.decompose(2))
-        self.replicate(runtime, grid, grid.full_region, target=0)
-        assert runtime.metrics.counter("comms.replica_evictions") == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(replica_cache_bytes=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(replica_cache_bytes=-5.0)
-        RuntimeConfig(replica_cache_bytes=None)
-        RuntimeConfig(replica_cache_bytes=1024.0)
+        assert cache.entries(a) == []
+        remote_b = runtime.index.owned_region(b, 1)
+        self.replicate(runtime, b, remote_b)
+        assert cache.entries(a) == []
+        assert tracked(cache, b).same_elements(remote_b)
 
 
 class TestPlanLog:
