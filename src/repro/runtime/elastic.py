@@ -311,7 +311,7 @@ def failure_storm(
     runtime.metrics.incr("elastic.failures", len(targets))
     runtime.metrics.incr("elastic.churn_events")
 
-    # what recovery will restore: checkpointed bytes now present nowhere
+    # what recovery will restore: checkpointed bytes now owned by no one
     restored = 0
     by_name = {item.name: item for item in runtime.items}
     for item_name, entries in snapshot.payloads.items():

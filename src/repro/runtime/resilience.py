@@ -28,15 +28,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def lost_region(
     runtime: "AllScaleRuntime", item: DataItem, region: Region
 ) -> Region:
-    """The part of ``region`` a node loss took: present on no process,
-    and not on the wire to a live one (those bytes are arriving —
-    restoring them would double-own)."""
-    lost = region
-    for process in runtime.processes:
-        lost = lost.difference(process.data_manager.present_region(item))
-        if not process.failed:
-            lost = lost.difference(process.data_manager.in_flight_region(item))
-    return lost
+    """The part of ``region`` a node loss took: owned by no process.
+
+    Failed processes own nothing, and bytes on the wire are already owned
+    by their live destination, so the index root's cover is exactly what
+    survived.  A survivor's *replica* of a lost row does not count: no one
+    owns it, so nothing would keep it coherent."""
+    index = runtime.index
+    return region.difference(index.covered(item, index.levels, 0))
 
 
 def _extract_sub_payload(
@@ -113,8 +112,8 @@ class ResilienceManager:
     def recover_lost_data(self, snapshot: Checkpoint) -> Generator:
         """Re-materialize data lost to a node failure from a checkpoint.
 
-        For every item, whatever part of ``elems(d)`` is currently present
-        nowhere (the failed node's share) is restored from the checkpoint
+        For every item, whatever part of ``elems(d)`` is currently owned
+        by no process (:func:`lost_region`) is restored from the checkpoint
         payloads onto the surviving processes, spread round-robin.  Data
         still alive is left untouched — survivors keep their (possibly
         newer) state; only the lost region rolls back to checkpoint time,
@@ -151,9 +150,9 @@ class ResilienceManager:
                 # re-check under the synchronous horizon: while the restore
                 # payload was on the wire, a running task may have first-
                 # touched part of the lost region (the index reported it
-                # present nowhere — that is what "lost" means).  The live
+                # owned by no one — that is what "lost" means).  The live
                 # allocation wins; restoring over it would create two
-                # owners.  Only what is *still* absent everywhere lands.
+                # owners.  Only what is *still* unowned lands.
                 still_lost = lost_region(runtime, item, sub.region)
                 if still_lost.is_empty():
                     continue

@@ -58,9 +58,9 @@ from typing import TYPE_CHECKING, Any
 from repro.items.base import DataItem, FragmentPayload
 from repro.regions.bounds import bounds_disjoint, corner_bounds
 from repro.runtime.probe import Enablement
+from repro.runtime.resilience import Checkpoint, lost_region
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.resilience import Checkpoint
     from repro.runtime.runtime import AllScaleRuntime
     from repro.runtime.tasks import TaskSpec, Treeture
 
@@ -617,7 +617,8 @@ class RuntimeSentinel:
 
         Unlike a full restore, recovery touches only the lost regions —
         survivors keep their (newer) data — so the check is: every element
-        the checkpoint *originally* covered is present somewhere again.
+        the checkpoint *originally* covered is owned again (not lost, in
+        :func:`~repro.runtime.resilience.lost_region`'s one sense).
         Comparing against the coverage recorded at checkpoint time (not
         the snapshot's current content) catches checkpoint payloads that
         were dropped or corrupted in between.
@@ -638,20 +639,7 @@ class RuntimeSentinel:
                 expected = item.empty_region()
                 for _pid, payload in snapshot.payloads.get(name, []):
                     expected = expected.union(payload.region)
-            present = item.empty_region()
-            for process in self.runtime.processes:
-                present = present.union(
-                    process.data_manager.present_region(item)
-                )
-                if not process.failed:
-                    # owned-but-in-flight at a live process is bytes on
-                    # the wire to a live owner (a concurrent migration
-                    # overlapping the recovery), not lost data — same
-                    # allowance the coherence scan makes
-                    present = present.union(
-                        process.data_manager.in_flight_region(item)
-                    )
-            missing = expected.difference(present)
+            missing = lost_region(self.runtime, item, expected)
             if not missing.is_empty():
                 self._report(
                     "data_preservation",

@@ -12,9 +12,9 @@ fingerprints, race findings, and failing schedules (with their decision
 traces).  ``--smoke`` is the CI entry point: every scenario is explored
 twice (the two passes must agree exactly — branch counts and fingerprint
 sets — or the checker itself is nondeterministic and its traces would be
-worthless), and both historical protocol bugs must be rediscovered under
-their mechanical fix-reverts with minimal traces that replay clean
-against the fixed code.
+worthless), and every historical protocol bug must be rediscovered under
+its mechanical fix-revert (at ``--budget`` or the bug's own larger
+budget) with a minimal trace that replays clean against the fixed code.
 
 Exit codes: 0 — everything clean; 1 — violations found (failing
 schedules, races, nondeterminism, or a missed rediscovery); 2 — the
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke",
         action="store_true",
         help="explore every scenario twice (determinism check) and "
-        "rediscover both historical bugs under their fix-reverts",
+        "rediscover every historical bug under its fix-revert",
     )
     args = parser.parse_args(argv)
 

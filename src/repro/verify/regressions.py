@@ -3,8 +3,8 @@
 The headline proof obligation of the model checker: with a historical
 protocol fix surgically reverted, bounded exploration must *rediscover*
 the bug — find a schedule that fails — and shrink it to a minimal,
-replayable decision trace.  Two reverts are provided, matching the two
-schedule-dependent protocol bugs fixed in this repo's history:
+replayable decision trace.  One revert is provided per
+schedule-dependent protocol bug fixed in this repo's history:
 
 * **write-intent reservations** — originally there were none: staging is
   lock-free, so a writer repeatedly invalidating the replicas a reader
@@ -17,8 +17,12 @@ schedule-dependent protocol bugs fixed in this repo's history:
   attempt against concurrent ownership migration raised instead of
   escalating to an (atomic) ownership pull, so balancer-style churn
   could starve a pinned reader outright.
+* **migration dead-lettering** — a payload landing on a failed node was
+  spliced onto the corpse.
+* **the (migrate) guard's re-check** — a migration exported bytes a
+  source task had locked during the export's overhead yield.
 
-Both reverts monkeypatch the *fixed* code object for the duration of a
+Every revert monkeypatches the *fixed* code object for the duration of a
 ``with`` block; nothing but the historical behaviour changes, so any
 failure the explorer finds under the revert is the historical bug.
 """
@@ -113,6 +117,57 @@ def revert_migration_dead_letter() -> Iterator[None]:
         DataItemManager._land_migration = original  # type: ignore[method-assign]
 
 
+@contextmanager
+def revert_migrate_guard_recheck() -> Iterator[None]:
+    """Revert the re-check of the *(migrate)* guard at its commit point.
+
+    Originally ``_migrate_in`` checked the source's locks and in-flight
+    bytes, yielded the fragment-op overhead and exported without looking
+    again: a source task that took its locks inside that yield ran on
+    bytes that had just left, and its gather raised ``KeyError: window
+    ... not covered by fragment region`` (or, in a balancer-driven
+    stencil, silently read a stale halo).
+    """
+    from repro.runtime.config import CONTROL_MESSAGE_BYTES, FRAGMENT_OP_OVERHEAD
+    from repro.runtime.data_manager import DataItemManager
+
+    original = DataItemManager._migrate_in
+
+    def reverted(self, item, region, src, plan=None) -> Generator:
+        runtime = self.process.runtime
+        peer = runtime.process(src)
+        source = peer.data_manager
+        yield runtime.network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
+        while peer.locks.any_locked(item, region):
+            yield peer.locks.wait_for_change()
+        while source.in_flight_region(item).overlaps(region):
+            yield source.in_flight.change()
+        part = source.owned_region(item).intersect(region)
+        if part.is_empty():
+            return
+        yield peer.node.execute(FRAGMENT_OP_OVERHEAD)
+        payload = source.export_owned(item, part)
+        self._take_ownership(item, payload.region)
+        self.in_flight.mark(item, payload.region)
+        try:
+            yield runtime.network.send(src, self.pid, max(1, payload.nbytes))
+            yield from self._land_migration(item, payload)
+        finally:
+            self.in_flight.clear(item, payload.region)
+        runtime.metrics.incr("dm.migrations")
+        runtime.metrics.incr("dm.migrated_bytes", payload.nbytes)
+        if plan is not None:
+            plan.record_moved(
+                item, payload.region, src, "migrate", payload.nbytes
+            )
+
+    DataItemManager._migrate_in = reverted  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        DataItemManager._migrate_in = original  # type: ignore[method-assign]
+
+
 @dataclass(frozen=True)
 class KnownBug:
     """One historical bug: a revert, a scenario that can expose it, and
@@ -130,6 +185,9 @@ class KnownBug:
     error_signatures: tuple[str, ...] = ()
     #: race-message substrings, all of which must appear in one finding
     race_signatures: tuple[str, ...] = ()
+    #: the smallest exploration that finds the bug; :func:`rediscover`
+    #: never explores fewer branches
+    budget: int = DEFAULT_BUDGET
 
     def matches_error(self, error: str | None) -> bool:
         return error is not None and any(
@@ -181,6 +239,13 @@ KNOWN_BUGS: dict[str, KnownBug] = {
                 "owns data it neither holds nor awaits",
             ),
         ),
+        KnownBug(
+            name="migrate_guard_recheck",
+            scenario="balancer_vs_pin",
+            revert=revert_migrate_guard_recheck,
+            error_signatures=("not covered by fragment region",),
+            budget=128,
+        ),
     )
 }
 
@@ -211,7 +276,7 @@ def rediscover(
     bug = KNOWN_BUGS[name]
     scenario = get_scenario(bug.scenario)
     with bug.revert():
-        explored = explore(scenario, budget=budget)
+        explored = explore(scenario, budget=max(budget, bug.budget))
         kind, evidence, decisions = None, None, None
         for error, failing_decisions in explored.failures:
             if bug.matches_error(error):
