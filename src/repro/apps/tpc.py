@@ -13,7 +13,8 @@ structural metadata).  A query runs in two phases:
    sub-trees and identifies the distribution roots needing real descent;
 2. **sub-tree traversals** at the owners of those roots.
 
-Both phases' work is derived per query at set-up (:func:`make_problem`).
+Both phases' work is derived for every query at set-up
+(:func:`make_problem`), one chunk of queries per traversal pass.
 
 The two ports differ exactly as the paper describes (§4.2):
 
@@ -53,6 +54,17 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import SchedulingPolicy
 from repro.runtime.tasks import TaskProgram, TaskSpec
 from repro.sim.cluster import Cluster
+
+#: queries planned per traversal pass in :func:`make_problem`.  The chunk
+#: bounds the frontier temporaries, whose rows are chunk x open sub-tree
+#: nodes.  At ``tpc_w32`` size (1,152 queries, depth 16, 2-core Xeon)
+#: ``make_problem`` takes 0.30-0.33 s of CPU and peaks at 51.3 MB RSS at 16;
+#: 0.34-0.38 s and 54.9 MB at 32; 0.37-0.40 s and 50.7 MB at 8; one query
+#: per pass 1.1-1.4 s and 48.4 MB; all queries in one pass 219 MB.  The
+#: ledger's ``tpc_coalesced_w32`` peak RSS (taken after its run) read +1.0 %
+#: over one query per pass at 16 (median of seven pairs), +3.0 % at 32 and
+#: +5.4 % at 8.
+QUERY_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -177,19 +189,23 @@ def make_problem(workload: TPCWorkload, nodes: int) -> TPCProblem:
         for root in range(1 << (task_level - 1), 1 << task_level)
     }
 
-    # one top pass and one pass over every sub-tree it leaves open, per query
+    # per chunk of queries: one top pass, one pass over every sub-tree it
+    # leaves open
     plans: list[QueryPlan] = []
     band_work: dict[tuple[int, int], tuple[float, float]] = {}
-    for qi, q in enumerate(queries):
-        plan = _plan_top(structure, q, workload.radius, task_level)
-        plans.append(plan)
-        descent = structure.traverse(q, workload.radius, plan.recurse_roots)
+    for start in range(0, len(queries), QUERY_CHUNK):
+        chunk = queries[start : start + QUERY_CHUNK]
+        chunk_plans = _plan_tops(structure, chunk, workload.radius, task_level)
+        plans.extend(chunk_plans)
+        asker = [i for i, plan in enumerate(chunk_plans) for _ in plan.recurse_roots]
+        roots = [root for plan in chunk_plans for root in plan.recurse_roots]
+        descent = structure.traverse(chunk[asker], workload.radius, roots)
         flops = (
             descent.visited * workload.visit_flops
             + descent.scanned * workload.point_flops
         )
-        for i, root in enumerate(plan.recurse_roots):
-            band_work[(qi, root)] = (float(flops[i]), float(descent.count[i]))
+        for k, (i, root) in enumerate(zip(asker, roots)):
+            band_work[(start + i, root)] = (float(flops[k]), float(descent.count[k]))
     return TPCProblem(
         workload=workload,
         nodes=nodes,
@@ -205,12 +221,16 @@ def make_problem(workload: TPCWorkload, nodes: int) -> TPCProblem:
     )
 
 
-def _plan_top(
-    structure: KDTreeStructure, q: np.ndarray, radius: float, dist_level: int
-) -> QueryPlan:
-    """Traverse the (replicated) top tree, collecting sub-trees to descend."""
-    top = structure.traverse(q, radius, [1], stop_level=dist_level)
-    return QueryPlan(float(top.count[0]), int(top.visited[0]), top.partial)
+def _plan_tops(
+    structure: KDTreeStructure, queries: np.ndarray, radius: float, dist_level: int
+) -> list[QueryPlan]:
+    """Traverse the (replicated) top tree once per query in one pass,
+    collecting each query's sub-trees to descend."""
+    top = structure.traverse(queries, radius, [1] * len(queries), dist_level)
+    return [
+        QueryPlan(float(count), int(visits), partial)
+        for count, visits, partial in zip(top.count, top.visited, top.partial)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ One traversal, :meth:`KDTreeStructure.traverse`, serves the sequential
 reference query, the sub-tree descents and the top-tree plans of
 :mod:`repro.apps.tpc`.  It is level-synchronous: each level classifies
 the whole frontier below a set of roots with a few array operations and
-sums the work per root.
+sums the work per root.  Every root carries its own query point, so one
+pass plans many queries at once — the top trees of a chunk of queries
+(the root once per query), or every sub-tree those queries leave open.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ class QueryStats:
 
 @dataclass
 class Traversal:
-    """Per-root totals of one frontier traversal (entry ``i`` is ``roots[i]``)."""
+    """Per-root totals of one frontier traversal (entry ``i`` is ``roots[i]``,
+    searched around query point ``i``)."""
 
     visited: np.ndarray
     scanned: np.ndarray
     count: np.ndarray
-    #: partial nodes at the stop level, in descending node id — the order a
-    #: right-first depth-first traversal meets them
-    partial: list[int]
+    #: per root, its partial nodes at the stop level in descending node id —
+    #: the order a right-first depth-first traversal meets them
+    partial: list[list[int]]
 
 
 class KDTreeStructure:
@@ -92,28 +95,38 @@ class KDTreeStructure:
 
     def traverse(
         self,
-        q: Sequence[float],
+        queries: np.ndarray,
         radius: float,
         roots: Sequence[int],
         stop_level: int | None = None,
     ) -> Traversal:
         """Pruned range count below each of ``roots``, a level at a time.
 
-        Every level classifies the whole frontier at once: a node whose box
-        lies outside the ball is pruned, one inside it contributes its
-        subtree count, a partial leaf is scanned and any other partial node
-        descends.  Partial nodes at ``stop_level`` (no root may lie deeper)
-        are collected in :attr:`Traversal.partial` instead of descended.
+        ``queries`` is a ``(len(roots), dims)`` array: root ``i`` is searched
+        around ``queries[i]``.  Every level classifies the whole frontier at
+        once: a node whose box lies outside its query's ball is pruned, one
+        inside it contributes its subtree count, a partial leaf is scanned
+        and any other partial node descends.  Partial nodes at
+        ``stop_level`` (no root may lie deeper) are collected in
+        :attr:`Traversal.partial` instead of descended.
         """
-        q = np.asarray(q, dtype=np.float64)
+        queries = np.asarray(queries, dtype=np.float64)
+        n = len(roots)
+        if queries.shape != (n, self.dims):
+            raise ValueError(
+                f"need one {self.dims}-D query point per root, "
+                f"got shape {queries.shape} for {n} roots"
+            )
         r2 = radius * radius
         stop = self.num_nodes + 1 if stop_level is None else 1 << (stop_level - 1)
         nodes = np.asarray(roots, dtype=np.int64)
-        tags = np.arange(len(nodes))  # index of the root each node descends from
-        visited, partial = [tags], [nodes[:0]]
+        tags = np.arange(n)  # index of the root each node descends from
+        visited = [tags]
+        partial, partial_tags = [nodes[:0]], [tags[:0]]
         count_tags, count_vals = [tags[:0]], [np.zeros(0)]
         scan_tags, scan_vals = [tags[:0]], [np.zeros(0)]
         while len(nodes):
+            q = queries[tags]
             lo, hi = self.bbox_lo[nodes], self.bbox_hi[nodes]
             below, above = lo - q, q - hi
             near = np.maximum(np.maximum(below, 0.0), above)
@@ -125,11 +138,14 @@ class KDTreeStructure:
             open_ = ~(outside | inside)
             at_stop = open_ & (nodes >= stop)
             partial.append(nodes[at_stop])
+            partial_tags.append(tags[at_stop])
             open_ &= ~at_stop
             leaf = open_ & (nodes >= self._first_leaf)
             if leaf.any():
                 count_tags.append(tags[leaf])
-                count_vals.append(self._leaf_tallies(nodes[leaf], q, radius))
+                count_vals.append(
+                    self._leaf_tallies(nodes[leaf], q[leaf], radius)
+                )
                 scan_tags.append(tags[leaf])
                 scan_vals.append(self.counts[nodes[leaf]])
                 open_ &= ~leaf
@@ -137,7 +153,10 @@ class KDTreeStructure:
             nodes = np.concatenate((kids, kids + 1))
             tags = np.concatenate((tags, tags))
             visited.append(tags)
-        n = len(roots)
+        # partial nodes grouped by root, each group in descending node id
+        stopped, stopped_tags = np.concatenate(partial), np.concatenate(partial_tags)
+        stopped = stopped[np.lexsort((-stopped, stopped_tags))].tolist()
+        ends = np.cumsum(np.bincount(stopped_tags, minlength=n)).tolist()
         return Traversal(
             visited=np.bincount(np.concatenate(visited), minlength=n),
             scanned=np.bincount(
@@ -146,16 +165,22 @@ class KDTreeStructure:
             count=np.bincount(
                 np.concatenate(count_tags), np.concatenate(count_vals), minlength=n
             ),
-            partial=np.sort(np.concatenate(partial))[::-1].tolist(),
+            partial=[stopped[a:b] for a, b in zip([0] + ends, ends)],
         )
 
     def _leaf_tallies(
         self, leaves: np.ndarray, q: np.ndarray, radius: float
     ) -> np.ndarray:
-        """Points of each leaf within the ball (exact or estimated)."""
+        """Points of each leaf within the ball around its row of ``q``
+        (exact or estimated)."""
         if self.leaf_points is not None:
             bucket = self.leaf_points.get
-            return np.array([_within(bucket(n), q, radius) for n in leaves.tolist()])
+            return np.array(
+                [
+                    _within(bucket(n), point, radius)
+                    for n, point in zip(leaves.tolist(), q)
+                ]
+            )
         # virtual: estimate by the fraction of the box inside the ball's
         # enclosing cube — deterministic and cheap; only the *cost* of the
         # scan matters for the benchmarks
@@ -177,7 +202,7 @@ class KDTreeStructure:
         The unit of work the distributed TPC traversal ships to the
         process owning that sub-tree.
         """
-        walk = self.traverse(q, radius, [start])
+        walk = self.traverse(np.reshape(q, (1, -1)), radius, [start])
         return QueryStats(
             count=float(walk.count[0]),
             visited_nodes=int(walk.visited[0]),

@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.coverage import check_coverage
 from repro.analysis.expansion import AnalysisConfig, TaskNode, expand_task
-from repro.analysis.findings import Finding
 from repro.analysis.program import TaskProgram
 from repro.analysis.races import effective_requirements
 from repro.items.base import DataItem
@@ -61,23 +59,24 @@ class ExtractedProgram:
     items: dict[str, DataItem] = field(default_factory=dict)
     expanded: int = 0
     truncated: int = 0
-    findings: list[Finding] = field(default_factory=list)
 
 
 def extract_program(
     program: TaskProgram,
     config: AnalysisConfig | None = None,
 ) -> ExtractedProgram:
-    """Expand every root of a phased program into planning units."""
+    """Expand every root of a phased program into planning units.
+
+    Only the expansion is used: the analyzer's checks (coverage, races,
+    lint) report on the program, and nothing here reads a finding.
+    """
     config = config or AnalysisConfig(races=False, lint=False)
     out = ExtractedProgram(label=program.label)
     for phase_index, phase in enumerate(program.phases):
         for spec in phase:
-            root, expanded, truncated = expand_task(spec, config, out.findings)
+            root, expanded, truncated = expand_task(spec, config)
             out.expanded += expanded
             out.truncated += truncated
-            if config.coverage:
-                out.findings.extend(check_coverage(root, config))
             efforts = effective_requirements(root)
             for node, ancestors in _frontier(root):
                 eff = efforts[id(node)]

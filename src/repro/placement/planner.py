@@ -23,6 +23,11 @@ phases) exactly where the optimum is:
 The final claims become the plan's initial layouts; task names (frontier
 and interior, interior pinned where their heaviest descendant went)
 become the pins.
+
+Both steps price a task from its *pull list* — ``(weight, bytes, owner)``
+of every claimed part it touches, found by one hull-gated scan of the
+claims — so each candidate process costs one pass over a short list, with
+switch hops read from the table :class:`CostModel` builds once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.items.base import DataItem
 from repro.placement.extract import PlacementTask, extract_program
 from repro.placement.plan import PlacementPlan
 from repro.regions.base import Region
+from repro.regions.bounds import bounds_disjoint
 from repro.sim.cluster import Cluster
 
 #: write regions dominate placement — same ratio the online policy uses
@@ -44,11 +50,14 @@ class CostModel:
     """Time costs over the bipartite compute–memory architecture model.
 
     Compute nodes are the processes; memories are the per-node fragment
-    stores; the links between them carry the fat-tree switch distance.
+    stores; the links between them carry the fat-tree switch distance,
+    tabulated once over the cluster's live nodes.
     """
 
     def __init__(self, cluster: Cluster) -> None:
-        self.topology = cluster.topology
+        topology = cluster.topology
+        nodes = range(cluster.num_nodes)
+        self.hops = [[topology.switch_hops(s, d) for d in nodes] for s in nodes]
         spec = cluster.spec
         self.node_flops = float(spec.cores_per_node * spec.flops_per_core)
         self.bandwidth = float(spec.network.bandwidth)
@@ -57,7 +66,7 @@ class CostModel:
         """Time to pull ``nbytes`` from ``src``'s memory to ``dst``'s."""
         if src == dst or nbytes <= 0:
             return 0.0
-        return nbytes * self.topology.switch_hops(src, dst) / self.bandwidth
+        return nbytes * self.hops[src][dst] / self.bandwidth
 
     def compute_seconds(self, flops: float) -> float:
         return flops / self.node_flops
@@ -82,24 +91,19 @@ def plan_placement(
     config: AnalysisConfig | None = None,
     refine_rounds: int = 2,
 ) -> PlacementPlan:
-    """Solve the offline assignment for ``program`` on ``cluster``."""
-    processes = cluster.spec.num_nodes
+    """Solve the offline assignment for ``program`` on ``cluster``.
+
+    The plan is sized by the cluster's live node count, so a cluster
+    that grew by ``add_node`` gets a plan its runtime engages.
+    """
+    processes = cluster.num_nodes
     extracted = extract_program(
         program, config or default_analysis_config(processes)
     )
-    cost = CostModel(cluster)
     tasks = extracted.tasks
-    items = extracted.items
-
-    assignment, loads, claims = _seed(tasks, items, processes, cost)
-    moves = _refine(
-        tasks, items, processes, cost, assignment, loads, claims, refine_rounds
+    assignment, loads, claims, moves, total_transfer = _solve(
+        tasks, extracted.items, processes, CostModel(cluster), refine_rounds
     )
-    if moves:
-        # claims were induced by the seeding order; rebuild them so the
-        # layout matches where refinement actually put the tasks
-        claims = _claims_for(tasks, items, processes, assignment)
-
     plan = PlacementPlan(label=extracted.label, processes=processes)
     plan.layouts = {
         name: regions
@@ -107,10 +111,6 @@ def plan_placement(
         if any(not region.is_empty() for region in regions)
     }
     plan.pins = _pins(tasks, assignment)
-    total_transfer = sum(
-        _task_seconds(task, pid, claims, items, cost)
-        for task, pid in zip(tasks, assignment)
-    )
     plan.stats = {
         "tasks": float(len(tasks)),
         "tasks_truncated": float(sum(1 for t in tasks if t.truncated)),
@@ -121,6 +121,34 @@ def plan_placement(
         "load_mean": sum(loads) / processes if processes else 0.0,
     }
     return plan
+
+
+def _solve(
+    tasks: list[PlacementTask],
+    items: dict[str, DataItem],
+    processes: int,
+    cost: CostModel,
+    refine_rounds: int,
+) -> tuple[list[int], list[float], dict[str, list[Region]], int, float]:
+    """Assignment, loads, claims, refinement moves and estimated transfer
+    seconds of ``tasks`` on ``processes`` processes."""
+    assignment, loads, claims = _seed(tasks, items, processes, cost)
+    # refinement moves tasks but never claims: one pull list per task
+    # prices every round
+    pulls = [_pulls(task, claims, items) for task in tasks]
+    moves = _refine(
+        tasks, processes, cost, assignment, loads, pulls, refine_rounds
+    )
+    if moves:
+        # claims were induced by the seeding order; rebuild them so the
+        # layout matches where refinement actually put the tasks
+        claims = _claims_for(tasks, items, processes, assignment)
+        pulls = [_pulls(task, claims, items) for task in tasks]
+    total_transfer = sum(
+        _pull_seconds(task_pulls, pid, cost)
+        for task_pulls, pid in zip(pulls, assignment)
+    )
+    return assignment, loads, claims, moves, total_transfer
 
 
 # -- seeding ---------------------------------------------------------------------
@@ -189,7 +217,10 @@ def _touches(
 ) -> bool:
     for name in task.accessed_names():
         wanted = _accessed(task, name, items)
+        hull = wanted.hull()
         for claimed in claims[name]:
+            if bounds_disjoint(hull, claimed.hull()):
+                continue
             if claimed.overlaps(wanted):
                 return True
     return False
@@ -239,13 +270,17 @@ def _pulls(
     """``(weight, bytes, owner)`` of every claimed part the task touches.
 
     Which process runs the task changes neither list nor order, so one
-    scan of the claims prices the task on every candidate.
+    scan of the claims prices the task on every candidate.  Claims whose
+    hull misses the wanted region's are skipped before the region algebra.
     """
     pulls = []
     for weight, regions in ((WRITE_WEIGHT, task.writes), (READ_WEIGHT, task.reads)):
         for name, wanted in regions.items():
             item = items[name]
+            hull = wanted.hull()
             for owner, claimed in enumerate(claims[name]):
+                if bounds_disjoint(hull, claimed.hull()):
+                    continue
                 overlap = claimed.intersect(wanted)
                 if not overlap.is_empty():
                     pulls.append((weight, item.region_bytes(overlap), owner))
@@ -263,17 +298,6 @@ def _pull_seconds(
     return seconds
 
 
-def _task_seconds(
-    task: PlacementTask,
-    pid: int,
-    claims: dict[str, list[Region]],
-    items: dict[str, DataItem],
-    cost: CostModel,
-) -> float:
-    """Estimated time to pull the task's remote bytes to ``pid``."""
-    return _pull_seconds(_pulls(task, claims, items), pid, cost)
-
-
 def _claim(
     task: PlacementTask,
     pid: int,
@@ -286,7 +310,8 @@ def _claim(
         for claimed in claims[name]:
             if wanted.is_empty():
                 break
-            wanted = wanted.difference(claimed)
+            if not bounds_disjoint(wanted.hull(), claimed.hull()):
+                wanted = wanted.difference(claimed)
         if not wanted.is_empty():
             claims[name][pid] = claims[name][pid].union(wanted)
 
@@ -308,22 +333,23 @@ def _claims_for(
 
 def _refine(
     tasks: list[PlacementTask],
-    items: dict[str, DataItem],
     processes: int,
     cost: CostModel,
     assignment: list[int],
     loads: list[float],
-    claims: dict[str, list[Region]],
+    pulls: list[list[tuple[float, int, int]]],
     rounds: int,
 ) -> int:
-    """Single-task moves that cut transfer time without a worse bottleneck."""
+    """Single-task moves that cut transfer time without a worse bottleneck.
+
+    ``pulls[i]`` is task ``i``'s pull list over the seeding claims.
+    """
     moves = 0
     for _ in range(max(0, rounds)):
         improved = False
-        for index, task in enumerate(tasks):
+        for index, (task, task_pulls) in enumerate(zip(tasks, pulls)):
             current = assignment[index]
-            pulls = _pulls(task, claims, items)
-            here = _pull_seconds(pulls, current, cost)
+            here = _pull_seconds(task_pulls, current, cost)
             if here <= 0.0:
                 continue
             bottleneck = max(loads)
@@ -333,7 +359,7 @@ def _refine(
                     continue
                 if loads[pid] + task.flops > bottleneck:
                     continue
-                there = _pull_seconds(pulls, pid, cost)
+                there = _pull_seconds(task_pulls, pid, cost)
                 if there < here and (best is None or (there, pid) < best):
                     best = (there, pid)
             if best is not None:

@@ -1,5 +1,6 @@
 """Tests for data item implementations (façade/fragment behaviour)."""
 
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.tpc import QueryPlan, TPCWorkload, _plan_top, make_problem
+from repro.apps.tpc import (
+    QUERY_CHUNK,
+    QueryPlan,
+    TPCWorkload,
+    _plan_tops,
+    make_problem,
+)
 from repro.items import (
     BalancedTree,
     Grid,
@@ -511,12 +518,13 @@ class TestFrontierTraversal:
         functional = tree.leaf_points is not None
         stop = data.draw(st.integers(1, tree.depth))
         old_plan = scalar_plan_top(oracle, q, radius, stop)
-        plan = _plan_top(tree, q, radius, stop)
+        plan = _plan_tops(tree, q[None], radius, stop)[0]
         assert plan.recurse_roots == old_plan.recurse_roots
         assert plan.top_visits == old_plan.top_visits
         assert plan.top_count == old_plan.top_count
         # one pass below every root left open, and one per-root query
-        walk = tree.traverse(q, radius, plan.recurse_roots)
+        roots = plan.recurse_roots
+        walk = tree.traverse(np.tile(q, (len(roots), 1)), radius, roots)
         for i, root in enumerate(plan.recurse_roots):
             old = oracle.query_from(root, q, radius)
             assert int(walk.visited[i]) == old.visited_nodes
@@ -541,9 +549,16 @@ class TestFrontierTraversal:
 
     def test_no_roots(self):
         tree = synthetic_kdtree(1024.0, depth=4, low=[0, 0], high=[8, 8])
-        walk = tree.traverse([1.0, 1.0], 2.0, [])
+        walk = tree.traverse(np.zeros((0, 2)), 2.0, [])
         assert len(walk.visited) == len(walk.count) == 0
         assert walk.partial == []
+
+    def test_one_query_point_per_root(self):
+        tree = synthetic_kdtree(1024.0, depth=4, low=[0, 0], high=[8, 8])
+        with pytest.raises(ValueError, match="one 2-D query point per root"):
+            tree.traverse(np.array([1.0, 1.0]), 2.0, [1])
+        with pytest.raises(ValueError):
+            tree.traverse(np.zeros((2, 2)), 2.0, [1])
 
     def test_make_problem_matches_scalar_plans(self):
         # the repository benchmark's smoke TPC shape
@@ -557,21 +572,138 @@ class TestFrontierTraversal:
             seed=1,
         )
         problem = make_problem(workload, 8)
-        oracle = scalar(problem.structure)
-        keys = []
-        for qi, q in enumerate(problem.queries):
-            old_plan = scalar_plan_top(oracle, q, workload.radius, problem.task_level)
-            assert problem.plans[qi] == old_plan
-            for root in old_plan.recurse_roots:
-                old = oracle.query_from(root, q, workload.radius)
-                flops, count = problem.band_work[(qi, root)]
-                assert flops == (
-                    old.visited_nodes * workload.visit_flops
-                    + old.scanned_points * workload.point_flops
-                )
-                assert count == pytest.approx(old.count, rel=1e-12, abs=0.0)
-                keys.append((qi, root))
-        assert list(problem.band_work) == keys
+        assert_problem_matches_scalar(problem)
+
+
+def assert_problem_matches_scalar(problem) -> None:
+    """Plans and band work of ``problem`` against the scalar oracle."""
+    workload = problem.workload
+    oracle = scalar(problem.structure)
+    keys = []
+    for qi, q in enumerate(problem.queries):
+        old_plan = scalar_plan_top(oracle, q, workload.radius, problem.task_level)
+        assert problem.plans[qi] == old_plan
+        for root in old_plan.recurse_roots:
+            old = oracle.query_from(root, q, workload.radius)
+            flops, count = problem.band_work[(qi, root)]
+            assert flops == (
+                old.visited_nodes * workload.visit_flops
+                + old.scanned_points * workload.point_flops
+            )
+            assert count == pytest.approx(old.count, rel=1e-12, abs=0.0)
+            keys.append((qi, root))
+    assert list(problem.band_work) == keys
+
+
+def per_query_inspection(problem):
+    """Plans and band work derived one query at a time: one top traversal
+    and one descent per query, as ``make_problem`` did before chunking."""
+    workload, structure = problem.workload, problem.structure
+    plans, band_work = [], {}
+    for qi, q in enumerate(problem.queries):
+        plan = _plan_tops(structure, q[None], workload.radius, problem.task_level)[0]
+        plans.append(plan)
+        roots = plan.recurse_roots
+        points = np.tile(q, (len(roots), 1))
+        descent = structure.traverse(points, workload.radius, roots)
+        flops = (
+            descent.visited * workload.visit_flops
+            + descent.scanned * workload.point_flops
+        )
+        for i, root in enumerate(roots):
+            band_work[(qi, root)] = (float(flops[i]), float(descent.count[i]))
+    return plans, band_work
+
+
+def hex_floats(values) -> list[str]:
+    return [float.hex(float(v)) for v in values]
+
+
+def hexed(band_work):
+    return [(key, hex_floats(work)) for key, work in band_work.items()]
+
+
+class TestChunkedInspector:
+    """Per-root query points: one batched pass equals one call per query."""
+
+    @given(traversal_cases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batched_roots_match_one_call_per_query(self, case, data):
+        tree, q, radius = case
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        stop = data.draw(st.one_of(st.none(), st.integers(1, tree.depth)))
+        deepest = tree.depth if stop is None else stop
+        lo, hi = tree.bbox_lo[1], tree.bbox_hi[1]
+        queries = [q] + [rng.uniform(lo - 1.0, hi + 1.0) for _ in range(3)]
+        roots_of = [
+            rng.integers(1, 1 << deepest, size=int(rng.integers(0, 5))).tolist()
+            for _ in queries
+        ]
+        points = np.array(
+            [point for point, roots in zip(queries, roots_of) for _ in roots]
+        ).reshape(-1, tree.dims)
+        roots = [root for per_query in roots_of for root in per_query]
+        batched = tree.traverse(points, radius, roots, stop)
+        start = 0
+        for point, own in zip(queries, roots_of):
+            alone = tree.traverse(np.tile(point, (len(own), 1)), radius, own, stop)
+            part = slice(start, start + len(own))
+            assert batched.visited[part].tolist() == alone.visited.tolist()
+            assert hex_floats(batched.scanned[part]) == hex_floats(alone.scanned)
+            assert hex_floats(batched.count[part]) == hex_floats(alone.count)
+            assert batched.partial[part] == alone.partial
+            start += len(own)
+
+    @pytest.mark.parametrize("functional", [False, True])
+    @pytest.mark.parametrize("queries", [1, QUERY_CHUNK - 1, QUERY_CHUNK + 1])
+    def test_make_problem_at_chunk_edges(self, queries, functional, monkeypatch):
+        workload = TPCWorkload(
+            total_points=4000 if functional else 2**20,
+            depth=9,
+            task_subtree_height=5,
+            queries_total=queries,
+            functional=functional,
+            seed=3,
+        )
+        passes = []
+        traverse = KDTreeStructure.traverse
+
+        def counted(self, *args, **kwargs):
+            passes.append(len(args[2]))
+            return traverse(self, *args, **kwargs)
+
+        monkeypatch.setattr(KDTreeStructure, "traverse", counted)
+        problem = make_problem(workload, 4)
+        monkeypatch.undo()
+        # one top pass and one descent pass per chunk
+        assert len(passes) == 2 * math.ceil(queries / QUERY_CHUNK)
+        plans, band_work = per_query_inspection(problem)
+        assert problem.plans == plans
+        assert hexed(problem.band_work) == hexed(band_work)
+        assert_problem_matches_scalar(problem)
+
+    def test_query_leaving_no_subtree_open(self):
+        # a radius between half and all of the box diagonal (264.6): a query
+        # near the centre resolves the whole tree above the task level, one
+        # near a corner still descends
+        workload = TPCWorkload(
+            total_points=2**20,
+            depth=9,
+            task_subtree_height=5,
+            queries_total=QUERY_CHUNK + 1,
+            radius=200.0,
+            seed=5,
+        )
+        problem = make_problem(workload, 4)
+        closed = [qi for qi, plan in enumerate(problem.plans) if not plan.recurse_roots]
+        assert closed and len(closed) < len(problem.plans)
+        asked = {qi for qi, _root in problem.band_work}
+        for qi in closed:
+            assert qi not in asked
+            assert problem.plans[qi].top_count == problem.exact_count(qi)
+        plans, band_work = per_query_inspection(problem)
+        assert problem.plans == plans
+        assert hexed(problem.band_work) == hexed(band_work)
 
 
 class TestKDTreeConstruction:

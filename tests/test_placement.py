@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale, ipic3d_program
 from repro.apps.stencil import StencilWorkload, stencil_allscale, stencil_program
@@ -20,8 +22,18 @@ from repro.placement import (
     extract_program,
     plan_placement,
 )
-from repro.placement.planner import _pins
-from repro.placement.extract import PlacementTask
+from repro.analysis.coverage import check_coverage
+from repro.analysis.expansion import expand_task
+from repro.analysis.races import effective_requirements
+from repro.bench.placement import TOPOLOGIES, _apps, _spec
+from repro.placement.planner import (
+    READ_WEIGHT,
+    WRITE_WEIGHT,
+    _pins,
+    _solve,
+    default_analysis_config,
+)
+from repro.placement.extract import ExtractedProgram, PlacementTask, _frontier
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import PlacementContext, RandomPolicy
 from repro.runtime.runtime import AllScaleRuntime
@@ -135,6 +147,29 @@ class TestPlanner:
         assert "dup" not in pins
         assert pins["solo"] == 2
         assert pins["root"] == 2
+
+
+class TestGrownCluster:
+    def test_plan_after_add_node_engages(self):
+        cluster = make_cluster(NODES)
+        cluster.add_node()
+        nodes = NODES + 1
+        plan = plan_placement(
+            stencil_program(WORKLOAD, nodes, cores_per_node=2), cluster
+        )
+        assert plan.processes == nodes
+        assert plan.layout_for("stencil.A", nodes) is not None
+        runtime = AllScaleRuntime(
+            cluster, RuntimeConfig(functional=False), PlannedPolicy(plan)
+        )
+        runtime.register_item(Grid(WORKLOAD.global_shape(nodes), name="stencil.A"))
+        assert runtime.metrics.counter("placement.preplaced_items") > 0
+
+    def test_hop_table_covers_the_new_node(self):
+        cluster = make_cluster(NODES)
+        newcomer = cluster.add_node()
+        cost = CostModel(cluster)
+        assert cost.transfer_seconds(1.0, 0, newcomer) > 0.0
 
 
 class TestCostModel:
@@ -295,3 +330,289 @@ class TestDriverSubmitsTheProgram:
         ]
         if program.rotate_origins:  # ... and the rotation was exercised
             assert {origin for _, _, origin in submitted} == set(range(NODES))
+
+
+# -- oracle: the pricing the planner used before it priced each task once ------
+#
+# Full claim scans with no hull gate, every task's pull list rebuilt on each
+# use, the fat-tree distance asked per transfer, and extraction running the
+# analyzer's coverage pass.  The planner must reproduce its plans exactly.
+
+
+class ScalarCostModel(CostModel):
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.topology = cluster.topology
+
+    def transfer_seconds(self, nbytes, src, dst):
+        if src == dst or nbytes <= 0:
+            return 0.0
+        return nbytes * self.topology.switch_hops(src, dst) / self.bandwidth
+
+
+def scalar_extract(program, config):
+    out = ExtractedProgram(label=program.label)
+    findings = []
+    for phase_index, phase in enumerate(program.phases):
+        for spec in phase:
+            root, expanded, truncated = expand_task(spec, config, findings)
+            out.expanded += expanded
+            out.truncated += truncated
+            findings.extend(check_coverage(root, config))
+            efforts = effective_requirements(root)
+            for node, ancestors in _frontier(root):
+                eff = efforts[id(node)]
+                reads, writes = {}, {}
+                for item, region in eff.writes.items():
+                    out.items.setdefault(item.name, item)
+                    writes[item.name] = region
+                for item, region in eff.reads.items():
+                    out.items.setdefault(item.name, item)
+                    reads[item.name] = region
+                out.tasks.append(
+                    PlacementTask(
+                        name=node.spec.name,
+                        path=node.path,
+                        phase=phase_index,
+                        flops=float(node.spec.flops),
+                        reads=reads,
+                        writes=writes,
+                        ancestors=ancestors,
+                        truncated=node.truncated,
+                    )
+                )
+    return out
+
+
+def scalar_accessed(task, name, items):
+    read = task.reads.get(name, items[name].empty_region())
+    write = task.writes.get(name, items[name].empty_region())
+    return read.union(write)
+
+
+def scalar_touches(task, claims, items):
+    return any(
+        claimed.overlaps(scalar_accessed(task, name, items))
+        for name in task.accessed_names()
+        for claimed in claims[name]
+    )
+
+
+def scalar_pulls(task, claims, items):
+    pulls = []
+    for weight, regions in ((WRITE_WEIGHT, task.writes), (READ_WEIGHT, task.reads)):
+        for name, wanted in regions.items():
+            for owner, claimed in enumerate(claims[name]):
+                overlap = claimed.intersect(wanted)
+                if not overlap.is_empty():
+                    pulls.append((weight, items[name].region_bytes(overlap), owner))
+    return pulls
+
+
+def scalar_seconds(task, pid, claims, items, cost):
+    seconds = 0.0
+    for weight, nbytes, owner in scalar_pulls(task, claims, items):
+        if owner != pid:
+            seconds += weight * cost.transfer_seconds(nbytes, owner, pid)
+    return seconds
+
+
+def scalar_claim(task, pid, claims, items):
+    for name in task.accessed_names():
+        wanted = scalar_accessed(task, name, items)
+        for claimed in claims[name]:
+            if wanted.is_empty():
+                break
+            wanted = wanted.difference(claimed)
+        if not wanted.is_empty():
+            claims[name][pid] = claims[name][pid].union(wanted)
+
+
+def scalar_claims_for(tasks, items, processes, assignment):
+    claims = {
+        name: [item.empty_region() for _ in range(processes)]
+        for name, item in items.items()
+    }
+    for task, pid in zip(tasks, assignment):
+        scalar_claim(task, pid, claims, items)
+    return claims
+
+
+def scalar_seed(tasks, items, processes, cost):
+    claims = scalar_claims_for([], items, processes, [])
+    loads = [0.0] * processes
+    assignment = []
+    for phase in range(1 + max((t.phase for t in tasks), default=0)):
+        phase_tasks = [t for t in tasks if t.phase == phase]
+        fresh = [not scalar_touches(t, claims, items) for t in phase_tasks]
+        fresh_total = sum(t.flops for t, f in zip(phase_tasks, fresh) if f)
+        fresh_cum = 0.0
+        phase_loads = [0.0] * processes
+        phase_mean = sum(t.flops for t in phase_tasks) / processes
+        for task, is_fresh in zip(phase_tasks, fresh):
+            if is_fresh and fresh_total > 0:
+                pid = min(processes - 1, int(processes * fresh_cum / fresh_total))
+                fresh_cum += task.flops
+            elif is_fresh:
+                pid = min(range(processes), key=lambda p: (loads[p], p))
+            else:
+                pid = min(
+                    range(processes),
+                    key=lambda p: (
+                        scalar_seconds(task, p, claims, items, cost)
+                        + cost.compute_seconds(
+                            max(0.0, phase_loads[p] + task.flops - phase_mean)
+                        ),
+                        loads[p],
+                        p,
+                    ),
+                )
+            assignment.append(pid)
+            loads[pid] += task.flops
+            phase_loads[pid] += task.flops
+            scalar_claim(task, pid, claims, items)
+    return assignment, loads, claims
+
+
+def scalar_refine(tasks, items, processes, cost, assignment, loads, claims, rounds):
+    moves = 0
+    for _ in range(rounds):
+        improved = False
+        for index, task in enumerate(tasks):
+            current = assignment[index]
+            here = scalar_seconds(task, current, claims, items, cost)
+            if here <= 0.0:
+                continue
+            bottleneck = max(loads)
+            best = None
+            for pid in range(processes):
+                if pid == current or loads[pid] + task.flops > bottleneck:
+                    continue
+                there = scalar_seconds(task, pid, claims, items, cost)
+                if there < here and (best is None or (there, pid) < best):
+                    best = (there, pid)
+            if best is not None:
+                loads[current] -= task.flops
+                loads[best[1]] += task.flops
+                assignment[index] = best[1]
+                moves += 1
+                improved = True
+        if not improved:
+            break
+    return moves
+
+
+def scalar_solve(tasks, items, processes, cost, rounds=2):
+    assignment, loads, claims = scalar_seed(tasks, items, processes, cost)
+    moves = scalar_refine(
+        tasks, items, processes, cost, assignment, loads, claims, rounds
+    )
+    if moves:
+        claims = scalar_claims_for(tasks, items, processes, assignment)
+    total = sum(
+        scalar_seconds(task, pid, claims, items, cost)
+        for task, pid in zip(tasks, assignment)
+    )
+    return assignment, loads, claims, moves, total
+
+
+def scalar_plan(program, cluster):
+    processes = cluster.num_nodes
+    extracted = scalar_extract(program, default_analysis_config(processes))
+    tasks = extracted.tasks
+    assignment, loads, claims, moves, total = scalar_solve(
+        tasks, extracted.items, processes, ScalarCostModel(cluster)
+    )
+    layouts = {
+        name: [region.cache_key() for region in regions]
+        for name, regions in claims.items()
+        if any(not region.is_empty() for region in regions)
+    }
+    stats = {
+        "tasks": float(len(tasks)),
+        "tasks_truncated": float(sum(1 for t in tasks if t.truncated)),
+        "expanded": float(extracted.expanded),
+        "refine_moves": float(moves),
+        "est_transfer_seconds": total,
+        "load_max": max(loads, default=0.0),
+        "load_mean": sum(loads) / processes,
+    }
+    return layouts, _pins(tasks, assignment), stats
+
+
+@pytest.fixture(scope="module")
+def smoke_apps():
+    return {setup.name: setup for setup in _apps("smoke")}
+
+
+class TestPlannerMatchesScalarPricing:
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("app", ["stencil", "ipic3d", "tpc"])
+    def test_same_plan(self, app, topology, smoke_apps):
+        nodes, radix = TOPOLOGIES[topology]
+        program = smoke_apps[app].program(nodes, None)
+        plan = plan_placement(program, Cluster(_spec(nodes, radix)))
+        layouts, pins, stats = scalar_plan(program, Cluster(_spec(nodes, radix)))
+        assert {
+            name: [region.cache_key() for region in regions]
+            for name, regions in plan.layouts.items()
+        } == layouts
+        assert plan.pins == pins
+        assert plan.stats == stats
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_solution_on_random_tasks(self, data):
+        """Overlapping random boxes over two grids, so refinement moves tasks
+        whose claims then change owner."""
+        processes = data.draw(st.integers(2, 5))
+        cluster = Cluster(
+            ClusterSpec(
+                num_nodes=processes,
+                cores_per_node=1,
+                flops_per_core=1e6,
+                switch_radix=2,
+            )
+        )
+        grids = {name: Grid((12, 12), name=name) for name in ("u", "v")}
+        corner = st.tuples(st.integers(0, 11), st.integers(0, 11))
+
+        def box(grid):
+            a, b = data.draw(corner), data.draw(corner)
+            lo = tuple(min(x, y) for x, y in zip(a, b))
+            hi = tuple(max(x, y) + 1 for x, y in zip(a, b))
+            return grid.box(lo, hi)
+
+        tasks = []
+        for index in range(data.draw(st.integers(1, 14))):
+            reads = {n: box(g) for n, g in grids.items() if data.draw(st.booleans())}
+            writes = {n: box(g) for n, g in grids.items() if data.draw(st.booleans())}
+            tasks.append(
+                PlacementTask(
+                    name=f"t{index}",
+                    path=f"t{index}",
+                    phase=0,
+                    flops=float(data.draw(st.integers(1, 4))),
+                    reads=reads,
+                    writes=writes,
+                    ancestors=(),
+                )
+            )
+        phases = sorted(data.draw(st.integers(0, 3)) for _ in tasks)
+        for task, phase in zip(tasks, phases):
+            task.phase = phase
+        items = dict(grids)
+        assignment, loads, claims, moves, total = _solve(
+            tasks, items, processes, CostModel(cluster), 2
+        )
+        old = scalar_solve(tasks, items, processes, ScalarCostModel(cluster))
+        assert (assignment, loads, moves, total) == (
+            old[0], old[1], old[3], old[4],
+        )
+        assert {
+            name: [region.cache_key() for region in regions]
+            for name, regions in claims.items()
+        } == {
+            name: [region.cache_key() for region in regions]
+            for name, regions in old[2].items()
+        }
