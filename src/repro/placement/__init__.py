@@ -17,8 +17,9 @@ from repro.placement.extract import (
     extract_program,
 )
 from repro.placement.plan import PlacementPlan
-from repro.placement.planner import CostModel, plan_placement
+from repro.placement.planner import plan_placement
 from repro.placement.policy import PlannedPolicy
+from repro.sim.cluster import CostModel
 
 __all__ = [
     "CostModel",

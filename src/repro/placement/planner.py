@@ -27,7 +27,8 @@ become the pins.
 Both steps price a task from its *pull list* — ``(weight, bytes, owner)``
 of every claimed part it touches, found by one hull-gated scan of the
 claims — so each candidate process costs one pass over a short list, with
-switch hops read from the table :class:`CostModel` builds once.
+switch hops read from the table
+:class:`~repro.sim.cluster.CostModel` builds once.
 """
 
 from __future__ import annotations
@@ -39,37 +40,11 @@ from repro.placement.extract import PlacementTask, extract_program
 from repro.placement.plan import PlacementPlan
 from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint
-from repro.sim.cluster import Cluster
+from repro.sim.cluster import Cluster, CostModel
 
 #: write regions dominate placement — same ratio the online policy uses
 WRITE_WEIGHT = 4.0
 READ_WEIGHT = 1.0
-
-
-class CostModel:
-    """Time costs over the bipartite compute–memory architecture model.
-
-    Compute nodes are the processes; memories are the per-node fragment
-    stores; the links between them carry the fat-tree switch distance,
-    tabulated once over the cluster's live nodes.
-    """
-
-    def __init__(self, cluster: Cluster) -> None:
-        topology = cluster.topology
-        nodes = range(cluster.num_nodes)
-        self.hops = [[topology.switch_hops(s, d) for d in nodes] for s in nodes]
-        spec = cluster.spec
-        self.node_flops = float(spec.cores_per_node * spec.flops_per_core)
-        self.bandwidth = float(spec.network.bandwidth)
-
-    def transfer_seconds(self, nbytes: float, src: int, dst: int) -> float:
-        """Time to pull ``nbytes`` from ``src``'s memory to ``dst``'s."""
-        if src == dst or nbytes <= 0:
-            return 0.0
-        return nbytes * self.hops[src][dst] / self.bandwidth
-
-    def compute_seconds(self, flops: float) -> float:
-        return flops / self.node_flops
 
 
 def default_analysis_config(processes: int) -> AnalysisConfig:

@@ -8,6 +8,13 @@ process's owned region to the least-loaded process — "which will
 implicitly lead to the redirection of future tasks to the newly designated
 localities" (§3.2).
 
+Moving data moves load only when the moved load outweighs the cost of
+moving the data.  Each round therefore prices its slices with the
+planner's :class:`~repro.sim.cluster.CostModel` (bytes × switch hops /
+bandwidth) and migrates only when that is less than the wall work the
+slice sheds from the busiest process in one sampling window; a round that
+would not pay is declined and counted in ``balancer.declined``.
+
 Slices are carved from box-set and interval regions (the grid-like items
 where load imbalance arises in practice); items with other region schemes
 are left alone.
@@ -21,6 +28,7 @@ from typing import TYPE_CHECKING, Generator
 from repro.regions.base import Region
 from repro.regions.box import Box, BoxSetRegion
 from repro.regions.interval import Interval, IntervalRegion
+from repro.sim.cluster import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -117,6 +125,7 @@ class LoadBalancer:
         self.imbalance_threshold = imbalance_threshold
         self.slice_fraction = slice_fraction
         self.rebalances = 0
+        self.cost = CostModel(runtime.cluster)
         self._last_busy = [0.0] * runtime.num_processes
         self._running = False
         #: bumped by every stop(); a loop spawned before it retires
@@ -150,18 +159,25 @@ class LoadBalancer:
 
         Without this, ``measured_load``'s zip against the construction-
         time sample vector silently truncated freshly joined processes
-        out of every balancing decision — new capacity was invisible.
+        out of every balancing decision — new capacity was invisible —
+        and a move to a joined process had no hop count to be priced by.
         """
         current = [p.node._busy_time for p in self.runtime.processes]
         self._last_busy.extend(current[len(self._last_busy):])
+        self.cost = CostModel(self.runtime.cluster)
 
     def measured_load(self) -> list[float]:
-        """Core-busy seconds per process since the previous sample.
+        """Core-seconds of work *booked* per process since the previous
+        sample.
 
-        Busy time (not task counts) is the signal: equal task counts with
+        A node credits a task's full cost to its busy time when the task
+        is booked onto a core, not as the core works through it, so one
+        long task lands whole in the window it started in (an iPiC3D
+        task of thousands of seconds lands in one 20 s window).  Booked
+        work (not task counts) is the signal: equal task counts with
         unequal task costs are exactly the imbalance the balancer must
         detect.  Processes that joined since the previous sample start a
-        fresh window (their busy time since join), so the vector always
+        fresh window (their work booked since join), so the vector always
         spans the *current* process count.
         """
         current = [p.node._busy_time for p in self.runtime.processes]
@@ -173,7 +189,8 @@ class LoadBalancer:
 
     def rebalance_once(self) -> Generator:
         """Migrate one slice from the busiest to the idlest process if the
-        imbalance warrants it.  Returns whether a migration happened."""
+        imbalance warrants it and the move pays for itself.  Returns
+        whether a migration happened."""
         runtime = self.runtime
         available = runtime.available_processes()
         if len(available) < 2:
@@ -194,20 +211,36 @@ class LoadBalancer:
             excess = (load[busiest] - mean) / load[busiest]
             fraction = min(0.5, max(0.05, excess))
         source = runtime.process(busiest).data_manager
-        moved = False
         # shed the same fraction of *every* item: co-located items (e.g. a
         # stencil's two buffers) must move together, or tasks writing the
         # stay-behind buffer keep landing on the overloaded node
+        slices = []
         for item in sorted(source.fragments, key=lambda i: i.name):
             owned = source.owned_region(item)
             piece = take_slice(owned, fraction) if not owned.is_empty() else None
-            if piece is None:
-                continue
+            if piece is not None:
+                slices.append((item, piece))
+        if not slices:
+            return False
+        nbytes = sum(item.region_bytes(piece) for item, piece in slices)
+        # the move must pay within one window: the wall work the slices
+        # take off the busiest process against the planner's price
+        shed = fraction * load[busiest] / source.process.node.num_cores
+        if not self.migration_pays(nbytes, busiest, idlest, shed):
+            runtime.metrics.incr("balancer.declined")
+            return False
+        for item, piece in slices:
             yield from runtime.process(idlest).data_manager._migrate_in(
                 item, piece, busiest
             )
             runtime.metrics.incr("balancer.migrations")
-            moved = True
-        if moved:
-            self.rebalances += 1
-        return moved
+        self.rebalances += 1
+        return True
+
+    def migration_pays(
+        self, nbytes: int, src: int, dst: int, shed: float
+    ) -> bool:
+        """Whether shipping ``nbytes`` from ``src`` to ``dst`` costs less
+        than the ``shed`` wall seconds of work it takes off ``src`` in one
+        sampling window."""
+        return self.cost.transfer_seconds(nbytes, src, dst) < shed

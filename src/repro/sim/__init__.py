@@ -16,7 +16,8 @@ Intel OmniPath in a fat-tree topology).  It provides:
     messages expensive (the mechanism behind the paper's TPC result);
 ``cluster``
     cluster assembly from a :class:`ClusterSpec`, with a preset calibrated
-    to the paper's testbed;
+    to the paper's testbed, and the :class:`CostModel` that prices a
+    transfer between two of its nodes;
 ``metrics``
     counter/timer registry used by the runtime's monitoring component.
 """
@@ -25,7 +26,7 @@ from repro.sim.engine import SimEngine, Future, Event
 from repro.sim.node import SimNode
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import FatTreeTopology
-from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
+from repro.sim.cluster import Cluster, ClusterSpec, CostModel, meggie_like_spec
 from repro.sim.metrics import MetricRegistry
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "FatTreeTopology",
     "Cluster",
     "ClusterSpec",
+    "CostModel",
     "meggie_like_spec",
     "MetricRegistry",
 ]

@@ -162,3 +162,32 @@ class Cluster:
             f"Cluster({self.num_nodes} nodes × "
             f"{self.spec.cores_per_node} cores, t={self.engine.now:.6g}s)"
         )
+
+
+class CostModel:
+    """Time costs over the bipartite compute–memory architecture model.
+
+    Compute nodes are the processes; memories are the per-node fragment
+    stores; the links between them carry the fat-tree switch distance,
+    tabulated once over the cluster's live nodes.  The offline planner
+    prices task placements with it and the load balancer prices
+    migrations, so both charge a transfer the same way; a cluster that
+    grew by :meth:`Cluster.add_node` needs a fresh model.
+    """
+
+    def __init__(self, cluster: Cluster) -> None:
+        topology = cluster.topology
+        nodes = range(cluster.num_nodes)
+        self.hops = [[topology.switch_hops(s, d) for d in nodes] for s in nodes]
+        spec = cluster.spec
+        self.node_flops = float(spec.cores_per_node * spec.flops_per_core)
+        self.bandwidth = float(spec.network.bandwidth)
+
+    def transfer_seconds(self, nbytes: float, src: int, dst: int) -> float:
+        """Time to pull ``nbytes`` from ``src``'s memory to ``dst``'s."""
+        if src == dst or nbytes <= 0:
+            return 0.0
+        return nbytes * self.hops[src][dst] / self.bandwidth
+
+    def compute_seconds(self, flops: float) -> float:
+        return flops / self.node_flops

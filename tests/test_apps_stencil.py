@@ -12,6 +12,7 @@ from repro.apps.stencil import (
     stencil_mpi,
 )
 from repro.regions.box import Box
+from repro.runtime.balancer import LoadBalancer
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import RoundRobinPolicy
 from repro.runtime.tasks import TaskSpec
@@ -35,6 +36,33 @@ def read_final_grid(result):
         name="readback", reads={grid: grid.full_region}, body=body, size_hint=1
     )
     return runtime.wait(runtime.submit(task))
+
+
+#: balancer periods, simulated seconds, swept below the placement
+#: tournament's 2e-4
+AGGRESSIVE_PERIODS = [1e-5, 2e-5, 3e-5, 4e-5, 5e-5, 6e-5, 7e-5, 1e-4, 2e-4]
+
+
+def force_migrations(monkeypatch):
+    """Open the balancer's pricing gate: every round that finds an
+    imbalance migrates, whatever the move costs."""
+    monkeypatch.setattr(
+        LoadBalancer, "migration_pays", lambda self, *pricing: True
+    )
+
+
+def aggressive_balancer_run(period):
+    """Functional round-robin stencil on the tournament's 4-node radix-2
+    cluster, balanced every ``period`` simulated seconds."""
+    spec = replace(meggie_like_spec(4), switch_radix=2, cores_per_node=4)
+    config = RuntimeConfig(
+        oversubscription=2, load_balancing=True, balancer_interval=period
+    )
+    workload = StencilWorkload(n_per_node=128, timesteps=3, functional=True)
+    result = stencil_allscale(
+        Cluster(spec), workload, config, policy=RoundRobinPolicy()
+    )
+    return result, workload
 
 
 class TestFunctionalCorrectness:
@@ -64,28 +92,44 @@ class TestFunctionalCorrectness:
             ] = ghosted[si, sj]
         assert np.allclose(assembled, reference)
 
-    @pytest.mark.parametrize(
-        "period",
-        [1e-5, 2e-5, 3e-5, 4e-5, 5e-5, 6e-5, 7e-5, 1e-4, 2e-4],
-    )
+    @pytest.mark.parametrize("period", AGGRESSIVE_PERIODS)
     def test_round_robin_under_aggressive_balancer_matches_sequential(
-        self, period
+        self, period, monkeypatch
     ):
         # the 4-node radix-2 cluster and runtime config of the placement
         # tournament, with the balancer period swept below its 2e-4.  At
         # 3e-5, 5e-5 and 6e-5 a source task takes its locks during a
         # migration's export overhead, so the migration must re-check its
-        # guard before exporting (wrong cells, or a KeyError from a gather)
-        spec = replace(meggie_like_spec(4), switch_radix=2, cores_per_node=4)
-        config = RuntimeConfig(
-            oversubscription=2, load_balancing=True, balancer_interval=period
-        )
-        workload = StencilWorkload(n_per_node=128, timesteps=3, functional=True)
-        result = stencil_allscale(
-            Cluster(spec), workload, config, policy=RoundRobinPolicy()
-        )
+        # guard before exporting (wrong cells, or a KeyError from a gather).
+        # Most of these migrations cost more than they shed, so the
+        # balancer's gate would decline them: force it open, so that the
+        # sweep keeps racing migrations against sweeps
+        force_migrations(monkeypatch)
+        result, workload = aggressive_balancer_run(period)
+        assert result.extras["runtime"].metrics.counter(
+            "balancer.migrations"
+        ) > 0
         values = read_final_grid(result)
         assert np.allclose(values, sequential_reference(workload, 4))
+
+    def test_aggressive_balancer_sweep_detects_unguarded_migrations(
+        self, monkeypatch
+    ):
+        # the sweep above is the functional detector of the migrate-guard
+        # re-check: with the re-check reverted it fails at some period
+        from repro.verify.regressions import revert_migrate_guard_recheck
+
+        def fails(period):
+            try:
+                result, workload = aggressive_balancer_run(period)
+                values = read_final_grid(result)
+            except KeyError:  # a gather of bytes that had just left
+                return True
+            return not np.allclose(values, sequential_reference(workload, 4))
+
+        force_migrations(monkeypatch)
+        with revert_migrate_guard_recheck():
+            assert any(fails(period) for period in AGGRESSIVE_PERIODS)
 
     def test_odd_timestep_count_swaps_buffers(self):
         workload = StencilWorkload(n_per_node=10, timesteps=1, functional=True)

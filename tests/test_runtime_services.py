@@ -156,45 +156,43 @@ class TestTakeSlice:
             take_slice(IntervalRegion.span(0, 10), 1.5)
 
 
+def load_owner(runtime, balancer, grid, flops):
+    """Register ``grid`` wholly at process 0 and book twelve writers of
+    ``flops`` each there, six of them after a baseline load sample."""
+    runtime.register_item(
+        grid, placement=[grid.full_region]
+        + [grid.empty_region()] * (runtime.num_processes - 1)
+    )
+    for k in range(12):
+        if k == 6:
+            balancer.measured_load()  # baseline sample
+        runtime.wait(
+            runtime.submit(
+                TaskSpec(
+                    name=f"w{k}",
+                    writes={grid: grid.full_region},
+                    flops=flops,
+                    size_hint=256,
+                )
+            )
+        )
+
+
 class TestLoadBalancer:
     def test_rebalance_moves_data_from_busy_to_idle(self):
         runtime = make_runtime(nodes=2, cores=1, functional=False)
         grid = Grid((32, 8), name="g")
         # everything starts at process 0 — maximal imbalance
-        runtime.register_item(
-            grid, placement=[grid.full_region, grid.empty_region()]
-        )
         balancer = LoadBalancer(
             runtime, imbalance_threshold=1.2, slice_fraction=0.5
         )
-        # generate load at the owner
-        for k in range(6):
-            runtime.wait(
-                runtime.submit(
-                    TaskSpec(
-                        name=f"w{k}",
-                        writes={grid: grid.full_region},
-                        flops=1e6,
-                        size_hint=256,
-                    )
-                )
-            )
-        balancer.measured_load()  # baseline sample
-        for k in range(6):
-            runtime.wait(
-                runtime.submit(
-                    TaskSpec(
-                        name=f"x{k}",
-                        writes={grid: grid.full_region},
-                        flops=1e6,
-                        size_hint=256,
-                    )
-                )
-            )
+        # milliseconds of work against a microsecond-priced 1 KB slice
+        load_owner(runtime, balancer, grid, flops=1e6)
         done = runtime.engine.spawn(balancer.rebalance_once())
         runtime.run()
         assert done.value is True
         assert balancer.rebalances == 1
+        assert runtime.metrics.counter("balancer.declined") == 0
         moved = runtime.process(1).data_manager.owned_region(grid)
         assert not moved.is_empty()
         runtime.check_ownership_invariants()
@@ -205,6 +203,40 @@ class TestLoadBalancer:
         )
         runtime.wait(runtime.submit(task))
         assert runtime.process(1).executed_leaves == 1
+
+    def test_round_that_does_not_pay_is_declined(self):
+        runtime = make_runtime(nodes=2, cores=1, functional=False)
+        grid = Grid((512, 512), name="g")
+        balancer = LoadBalancer(
+            runtime, imbalance_threshold=1.2, slice_fraction=0.5
+        )
+        # microseconds of work against a 1 MB slice: shipping it costs
+        # more than the slice sheds in a window
+        load_owner(runtime, balancer, grid, flops=1e3)
+        net_bytes = runtime.metrics.counter("net.bytes")
+        done = runtime.engine.spawn(balancer.rebalance_once())
+        runtime.run()
+        assert done.value is False
+        assert balancer.rebalances == 0
+        assert runtime.metrics.counter("balancer.declined") == 1
+        assert runtime.metrics.counter("balancer.migrations") == 0
+        assert runtime.metrics.counter("net.bytes") == net_bytes
+        assert runtime.process(1).data_manager.owned_region(grid).is_empty()
+
+    def test_move_to_a_joined_process_is_priced(self):
+        runtime = make_runtime(
+            nodes=1, cores=1, functional=False, load_balancing=True
+        )
+        joined = runtime.add_process()
+        grid = Grid((32, 8), name="g")
+        balancer = runtime.balancer
+        load_owner(runtime, balancer, grid, flops=1e6)
+        assert balancer.cost.transfer_seconds(1.0, 0, joined) > 0.0
+        done = runtime.engine.spawn(balancer.rebalance_once())
+        runtime.run()
+        assert done.value is True
+        moved = runtime.process(joined).data_manager.owned_region(grid)
+        assert not moved.is_empty()
 
     def test_no_rebalance_when_even(self):
         runtime = make_runtime(nodes=2, functional=False)
