@@ -171,9 +171,11 @@ class Scheduler:
             # closure serialization at the origin, parcel decode at the
             # target — the prototype's per-task CPU cost.  Store-and-
             # forward: every closure serializes before the parcel leaves,
-            # the receiver decodes (and enqueues) the tasks one by one
+            # the receiver decodes (and enqueues) the tasks one by one.
+            # Both are parcel work a worker interleaves between booked
+            # compute, so neither waits for a core to come free
             for _ in entries:
-                yield runtime.process(origin).node.execute(
+                yield runtime.process(origin).node.interleave(
                     REMOTE_TASK_CPU_OVERHEAD
                 )
             if bulk:
@@ -187,7 +189,7 @@ class Scheduler:
             # would pick *now*
             target = runtime._redirect_if_failed(target)
             for task, treeture, variant, lookup in entries:
-                yield runtime.process(target).node.execute(
+                yield runtime.process(target).node.interleave(
                     REMOTE_TASK_CPU_OVERHEAD
                 )
                 # a storm may fail the target mid-decode: this task and

@@ -63,20 +63,36 @@ class SimNode:
 
         Returns a future completing when the work finishes.
         """
+        return self._occupy(cost_seconds, ahead=False)
+
+    def interleave(self, cost_seconds: float) -> Future:
+        """Run ``cost_seconds`` of short runtime control work *now*.
+
+        The work slots in ahead of whatever the earliest-free core has
+        booked, the way a worker thread services a parcel between two
+        compute tasks: it completes at ``now + cost_seconds``, and that
+        core's booked work shifts back by ``cost_seconds``.  Busy time and
+        ``node.tasks_executed`` are charged as by ``execute``; on an idle
+        core the two are identical.
+        """
+        return self._occupy(cost_seconds, ahead=True)
+
+    def _occupy(self, cost_seconds: float, ahead: bool) -> Future:
         if cost_seconds < 0:
             raise ValueError(f"negative cost {cost_seconds}")
         engine = self.engine
+        now = engine.now
         free_at = self._core_free_at
         core = min(range(self.num_cores), key=free_at.__getitem__)
-        start = max(engine.now, free_at[core])
-        finish = start + cost_seconds
-        free_at[core] = finish
+        booked = max(now, free_at[core])
+        start = now if ahead else booked
+        free_at[core] = booked + cost_seconds
         self._busy_time += cost_seconds
         metrics = self.metrics
         metrics.incr("node.tasks_executed")
-        metrics.observe("node.queue_wait", start - engine.now)
+        metrics.observe("node.queue_wait", start - now)
         done = engine.future()
-        engine.schedule_at(finish, lambda: done.complete(engine.now))
+        engine.schedule_at(start + cost_seconds, lambda: done.complete(engine.now))
         return done
 
     def execute_parallel(self, cost_seconds: float) -> Future:

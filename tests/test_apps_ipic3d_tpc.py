@@ -1,5 +1,7 @@
 """Application tests for iPiC3D and TPC."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from repro.apps.tpc import (
     tpc_allscale,
     tpc_mpi,
 )
-from repro.sim.cluster import Cluster, ClusterSpec
+from repro.runtime.config import RuntimeConfig
+from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
 
 
 def small_cluster(nodes, cores=4):
@@ -47,6 +50,20 @@ class TestIPic3D:
         result_a = ipic3d_allscale(small_cluster(2), SMALL_IPIC)
         result_m = ipic3d_mpi(small_cluster(2), SMALL_IPIC)
         assert result_a.throughput > 0.4 * result_m.throughput
+
+    def test_oversubscription_two_matches_mpi(self):
+        """Remote dispatch's parcel work does not queue behind booked leaf
+        compute: with two leaves per core, each hop of the task-tree
+        distribution would otherwise wait one whole leaf (5,250 s here)."""
+        spec = replace(meggie_like_spec(4), switch_radix=4, cores_per_node=4)
+        workload = IPic3DWorkload(
+            particles_per_node=24_000_000, cells_per_node_side=4, timesteps=2
+        )
+        config = RuntimeConfig(functional=False, oversubscription=2)
+        result_a = ipic3d_allscale(Cluster(spec), workload, config)
+        result_m = ipic3d_mpi(Cluster(spec), workload)
+        assert result_m.elapsed == pytest.approx(3500.0, rel=1e-5)
+        assert result_a.elapsed == pytest.approx(result_m.elapsed, rel=1e-5)
 
     def test_three_grids_distributed(self):
         result = ipic3d_allscale(small_cluster(2), SMALL_IPIC)

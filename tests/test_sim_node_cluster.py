@@ -28,6 +28,37 @@ class TestSimNode:
         engine.run()
         assert engine.now == pytest.approx(3.0)
 
+    def test_interleave_on_an_idle_core_is_execute(self):
+        runs = []
+        for method in ("execute", "interleave"):
+            engine, node = self.make(cores=2)
+            node.execute(3.0)  # the other core stays idle
+            done = getattr(node, method)(0.5)
+            engine.run()
+            runs.append(
+                (
+                    done.value,
+                    sorted(node._core_free_at),
+                    node.busy_fraction(engine.now),
+                    node.metrics.snapshot(),
+                )
+            )
+        assert runs[0] == runs[1]
+
+    def test_interleave_slots_in_ahead_of_booked_work(self):
+        engine, node = self.make(cores=2)
+        node.execute(4.0)
+        node.execute(6.0)
+        engine.run(until=1.0)
+        done = node.interleave(0.25)
+        assert sorted(node._core_free_at) == [4.25, 6.0]
+        engine.run()
+        assert done.value == pytest.approx(1.25)
+        assert node.metrics.counter("node.tasks_executed") == 3
+        assert node.busy_fraction(engine.now) == pytest.approx(
+            10.25 / (2 * engine.now)
+        )
+
     def test_flops_conversion(self):
         _, node = self.make(cores=4, rate=2e9)
         assert node.flops_to_seconds(4e9) == pytest.approx(2.0)
