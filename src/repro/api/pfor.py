@@ -4,9 +4,16 @@ The workhorse of the paper's example codes (Fig. 6b): iterate a kernel
 over every point of an N-dimensional range, in parallel, with data
 requirements derived per sub-range.  Implemented on top of :func:`prec`
 (just like the AllScale API implements its ``pfor`` with the ``prec``
-operator): the recursion parameter is the iteration :class:`Box`, split by
-bisecting the widest axis, and requirement functions are evaluated on each
-sub-box.
+operator): the recursion parameter is a :class:`LoopPart` — an iteration
+:class:`Box` and the number of leaves it must yield — and requirement
+functions are evaluated on each sub-box.
+
+A loop of size ``S`` at granularity ``g`` yields exactly ``n = max(1,
+round(S / g))`` leaves.  Each split cuts the widest axis so that the left
+part holds ``ceil(n / 2)`` of the ``n`` leaves, rounded to a whole cell,
+and hands each part its own count; a part holding one leaf is a leaf.  So
+a 20-core node at oversubscription 2 gets exactly 40 leaves: two even
+waves of work per core, with no partial wave left over.
 
 Two kernel styles are supported:
 
@@ -18,7 +25,7 @@ Two kernel styles are supported:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.api.prec import PrecFunction, default_granularity
 from repro.items.base import DataItem
@@ -31,12 +38,41 @@ from repro.util.ids import fresh_id
 RequirementFn = Callable[[Box], dict[DataItem, Region]]
 
 
-def _split_box(box: Box) -> list[Box]:
+class LoopPart(NamedTuple):
+    """A sub-range of a loop and the number of leaves it must yield."""
+
+    box: Box
+    leaves: int
+
+    @classmethod
+    def of(cls, box: Box, granularity: float | None) -> "LoopPart":
+        """The root part: ``round(size / granularity)`` leaves, at least one."""
+        grain = max(1.0, granularity or 1.0)
+        return cls(box, max(1, round(box.size() / grain)))
+
+    def __repr__(self) -> str:
+        # task names show the range only
+        return repr(self.box)
+
+
+def _split_box(part: LoopPart) -> list[LoopPart]:
+    """Cut ``part`` in two along its widest axis, leaf counts in proportion.
+
+    The left side gets ``ceil(n / 2)`` of the ``n`` leaves and the cut
+    sits at that share of the axis, rounded to the nearest whole cell
+    (ties to even).  A side with fewer cells than leaves hands the excess
+    to the other, so the count stays exact whenever ``n`` does not exceed
+    the part's size.
+    """
+    box, leaves = part
     widths = box.widths()
     axis = max(range(len(widths)), key=widths.__getitem__)
-    at = box.lo[axis] + widths[axis] // 2
-    left, right = box.split(axis, at)
-    return [b for b in (left, right) if not b.is_empty()]
+    width = widths[axis]
+    share = (leaves + 1) // 2
+    cut = min(width - 1, max(1, round(width * share / leaves)))
+    left, right = box.split(axis, box.lo[axis] + cut)
+    share = min(max(share, leaves - right.size()), left.size())
+    return [LoopPart(left, share), LoopPart(right, leaves - share)]
 
 
 def pfor_task(
@@ -75,24 +111,24 @@ def pfor_task(
         body = bulk_body
 
     recursion = PrecFunction(
-        base_test=lambda box: box.size() <= max(1.0, granularity or 1.0),
-        base=body,
+        base_test=lambda part: part.leaves <= 1,
+        base=lambda ctx, part: body(ctx, part.box),
         split=_split_box,
         combine=combiner,
-        reads=reads,
-        writes=writes,
-        cost=lambda box: flops_per_element * box.size(),
-        size=lambda box: float(box.size()),
+        reads=(lambda part: reads(part.box)) if reads is not None else None,
+        writes=(lambda part: writes(part.box)) if writes is not None else None,
+        cost=lambda part: flops_per_element * part.box.size(),
+        size=lambda part: float(part.box.size()),
         name=task_name,
         body_in_virtual=body_in_virtual,
         gpu_cost=(
-            (lambda box: gpu_flops_per_element * box.size())
+            (lambda part: gpu_flops_per_element * part.box.size())
             if gpu_flops_per_element is not None
             else None
         ),
         origin_body=user_kernel,
     )
-    return recursion.task(root, granularity)
+    return recursion.task(LoopPart.of(root, granularity), granularity)
 
 
 def pfor(

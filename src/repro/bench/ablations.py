@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.api.access import box_region
-from repro.api.pfor import _split_box
+from repro.api.pfor import LoopPart, _split_box, pfor_task
 from repro.api.prec import PrecFunction, default_granularity
 from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale, tpc_mpi
 from repro.bench.panel import Panel, _fmt, render_table
@@ -222,20 +222,22 @@ def _skewed_sweeps(use_balancer: bool) -> dict:
             runtime, interval=2e-4, imbalance_threshold=1.3, slice_fraction=0.3
         )
         balancer.start()
+    # pfor's split, with the skewed cost pfor's per-element rate cannot say
     sweep = PrecFunction(
-        base_test=lambda box: box.size() <= 2048,
-        base=lambda ctx, box: None,
+        base_test=lambda part: part.leaves <= 1,
+        base=lambda ctx, part: None,
         split=_split_box,
-        writes=lambda box: {grid: box_region(grid, box)},
-        cost=_skewed_cost,
-        size=lambda box: float(box.size()),
+        writes=lambda part: {grid: box_region(grid, part.box)},
+        cost=lambda part: _skewed_cost(part.box),
+        size=lambda part: float(part.box.size()),
         name="skewed-sweep",
     )
+    whole = LoopPart.of(Box.full(_SKEWED_SHAPE), 2048)
 
     def driver():
         started = runtime.now
         for _step in range(8):
-            root = sweep.task(Box.full(_SKEWED_SHAPE), granularity=2048)
+            root = sweep.task(whole, granularity=2048)
             yield runtime.submit(root).future
         return runtime.now - started
 
@@ -264,14 +266,6 @@ def run_balancer(mode: str) -> Rows:
 _GPU_SHAPE = (2048, 1024)
 
 
-def _with_gpu_variant(task):
-    task.gpu_flops = task.flops
-    if task.splitter is not None:
-        original = task.splitter
-        task.splitter = lambda: [_with_gpu_variant(c) for c in original()]
-    return task
-
-
 def _kernel_sweep(gpus: int, intensity: float) -> tuple[float, float]:
     nodes = 4
     cluster = Cluster(
@@ -287,20 +281,18 @@ def _kernel_sweep(gpus: int, intensity: float) -> tuple[float, float]:
     grid = Grid(_GPU_SHAPE, name="g")
     runtime.register_item(grid, placement=grid.decompose(nodes))
     elements = _GPU_SHAPE[0] * _GPU_SHAPE[1]
-    recursion = PrecFunction(
-        base_test=lambda box: False,  # granularity decides
-        base=lambda ctx, box: None,
-        split=_split_box,
+    root = pfor_task(
+        (0, 0),
+        _GPU_SHAPE,
+        body=lambda ctx, box: None,
         reads=lambda box: {grid: box_region(grid, box)},
         writes=lambda box: {grid: box_region(grid, box)},
-        cost=lambda box: intensity * box.size(),
-        size=lambda box: float(box.size()),
+        flops_per_element=intensity,
+        gpu_flops_per_element=intensity,
+        granularity=default_granularity(runtime, float(elements)),
         name="kernel",
     )
-    root = recursion.task(
-        Box.full(_GPU_SHAPE), default_granularity(runtime, float(elements))
-    )
-    runtime.wait(runtime.submit(_with_gpu_variant(root)))
+    runtime.wait(runtime.submit(root))
     gflops = elements * intensity / runtime.now / 1e9
     return gflops, runtime.metrics.counter("proc.gpu_offloads")
 

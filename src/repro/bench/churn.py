@@ -51,6 +51,8 @@ _PINNED_METRICS = (
     "elastic.restored_bytes",
     "elastic.recovery_time.mean",
     "dm.dead_letter_payloads",
+    # ROADMAP item 1(iv): survivors read rows recovery has not restored
+    "dm.uninitialized_reads",
 )
 
 

@@ -442,12 +442,27 @@ SHAPES = {
     "tpc": _latency_bound,
 }
 
+#: §4.2's "no inherent performance penalty" on the stencil: the full
+#: sweep's AllScale/MPI floor at every node count.  The reduced sweeps'
+#: smaller grids give fewer, coarser leaves and keep only the [0.5, 1.2]
+#: band; iPiC3D's integer cell boxes do not split into equal leaves
+#: (ROADMAP item 13)
+STENCIL_FULL_FLOOR = 0.95
+
 
 def semantic_problems(panel: ScalingPanel) -> list[str]:
     """The paper's Fig. 7 claims, for every app the run covers."""
     problems = []
     for name, series in panel.series.items():
         problems += [f"{name}: {problem}" for problem in SHAPES[name](series)]
+        if name == "stencil" and panel.mode == "full":
+            problems += [
+                f"stencil: AllScale/MPI ratio {point.ratio:.2f} at "
+                f"{point.nodes} nodes below the full sweep's floor "
+                f"{STENCIL_FULL_FLOOR}"
+                for point in series.points
+                if point.ratio < STENCIL_FULL_FLOOR
+            ]
         band = CALIBRATION.get(series.metric)
         single = series.points[0]
         if band and not band[0] <= single.allscale <= band[1]:

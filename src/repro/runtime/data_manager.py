@@ -425,7 +425,7 @@ class DataItemManager:
         """
         if plan is not None:
             plan.plan(item, unresolved, self.pid, "allocate")
-        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
+        yield self.process.node.interleave(FRAGMENT_OP_OVERHEAD)
         before = self.owned_region(item)
         self.allocate(item, grab)
         if plan is not None:
@@ -464,7 +464,7 @@ class DataItemManager:
             part = source.owned_region(item).intersect(region)
             if part.is_empty():
                 return  # someone else migrated it away meanwhile
-            yield peer.node.execute(FRAGMENT_OP_OVERHEAD)
+            yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
             # the guard must still hold where the effect applies: a source
             # task may have taken its locks during the overhead yield
             if not (
@@ -504,7 +504,7 @@ class DataItemManager:
         if self.process.failed:
             self.process.runtime.metrics.incr("dm.dead_letter_payloads")
             return
-        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
+        yield self.process.node.interleave(FRAGMENT_OP_OVERHEAD)
         if self.process.failed:
             # died during the splice overhead window
             self.process.runtime.metrics.incr("dm.dead_letter_payloads")
@@ -639,7 +639,7 @@ class DataItemManager:
         if not pieces:
             return
         union = _union(pieces)
-        yield peer.node.execute(FRAGMENT_OP_OVERHEAD)
+        yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
         for notify in self.probe.frag_read:
             notify(owner, item, union, "replica-read")
         payload = peer.data_manager.fragment(item).extract(union)
@@ -652,7 +652,7 @@ class DataItemManager:
             )
         else:
             yield network.send(owner, self.pid, max(1, payload.nbytes))
-        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
+        yield self.process.node.interleave(FRAGMENT_OP_OVERHEAD)
         self.insert_replica(item, payload)
         self.replica_cache.note_fetched(item, payload.region)
         runtime.metrics.incr("dm.replicated_bytes", payload.nbytes)

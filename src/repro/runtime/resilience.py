@@ -91,7 +91,7 @@ class ResilienceManager:
                 owned = manager.owned_region(item)
                 if owned.is_empty():
                     continue
-                yield process.node.execute(FRAGMENT_OP_OVERHEAD)
+                yield process.node.interleave(FRAGMENT_OP_OVERHEAD)
                 payload = manager.fragment(item).extract(owned)
                 # stream to stable storage: modelled as a full-bandwidth
                 # send to the process's own NIC (stable store is off-node)
@@ -146,7 +146,7 @@ class ResilienceManager:
                 yield runtime.network.send(
                     source, target.pid, max(1, sub.nbytes)
                 )
-                yield target.node.execute(FRAGMENT_OP_OVERHEAD)
+                yield target.node.interleave(FRAGMENT_OP_OVERHEAD)
                 # re-check under the synchronous horizon: while the restore
                 # payload was on the wire, a running task may have first-
                 # touched part of the lost region (the index reported it
@@ -190,7 +190,7 @@ class ResilienceManager:
                 yield runtime.network.send(
                     source, target, max(1, payload.nbytes)
                 )
-                yield process.node.execute(FRAGMENT_OP_OVERHEAD)
+                yield process.node.interleave(FRAGMENT_OP_OVERHEAD)
                 process.data_manager.import_owned(item, payload)
         for notify in runtime.probe.restore:
             notify(snapshot)

@@ -61,7 +61,10 @@ class SimNode:
     def execute(self, cost_seconds: float) -> Future:
         """Occupy the earliest-free core for ``cost_seconds``.
 
-        Returns a future completing when the work finishes.
+        Only task work books a core: leaf compute and the task start and
+        spawn overheads.  Runtime control work (parcels, fragment ops) goes
+        through :meth:`interleave`.  Returns a future completing when the
+        work finishes.
         """
         return self._occupy(cost_seconds, ahead=False)
 

@@ -107,7 +107,7 @@ def revert_migration_dead_letter() -> Iterator[None]:
     original = DataItemManager._land_migration
 
     def reverted(self, item, payload) -> Generator:
-        yield self.process.node.execute(FRAGMENT_OP_OVERHEAD)
+        yield self.process.node.interleave(FRAGMENT_OP_OVERHEAD)
         self._store_payload(item, payload)
 
     DataItemManager._land_migration = reverted  # type: ignore[method-assign]
@@ -145,7 +145,7 @@ def revert_migrate_guard_recheck() -> Iterator[None]:
         part = source.owned_region(item).intersect(region)
         if part.is_empty():
             return
-        yield peer.node.execute(FRAGMENT_OP_OVERHEAD)
+        yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
         payload = source.export_owned(item, part)
         self._take_ownership(item, payload.region)
         self.in_flight.mark(item, payload.region)
@@ -226,7 +226,7 @@ KNOWN_BUGS: dict[str, KnownBug] = {
         ),
         KnownBug(
             name="ownership_thrashing",
-            scenario="balancer_vs_pin",
+            scenario="counterphase_vs_pin",
             revert=revert_read_escalation,
             error_signatures=("replica starvation?",),
         ),
@@ -241,10 +241,9 @@ KNOWN_BUGS: dict[str, KnownBug] = {
         ),
         KnownBug(
             name="migrate_guard_recheck",
-            scenario="balancer_vs_pin",
+            scenario="migration_vs_owner_read",
             revert=revert_migrate_guard_recheck,
             error_signatures=("not covered by fragment region",),
-            budget=128,
         ),
     )
 }

@@ -144,7 +144,7 @@ def _migration_under_read() -> ScenarioInstance:
 # -- scenario 2: balancer churn vs pinned reads --------------------------------------
 
 
-def _balancer_vs_pin() -> ScenarioInstance:
+def _balancer_vs_pin(*phases: tuple[int, int]) -> ScenarioInstance:
     runtime = _make_runtime(3)
     grid = Grid((6, 2), name="g")
     # the contended rows start owned by node 1; churn bounces them 1 <-> 2
@@ -157,12 +157,12 @@ def _balancer_vs_pin() -> ScenarioInstance:
     contended = grid.box((2, 0), (6, 2))
     results: list[Any] = []
 
-    def churn() -> Generator:
+    def churn(targets: tuple[int, int]) -> Generator:
         # balancer-style ownership migrations: each round pulls the
-        # contended rows to the other node, racing any in-flight replica
+        # contended rows to the next target, racing any in-flight replica
         # fetch exactly like LoadBalancer.rebalance_once slices do
         for round_no in range(6):
-            target = 2 if round_no % 2 == 0 else 1
+            target = targets[round_no % 2]
             manager = runtime.process(target).data_manager
             yield from manager._acquire_ownership(grid, contended)
 
@@ -178,12 +178,54 @@ def _balancer_vs_pin() -> ScenarioInstance:
     )
 
     def run() -> None:
-        churn_future = runtime.spawn(churn())
+        churns = [runtime.spawn(churn(targets)) for targets in phases]
         treeture = runtime.submit(reader, origin=0)
         results.extend(_drive(runtime, [treeture]))
-        while not churn_future.done:
+        while not all(future.done for future in churns):
             if runtime.engine.run(max_events=100_000) == 0:
                 raise RuntimeError("churn driver never completed")
+        runtime.check_ownership_invariants()
+
+    return ScenarioInstance(
+        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
+    )
+
+
+# -- scenario 2b: a migration away from a reading owner ------------------------------
+
+
+def _migration_vs_owner_read() -> ScenarioInstance:
+    """One migration pulls the whole grid off the node a reader runs on.
+
+    The reader is placed on the owner, so it stages nothing and takes its
+    locks right after its start overhead; the migration must see those
+    locks at its commit point, not only before its export overhead.
+    """
+    runtime = _make_runtime(2)
+    grid = Grid((6, 2), name="g")
+    whole = grid.box((0, 0), (6, 2))
+    runtime.register_item(grid, placement=[grid.empty_region(), whole])
+    results: list[Any] = []
+
+    def read_body(ctx: Any) -> float:
+        return float(ctx.fragment(grid).gather(Box.of((0, 0), (6, 2))).sum())
+
+    reader = TaskSpec(
+        name="owner-read",
+        reads={grid: whole},
+        flops=1e5,
+        size_hint=12,
+        body=read_body,
+    )
+
+    def run() -> None:
+        migration = runtime.spawn(
+            runtime.process(0).data_manager._acquire_ownership(grid, whole)
+        )
+        results.extend(_drive(runtime, [runtime.submit(reader, origin=1)]))
+        while not migration.done:
+            if runtime.engine.run(max_events=100_000) == 0:
+                raise RuntimeError("migration never completed")
         runtime.check_ownership_invariants()
 
     return ScenarioInstance(
@@ -456,7 +498,19 @@ SCENARIOS: dict[str, Scenario] = {
             "balancer_vs_pin",
             "balancer-style ownership churn bounces contended rows "
             "between two nodes while a third reads them (3 nodes)",
-            _balancer_vs_pin,
+            lambda: _balancer_vs_pin((2, 1)),
+        ),
+        Scenario(
+            "counterphase_vs_pin",
+            "two churn loops in opposite phase bounce the contended rows "
+            "between two nodes while a third reads them (3 nodes)",
+            lambda: _balancer_vs_pin((2, 1), (1, 2)),
+        ),
+        Scenario(
+            "migration_vs_owner_read",
+            "one ownership migration pulls the grid off the node whose "
+            "reader is about to lock it (2 nodes)",
+            _migration_vs_owner_read,
         ),
         Scenario(
             "write_intent_chain",

@@ -241,3 +241,48 @@ class TestDestroy:
         for pid in range(2):
             assert runtime.process(pid).node.memory_used == 0
             assert runtime.index.owned_region(grid, pid).is_empty()
+
+
+class TestChargeRule:
+    """Only task work books a core; a peer's fragment ops run ahead of it."""
+
+    def test_replica_fetch_from_a_busy_peer_skips_its_booked_leaf(self):
+        from repro.runtime.config import (
+            CONTROL_MESSAGE_BYTES,
+            FRAGMENT_OP_OVERHEAD,
+        )
+
+        runtime = make_runtime(nodes=2, cores=2)
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        for process in runtime.processes:
+            for _core in range(process.node.num_cores):
+                process.node.execute(1.0)  # a booked leaf on every core
+        part = runtime.process(1).data_manager.owned_region(grid)
+        nbytes = grid.region_bytes(part)
+
+        def timed(steps):
+            def driver():
+                start = runtime.now
+                yield from steps()
+                return runtime.now - start
+
+            return runtime.wait_process(driver())
+
+        def fetch():
+            yield from runtime.process(0).data_manager._fetch_from_peer(
+                grid, [part], 1, None, bulk=False
+            )
+
+        def wire():
+            yield runtime.network.send(0, 1, CONTROL_MESSAGE_BYTES)
+            yield runtime.network.send(1, 0, nbytes)
+
+        elapsed = timed(fetch)
+        assert runtime.process(0).data_manager.present_region(grid).covers(
+            part
+        )
+        assert elapsed == pytest.approx(
+            timed(wire) + 2 * FRAGMENT_OP_OVERHEAD
+        )
+        assert elapsed < 1e-3  # not after the booked leaf

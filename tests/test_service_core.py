@@ -491,11 +491,13 @@ def test_cores_with_different_analysis_configs_share_nothing(analyses):
 # -- the pump ----------------------------------------------------------------------
 
 #: ``replay`` of the committed smoke trace at the parent of the PR that
-#: made idle steps free — dispatch instants and order must not move
+#: made idle steps free — dispatch instants and order must not move.
+#: Re-pinned when fragment ops stopped queueing behind booked compute:
+#: the makespan and turnarounds moved by under a microsecond
 SMOKE_REPLAY = {
     "events": 26,
     "jobs": 26,
-    "makespan": 0.11073959303999964,
+    "makespan": 0.11073919303999963,
     "total_node_seconds": 0.3003364266666667,
     "fairness_index": 0.818645419092335,
     "rejected_by_reason": {"analysis": 3, "quota": 3},
@@ -510,9 +512,9 @@ SMOKE_REPLAY = {
             "node_seconds": 0.12033418666666669,
             "observed_share": 0.40066464132311713,
             "configured_share": 0.5,
-            "mean_queue_wait": 0.05086233465999986,
-            "mean_turnaround": 0.05844403002333315,
-            "throughput_jobs_per_second": 72.24155137639312,
+            "mean_queue_wait": 0.05086213465999986,
+            "mean_turnaround": 0.05844383002333314,
+            "throughput_jobs_per_second": 72.24181231942293,
             "over_budget_jobs": 0,
         },
         "beta": {
@@ -524,9 +526,9 @@ SMOKE_REPLAY = {
             "node_seconds": 0.08000213333333332,
             "observed_share": 0.26637505886731816,
             "configured_share": 0.3333333333333333,
-            "mean_queue_wait": 0.05022568681333319,
-            "mean_turnaround": 0.05862388353777761,
-            "throughput_jobs_per_second": 54.18116353229484,
+            "mean_queue_wait": 0.050225486813333185,
+            "mean_turnaround": 0.05862361687111093,
+            "throughput_jobs_per_second": 54.1813592395672,
             "over_budget_jobs": 0,
         },
         "gamma": {
@@ -538,9 +540,9 @@ SMOKE_REPLAY = {
             "node_seconds": 0.10000010666666667,
             "observed_share": 0.33296029980956465,
             "configured_share": 0.16666666666666666,
-            "mean_queue_wait": 0.06955694909777757,
-            "mean_turnaround": 0.07462942290222198,
-            "throughput_jobs_per_second": 54.18116353229484,
+            "mean_queue_wait": 0.06955674909777756,
+            "mean_turnaround": 0.0746291562355553,
+            "throughput_jobs_per_second": 54.1813592395672,
             "over_budget_jobs": 0,
         },
     },
