@@ -115,7 +115,7 @@ def _smoke(budget: int, as_json: bool) -> tuple[int, dict[str, Any]]:
             else:
                 print(
                     f"MISSED {name}: not rediscovered within "
-                    f"{budget} branches"
+                    f"{found.explored.branches} branches"
                 )
     return status, report
 

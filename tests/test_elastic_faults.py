@@ -384,6 +384,13 @@ class TestFaultMatrix:
         runtime.fail_process(victim)
         runtime.run()
         assert interrupted.done  # checkpoint finished despite the loss
+        # byte-complete: every payload that reached stable storage holds
+        # every byte of its region; the corpse's cut stream is not in it
+        entries = interrupted.value.payloads["g"]
+        assert [pid for pid, _ in entries] == [0, 1, 3]
+        for _pid, payload in entries:
+            assert not payload.region.is_empty()
+            assert payload.nbytes == grid.region_bytes(payload.region)
 
         runtime.wait_process(resilience.recover_lost_data(stable))
         assert owned_coverage(runtime, grid).same_elements(grid.full_region)

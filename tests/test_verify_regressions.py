@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro.verify.__main__ as cli
 from repro.verify.explorer import DEFAULT_BUDGET
 from repro.verify.oracle import DecisionTrace
 from repro.verify.regressions import (
     KNOWN_BUGS,
+    Rediscovery,
     rediscover,
     replay_trace,
 )
@@ -91,3 +94,24 @@ def test_pinned_trace_files_are_valid_json():
         raw = json.loads((TRACES / name).read_text())
         assert "scenario" in raw
         assert isinstance(raw["decisions"], list)
+
+
+def test_smoke_miss_reports_the_branches_explored(monkeypatch, capsys):
+    # a bug whose own budget floor is above the CLI budget is explored
+    # further than ``--budget``: the message must name what was explored
+    def missed(name, budget):
+        return Rediscovery(
+            bug=name,
+            scenario="some_scenario",
+            found=False,
+            explored=SimpleNamespace(branches=128),
+        )
+
+    monkeypatch.setattr(cli, "SCENARIOS", {})
+    monkeypatch.setattr(cli, "KNOWN_BUGS", {"floored_bug": None})
+    monkeypatch.setattr(cli, "rediscover", missed)
+    status, _report = cli._smoke(budget=64, as_json=False)
+    assert status == 1
+    assert "MISSED floored_bug: not rediscovered within 128 branches" in (
+        capsys.readouterr().out
+    )
