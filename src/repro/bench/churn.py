@@ -225,23 +225,31 @@ def churn_panel(mode: str) -> ChurnPanel:
                     cell_violations,
                 ) = _run_cell(app, workload, nodes, schedule)
             panel.cells.append(
-                ChurnCell(
-                    app=app,
-                    scenario=scenario,
-                    sim_elapsed=cell_result.elapsed,
-                    metrics={
-                        name: cell_snapshot.get(name, 0.0)
-                        for name in _PINNED_METRICS
-                    },
-                    membership_changes=(
-                        len(controller.log) if controller is not None else 0
-                    ),
-                    final_processes=len(cell_runtime.alive_processes()),
-                    sentinel_violations=cell_violations,
+                _cell(
+                    app, scenario, cell_result, cell_runtime, controller,
+                    cell_snapshot, cell_violations,
                 )
             )
         panel.wall_seconds[app] = time.perf_counter() - started
     return panel
+
+
+def _cell(
+    app: str, scenario: str, result, runtime, controller, snapshot,
+    violations: int | None,
+) -> ChurnCell:
+    """The pinned outcome of one :func:`_run_cell` run."""
+    return ChurnCell(
+        app=app,
+        scenario=scenario,
+        sim_elapsed=result.elapsed,
+        metrics={name: snapshot.get(name, 0.0) for name in _PINNED_METRICS},
+        membership_changes=(
+            len(controller.log) if controller is not None else 0
+        ),
+        final_processes=len(runtime.alive_processes()),
+        sentinel_violations=violations,
+    )
 
 
 # -- baseline pin -----------------------------------------------------------------
@@ -271,6 +279,12 @@ def semantic_problems(panel: ChurnPanel) -> list[str]:
         if cell.sentinel_violations:
             problems.append(
                 f"{key}: {cell.sentinel_violations} sentinel violation(s)"
+            )
+        # a survivor read rows recovery had not restored yet (ROADMAP 1(iv))
+        uninitialized = cell.metrics.get("dm.uninitialized_reads", 0.0)
+        if uninitialized > 0:
+            problems.append(
+                f"{key}: {uninitialized:g} uninitialized read(s)"
             )
         if cell.scenario == "baseline":
             if cell.metrics.get("elastic.churn_events"):

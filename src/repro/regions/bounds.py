@@ -29,10 +29,14 @@ kernel at all: all regions of one item share a family, so tree hulls
 reject as well as box hulls, and a pair across spaces is never rejected.
 The sentinel and the static analyzer read it through :func:`corner_bounds`,
 which only passes on hulls over element addresses.
+
+:func:`hull_gap` measures how far apart two hulls lie; storm recovery
+gives a lost part to the survivor whose owned hull is nearest.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Hashable, Optional
 
 #: marker for "region scheme states no hull" (bitmask/set)
@@ -78,3 +82,18 @@ def bounds_disjoint(a: Hull, b: Hull) -> bool:
         if alo[k] >= bhi[k] or blo[k] >= ahi[k]:
             return True
     return False
+
+
+def hull_gap(a: Hull, b: Hull) -> float:
+    """Elements between two hulls, summed over the axes: 0 when they
+    touch or overlap, infinite when either is empty or the two state no
+    comparable corners (``NO_BOUNDS``, another space or another rank)."""
+    if a is None or b is None or a is NO_BOUNDS or b is NO_BOUNDS:
+        return math.inf
+    aspace, alo, ahi = a
+    bspace, blo, bhi = b
+    if aspace != bspace or len(alo) != len(blo):
+        return math.inf
+    return sum(
+        max(0, alo[k] - bhi[k], blo[k] - ahi[k]) for k in range(len(alo))
+    )

@@ -547,9 +547,17 @@ class DataItemManager:
                     return
             self.fetching.mark(item, missing)
             try:
+                version = runtime.index.ownership_version(item)
                 mapping, unresolved = yield from runtime.index.lookup(
                     item, missing, self.pid
                 )
+                if runtime.index.ownership_version(item) != version:
+                    # ownership moved while the lookup ran, and its
+                    # escalation never re-reads this process's own leaf:
+                    # "present nowhere" may already be claimed (by storm
+                    # recovery, possibly for this very process).  The next
+                    # attempt looks it up again.
+                    unresolved = item.empty_region()
                 if runtime.config.comm_coalescing:
                     # one bulk fetch per owning peer, all peers in parallel
                     # (single fan-out, ``all_of`` join)

@@ -12,6 +12,11 @@ fragments (core time) and ships them to stable storage modelled as a peer
 stream with the configured network bandwidth.  Every process streams at
 once, and recovery and restore land all their parts at once, so each costs
 its largest share's stream rather than the sum of all shares.
+
+Recovery after node loss is a *(migrate)* from stable storage: the lost
+data is split over the survivors by water-fill on owned bytes, and each
+adopter owns its part and marks it in flight before the first yield, so
+no element is ever owned by no process while the bytes travel.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.items.base import DataItem, FragmentPayload
 from repro.regions.base import Region
+from repro.regions.bounds import hull_gap
+from repro.runtime.balancer import take_slice
 from repro.runtime.config import FRAGMENT_OP_OVERHEAD
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,26 +147,57 @@ class ResilienceManager:
 
         For every item, whatever part of ``elems(d)`` is currently owned
         by no process (:func:`lost_region`) is restored from the checkpoint
-        payloads onto the surviving processes.  All lost parts of one
-        checkpointed owner, across every item, go to one adopting
-        survivor, so rows that were co-located stay co-located; adopters
-        are dealt round-robin over the survivors in the order the owners
-        first appear.  All parts land concurrently.  Data still alive is
-        left untouched — survivors keep their (possibly newer) state; only
-        the lost region rolls back to checkpoint time, which is the
-        standard partial-restart semantics the model's data preservation
-        property makes safe between task barriers.
+        payloads onto the surviving processes, as a migration whose source
+        is stable storage:
+
+        * **balanced** — the lost data is split over the survivors by
+          water-fill on owned bytes (every item summed), so each ends near
+          the mean (:meth:`_adopt`);
+        * **claim first, then land** — before this generator first yields,
+          each adopter owns its part and marks it in flight, so no element
+          is owned by no process and tasks touching a lost row wait for
+          its bytes instead of first-touching zeros.  The bytes then travel
+          and splice like a migration's tail, all parts concurrently, and
+          each marker clears last.
+
+        Data still alive is left untouched — survivors keep their (possibly
+        newer) state; only the lost region rolls back to checkpoint time,
+        which is the standard partial-restart semantics the model's data
+        preservation property makes safe between task barriers.
         """
         runtime = self.runtime
         engine = runtime.engine
-        by_name = {item.name: item for item in runtime.items}
-        survivors = [
-            p.pid for p in runtime.processes if not p.failed
+        landings = [
+            engine.spawn(self._land(item, payload, adopter))
+            for item, payload, adopter in self._adopt(snapshot)
         ]
+        yield engine.all_of(landings)
+        for notify in runtime.probe.recovery:
+            notify(snapshot)
+        runtime.metrics.incr("resilience.recoveries")
+
+    def _adopt(
+        self, snapshot: Checkpoint
+    ) -> list[tuple[DataItem, FragmentPayload, int]]:
+        """Claim every lost part for a survivor; returns the
+        ``(item, payload, adopter)`` landings still to make.
+
+        Parts of a region type :func:`take_slice` cannot cut (kd-trees)
+        land whole on the least-loaded survivor.  The rest goes owner by
+        owner, in the order the owners first appear in the checkpoint:
+        each piece to the survivor still under the mean whose owned hull
+        is nearest (ties by load, then pid), cut to fill it up to the mean
+        at the same fraction of every item, so rows that sat together (a
+        stencil's A and B) stay together.
+        """
+        runtime = self.runtime
+        by_name = {item.name: item for item in runtime.items}
+        survivors = runtime.alive_processes()
         if not survivors:
             raise RuntimeError("no surviving processes to recover onto")
-        adopters: dict[int, int] = {}
-        landings = []
+        # each checkpointed owner's lost parts, item by item
+        shares: dict[int, dict[DataItem, Region]] = {}
+        payloads: dict[tuple[int, DataItem], FragmentPayload] = {}
         for item_name, entries in snapshot.payloads.items():
             item = by_name.get(item_name)
             if item is None:
@@ -169,45 +207,105 @@ class ResilienceManager:
                 continue
             for pid, payload in entries:
                 part = payload.region.intersect(lost)
-                if part.is_empty():
-                    continue
-                adopter = adopters.setdefault(
-                    pid, survivors[len(adopters) % len(survivors)]
-                )
-                sub = _extract_sub_payload(item, payload, part)
-                landings.append(engine.spawn(
-                    self._land(item, sub, adopter, only_lost=True)
-                ))
+                if not part.is_empty():
+                    shares.setdefault(pid, {})[item] = part
+                    payloads[pid, item] = payload
             runtime.metrics.incr("resilience.recovered_items")
-        yield engine.all_of(landings)
-        for notify in runtime.probe.recovery:
-            notify(snapshot)
-        runtime.metrics.incr("resilience.recoveries")
+        load = {
+            pid: sum(
+                item.region_bytes(
+                    runtime.process(pid).data_manager.owned_region(item)
+                )
+                for item in runtime.items
+            )
+            for pid in survivors
+        }
+        landings: list[tuple[DataItem, FragmentPayload, int]] = []
+
+        def give(owner: int, pieces: dict[DataItem, Region], pid: int) -> None:
+            for item, piece in pieces.items():
+                self._claim(item, piece, pid)
+                load[pid] += item.region_bytes(piece)
+                landings.append((
+                    item,
+                    _extract_sub_payload(item, payloads[owner, item], piece),
+                    pid,
+                ))
+
+        def least_loaded() -> int:
+            return min(survivors, key=lambda pid: (load[pid], pid))
+
+        # parts take_slice cannot cut (kd-tree regions) go whole first
+        for owner, share in shares.items():
+            for item in [i for i, part in share.items()
+                         if take_slice(part, 0.5) is None]:
+                give(owner, {item: share.pop(item)}, least_loaded())
+        # water level: every survivor's bytes once all that is left lands
+        mean = (
+            sum(load.values())
+            + sum(
+                item.region_bytes(part)
+                for share in shares.values()
+                for item, part in share.items()
+            )
+        ) / len(survivors)
+
+        def gap(pid: int, share: dict[DataItem, Region]) -> float:
+            manager = runtime.process(pid).data_manager
+            return min(
+                hull_gap(manager.owned_region(item).hull(), part.hull())
+                for item, part in share.items()
+            )
+
+        for owner, share in shares.items():
+            while share:
+                under = [pid for pid in survivors if load[pid] < mean]
+                if not under:
+                    give(owner, share, least_loaded())
+                    break
+                pid = min(
+                    under, key=lambda p: (gap(p, share), load[p], p)
+                )
+                need = sum(
+                    item.region_bytes(part) for item, part in share.items()
+                )
+                room = mean - load[pid]
+                cut = {
+                    item: take_slice(part, room / need)
+                    for item, part in share.items()
+                } if room < need else {}
+                if not cut or None in cut.values():
+                    give(owner, share, pid)
+                    break
+                give(owner, cut, pid)
+                share = {
+                    item: part.difference(cut[item])
+                    for item, part in share.items()
+                }
+        return landings
+
+    def _claim(self, item: DataItem, region: Region, pid: int) -> None:
+        """The *(migrate)* rule's atomic handover with stable storage as
+        the source: ``pid`` owns ``region`` now, and it stays in flight
+        there until :meth:`_land` splices its bytes."""
+        manager = self.runtime.process(pid).data_manager
+        manager._take_ownership(item, region)
+        manager.in_flight.mark(item, region)
 
     def _land(
-        self, item: DataItem, payload: FragmentPayload, pid: int, *,
-        only_lost: bool,
+        self, item: DataItem, payload: FragmentPayload, pid: int
     ) -> Generator:
-        """Ship one checkpoint part from stable storage to ``pid`` and
-        import it there as owned."""
+        """Ship one claimed checkpoint part from stable storage to ``pid``
+        and splice it there, exactly like a migration's tail; the in-flight
+        marker clears last."""
         runtime = self.runtime
-        target = runtime.process(pid)
+        manager = runtime.process(pid).data_manager
         source = (pid + 1) % runtime.num_processes
-        yield runtime.network.send(source, pid, max(1, payload.nbytes))
-        yield target.node.interleave(FRAGMENT_OP_OVERHEAD)
-        if only_lost:
-            # re-check under the synchronous horizon: while the part was
-            # on the wire, a running task may have first-touched some of
-            # the lost region (the index reported it owned by no one —
-            # that is what "lost" means).  The live allocation wins;
-            # restoring over it would create two owners.  Only what is
-            # *still* unowned lands.
-            still_lost = lost_region(runtime, item, payload.region)
-            if still_lost.is_empty():
-                return
-            if not still_lost.same_elements(payload.region):
-                payload = _extract_sub_payload(item, payload, still_lost)
-        target.data_manager.import_owned(item, payload)
+        try:
+            yield runtime.network.send(source, pid, max(1, payload.nbytes))
+            yield from manager._land_migration(item, payload)
+        finally:
+            manager.in_flight.clear(item, payload.region)
 
     # -- restore ---------------------------------------------------------------------
 
@@ -217,7 +315,8 @@ class ResilienceManager:
         The target runtime may have a different process count: payloads for
         processes beyond the current count fold onto ``pid % P`` — data
         items make the re-decomposition safe, which is the point of the
-        model's resilience story.  All payloads land concurrently.
+        model's resilience story.  Every payload is claimed before the
+        first yield and then lands concurrently, the way recovery does.
         """
         runtime = self.runtime
         engine = runtime.engine
@@ -228,13 +327,16 @@ class ResilienceManager:
                     f"checkpoint contains unknown item {item_name!r}; "
                     "register it before restoring"
                 )
+        landings = []
+        for item_name, entries in snapshot.payloads.items():
+            item = by_name[item_name]
+            for pid, payload in entries:
+                target = pid % runtime.num_processes
+                self._claim(item, payload.region, target)
+                landings.append((item, payload, target))
         yield engine.all_of([
-            engine.spawn(self._land(
-                by_name[item_name], payload, pid % runtime.num_processes,
-                only_lost=False,
-            ))
-            for item_name, entries in snapshot.payloads.items()
-            for pid, payload in entries
+            engine.spawn(self._land(item, payload, target))
+            for item, payload, target in landings
         ])
         for notify in runtime.probe.restore:
             notify(snapshot)

@@ -22,6 +22,13 @@ schedule-dependent protocol bug fixed in this repo's history:
 * **the (migrate) guard's re-check** — a migration exported bytes a
   source task had locked during the export's overhead yield.
 
+One more revert has no explorer scenario; the churn panel's
+uninitialized-read gate is its net instead:
+
+* **claim-first storm recovery** — recovery shipped checkpoint bytes to
+  an adopter and only then took ownership of whatever was still lost, so
+  a task touching a lost row meanwhile first-touched zeros.
+
 Every revert monkeypatches the *fixed* code object for the duration of a
 ``with`` block; nothing but the historical behaviour changes, so any
 failure the explorer finds under the revert is the historical bug.
@@ -166,6 +173,51 @@ def revert_migrate_guard_recheck() -> Iterator[None]:
         yield
     finally:
         DataItemManager._migrate_in = original  # type: ignore[method-assign]
+
+
+@contextmanager
+def revert_claim_first_recovery() -> Iterator[None]:
+    """Revert claim-first storm recovery: land the bytes, then own them.
+
+    Originally a lost part stayed owned by no process while its
+    checkpoint bytes travelled; the adopter imported only what was still
+    lost on arrival.  A survivor's task touching a lost row meanwhile
+    found it present nowhere and first-touched zeros, counted under
+    ``dm.uninitialized_reads``.
+    """
+    from repro.runtime.config import FRAGMENT_OP_OVERHEAD
+    from repro.runtime.resilience import (
+        ResilienceManager,
+        _extract_sub_payload,
+        lost_region,
+    )
+
+    original_claim = ResilienceManager._claim
+    original_land = ResilienceManager._land
+
+    def no_claim(self, item, region, pid) -> None:
+        pass
+
+    def land_then_own(self, item, payload, pid) -> Generator:
+        runtime = self.runtime
+        target = runtime.process(pid)
+        source = (pid + 1) % runtime.num_processes
+        yield runtime.network.send(source, pid, max(1, payload.nbytes))
+        yield target.node.interleave(FRAGMENT_OP_OVERHEAD)
+        still_lost = lost_region(runtime, item, payload.region)
+        if still_lost.is_empty():
+            return
+        if not still_lost.same_elements(payload.region):
+            payload = _extract_sub_payload(item, payload, still_lost)
+        target.data_manager.import_owned(item, payload)
+
+    ResilienceManager._claim = no_claim  # type: ignore[method-assign]
+    ResilienceManager._land = land_then_own  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        ResilienceManager._claim = original_claim  # type: ignore[method-assign]
+        ResilienceManager._land = original_land  # type: ignore[method-assign]
 
 
 @dataclass(frozen=True)

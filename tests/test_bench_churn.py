@@ -12,19 +12,24 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.apps.stencil import StencilWorkload
 from repro.bench.churn import (
     PANEL,
     ChurnCell,
     ChurnPanel,
+    _cell,
     _grid,
     _run_cell,
     _schedule,
+    _workloads,
     render_churn_summary,
     semantic_problems,
 )
 from repro.bench.panel import SCHEMA, check_panel, load_baseline, write_baseline
 from repro.runtime.elastic import ChurnEvent
+from repro.verify.regressions import revert_claim_first_recovery
 
 APPS = ("stencil", "ipic3d", "tpc")
 SCENARIOS = ("baseline", "scale_out", "drain", "storm1xr1")
@@ -63,6 +68,19 @@ def _panel(mode="smoke"):
                 )
             )
         panel.wall_seconds[app] = 1.0
+    return panel
+
+
+def _storm_panel(app: str, mode: str) -> ChurnPanel:
+    """The sweep's ``storm1xr1`` cell of one app, calibrated the same way."""
+    nodes, _cells = _grid(mode)
+    workload = _workloads(mode)[app]
+    _result, runtime, *_ = _run_cell(app, workload, nodes, [])
+    schedule = _schedule("storm1xr1", runtime.now, 1, 1)
+    panel = ChurnPanel(mode=mode, start_nodes=nodes)
+    panel.cells.append(
+        _cell(app, "storm1xr1", *_run_cell(app, workload, nodes, schedule))
+    )
     return panel
 
 
@@ -156,6 +174,14 @@ class TestSemanticProblems:
         assert any(
             "evacuated no data" in p for p in semantic_problems(panel)
         )
+
+    def test_uninitialized_reads_rejected(self):
+        panel = _panel()
+        metrics = dict(_metrics("storm1xr1"), **{"dm.uninitialized_reads": 2.0})
+        _replace_cell(panel, "stencil", "storm1xr1", metrics=metrics)
+        assert semantic_problems(panel) == [
+            "stencil/storm1xr1: 2 uninitialized read(s)"
+        ]
 
     def test_storm_must_fail_nodes(self):
         panel = _panel()
@@ -285,3 +311,22 @@ class TestRunCell:
         assert snapshot.get("elastic.drains") == 1.0
         assert result.elapsed > 0.0
         assert len(runtime.alive_processes()) == 3
+
+    def test_smoke_stencil_storm_reads_no_uninitialized_rows(self):
+        """Recovery owns every lost row before its bytes land, so no
+        survivor first-touches one meanwhile (the smoke cell read 2 when
+        recovery landed the bytes first)."""
+        panel = _storm_panel("stencil", "smoke")
+        assert panel.cells[0].metrics["dm.uninitialized_reads"] == 0.0
+        assert semantic_problems(panel) == []
+
+    # reverts a fix on purpose: the cell manages without auto-sentinels
+    @pytest.mark.sentinel_injection
+    def test_gate_catches_landing_before_owning(self):
+        """With recovery reverted to land the bytes first and own them
+        after, the quick TPC storm reads zeros and the gate refuses it."""
+        with revert_claim_first_recovery():
+            panel = _storm_panel("tpc", "quick")
+        assert semantic_problems(panel) == [
+            "tpc/storm1xr1: 4 uninitialized read(s)"
+        ]

@@ -6,12 +6,14 @@ checks the three operations element-for-element against the explicit-set
 reference, plus the algebraic laws the runtime relies on.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.regions.base import RegionMismatchError
-from repro.regions.bounds import ADDRESSES, NO_BOUNDS, bounds_disjoint
+from repro.regions.bounds import ADDRESSES, NO_BOUNDS, bounds_disjoint, hull_gap
 from repro.regions.box import Box, BoxSetRegion
 from repro.regions.explicit import ExplicitSetRegion
 from repro.regions.interval import IntervalRegion
@@ -98,6 +100,12 @@ def _check_hull_gate(a, b):
             assert all(l <= x < h for l, x, h in zip(lo, point, hi))
     if bounds_disjoint(a.hull(), b.hull()):
         assert a._intersect(b)._is_empty()
+    # a gap between two hulls is symmetric, and a finite one only opens
+    # between provably disjoint regions (infinite: nothing to compare)
+    gap = hull_gap(a.hull(), b.hull())
+    assert gap == hull_gap(b.hull(), a.hull())
+    if 0 < gap < math.inf:
+        assert bounds_disjoint(a.hull(), b.hull())
     kernel = RegionKernel()
     assert kernel.union(a, b) == a._union(b)
     assert kernel.intersect(a, b) == a._intersect(b)

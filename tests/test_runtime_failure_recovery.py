@@ -9,10 +9,11 @@ while survivors keep theirs.
 import numpy as np
 import pytest
 
+from repro.items import KDTreeItem, synthetic_kdtree
 from repro.items.grid import Grid
 from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.resilience import ResilienceManager
+from repro.runtime.resilience import ResilienceManager, lost_region
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskSpec
 from repro.sim.cluster import Cluster, ClusterSpec
@@ -41,6 +42,13 @@ def fill(runtime, grid, region, value, origin=0):
             origin=origin,
         )
     )
+
+
+def fill_in_place(runtime, grid, value):
+    """Each owner writes its own share, so the placement stays spread."""
+    for pid in runtime.alive_processes():
+        share = runtime.process(pid).data_manager.owned_region(grid)
+        fill(runtime, grid, share, value, origin=pid)
 
 
 def read_all(runtime, grid):
@@ -203,39 +211,89 @@ class TestConcurrentTransfers:
         # 42 µs of streaming against ~3 µs of overheads; serial is 4x
         assert one_stream <= elapsed < 1.2 * one_stream
 
-    def test_one_survivor_adopts_all_of_a_lost_owner(self):
-        """After a two-item recovery every survivor owns the same rows of
-        both items: each lost owner's share goes to one adopter."""
+    def test_lost_data_spreads_evenly_over_the_survivors(self):
+        """Water-fill on owned bytes: after a two-victim recovery every
+        survivor owns the mean to within one slice's rounding, both grids'
+        rows stay together per survivor, and each kd-tree part, which
+        ``take_slice`` cannot cut, lands whole on the least-loaded
+        survivor."""
         nodes = 6
         runtime = make_runtime(nodes)
-        a = Grid((24, 8), name="a")
-        b = Grid((24, 8), name="b")
+        a = Grid((96, 16), name="a")
+        b = Grid((96, 16), name="b")
         for grid in (a, b):
             runtime.register_item(grid, placement=grid.decompose(nodes))
-            # each owner writes its own share: the placement stays spread
-            for pid in range(nodes):
-                share = runtime.process(pid).data_manager.owned_region(grid)
-                fill(runtime, grid, share, 3.0, origin=pid)
-        lost = {
-            pid: runtime.process(pid).data_manager.owned_region(a)
-            for pid in (4, 5)
+            fill_in_place(runtime, grid, 3.0)
+        tree = KDTreeItem(
+            synthetic_kdtree(2**6, depth=5, low=[0, 0], high=[1, 1]),
+            name="kd",
+        )
+        runtime.register_item(tree, placement=tree.decompose(nodes))
+        items = (a, b, tree)
+        victims = (4, 5)
+        lost_tree = {
+            pid: runtime.process(pid).data_manager.owned_region(tree)
+            for pid in victims
         }
-        assert not any(region.is_empty() for region in lost.values())
         manager = ResilienceManager(runtime)
         snapshot = runtime.wait_process(manager.checkpoint())
-        for pid in lost:
+        for pid in victims:
             runtime.fail_process(pid)
         runtime.wait_process(manager.recover_lost_data(snapshot))
         runtime.check_ownership_invariants()
 
-        for pid in runtime.alive_processes():
-            manager = runtime.process(pid).data_manager
-            assert manager.owned_region(a).same_elements(
-                manager.owned_region(b)
-            )
-        # adopters dealt round-robin in the order the owners appear
-        for victim, adopter in ((4, 0), (5, 1)):
-            owned = runtime.process(adopter).data_manager.owned_region(a)
-            assert lost[victim].difference(owned).is_empty()
+        owned = {
+            pid: {
+                item: runtime.process(pid).data_manager.owned_region(item)
+                for item in items
+            }
+            for pid in runtime.alive_processes()
+        }
+        loads = {
+            pid: sum(item.region_bytes(region) for item, region in r.items())
+            for pid, r in owned.items()
+        }
+        mean = sum(loads.values()) / len(loads)
+        # a cut overshoots by at most one element of each item it slices
+        rounding = a.bytes_per_element + b.bytes_per_element
+        for pid, load in loads.items():
+            assert abs(load - mean) <= rounding, (pid, load, mean)
+            assert owned[pid][a].same_elements(owned[pid][b])
+        # survivors 1 and 2 owned the fewest bytes (ties go to the lower
+        # pid); each victim's tree part went whole to one of them
+        for victim, adopter in zip(victims, (1, 2)):
+            assert lost_tree[victim].difference(owned[adopter][tree]).is_empty()
         assert np.all(read_all(runtime, a) == 3.0)
         assert np.all(read_all(runtime, b) == 3.0)
+
+    def test_recovery_owns_lost_rows_before_their_bytes_land(self):
+        """At the failure instant every lost row already has an owner that
+        marks it in flight, as a migration's handover does; a reader of a
+        lost row waits for the checkpoint bytes instead of first-touching
+        zeros."""
+        runtime = make_runtime()
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        fill_in_place(runtime, grid, 1.0)
+        manager = ResilienceManager(runtime)
+        snapshot = runtime.wait_process(manager.checkpoint())
+        victim = 2
+        lost = runtime.process(victim).data_manager.owned_region(grid)
+        runtime.fail_process(victim)
+
+        # spawn runs the recovery up to its first yield: the claims
+        done = runtime.engine.spawn(manager.recover_lost_data(snapshot))
+        assert not done.done
+        assert lost_region(runtime, grid, grid.full_region).is_empty()
+        in_flight = grid.empty_region()
+        for pid in runtime.alive_processes():
+            in_flight = in_flight.union(
+                runtime.process(pid).data_manager.in_flight_region(grid)
+            )
+        assert in_flight.same_elements(lost)
+
+        values = read_all(runtime, grid)
+        assert done.done
+        for coord in lost.elements():
+            assert values[coord] == 1.0
+        assert runtime.metrics.counter("dm.uninitialized_reads") == 0
