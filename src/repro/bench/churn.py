@@ -51,6 +51,9 @@ _PINNED_METRICS = (
     "elastic.restored_bytes",
     "elastic.recovery_time.mean",
     "dm.dead_letter_payloads",
+    # bytes copied between processes: a drain or join that splits
+    # co-located items (a stencil's A and B) shows here in every cell
+    "dm.replicated_bytes",
     # ROADMAP item 1(iv): survivors read rows recovery has not restored
     "dm.uninitialized_reads",
 )
@@ -114,6 +117,10 @@ class ChurnCell:
     membership_changes: int
     final_processes: int
     sentinel_violations: int | None
+    #: simulated times at which storm victims failed (not pinned)
+    storm_failures: tuple[float, ...] = ()
+    #: simulated time the program's last task finished (not pinned)
+    program_end: float = 0.0
 
 
 @dataclass
@@ -155,12 +162,29 @@ def _schedule(
     return events
 
 
+class _Clock:
+    """Probe subscriber timing a cell: when each process failed and when
+    the program's last task finished."""
+
+    def __init__(self, runtime) -> None:
+        self.runtime = runtime
+        self.failed_at: dict[int, float] = {}
+        self.last_finish = 0.0
+
+    def on_process_failed(self, pid: int) -> None:
+        self.failed_at[pid] = self.runtime.now
+
+    def on_task_finish(self, task, treeture, pid: int, now: float) -> None:
+        self.last_finish = now
+
+
 def _run_cell(app: str, workload, nodes: int, events: list[ChurnEvent]):
     """One app run with a churn schedule attached; returns (cell data)."""
     captured: dict = {}
 
     def on_runtime(runtime) -> None:
         captured["runtime"] = runtime
+        runtime.probe.attach(_Clock(runtime))
         if events:
             controller = ChurnController(runtime, events=list(events))
             captured["controller"] = controller
@@ -239,6 +263,11 @@ def _cell(
     violations: int | None,
 ) -> ChurnCell:
     """The pinned outcome of one :func:`_run_cell` run."""
+    clock = runtime.probe.observer(_Clock)
+    victims = [
+        pid for _at, kind, pid in (controller.log if controller else ())
+        if kind == "storm"
+    ]
     return ChurnCell(
         app=app,
         scenario=scenario,
@@ -249,6 +278,8 @@ def _cell(
         ),
         final_processes=len(runtime.alive_processes()),
         sentinel_violations=violations,
+        storm_failures=tuple(clock.failed_at[pid] for pid in victims),
+        program_end=clock.last_finish,
     )
 
 
@@ -301,10 +332,17 @@ def semantic_problems(panel: ChurnPanel) -> list[str]:
                 problems.append(f"{key}: no node drained")
             if cell.metrics.get("elastic.evacuated_bytes", 0.0) <= 0.0:
                 problems.append(f"{key}: drain evacuated no data")
-        if cell.scenario.startswith("storm") and not cell.metrics.get(
-            "elastic.failures"
-        ):
-            problems.append(f"{key}: storm failed no nodes")
+        if cell.scenario.startswith("storm"):
+            if not cell.metrics.get("elastic.failures"):
+                problems.append(f"{key}: storm failed no nodes")
+            # a storm that lands after the program's last task measured
+            # no storm at all: the run only checkpointed and recovered
+            late = [t for t in cell.storm_failures if t > cell.program_end]
+            if late:
+                problems.append(
+                    f"{key}: storm victims failed at {max(late):.6g} s, "
+                    f"after the program ended at {cell.program_end:.6g} s"
+                )
     return problems
 
 

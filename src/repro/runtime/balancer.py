@@ -26,6 +26,7 @@ import math
 from typing import TYPE_CHECKING, Generator
 
 from repro.regions.base import Region
+from repro.regions.bounds import ADDRESSES, NO_BOUNDS, Hull, hull_gap
 from repro.regions.box import Box, BoxSetRegion
 from repro.regions.interval import Interval, IntervalRegion
 from repro.sim.cluster import CostModel
@@ -34,30 +35,86 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
 
 
-def _carve_box(box: Box, want: int) -> list[Box]:
+def _carve_box(box: Box, want: int, toward: Hull = None) -> list[Box]:
     """Boxes covering exactly ``want`` elements of ``box`` (0 < want < size).
 
-    Takes whole slabs along the widest axis, then recurses into a single
-    one-thick slab for the remainder; the rank drops each recursion, so
-    the 1-D base case lands on ``want`` exactly.
+    Takes whole slabs along the widest axis from the low corner (with
+    ``toward``: along the face :func:`_facing` picks, from that side),
+    then recurses into the single one-thick slab next to them for the
+    remainder; the rank drops each recursion, so the 1-D base case lands
+    on ``want`` exactly.
     """
     widths = box.widths()
-    axis = max(range(len(widths)), key=widths.__getitem__)
+    face = _facing(box, toward)
+    if face is None:
+        axis = max(range(len(widths)), key=widths.__getitem__)
+        high = False
+    else:
+        axis, high = face
     row = box.size() // widths[axis]
     full, rem = divmod(want, row)
     pieces: list[Box] = []
     rest = box
     if full:
-        piece, rest = box.split(axis, box.lo[axis] + full)
+        cut = box.hi[axis] - full if high else box.lo[axis] + full
+        piece, rest = box.split(axis, cut)
+        if high:
+            piece, rest = rest, piece
         pieces.append(piece)
     if rem:
-        slab, _ = rest.split(axis, rest.lo[axis] + 1)
-        pieces.extend(_carve_box(slab, rem))
+        if high:
+            _, slab = rest.split(axis, rest.hi[axis] - 1)
+        else:
+            slab, _ = rest.split(axis, rest.lo[axis] + 1)
+        pieces.extend(_carve_box(slab, rem, toward))
     return pieces
 
 
-def take_slice(region: Region, fraction: float) -> Region | None:
+def _facing(box: Box, toward: Hull) -> tuple[int, bool] | None:
+    """``(axis, high)`` of the face of ``box`` that looks at the hull
+    ``toward``: the one whose outermost one-thick layer lies nearest it
+    (:func:`hull_gap`), preferring a face the hull lies wholly beyond,
+    then the widest axis, the lower axis and the low side; axes one
+    element thick have no layer to cut.  ``None`` when ``toward`` states
+    no comparable corners."""
+    lo, hi = box.lo, box.hi
+    if toward is None or toward is NO_BOUNDS or len(toward[1]) != len(lo):
+        return None
+    _space, tlo, thi = toward
+    best: tuple[tuple, tuple[int, bool]] | None = None
+    for k in range(len(lo)):
+        if hi[k] - lo[k] < 2:
+            continue
+        # the whole box's gap on this axis, which the layer replaces
+        own = max(0, tlo[k] - hi[k], lo[k] - thi[k])
+        for high in (False, True):
+            e0, e1 = (hi[k] - 1, hi[k]) if high else (lo[k], lo[k] + 1)
+            beyond = tlo[k] >= hi[k] if high else thi[k] <= lo[k]
+            key = (
+                max(0, tlo[k] - e1, e0 - thi[k]) - own,
+                not beyond,
+                lo[k] - hi[k],
+                k,
+                high,
+            )
+            if best is None or key < best[0]:
+                best = (key, (k, high))
+    return best[1] if best is not None else None
+
+
+def take_slice(
+    region: Region, fraction: float, toward: Hull = None
+) -> Region | None:
     """Carve ``ceil(size * fraction)`` elements of ``region`` off as a slice.
+
+    Without ``toward`` the largest boxes (intervals: the lowest ones) go
+    first and a box is cut from its low corner along its widest axis.
+    ``toward`` is a hull (:meth:`Region.hull`, e.g. the adopting process's
+    owned hull): the boxes nearest it (:func:`hull_gap`) go first, and
+    slabs come off the side of each box that faces it (:func:`_facing`),
+    so the slice lands flush against what the receiver already owns.  A
+    hull with no comparable corners (``None``, ``NO_BOUNDS``, another
+    rank) gives the cut without ``toward``.
 
     Returns ``None`` for region types without a slicing strategy or when
     the region is too small to split (the slice must leave a non-empty
@@ -71,16 +128,23 @@ def take_slice(region: Region, fraction: float) -> Region | None:
         target = min(region.size() - 1, math.ceil(region.size() * fraction))
         if target < 1:
             return None
+        # nearest first; every gap is infinite without ``toward``
+        order = sorted(
+            region.boxes,
+            key=lambda b: (
+                hull_gap((ADDRESSES, b.lo, b.hi), toward), -b.size(), b.lo
+            ),
+        )
         taken: list[Box] = []
         got = 0
-        for box in sorted(region.boxes, key=lambda b: (-b.size(), b.lo)):
+        for box in order:
             if got >= target:
                 break
             if box.size() <= target - got:
                 taken.append(box)
                 got += box.size()
             else:
-                taken.extend(_carve_box(box, target - got))
+                taken.extend(_carve_box(box, target - got, toward))
                 got = target
         result = BoxSetRegion(taken)
         if result.is_empty() or result.size() >= region.size():
@@ -90,13 +154,23 @@ def take_slice(region: Region, fraction: float) -> Region | None:
         want = min(region.size() - 1, math.ceil(region.size() * fraction))
         if want < 1:
             return None
+        intervals = sorted(
+            region.intervals,
+            key=lambda iv: (
+                hull_gap((ADDRESSES, (iv.lo,), (iv.hi,)), toward), iv.lo
+            ),
+        )
         taken_ivs: list[Interval] = []
         got = 0
-        for iv in region.intervals:
+        for iv in intervals:
             if got >= want:
                 break
             take = min(iv.size(), want - got)
-            taken_ivs.append(Interval(iv.lo, iv.lo + take))
+            face = _facing(Box((iv.lo,), (iv.hi,)), toward)
+            if face is not None and face[1]:
+                taken_ivs.append(Interval(iv.hi - take, iv.hi))
+            else:
+                taken_ivs.append(Interval(iv.lo, iv.lo + take))
             got += take
         return IntervalRegion(taken_ivs)
     return None

@@ -7,7 +7,10 @@ dynamics: nodes *join* a running computation (ownership subtrees and a
 share of the data migrate to them), *leave* gracefully (queued tasks,
 replicas, and owned regions evacuate before departure), or *fail in
 correlated storms* (checkpoint/restore re-materializes the lost regions
-on the survivors).
+on the survivors).  Every change keeps a process's items together: a
+drain hands its whole share to the nearest survivor, a join takes the
+same fraction of every item from one donor, and recovery cuts each
+piece on the face that looks at its adopter.
 
 All three operations are simulation coroutines — their control messages,
 payload transfers, and fragment splices ride the same simulated network
@@ -26,6 +29,8 @@ Metrics published under ``elastic.*``:
   ``elastic.dropped_replica_bytes`` — copies need no evacuation);
 * ``elastic.restored_bytes`` — checkpoint bytes re-materialized after a
   storm;
+* ``elastic.replaced_tasks`` — tasks queued on storm victims, re-placed
+  after the failure;
 * ``elastic.recovery_time`` / ``elastic.drain_time`` — stats (seconds).
 """
 
@@ -36,7 +41,13 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.runtime.balancer import take_slice
 from repro.runtime.config import TASK_MESSAGE_BYTES
-from repro.runtime.resilience import Checkpoint, ResilienceManager, lost_region
+from repro.runtime.resilience import (
+    Checkpoint,
+    ResilienceManager,
+    lost_region,
+    owned_bytes,
+    share_gap,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -56,12 +67,15 @@ def scale_out(
     """Join one node mid-run and seed it with a share of the data.
 
     The cluster grows (:meth:`AllScaleRuntime.add_process` — possibly a
-    heterogeneous node), then for every item a slice of the *largest*
-    owner's region migrates to the newcomer so future tasks have a
-    reason to land there (§3.2: moving data moves load).  ``share``
-    defaults to ``1/P`` of the donor's region — an equal share of the
-    enlarged cluster.  Items whose region scheme has no slicing strategy
-    stay put; the balancer and first-touch spreading pick those up.
+    heterogeneous node), then one donor — the process owning the most
+    bytes over all items, ties to the lowest pid — hands the newcomer
+    the same fraction of every item it owns, as the balancer sheds, so
+    co-located items (a stencil's two grids) arrive together and future
+    tasks have a reason to land there (§3.2: moving data moves load).
+    ``share`` defaults to ``1/P`` with ``P`` the available processes
+    after the join — an equal share of the enlarged cluster.  Items whose
+    region scheme has no slicing strategy stay put; the balancer and
+    first-touch spreading pick those up.
 
     Returns the new pid (via ``return`` — drive with ``yield from``).
     """
@@ -73,31 +87,28 @@ def scale_out(
     )
     runtime.metrics.incr("elastic.joins")
     runtime.metrics.incr("elastic.churn_events")
-    fraction = share if share is not None else 1.0 / runtime.num_processes
+    fraction = (
+        share if share is not None
+        else 1.0 / len(runtime.available_processes())
+    )
     newcomer = runtime.process(pid).data_manager
+    donors = [p.pid for p in runtime.processes if p.pid != pid and not p.failed]
     seeded = 0
-    for item in runtime.items:
-        donors = [
-            p
-            for p in runtime.processes
-            if p.pid != pid
-            and not p.failed
-            and not p.data_manager.owned_region(item).is_empty()
-        ]
-        if not donors:
-            continue
-        donor = max(
-            donors,
-            key=lambda p: (p.data_manager.owned_region(item).size(), -p.pid),
+    if donors:
+        donor = runtime.process(
+            max(donors, key=lambda q: (owned_bytes(runtime, q), -q))
         )
-        owned = donor.data_manager.owned_region(item)
-        piece = take_slice(owned, fraction)
-        if piece is None:
-            continue
-        before = newcomer.owned_region(item)
-        yield from newcomer._migrate_in(item, piece, donor.pid)
-        gained = newcomer.owned_region(item).difference(before)
-        seeded += item.region_bytes(gained)
+        for item in runtime.items:
+            owned = donor.data_manager.owned_region(item)
+            if owned.is_empty():
+                continue
+            piece = take_slice(owned, fraction)
+            if piece is None:
+                continue
+            before = newcomer.owned_region(item)
+            yield from newcomer._migrate_in(item, piece, donor.pid)
+            gained = newcomer.owned_region(item).difference(before)
+            seeded += item.region_bytes(gained)
     runtime.metrics.incr("elastic.join_migrated_bytes", seeded)
     return pid
 
@@ -116,9 +127,12 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
        up front makes the scheduler, balancer, and stealers route around
        the node meanwhile, and late-arriving parcels self-forward.
     2. **Data evacuation** — replicas are dropped in place (they are
-       copies; the owners still hold the bytes), then every owned
-       region migrates to the remaining available processes round-robin
-       through the ordinary *(migrate)* rule, index updates included.
+       copies; the owners still hold the bytes), then the whole owned
+       share, every item, migrates to one process through the ordinary
+       *(migrate)* rule, index updates included: the available process
+       whose owned hull lies nearest the share (:func:`share_gap`; ties
+       to the fewest owned bytes, then the lowest pid), so co-located
+       items stay together and land next to what the receiver owns.
     3. **Departure** — once nothing is queued, running, in flight, or
        owned, the process is retired through :meth:`fail_process`
        (failing an *empty* node loses nothing; it re-baselines the
@@ -183,15 +197,12 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
     runtime.metrics.incr("elastic.dropped_replica_bytes", dropped)
     evacuated = 0
     while True:
-        pending = sorted(
-            (
-                item
-                for item in runtime.items
-                if not manager.owned_region(item).is_empty()
-            ),
-            key=lambda item: item.name,
-        )
-        if not pending:
+        share = {
+            item: manager.owned_region(item)
+            for item in sorted(runtime.items, key=lambda item: item.name)
+            if not manager.owned_region(item).is_empty()
+        }
+        if not share:
             break
         targets = [q for q in runtime.available_processes() if q != pid]
         if not targets:
@@ -202,11 +213,18 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
             raise RuntimeError(
                 f"process {pid}: no survivor left to evacuate data to"
             )
-        for cursor, item in enumerate(pending):
+        dst = runtime.process(
+            min(
+                targets,
+                key=lambda q: (
+                    share_gap(runtime, q, share), owned_bytes(runtime, q), q
+                ),
+            )
+        )
+        for item in share:
             owned = manager.owned_region(item)
             if owned.is_empty():
                 continue  # a concurrent migration beat us to it
-            dst = runtime.process(targets[cursor % len(targets)])
             yield from dst.data_manager._migrate_in(item, owned, pid)
             remaining = manager.owned_region(item)
             evacuated += item.region_bytes(owned.difference(remaining))
@@ -225,6 +243,15 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
 # -- failure storms -----------------------------------------------------------------
 
 
+def _storm_busy(runtime: "AllScaleRuntime", pid: int) -> bool:
+    """Whether storm victim ``pid`` is short of the storm's barrier: a
+    task still runs there or a transfer still lands there.  Its queue
+    does not count: a held victim starts none of it."""
+    victim = runtime.process(pid)
+    manager = victim.data_manager
+    return bool(victim.active or manager.in_flight or manager.fetching)
+
+
 def failure_storm(
     runtime: "AllScaleRuntime",
     victims: list[int],
@@ -234,17 +261,25 @@ def failure_storm(
 ) -> Generator:
     """Correlated loss of several nodes at one instant, then recovery.
 
-    Waits until every victim is simultaneously at a task barrier — the
-    failure model's premise — polling with exponential backoff starting
-    at ``poll`` simulated seconds (so millisecond-scale apps see a tight
-    barrier while hour-scale apps don't drown the calendar in poll
-    events), then fails them all at the same timestamp, and
-    re-materializes the
-    lost regions from ``snapshot`` onto the survivors.  Without a
-    snapshot a checkpoint is taken at the barrier right before the
-    storm, which models perfect (zero-loss) recovery; passing an older
-    periodic checkpoint models the standard roll-back-the-lost-share
-    semantics.
+    From the call on, every victim is *held*
+    (:attr:`RuntimeProcess.held`): it starts no queued task and leaves
+    :meth:`~AllScaleRuntime.available_processes`, so the failure model's
+    premise — every victim simultaneously at a task barrier — is reached
+    within one task's time of the schedule, however much work keeps
+    arriving.  The barrier waits only for the victims' active tasks and
+    transfers, polling with exponential backoff starting at ``poll``
+    simulated seconds (so millisecond-scale apps see a tight barrier
+    while hour-scale apps don't drown the calendar in poll events).
+    Without a ``snapshot`` a checkpoint is taken there, once — a held
+    victim cannot leave the barrier while it streams — which models
+    perfect (zero-loss) recovery; passing an older periodic checkpoint
+    models the standard roll-back-the-lost-share semantics.
+
+    Then all victims fail at the same timestamp and the lost regions are
+    re-materialized from ``snapshot`` onto the survivors.  The tasks
+    still queued on the victims never started: once recovery has claimed
+    every lost row they are re-placed through Algorithm 2, so each lands
+    at its data's adopter.
 
     Returns the recovery time in simulated seconds (also published as
     the ``elastic.recovery_time`` stat).
@@ -257,16 +292,8 @@ def failure_storm(
             raise ValueError(f"storm victim {pid} is not alive")
     if not alive - set(targets):
         raise ValueError("a storm must leave at least one survivor")
-
-    def _busy(pid: int) -> bool:
-        victim = runtime.process(pid)
-        manager = victim.data_manager
-        return bool(
-            victim.queue
-            or victim.active
-            or manager.in_flight
-            or manager.fetching
-        )
+    for pid in targets:
+        runtime.process(pid).held = True
 
     def _holds(pid: int) -> str:
         victim = runtime.process(pid)
@@ -282,31 +309,39 @@ def failure_storm(
 
     while True:
         delay = poll
-        while any(_busy(pid) for pid in targets):
+        while any(_storm_busy(runtime, pid) for pid in targets):
             yield delay
             delay = min(delay * 2.0, 1.0)
             # the poll was the last pending event: nothing can ever idle
             # the victims, so re-arming would spin forever
             if runtime.engine.pending_events == 0 and any(
-                _busy(pid) for pid in targets
+                _storm_busy(runtime, pid) for pid in targets
             ):
                 raise RuntimeError(
                     "storm victims never reach the barrier, event queue "
                     "drained: "
-                    + "; ".join(_holds(pid) for pid in targets if _busy(pid))
+                    + "; ".join(
+                        _holds(pid)
+                        for pid in targets
+                        if _storm_busy(runtime, pid)
+                    )
                 )
         if snapshot is not None:
             break
         # checkpoint on demand — it streams to stable storage in simulated
-        # time, so tasks can land on a victim meanwhile; re-verify the
-        # barrier afterwards (synchronously) and retry if one did
+        # time; re-verify the barrier afterwards (synchronously) and retry
+        # if a victim left it meanwhile
         snapshot = yield from resilience.checkpoint()
-        if not any(_busy(pid) for pid in targets):
+        if not any(_storm_busy(runtime, pid) for pid in targets):
             break
         snapshot = None
 
     t0 = runtime.now
+    orphans = []
     for pid in targets:
+        victim = runtime.process(pid)
+        orphans.extend(victim.queue)
+        victim.queue.clear()
         runtime.fail_process(pid)
     runtime.metrics.incr("elastic.failures", len(targets))
     runtime.metrics.incr("elastic.churn_events")
@@ -323,7 +358,14 @@ def failure_storm(
             continue
         for _pid, payload in entries:
             restored += item.region_bytes(payload.region.intersect(lost))
-    yield from resilience.recover_lost_data(snapshot)
+    # recovery claims every lost row before it first yields, so the
+    # orphans are placed against the adopters' ownership
+    recovery = runtime.engine.spawn(resilience.recover_lost_data(snapshot))
+    origin = runtime._redirect_if_failed(targets[0])
+    for task, treeture, variant in orphans:
+        runtime.scheduler.reassign(task, treeture, variant, origin)
+    runtime.metrics.incr("elastic.replaced_tasks", len(orphans))
+    yield recovery
     recovery_time = runtime.now - t0
     runtime.metrics.observe("elastic.recovery_time", recovery_time)
     runtime.metrics.incr("elastic.restored_bytes", restored)

@@ -58,6 +58,11 @@ class RuntimeProcess:
         #: tasks, serves reads), but new placements route around it and
         #: late arrivals are forwarded to a survivor
         self.draining = False
+        #: a storm victim from the storm's scheduled time until it fails:
+        #: it starts no queued task (they are re-placed after the failure)
+        #: and new placements route around it, but its active tasks and
+        #: transfers run to completion so the storm's barrier is reached
+        self.held = False
         self.executed_leaves = 0
         self.executed_splits = 0
         self._dispatching = False
@@ -108,8 +113,9 @@ class RuntimeProcess:
             while self.queue:
                 while self.active >= self.max_concurrent:
                     yield self._slot_free()
-                if not self.queue:
-                    break  # tasks were stolen while we waited for a slot
+                if not self.queue or self.held:
+                    # stolen while we waited for a slot, or a storm victim
+                    break
                 entry = self.queue.popleft()
                 self.active += 1
                 self.runtime.engine.spawn(self._handle(*entry))
@@ -290,11 +296,11 @@ class RuntimeProcess:
         if probe >= self.pid:
             probe += 1
         thief = runtime.process(probe)
-        if thief.failed or thief.draining:
-            return  # corpses and leavers don't steal
+        if thief.failed or thief.draining or thief.held:
+            return  # corpses, leavers and storm victims don't steal
         # steal handshake: probe + response
         yield runtime.network.send(probe, self.pid, CONTROL_MESSAGE_BYTES)
-        if thief.failed or thief.draining:
+        if thief.failed or thief.draining or thief.held:
             return  # the peer left while the probe travelled
         if thief.active > 0 or thief.queue_length() > 0:
             return  # peer is busy; nothing moves

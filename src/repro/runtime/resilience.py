@@ -48,6 +48,27 @@ def lost_region(
     return region.difference(index.covered(item, index.levels, 0))
 
 
+def owned_bytes(runtime: "AllScaleRuntime", pid: int) -> int:
+    """Bytes process ``pid`` owns, every item summed."""
+    manager = runtime.process(pid).data_manager
+    return sum(
+        item.region_bytes(manager.owned_region(item)) for item in runtime.items
+    )
+
+
+def share_gap(
+    runtime: "AllScaleRuntime", pid: int, share: dict[DataItem, Region]
+) -> float:
+    """How far ``share`` ({item: region}) lies from what process ``pid``
+    owns: the smallest :func:`hull_gap` between an item's part and the
+    process's owned hull of that item (infinite if it owns none)."""
+    manager = runtime.process(pid).data_manager
+    return min(
+        hull_gap(manager.owned_region(item).hull(), part.hull())
+        for item, part in share.items()
+    )
+
+
 def _extract_sub_payload(
     item: DataItem, payload: FragmentPayload, region
 ) -> FragmentPayload:
@@ -186,9 +207,12 @@ class ResilienceManager:
         land whole on the least-loaded survivor.  The rest goes owner by
         owner, in the order the owners first appear in the checkpoint:
         each piece to the survivor still under the mean whose owned hull
-        is nearest (ties by load, then pid), cut to fill it up to the mean
-        at the same fraction of every item, so rows that sat together (a
-        stencil's A and B) stay together.
+        is nearest (:func:`share_gap`; ties by load, then pid), cut to fill
+        it up to the mean at the same fraction of every item, so rows that
+        sat together (a stencil's A and B) stay together.  Each cut comes
+        off the face that looks at the adopter's owned hull of that item
+        (``take_slice(..., toward=...)``), so the adopter's region grows
+        by flush slabs instead of gaining stray boxes.
         """
         runtime = self.runtime
         by_name = {item.name: item for item in runtime.items}
@@ -211,15 +235,7 @@ class ResilienceManager:
                     shares.setdefault(pid, {})[item] = part
                     payloads[pid, item] = payload
             runtime.metrics.incr("resilience.recovered_items")
-        load = {
-            pid: sum(
-                item.region_bytes(
-                    runtime.process(pid).data_manager.owned_region(item)
-                )
-                for item in runtime.items
-            )
-            for pid in survivors
-        }
+        load = {pid: owned_bytes(runtime, pid) for pid in survivors}
         landings: list[tuple[DataItem, FragmentPayload, int]] = []
 
         def give(owner: int, pieces: dict[DataItem, Region], pid: int) -> None:
@@ -250,13 +266,6 @@ class ResilienceManager:
             )
         ) / len(survivors)
 
-        def gap(pid: int, share: dict[DataItem, Region]) -> float:
-            manager = runtime.process(pid).data_manager
-            return min(
-                hull_gap(manager.owned_region(item).hull(), part.hull())
-                for item, part in share.items()
-            )
-
         for owner, share in shares.items():
             while share:
                 under = [pid for pid in survivors if load[pid] < mean]
@@ -264,14 +273,20 @@ class ResilienceManager:
                     give(owner, share, least_loaded())
                     break
                 pid = min(
-                    under, key=lambda p: (gap(p, share), load[p], p)
+                    under,
+                    key=lambda p: (share_gap(runtime, p, share), load[p], p),
                 )
                 need = sum(
                     item.region_bytes(part) for item, part in share.items()
                 )
                 room = mean - load[pid]
+                manager = runtime.process(pid).data_manager
                 cut = {
-                    item: take_slice(part, room / need)
+                    item: take_slice(
+                        part,
+                        room / need,
+                        toward=manager.owned_region(item).hull(),
+                    )
                     for item, part in share.items()
                 } if room < need else {}
                 if not cut or None in cut.values():

@@ -344,9 +344,12 @@ class AllScaleRuntime:
         return [p.pid for p in self.processes if not p.failed]
 
     def available_processes(self) -> list[int]:
-        """Processes eligible for new work: alive and not draining."""
+        """Processes eligible for new work: alive, not draining and not
+        held for a storm."""
         return [
-            p.pid for p in self.processes if not (p.failed or p.draining)
+            p.pid
+            for p in self.processes
+            if not (p.failed or p.draining or p.held)
         ]
 
     def _redirect_if_failed(self, target: int) -> int:

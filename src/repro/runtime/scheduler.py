@@ -91,13 +91,28 @@ class Scheduler:
         )
         return treetures
 
+    def reassign(
+        self, task: TaskSpec, treeture: Treeture, variant: str, origin: int
+    ) -> None:
+        """Place an already-chosen ``(task, treeture, variant)`` again
+        through Algorithm 2 from ``origin`` — a storm victim's queued task
+        that never started, re-placed at wherever its data lives now."""
+        self.runtime.engine.spawn(
+            self._assign_process(task, treeture, origin, variant)
+        )
+
     # -- ASSIGN_TO_NODE ------------------------------------------------------------
 
     def _assign_process(
-        self, task: TaskSpec, treeture: Treeture, origin: int
+        self,
+        task: TaskSpec,
+        treeture: Treeture,
+        origin: int,
+        variant: str | None = None,
     ) -> Generator:
         runtime = self.runtime
-        variant = runtime.policy.pick_variant(task, runtime)
+        if variant is None:
+            variant = runtime.policy.pick_variant(task, runtime)
         lookup: dict[DataItem, list[tuple[Region, int]]] = {}
         if task.accessed_items():
             lookup = yield from self._locate_requirements(task, origin)

@@ -22,12 +22,17 @@ schedule-dependent protocol bug fixed in this repo's history:
 * **the (migrate) guard's re-check** — a migration exported bytes a
   source task had locked during the export's overhead yield.
 
-One more revert has no explorer scenario; the churn panel's
-uninitialized-read gate is its net instead:
+Two more reverts have no explorer scenario; a churn panel gate is
+their net instead (the uninitialized-read gate and the storm-landing
+gate):
 
 * **claim-first storm recovery** — recovery shipped checkpoint bytes to
   an adopter and only then took ownership of whatever was still lost, so
   a task touching a lost row meanwhile first-touched zeros.
+* **the storm hold** — a storm's barrier waited for its victims' queues
+  to drain while the victims kept starting the tasks that arrived, so
+  under a steady stream of work the victims failed only after the
+  program's last task, and the cell measured no storm.
 
 Every revert monkeypatches the *fixed* code object for the duration of a
 ``with`` block; nothing but the historical behaviour changes, so any
@@ -218,6 +223,31 @@ def revert_claim_first_recovery() -> Iterator[None]:
     finally:
         ResilienceManager._claim = original_claim  # type: ignore[method-assign]
         ResilienceManager._land = original_land  # type: ignore[method-assign]
+
+
+@contextmanager
+def revert_storm_hold() -> Iterator[None]:
+    """Revert the storm hold: victims keep starting queued tasks, and the
+    storm's barrier waits for their queues to drain as well."""
+    from repro.runtime import elastic
+    from repro.runtime.process import RuntimeProcess
+
+    original_busy = elastic._storm_busy
+
+    def queue_must_drain(runtime, pid) -> bool:
+        return bool(runtime.process(pid).queue) or original_busy(runtime, pid)
+
+    elastic._storm_busy = queue_must_drain
+    # a class-level data descriptor shadows the per-instance flag: no
+    # process is ever held
+    RuntimeProcess.held = property(  # type: ignore[assignment]
+        lambda self: False, lambda self, value: None
+    )
+    try:
+        yield
+    finally:
+        elastic._storm_busy = original_busy
+        del RuntimeProcess.held
 
 
 @dataclass(frozen=True)

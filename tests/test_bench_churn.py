@@ -29,7 +29,10 @@ from repro.bench.churn import (
 )
 from repro.bench.panel import SCHEMA, check_panel, load_baseline, write_baseline
 from repro.runtime.elastic import ChurnEvent
-from repro.verify.regressions import revert_claim_first_recovery
+from repro.verify.regressions import (
+    revert_claim_first_recovery,
+    revert_storm_hold,
+)
 
 APPS = ("stencil", "ipic3d", "tpc")
 SCENARIOS = ("baseline", "scale_out", "drain", "storm1xr1")
@@ -183,6 +186,17 @@ class TestSemanticProblems:
             "stencil/storm1xr1: 2 uninitialized read(s)"
         ]
 
+    def test_storm_after_the_program_rejected(self):
+        panel = _panel()
+        _replace_cell(
+            panel, "tpc", "storm1xr1",
+            storm_failures=(0.04, 0.09), program_end=0.05,
+        )
+        assert semantic_problems(panel) == [
+            "tpc/storm1xr1: storm victims failed at 0.09 s, after the "
+            "program ended at 0.05 s"
+        ]
+
     def test_storm_must_fail_nodes(self):
         panel = _panel()
         _replace_cell(
@@ -319,6 +333,25 @@ class TestRunCell:
         panel = _storm_panel("stencil", "smoke")
         assert panel.cells[0].metrics["dm.uninitialized_reads"] == 0.0
         assert semantic_problems(panel) == []
+
+    def test_smoke_tpc_storm_lands_inside_the_run(self):
+        """The held victims fail before the program's last task."""
+        panel = _storm_panel("tpc", "smoke")
+        (cell,) = panel.cells
+        assert cell.storm_failures and max(cell.storm_failures) < cell.program_end
+        assert semantic_problems(panel) == []
+
+    # reverts a fix on purpose: the cell manages without auto-sentinels
+    @pytest.mark.sentinel_injection
+    def test_gate_catches_a_storm_after_the_run(self):
+        """With the storm's barrier reverted to wait for the victims'
+        queues, the smoke TPC victims keep starting tasks and fail only
+        after the program ended: the cell measured no storm."""
+        with revert_storm_hold():
+            panel = _storm_panel("tpc", "smoke")
+        (problem,) = semantic_problems(panel)
+        assert problem.startswith("tpc/storm1xr1: storm victims failed at ")
+        assert "after the program ended" in problem
 
     # reverts a fix on purpose: the cell manages without auto-sentinels
     @pytest.mark.sentinel_injection

@@ -13,6 +13,8 @@ against a live workload under the strict sentinel; shrunk failures are
 pinned as ``@example`` regressions.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -162,6 +164,34 @@ class TestScaleOut:
         assert len(runtime.home_map(grid)) == runtime.num_processes
         assert_clean(runtime)
 
+    def test_second_joiner_gets_an_equal_share_of_the_live_cluster(self):
+        """``share`` defaults to 1/P over the processes available after
+        the join.  Counting every pid ever created gave the second joiner
+        of a join/drain/join cycle 1/6 of the donor here, not 1/5."""
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        fill_distributed(runtime, grid, 1.0)
+        first = runtime.wait_process(scale_out(runtime))
+        runtime.wait_process(drain(runtime, first))
+        sizes = {
+            pid: runtime.process(pid).data_manager.owned_region(grid).size()
+            for pid in runtime.alive_processes()
+        }
+        # one donor: the most owned bytes, ties to the lowest pid
+        donor = max(sizes, key=lambda pid: (sizes[pid], -pid))
+
+        second = runtime.wait_process(scale_out(runtime))
+        assert runtime.num_processes == 6
+        assert len(runtime.available_processes()) == 5
+        gained = runtime.process(second).data_manager.owned_region(grid)
+        assert gained.size() == math.ceil(sizes[donor] / 5)
+        assert runtime.process(donor).data_manager.owned_region(
+            grid
+        ).size() == sizes[donor] - gained.size()
+        assert np.all(read_all(runtime, grid) == 1.0)
+        assert_clean(runtime)
+
     def test_join_during_running_tasks(self):
         runtime = make_runtime()
         grid = Grid((16, 16), name="g")
@@ -204,6 +234,36 @@ class TestDrain:
         assert owned_coverage(runtime, grid).same_elements(grid.full_region)
         assert np.all(read_all(runtime, grid) == 7.0)
         assert runtime.metrics.counter("elastic.drains") == 1
+        assert_clean(runtime)
+
+    def test_drain_keeps_co_located_items_together(self):
+        """The whole departing share goes to one survivor, the nearest, so
+        every survivor owns the same rows of both grids.  Dealing items
+        round-robin over the survivors split A from B."""
+        runtime = make_runtime()
+        grids = [Grid((16, 16), name=name) for name in ("A", "B")]
+        for grid in grids:
+            runtime.register_item(grid, placement=grid.decompose(4))
+            fill_distributed(runtime, grid, 4.0)
+        victim = 2
+        share = runtime.process(victim).data_manager.owned_region(grids[0])
+
+        runtime.wait_process(drain(runtime, victim))
+        for pid in runtime.alive_processes():
+            manager = runtime.process(pid).data_manager
+            a, b = (manager.owned_region(grid) for grid in grids)
+            assert a.same_elements(b), pid
+        # the receiver's block touches the departed one
+        receivers = [
+            pid
+            for pid in runtime.alive_processes()
+            if runtime.process(pid).data_manager.owned_region(
+                grids[0]
+            ).covers(share)
+        ]
+        assert len(receivers) == 1
+        for grid in grids:
+            assert np.all(read_all(runtime, grid) == 4.0)
         assert_clean(runtime)
 
     def test_drain_forwards_queued_tasks(self):
@@ -493,6 +553,64 @@ class TestStormBarrier:
             runtime.engine.run(max_events=200_000)
         assert "pid 1: 0 queued, 1 active" in str(err.value)
         assert runtime.engine.events_processed < 200_000
+
+
+class TestStormHold:
+    def test_victim_receiving_tasks_checkpoints_once(self):
+        """A storm holds its victim: tasks keep arriving there, none
+        starts after the storm begins, so one on-demand checkpoint holds
+        and the victim fails within a task's time.  Its queued tasks
+        never started; after recovery they run on the survivors on the
+        checkpointed values, so every increment lands exactly once."""
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        fill_distributed(runtime, grid, 0.0)
+        victim = 3
+        block = runtime.process(victim).data_manager.owned_region(grid)
+        (box,) = block.boxes
+
+        def bump(ctx):
+            fragment = ctx.fragment(grid)
+            fragment.scatter(box, fragment.gather(box) + 1.0)
+
+        treetures = []
+
+        def feeder():
+            # submitted at a survivor, placed at the data: the victim
+            for k in range(12):
+                treetures.append(
+                    runtime.submit(
+                        TaskSpec(
+                            name=f"bump{k}",
+                            writes={grid: block},
+                            body=bump,
+                            flops=2e5,
+                            size_hint=block.size(),
+                        )
+                    )
+                )
+                yield 5e-5
+
+        runtime.engine.spawn(feeder())
+        run_until(runtime, lambda: runtime.process(victim).active > 0)
+        storm = runtime.engine.spawn(failure_storm(runtime, [victim]))
+        assert runtime.process(victim).held
+        assert victim not in runtime.available_processes()
+        runtime.run()
+
+        assert storm.done and runtime.process(victim).failed
+        assert runtime.metrics.counter("resilience.checkpoints") == 1
+        assert runtime.metrics.counter("elastic.replaced_tasks") > 0
+        assert len(treetures) == 12
+        assert all(treeture.future.done for treeture in treetures)
+        values = read_all(runtime, grid)
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[box.lo[0] : box.hi[0], box.lo[1] : box.hi[1]] = True
+        assert np.all(values[inside] == 12.0)
+        assert np.all(values[~inside] == 0.0)
+        assert runtime.metrics.counter("dm.uninitialized_reads") == 0
+        assert_clean(runtime)
 
 
 class TestStormMidStencil:

@@ -297,3 +297,34 @@ class TestConcurrentTransfers:
         for coord in lost.elements():
             assert values[coord] == 1.0
         assert runtime.metrics.counter("dm.uninitialized_reads") == 0
+
+    def test_recovered_pieces_land_flush_against_their_adopters(self):
+        """Each recovered piece is cut on the face that looks at its
+        adopter: on a row-blocked grid the victim's two neighbours each
+        end up owning one box.  A low-corner cut handed the upper
+        neighbour the victim's middle rows, a second box apart from its
+        own block."""
+        runtime = make_runtime()
+        grid = Grid((24, 4), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        fill_in_place(runtime, grid, 5.0)
+        victim = 1
+        lost = runtime.process(victim).data_manager.owned_region(grid)
+        assert lost.boxes == (Box((6, 0), (12, 4)),)
+        manager = ResilienceManager(runtime)
+        snapshot = runtime.wait_process(manager.checkpoint())
+        runtime.fail_process(victim)
+        runtime.wait_process(manager.recover_lost_data(snapshot))
+        runtime.check_ownership_invariants()
+
+        owned = {
+            pid: runtime.process(pid).data_manager.owned_region(grid)
+            for pid in runtime.alive_processes()
+        }
+        # water-fill: 32 elements (8 rows) each
+        assert {pid: r.size() for pid, r in owned.items()} == {
+            0: 32, 2: 32, 3: 32
+        }
+        assert owned[0].boxes == (Box((0, 0), (8, 4)),)
+        assert owned[2].boxes == (Box((10, 0), (18, 4)),)
+        assert np.all(read_all(runtime, grid) == 5.0)
