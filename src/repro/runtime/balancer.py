@@ -23,15 +23,18 @@ are left alone.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
+from repro.items.base import DataItem
 from repro.regions.base import Region
 from repro.regions.bounds import ADDRESSES, NO_BOUNDS, Hull, hull_gap
 from repro.regions.box import Box, BoxSetRegion
 from repro.regions.interval import Interval, IntervalRegion
+from repro.runtime.data_manager import Move, run_moves
 from repro.sim.cluster import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.data_manager import DataItemManager
     from repro.runtime.runtime import AllScaleRuntime
 
 
@@ -176,6 +179,23 @@ def take_slice(
     return None
 
 
+def share_slices(
+    share: Iterable[tuple[DataItem, Region]],
+    fraction: float,
+    toward: "DataItemManager | None" = None,
+) -> Iterator[tuple[DataItem, Region]]:
+    """The same ``fraction`` of every item's part of ``share`` (``(item,
+    region)`` pairs, read one at a time), so items that sit together (a
+    stencil's A and B) move together.  With ``toward``, each item's slice
+    faces that manager's owned hull of the item (:func:`take_slice`).
+    Items :func:`take_slice` cannot cut are left out."""
+    for item, part in share:
+        hull = toward.owned_region(item).hull() if toward is not None else None
+        piece = take_slice(part, fraction, toward=hull)
+        if piece is not None:
+            yield item, piece
+
+
 class LoadBalancer:
     """Periodic data-migration-based load balancing."""
 
@@ -288,12 +308,13 @@ class LoadBalancer:
         # shed the same fraction of *every* item: co-located items (e.g. a
         # stencil's two buffers) must move together, or tasks writing the
         # stay-behind buffer keep landing on the overloaded node
-        slices = []
-        for item in sorted(source.fragments, key=lambda i: i.name):
-            owned = source.owned_region(item)
-            piece = take_slice(owned, fraction) if not owned.is_empty() else None
-            if piece is not None:
-                slices.append((item, piece))
+        slices = list(share_slices(
+            (
+                (item, source.owned_region(item))
+                for item in sorted(source.fragments, key=lambda i: i.name)
+            ),
+            fraction,
+        ))
         if not slices:
             return False
         nbytes = sum(item.region_bytes(piece) for item, piece in slices)
@@ -303,11 +324,10 @@ class LoadBalancer:
         if not self.migration_pays(nbytes, busiest, idlest, shed):
             runtime.metrics.incr("balancer.declined")
             return False
-        for item, piece in slices:
-            yield from runtime.process(idlest).data_manager._migrate_in(
-                item, piece, busiest
-            )
-            runtime.metrics.incr("balancer.migrations")
+        yield from run_moves(runtime, [
+            Move(item, piece, busiest, idlest) for item, piece in slices
+        ])
+        runtime.metrics.incr("balancer.migrations", len(slices))
         self.rebalances += 1
         return True
 

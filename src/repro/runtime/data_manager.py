@@ -10,9 +10,10 @@ index, and every ownership change writes only through
 
 * **allocate** — the *(init)* rule: first-touch allocation of data present
   nowhere;
-* **migrate in** — the *(migrate)* rule: ownership (and the bytes) move
-  from another process; blocked while the source holds any lock on the
-  region, exactly as the formal guard requires;
+* **migrate in** — the *(migrate)* rule and the one executor of every
+  ownership move (:class:`Move`): ownership (and the bytes) move from
+  another process, blocked while the source holds any lock on the region
+  exactly as the formal guard requires, or from stable storage;
 * **replicate in** — the *(replicate)* rule: a read-only copy is fetched;
   blocked only by the source's *write* locks;
 * **replica invalidation** — enforcing the start rule's ``D ∩ Dw = ∅``
@@ -26,7 +27,7 @@ and node cores, so data management overhead shows up in benchmark time.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Iterable, NamedTuple
 
 from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
@@ -37,6 +38,7 @@ from repro.runtime.transfers import ReplicaCache, TransferPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.process import RuntimeProcess
+    from repro.runtime.runtime import AllScaleRuntime
 
 #: finished transfer plans kept per process for audits and property tests
 PLAN_LOG_LIMIT = 128
@@ -60,6 +62,78 @@ def _by_owner(
         if owner != pid and not part.is_empty():
             grouped.setdefault(owner, []).append(part)
     return grouped
+
+
+class Move(NamedTuple):
+    """One ownership move: ``region`` of ``item`` goes from ``src`` — a
+    live pid, or a checkpoint payload (stable storage) — to ``dst``.  Every
+    redistribution planner returns these; :func:`run_moves` and
+    :func:`run_stored_moves` run them."""
+
+    item: DataItem
+    region: Region
+    src: int | FragmentPayload
+    dst: int
+
+
+class MoveError(RuntimeError):
+    """A move addressed to a process that is not alive."""
+
+    def __init__(self, item: DataItem, region: Region, pid: int) -> None:
+        super().__init__(
+            f"cannot move {region.size()} elements of {item.name!r} to "
+            f"process {pid}: it is not alive"
+        )
+        self.item, self.region, self.pid = item, region, pid
+
+
+def cut_payload(
+    item: DataItem, payload: FragmentPayload, region: Region
+) -> FragmentPayload:
+    """The sub-``region`` of a checkpointed payload."""
+    staging = item.new_fragment(
+        item.empty_region(), functional=payload.data is not None
+    )
+    staging.insert(payload)
+    return staging.extract(region)
+
+
+def _guard_holds(
+    peer: "RuntimeProcess", item: DataItem, region: Region
+) -> bool:
+    """The *(migrate)* guard at a live source: no lock on ``region`` and
+    none of its bytes still in flight there."""
+    return not (
+        peer.locks.any_locked(item, region)
+        or peer.data_manager.in_flight_region(item).overlaps(region)
+    )
+
+
+def run_moves(runtime: "AllScaleRuntime", moves: Iterable[Move]) -> Generator:
+    """Run moves from live sources one after another, each drawn from the
+    planner once the one before it has landed; returns the bytes moved."""
+    moved = 0
+    for item, region, src, dst in moves:
+        manager = runtime.process(dst).data_manager
+        moved += yield from manager.migrate_in(item, region, src)
+    return moved
+
+
+def run_stored_moves(
+    runtime: "AllScaleRuntime", moves: Iterable[Move]
+) -> Generator:
+    """Run moves from stable storage all at once; returns the bytes moved.
+
+    Each move is claimed as the planner yields it, so the planner's later
+    choices see every earlier claim, and the bytes start travelling only
+    once every move is claimed."""
+    engine = runtime.engine
+    landings = [
+        runtime.process(dst).data_manager.claim_stored(item, region, src)
+        for item, region, src, dst in moves
+    ]
+    moved = yield engine.all_of([engine.spawn(land) for land in landings])
+    return sum(moved)
 
 
 class TransferMarkers:
@@ -389,7 +463,7 @@ class DataItemManager:
             for part, owner in moves:
                 if plan is not None:
                     plan.plan(item, part, owner, "migrate")
-                yield from self._migrate_in(item, part, owner, plan=plan)
+                yield from self.migrate_in(item, part, owner, plan=plan)
             if not unresolved.is_empty():
                 # present nowhere: first-touch allocation (init rule).
                 # Allocate at fragment granularity — the whole not-yet-
@@ -434,28 +508,30 @@ class DataItemManager:
             )
             plan.record_moved(item, gained, self.pid, "allocate", 0)
 
-    def _migrate_in(
+    def migrate_in(
         self,
         item: DataItem,
         region: Region,
         src: int,
         plan: TransferPlan | None = None,
     ) -> Generator:
-        """One migration transfer: request, wait for locks, move bytes.
+        """The one executor of the *(migrate)* rule, for a live source
+        (stable storage: :meth:`claim_stored`): ``region`` of ``item``
+        moves here from process ``src``.  Returns the bytes moved.
 
-        Ownership is handed over *atomically* at export time (before the
-        bytes travel), so no element is ever owned by nobody — a window in
-        which a concurrent first touch could re-allocate it.  The region
-        is marked in flight at the destination until the payload lands;
-        tasks and replica fetches wait on that marker.
+        The source is asked with a control message, and its bytes leave
+        only once the guard holds there (no lock on the region, none of its
+        bytes still in flight), re-checked after the source's overhead
+        yield.  Ownership is then handed over and the region marked in
+        flight here with no yield in between, so no element is ever owned
+        by no process — a window in which a concurrent first touch could
+        re-allocate it; tasks and replica fetches wait on the marker until
+        the payload lands.
         """
         runtime = self.process.runtime
-        network = runtime.network
         peer = runtime.process(src)
-        yield network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
         source = peer.data_manager
-        # (migrate) guard: no locks at the source on the moving region,
-        # and the source must actually hold the bytes (not in flight)
+        yield runtime.network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
         while True:
             while peer.locks.any_locked(item, region):
                 yield peer.locks.wait_for_change()
@@ -463,30 +539,58 @@ class DataItemManager:
                 yield source.in_flight.change()
             part = source.owned_region(item).intersect(region)
             if part.is_empty():
-                return  # someone else migrated it away meanwhile
+                return 0  # someone else migrated it away meanwhile
             yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
             # the guard must still hold where the effect applies: a source
             # task may have taken its locks during the overhead yield
-            if not (
-                peer.locks.any_locked(item, region)
-                or source.in_flight_region(item).overlaps(region)
-            ):
+            if _guard_holds(peer, item, region):
                 break
+        if self.process.failed:  # refused before the export: src keeps its bytes
+            raise MoveError(item, part, self.pid)
         payload = source.export_owned(item, part)
         # atomic handover: ownership (and the index) move now
-        self._take_ownership(item, payload.region)
-        self.in_flight.mark(item, payload.region)
-        try:
-            yield network.send(src, self.pid, max(1, payload.nbytes))
-            yield from self._land_migration(item, payload)
-        finally:
-            self.in_flight.clear(item, payload.region)
+        self._own(item, payload.region)
+        yield from self._land_from(src, item, payload)
         runtime.metrics.incr("dm.migrations")
         runtime.metrics.incr("dm.migrated_bytes", payload.nbytes)
         if plan is not None:
             plan.record_moved(
                 item, payload.region, src, "migrate", payload.nbytes
             )
+        return payload.nbytes
+
+    def claim_stored(
+        self, item: DataItem, region: Region, payload: FragmentPayload
+    ) -> Generator:
+        """A move from stable storage, whose bytes are always there: own
+        ``region`` here and mark it in flight *now*, then return the
+        generator that ships it from the checkpoint ``payload`` and lands
+        it (its result is the bytes moved)."""
+        if self.process.failed:
+            raise MoveError(item, region, self.pid)
+        self._own(item, region)
+        origin = (self.pid + 1) % self.process.runtime.num_processes
+        payload = cut_payload(item, payload, region)
+        return self._land_from(origin, item, payload)
+
+    def _own(self, item: DataItem, region: Region) -> None:
+        """The handover: own ``region`` and mark it in flight, no yield."""
+        self._take_ownership(item, region)
+        self.in_flight.mark(item, region)
+
+    def _land_from(
+        self, origin: int, item: DataItem, payload: FragmentPayload
+    ) -> Generator:
+        """Ship an owned, in-flight ``payload`` from ``origin`` and land it;
+        the in-flight marker clears last."""
+        try:
+            yield self.process.runtime.network.send(
+                origin, self.pid, max(1, payload.nbytes)
+            )
+            yield from self._land_migration(item, payload)
+        finally:
+            self.in_flight.clear(item, payload.region)
+        return payload.nbytes
 
     def _land_migration(
         self, item: DataItem, payload: FragmentPayload

@@ -3,14 +3,12 @@
 The paper's model is presented over a static set of runtime processes
 (§3.2); its outlook names "dynamic environments" as the motivation for
 routing every data access through the runtime.  This module supplies the
-dynamics: nodes *join* a running computation (ownership subtrees and a
-share of the data migrate to them), *leave* gracefully (queued tasks,
-replicas, and owned regions evacuate before departure), or *fail in
-correlated storms* (checkpoint/restore re-materializes the lost regions
-on the survivors).  Every change keeps a process's items together: a
-drain hands its whole share to the nearest survivor, a join takes the
-same fraction of every item from one donor, and recovery cuts each
-piece on the face that looks at its adopter.
+dynamics: nodes *join* a running computation, *leave* gracefully (queued
+tasks, replicas, and owned regions evacuate before departure), or *fail
+in correlated storms* (a checkpoint re-materializes the lost regions on
+the survivors).  The data each change moves is a redistribution: a
+planner returns moves that keep a process's items together, and the one
+*(migrate)* executor runs them (``docs/runtime.md``, "Redistribution").
 
 All three operations are simulation coroutines — their control messages,
 payload transfers, and fragment splices ride the same simulated network
@@ -37,16 +35,16 @@ Metrics published under ``elastic.*``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Iterator
 
-from repro.runtime.balancer import take_slice
+from repro.runtime.balancer import share_slices
 from repro.runtime.config import TASK_MESSAGE_BYTES
+from repro.runtime.data_manager import Move, run_moves
 from repro.runtime.resilience import (
     Checkpoint,
     ResilienceManager,
-    lost_region,
+    nearest,
     owned_bytes,
-    share_gap,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,9 +67,8 @@ def scale_out(
     The cluster grows (:meth:`AllScaleRuntime.add_process` — possibly a
     heterogeneous node), then one donor — the process owning the most
     bytes over all items, ties to the lowest pid — hands the newcomer
-    the same fraction of every item it owns, as the balancer sheds, so
-    co-located items (a stencil's two grids) arrive together and future
-    tasks have a reason to land there (§3.2: moving data moves load).
+    the same fraction of every item it owns, so future tasks have a
+    reason to land there (§3.2: moving data moves load).
     ``share`` defaults to ``1/P`` with ``P`` the available processes
     after the join — an equal share of the enlarged cluster.  Items whose
     region scheme has no slicing strategy stay put; the balancer and
@@ -91,24 +88,19 @@ def scale_out(
         share if share is not None
         else 1.0 / len(runtime.available_processes())
     )
-    newcomer = runtime.process(pid).data_manager
     donors = [p.pid for p in runtime.processes if p.pid != pid and not p.failed]
     seeded = 0
     if donors:
-        donor = runtime.process(
-            max(donors, key=lambda q: (owned_bytes(runtime, q), -q))
+        donor = max(donors, key=lambda q: (owned_bytes(runtime, q), -q))
+        manager = runtime.process(donor).data_manager
+        # each item's slice is cut when the move before it has landed
+        slices = share_slices(
+            ((item, manager.owned_region(item)) for item in runtime.items),
+            fraction,
         )
-        for item in runtime.items:
-            owned = donor.data_manager.owned_region(item)
-            if owned.is_empty():
-                continue
-            piece = take_slice(owned, fraction)
-            if piece is None:
-                continue
-            before = newcomer.owned_region(item)
-            yield from newcomer._migrate_in(item, piece, donor.pid)
-            gained = newcomer.owned_region(item).difference(before)
-            seeded += item.region_bytes(gained)
+        seeded = yield from run_moves(runtime, (
+            Move(item, piece, donor, pid) for item, piece in slices
+        ))
     runtime.metrics.incr("elastic.join_migrated_bytes", seeded)
     return pid
 
@@ -128,11 +120,8 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
        the node meanwhile, and late-arriving parcels self-forward.
     2. **Data evacuation** — replicas are dropped in place (they are
        copies; the owners still hold the bytes), then the whole owned
-       share, every item, migrates to one process through the ordinary
-       *(migrate)* rule, index updates included: the available process
-       whose owned hull lies nearest the share (:func:`share_gap`; ties
-       to the fewest owned bytes, then the lowest pid), so co-located
-       items stay together and land next to what the receiver owns.
+       share, every item, moves to the one process :func:`_evacuation`
+       picks, so co-located items stay together.
     3. **Departure** — once nothing is queued, running, in flight, or
        owned, the process is retired through :meth:`fail_process`
        (failing an *empty* node loses nothing; it re-baselines the
@@ -195,39 +184,7 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
             dropped += item.region_bytes(replica)
             manager.drop_replica(item, replica)
     runtime.metrics.incr("elastic.dropped_replica_bytes", dropped)
-    evacuated = 0
-    while True:
-        share = {
-            item: manager.owned_region(item)
-            for item in sorted(runtime.items, key=lambda item: item.name)
-            if not manager.owned_region(item).is_empty()
-        }
-        if not share:
-            break
-        targets = [q for q in runtime.available_processes() if q != pid]
-        if not targets:
-            # everything else is draining as well; hand the data to any
-            # survivor — its own drain will move it on
-            targets = [q for q in runtime.alive_processes() if q != pid]
-        if not targets:
-            raise RuntimeError(
-                f"process {pid}: no survivor left to evacuate data to"
-            )
-        dst = runtime.process(
-            min(
-                targets,
-                key=lambda q: (
-                    share_gap(runtime, q, share), owned_bytes(runtime, q), q
-                ),
-            )
-        )
-        for item in share:
-            owned = manager.owned_region(item)
-            if owned.is_empty():
-                continue  # a concurrent migration beat us to it
-            yield from dst.data_manager._migrate_in(item, owned, pid)
-            remaining = manager.owned_region(item)
-            evacuated += item.region_bytes(owned.difference(remaining))
+    evacuated = yield from run_moves(runtime, _evacuation(runtime, pid))
     runtime.metrics.incr("elastic.evacuated_bytes", evacuated)
 
     # stage 3: departure — re-quiesce first (a task can slip in while the
@@ -238,6 +195,36 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
     runtime.fail_process(pid)
     runtime.metrics.observe("elastic.drain_time", runtime.now - t0)
     return evacuated
+
+
+def _evacuation(runtime: "AllScaleRuntime", pid: int) -> Iterator[Move]:
+    """The drain planner: ``pid``'s whole owned share, every item, to the
+    available process nearest it (:func:`nearest`; ties to the fewest
+    owned bytes), planned again until ``pid`` owns nothing."""
+    manager = runtime.process(pid).data_manager
+    while True:
+        share = {
+            item: manager.owned_region(item)
+            for item in sorted(runtime.items, key=lambda item: item.name)
+            if not manager.owned_region(item).is_empty()
+        }
+        if not share:
+            return
+        targets = [q for q in runtime.available_processes() if q != pid]
+        if not targets:
+            # everything else is draining as well; hand the data to any
+            # survivor — its own drain will move it on
+            targets = [q for q in runtime.alive_processes() if q != pid]
+        if not targets:
+            raise RuntimeError(
+                f"process {pid}: no survivor left to evacuate data to"
+            )
+        load = {q: owned_bytes(runtime, q) for q in targets}
+        dst = nearest(runtime, targets, share, load)
+        for item in share:
+            owned = manager.owned_region(item)
+            if not owned.is_empty():  # else a concurrent move took it
+                yield Move(item, owned, pid, dst)
 
 
 # -- failure storms -----------------------------------------------------------------
@@ -346,18 +333,6 @@ def failure_storm(
     runtime.metrics.incr("elastic.failures", len(targets))
     runtime.metrics.incr("elastic.churn_events")
 
-    # what recovery will restore: checkpointed bytes now owned by no one
-    restored = 0
-    by_name = {item.name: item for item in runtime.items}
-    for item_name, entries in snapshot.payloads.items():
-        item = by_name.get(item_name)
-        if item is None:
-            continue
-        lost = lost_region(runtime, item, item.full_region)
-        if lost.is_empty():
-            continue
-        for _pid, payload in entries:
-            restored += item.region_bytes(payload.region.intersect(lost))
     # recovery claims every lost row before it first yields, so the
     # orphans are placed against the adopters' ownership
     recovery = runtime.engine.spawn(resilience.recover_lost_data(snapshot))
@@ -365,7 +340,7 @@ def failure_storm(
     for task, treeture, variant in orphans:
         runtime.scheduler.reassign(task, treeture, variant, origin)
     runtime.metrics.incr("elastic.replaced_tasks", len(orphans))
-    yield recovery
+    restored = yield recovery
     recovery_time = runtime.now - t0
     runtime.metrics.observe("elastic.recovery_time", recovery_time)
     runtime.metrics.incr("elastic.restored_bytes", restored)

@@ -10,25 +10,25 @@ property guarantees nothing else is needed to resume between task barriers.
 Checkpoint cost is charged to the simulation: each process serializes its
 fragments (core time) and ships them to stable storage modelled as a peer
 stream with the configured network bandwidth.  Every process streams at
-once, and recovery and restore land all their parts at once, so each costs
-its largest share's stream rather than the sum of all shares.
+once, so a checkpoint costs its largest share's stream rather than the sum
+of all shares.
 
-Recovery after node loss is a *(migrate)* from stable storage: the lost
-data is split over the survivors by water-fill on owned bytes, and each
-adopter owns its part and marks it in flight before the first yield, so
-no element is ever owned by no process while the bytes travel.
+Recovery after node loss and restore are redistributions from stable
+storage: their planners return moves, and the one executor runs them all
+at once (``docs/runtime.md``, "Redistribution").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Iterator
 
 from repro.items.base import DataItem, FragmentPayload
 from repro.regions.base import Region
 from repro.regions.bounds import hull_gap
-from repro.runtime.balancer import take_slice
+from repro.runtime.balancer import share_slices, take_slice
 from repro.runtime.config import FRAGMENT_OP_OVERHEAD
+from repro.runtime.data_manager import Move, run_stored_moves
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.process import RuntimeProcess
@@ -56,28 +56,25 @@ def owned_bytes(runtime: "AllScaleRuntime", pid: int) -> int:
     )
 
 
-def share_gap(
-    runtime: "AllScaleRuntime", pid: int, share: dict[DataItem, Region]
-) -> float:
-    """How far ``share`` ({item: region}) lies from what process ``pid``
-    owns: the smallest :func:`hull_gap` between an item's part and the
-    process's owned hull of that item (infinite if it owns none)."""
-    manager = runtime.process(pid).data_manager
-    return min(
-        hull_gap(manager.owned_region(item).hull(), part.hull())
-        for item, part in share.items()
-    )
+def nearest(
+    runtime: "AllScaleRuntime",
+    candidates: list[int],
+    share: dict[DataItem, Region],
+    load: dict[int, int],
+) -> int:
+    """The candidate whose owned hull lies nearest ``share`` ({item:
+    region}): the smallest :func:`hull_gap` between an item's part and the
+    candidate's owned hull of that item (infinite if it owns none); ties
+    to the lowest ``load``, then the lowest pid."""
 
+    def gap(pid: int) -> float:
+        manager = runtime.process(pid).data_manager
+        return min(
+            hull_gap(manager.owned_region(item).hull(), part.hull())
+            for item, part in share.items()
+        )
 
-def _extract_sub_payload(
-    item: DataItem, payload: FragmentPayload, region
-) -> FragmentPayload:
-    """Cut the sub-``region`` out of a checkpointed payload."""
-    staging = item.new_fragment(
-        item.empty_region(), functional=payload.data is not None
-    )
-    staging.insert(payload)
-    return staging.extract(region)
+    return min(candidates, key=lambda pid: (gap(pid), load[pid], pid))
 
 
 @dataclass
@@ -166,20 +163,13 @@ class ResilienceManager:
     def recover_lost_data(self, snapshot: Checkpoint) -> Generator:
         """Re-materialize data lost to a node failure from a checkpoint.
 
-        For every item, whatever part of ``elems(d)`` is currently owned
-        by no process (:func:`lost_region`) is restored from the checkpoint
-        payloads onto the surviving processes, as a migration whose source
-        is stable storage:
-
-        * **balanced** — the lost data is split over the survivors by
-          water-fill on owned bytes (every item summed), so each ends near
-          the mean (:meth:`_adopt`);
-        * **claim first, then land** — before this generator first yields,
-          each adopter owns its part and marks it in flight, so no element
-          is owned by no process and tasks touching a lost row wait for
-          its bytes instead of first-touching zeros.  The bytes then travel
-          and splice like a migration's tail, all parts concurrently, and
-          each marker clears last.
+        Whatever part of ``elems(d)`` is owned by no process
+        (:func:`lost_region`) moves from the checkpoint payloads onto the
+        survivors, planned by :meth:`_adopt` and run concurrently by the
+        one executor with stable storage as the source: each move claims
+        its part before the first yield, so no element is owned by no
+        process while the bytes travel (``docs/runtime.md``,
+        "Redistribution").  Returns the bytes restored.
 
         Data still alive is left untouched — survivors keep their (possibly
         newer) state; only the lost region rolls back to checkpoint time,
@@ -187,32 +177,27 @@ class ResilienceManager:
         preservation property makes safe between task barriers.
         """
         runtime = self.runtime
-        engine = runtime.engine
-        landings = [
-            engine.spawn(self._land(item, payload, adopter))
-            for item, payload, adopter in self._adopt(snapshot)
-        ]
-        yield engine.all_of(landings)
+        restored = yield from run_stored_moves(
+            runtime, self._adopt(snapshot)
+        )
         for notify in runtime.probe.recovery:
             notify(snapshot)
         runtime.metrics.incr("resilience.recoveries")
+        return restored
 
-    def _adopt(
-        self, snapshot: Checkpoint
-    ) -> list[tuple[DataItem, FragmentPayload, int]]:
-        """Claim every lost part for a survivor; returns the
-        ``(item, payload, adopter)`` landings still to make.
+    def _adopt(self, snapshot: Checkpoint) -> Iterator[Move]:
+        """The recovery planner: water-fill the lost parts over the
+        survivors by owned bytes (every item summed).
 
         Parts of a region type :func:`take_slice` cannot cut (kd-trees)
-        land whole on the least-loaded survivor.  The rest goes owner by
+        go whole to the least-loaded survivor.  The rest goes owner by
         owner, in the order the owners first appear in the checkpoint:
         each piece to the survivor still under the mean whose owned hull
-        is nearest (:func:`share_gap`; ties by load, then pid), cut to fill
-        it up to the mean at the same fraction of every item, so rows that
-        sat together (a stencil's A and B) stay together.  Each cut comes
-        off the face that looks at the adopter's owned hull of that item
-        (``take_slice(..., toward=...)``), so the adopter's region grows
-        by flush slabs instead of gaining stray boxes.
+        is nearest (:func:`nearest`), cut to fill it up to the mean at the
+        same fraction of every item (:func:`share_slices`), each cut off
+        the face that looks at the adopter's owned hull.  Each move is
+        claimed as it is yielded (:func:`run_stored_moves`), so later
+        choices see earlier claims.
         """
         runtime = self.runtime
         by_name = {item.name: item for item in runtime.items}
@@ -236,17 +221,13 @@ class ResilienceManager:
                     payloads[pid, item] = payload
             runtime.metrics.incr("resilience.recovered_items")
         load = {pid: owned_bytes(runtime, pid) for pid in survivors}
-        landings: list[tuple[DataItem, FragmentPayload, int]] = []
 
-        def give(owner: int, pieces: dict[DataItem, Region], pid: int) -> None:
+        def give(
+            owner: int, pieces: dict[DataItem, Region], pid: int
+        ) -> Iterator[Move]:
             for item, piece in pieces.items():
-                self._claim(item, piece, pid)
                 load[pid] += item.region_bytes(piece)
-                landings.append((
-                    item,
-                    _extract_sub_payload(item, payloads[owner, item], piece),
-                    pid,
-                ))
+                yield Move(item, piece, payloads[owner, item], pid)
 
         def least_loaded() -> int:
             return min(survivors, key=lambda pid: (load[pid], pid))
@@ -255,7 +236,7 @@ class ResilienceManager:
         for owner, share in shares.items():
             for item in [i for i, part in share.items()
                          if take_slice(part, 0.5) is None]:
-                give(owner, {item: share.pop(item)}, least_loaded())
+                yield from give(owner, {item: share.pop(item)}, least_loaded())
         # water level: every survivor's bytes once all that is left lands
         mean = (
             sum(load.values())
@@ -270,71 +251,39 @@ class ResilienceManager:
             while share:
                 under = [pid for pid in survivors if load[pid] < mean]
                 if not under:
-                    give(owner, share, least_loaded())
+                    yield from give(owner, share, least_loaded())
                     break
-                pid = min(
-                    under,
-                    key=lambda p: (share_gap(runtime, p, share), load[p], p),
-                )
+                pid = nearest(runtime, under, share, load)
                 need = sum(
                     item.region_bytes(part) for item, part in share.items()
                 )
                 room = mean - load[pid]
-                manager = runtime.process(pid).data_manager
-                cut = {
-                    item: take_slice(
-                        part,
-                        room / need,
-                        toward=manager.owned_region(item).hull(),
-                    )
-                    for item, part in share.items()
-                } if room < need else {}
-                if not cut or None in cut.values():
-                    give(owner, share, pid)
+                cut = dict(share_slices(
+                    share.items(), room / need,
+                    toward=runtime.process(pid).data_manager,
+                )) if room < need else {}
+                if len(cut) < len(share):
+                    yield from give(owner, share, pid)
                     break
-                give(owner, cut, pid)
+                yield from give(owner, cut, pid)
                 share = {
                     item: part.difference(cut[item])
                     for item, part in share.items()
                 }
-        return landings
-
-    def _claim(self, item: DataItem, region: Region, pid: int) -> None:
-        """The *(migrate)* rule's atomic handover with stable storage as
-        the source: ``pid`` owns ``region`` now, and it stays in flight
-        there until :meth:`_land` splices its bytes."""
-        manager = self.runtime.process(pid).data_manager
-        manager._take_ownership(item, region)
-        manager.in_flight.mark(item, region)
-
-    def _land(
-        self, item: DataItem, payload: FragmentPayload, pid: int
-    ) -> Generator:
-        """Ship one claimed checkpoint part from stable storage to ``pid``
-        and splice it there, exactly like a migration's tail; the in-flight
-        marker clears last."""
-        runtime = self.runtime
-        manager = runtime.process(pid).data_manager
-        source = (pid + 1) % runtime.num_processes
-        try:
-            yield runtime.network.send(source, pid, max(1, payload.nbytes))
-            yield from manager._land_migration(item, payload)
-        finally:
-            manager.in_flight.clear(item, payload.region)
 
     # -- restore ---------------------------------------------------------------------
 
     def restore(self, snapshot: Checkpoint) -> Generator:
         """Re-create the checkpointed distribution on this runtime.
 
-        The target runtime may have a different process count: payloads for
-        processes beyond the current count fold onto ``pid % P`` — data
-        items make the re-decomposition safe, which is the point of the
-        model's resilience story.  Every payload is claimed before the
-        first yield and then lands concurrently, the way recovery does.
+        The target runtime may have a different process count, and some of
+        its processes may have left: the payloads fold onto the live ones,
+        payload ``pid`` onto ``live[pid % len(live)]`` — data items make the
+        re-decomposition safe, which is the point of the model's resilience
+        story.  Every payload is one stable-storage move, claimed before the
+        first yield and landed concurrently, the way recovery does.
         """
         runtime = self.runtime
-        engine = runtime.engine
         by_name = {item.name: item for item in runtime.items}
         for item_name in snapshot.payloads:
             if item_name not in by_name:
@@ -342,17 +291,13 @@ class ResilienceManager:
                     f"checkpoint contains unknown item {item_name!r}; "
                     "register it before restoring"
                 )
-        landings = []
-        for item_name, entries in snapshot.payloads.items():
-            item = by_name[item_name]
-            for pid, payload in entries:
-                target = pid % runtime.num_processes
-                self._claim(item, payload.region, target)
-                landings.append((item, payload, target))
-        yield engine.all_of([
-            engine.spawn(self._land(item, payload, target))
-            for item, payload, target in landings
-        ])
+        live = runtime.alive_processes()
+        yield from run_stored_moves(runtime, (
+            Move(by_name[item_name], payload.region, payload,
+                 live[pid % len(live)])
+            for item_name, entries in snapshot.payloads.items()
+            for pid, payload in entries
+        ))
         for notify in runtime.probe.restore:
             notify(snapshot)
         runtime.metrics.incr("resilience.restores")

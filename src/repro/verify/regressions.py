@@ -34,9 +34,12 @@ gate):
   under a steady stream of work the victims failed only after the
   program's last task, and the cell measured no storm.
 
-Every revert monkeypatches the *fixed* code object for the duration of a
-``with`` block; nothing but the historical behaviour changes, so any
-failure the explorer finds under the revert is the historical bug.
+Every revert is the smallest patch to the *fixed* code object, applied for
+the duration of a ``with`` block; nothing but the historical behaviour
+changes, so any failure the explorer finds under the revert is the
+historical bug.  The guard re-check and claim-first reverts patch steps of
+the one executor of every ownership move (``DataItemManager.migrate_in``
+and ``claim_stored``), so they move with it.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterator
+from unittest.mock import patch
 
 from repro.analysis.findings import Finding
 from repro.verify.explorer import (
@@ -63,8 +67,6 @@ def revert_write_intents() -> Iterator[None]:
     """Revert the write-intent reservation fix (intents never block)."""
     from repro.runtime.runtime import AllScaleRuntime
 
-    original = AllScaleRuntime.write_intent_blocked
-
     def reverted(
         self, item, region, owner, against_reads: bool = False
     ) -> bool:
@@ -74,19 +76,14 @@ def revert_write_intents() -> Iterator[None]:
             notify(("intent", item.name), None)
         return False
 
-    AllScaleRuntime.write_intent_blocked = reverted  # type: ignore[method-assign]
-    try:
+    with patch.object(AllScaleRuntime, "write_intent_blocked", reverted):
         yield
-    finally:
-        AllScaleRuntime.write_intent_blocked = original  # type: ignore[method-assign]
 
 
 @contextmanager
 def revert_read_escalation() -> Iterator[None]:
     """Revert the starved-fetch-to-migration escalation."""
     from repro.runtime.data_manager import DataItemManager
-
-    original = DataItemManager._escalate_fetch
 
     def reverted(self, item, missing, task=None, plan=None) -> Generator:
         raise RuntimeError(
@@ -96,11 +93,8 @@ def revert_read_escalation() -> Iterator[None]:
         )
         yield  # pragma: no cover - keeps the replacement a generator
 
-    DataItemManager._escalate_fetch = reverted  # type: ignore[method-assign]
-    try:
+    with patch.object(DataItemManager, "_escalate_fetch", reverted):
         yield
-    finally:
-        DataItemManager._escalate_fetch = original  # type: ignore[method-assign]
 
 
 @contextmanager
@@ -116,73 +110,34 @@ def revert_migration_dead_letter() -> Iterator[None]:
     from repro.runtime.config import FRAGMENT_OP_OVERHEAD
     from repro.runtime.data_manager import DataItemManager
 
-    original = DataItemManager._land_migration
-
     def reverted(self, item, payload) -> Generator:
         yield self.process.node.interleave(FRAGMENT_OP_OVERHEAD)
         self._store_payload(item, payload)
 
-    DataItemManager._land_migration = reverted  # type: ignore[method-assign]
-    try:
+    with patch.object(DataItemManager, "_land_migration", reverted):
         yield
-    finally:
-        DataItemManager._land_migration = original  # type: ignore[method-assign]
 
 
 @contextmanager
 def revert_migrate_guard_recheck() -> Iterator[None]:
     """Revert the re-check of the *(migrate)* guard at its commit point.
 
-    Originally ``_migrate_in`` checked the source's locks and in-flight
+    Originally the executor checked the source's locks and in-flight
     bytes, yielded the fragment-op overhead and exported without looking
     again: a source task that took its locks inside that yield ran on
     bytes that had just left, and its gather raised ``KeyError: window
     ... not covered by fragment region`` (or, in a balancer-driven
     stencil, silently read a stale halo).
     """
-    from repro.runtime.config import CONTROL_MESSAGE_BYTES, FRAGMENT_OP_OVERHEAD
-    from repro.runtime.data_manager import DataItemManager
+    from repro.runtime import data_manager
 
-    original = DataItemManager._migrate_in
-
-    def reverted(self, item, region, src, plan=None) -> Generator:
-        runtime = self.process.runtime
-        peer = runtime.process(src)
-        source = peer.data_manager
-        yield runtime.network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
-        while peer.locks.any_locked(item, region):
-            yield peer.locks.wait_for_change()
-        while source.in_flight_region(item).overlaps(region):
-            yield source.in_flight.change()
-        part = source.owned_region(item).intersect(region)
-        if part.is_empty():
-            return
-        yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
-        payload = source.export_owned(item, part)
-        self._take_ownership(item, payload.region)
-        self.in_flight.mark(item, payload.region)
-        try:
-            yield runtime.network.send(src, self.pid, max(1, payload.nbytes))
-            yield from self._land_migration(item, payload)
-        finally:
-            self.in_flight.clear(item, payload.region)
-        runtime.metrics.incr("dm.migrations")
-        runtime.metrics.incr("dm.migrated_bytes", payload.nbytes)
-        if plan is not None:
-            plan.record_moved(
-                item, payload.region, src, "migrate", payload.nbytes
-            )
-
-    DataItemManager._migrate_in = reverted  # type: ignore[method-assign]
-    try:
+    with patch.object(data_manager, "_guard_holds", lambda *_: True):
         yield
-    finally:
-        DataItemManager._migrate_in = original  # type: ignore[method-assign]
 
 
 @contextmanager
 def revert_claim_first_recovery() -> Iterator[None]:
-    """Revert claim-first storm recovery: land the bytes, then own them.
+    """Revert claim-first moves from stable storage: land, then own.
 
     Originally a lost part stayed owned by no process while its
     checkpoint bytes travelled; the adopter imported only what was still
@@ -191,38 +146,24 @@ def revert_claim_first_recovery() -> Iterator[None]:
     ``dm.uninitialized_reads``.
     """
     from repro.runtime.config import FRAGMENT_OP_OVERHEAD
-    from repro.runtime.resilience import (
-        ResilienceManager,
-        _extract_sub_payload,
-        lost_region,
-    )
+    from repro.runtime.data_manager import DataItemManager, cut_payload
+    from repro.runtime.resilience import lost_region
 
-    original_claim = ResilienceManager._claim
-    original_land = ResilienceManager._land
+    # a generator function claims nothing when called: the move owns its
+    # region only once the bytes have landed
+    def land_then_own(self, item, region, payload) -> Generator:
+        runtime = self.process.runtime
+        nbytes = item.region_bytes(region)
+        origin = (self.pid + 1) % runtime.num_processes
+        yield runtime.network.send(origin, self.pid, max(1, nbytes))
+        yield self.process.node.interleave(FRAGMENT_OP_OVERHEAD)
+        still_lost = lost_region(runtime, item, region)
+        if not still_lost.is_empty():
+            self.import_owned(item, cut_payload(item, payload, still_lost))
+        return nbytes
 
-    def no_claim(self, item, region, pid) -> None:
-        pass
-
-    def land_then_own(self, item, payload, pid) -> Generator:
-        runtime = self.runtime
-        target = runtime.process(pid)
-        source = (pid + 1) % runtime.num_processes
-        yield runtime.network.send(source, pid, max(1, payload.nbytes))
-        yield target.node.interleave(FRAGMENT_OP_OVERHEAD)
-        still_lost = lost_region(runtime, item, payload.region)
-        if still_lost.is_empty():
-            return
-        if not still_lost.same_elements(payload.region):
-            payload = _extract_sub_payload(item, payload, still_lost)
-        target.data_manager.import_owned(item, payload)
-
-    ResilienceManager._claim = no_claim  # type: ignore[method-assign]
-    ResilienceManager._land = land_then_own  # type: ignore[method-assign]
-    try:
+    with patch.object(DataItemManager, "claim_stored", land_then_own):
         yield
-    finally:
-        ResilienceManager._claim = original_claim  # type: ignore[method-assign]
-        ResilienceManager._land = original_land  # type: ignore[method-assign]
 
 
 @contextmanager
@@ -232,22 +173,17 @@ def revert_storm_hold() -> Iterator[None]:
     from repro.runtime import elastic
     from repro.runtime.process import RuntimeProcess
 
-    original_busy = elastic._storm_busy
+    busy = elastic._storm_busy
 
     def queue_must_drain(runtime, pid) -> bool:
-        return bool(runtime.process(pid).queue) or original_busy(runtime, pid)
+        return bool(runtime.process(pid).queue) or busy(runtime, pid)
 
-    elastic._storm_busy = queue_must_drain
     # a class-level data descriptor shadows the per-instance flag: no
     # process is ever held
-    RuntimeProcess.held = property(  # type: ignore[assignment]
-        lambda self: False, lambda self, value: None
-    )
-    try:
+    never_held = property(lambda self: False, lambda self, value: None)
+    with patch.object(elastic, "_storm_busy", queue_must_drain), \
+            patch.object(RuntimeProcess, "held", never_held, create=True):
         yield
-    finally:
-        elastic._storm_busy = original_busy
-        del RuntimeProcess.held
 
 
 @dataclass(frozen=True)

@@ -407,7 +407,7 @@ def _node_failure_during_migration() -> ScenarioInstance:
         destination = runtime.process(dst).data_manager
         moving = runtime.process(src).data_manager.owned_region(grid)
         migration = runtime.spawn(
-            destination._migrate_in(grid, moving, src)
+            destination.migrate_in(grid, moving, src)
         )
         # fail the destination the moment the payload is marked in
         # flight — after the atomic ownership handover, before landing

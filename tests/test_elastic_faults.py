@@ -367,7 +367,7 @@ class TestFaultMatrix:
         # the crash loses the in-flight region AND dst's own share
         doomed = moving.union(dst_manager.owned_region(grid))
         migration = runtime.engine.spawn(
-            dst_manager._migrate_in(grid, moving, src)
+            dst_manager.migrate_in(grid, moving, src)
         )
         run_until(runtime, lambda: bool(dst_manager.in_flight))
         runtime.fail_process(dst)
