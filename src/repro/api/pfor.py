@@ -9,11 +9,19 @@ operator): the recursion parameter is a :class:`LoopPart` — an iteration
 functions are evaluated on each sub-box.
 
 A loop of size ``S`` at granularity ``g`` yields exactly ``n = max(1,
-round(S / g))`` leaves.  Each split cuts the widest axis so that the left
-part holds ``ceil(n / 2)`` of the ``n`` leaves, rounded to a whole cell,
-and hands each part its own count; a part holding one leaf is a leaf.  So
-a 20-core node at oversubscription 2 gets exactly 40 leaves: two even
-waves of work per core, with no partial wave left over.
+round(S / g))`` leaves, and each split hands each part its own count; a
+part holding one leaf is a leaf.  The iteration partition follows the
+data distribution: a split task arrives with the owner map it was placed
+with (the scheduler's Algorithm-2 lookup of the first item it writes, or
+that item's home map at first touch), and a part spanning cells of more
+than one owner is cut at an owner boundary on its widest axis — the end
+of an owner's hull nearest the proportional cut — each side getting
+leaves in proportion to its cells.  So every process's block gets the
+leaves its share of the loop is worth, at any process count.  A part one
+process holds is cut on the widest axis so that the left side holds
+``ceil(n / 2)`` of the ``n`` leaves, rounded to a whole cell: a 20-core
+node at oversubscription 2 gets exactly 40 leaves, two even waves of work
+per core with no partial wave left over.
 
 Two kernel styles are supported:
 
@@ -30,9 +38,14 @@ from typing import Any, Callable, NamedTuple, Sequence
 from repro.api.prec import PrecFunction, default_granularity
 from repro.items.base import DataItem
 from repro.regions.base import Region
-from repro.regions.box import Box
+from repro.regions.box import Box, BoxSetRegion
 from repro.runtime.runtime import AllScaleRuntime
-from repro.runtime.tasks import TaskExecutionContext, TaskSpec, Treeture
+from repro.runtime.tasks import (
+    OwnerMap,
+    TaskExecutionContext,
+    TaskSpec,
+    Treeture,
+)
 from repro.util.ids import fresh_id
 
 RequirementFn = Callable[[Box], dict[DataItem, Region]]
@@ -55,24 +68,72 @@ class LoopPart(NamedTuple):
         return repr(self.box)
 
 
-def _split_box(part: LoopPart) -> list[LoopPart]:
+def _split_box(part: LoopPart, owners: OwnerMap = ()) -> list[LoopPart]:
     """Cut ``part`` in two along its widest axis, leaf counts in proportion.
 
-    The left side gets ``ceil(n / 2)`` of the ``n`` leaves and the cut
-    sits at that share of the axis, rounded to the nearest whole cell
-    (ties to even).  A side with fewer cells than leaves hands the excess
-    to the other, so the count stays exact whenever ``n`` does not exceed
-    the part's size.
+    If ``owners`` puts cells of two or more processes in the part, the cut
+    is the owner boundary :func:`_owner_cut` picks, and the left side gets
+    ``round(n * left.size / part.size)`` of the ``n`` leaves.  Otherwise
+    the left side gets ``ceil(n / 2)`` of them and the cut sits at that
+    share of the axis, rounded to the nearest whole cell (ties to even).
+    Either way a side with fewer cells than leaves hands the excess to the
+    other and each side keeps at least one, so the count stays exact
+    whenever ``n`` does not exceed the part's size.  The owner map only
+    steers the cut: any map, stale or fragmented, gives an exact tiling.
     """
     box, leaves = part
     widths = box.widths()
     axis = max(range(len(widths)), key=widths.__getitem__)
     width = widths[axis]
     share = (leaves + 1) // 2
-    cut = min(width - 1, max(1, round(width * share / leaves)))
-    left, right = box.split(axis, box.lo[axis] + cut)
-    share = min(max(share, leaves - right.size()), left.size())
+    cut = _owner_cut(box, axis, owners, leaves, share)
+    if cut is None:
+        cut = box.lo[axis] + min(width - 1, max(1, round(width * share / leaves)))
+    else:
+        share = round(leaves * (cut - box.lo[axis]) / width)
+    left, right = box.split(axis, cut)
+    share = min(max(share, 1, leaves - right.size()), leaves - 1, left.size())
     return [LoopPart(left, share), LoopPart(right, leaves - share)]
+
+
+def _owner_cut(
+    box: Box, axis: int, owners: OwnerMap, leaves: int, share: int
+) -> int | None:
+    """The owner boundary to cut ``box`` at on ``axis``, if it spans cells
+    of several owners: among the ends of each owner's hull of its cells in
+    the box that lie strictly inside the box, the one nearest the
+    proportional cut ``lo + width * share / leaves`` (ties to the lower).
+    """
+    spans: dict[int, tuple[int, int]] = {}
+    for region, pid in owners:
+        if not isinstance(region, BoxSetRegion) or region.dims != box.dims:
+            continue
+        for piece in region.boxes:
+            cells = piece.intersect(box)
+            if cells.is_empty():
+                continue
+            lo, hi = cells.lo[axis], cells.hi[axis]
+            span = spans.get(pid)
+            if span is not None:
+                lo, hi = min(lo, span[0]), max(hi, span[1])
+            spans[pid] = (lo, hi)
+    if len(spans) < 2:
+        return None
+    lo, hi = box.lo[axis], box.hi[axis]
+    # distances scaled by ``leaves`` keep the comparison exact
+    target = lo * leaves + (hi - lo) * share
+    return min(
+        (end for span in spans.values() for end in span if lo < end < hi),
+        key=lambda end: (abs(end * leaves - target), end),
+        default=None,
+    )
+
+
+class _LoopRecursion(PrecFunction[LoopPart]):
+    """``prec`` over loop parts whose splits follow the owner map."""
+
+    def split_along(self, param: LoopPart, owners: OwnerMap) -> list[LoopPart]:
+        return _split_box(param, owners)
 
 
 def pfor_task(
@@ -110,7 +171,7 @@ def pfor_task(
 
         body = bulk_body
 
-    recursion = PrecFunction(
+    recursion = _LoopRecursion(
         base_test=lambda part: part.leaves <= 1,
         base=lambda ctx, part: body(ctx, part.box),
         split=_split_box,

@@ -26,7 +26,12 @@ from repro.items.base import DataItem
 from repro.regions.base import Region
 from repro.runtime.config import MIN_TASK_SIZE
 from repro.runtime.runtime import AllScaleRuntime
-from repro.runtime.tasks import TaskExecutionContext, TaskSpec, Treeture
+from repro.runtime.tasks import (
+    OwnerMap,
+    TaskExecutionContext,
+    TaskSpec,
+    Treeture,
+)
 from repro.util.ids import fresh_id
 
 P = TypeVar("P")
@@ -69,13 +74,22 @@ class PrecFunction(Generic[P]):
         #: the point kernel its bulk wrapper hides)
         self.origin_body = origin_body or base
 
+    def split_along(self, param: P, owners: OwnerMap) -> list[P]:
+        """Sub-parameters of ``param`` for a task placed with ``owners``.
+
+        A generic recursion ignores the owner map; :func:`~repro.api.
+        pfor.pfor` cuts its ranges along it.
+        """
+        return self.split(param)
+
     def task(self, param: P, granularity: float | None = None) -> TaskSpec:
         """Build the task (with both variants) for one recursion parameter."""
         is_base = self.base_test(param)
 
-        def splitter() -> list[TaskSpec]:
+        def splitter(owners: OwnerMap) -> list[TaskSpec]:
             return [
-                self.task(sub, granularity) for sub in self.split(param)
+                self.task(sub, granularity)
+                for sub in self.split_along(param, owners)
             ]
 
         def body(ctx: TaskExecutionContext) -> Any:

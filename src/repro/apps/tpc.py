@@ -52,7 +52,7 @@ from repro.mpi.comm import Communicator
 from repro.mpi.program import run_spmd
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import SchedulingPolicy
-from repro.runtime.tasks import TaskProgram, TaskSpec
+from repro.runtime.tasks import OwnerMap, TaskProgram, TaskSpec
 from repro.sim.cluster import Cluster
 
 #: queries planned per traversal pass in :func:`make_problem`.  The chunk
@@ -253,7 +253,7 @@ def tpc_batch_task(problem: TPCProblem, batch: list[int]) -> TaskSpec:
     for root in batch_roots:
         batch_reads = batch_reads.union(problem.item.subtree_region(root))
 
-    def splitter() -> list[TaskSpec]:
+    def splitter(_owners: OwnerMap) -> list[TaskSpec]:
         children: list[TaskSpec] = []
         top_flops = sum(
             problem.plans[qi].top_visits for qi in batch

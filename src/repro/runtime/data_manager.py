@@ -207,6 +207,10 @@ class DataItemManager:
         # not coalescing is enabled
         self.fetching = TransferMarkers(self, "fetching")
         self.fetching_region = self.fetching.region
+        # live moves towards this process between their control message
+        # and the handover (the guard wait at the source): a storm's
+        # barrier waits for them, or the handover would meet a corpse
+        self.incoming_moves = 0
         self.replica_cache = ReplicaCache(self)
         self.plan_log: deque[TransferPlan] = deque(maxlen=PLAN_LOG_LIMIT)
 
@@ -531,25 +535,30 @@ class DataItemManager:
         runtime = self.process.runtime
         peer = runtime.process(src)
         source = peer.data_manager
-        yield runtime.network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
-        while True:
-            while peer.locks.any_locked(item, region):
-                yield peer.locks.wait_for_change()
-            while source.in_flight_region(item).overlaps(region):
-                yield source.in_flight.change()
-            part = source.owned_region(item).intersect(region)
-            if part.is_empty():
-                return 0  # someone else migrated it away meanwhile
-            yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
-            # the guard must still hold where the effect applies: a source
-            # task may have taken its locks during the overhead yield
-            if _guard_holds(peer, item, region):
-                break
-        if self.process.failed:  # refused before the export: src keeps its bytes
-            raise MoveError(item, part, self.pid)
-        payload = source.export_owned(item, part)
-        # atomic handover: ownership (and the index) move now
-        self._own(item, payload.region)
+        self.incoming_moves += 1
+        try:
+            yield runtime.network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
+            while True:
+                while peer.locks.any_locked(item, region):
+                    yield peer.locks.wait_for_change()
+                while source.in_flight_region(item).overlaps(region):
+                    yield source.in_flight.change()
+                part = source.owned_region(item).intersect(region)
+                if part.is_empty():
+                    return 0  # someone else migrated it away meanwhile
+                yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
+                # the guard must still hold where the effect applies: a
+                # source task may have taken its locks during the yield
+                if _guard_holds(peer, item, region):
+                    break
+            if self.process.failed:  # refused before the export: src keeps its bytes
+                raise MoveError(item, part, self.pid)
+            payload = source.export_owned(item, part)
+            # atomic handover: ownership (and the index) move now
+            self._own(item, payload.region)
+        finally:
+            # handed over (the in-flight marker takes over) or given up
+            self.incoming_moves -= 1
         yield from self._land_from(src, item, payload)
         runtime.metrics.incr("dm.migrations")
         runtime.metrics.incr("dm.migrated_bytes", payload.nbytes)

@@ -153,12 +153,12 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
         if process.queue:
             target = runtime._redirect_if_failed(pid)
             if target != pid:
-                task, treeture, variant = process.queue.popleft()
+                entry = process.queue.popleft()
                 yield runtime.network.send(pid, target, TASK_MESSAGE_BYTES)
                 # a storm may fail the target while the task travels
                 if runtime.process(target).failed:
                     target = runtime._redirect_if_failed(target)
-                runtime.process(target).enqueue(task, treeture, variant)
+                runtime.process(target).enqueue(*entry)
                 runtime.metrics.incr("elastic.evacuated_tasks")
                 continue
             # every peer is draining too: run the leftovers locally
@@ -232,11 +232,17 @@ def _evacuation(runtime: "AllScaleRuntime", pid: int) -> Iterator[Move]:
 
 def _storm_busy(runtime: "AllScaleRuntime", pid: int) -> bool:
     """Whether storm victim ``pid`` is short of the storm's barrier: a
-    task still runs there or a transfer still lands there.  Its queue
-    does not count: a held victim starts none of it."""
+    task still runs there, a transfer still lands there, or a move towards
+    it still waits at its source to hand over.  Its queue does not count:
+    a held victim starts none of it."""
     victim = runtime.process(pid)
     manager = victim.data_manager
-    return bool(victim.active or manager.in_flight or manager.fetching)
+    return bool(
+        victim.active
+        or manager.in_flight
+        or manager.fetching
+        or manager.incoming_moves
+    )
 
 
 def failure_storm(
@@ -291,7 +297,8 @@ def failure_storm(
         )
         return (
             f"pid {pid}: {len(victim.queue)} queued, {victim.active} active, "
-            f"items in transfer {moving}"
+            f"items in transfer {moving}, "
+            f"{manager.incoming_moves} moves waiting to hand over"
         )
 
     while True:
@@ -337,7 +344,8 @@ def failure_storm(
     # orphans are placed against the adopters' ownership
     recovery = runtime.engine.spawn(resilience.recover_lost_data(snapshot))
     origin = runtime._redirect_if_failed(targets[0])
-    for task, treeture, variant in orphans:
+    # re-placed with a fresh lookup, whose owner map replaces the old one
+    for task, treeture, variant, _owners in orphans:
         runtime.scheduler.reassign(task, treeture, variant, origin)
     runtime.metrics.incr("elastic.replaced_tasks", len(orphans))
     restored = yield recovery

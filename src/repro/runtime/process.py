@@ -9,9 +9,9 @@ data fetches overlap execution.
 
 A task arrives together with the variant choice the policy made
 (Algorithm 2 line 3): the *split* variant spawns child tasks that are
-re-assigned through the scheduler; the *leaf* variant stages data through
-the data item manager, takes region locks, executes, and completes its
-treeture.
+re-assigned through the scheduler, split along the owner map the task was
+placed with; the *leaf* variant stages data through the data item
+manager, takes region locks, executes, and completes its treeture.
 
 Optional work stealing ("tasks are stored within node-local queues ...
 yet may be stolen by other nodes"): an idle process probes a random peer
@@ -32,7 +32,12 @@ from repro.runtime.config import (
 )
 from repro.runtime.data_manager import DataItemManager
 from repro.runtime.locks import LockTable
-from repro.runtime.tasks import TaskExecutionContext, TaskSpec, Treeture
+from repro.runtime.tasks import (
+    OwnerMap,
+    TaskExecutionContext,
+    TaskSpec,
+    Treeture,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -51,7 +56,8 @@ class RuntimeProcess:
         self.probe = runtime.probe
         self.locks = LockTable(runtime.engine, pid=pid, probe=self.probe)
         self.data_manager = DataItemManager(self)
-        self.queue: deque[tuple[TaskSpec, Treeture, str]] = deque()
+        #: queued ``(task, treeture, variant, owner map)`` entries
+        self.queue: deque[tuple[TaskSpec, Treeture, str, OwnerMap]] = deque()
         self.active = 0
         self.failed = False
         #: graceful scale-in in progress: still alive (finishes its active
@@ -76,7 +82,15 @@ class RuntimeProcess:
         # leave headroom over the core count so data fetches overlap compute
         return self.node.num_cores * 2
 
-    def enqueue(self, task: TaskSpec, treeture: Treeture, variant: str) -> None:
+    def enqueue(
+        self,
+        task: TaskSpec,
+        treeture: Treeture,
+        variant: str,
+        owners: OwnerMap = (),
+    ) -> None:
+        """Queue ``task`` to run as ``variant``; a split task carries the
+        owner map it was placed with to its splitter."""
         if self.failed:
             raise RuntimeError(
                 f"task {task.name!r} dispatched to failed process {self.pid}"
@@ -88,11 +102,13 @@ class RuntimeProcess:
             target = self.runtime._redirect_if_failed(self.pid)
             if target != self.pid:
                 self.runtime.metrics.incr("elastic.forwarded_tasks")
-                self.runtime.process(target).enqueue(task, treeture, variant)
+                self.runtime.process(target).enqueue(
+                    task, treeture, variant, owners
+                )
                 return
         for notify in self.probe.task_enqueued:
             notify(task, treeture, self.pid, variant, self.runtime.engine.now)
-        self.queue.append((task, treeture, variant))
+        self.queue.append((task, treeture, variant, owners))
         if (
             self.runtime.config.work_stealing
             and len(self.queue) > self.max_concurrent
@@ -135,13 +151,13 @@ class RuntimeProcess:
     # -- task handling ---------------------------------------------------------------
 
     def _handle(
-        self, task: TaskSpec, treeture: Treeture, variant: str
+        self, task: TaskSpec, treeture: Treeture, variant: str, owners: OwnerMap
     ) -> Generator:
         slot_released = False
         try:
             yield self.node.execute(TASK_START_OVERHEAD)
             if variant == "split" and task.splittable:
-                children = task.splitter()  # type: ignore[misc]
+                children = task.splitter(owners)  # type: ignore[misc]
                 if not children:
                     raise RuntimeError(
                         f"splitter of {task.name!r} produced no children"

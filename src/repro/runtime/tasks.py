@@ -20,7 +20,7 @@ inside a simulation process awaits completion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, TYPE_CHECKING
+from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.items.base import DataItem, Fragment
 from repro.regions.base import Region
@@ -28,6 +28,11 @@ from repro.util.ids import fresh_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Future, SimEngine
+
+#: who owns what of the item a split task writes: ``(region, pid)``
+#: pieces, as the scheduler's placement lookup (Algorithm 2) returned
+#: them, or the item's home map at first touch; empty when unknown
+OwnerMap = Sequence[tuple[Region, int]]
 
 
 @dataclass(slots=True)
@@ -43,8 +48,10 @@ class TaskSpec:
     size_hint: float = 1.0
     #: functional leaf work; receives a TaskExecutionContext, returns a value
     body: Callable[["TaskExecutionContext"], Any] | None = None
-    #: produce child tasks (the parallel variant); None = leaf-only task
-    splitter: Callable[[], list["TaskSpec"]] | None = None
+    #: produce child tasks (the parallel variant) from the owner map the
+    #: task was placed with; None = leaf-only task.  A splitter may ignore
+    #: the map, and must split correctly for any map, stale or empty
+    splitter: Callable[[OwnerMap], list["TaskSpec"]] | None = None
     #: fold child values into this task's value (default: list of them)
     combiner: Callable[[list[Any]], Any] | None = None
     #: stop splitting once size_hint falls to this value (None: use
@@ -89,11 +96,12 @@ class TaskSpec:
 
         Splitters are pure constructors (they evaluate requirement
         functions, never leaf bodies), so this is safe to call outside
-        the scheduler — the static analyzer unfolds task trees with it.
+        the scheduler — the static analyzer unfolds task trees with it,
+        owner map unknown.
         """
         if self.splitter is None:
             raise ValueError(f"task {self.name!r} is leaf-only")
-        return list(self.splitter())
+        return list(self.splitter(()))
 
     def accessed_items(self) -> frozenset[DataItem]:
         return frozenset(self.reads) | frozenset(self.writes)

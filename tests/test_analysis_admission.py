@@ -39,7 +39,7 @@ def clean_task(name="ok"):
     return TaskSpec(
         name=name,
         writes={GRID: span(0, 16)},
-        splitter=lambda: children,
+        splitter=lambda _owners: children,
     )
 
 
@@ -51,7 +51,7 @@ def racy_task(name="bad"):
     return TaskSpec(
         name=name,
         writes={GRID: span(0, 16)},
-        splitter=lambda: children,
+        splitter=lambda _owners: children,
     )
 
 

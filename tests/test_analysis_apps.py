@@ -65,7 +65,7 @@ class TestTPCRootRequirement:
         for root in roots:
             reads = reads.union(problem.item.subtree_region(root))
 
-        def splitter():
+        def splitter(_owners):
             return [
                 TaskSpec(
                     name=f"tpc.band{root}",

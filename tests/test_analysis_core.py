@@ -42,7 +42,7 @@ def split(name, children, reads=None, writes=None):
         name=name,
         reads=dict(reads or {}),
         writes=dict(writes or {}),
-        splitter=lambda: list(children),
+        splitter=lambda _owners: list(children),
     )
 
 
@@ -111,7 +111,7 @@ class TestExpansion:
         assert truncated >= 1
 
     def test_failing_splitter_becomes_warning(self):
-        def bad():
+        def bad(_owners):
             raise RuntimeError("boom")
 
         spec = TaskSpec(name="bad", splitter=bad)

@@ -58,7 +58,7 @@ def build_tree(lo, hi, draw, depth=0):
         child, sub_leaves = build_tree(a, b, draw, depth + 1)
         children.append(child)
         leaves.extend(sub_leaves)
-    spec.splitter = lambda kids=children: list(kids)
+    spec.splitter = lambda _owners, kids=children: list(kids)
     return spec, leaves
 
 
@@ -104,7 +104,7 @@ def test_shrunken_parent_read_always_caught(data):
         name="root",
         reads={SRC: span(1, N, SRC)},  # children still read src[0, N)
         writes={DST: span(0, N)},
-        splitter=lambda: [left, right],
+        splitter=lambda _owners: [left, right],
     )
     report = analyze_task(root, CONFIG)
     assert "coverage.read_escape" in {f.check for f in report.errors}

@@ -180,7 +180,7 @@ class TestPfor:
             (0, 0), (8, 8), body=lambda ctx, box: None, granularity=16
         )
         assert task.splittable
-        children = task.splitter()
+        children = task.expand_children()
         assert len(children) == 2
         assert sum(c.size_hint for c in children) == 64
 

@@ -35,7 +35,7 @@ class TestPforGpuVariant:
             granularity=512,
         )
         assert task.gpu_flops == pytest.approx(10.0 * 64 * 64)
-        children = task.splitter()
+        children = task.expand_children()
         for child in children:
             assert child.gpu_flops == pytest.approx(10.0 * child.size_hint)
 

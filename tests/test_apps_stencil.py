@@ -1,5 +1,6 @@
 """End-to-end stencil application tests: both ports vs the sequential kernel."""
 
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,32 @@ class TestMatchesMPI:
         )
         mpi = stencil_mpi(Cluster(meggie_like_spec(1)), workload)
         assert allscale.throughput / mpi.throughput >= 0.99
+
+    @pytest.mark.parametrize("nodes", [3, 6])
+    def test_every_node_gets_its_share_at_any_node_count(self, nodes):
+        # the loop splits along the home blocks first touch places, so at
+        # a count that is no power of two every node still runs two even
+        # waves (halving the leaf count gave 46 / 36 / 38 ... and a third
+        # wave: AllScale/MPI 0.66)
+        workload = StencilWorkload(n_per_node=20_000, timesteps=2)
+        leaves: dict[str, Counter] = defaultdict(Counter)
+
+        class LeafCounter:
+            def on_task_start(self, task, treeture, pid, now):
+                leaves[task.name.split("(")[0]][pid] += 1
+
+        allscale = stencil_allscale(
+            Cluster(meggie_like_spec(nodes)),
+            workload,
+            RuntimeConfig(oversubscription=2),
+            on_runtime=lambda runtime: runtime.probe.attach(LeafCounter()),
+        )
+        assert len(leaves) == 2 + workload.timesteps
+        for sweep, per_node in leaves.items():
+            assert per_node == {pid: 40 for pid in range(nodes)}, sweep
+        if nodes == 6:
+            mpi = stencil_mpi(Cluster(meggie_like_spec(nodes)), workload)
+            assert allscale.throughput / mpi.throughput >= 0.95
 
 
 class TestDataDistribution:

@@ -195,9 +195,9 @@ class TestPolicies:
         runtime = self.make_runtime()
         policy = DataAwarePolicy()
         leafish = TaskSpec(name="l", size_hint=4, granularity=8,
-                           splitter=lambda: [])
+                           splitter=lambda _owners: [])
         biggish = TaskSpec(name="b", size_hint=16, granularity=8,
-                           splitter=lambda: [])
+                           splitter=lambda _owners: [])
         unsplittable = TaskSpec(name="u", size_hint=1e9)
         assert policy.pick_variant(leafish, runtime) == "leaf"
         assert policy.pick_variant(biggish, runtime) == "split"

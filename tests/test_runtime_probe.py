@@ -217,7 +217,7 @@ class TestHandlerErrorsPropagate:
         runtime.register_item(grid)
         half = grid.box((0, 0), (8, 4))
 
-        def racy_children():
+        def racy_children(_owners):
             return [
                 TaskSpec(name=f"c{k}", writes={grid: half}, size_hint=1)
                 for k in range(2)

@@ -274,3 +274,30 @@ class TestMovesToDepartedProcesses:
         lost = lost_region(runtime, grid, grid.full_region)
         assert lost.size() == block.size()
         assert not lost.overlaps(block)
+
+    def test_a_storm_waits_for_a_move_towards_its_victim(self):
+        # the same move, but the destination is a storm victim: the
+        # storm's barrier waits until the move has handed over, so the
+        # victim's whole share is lost together and recovered
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        src, dst = 1, 3
+        block = runtime.process(src).data_manager.owned_region(grid)
+        runtime.submit(
+            TaskSpec(name="long", writes={grid: block}, flops=1e8,
+                     size_hint=block.size()),
+            origin=src,
+        )
+        while not runtime.process(src).locks.any_locked(grid, block):
+            assert runtime.engine.run(max_events=1)
+        manager = runtime.process(dst).data_manager
+        runtime.engine.spawn(manager.migrate_in(grid, block, src))
+        runtime.engine.run(until=runtime.now + 0.01)
+        assert manager.incoming_moves == 1
+        runtime.wait_process(failure_storm(runtime, [dst]))
+        runtime.run()
+        assert runtime.process(dst).failed
+        assert manager.incoming_moves == 0
+        assert lost_region(runtime, grid, grid.full_region).is_empty()
+        runtime.check_ownership_invariants()

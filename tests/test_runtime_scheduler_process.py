@@ -79,7 +79,7 @@ class TestForkJoin:
     def make_tree_task(self, lo, hi, granularity):
         size = hi - lo
 
-        def splitter():
+        def splitter(_owners):
             mid = (lo + hi) // 2
             return [
                 self.make_tree_task(lo, mid, granularity),

@@ -613,7 +613,7 @@ def test_job_context_over_budget_is_sticky_not_fatal():
     def build_underdeclared(params):
         leaves = [TaskSpec(name=f"leaf{i}", flops=2.4e7) for i in range(2)]
         root = TaskSpec(
-            name="root", flops=4.8e6, size_hint=2, splitter=lambda: leaves
+            name="root", flops=4.8e6, size_hint=2, splitter=lambda _owners: leaves
         )
         return TaskProgram("underdeclared", [[root]])
 
