@@ -46,7 +46,6 @@ _PINNED_METRICS = (
     "elastic.failures",
     "elastic.evacuated_bytes",
     "elastic.evacuated_tasks",
-    "elastic.forwarded_tasks",
     "elastic.join_migrated_bytes",
     "elastic.restored_bytes",
     "elastic.recovery_time.mean",

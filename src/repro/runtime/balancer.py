@@ -290,7 +290,7 @@ class LoadBalancer:
         if len(available) < 2:
             return False
         load = self.measured_load()
-        # corpses and drainers report idle forever; migrating data onto
+        # corpses and held processes report idle forever; migrating data onto
         # them would strand it, so both ends come from the available set
         busiest = max(available, key=load.__getitem__)
         idlest = min(available, key=load.__getitem__)

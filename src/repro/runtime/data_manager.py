@@ -136,20 +136,39 @@ def run_stored_moves(
     return sum(moved)
 
 
-class TransferMarkers:
+class ChangeSignal:
+    """The futures waiting for the next change of one piece of a process's
+    bookkeeping; whoever changes it calls :meth:`wake`."""
+
+    def __init__(self, manager: "DataItemManager") -> None:
+        self.manager = manager
+        self._waiters: list = []
+
+    def change(self):
+        """Future completing at the next :meth:`wake`."""
+        future = self.manager.process.runtime.engine.future()
+        self._waiters.append(future)
+        return future
+
+    def wake(self) -> None:
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            waiter.complete(None)
+
+
+class TransferMarkers(ChangeSignal):
     """Per-item regions one kind of transfer has on the wire towards a
-    process, and the futures waiting for them to land.
+    process; its waiters wake at each :meth:`clear` (or node failure).
 
     One of the bookkeeping tables the happens-before monitor watches:
     reads announce ``table_read``, changes ``table_publish``.
     """
 
     def __init__(self, manager: "DataItemManager", kind: str) -> None:
-        self.manager = manager
+        super().__init__(manager)
         self.probe = manager.probe
         self.kind = kind
         self.regions: dict[DataItem, Region] = {}
-        self._waiters: list = []
 
     def __bool__(self) -> bool:
         return bool(self.regions)
@@ -177,17 +196,6 @@ class TransferMarkers:
         for notify in self.probe.table_publish:
             notify((self.kind, self.manager.pid, item.name), region)
 
-    def change(self):
-        """Future completing at the next :meth:`clear` (or node failure)."""
-        future = self.manager.process.runtime.engine.future()
-        self._waiters.append(future)
-        return future
-
-    def wake(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter.complete(None)
-
 
 class DataItemManager:
     """Fragments, ownership, and replicas of one address space."""
@@ -208,9 +216,11 @@ class DataItemManager:
         self.fetching = TransferMarkers(self, "fetching")
         self.fetching_region = self.fetching.region
         # live moves towards this process between their control message
-        # and the handover (the guard wait at the source): a storm's
-        # barrier waits for them, or the handover would meet a corpse
+        # and the handover (the guard wait at the source): a departure's
+        # barrier waits for them, or the handover would meet a corpse;
+        # ``handed_over`` wakes as each hands over or gives up
         self.incoming_moves = 0
+        self.handed_over = ChangeSignal(self)
         self.replica_cache = ReplicaCache(self)
         self.plan_log: deque[TransferPlan] = deque(maxlen=PLAN_LOG_LIMIT)
 
@@ -559,6 +569,7 @@ class DataItemManager:
         finally:
             # handed over (the in-flight marker takes over) or given up
             self.incoming_moves -= 1
+            self.handed_over.wake()
         yield from self._land_from(src, item, payload)
         runtime.metrics.incr("dm.migrations")
         runtime.metrics.incr("dm.migrated_bytes", payload.nbytes)

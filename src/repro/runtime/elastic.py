@@ -3,12 +3,16 @@
 The paper's model is presented over a static set of runtime processes
 (§3.2); its outlook names "dynamic environments" as the motivation for
 routing every data access through the runtime.  This module supplies the
-dynamics: nodes *join* a running computation, *leave* gracefully (queued
-tasks, replicas, and owned regions evacuate before departure), or *fail
-in correlated storms* (a checkpoint re-materializes the lost regions on
-the survivors).  The data each change moves is a redistribution: a
-planner returns moves that keep a process's items together, and the one
-*(migrate)* executor runs them (``docs/runtime.md``, "Redistribution").
+dynamics: nodes *join* a running computation, *leave* gracefully, or
+*fail in correlated storms*.  A drain is a storm without the loss: both
+hold their processes (no queued task starts), settle them on one
+barrier, and depart through one step that fails them and re-places
+their queued tasks through Algorithm 2; a drain evacuates the owned data
+before it departs, a storm re-materializes the lost regions on the
+survivors from a checkpoint after.  The data each change moves is a
+redistribution: a planner returns moves that keep a process's items
+together, and the one *(migrate)* executor runs them
+(``docs/runtime.md``, "Redistribution").
 
 All three operations are simulation coroutines — their control messages,
 payload transfers, and fragment splices ride the same simulated network
@@ -27,18 +31,18 @@ Metrics published under ``elastic.*``:
   ``elastic.dropped_replica_bytes`` — copies need no evacuation);
 * ``elastic.restored_bytes`` — checkpoint bytes re-materialized after a
   storm;
-* ``elastic.replaced_tasks`` — tasks queued on storm victims, re-placed
-  after the failure;
+* ``elastic.replaced_tasks`` / ``elastic.evacuated_tasks`` — tasks
+  queued on storm victims / on a drained process, re-placed after the
+  departure (each counter appears once it is nonzero);
 * ``elastic.recovery_time`` / ``elastic.drain_time`` — stats (seconds).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Iterator
+from typing import TYPE_CHECKING, Callable, Generator, Iterator
 
 from repro.runtime.balancer import share_slices
-from repro.runtime.config import TASK_MESSAGE_BYTES
 from repro.runtime.data_manager import Move, run_moves
 from repro.runtime.resilience import (
     Checkpoint,
@@ -48,6 +52,7 @@ from repro.runtime.resilience import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.process import RuntimeProcess
     from repro.runtime.runtime import AllScaleRuntime
 
 
@@ -105,27 +110,83 @@ def scale_out(
     return pid
 
 
+# -- departure: one hold, one barrier, one step -----------------------------------
+
+
+def _busy(process: "RuntimeProcess") -> Callable[[], object] | None:
+    """What keeps held ``process`` short of its departure barrier — a task
+    still runs there, a transfer still lands there, or a move towards it
+    still waits at its source to hand over — as the method returning a
+    future that ends it; ``None`` once the process has settled.  Its
+    queue does not count: a held process starts none of it."""
+    manager = process.data_manager
+    if process.active:
+        return process._slot_free
+    if manager.in_flight:
+        return manager.in_flight.change
+    if manager.fetching:
+        return manager.fetching.change
+    if manager.incoming_moves:
+        return manager.handed_over.change
+    return None
+
+
+def _depart(
+    runtime: "AllScaleRuntime",
+    pids: list[int],
+    counter: str,
+    recovery: Generator | None = None,
+):
+    """The one departure step of drains and storms: take each process's
+    queue, fail it (unless a storm already has), then re-place every
+    queued task — none ever started — through Algorithm 2 with a fresh
+    lookup, counting them under ``counter``.  ``recovery`` is spawned
+    between the failures and the re-placement: it claims every lost row
+    before it first yields, so the tasks are placed against the adopters'
+    ownership.  Returns the pids this step failed and the recovery's
+    future (``None`` without one)."""
+    orphans = []
+    failed = []
+    for pid in pids:
+        process = runtime.process(pid)
+        orphans.extend(process.queue)
+        process.queue.clear()
+        if not process.failed:
+            runtime.fail_process(pid)
+            failed.append(pid)
+    future = runtime.engine.spawn(recovery) if recovery is not None else None
+    origin = runtime._redirect_if_failed(pids[0])
+    for task, treeture, variant, _owners in orphans:
+        runtime.scheduler.reassign(task, treeture, variant, origin)
+    if orphans:
+        runtime.metrics.incr(counter, len(orphans))
+    return failed, future
+
+
 # -- graceful scale-in --------------------------------------------------------------
 
 
 def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
-    """Gracefully remove process ``pid`` from a running computation.
+    """Gracefully remove process ``pid`` from a running computation: a
+    failure storm of one (:func:`failure_storm`) without the loss.
 
-    Three-stage protocol, each stage a fixpoint loop:
-
-    1. **Task quiesce** — queued tasks forward to the redirect target
-       (one task-message charge each); active tasks run to completion;
-       in-flight and fetching transfers land.  The ``draining`` flag set
-       up front makes the scheduler, balancer, and stealers route around
-       the node meanwhile, and late-arriving parcels self-forward.
-    2. **Data evacuation** — replicas are dropped in place (they are
-       copies; the owners still hold the bytes), then the whole owned
-       share, every item, moves to the one process :func:`_evacuation`
-       picks, so co-located items stay together.
-    3. **Departure** — once nothing is queued, running, in flight, or
-       owned, the process is retired through :meth:`fail_process`
-       (failing an *empty* node loses nothing; it re-baselines the
-       sentinel and makes every later dispatch treat the pid as gone).
+    1. **Hold** — :attr:`RuntimeProcess.held` is set: the process starts
+       no queued task from here on and leaves
+       :meth:`~AllScaleRuntime.available_processes`, but it keeps taking
+       the placements Algorithm 2 sends it, which queue.
+    2. **Settle** — its active tasks run to completion, its in-flight and
+       fetching transfers land, and live moves towards it hand over
+       (:func:`_busy`, the storm's barrier).
+    3. **Evacuate** — replicas are dropped in place (they are copies; the
+       owners still hold the bytes), then the whole owned share, every
+       item, moves to the one process :func:`_evacuation` picks, so
+       co-located items stay together.  Data can reach the process while
+       its share moves out, so settle and evacuate repeat until it is
+       settled and owns nothing.
+    4. **Depart** — :func:`_depart` takes the queue, retires the process
+       through :meth:`fail_process` (failing an *empty* node loses
+       nothing) and re-places every queued task through Algorithm 2, so
+       each lands where its data went.
 
     Suspended split parents (awaiting children placed elsewhere) hold no
     core slot, no locks, and no data; their combining continuation is
@@ -135,8 +196,8 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
     process = runtime.process(pid)
     if process.failed:
         raise RuntimeError(f"process {pid} already failed; cannot drain")
-    if process.draining:
-        raise RuntimeError(f"process {pid} is already draining")
+    if process.held:
+        raise RuntimeError(f"process {pid} is already held")
     others = [q for q in runtime.alive_processes() if q != pid]
     if not others:
         raise RuntimeError(
@@ -144,55 +205,26 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
         )
     manager = process.data_manager
     t0 = runtime.now
-    process.draining = True
+    process.held = True
     runtime.metrics.incr("elastic.drains")
     runtime.metrics.incr("elastic.churn_events")
 
-    # stage 1: task quiesce
-    while True:
-        if process.queue:
-            target = runtime._redirect_if_failed(pid)
-            if target != pid:
-                entry = process.queue.popleft()
-                yield runtime.network.send(pid, target, TASK_MESSAGE_BYTES)
-                # a storm may fail the target while the task travels
-                if runtime.process(target).failed:
-                    target = runtime._redirect_if_failed(target)
-                runtime.process(target).enqueue(*entry)
-                runtime.metrics.incr("elastic.evacuated_tasks")
-                continue
-            # every peer is draining too: run the leftovers locally
-            process._kick()
-            yield process._slot_free()
-            continue
-        if process.active:
-            yield process._slot_free()
-            continue
-        if manager.in_flight:
-            yield manager.in_flight.change()
-            continue
-        if manager.fetching:
-            yield manager.fetching.change()
-            continue
-        break
-
-    # stage 2: data evacuation
-    dropped = 0
-    for item in list(manager.fragments):
-        replica = manager.replica_region(item)
-        if not replica.is_empty():
-            dropped += item.region_bytes(replica)
-            manager.drop_replica(item, replica)
+    dropped = evacuated = 0
+    while not process.failed:  # else a storm took it meanwhile
+        while (busy := _busy(process)) is not None:
+            yield busy()
+        for item in list(manager.fragments):
+            replica = manager.replica_region(item)
+            if not replica.is_empty():
+                dropped += item.region_bytes(replica)
+                manager.drop_replica(item, replica)
+        if all(manager.owned_region(item).is_empty() for item in runtime.items):
+            break
+        evacuated += yield from run_moves(runtime, _evacuation(runtime, pid))
     runtime.metrics.incr("elastic.dropped_replica_bytes", dropped)
-    evacuated = yield from run_moves(runtime, _evacuation(runtime, pid))
     runtime.metrics.incr("elastic.evacuated_bytes", evacuated)
 
-    # stage 3: departure — re-quiesce first (a task can slip in while the
-    # data moves only in the everyone-drains corner, but be thorough)
-    while process.queue or process.active:
-        process._kick()
-        yield process._slot_free()
-    runtime.fail_process(pid)
+    _depart(runtime, [pid], "elastic.evacuated_tasks")
     runtime.metrics.observe("elastic.drain_time", runtime.now - t0)
     return evacuated
 
@@ -200,49 +232,33 @@ def drain(runtime: "AllScaleRuntime", pid: int) -> Generator:
 def _evacuation(runtime: "AllScaleRuntime", pid: int) -> Iterator[Move]:
     """The drain planner: ``pid``'s whole owned share, every item, to the
     available process nearest it (:func:`nearest`; ties to the fewest
-    owned bytes), planned again until ``pid`` owns nothing."""
+    owned bytes).  The drain plans again while ``pid`` owns anything."""
     manager = runtime.process(pid).data_manager
-    while True:
-        share = {
-            item: manager.owned_region(item)
-            for item in sorted(runtime.items, key=lambda item: item.name)
-            if not manager.owned_region(item).is_empty()
-        }
-        if not share:
-            return
-        targets = [q for q in runtime.available_processes() if q != pid]
-        if not targets:
-            # everything else is draining as well; hand the data to any
-            # survivor — its own drain will move it on
-            targets = [q for q in runtime.alive_processes() if q != pid]
-        if not targets:
-            raise RuntimeError(
-                f"process {pid}: no survivor left to evacuate data to"
-            )
-        load = {q: owned_bytes(runtime, q) for q in targets}
-        dst = nearest(runtime, targets, share, load)
-        for item in share:
-            owned = manager.owned_region(item)
-            if not owned.is_empty():  # else a concurrent move took it
-                yield Move(item, owned, pid, dst)
+    share = {
+        item: manager.owned_region(item)
+        for item in sorted(runtime.items, key=lambda item: item.name)
+        if not manager.owned_region(item).is_empty()
+    }
+    targets = [q for q in runtime.available_processes() if q != pid]
+    if not targets:
+        # everything else is held as well; hand the data to any
+        # survivor — its own drain will move it on
+        targets = [q for q in runtime.alive_processes() if q != pid]
+    if not targets:
+        raise RuntimeError(f"process {pid}: no survivor left to evacuate data to")
+    load = {q: owned_bytes(runtime, q) for q in targets}
+    dst = nearest(runtime, targets, share, load)
+    for item in share:
+        owned = manager.owned_region(item)
+        if not owned.is_empty():  # else a concurrent move took it
+            yield Move(item, owned, pid, dst)
 
 
 # -- failure storms -----------------------------------------------------------------
 
-
-def _storm_busy(runtime: "AllScaleRuntime", pid: int) -> bool:
-    """Whether storm victim ``pid`` is short of the storm's barrier: a
-    task still runs there, a transfer still lands there, or a move towards
-    it still waits at its source to hand over.  Its queue does not count:
-    a held victim starts none of it."""
-    victim = runtime.process(pid)
-    manager = victim.data_manager
-    return bool(
-        victim.active
-        or manager.in_flight
-        or manager.fetching
-        or manager.incoming_moves
-    )
+#: simulated seconds of a storm barrier's first poll; each further poll
+#: waits twice as long, up to one second
+STORM_POLL = 1e-5
 
 
 def failure_storm(
@@ -250,29 +266,25 @@ def failure_storm(
     victims: list[int],
     snapshot: Checkpoint | None = None,
     resilience: ResilienceManager | None = None,
-    poll: float = 1e-5,
 ) -> Generator:
     """Correlated loss of several nodes at one instant, then recovery.
 
-    From the call on, every victim is *held*
-    (:attr:`RuntimeProcess.held`): it starts no queued task and leaves
-    :meth:`~AllScaleRuntime.available_processes`, so the failure model's
-    premise — every victim simultaneously at a task barrier — is reached
+    From the call on, every victim is *held* (:attr:`RuntimeProcess.held`,
+    as a drain holds its process), so the failure model's premise — every
+    victim simultaneously at a task barrier (:func:`_busy`) — is reached
     within one task's time of the schedule, however much work keeps
-    arriving.  The barrier waits only for the victims' active tasks and
-    transfers, polling with exponential backoff starting at ``poll``
-    simulated seconds (so millisecond-scale apps see a tight barrier
-    while hour-scale apps don't drown the calendar in poll events).
-    Without a ``snapshot`` a checkpoint is taken there, once — a held
-    victim cannot leave the barrier while it streams — which models
-    perfect (zero-loss) recovery; passing an older periodic checkpoint
-    models the standard roll-back-the-lost-share semantics.
+    arriving.  The barrier is polled with exponential backoff starting at
+    :data:`STORM_POLL` simulated seconds (so millisecond-scale apps see a
+    tight barrier while hour-scale apps don't drown the calendar in poll
+    events).  Without a ``snapshot`` a checkpoint is taken there, once —
+    a held victim cannot leave the barrier while it streams — which
+    models perfect (zero-loss) recovery; passing an older periodic
+    checkpoint models the standard roll-back-the-lost-share semantics.
 
-    Then all victims fail at the same timestamp and the lost regions are
-    re-materialized from ``snapshot`` onto the survivors.  The tasks
-    still queued on the victims never started: once recovery has claimed
-    every lost row they are re-placed through Algorithm 2, so each lands
-    at its data's adopter.
+    Then all victims depart at the same timestamp (:func:`_depart`):
+    recovery re-materializes the lost regions from ``snapshot`` onto the
+    survivors, and the victims' queued tasks, which never started, are
+    re-placed through Algorithm 2 at their data's adopters.
 
     Returns the recovery time in simulated seconds (also published as
     the ``elastic.recovery_time`` stat).
@@ -285,72 +297,54 @@ def failure_storm(
             raise ValueError(f"storm victim {pid} is not alive")
     if not alive - set(targets):
         raise ValueError("a storm must leave at least one survivor")
-    for pid in targets:
-        runtime.process(pid).held = True
+    held = [runtime.process(pid) for pid in targets]
+    for victim in held:
+        victim.held = True
 
-    def _holds(pid: int) -> str:
-        victim = runtime.process(pid)
+    def _holds(victim: "RuntimeProcess") -> str:
         manager = victim.data_manager
         moving = sorted(
             item.name
             for item in {*manager.in_flight.regions, *manager.fetching.regions}
         )
         return (
-            f"pid {pid}: {len(victim.queue)} queued, {victim.active} active, "
-            f"items in transfer {moving}, "
+            f"pid {victim.pid}: {len(victim.queue)} queued, "
+            f"{victim.active} active, items in transfer {moving}, "
             f"{manager.incoming_moves} moves waiting to hand over"
         )
 
     while True:
-        delay = poll
-        while any(_storm_busy(runtime, pid) for pid in targets):
-            yield delay
-            delay = min(delay * 2.0, 1.0)
+        delay = STORM_POLL
+        while busy := [victim for victim in held if _busy(victim)]:
             # the poll was the last pending event: nothing can ever idle
             # the victims, so re-arming would spin forever
-            if runtime.engine.pending_events == 0 and any(
-                _storm_busy(runtime, pid) for pid in targets
-            ):
+            if runtime.engine.pending_events == 0:
                 raise RuntimeError(
                     "storm victims never reach the barrier, event queue "
-                    "drained: "
-                    + "; ".join(
-                        _holds(pid)
-                        for pid in targets
-                        if _storm_busy(runtime, pid)
-                    )
+                    "drained: " + "; ".join(map(_holds, busy))
                 )
+            yield delay
+            delay = min(delay * 2.0, 1.0)
         if snapshot is not None:
             break
         # checkpoint on demand — it streams to stable storage in simulated
         # time; re-verify the barrier afterwards (synchronously) and retry
         # if a victim left it meanwhile
         snapshot = yield from resilience.checkpoint()
-        if not any(_storm_busy(runtime, pid) for pid in targets):
+        if not any(_busy(victim) for victim in held):
             break
         snapshot = None
 
     t0 = runtime.now
-    orphans = []
-    for pid in targets:
-        victim = runtime.process(pid)
-        orphans.extend(victim.queue)
-        victim.queue.clear()
-        runtime.fail_process(pid)
-    runtime.metrics.incr("elastic.failures", len(targets))
-    runtime.metrics.incr("elastic.churn_events")
-
-    # recovery claims every lost row before it first yields, so the
-    # orphans are placed against the adopters' ownership
-    recovery = runtime.engine.spawn(resilience.recover_lost_data(snapshot))
-    origin = runtime._redirect_if_failed(targets[0])
-    # re-placed with a fresh lookup, whose owner map replaces the old one
-    for task, treeture, variant, _owners in orphans:
-        runtime.scheduler.reassign(task, treeture, variant, origin)
-    runtime.metrics.incr("elastic.replaced_tasks", len(orphans))
+    lost = resilience.recover_lost_data(snapshot)
+    failed, recovery = _depart(runtime, targets, "elastic.replaced_tasks", lost)
+    if failed:  # else drains departed every victim first
+        runtime.metrics.incr("elastic.failures", len(failed))
+        runtime.metrics.incr("elastic.churn_events")
     restored = yield recovery
     recovery_time = runtime.now - t0
-    runtime.metrics.observe("elastic.recovery_time", recovery_time)
+    if failed:
+        runtime.metrics.observe("elastic.recovery_time", recovery_time)
     runtime.metrics.incr("elastic.restored_bytes", restored)
     return recovery_time
 

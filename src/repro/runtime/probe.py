@@ -38,7 +38,7 @@ class Probe:
     item_destroyed: Handlers  # (item), before the teardown
     process_failed: Handlers  # (pid)
     submit: Handlers  # (task) — root submissions only, not split children
-    task_enqueued: Handlers  # (task, treeture, pid, variant, now), per forward
+    task_enqueued: Handlers  # (task, treeture, pid, variant, now), per re-placement
     task_start: Handlers  # (task, treeture, pid, now), as the next three
     task_data_ready: Handlers  # after each staging pass
     task_locks_held: Handlers  # locks granted, requirements re-verified

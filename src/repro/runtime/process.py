@@ -60,14 +60,11 @@ class RuntimeProcess:
         self.queue: deque[tuple[TaskSpec, Treeture, str, OwnerMap]] = deque()
         self.active = 0
         self.failed = False
-        #: graceful scale-in in progress: still alive (finishes its active
-        #: tasks, serves reads), but new placements route around it and
-        #: late arrivals are forwarded to a survivor
-        self.draining = False
-        #: a storm victim from the storm's scheduled time until it fails:
-        #: it starts no queued task (they are re-placed after the failure)
-        #: and new placements route around it, but its active tasks and
-        #: transfers run to completion so the storm's barrier is reached
+        #: draining or a storm victim, from then until it fails: it starts
+        #: no queued task (they are re-placed after it departs) and leaves
+        #: the available processes, but it keeps taking placements and its
+        #: active tasks and transfers run to completion, so its departure
+        #: barrier is reached
         self.held = False
         self.executed_leaves = 0
         self.executed_splits = 0
@@ -95,17 +92,6 @@ class RuntimeProcess:
             raise RuntimeError(
                 f"task {task.name!r} dispatched to failed process {self.pid}"
             )
-        if self.draining:
-            # a parcel that left before the drain began: forward it to the
-            # survivor dispatch would pick now, synchronously — the drain
-            # loop never sees it, so departure cannot strand queued work
-            target = self.runtime._redirect_if_failed(self.pid)
-            if target != self.pid:
-                self.runtime.metrics.incr("elastic.forwarded_tasks")
-                self.runtime.process(target).enqueue(
-                    task, treeture, variant, owners
-                )
-                return
         for notify in self.probe.task_enqueued:
             notify(task, treeture, self.pid, variant, self.runtime.engine.now)
         self.queue.append((task, treeture, variant, owners))
@@ -126,12 +112,12 @@ class RuntimeProcess:
 
     def _dispatch(self) -> Generator:
         try:
-            while self.queue:
-                while self.active >= self.max_concurrent:
+            # a held process starts nothing, nor waits for a slot: its
+            # departure barrier must see every release
+            while self.queue and not self.held:
+                if self.active >= self.max_concurrent:
                     yield self._slot_free()
-                if not self.queue or self.held:
-                    # stolen while we waited for a slot, or a storm victim
-                    break
+                    continue  # the queue may be stolen, the process held
                 entry = self.queue.popleft()
                 self.active += 1
                 self.runtime.engine.spawn(self._handle(*entry))
@@ -312,11 +298,11 @@ class RuntimeProcess:
         if probe >= self.pid:
             probe += 1
         thief = runtime.process(probe)
-        if thief.failed or thief.draining or thief.held:
-            return  # corpses, leavers and storm victims don't steal
+        if thief.failed or thief.held:
+            return  # corpses and departing processes don't steal
         # steal handshake: probe + response
         yield runtime.network.send(probe, self.pid, CONTROL_MESSAGE_BYTES)
-        if thief.failed or thief.draining or thief.held:
+        if thief.failed or thief.held:
             return  # the peer left while the probe travelled
         if thief.active > 0 or thief.queue_length() > 0:
             return  # peer is busy; nothing moves

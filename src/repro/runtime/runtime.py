@@ -307,6 +307,8 @@ class AllScaleRuntime:
         survivors.
         """
         process = self.processes[pid]
+        if process.failed:
+            raise RuntimeError(f"process {pid} has already failed")
         if process.queue or process.active:
             raise RuntimeError(
                 f"process {pid} still has work; failures are only modelled "
@@ -344,35 +346,15 @@ class AllScaleRuntime:
         return [p.pid for p in self.processes if not p.failed]
 
     def available_processes(self) -> list[int]:
-        """Processes eligible for new work: alive, not draining and not
-        held for a storm."""
-        return [
-            p.pid
-            for p in self.processes
-            if not (p.failed or p.draining or p.held)
-        ]
+        """Processes eligible for new work: alive and not held (draining or
+        a storm victim)."""
+        return [p.pid for p in self.processes if not (p.failed or p.held)]
 
     def _redirect_if_failed(self, target: int) -> int:
-        """Route around failed/draining processes (next available pid).
-
-        Draining processes are still alive — they finish what they hold —
-        but accept no new placements; dispatch skips them exactly like a
-        corpse, falling back to a merely-alive process only when every
-        process is draining at once.
-        """
-        process = self.processes[target]
-        if not (process.failed or process.draining):
-            return target
-        for offset in range(1, self.num_processes + 1):
-            candidate = self.processes[
-                (target + offset) % self.num_processes
-            ]
-            if not (candidate.failed or candidate.draining):
-                return candidate.pid
-        for offset in range(1, self.num_processes + 1):
-            candidate = self.processes[
-                (target + offset) % self.num_processes
-            ]
+        """Route around failed processes (next alive pid).  A held process
+        still takes placements: its queue is re-placed when it departs."""
+        for offset in range(self.num_processes):
+            candidate = self.processes[(target + offset) % self.num_processes]
             if not candidate.failed:
                 return candidate.pid
         raise RuntimeError("all processes have failed")

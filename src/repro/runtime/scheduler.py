@@ -202,19 +202,16 @@ class Scheduler:
                 )
             else:
                 yield runtime.network.send(origin, target, TASK_MESSAGE_BYTES)
-            # the destination may have failed or begun draining while the
-            # parcel travelled; the tasks land at the process dispatch
-            # would pick *now*
+            # the destination may have failed while the parcel travelled;
+            # the tasks land at the process dispatch would pick *now*
             target = runtime._redirect_if_failed(target)
             for task, treeture, variant, lookup in entries:
                 yield runtime.process(target).node.interleave(
                     REMOTE_TASK_CPU_OVERHEAD
                 )
                 # a storm may fail the target mid-decode: this task and
-                # the rest of the parcel land at a survivor.  A draining
-                # target is left alone — its ``enqueue`` forwards
-                if runtime.process(target).failed:
-                    target = runtime._redirect_if_failed(target)
+                # the rest of the parcel land at a survivor
+                target = runtime._redirect_if_failed(target)
                 self._maybe_prefetch(task, target, variant, lookup)
                 inner = self._remote_treeture(task, target, origin, treeture)
                 runtime.process(target).enqueue(

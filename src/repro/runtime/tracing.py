@@ -26,7 +26,7 @@ class TaskRecord:
 
     name: str
     #: the process that executed the task (stamped at start: a stolen or
-    #: forwarded task runs elsewhere than where it was first queued)
+    #: re-placed task runs elsewhere than where it was first queued)
     pid: int
     #: first time the task entered any queue
     enqueued: float = 0.0
@@ -102,7 +102,7 @@ class ExecutionTracer:
         self, task, key: object, pid: int, variant: str, now: float
     ) -> None:
         if variant == "split" or key in self._open:
-            return  # a forward re-queues the task: the first enqueue counts
+            return  # a re-placement re-queues the task: the first enqueue counts
         if len(self.records) + len(self._open) >= self.max_records:
             return
         self._open[key] = TaskRecord(name=task.name, pid=pid, enqueued=now)

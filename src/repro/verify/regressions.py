@@ -29,10 +29,11 @@ gate):
 * **claim-first storm recovery** — recovery shipped checkpoint bytes to
   an adopter and only then took ownership of whatever was still lost, so
   a task touching a lost row meanwhile first-touched zeros.
-* **the storm hold** — a storm's barrier waited for its victims' queues
-  to drain while the victims kept starting the tasks that arrived, so
-  under a steady stream of work the victims failed only after the
-  program's last task, and the cell measured no storm.
+* **the storm hold** — a storm's barrier (the departure barrier drains
+  now share) waited for its victims' queues to drain while the victims
+  kept starting the tasks that arrived, so under a steady stream of work
+  the victims failed only after the program's last task, and the cell
+  measured no storm.
 
 Every revert is the smallest patch to the *fixed* code object, applied for
 the duration of a ``with`` block; nothing but the historical behaviour
@@ -169,19 +170,20 @@ def revert_claim_first_recovery() -> Iterator[None]:
 @contextmanager
 def revert_storm_hold() -> Iterator[None]:
     """Revert the storm hold: victims keep starting queued tasks, and the
-    storm's barrier waits for their queues to drain as well."""
+    departure barrier (the shared ``_busy`` predicate) waits for their
+    queues to drain as well."""
     from repro.runtime import elastic
     from repro.runtime.process import RuntimeProcess
 
-    busy = elastic._storm_busy
+    busy = elastic._busy
 
-    def queue_must_drain(runtime, pid) -> bool:
-        return bool(runtime.process(pid).queue) or busy(runtime, pid)
+    def queue_must_drain(process):
+        return busy(process) or (process._slot_free if process.queue else None)
 
     # a class-level data descriptor shadows the per-instance flag: no
     # process is ever held
     never_held = property(lambda self: False, lambda self, value: None)
-    with patch.object(elastic, "_storm_busy", queue_must_drain), \
+    with patch.object(elastic, "_busy", queue_must_drain), \
             patch.object(RuntimeProcess, "held", never_held, create=True):
         yield
 

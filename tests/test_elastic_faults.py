@@ -45,9 +45,9 @@ from repro.sim.network import FatTreeTopology
 # -- harness ------------------------------------------------------------------------
 
 
-def make_runtime(nodes=4, strict_sentinel=True):
+def make_runtime(nodes=4, strict_sentinel=True, cores=2):
     cluster = Cluster(
-        ClusterSpec(num_nodes=nodes, cores_per_node=2, flops_per_core=1e9)
+        ClusterSpec(num_nodes=nodes, cores_per_node=cores, flops_per_core=1e9)
     )
     runtime = AllScaleRuntime(cluster, RuntimeConfig(functional=True))
     # under REPRO_SENTINEL=1 the fixture's strict sentinel is already there
@@ -335,9 +335,123 @@ class TestDrain:
 
     def test_double_drain_rejected(self):
         runtime = make_runtime()
-        runtime.process(2).draining = True
-        with pytest.raises(RuntimeError, match="already draining"):
+        runtime.process(2).held = True
+        with pytest.raises(RuntimeError, match="process 2 is already held"):
             runtime.wait_process(drain(runtime, 2))
+
+    def test_drain_of_a_storm_victim_rejected(self):
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        runtime.engine.spawn(failure_storm(runtime, [2]))
+        assert runtime.process(2).held
+        with pytest.raises(RuntimeError, match="process 2 is already held"):
+            runtime.wait_process(drain(runtime, 2))
+        runtime.run()
+        assert runtime.metrics.counter("runtime.node_failures") == 1
+
+    def test_storm_on_a_draining_process_fails_it_once(self):
+        """A storm takes a process whose drain waits for a long task: the
+        process fails once, counts as one departure, and no data is
+        lost."""
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        fill_distributed(runtime, grid, 3.0)
+        victim = 2
+        block = runtime.process(victim).data_manager.owned_region(grid)
+        runtime.submit(
+            TaskSpec(name="long", writes={grid: block}, flops=1e8,
+                     size_hint=block.size()),
+            origin=victim,
+        )
+        run_until(runtime, lambda: runtime.process(victim).active > 0)
+        drained = runtime.engine.spawn(drain(runtime, victim))
+        stormed = runtime.engine.spawn(failure_storm(runtime, [victim]))
+        runtime.run()
+        assert drained.done and stormed.done
+        assert runtime.process(victim).failed
+        assert runtime.metrics.counter("runtime.node_failures") == 1
+        # the drain wakes first and departs the process; the storm, which
+        # polls, then finds nothing left to fail and counts no departure
+        assert runtime.metrics.counter("elastic.failures") == 0
+        assert runtime.metrics.counter("elastic.churn_events") == 1
+        assert runtime.metrics.counter("elastic.drains") == 1
+        assert np.all(read_all(runtime, grid) == 3.0)
+        assert_clean(runtime)
+        with pytest.raises(RuntimeError, match="process 2 has already failed"):
+            runtime.fail_process(victim)
+
+    def test_placements_on_a_draining_process_follow_its_data(self):
+        """Writes placed on a process whose drain waits behind a long task
+        queue there, and are re-placed once it departs: Algorithm 2 sends
+        them to the process its data was evacuated to."""
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        victim = 1
+        block = runtime.process(victim).data_manager.owned_region(grid)
+        runtime.submit(
+            TaskSpec(name="long", writes={grid: block}, flops=1e8,
+                     size_hint=block.size()),
+            origin=victim,
+        )
+        run_until(runtime, lambda: runtime.process(victim).active > 0)
+        runtime.engine.spawn(drain(runtime, victim))
+        ran_at: dict[str, int] = {}
+
+        def record(ctx):
+            ran_at[ctx.task.name] = ctx.process_id
+
+        treetures = [
+            runtime.submit(
+                TaskSpec(name=f"w{k}", writes={grid: block}, body=record,
+                         size_hint=block.size()),
+                origin=3,
+            )
+            for k in range(3)
+        ]
+        run_until(runtime, lambda: len(runtime.process(victim).queue) == 3)
+        for treeture in treetures:
+            runtime.wait(treeture)
+        runtime.run()
+        assert runtime.process(victim).failed
+        assert runtime.process(0).data_manager.owned_region(grid).covers(block)
+        assert ran_at == {"w0": 0, "w1": 0, "w2": 0}
+        assert runtime.metrics.counter("elastic.evacuated_tasks") == 3
+        assert_clean(runtime)
+
+    def test_drain_of_a_full_one_core_process_takes_a_placement(self):
+        """A held process never queues a slot waiter of its own, so the
+        drain's barrier sees every slot release: with both slots of a
+        1-core node busy, a placement arriving after the drain began
+        neither wedges the drain nor strands the task."""
+        runtime = make_runtime(cores=1)
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        victim = 1
+        block = runtime.process(victim).data_manager.owned_region(grid)
+        for k in range(2):
+            runtime.submit(
+                TaskSpec(name=f"long{k}", reads={grid: block}, flops=1e8,
+                         size_hint=block.size()),
+                origin=victim,
+            )
+        process = runtime.process(victim)
+        run_until(runtime, lambda: process.active == 2)
+        assert not process.queue
+        drained = runtime.engine.spawn(drain(runtime, victim))
+        late = runtime.submit(
+            TaskSpec(name="late", writes={grid: block}, body=lambda ctx: None,
+                     size_hint=block.size()),
+            origin=3,
+        )
+        run_until(runtime, lambda: len(process.queue) == 1)
+        runtime.run()
+        assert drained.done and late.done
+        assert process.failed
+        assert runtime.metrics.counter("elastic.evacuated_tasks") == 1
+        assert_clean(runtime)
 
 
 # -- the fault matrix ---------------------------------------------------------------

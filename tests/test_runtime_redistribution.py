@@ -301,3 +301,60 @@ class TestMovesToDepartedProcesses:
         assert manager.incoming_moves == 0
         assert lost_region(runtime, grid, grid.full_region).is_empty()
         runtime.check_ownership_invariants()
+
+    def test_a_drain_waits_for_a_move_towards_its_process(self):
+        # the same move towards a draining process: the drain's barrier
+        # waits until the move has handed over and landed, then evacuates
+        # the block with the rest of the process's share
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        src, dst = 1, 3
+        block = runtime.process(src).data_manager.owned_region(grid)
+        runtime.submit(
+            TaskSpec(name="long", writes={grid: block}, flops=1e8,
+                     size_hint=block.size()),
+            origin=src,
+        )
+        while not runtime.process(src).locks.any_locked(grid, block):
+            assert runtime.engine.run(max_events=1)
+        manager = runtime.process(dst).data_manager
+        moved = runtime.engine.spawn(manager.migrate_in(grid, block, src))
+        runtime.engine.run(until=runtime.now + 0.01)
+        assert manager.incoming_moves == 1
+        runtime.wait_process(drain(runtime, dst))
+        runtime.run()
+        assert moved.value == grid.region_bytes(block)
+        assert runtime.process(dst).failed
+        assert manager.incoming_moves == 0
+        assert runtime.metrics.counter("dm.dead_letter_payloads") == 0
+        assert lost_region(runtime, grid, grid.full_region).is_empty()
+        runtime.check_ownership_invariants()
+
+    def test_a_drain_waits_for_a_move_that_starts_while_it_evacuates(self):
+        # the move towards the draining process starts after the drain's
+        # first settle, while its own share moves out: the drain settles
+        # again before it departs, so it receives the block and evacuates
+        # it in a second round
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        src, dst = 1, 3
+        block = runtime.process(src).data_manager.owned_region(grid)
+        runtime.submit(
+            TaskSpec(name="long", writes={grid: block}, flops=1e8,
+                     size_hint=block.size()),
+            origin=src,
+        )
+        while not runtime.process(src).locks.any_locked(grid, block):
+            assert runtime.engine.run(max_events=1)
+        manager = runtime.process(dst).data_manager
+        drained = runtime.engine.spawn(drain(runtime, dst))
+        moved = runtime.engine.spawn(manager.migrate_in(grid, block, src))
+        runtime.run()
+        assert drained.done and drained.value == 2 * grid.region_bytes(block)
+        assert moved.value == grid.region_bytes(block)
+        assert runtime.process(dst).failed
+        assert runtime.metrics.counter("dm.dead_letter_payloads") == 0
+        assert lost_region(runtime, grid, grid.full_region).is_empty()
+        runtime.check_ownership_invariants()
