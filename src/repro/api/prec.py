@@ -160,7 +160,8 @@ def loop_granularity(
     The runtime-free form of :func:`default_granularity`: program
     builders (``repro.apps``) size their loops with it — at the process
     count the program is declared for and, for a program that regrains,
-    again at the live count on submission.
+    again at the runtime's process count on submission (departed
+    processes included).
     """
     workers = max(1, processes * cores_per_node)
     return max(MIN_TASK_SIZE, total_size / (workers * oversubscription))

@@ -41,8 +41,10 @@ def register_items(runtime: AllScaleRuntime, program: TaskProgram) -> None:
 def run_program(runtime: AllScaleRuntime, program: TaskProgram) -> Generator:
     """Simulation process executing ``program`` phase by phase.
 
-    Per phase: take the roots (``regrain``ed for the *live* process
-    count if the program declares that), submit them (at process 0, or
+    Per phase: take the roots (``regrain``ed for
+    ``runtime.num_processes`` if the program declares that — a count
+    that keeps drained and failed processes, so a shrunk cluster keeps
+    its finer grain), submit them (at process 0, or
     rotating over the processes that can take work now — on a static
     cluster every pid, under churn skipping corpses and leavers), and
     wait on the ``all_of`` barrier of their treetures.  The balancer runs

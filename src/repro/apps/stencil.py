@@ -116,8 +116,9 @@ def stencil_program(
     one update sweep per timestep, each ending in the ``swap(A, B)``
     barrier of Fig. 6b line 18.  Every sweep derives its granularity
     from the process count *at submission* (``regrain``), so after a
-    scale-out the remaining sweeps split finer.  The program's result is
-    the buffer holding the final field.
+    scale-out the remaining sweeps split finer; a drain or a failure
+    does not coarsen them, as departed processes still count.  The
+    program's result is the buffer holding the final field.
     """
     config = config or RuntimeConfig()
     shape = workload.global_shape(nodes)

@@ -3,8 +3,9 @@
 Each application's AllScale port runs twice on the same cluster and
 workload — once with the paper-prototype per-piece messaging (the
 default) and once with transfer coalescing plus replica prefetch enabled
-— and the panel reports message counts, bytes moved, and simulated
-wall-clock for both, plus the ``comms.*`` counters of the optimised run.
+— and the panel reports message counts, bytes moved, Algorithm-1 index
+lookups with their mean hops, and simulated wall-clock for both, plus
+the ``comms.*`` counters of the optimised run.
 
 The two runs must agree on *what* was computed and moved: identical
 work, identical data payload bytes.  Only message counts and timing may
@@ -69,6 +70,11 @@ class CommsPoint:
     work_on: float
     elapsed_off: float
     elapsed_on: float
+    #: Algorithm-1 index lookups, and the mean control messages each sent
+    lookups_off: float = 0.0
+    lookups_on: float = 0.0
+    hops_per_lookup_off: float = 0.0
+    hops_per_lookup_on: float = 0.0
     counters: dict = field(default_factory=dict)
 
     @property
@@ -109,6 +115,10 @@ class CommsPoint:
             "elapsed_off": self.elapsed_off,
             "elapsed_on": self.elapsed_on,
             "elapsed_delta": round(self.elapsed_delta, 4),
+            "lookups_off": self.lookups_off,
+            "lookups_on": self.lookups_on,
+            "hops_per_lookup_off": round(self.hops_per_lookup_off, 4),
+            "hops_per_lookup_on": round(self.hops_per_lookup_on, 4),
             "outputs_identical": self.outputs_identical,
             "counters": dict(self.counters),
         }
@@ -122,6 +132,11 @@ def _config(enabled: bool) -> RuntimeConfig:
         comm_coalescing=enabled,
         replica_prefetch=enabled,
     )
+
+
+def _hops_per_lookup(result: AppResult) -> float:
+    index = result.extras["runtime"].index
+    return index.lookup_hops / index.lookups if index.lookups else 0.0
 
 
 def _measure(app: str, run, nodes: int) -> CommsPoint:
@@ -144,6 +159,10 @@ def _measure(app: str, run, nodes: int) -> CommsPoint:
         work_on=on.work,
         elapsed_off=off.elapsed,
         elapsed_on=on.elapsed,
+        lookups_off=float(off.extras["runtime"].index.lookups),
+        lookups_on=float(on.extras["runtime"].index.lookups),
+        hops_per_lookup_off=_hops_per_lookup(off),
+        hops_per_lookup_on=_hops_per_lookup(on),
         counters=counters,
     )
 
@@ -219,6 +238,10 @@ def render_comms(panel: CommsPanel) -> str:
                 f"{p.message_reduction * 100.0:+.1f}%",
                 f"{p.data_bytes_off:.0f}",
                 f"{p.elapsed_delta * 100.0:+.1f}%",
+                f"{p.lookups_off:.0f}",
+                f"{p.lookups_on:.0f}",
+                f"{p.hops_per_lookup_off:.2f}",
+                f"{p.hops_per_lookup_on:.2f}",
                 "yes" if p.outputs_identical else "NO",
             )
         )
@@ -235,6 +258,10 @@ def render_comms(panel: CommsPanel) -> str:
             "msg delta",
             "data bytes",
             "time delta",
+            "lookups off",
+            "lookups on",
+            "hops off",
+            "hops on",
             "outputs ==",
         ],
         rows,

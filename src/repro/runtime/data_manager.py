@@ -33,7 +33,7 @@ from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint
 from repro.runtime.config import CONTROL_MESSAGE_BYTES, FRAGMENT_OP_OVERHEAD
-from repro.runtime.tasks import TaskSpec
+from repro.runtime.tasks import Lookup, OwnerMap, TaskSpec
 from repro.runtime.transfers import ReplicaCache, TransferPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,6 +62,12 @@ def _by_owner(
         if owner != pid and not part.is_empty():
             grouped.setdefault(owner, []).append(part)
     return grouped
+
+
+def _clip(pieces: OwnerMap, region: Region) -> list[tuple[Region, int]]:
+    """Looked-up ``pieces`` cut down to ``region``, empty cuts left out."""
+    clipped = [(part.intersect(region), owner) for part, owner in pieces]
+    return [(part, owner) for part, owner in clipped if not part.is_empty()]
 
 
 class Move(NamedTuple):
@@ -385,13 +391,17 @@ class DataItemManager:
                 return False
         return True
 
-    def ensure_for_task(self, task: TaskSpec) -> Generator:
+    def ensure_for_task(
+        self, task: TaskSpec, hint: Lookup | None = None
+    ) -> Generator:
         """Bring all data ``task`` requires into this address space.
 
         The write set ends up owned here exclusively; the read set is at
         least replicated here.  Drives migrations, replications, replica
         invalidations and allocations; completes when the *start* rule's
-        data premises hold locally.  Every pass builds a
+        data premises hold locally.  ``hint`` is the lookup that placed
+        the task: missing reads are first fetched from the owners it
+        names (:meth:`_fetch_replicas`).  Every pass builds a
         :class:`~repro.runtime.transfers.TransferPlan` so planned bytes
         can be audited against moved bytes.
         """
@@ -425,7 +435,11 @@ class DataItemManager:
             if not missing.is_empty():
                 self.replica_cache.record_miss(item, missing)
                 yield from self._fetch_replicas(
-                    item, missing, task=task, plan=plan
+                    item,
+                    missing,
+                    task=task,
+                    plan=plan,
+                    hint=hint.get(item, ()) if hint else (),
                 )
             # data whose ownership arrived but whose bytes are still on
             # the wire is not usable yet
@@ -646,31 +660,71 @@ class DataItemManager:
         missing: Region,
         task: object = None,
         plan: TransferPlan | None = None,
+        hint: OwnerMap = (),
     ) -> Generator:
-        runtime = self.process.runtime
+        """Replicate ``missing`` of ``item`` here — up to five attempts,
+        each from a fresh lookup, then an ownership pull.
+
+        ``hint``, the pieces the task's placement lookup found, buys one
+        extra attempt first, without a lookup: each owner it names is asked
+        for what is missing of its pieces, and serves only what it still
+        holds.  Whatever that leaves missing goes to the fresh attempts.
+        """
         want = missing
+        if hint and (yield from self._fetch_round(item, want, task, plan, hint)):
+            return
         for _attempt in range(5):
+            if (yield from self._fetch_round(item, want, task, plan)):
+                return
+        missing = want.difference(self.present_region(item))
+        if missing.is_empty():
+            return
+        yield from self._escalate_fetch(item, missing, task, plan)
+
+    def _fetch_round(
+        self,
+        item: DataItem,
+        want: Region,
+        task: object,
+        plan: TransferPlan | None,
+        hint: OwnerMap | None = None,
+    ) -> Generator:
+        """One attempt of :meth:`_fetch_replicas`: fetch what is missing of
+        ``want`` from the owners ``hint`` names (``None``: a fresh lookup
+        finds them).  Returns True when nothing was missing."""
+        runtime = self.process.runtime
+        missing = want.difference(self.present_region(item))
+        if missing.is_empty():
+            return True
+        # a staging writer invalidates replicas of its write set as fast
+        # as we can re-fetch them; wait out its reservation rather than
+        # burning retry attempts against it
+        while runtime.write_intent_blocked(item, missing, task):
+            yield runtime.intent_change()
+        missing = want.difference(self.present_region(item))
+        if missing.is_empty():
+            return True
+        # fetch dedup: whoever marked an overlapping region already has
+        # those bytes on the wire towards this process — wait for them to
+        # land instead of moving the same elements twice
+        while self.fetching_region(item).overlaps(missing):
+            yield self.fetching.change()
             missing = want.difference(self.present_region(item))
             if missing.is_empty():
-                return
-            # a staging writer invalidates replicas of its write set as
-            # fast as we can re-fetch them; wait out its reservation
-            # rather than burning retry attempts against it
-            while runtime.write_intent_blocked(item, missing, task):
-                yield runtime.intent_change()
-            missing = want.difference(self.present_region(item))
-            if missing.is_empty():
-                return
-            # fetch dedup: whoever marked an overlapping region already
-            # has those bytes on the wire towards this process — wait for
-            # them to land instead of moving the same elements twice
-            while self.fetching_region(item).overlaps(missing):
-                yield self.fetching.change()
-                missing = want.difference(self.present_region(item))
-                if missing.is_empty():
-                    return
-            self.fetching.mark(item, missing)
-            try:
+                return True
+        unresolved = item.empty_region()
+        if hint is not None:
+            mapping = [
+                (part, owner)
+                for part, owner in _clip(hint, missing)
+                if owner != self.pid
+            ]
+            if not mapping:
+                return False  # the hint names no peer for what is missing
+            missing = _union([part for part, _owner in mapping])
+        self.fetching.mark(item, missing)
+        try:
+            if hint is None:
                 version = runtime.index.ownership_version(item)
                 mapping, unresolved = yield from runtime.index.lookup(
                     item, missing, self.pid
@@ -682,40 +736,35 @@ class DataItemManager:
                     # recovery, possibly for this very process).  The next
                     # attempt looks it up again.
                     unresolved = item.empty_region()
-                if runtime.config.comm_coalescing:
-                    # one bulk fetch per owning peer, all peers in parallel
-                    # (single fan-out, ``all_of`` join)
-                    grouped = _by_owner(mapping, self.pid)
-                    if grouped:
-                        engine = runtime.engine
-                        yield engine.all_of([
-                            engine.spawn(self._fetch_from_peer(
-                                item, grouped[owner], owner, plan, bulk=True
-                            ))
-                            for owner in sorted(grouped)
-                        ])
-                else:
-                    # the paper prototype: one request + one payload per piece
-                    for part, owner in mapping:
-                        if owner != self.pid:
-                            yield from self._fetch_from_peer(
-                                item, [part], owner, plan, bulk=False
-                            )
-                if not unresolved.is_empty():
-                    # reading data never written nor initialized: surface it
-                    # as a zero-initialized first touch.  allocate() claims
-                    # atomically; anything claimed elsewhere meanwhile is
-                    # re-fetched on the next attempt.
-                    yield from self._first_touch(
-                        item, unresolved, unresolved, plan
-                    )
-                    runtime.metrics.incr("dm.uninitialized_reads")
-            finally:
-                self.fetching.clear(item, missing)
-        missing = want.difference(self.present_region(item))
-        if missing.is_empty():
-            return
-        yield from self._escalate_fetch(item, missing, task, plan)
+            if runtime.config.comm_coalescing:
+                # one bulk fetch per owning peer, all peers in parallel
+                # (single fan-out, ``all_of`` join)
+                grouped = _by_owner(mapping, self.pid)
+                if grouped:
+                    engine = runtime.engine
+                    yield engine.all_of([
+                        engine.spawn(self._fetch_from_peer(
+                            item, grouped[owner], owner, plan, bulk=True
+                        ))
+                        for owner in sorted(grouped)
+                    ])
+            else:
+                # the paper prototype: one request + one payload per piece
+                for part, owner in mapping:
+                    if owner != self.pid:
+                        yield from self._fetch_from_peer(
+                            item, [part], owner, plan, bulk=False
+                        )
+            if not unresolved.is_empty():
+                # reading data never written nor initialized: surface it
+                # as a zero-initialized first touch.  allocate() claims
+                # atomically; anything claimed elsewhere meanwhile is
+                # re-fetched on the next attempt.
+                yield from self._first_touch(item, unresolved, unresolved, plan)
+                runtime.metrics.incr("dm.uninitialized_reads")
+        finally:
+            self.fetching.clear(item, missing)
+        return False
 
     def _escalate_fetch(
         self,
@@ -769,6 +818,8 @@ class DataItemManager:
         pieces = [part.intersect(present) for part in parts]
         pieces = [piece for piece in pieces if not piece.is_empty()]
         if not pieces:
+            # "not here" is a reply too
+            yield network.send(owner, self.pid, CONTROL_MESSAGE_BYTES)
             return
         union = _union(pieces)
         yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
@@ -835,11 +886,7 @@ class DataItemManager:
             # re-fetches whatever is still missing anyway
             if runtime.write_intent_blocked(item, missing, None):
                 continue
-            grouped = _by_owner(
-                [(part.intersect(missing), owner)
-                 for part, owner in lookup.get(item, ())],
-                self.pid,
-            )
+            grouped = _by_owner(_clip(lookup.get(item, ()), missing), self.pid)
             if not grouped:
                 continue
             covered = _union([p for parts in grouped.values() for p in parts])

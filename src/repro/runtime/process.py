@@ -8,10 +8,11 @@ cores, so intra-node parallelism emerges from the core timelines while
 data fetches overlap execution.
 
 A task arrives together with the variant choice the policy made
-(Algorithm 2 line 3): the *split* variant spawns child tasks that are
-re-assigned through the scheduler, split along the owner map the task was
-placed with; the *leaf* variant stages data through the data item
-manager, takes region locks, executes, and completes its treeture.
+(Algorithm 2 line 3) and the lookup it was placed with: the *split*
+variant spawns child tasks that are re-assigned through the scheduler,
+split along the owners that lookup names; the *leaf* variant stages data
+through the data item manager — its first staging fetches reads from
+those owners — takes region locks, executes, and completes its treeture.
 
 Optional work stealing ("tasks are stored within node-local queues ...
 yet may be stolen by other nodes"): an idle process probes a random peer
@@ -33,6 +34,7 @@ from repro.runtime.config import (
 from repro.runtime.data_manager import DataItemManager
 from repro.runtime.locks import LockTable
 from repro.runtime.tasks import (
+    Lookup,
     OwnerMap,
     TaskExecutionContext,
     TaskSpec,
@@ -56,8 +58,8 @@ class RuntimeProcess:
         self.probe = runtime.probe
         self.locks = LockTable(runtime.engine, pid=pid, probe=self.probe)
         self.data_manager = DataItemManager(self)
-        #: queued ``(task, treeture, variant, owner map)`` entries
-        self.queue: deque[tuple[TaskSpec, Treeture, str, OwnerMap]] = deque()
+        #: queued ``(task, treeture, variant, placement lookup)`` entries
+        self.queue: deque[tuple[TaskSpec, Treeture, str, Lookup]] = deque()
         self.active = 0
         self.failed = False
         #: draining or a storm victim, from then until it fails: it starts
@@ -84,17 +86,17 @@ class RuntimeProcess:
         task: TaskSpec,
         treeture: Treeture,
         variant: str,
-        owners: OwnerMap = (),
+        lookup: Lookup | None = None,
     ) -> None:
-        """Queue ``task`` to run as ``variant``; a split task carries the
-        owner map it was placed with to its splitter."""
+        """Queue ``task`` to run as ``variant``, carrying the ``lookup`` it
+        was placed with (a hint, kept when the entry is stolen)."""
         if self.failed:
             raise RuntimeError(
                 f"task {task.name!r} dispatched to failed process {self.pid}"
             )
         for notify in self.probe.task_enqueued:
             notify(task, treeture, self.pid, variant, self.runtime.engine.now)
-        self.queue.append((task, treeture, variant, owners))
+        self.queue.append((task, treeture, variant, lookup or {}))
         if (
             self.runtime.config.work_stealing
             and len(self.queue) > self.max_concurrent
@@ -137,13 +139,15 @@ class RuntimeProcess:
     # -- task handling ---------------------------------------------------------------
 
     def _handle(
-        self, task: TaskSpec, treeture: Treeture, variant: str, owners: OwnerMap
+        self, task: TaskSpec, treeture: Treeture, variant: str, lookup: Lookup
     ) -> Generator:
         slot_released = False
         try:
             yield self.node.execute(TASK_START_OVERHEAD)
             if variant == "split" and task.splittable:
-                children = task.splitter(owners)  # type: ignore[misc]
+                children = task.splitter(  # type: ignore[misc]
+                    self._split_owners(task, lookup)
+                )
                 if not children:
                     raise RuntimeError(
                         f"splitter of {task.name!r} produced no children"
@@ -174,14 +178,33 @@ class RuntimeProcess:
                 treeture.complete(value)
             else:
                 yield from self._run_leaf(
-                    task, treeture, offload=(variant == "gpu")
+                    task, treeture, lookup, offload=(variant == "gpu")
                 )
         finally:
             if not slot_released:
                 self._release_slot()
 
+    def _split_owners(self, task: TaskSpec, lookup: Lookup) -> OwnerMap:
+        """The owner map a split task's splitter cuts along: the placement
+        lookup's pieces of the first item the task writes, or that item's
+        home map when the lookup found nothing of it owned (first touch).
+        No new index traffic: the lookup was charged to place the task."""
+        for item in task.accessed_items_ordered():
+            if task.write_region(item).is_empty():
+                continue
+            pieces = lookup.get(item)
+            if pieces:
+                return pieces
+            homes = self.runtime.home_map(item)
+            return [(home, pid) for pid, home in enumerate(homes or ())]
+        return ()
+
     def _run_leaf(
-        self, task: TaskSpec, treeture: Treeture, offload: bool = False
+        self,
+        task: TaskSpec,
+        treeture: Treeture,
+        lookup: Lookup,
+        offload: bool = False,
     ) -> Generator:
         probe = self.probe
         engine = self.runtime.engine
@@ -197,7 +220,9 @@ class RuntimeProcess:
         # reservation covers the whole staging window: competing stagers
         # defer to older intents, which turns the restage/re-fetch
         # ping-pong between concurrent accessors of the same region from
-        # a livelock into a bounded wait.
+        # a livelock into a bounded wait.  The first staging fetches reads
+        # from the owners the placement lookup named; a restage looks up
+        # afresh.
         intents = {
             item: task.write_region(item)
             for item in task.accessed_items_ordered()
@@ -211,8 +236,10 @@ class RuntimeProcess:
             }
             self.runtime.register_write_intent(task, self.pid, intents, reads)
         try:
-            for _attempt in range(16):
-                yield from self.data_manager.ensure_for_task(task)
+            for attempt in range(16):
+                yield from self.data_manager.ensure_for_task(
+                    task, lookup if attempt == 0 else None
+                )
                 for notify in probe.task_data_ready:
                     notify(task, treeture, self.pid, engine.now)
                 # take region locks; queue behind conflicting holders

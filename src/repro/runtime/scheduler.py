@@ -10,9 +10,9 @@ then the task is dispatched to
 Coverage is derived from one charged hierarchical-index lookup over the
 task's accessed regions (Algorithm 1), and the resulting ownership map is
 handed to the policy so its placement decision reuses the same
-information.  A split task takes the same lookup along to its process:
-the owner map of the first item it writes (or that item's home map, when
-nothing of it is owned yet) is what its splitter cuts along.  Remote
+information.  Every task takes the same lookup along to its process (the
+queue entry's last slot): a split task's splitter cuts along the owners
+it names, and a leaf's first staging fetches its reads from them.  Remote
 dispatch ships the task closure as a network message.
 """
 
@@ -28,7 +28,7 @@ from repro.runtime.config import (
     TASK_MESSAGE_BYTES,
 )
 from repro.runtime.policies import PlacementContext
-from repro.runtime.tasks import OwnerMap, TaskSpec, Treeture
+from repro.runtime.tasks import TaskSpec, Treeture
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -214,38 +214,12 @@ class Scheduler:
                 target = runtime._redirect_if_failed(target)
                 self._maybe_prefetch(task, target, variant, lookup)
                 inner = self._remote_treeture(task, target, origin, treeture)
-                runtime.process(target).enqueue(
-                    task, inner, variant, self._split_owners(task, variant, lookup)
-                )
+                runtime.process(target).enqueue(task, inner, variant, lookup)
         else:
             for task, treeture, variant, lookup in entries:
                 runtime.metrics.incr("sched.local_dispatch")
                 self._maybe_prefetch(task, target, variant, lookup)
-                runtime.process(target).enqueue(
-                    task, treeture, variant, self._split_owners(task, variant, lookup)
-                )
-
-    def _split_owners(
-        self,
-        task: TaskSpec,
-        variant: str,
-        lookup: dict[DataItem, list[tuple[Region, int]]],
-    ) -> OwnerMap:
-        """The owner map a split task's splitter cuts along: the placement
-        lookup's pieces of the first item the task writes, or that item's
-        home map when the lookup found nothing of it owned (first touch).
-        No new index traffic: the lookup was charged to place the task."""
-        if variant != "split":
-            return ()
-        for item in task.accessed_items_ordered():
-            if task.write_region(item).is_empty():
-                continue
-            pieces = lookup.get(item)
-            if pieces:
-                return pieces
-            homes = self.runtime.home_map(item)
-            return [(home, pid) for pid, home in enumerate(homes or ())]
-        return ()
+                runtime.process(target).enqueue(task, treeture, variant, lookup)
 
     def _choose_target(
         self,

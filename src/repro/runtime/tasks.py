@@ -34,6 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: them, or the item's home map at first touch; empty when unknown
 OwnerMap = Sequence[tuple[Region, int]]
 
+#: the charged Algorithm-1 lookup that placed a task (Algorithm 2): per
+#: accessed item, the ``(region, pid)`` pieces of its accessed region as
+#: they were owned then.  It travels with the task as a hint — ownership
+#: may have moved since — and is empty for a task placed without one
+Lookup = Mapping[DataItem, OwnerMap]
+
 
 @dataclass(slots=True)
 class TaskSpec:
@@ -156,10 +162,12 @@ class TaskProgram:
     #: submit root ``k`` of the whole program at the ``k``-th available
     #: process (round robin) instead of at process 0
     rotate_origins: bool = False
-    #: ``(phase index, live process count) -> roots`` for a program whose
+    #: ``(phase index, process count) -> roots`` for a program whose
     #: tasks depend on the process count *at submission* (a loop that
     #: re-grains after a scale-out); ``phases`` is then its value at the
-    #: count the program was declared for.  None: submit ``phases`` as is
+    #: count the program was declared for.  The count is
+    #: ``runtime.num_processes``: every process that ever joined, drained
+    #: and failed ones included.  None: submit ``phases`` as is
     regrain: Callable[[int, int], list[TaskSpec]] | None = None
     #: fold the last phase's root values into the program's result
     finalize: Callable[[list], Any] | None = None

@@ -202,6 +202,10 @@ class TestCommsBaseline:
         "elapsed_off",
         "elapsed_on",
         "elapsed_delta",
+        "lookups_off",
+        "lookups_on",
+        "hops_per_lookup_off",
+        "hops_per_lookup_on",
         "outputs_identical",
         "counters",
     }

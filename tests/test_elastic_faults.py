@@ -888,6 +888,43 @@ class TestChurnController:
             (interior / (n * 2 * 2), n) for n in (3, 4, 5, 5)
         ]
 
+    def test_a_drained_stencil_regrains_with_departed_processes_counted(
+        self, monkeypatch
+    ):
+        from repro.apps.stencil import StencilWorkload, stencil_allscale
+
+        def cluster():
+            return Cluster(
+                ClusterSpec(num_nodes=3, cores_per_node=2, flops_per_core=1e9)
+            )
+
+        workload = StencilWorkload(n_per_node=200, timesteps=4)
+        config = RuntimeConfig(functional=False, oversubscription=2)
+        total = stencil_allscale(cluster(), workload, config).extras[
+            "runtime"
+        ].now
+        seen = []
+        real_submit = AllScaleRuntime.submit
+
+        def spy(self, task, origin=0, after=None):
+            seen.append(
+                (task.granularity, self.num_processes, len(self.alive_processes()))
+            )
+            return real_submit(self, task, origin=origin, after=after)
+
+        monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+        drain = [ChurnEvent(at=total * 0.30, kind="drain")]
+        stencil_allscale(
+            cluster(),
+            workload,
+            config,
+            on_runtime=lambda rt: ChurnController(rt, drain).start(),
+        )
+        # the last sweeps run on two live processes, grained for three
+        assert seen[-1][1:] == (3, 2)
+        interior = 598.0 * 198.0
+        assert {g for g, _n, _alive in seen[2:]} == {interior / (3 * 2 * 2)}
+
     def test_ipic3d_keeps_the_granularity_it_started_with(self, monkeypatch):
         from repro.apps.ipic3d import IPic3DWorkload, ipic3d_allscale
 
