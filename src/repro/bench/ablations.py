@@ -10,12 +10,15 @@ which already races the three online policies on three topologies.
 (D, G) are >90 % of the wall, so the reduced modes shrink only them
 (:data:`TPC_SIZES`).  Everything simulated is pinned in
 ``BENCH_ablations_baseline.json`` through :mod:`repro.bench.panel`;
-ablation A times host region operations, so its rates sit under the
-``wall_seconds*`` / ``speedup_vs_*`` keys the exact diff skips.
+ablation A times host region operations (in CPU seconds of the
+process), so its rates sit under the ``wall_seconds*`` /
+``speedup_vs_*`` keys the exact diff skips.
 """
 
 from __future__ import annotations
 
+import gc
+import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -56,25 +59,40 @@ def _config(**flags) -> RuntimeConfig:
 BLOCKED, FLEXIBLE = "blocked bitmask (Fig. 4c)", "flexible sub-trees (Fig. 4b)"
 
 
-def _seconds_per_op(regions: list) -> float:
-    """Cost of the scheme's own algebra: best of five passes.
+def _seconds_per_op(*schemes: list) -> list[float]:
+    """Cost of each scheme's own algebra: best of five passes, in CPU
+    seconds of this process.
 
     The public ``union`` / … would route through the memo kernel, whose
     intern + key cost is the same for both schemes and most of a bitmask
-    operation.  A bitmask pass lasts under half a millisecond, so one
-    descheduling would triple it; the minimum is the undisturbed pass.
+    operation.  The passes are timed with ``time.process_time`` and the
+    collector off: wall time counts whatever else the machine runs while
+    the pass is descheduled.  A neighbour that shares the core still slows
+    the pass it overlaps, so the schemes' passes alternate and a busy
+    spell slows both; a bitmask pass lasts under half a millisecond, and
+    each scheme's fastest pass is its least disturbed.
     """
-    operands = regions[: len(regions) // 8]
-    walls = []
-    for _ in range(5):
-        started = time.perf_counter()
-        for a in regions:
-            for b in operands:
-                a._union(b)
-                a._intersect(b)
-                a._difference(b)
-        walls.append(time.perf_counter() - started)
-    return min(walls) / (len(regions) * len(operands) * 3)
+    best = [math.inf] * len(schemes)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            for k, regions in enumerate(schemes):
+                operands = regions[: len(regions) // 8]
+                started = time.process_time()
+                for a in regions:
+                    for b in operands:
+                        a._union(b)
+                        a._intersect(b)
+                        a._difference(b)
+                best[k] = min(best[k], time.process_time() - started)
+    finally:
+        if collecting:
+            gc.enable()
+    return [
+        seconds / (len(regions) * (len(regions) // 8) * 3)
+        for seconds, regions in zip(best, schemes)
+    ]
 
 
 def run_regions(mode: str) -> Rows:
@@ -100,7 +118,7 @@ def run_regions(mode: str) -> Rows:
         )
         for blocks in block_sets
     ]
-    blocked_cost, flexible_cost = map(_seconds_per_op, (blocked, flexible))
+    blocked_cost, flexible_cost = _seconds_per_op(blocked, flexible)
     return {
         BLOCKED: {
             "wall_seconds_per_op": blocked_cost,

@@ -256,25 +256,33 @@ class LoadBalancer:
         out of every balancing decision — new capacity was invisible —
         and a move to a joined process had no hop count to be priced by.
         """
-        current = [p.node._busy_time for p in self.runtime.processes]
+        current = self._performed()
         self._last_busy.extend(current[len(self._last_busy):])
         self.cost = CostModel(self.runtime.cluster)
 
+    def _performed(self) -> list[float]:
+        """Core-seconds of work each process's cores have performed so
+        far: the work booked minus what is still queued on the cores."""
+        return [
+            node._busy_time - node.backlog() * node.num_cores
+            for node in (p.node for p in self.runtime.processes)
+        ]
+
     def measured_load(self) -> list[float]:
-        """Core-seconds of work *booked* per process since the previous
+        """Core-seconds of work *performed* per process since the previous
         sample.
 
-        A node credits a task's full cost to its busy time when the task
-        is booked onto a core, not as the core works through it, so one
-        long task lands whole in the window it started in (an iPiC3D
-        task of thousands of seconds lands in one 20 s window).  Booked
-        work (not task counts) is the signal: equal task counts with
-        unequal task costs are exactly the imbalance the balancer must
-        detect.  Processes that joined since the previous sample start a
-        fresh window (their work booked since join), so the vector always
-        spans the *current* process count.
+        A node books a task's full cost when the task starts on a core;
+        the work performed counts it as the core works through it, so a
+        long task counts in every window it runs in (an iPiC3D task of
+        thousands of seconds spans hundreds of 20 s windows), not whole
+        in the one it started in.  Work (not task counts) is the signal:
+        equal task counts with unequal task costs are exactly the
+        imbalance the balancer must detect.  Processes that joined since
+        the previous sample start a fresh window (their work since join),
+        so the vector always spans the *current* process count.
         """
-        current = [p.node._busy_time for p in self.runtime.processes]
+        current = self._performed()
         if len(current) > len(self._last_busy):
             self.on_capacity_change()
         delta = [c - last for c, last in zip(current, self._last_busy)]

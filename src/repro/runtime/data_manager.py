@@ -33,7 +33,7 @@ from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint
 from repro.runtime.config import CONTROL_MESSAGE_BYTES, FRAGMENT_OP_OVERHEAD
-from repro.runtime.tasks import Lookup, OwnerMap, TaskSpec
+from repro.runtime.tasks import Lookup, OwnerMap, TaskSpec, clip
 from repro.runtime.transfers import ReplicaCache, TransferPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,12 +62,6 @@ def _by_owner(
         if owner != pid and not part.is_empty():
             grouped.setdefault(owner, []).append(part)
     return grouped
-
-
-def _clip(pieces: OwnerMap, region: Region) -> list[tuple[Region, int]]:
-    """Looked-up ``pieces`` cut down to ``region``, empty cuts left out."""
-    clipped = [(part.intersect(region), owner) for part, owner in pieces]
-    return [(part, owner) for part, owner in clipped if not part.is_empty()]
 
 
 class Move(NamedTuple):
@@ -716,7 +710,7 @@ class DataItemManager:
         if hint is not None:
             mapping = [
                 (part, owner)
-                for part, owner in _clip(hint, missing)
+                for part, owner in clip(hint, missing)
                 if owner != self.pid
             ]
             if not mapping:
@@ -849,44 +843,56 @@ class DataItemManager:
 
     # -- replica prefetch (scheduler-initiated) ----------------------------------------
 
-    def prefetch_for_task(
-        self, task: TaskSpec, lookup: dict[DataItem, list[tuple[Region, int]]]
-    ) -> None:
+    def prefetch_for_task(self, task: TaskSpec, lookup: Lookup) -> None:
         """Fire-and-forget prefetch of ``task``'s remote read-only pieces.
 
         Launched by the scheduler right after placement, reusing the
         Algorithm-1 lookup it already charged, so the transfers overlap
         the task's dispatch instead of serializing into its staging loop.
         """
-        self.process.runtime.engine.spawn(self._prefetch(task, lookup))
+        self.prefetch_for_tasks([(task, lookup)])
 
-    def _prefetch(
-        self, task: TaskSpec, lookup: dict[DataItem, list[tuple[Region, int]]]
-    ) -> Generator:
+    def prefetch_for_tasks(self, placed: list[tuple[TaskSpec, Lookup]]) -> None:
+        """:meth:`prefetch_for_task` for ``(task, lookup)`` pairs placed
+        here together: they share one fetch per owning peer."""
+        self.process.runtime.engine.spawn(self._prefetch(placed))
+
+    def _prefetch(self, placed: list[tuple[TaskSpec, Lookup]]) -> Generator:
         runtime = self.process.runtime
         engine = runtime.engine
-        plan = TransferPlan(dst=self.pid, purpose=f"prefetch:{task.name}")
+        plan = TransferPlan(dst=self.pid, purpose=f"prefetch:{placed[0][0].name}")
         fetchers: list = []
         marked: list[tuple[DataItem, Region]] = []
-        for item in task.accessed_items_ordered():
-            readonly = task.read_region(item).difference(
-                task.write_region(item)
+        items = sorted(
+            {item for task, _lookup in placed for item in task.accessed_items()},
+            key=lambda item: item.name,
+        )
+        for item in items:
+            taken = (
+                self.present_region(item)
+                .union(self.fetching_region(item))
+                .union(self.in_flight_region(item))
             )
-            if readonly.is_empty():
-                continue
-            missing = (
-                readonly.difference(self.present_region(item))
-                .difference(self.fetching_region(item))
-                .difference(self.in_flight_region(item))
-            )
-            if missing.is_empty():
-                continue
-            # don't race a staging writer for the same bytes: the copy
-            # would be invalidated before the task arrives, and staging
-            # re-fetches whatever is still missing anyway
-            if runtime.write_intent_blocked(item, missing, None):
-                continue
-            grouped = _by_owner(_clip(lookup.get(item, ()), missing), self.pid)
+            grouped: dict[int, list[Region]] = {}
+            for task, lookup in placed:
+                readonly = task.read_region(item).difference(
+                    task.write_region(item)
+                )
+                if readonly.is_empty():
+                    continue
+                missing = readonly.difference(taken)
+                if missing.is_empty():
+                    continue
+                # don't race a staging writer for the same bytes: the copy
+                # would be invalidated before the task arrives, and staging
+                # re-fetches whatever is still missing anyway
+                if runtime.write_intent_blocked(item, missing, None):
+                    continue
+                for owner, parts in _by_owner(
+                    clip(lookup.get(item, ()), missing), self.pid
+                ).items():
+                    grouped.setdefault(owner, []).extend(parts)
+                    taken = taken.union(_union(parts))
             if not grouped:
                 continue
             covered = _union([p for parts in grouped.values() for p in parts])

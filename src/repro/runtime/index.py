@@ -342,26 +342,44 @@ class HierarchicalIndex:
             return mapping, region.difference(entry["resolved"])
         self.cache_misses += 1
         mapping, unresolved = yield from self.lookup(item, region, origin)
-        # re-validate: ownership may have changed *during* the lookup, and
-        # a concurrent miss from this origin may have (re)built the entry —
-        # re-fetch it so concurrent learners accumulate instead of clobber
-        if self._version.get(item, 0) == version:
-            entry = self._lookup_cache.get(key)
-            if entry is None or entry["version"] != version:
-                entry = {
-                    "version": version,
-                    "pieces": [],
-                    "resolved": item.empty_region(),
-                    "checked": item.empty_region(),
-                }
-                self._lookup_cache[key] = entry
-            for piece, pid in mapping:
-                fresh = piece.difference(entry["resolved"])
-                if not fresh.is_empty():
-                    entry["pieces"].append((fresh, pid))
-                    entry["resolved"] = entry["resolved"].union(fresh)
-            entry["checked"] = entry["checked"].union(region)
+        self.learn(item, origin, version, mapping, region)
         return mapping, unresolved
+
+    def learn(
+        self,
+        item: DataItem,
+        origin: int,
+        version: int,
+        mapping: list[tuple[Region, int]],
+        region: Region | None = None,
+    ) -> None:
+        """Teach ``origin``'s locality cache that ``mapping`` is who owned
+        what of ``region`` of ``item`` at ownership ``version`` — a lookup
+        it made, or one it was handed.  ``region=None``: the pieces alone,
+        nothing unresolved.  Ignored unless ``version`` is still current
+        (ownership may have changed while the lookup ran)."""
+        if self._version.get(item, 0) != version:
+            return
+        # re-fetch the entry: a concurrent miss from this origin may have
+        # (re)built it, and concurrent learners accumulate, not clobber
+        key = (origin, item)
+        entry = self._lookup_cache.get(key)
+        if entry is None or entry["version"] != version:
+            entry = {
+                "version": version,
+                "pieces": [],
+                "resolved": item.empty_region(),
+                "checked": item.empty_region(),
+            }
+            self._lookup_cache[key] = entry
+        for piece, pid in mapping:
+            fresh = piece.difference(entry["resolved"])
+            if not fresh.is_empty():
+                entry["pieces"].append((fresh, pid))
+                entry["resolved"] = entry["resolved"].union(fresh)
+        entry["checked"] = entry["checked"].union(
+            entry["resolved"] if region is None else region
+        )
 
     # -- convenience -----------------------------------------------------------------------
 

@@ -10,9 +10,10 @@ data fetches overlap execution.
 A task arrives together with the variant choice the policy made
 (Algorithm 2 line 3) and the lookup it was placed with: the *split*
 variant spawns child tasks that are re-assigned through the scheduler,
-split along the owners that lookup names; the *leaf* variant stages data
-through the data item manager — its first staging fetches reads from
-those owners — takes region locks, executes, and completes its treeture.
+split along the owners that lookup names and placed from it while it
+still holds; the *leaf* variant stages data through the data item
+manager — its first staging fetches reads from those owners — takes
+region locks, executes, and completes its treeture.
 
 Optional work stealing ("tasks are stored within node-local queues ...
 yet may be stolen by other nodes"): an idle process probes a random peer
@@ -153,17 +154,23 @@ class RuntimeProcess:
                         f"splitter of {task.name!r} produced no children"
                     )
                 yield self.node.execute(TASK_SPAWN_OVERHEAD * len(children))
+                # the children are placed from this task's lookup where it
+                # still says who owns their data
+                scheduler = self.runtime.scheduler
                 if self.runtime.config.comm_coalescing and len(children) > 1:
                     # co-scheduled siblings: one shared lookup, task
                     # parcels coalesced per destination
-                    child_treetures = self.runtime.scheduler.assign_batch(
-                        children, origin=self.pid
+                    child_treetures = scheduler.assign_batch(
+                        children, origin=self.pid, parent=lookup
                     )
                 else:
                     child_treetures = [
-                        self.runtime.scheduler.assign(child, origin=self.pid)
+                        scheduler.assign(child, origin=self.pid, parent=lookup)
                         for child in children
                     ]
+                # their placements hold the lookup as long as they need
+                # it; the subtree below may run far longer
+                del lookup
                 # a suspended parent occupies no core: free the slot before
                 # awaiting children, or recursive fork-join would exhaust
                 # all slots with waiting parents and deadlock
@@ -177,9 +184,11 @@ class RuntimeProcess:
                 self.runtime.metrics.incr("proc.splits")
                 treeture.complete(value)
             else:
-                yield from self._run_leaf(
+                leaf = self._run_leaf(
                     task, treeture, lookup, offload=(variant == "gpu")
                 )
+                del lookup  # the leaf drops it after its first staging
+                yield from leaf
         finally:
             if not slot_released:
                 self._release_slot()
@@ -203,7 +212,7 @@ class RuntimeProcess:
         self,
         task: TaskSpec,
         treeture: Treeture,
-        lookup: Lookup,
+        lookup: Lookup | None,
         offload: bool = False,
     ) -> Generator:
         probe = self.probe
@@ -236,10 +245,9 @@ class RuntimeProcess:
             }
             self.runtime.register_write_intent(task, self.pid, intents, reads)
         try:
-            for attempt in range(16):
-                yield from self.data_manager.ensure_for_task(
-                    task, lookup if attempt == 0 else None
-                )
+            for _attempt in range(16):
+                yield from self.data_manager.ensure_for_task(task, lookup)
+                lookup = None  # a restage looks up afresh
                 for notify in probe.task_data_ready:
                     notify(task, treeture, self.pid, engine.now)
                 # take region locks; queue behind conflicting holders

@@ -103,10 +103,16 @@ class TestLookupCache:
 
 
 class TestCachingImprovesTPC:
-    def test_tpc_throughput_improves_with_caching(self):
-        """Tree regions are hashable, TPC ownership is static: the cache
-        eliminates most lookup traffic, narrowing the AllScale/MPI gap —
-        the §6 direction demonstrated."""
+    """Tree regions, static TPC ownership: what the locality cache buys.
+
+    A split's children are placed from their parent's lookup, so when
+    every query arrives at once the record already serves what the cache
+    used to (1,086 hops without the cache before the record, 577 with
+    it).  The cache still pays when queries arrive in waves: later waves
+    are served from what the first ones taught it."""
+
+    @staticmethod
+    def run_tpc(caching, waves=1):
         workload = TPCWorkload(
             total_points=2**22,
             depth=12,
@@ -114,30 +120,37 @@ class TestCachingImprovesTPC:
             functional=False,
             visit_flops=150.0,
             point_flops=30.0,
+            submission_waves=waves,
         )
         nodes = 8
-        problem = make_problem(workload, nodes)
+        cluster = Cluster(
+            ClusterSpec(num_nodes=nodes, cores_per_node=4, flops_per_core=2.4e9)
+        )
+        result = tpc_allscale(
+            cluster,
+            workload,
+            RuntimeConfig(functional=False, index_caching=caching),
+            problem=make_problem(workload, nodes),
+        )
+        index = result.extras["runtime"].index
+        return result.throughput, index.cache_hits, index.lookup_hops
 
-        def run_tpc(caching):
-            cluster = Cluster(
-                ClusterSpec(num_nodes=nodes, cores_per_node=4,
-                            flops_per_core=2.4e9)
-            )
-            result = tpc_allscale(
-                cluster,
-                workload,
-                RuntimeConfig(functional=False, index_caching=caching),
-                problem=problem,
-            )
-            index = result.extras["runtime"].index
-            return result.throughput, index.cache_hits, index.lookup_hops
+    def test_cache_adds_no_hop_on_the_default_path(self):
+        base_qps, base_hits, base_hops = self.run_tpc(False)
+        cached_qps, _cached_hits, cached_hops = self.run_tpc(True)
+        assert base_hits == 0
+        assert base_hops <= 577
+        # the cache adds no hop and costs no throughput
+        assert cached_hops <= base_hops
+        assert cached_qps >= base_qps
 
-        base_qps, base_hits, base_hops = run_tpc(False)
-        cached_qps, cached_hits, cached_hops = run_tpc(True)
+    def test_cache_cuts_hops_under_submission_waves(self):
+        base_qps, base_hits, base_hops = self.run_tpc(False, waves=8)
+        cached_qps, cached_hits, cached_hops = self.run_tpc(True, waves=8)
         assert base_hits == 0
         assert cached_hits > 0
         assert cached_hops < base_hops
-        assert cached_qps >= base_qps * 0.95  # never worse, usually better
+        assert cached_qps >= base_qps * 0.95
 
 
 class TestNoOpUpdateKeepsCache:

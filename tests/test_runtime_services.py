@@ -223,6 +223,41 @@ class TestLoadBalancer:
         assert runtime.metrics.counter("net.bytes") == net_bytes
         assert runtime.process(1).data_manager.owned_region(grid).is_empty()
 
+    def test_one_task_spanning_many_windows_migrates_nothing(self):
+        """The load signal is work performed, not work booked: a long task
+        counts in every window it runs in, so steady work on every node
+        shows no imbalance.  (Booked, pid 0's 38 s landed whole in the
+        first 1 s window and its data migrated.)"""
+        runtime = make_runtime(nodes=4, cores=1, functional=False)
+        grid = Grid((64,), name="g")
+        blocks = grid.decompose(4)
+        runtime.register_item(grid, placement=blocks)
+        balancer = LoadBalancer(runtime, interval=1.0)
+        balancer.start()
+        # pid 0 runs one 38 s task, the others forty 1 s tasks each
+        work = [TaskSpec(name="long", writes={grid: blocks[0]}, flops=38e9)] + [
+            TaskSpec(name=f"w{pid}.{k}", writes={grid: blocks[pid]}, flops=1e9)
+            for pid in (1, 2, 3)
+            for k in range(40)
+        ]
+        treetures = [runtime.submit(task) for task in work]
+        for treeture in treetures:
+            runtime.wait(treeture)
+        balancer.stop()
+        assert runtime.now > 40.0  # about forty windows
+        assert [p.executed_leaves for p in runtime.processes] == [1, 40, 40, 40]
+        assert balancer.rebalances == 0
+        assert runtime.metrics.counter("balancer.migrations") == 0
+
+    def test_a_static_blocks_imbalance_still_migrates(self):
+        # Ablation E: the top quarter of the grid costs 7x per element
+        from repro.bench.ablations import run_balancer
+
+        rows = run_balancer("smoke")
+        balanced, static = rows["with balancer"], rows["static blocks"]
+        assert balanced["rebalances"] > 0
+        assert balanced["elapsed_ms"] < 0.95 * static["elapsed_ms"]
+
     def test_move_to_a_joined_process_is_priced(self):
         runtime = make_runtime(
             nodes=1, cores=1, functional=False, load_balancing=True

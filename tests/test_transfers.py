@@ -9,6 +9,7 @@ from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskSpec
 from repro.runtime.transfers import TransferPlan, plan_for_task
 from repro.sim.cluster import Cluster, ClusterSpec
+from repro.sim.network import Network
 
 
 def make_runtime(nodes=2, **config):
@@ -290,3 +291,69 @@ class TestPlanLog:
         assert all(plan.finished for plan in plans)
         moved = sum(plan.moved_bytes() for plan in plans)
         assert moved == runtime.data_bytes_moved()
+
+
+class TestCoalescedDispatch:
+    """With the communication layer on, tasks dispatched together share
+    their messages: one parcel out, one completion back, and one prefetch
+    request per owning peer."""
+
+    def test_a_parcels_completions_return_in_one_message(self, monkeypatch):
+        runtime = make_runtime(
+            functional=False, comm_coalescing=True, replica_prefetch=True
+        )
+        grid = Grid((16,), name="g")
+        # everything is pid 1's, so every child travels there from pid 0
+        runtime.register_item(
+            grid, placement=[grid.empty_region(), grid.full_region]
+        )
+        children = [
+            TaskSpec(
+                name=f"c{k}",
+                writes={grid: grid.box((4 * k,), (4 * k + 4,))},
+                flops=1e6 * (k + 1),  # they finish at different times
+                body=lambda _ctx, k=k: k,
+                body_in_virtual=True,
+            )
+            for k in range(4)
+        ]
+        bulks = []
+        send_bulk = Network.send_bulk
+
+        def spy(network, src, dst, sizes):
+            bulks.append((src, dst, len(sizes)))
+            return send_bulk(network, src, dst, sizes)
+
+        monkeypatch.setattr(Network, "send_bulk", spy)
+        treetures = runtime.scheduler.assign_batch(children, origin=0)
+        values = [runtime.wait(treeture) for treeture in treetures]
+        assert values == [0, 1, 2, 3]
+        assert bulks == [(0, 1, 4), (1, 0, 4)]
+        assert runtime.metrics.counter("sched.remote_dispatch") == 4
+
+    def test_leaves_placed_together_prefetch_once_per_peer(self):
+        runtime = make_runtime(
+            functional=False, comm_coalescing=True, replica_prefetch=True
+        )
+        grid = Grid((32,), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        # two leaves at pid 0, each reading a different halo of pid 1's
+        children = [
+            TaskSpec(
+                name=f"h{k}",
+                writes={grid: grid.box((8 * k,), (8 * k + 8,))},
+                reads={grid: grid.box((16 + 2 * k,), (18 + 2 * k,))},
+                flops=1e6,
+            )
+            for k in range(2)
+        ]
+        for treeture in runtime.scheduler.assign_batch(children, origin=0):
+            runtime.wait(treeture)
+        assert [p.executed_leaves for p in runtime.processes] == [2, 0]
+        assert runtime.metrics.counter("comms.prefetches") == 1
+        assert runtime.metrics.counter("comms.coalesced_fetches") == 1
+        assert runtime.metrics.counter("comms.coalesced_parts") == 2
+        assert runtime.replica_holders(grid)[0].same_elements(
+            grid.box((16,), (20,))
+        )
+        assert runtime.index.lookups == 1  # the batch's shared lookup
