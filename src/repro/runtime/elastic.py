@@ -139,7 +139,8 @@ def _depart(
 ):
     """The one departure step of drains and storms: take each process's
     queue, fail it (unless a storm already has), then re-place every
-    queued task — none ever started — through Algorithm 2 with a fresh
+    queued task — none ever started — in the order it arrived, not in
+    the queue's start order, through Algorithm 2 with a fresh
     lookup, counting them under ``counter``.  ``recovery`` is spawned
     between the failures and the re-placement: it claims every lost row
     before it first yields, so the tasks are placed against the adopters'
@@ -149,8 +150,7 @@ def _depart(
     failed = []
     for pid in pids:
         process = runtime.process(pid)
-        orphans.extend(process.queue)
-        process.queue.clear()
+        orphans.extend(process.take_queued())
         if not process.failed:
             runtime.fail_process(pid)
             failed.append(pid)

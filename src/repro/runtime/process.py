@@ -15,15 +15,23 @@ still holds; the *leaf* variant stages data through the data item
 manager — its first staging fetches reads from those owners — takes
 region locks, executes, and completes its treeture.
 
+The queue is longest-first: split variants start before any leaf, since
+they release parallelism, then leaves by descending ``flops`` (Graham's
+LPT rule), arrival order breaking ties, so equal leaves run FIFO.  §2's
+*(start)* rule lets any queued task start; this picks which.
+
 Optional work stealing ("tasks are stored within node-local queues ...
 yet may be stolen by other nodes"): an idle process probes a random peer
-and, if its queue is backed up, pulls half of it over the network.
+and, if its queue is backed up, pulls the half that would start last
+over the network.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import random
-from collections import deque
 from typing import TYPE_CHECKING, Generator
 
 from repro.runtime.config import (
@@ -46,6 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
     from repro.sim.node import SimNode
 
+QueueEntry = tuple[TaskSpec, Treeture, str, Lookup]
+
 
 class RuntimeProcess:
     """One AllScale runtime process bound to one simulated node."""
@@ -59,8 +69,11 @@ class RuntimeProcess:
         self.probe = runtime.probe
         self.locks = LockTable(runtime.engine, pid=pid, probe=self.probe)
         self.data_manager = DataItemManager(self)
-        #: queued ``(task, treeture, variant, placement lookup)`` entries
-        self.queue: deque[tuple[TaskSpec, Treeture, str, Lookup]] = deque()
+        #: a heap of ``(rank, arrival, entry)``: splits first, then leaves
+        #: by descending flops, arrival breaking ties; each entry is a
+        #: queued ``(task, treeture, variant, placement lookup)``
+        self.queue: list[tuple[float, int, QueueEntry]] = []
+        self._arrivals = itertools.count()
         self.active = 0
         self.failed = False
         #: draining or a storm victim, from then until it fails: it starts
@@ -97,7 +110,7 @@ class RuntimeProcess:
             )
         for notify in self.probe.task_enqueued:
             notify(task, treeture, self.pid, variant, self.runtime.engine.now)
-        self.queue.append((task, treeture, variant, lookup or {}))
+        self._push((task, treeture, variant, lookup or {}))
         if (
             self.runtime.config.work_stealing
             and len(self.queue) > self.max_concurrent
@@ -105,8 +118,19 @@ class RuntimeProcess:
             self.runtime.engine.spawn(self._offload_to_idle_peer())
         self._kick()
 
+    def _push(self, entry: QueueEntry) -> None:
+        task, _treeture, variant, _lookup = entry
+        rank = -math.inf if variant == "split" and task.splittable else -task.flops
+        heapq.heappush(self.queue, (rank, next(self._arrivals), entry))
+
     def queue_length(self) -> int:
         return len(self.queue)
+
+    def take_queued(self) -> list[QueueEntry]:
+        """Empty the queue and return its entries in arrival order."""
+        by_arrival = sorted(self.queue, key=lambda queued: queued[1])
+        self.queue.clear()
+        return [entry for _rank, _arrival, entry in by_arrival]
 
     def _kick(self) -> None:
         if not self._dispatching:
@@ -121,7 +145,7 @@ class RuntimeProcess:
                 if self.active >= self.max_concurrent:
                     yield self._slot_free()
                     continue  # the queue may be stolen, the process held
-                entry = self.queue.popleft()
+                entry = heapq.heappop(self.queue)[2]
                 self.active += 1
                 self.runtime.engine.spawn(self._handle(*entry))
         finally:
@@ -318,7 +342,9 @@ class RuntimeProcess:
     # -- work stealing -----------------------------------------------------------------
 
     def _offload_to_idle_peer(self) -> Generator:
-        """Let an idle peer steal half of this backed-up queue.
+        """Let an idle peer steal the half of this backed-up queue that
+        would start last, the short end of the order; the thief queues
+        it under the same order.
 
         The paper's node-local queues "may be stolen by other nodes"; in
         the event-driven simulation the transfer is initiated when queue
@@ -344,14 +370,16 @@ class RuntimeProcess:
         if self.queue_length() < 2:
             return
         loot_count = self.queue_length() // 2
-        loot = [self.queue.pop() for _ in range(loot_count)]
+        self.queue.sort()  # a sorted list is a heap
+        loot = self.queue[-loot_count:]
+        del self.queue[-loot_count:]
         yield runtime.network.send(
             self.pid, probe, TASK_MESSAGE_BYTES * loot_count
         )
         runtime.metrics.incr("proc.steals")
         runtime.metrics.incr("proc.stolen_tasks", loot_count)
-        for entry in reversed(loot):
-            thief.queue.append(entry)
+        for _rank, _arrival, entry in loot:
+            thief._push(entry)
         thief._kick()
 
     def __repr__(self) -> str:

@@ -421,6 +421,42 @@ class TestDrain:
         assert runtime.metrics.counter("elastic.evacuated_tasks") == 3
         assert_clean(runtime)
 
+    def test_departure_replaces_orphans_in_arrival_order(self):
+        """The queue starts its longest leaf first, but a departure
+        re-places the queued tasks in the order they arrived."""
+        runtime = make_runtime()
+        grid = Grid((16, 16), name="g")
+        runtime.register_item(grid, placement=grid.decompose(4))
+        victim = 1
+        block = runtime.process(victim).data_manager.owned_region(grid)
+        runtime.submit(
+            TaskSpec(name="long", writes={grid: block}, flops=1e8,
+                     size_hint=block.size()),
+            origin=victim,
+        )
+        run_until(runtime, lambda: runtime.process(victim).active > 0)
+        runtime.engine.spawn(drain(runtime, victim))
+        reassigned = []
+        reassign = runtime.scheduler.reassign
+
+        def record(task, *args):
+            reassigned.append(task.name)
+            return reassign(task, *args)
+
+        runtime.scheduler.reassign = record
+        names = [f"w{k}" for k in range(4)]
+        for name, flops in zip(names, (1e3, 1e6, 1e4, 1e5)):
+            runtime.submit(
+                TaskSpec(name=name, writes={grid: block}, flops=flops,
+                         body=lambda ctx: None, size_hint=block.size()),
+                origin=3,
+            )
+        run_until(runtime, lambda: len(runtime.process(victim).queue) == 4)
+        runtime.run()
+        assert runtime.process(victim).failed
+        assert reassigned == names
+        assert_clean(runtime)
+
     def test_drain_of_a_full_one_core_process_takes_a_placement(self):
         """A held process never queues a slot waiter of its own, so the
         drain's barrier sees every slot release: with both slots of a

@@ -118,11 +118,19 @@ class TestForkJoin:
 class TestWorkStealing:
     def test_idle_process_steals_queued_tasks(self):
         runtime = make_runtime(nodes=2, cores=1, work_stealing=True)
+        ran_at = {}
+
+        class Placement:
+            def on_task_start(self, task, treeture, pid, now):
+                ran_at[task.name] = pid
+
+        runtime.probe.attach(Placement())
         # pin many independent tasks to process 0 via explicit origin and
         # no data requirements (policy keeps them at origin)
+        flops = [(k % 5 + 1) * 2e6 for k in range(20)]
         treetures = [
             runtime.submit(
-                TaskSpec(name=f"t{k}", flops=5e6, size_hint=1), origin=0
+                TaskSpec(name=f"t{k}", flops=flops[k], size_hint=1), origin=0
             )
             for k in range(20)
         ]
@@ -130,6 +138,13 @@ class TestWorkStealing:
             runtime.wait(t)
         assert runtime.metrics.counter("proc.steals") >= 1
         assert runtime.process(1).executed_leaves > 0
+        # the first tasks start at once; the rest queue longest-first, and
+        # every steal takes the end of that order, so the victim keeps a
+        # prefix of it: its longest leaves
+        queued = range(runtime.process(0).max_concurrent, 20)
+        order = sorted(queued, key=lambda k: (-flops[k], k))
+        kept = [k for k in order if ran_at[f"t{k}"] == 0]
+        assert kept and kept == order[: len(kept)]
 
     def test_no_stealing_when_disabled(self):
         runtime = make_runtime(nodes=2, cores=1, work_stealing=False)
