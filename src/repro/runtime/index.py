@@ -24,12 +24,13 @@ along the leaf-to-root path whenever ownership changes, charging one
 fire-and-forget control message per remote ancestor host.  It is the only
 writer of ownership: a leaf is the one record of what its process owns,
 and that process's data manager reads it through
-:meth:`HierarchicalIndex.leaf`.
+:meth:`HierarchicalIndex.leaf`, as does the scheduler when a task lands
+there.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Iterable
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
@@ -147,7 +148,9 @@ class HierarchicalIndex:
 
     def ownership_version(self, item: DataItem) -> int:
         """Monotone per-item ownership epoch (bumped on every applied
-        update); replica-cache entries and lookup caches tag with it."""
+        update).  Global and read for free, so placement does not read it;
+        the opt-in locality cache does ("What the model gives for free",
+        ``docs/simulation.md``)."""
         return self._version.get(item, 0)
 
     def update_ownership(
@@ -319,11 +322,12 @@ class HierarchicalIndex:
 
         Every miss teaches the origin the placement of the looked-up
         region; subsequent lookups covered by accumulated knowledge are
-        served locally at zero message cost.  Entries are validated
-        against the item's ownership version (bumped on every update), so
-        stale placement is never served — the optimization the paper's §6
-        "closing the performance gap" effort points at for lookup-bound
-        workloads like TPC.
+        served locally at zero message cost — the optimization the paper's
+        §6 "closing the performance gap" effort points at for lookup-bound
+        workloads like TPC.  An entry is dropped once the item's ownership
+        version moves.  One learned from a task's carried lookup
+        (:meth:`learn`) can still name a stale owner; a task placed from
+        it lands misplaced, and the landing process forgets the entry.
         """
         version = self._version.get(item, 0)
         key = (origin, item)
@@ -342,24 +346,24 @@ class HierarchicalIndex:
             return mapping, region.difference(entry["resolved"])
         self.cache_misses += 1
         mapping, unresolved = yield from self.lookup(item, region, origin)
-        self.learn(item, origin, version, mapping, region)
+        # a lookup that saw ownership move while it ran teaches nothing
+        if self._version.get(item, 0) == version:
+            self.learn(item, origin, mapping, region)
         return mapping, unresolved
 
     def learn(
         self,
         item: DataItem,
         origin: int,
-        version: int,
-        mapping: list[tuple[Region, int]],
+        mapping: Iterable[tuple[Region, int]],
         region: Region | None = None,
     ) -> None:
-        """Teach ``origin``'s locality cache that ``mapping`` is who owned
-        what of ``region`` of ``item`` at ownership ``version`` — a lookup
-        it made, or one it was handed.  ``region=None``: the pieces alone,
-        nothing unresolved.  Ignored unless ``version`` is still current
-        (ownership may have changed while the lookup ran)."""
-        if self._version.get(item, 0) != version:
-            return
+        """Teach ``origin``'s locality cache that ``mapping`` is who owns
+        what of ``region`` of ``item`` — a lookup it made, or one a task
+        carried to it that it has checked.  ``region=None``: the pieces
+        alone, nothing unresolved.  The entry is stamped with the item's
+        current ownership version."""
+        version = self._version.get(item, 0)
         # re-fetch the entry: a concurrent miss from this origin may have
         # (re)built it, and concurrent learners accumulate, not clobber
         key = (origin, item)
@@ -380,6 +384,10 @@ class HierarchicalIndex:
         entry["checked"] = entry["checked"].union(
             entry["resolved"] if region is None else region
         )
+
+    def forget(self, item: DataItem, origin: int) -> None:
+        """Drop everything ``origin``'s locality cache learned of ``item``."""
+        self._lookup_cache.pop((origin, item), None)
 
     # -- convenience -----------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.items.base import DataItem
 from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint
 from repro.runtime.config import MIN_TASK_SIZE
-from repro.runtime.tasks import TaskSpec
+from repro.runtime.tasks import Lookup, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -41,9 +41,7 @@ class PlacementContext:
     origin: int
     #: (region_part, owner) pairs from the scheduler's index lookup,
     #: per accessed item
-    lookup: dict[DataItem, list[tuple[Region, int]]] = field(
-        default_factory=dict
-    )
+    lookup: Lookup = field(default_factory=dict)
 
 
 class SchedulingPolicy(ABC):

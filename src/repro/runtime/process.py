@@ -85,6 +85,8 @@ class RuntimeProcess:
         self.executed_leaves = 0
         self.executed_splits = 0
         self._dispatching = False
+        #: a steal probe of this process's queue is in flight
+        self._offloading = False
         self._slot_waiters: list = []
         self._rng = random.Random(pid)
 
@@ -114,7 +116,9 @@ class RuntimeProcess:
         if (
             self.runtime.config.work_stealing
             and len(self.queue) > self.max_concurrent
+            and not self._offloading
         ):
+            self._offloading = True
             self.runtime.engine.spawn(self._offload_to_idle_peer())
         self._kick()
 
@@ -350,37 +354,41 @@ class RuntimeProcess:
         the event-driven simulation the transfer is initiated when queue
         pressure appears (an idle node cannot wake itself), but the costs
         and the effect — half the queue moves, with per-task transfer
-        messages — are those of a steal.
+        messages — are those of a steal.  One probe is in flight per
+        process at a time, so a burst of enqueues is offered once.
         """
-        runtime = self.runtime
-        if runtime.num_processes < 2:
-            return
-        probe = self._rng.randrange(runtime.num_processes - 1)
-        if probe >= self.pid:
-            probe += 1
-        thief = runtime.process(probe)
-        if thief.failed or thief.held:
-            return  # corpses and departing processes don't steal
-        # steal handshake: probe + response
-        yield runtime.network.send(probe, self.pid, CONTROL_MESSAGE_BYTES)
-        if thief.failed or thief.held:
-            return  # the peer left while the probe travelled
-        if thief.active > 0 or thief.queue_length() > 0:
-            return  # peer is busy; nothing moves
-        if self.queue_length() < 2:
-            return
-        loot_count = self.queue_length() // 2
-        self.queue.sort()  # a sorted list is a heap
-        loot = self.queue[-loot_count:]
-        del self.queue[-loot_count:]
-        yield runtime.network.send(
-            self.pid, probe, TASK_MESSAGE_BYTES * loot_count
-        )
-        runtime.metrics.incr("proc.steals")
-        runtime.metrics.incr("proc.stolen_tasks", loot_count)
-        for _rank, _arrival, entry in loot:
-            thief._push(entry)
-        thief._kick()
+        try:
+            runtime = self.runtime
+            if runtime.num_processes < 2:
+                return
+            probe = self._rng.randrange(runtime.num_processes - 1)
+            if probe >= self.pid:
+                probe += 1
+            thief = runtime.process(probe)
+            if thief.failed or thief.held:
+                return  # corpses and departing processes don't steal
+            # steal handshake: probe + response
+            yield runtime.network.send(probe, self.pid, CONTROL_MESSAGE_BYTES)
+            if thief.failed or thief.held:
+                return  # the peer left while the probe travelled
+            if thief.active > 0 or thief.queue_length() > 0:
+                return  # peer is busy; nothing moves
+            if self.queue_length() < 2:
+                return
+            loot_count = self.queue_length() // 2
+            self.queue.sort()  # a sorted list is a heap
+            loot = self.queue[-loot_count:]
+            del self.queue[-loot_count:]
+            yield runtime.network.send(
+                self.pid, probe, TASK_MESSAGE_BYTES * loot_count
+            )
+            runtime.metrics.incr("proc.steals")
+            runtime.metrics.incr("proc.stolen_tasks", loot_count)
+            for _rank, _arrival, entry in loot:
+                thief._push(entry)
+            thief._kick()
+        finally:
+            self._offloading = False
 
     def __repr__(self) -> str:
         return (

@@ -14,11 +14,14 @@ information.  Every task takes the same lookup along to its process (the
 queue entry's last slot): a split task's splitter cuts along the owners
 it names, and a leaf's first staging fetches its reads from them.
 
-Each item's part of a lookup is a :class:`~repro.runtime.tasks.Resolution`
-stamped with the item's ownership epoch.  A split's children are placed
-from their parent's lookup, clipped to each child, with no lookup and no
-message, while that stamp is still the item's epoch and the clip
-resolves the child's whole region; any other child is looked up afresh.
+A split's children are placed from their parent's lookup, clipped to
+each child, with no lookup and no message, when the clip resolves the
+child's whole region; any other child is looked up afresh.  Ownership
+may have moved since the parent's lookup, and no placing process can
+tell without a message.  The process a task lands on can, from its own
+leaves: :meth:`Scheduler._land`, the one step that queues a dispatched
+task, re-places a task whose lookup names an owner of all its writes
+(Algorithm 2 line 7) when the landing process does not own them.
 Remote dispatch ships the task closure as a network message.
 """
 
@@ -34,14 +37,7 @@ from repro.runtime.config import (
     TASK_MESSAGE_BYTES,
 )
 from repro.runtime.policies import PlacementContext
-from repro.runtime.tasks import (
-    STALE,
-    Lookup,
-    Resolution,
-    TaskSpec,
-    Treeture,
-    clip,
-)
+from repro.runtime.tasks import Lookup, OwnerMap, TaskSpec, Treeture, clip
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AllScaleRuntime
@@ -53,8 +49,8 @@ class Scheduler:
     def __init__(self, runtime: "AllScaleRuntime") -> None:
         self.runtime = runtime
         self.index = index = runtime.index
-        #: whether processes keep a locality cache of what they looked up,
-        #: reused or received
+        #: whether processes keep a locality cache of what they looked up
+        #: or were handed by a task that landed there
         self._caching = runtime.config.index_caching
         #: one Algorithm-1 lookup ``(item, region, origin)``, through the
         #: origin's locality cache when ``index_caching`` is on
@@ -122,7 +118,8 @@ class Scheduler:
     ) -> None:
         """Place an already-chosen ``(task, treeture, variant)`` again
         through Algorithm 2 from ``origin`` — a storm victim's queued task
-        that never started, re-placed at wherever its data lives now."""
+        that never started, or a task that landed misplaced, re-placed at
+        wherever its data lives now."""
         self.runtime.engine.spawn(
             self._assign_process(task, treeture, origin, variant)
         )
@@ -140,7 +137,7 @@ class Scheduler:
         runtime = self.runtime
         if variant is None:
             variant = runtime.policy.pick_variant(task, runtime)
-        lookup: dict[DataItem, Resolution] = {}
+        lookup: dict[DataItem, OwnerMap] = {}
         if task.accessed_items():
             lookup = yield from self._locate_requirements(task, origin, parent)
         target = self._choose_target(task, lookup, origin)
@@ -159,36 +156,33 @@ class Scheduler:
         runtime = self.runtime
         # the parent's lookup places what it can; one charged lookup per
         # item covers the union of the sibling regions it cannot
-        reused: list[dict[DataItem, Resolution]] = []
+        reused: list[dict[DataItem, OwnerMap]] = []
         union: dict[DataItem, Region] = {}
         for task in tasks:
-            found: dict[DataItem, Resolution] = {}
+            found: dict[DataItem, OwnerMap] = {}
             for item in task.accessed_items_ordered():
                 region = task.accessed_region(item)
-                record = self._reuse(parent, item, region, origin)
-                if record is not None:
-                    found[item] = record
+                pieces = self._reuse(parent, item, region)
+                if pieces is not None:
+                    found[item] = pieces
                 else:
                     known = union.get(item)
                     union[item] = region if known is None else known.union(region)
             reused.append(found)
-        shared: dict[DataItem, Resolution] = {}
+        shared: dict[DataItem, OwnerMap] = {}
         for item, region in union.items():
-            shared[item] = yield from self._resolve(item, region, origin)
+            shared[item], _unresolved = yield from self._lookup(item, region, origin)
         # place each sibling from its records, then group the dispatches
         # by destination
         groups: dict[int, list] = {}
         for task, treeture, found in zip(tasks, treetures, reused):
             variant = runtime.policy.pick_variant(task, runtime)
-            lookup: dict[DataItem, Resolution] = {}
+            lookup: dict[DataItem, OwnerMap] = {}
             for item in task.accessed_items_ordered():
-                record = found.get(item)
-                if record is None:
-                    pieces = shared[item]
-                    record = Resolution(
-                        clip(pieces, task.accessed_region(item)), pieces.epoch
-                    )
-                lookup[item] = record
+                pieces = found.get(item)
+                if pieces is None:
+                    pieces = clip(shared[item], task.accessed_region(item))
+                lookup[item] = pieces
             target = self._choose_target(task, lookup, origin)
             groups.setdefault(target, []).append(
                 (task, treeture, variant, lookup)
@@ -242,9 +236,6 @@ class Scheduler:
                 # a storm may fail the target mid-decode: this task and
                 # the rest of the parcel land at a survivor
                 target = runtime._redirect_if_failed(target)
-                if self._caching:
-                    for item, record in lookup.items():
-                        self.index.learn(item, target, record.epoch, record)
                 if self._prefetches(variant, lookup):
                     runtime.process(target).data_manager.prefetch_for_task(
                         task, lookup
@@ -252,8 +243,7 @@ class Scheduler:
                 back = returns.get(target)
                 if back is None:
                     back = returns[target] = _ParcelReturn(runtime, target, origin)
-                inner = back.add(task, treeture)
-                runtime.process(target).enqueue(task, inner, variant, lookup)
+                self._land(task, back.add(task, treeture), variant, lookup, target)
             for back in returns.values():
                 back.seal()
         else:
@@ -267,11 +257,49 @@ class Scheduler:
                 runtime.process(target).data_manager.prefetch_for_tasks(placed)
             for task, treeture, variant, lookup in entries:
                 runtime.metrics.incr("sched.local_dispatch")
-                runtime.process(target).enqueue(task, treeture, variant, lookup)
+                self._land(task, treeture, variant, lookup, target)
 
-    def _choose_target(
-        self, task: TaskSpec, lookup: dict[DataItem, Resolution], origin: int
-    ) -> int:
+    def _land(
+        self,
+        task: TaskSpec,
+        treeture: Treeture,
+        variant: str,
+        lookup: Lookup,
+        target: int,
+    ) -> None:
+        """Queue a dispatched task at ``target`` — the only way one gets
+        there — unless ``target``'s own leaves, a local read, show the
+        lookup it carries out of date: the lookup names a process owning
+        all the task's writes (Algorithm 2 line 7), and ``target`` does
+        not own them all.  Such a task re-places itself from ``target``
+        with a fresh charged lookup (``sched.replaced``), after
+        ``target``'s locality cache forgets the written items.  A queued
+        task's lookup is learned there."""
+        runtime = self.runtime
+        if self._misplaced(task, lookup, target):
+            runtime.metrics.incr("sched.replaced")
+            if self._caching:
+                for item in task.writes:
+                    self.index.forget(item, target)
+            self.reassign(task, treeture, variant, target)
+            return
+        if self._caching:
+            for item, pieces in lookup.items():
+                self.index.learn(item, target, pieces)
+        runtime.process(target).enqueue(task, treeture, variant, lookup)
+
+    def _misplaced(self, task: TaskSpec, lookup: Lookup, target: int) -> bool:
+        """Whether ``target``'s own leaves miss some of ``task``'s writes
+        while ``lookup`` names a process covering them all."""
+        leaf = self.index.leaf
+        if all(leaf(item, target).covers(w) for item, w in task.writes.items()):
+            return False
+        shares = {
+            item: self._owner_shares(lookup.get(item, ())) for item in task.writes
+        }
+        return self._covering_writes(task, shares) is not None
+
+    def _choose_target(self, task: TaskSpec, lookup: Lookup, origin: int) -> int:
         """Algorithm 2's placement cascade over an already-charged lookup."""
         runtime = self.runtime
         # a policy holding an offline plan may pin this task; the pin wins
@@ -322,53 +350,37 @@ class Scheduler:
     def _locate_requirements(
         self, task: TaskSpec, origin: int, parent: Lookup | None
     ) -> Generator:
-        lookup: dict[DataItem, Resolution] = {}
+        lookup: dict[DataItem, OwnerMap] = {}
         for item in task.accessed_items_ordered():
             region = task.accessed_region(item)
-            record = self._reuse(parent, item, region, origin)
-            if record is None:
-                record = yield from self._resolve(item, region, origin)
-            lookup[item] = record
+            pieces = self._reuse(parent, item, region)
+            if pieces is None:
+                pieces, _unresolved = yield from self._lookup(item, region, origin)
+            lookup[item] = pieces
         return lookup
 
-    def _resolve(self, item: DataItem, region: Region, origin: int) -> Generator:
-        """One charged lookup of ``region``, stamped with the epoch read
-        when it started, or :data:`STALE` if ownership moved before it
-        ended.  Reading the epoch is free: the item's ownership version is
-        the one index value every process is assumed to know, as
-        :meth:`HierarchicalIndex.lookup_cached` assumes."""
-        epoch = self.index.ownership_version(item)
-        mapping, _unresolved = yield from self._lookup(item, region, origin)
-        if self.index.ownership_version(item) != epoch:
-            epoch = STALE
-        return Resolution(mapping, epoch)
-
+    @staticmethod
     def _reuse(
-        self, parent: Lookup | None, item: DataItem, region: Region, origin: int
-    ) -> Resolution | None:
+        parent: Lookup | None, item: DataItem, region: Region
+    ) -> OwnerMap | None:
         """The ``parent`` lookup's pieces of ``item`` clipped to ``region``,
-        when they still say who owns all of it: the item's epoch is still
-        the one they were stamped with, and the clip resolves the whole
-        region — so it lies inside what the parent looked up, and no first
-        touch is pending.  None otherwise: the caller looks up afresh."""
+        when the clip resolves the whole region — so it lies inside what
+        the parent looked up, and no first touch is pending.  None
+        otherwise: the caller looks up afresh.  The clip says who owned
+        the region when the parent was placed; where the child lands
+        checks it (:meth:`_land`)."""
         pieces = parent.get(item) if parent else None
-        if not isinstance(pieces, Resolution) or (
-            pieces.epoch != self.index.ownership_version(item)
-        ):
+        if pieces is None:
             return None
-        record = Resolution(clip(pieces, region), pieces.epoch)
+        clipped = clip(pieces, region)
         # the pieces are disjoint, so their sizes add up to the region's
         # exactly when they cover it
-        if sum(part.size() for part, _owner in record) != region.size():
+        if sum(part.size() for part, _owner in clipped) != region.size():
             return None
-        if self._caching:
-            self.index.learn(item, origin, record.epoch, record, region)
-        return record
+        return clipped
 
     @staticmethod
-    def _owner_shares(
-        pieces: list[tuple[Region, int]]
-    ) -> dict[int, Region]:
+    def _owner_shares(pieces: OwnerMap) -> dict[int, Region]:
         """Union of looked-up parts per owning process, in one pass."""
         shares: dict[int, Region] = {}
         for part, owner in pieces:

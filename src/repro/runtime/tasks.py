@@ -20,7 +20,7 @@ inside a simulation process awaits completion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.items.base import DataItem, Fragment
 from repro.regions.base import Region
@@ -36,30 +36,10 @@ OwnerMap = Sequence[tuple[Region, int]]
 
 #: the charged Algorithm-1 lookup that placed a task (Algorithm 2): per
 #: accessed item, the ``(region, pid)`` pieces of its accessed region as
-#: they were owned then (a :class:`Resolution` when the scheduler made
-#: it).  It travels with the task as a hint — ownership may have moved
-#: since — and is empty for a task placed without one
+#: they were owned then.  It travels with the task as a hint — ownership
+#: may have moved since, which the process the task lands on checks
+#: against its own leaves — and is empty for a task placed without one
 Lookup = Mapping[DataItem, OwnerMap]
-
-#: the epoch of a resolution that saw ownership move while it ran
-STALE = -1
-
-
-class Resolution(list):
-    """The ``(region, pid)`` pieces an Algorithm-1 lookup found of one
-    item's region, stamped with the item's ownership epoch
-    (``HierarchicalIndex.ownership_version``).  The stamp is the epoch read
-    when the lookup started, or :data:`STALE` when ownership moved before
-    it ended; while the item's epoch still equals it, the pieces are
-    exactly who owns what of the region they resolve."""
-
-    __slots__ = ("epoch",)
-
-    def __init__(
-        self, pieces: Iterable[tuple[Region, int]] = (), epoch: int = STALE
-    ) -> None:
-        super().__init__(pieces)
-        self.epoch = epoch
 
 
 def clip(pieces: OwnerMap, region: Region) -> list[tuple[Region, int]]:

@@ -13,10 +13,9 @@ against:
   moved bytes, and tests can assert that no region travels twice within
   one plan.
 * :class:`ReplicaCache` — accounting of the replicated (read-only) bytes
-  a process holds, version-tagged with the hierarchical index's per-item
-  ownership epoch.  Hits, misses and revalidations surface as ``comms.*``
-  metrics.  There is no byte bound: as in the paper's data item manager,
-  a replica stays until a writer invalidates it.
+  a process holds.  Hits and misses surface as ``comms.*`` metrics.
+  There is no byte bound: as in the paper's data item manager, a replica
+  stays until a writer invalidates it.
 
 Plans are pure bookkeeping: they charge no messages and hold no locks.
 The data movement itself still goes through
@@ -231,32 +230,25 @@ def plan_for_task(
     return plan
 
 
-@dataclass(slots=True)
-class _CacheEntry:
-    region: Region
-    #: index ownership epoch at fetch time
-    version: int
-
-
 class ReplicaCache:
     """Accounting of one process's replicated bytes.
 
     The cache does not store data — fragments do; it tracks *what* was
-    fetched and under which ownership epoch.  Correctness never depends
-    on it: writers invalidate replicas explicitly.
+    fetched, one region per fetch.  Correctness never depends on it:
+    writers invalidate replicas explicitly.
     """
 
     __slots__ = ("manager", "_entries")
 
     def __init__(self, manager: "DataItemManager") -> None:
         self.manager = manager
-        self._entries: dict[DataItem, list[_CacheEntry]] = {}
+        self._entries: dict[DataItem, list[Region]] = {}
 
     @property
     def _runtime(self) -> "AllScaleRuntime":
         return self.manager.process.runtime
 
-    def entries(self, item: DataItem) -> list[_CacheEntry]:
+    def entries(self, item: DataItem) -> list[Region]:
         return list(self._entries.get(item, []))
 
     # -- lifecycle hooks (called by the data manager) --------------------------------
@@ -267,25 +259,15 @@ class ReplicaCache:
         if replicated.is_empty():
             return
         self.note_dropped(item, replicated)  # refreshed, not duplicated
-        self._entries.setdefault(item, []).append(
-            _CacheEntry(
-                region=replicated,
-                version=self._runtime.index.ownership_version(item),
-            )
-        )
+        self._entries.setdefault(item, []).append(replicated)
 
     def note_dropped(self, item: DataItem, region: Region) -> None:
         """Replica bytes left the fragment (invalidation or claim)."""
         entries = self._entries.get(item)
         if not entries:
             return
-        kept: list[_CacheEntry] = []
-        for entry in entries:
-            remaining = entry.region.difference(region)
-            if remaining.is_empty():
-                continue
-            entry.region = remaining
-            kept.append(entry)
+        kept = [entry.difference(region) for entry in entries]
+        kept = [entry for entry in kept if not entry.is_empty()]
         if kept:
             self._entries[item] = kept
         else:
@@ -300,14 +282,6 @@ class ReplicaCache:
         metrics = self._runtime.metrics
         metrics.incr("comms.replica_hits")
         metrics.incr("comms.replica_hit_bytes", item.region_bytes(region))
-        version = self._runtime.index.ownership_version(item)
-        for entry in self._entries.get(item, []):
-            if entry.region.overlaps(region) and entry.version != version:
-                # the ownership epoch moved since the fetch; the bytes
-                # are still valid (writers invalidate explicitly) but
-                # the placement knowledge behind them is stale
-                metrics.incr("comms.replica_revalidations")
-                entry.version = version
 
     def record_miss(self, item: DataItem, region: Region) -> None:
         metrics = self._runtime.metrics

@@ -1,11 +1,14 @@
-"""A split's children are placed from their parent's lookup while it holds.
+"""A split's children are placed from their parent's lookup; where a task
+lands checks it.
 
-Algorithm 2 places every task with one charged Algorithm-1 lookup.  Each
-item's part of it is a :class:`~repro.runtime.tasks.Resolution` stamped
-with the item's ownership epoch.  A child of a split is placed from its
+Algorithm 2 places every task with one charged Algorithm-1 lookup, a
+plain ``{item: [(region, pid)]}``.  A child of a split is placed from its
 parent's pieces clipped to its own region, with no lookup and no message,
-when the item's epoch is unchanged and the clip resolves the child's
-whole region.  Otherwise it is looked up afresh.
+when the clip resolves the child's whole region.  Otherwise it is looked
+up afresh.  Ownership may have moved since the parent's lookup: the
+process a task lands on reads its own leaves, and a task whose lookup
+names an owner of all its writes (Algorithm 2 line 7) that lands where
+they are not owned re-places itself from there (``Scheduler._land``).
 """
 
 import weakref
@@ -17,9 +20,10 @@ from repro.items.grid import Grid
 from repro.regions.box import Box, BoxSetRegion
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.data_manager import Move, run_moves
+from repro.runtime.index import HierarchicalIndex
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.tasks import STALE, Resolution, TaskSpec, Treeture
+from repro.runtime.tasks import TaskSpec, Treeture
 from repro.sim.cluster import Cluster, ClusterSpec
 
 SIDE = 12
@@ -46,17 +50,32 @@ def writer(grid, lo, hi, name=None):
 
 
 def resolve(runtime, grid, region, origin=0):
-    """The charged placement lookup of ``region`` from ``origin``."""
-    return runtime.wait_process(
-        runtime.scheduler._resolve(grid, region, origin)
+    """The pieces a charged lookup of ``region`` from ``origin`` finds."""
+    mapping, _unresolved = runtime.wait_process(
+        runtime.index.lookup(grid, region, origin)
     )
+    return mapping
 
 
 def place(runtime, task, parent, origin=0):
-    """The records Algorithm 2 places ``task`` with, given its parent's."""
+    """The lookup Algorithm 2 places ``task`` with, given its parent's."""
     return runtime.wait_process(
         runtime.scheduler._locate_requirements(task, origin, parent)
     )
+
+
+def ran_at(runtime, task, origin=0, parent=None):
+    """Run ``task`` to completion; the pids whose queues it entered."""
+    landed = []
+    for proc in runtime.processes:
+
+        def enqueue(task, treeture, variant, lookup=None, _proc=proc):
+            landed.append(_proc.pid)
+            type(_proc).enqueue(_proc, task, treeture, variant, lookup)
+
+        proc.enqueue = enqueue
+    runtime.wait(runtime.scheduler.assign(task, origin=origin, parent=parent))
+    return landed
 
 
 def shares(grid, pieces) -> dict[int, object]:
@@ -74,16 +93,6 @@ def same_shares(left, right) -> bool:
 
 
 class TestPlacementFromTheParentsLookup:
-    def test_a_lookup_is_stamped_with_the_items_epoch(self):
-        runtime = make_runtime()
-        grid = placed_grid(runtime)
-        record = resolve(runtime, grid, grid.full_region)
-        assert isinstance(record, Resolution)
-        assert record.epoch == runtime.index.ownership_version(grid)
-        assert [pid for _part, pid in sorted(record, key=lambda p: p[1])] == [
-            0, 1, 2, 3,
-        ]
-
     def test_a_split_places_its_children_without_a_lookup(self):
         runtime = make_runtime()
         grid = placed_grid(runtime)
@@ -110,7 +119,6 @@ class TestPlacementFromTheParentsLookup:
         record = place(runtime, writer(grid, 6, 18), parent)[grid]
         assert runtime.index.lookups == lookups
         assert runtime.metrics.counter("net.messages") == messages
-        assert record.epoch == parent[grid].epoch
         assert same_shares(
             shares(grid, record),
             {
@@ -121,6 +129,9 @@ class TestPlacementFromTheParentsLookup:
         )
 
     def test_an_epoch_bump_forces_a_charged_lookup(self):
+        """Ownership moves after the parent's lookup: the child is placed
+        from the stale clip, lands misplaced, and re-places itself through
+        one charged lookup."""
         runtime = make_runtime()
         grid = placed_grid(runtime)
         parent = {grid: resolve(runtime, grid, grid.full_region)}
@@ -128,33 +139,48 @@ class TestPlacementFromTheParentsLookup:
         # block moves to pid 3
         moved = grid.box((8,), (12,))
         runtime.wait_process(run_moves(runtime, [Move(grid, moved, 1, 3)]))
-        assert runtime.index.ownership_version(grid) != parent[grid].epoch
         lookups = runtime.index.lookups
-        record = place(runtime, writer(grid, 8, 16), parent)[grid]
+        assert ran_at(runtime, writer(grid, 8, 12), parent=parent) == [3]
+        assert runtime.metrics.counter("sched.replaced") == 1
         assert runtime.index.lookups == lookups + 1
-        assert record.epoch == runtime.index.ownership_version(grid)
-        assert same_shares(
-            shares(grid, record), {3: moved, 1: grid.box((12,), (16,))}
-        )
+        assert runtime.process(3).executed_leaves == 1
 
-    def test_a_lookup_that_saw_ownership_move_places_no_child(self):
+    def test_a_task_landing_where_it_owns_its_writes_is_queued(self):
         runtime = make_runtime()
         grid = placed_grid(runtime)
+        assert ran_at(runtime, writer(grid, 16, 24)) == [2]
+        assert runtime.metrics.counter("sched.replaced") == 0
+        assert runtime.index.lookups == 1
+
+    def test_a_lookup_that_saw_ownership_move_still_places_children(self):
+        """An unrelated move while the parent's lookup runs leaves its
+        pieces right: the child is placed from them and stays where it
+        lands."""
+        runtime = make_runtime()
+        grid = placed_grid(runtime)
+        version = runtime.index.ownership_version(grid)
 
         def move_while_it_runs():
             yield 1e-9  # the lookup is still travelling to pid 3
-            runtime.index.update_ownership(grid, 2, grid.box((16,), (20,)))
+            yield from run_moves(
+                runtime, [Move(grid, grid.box((16,), (20,)), 2, 1)]
+            )
 
         found = runtime.engine.spawn(
-            runtime.scheduler._resolve(grid, grid.box((24,), (32,)), 0)
+            runtime.index.lookup(grid, grid.box((24,), (32,)), 0)
+        )
+        seen = []
+        found.add_callback(
+            lambda _value: seen.append(runtime.index.ownership_version(grid))
         )
         runtime.engine.spawn(move_while_it_runs())
         runtime.run()
-        parent = {grid: found.value}
-        assert parent[grid].epoch == STALE
+        assert seen[0] != version  # the lookup ended after the move began
+        parent = {grid: found.value[0]}
         lookups = runtime.index.lookups
-        place(runtime, writer(grid, 24, 28), parent)
-        assert runtime.index.lookups == lookups + 1
+        assert ran_at(runtime, writer(grid, 24, 28), parent=parent) == [3]
+        assert runtime.index.lookups == lookups
+        assert runtime.metrics.counter("sched.replaced") == 0
 
     def test_an_unresolved_clip_forces_a_charged_lookup(self):
         runtime = make_runtime()
@@ -218,11 +244,11 @@ class TestTheCacheLearnsFromCarriedLookups:
         runtime = make_runtime(index_caching=True)
         grid = placed_grid(runtime)
         index = runtime.index
-        parent = {grid: resolve(runtime, grid, grid.box((0,), (16,)), origin=2)}
-        place(runtime, writer(grid, 4, 12), parent, origin=2)
-        # a later lookup of the same region from pid 2 hits its cache
+        parent = {grid: resolve(runtime, grid, grid.box((8,), (24,)), origin=2)}
+        # placed from the clip, the child lands at its origin, pid 2
+        assert ran_at(runtime, writer(grid, 18, 22), 2, parent) == [2]
         hits = index.cache_hits
-        runtime.wait_process(index.lookup_cached(grid, grid.box((4,), (12,)), 2))
+        runtime.wait_process(index.lookup_cached(grid, grid.box((18,), (22,)), 2))
         assert index.cache_hits == hits + 1
 
     def test_a_received_lookup_teaches_the_targets_cache(self):
@@ -237,18 +263,52 @@ class TestTheCacheLearnsFromCarriedLookups:
         )
         assert index.cache_hits == hits + 1
 
-    def test_a_stale_record_teaches_nothing(self):
+    def test_a_misplaced_landing_teaches_nothing(self):
         runtime = make_runtime(index_caching=True)
         grid = placed_grid(runtime)
         index = runtime.index
-        record = resolve(runtime, grid, grid.full_region, origin=1)
-        runtime.wait_process(
-            run_moves(runtime, [Move(grid, grid.box((0,), (4,)), 0, 2)])
+        parent = {grid: resolve(runtime, grid, grid.full_region)}
+        block = grid.box((24,), (32,))
+        runtime.wait_process(run_moves(runtime, [Move(grid, block, 3, 2)]))
+        # the stale clip sends the child to pid 3, which re-places it
+        assert ran_at(runtime, writer(grid, 24, 32), parent=parent) == [2]
+        assert runtime.metrics.counter("sched.replaced") == 1
+        # pid 3 knows only what its own fresh lookup found
+        hits = index.cache_hits
+        mapping, _unresolved = runtime.wait_process(
+            index.lookup_cached(grid, block, 3)
         )
-        index.learn(grid, 3, record.epoch, record)
-        misses = index.cache_misses
-        runtime.wait_process(index.lookup_cached(grid, grid.box((0,), (4,)), 3))
-        assert index.cache_misses == misses + 1
+        assert index.cache_hits == hits + 1
+        assert [pid for _part, pid in mapping] == [2]
+
+    def test_a_stale_cache_entry_ends_after_one_replacement(self):
+        """pid 1's cache learns a stale owner of ``8..12`` from a checked
+        landing, then a write of it is submitted at pid 1: the cache sends
+        it home to pid 1, where it lands misplaced.  Forgetting the
+        written item there makes the re-placement's lookup fresh."""
+        runtime = make_runtime(index_caching=True)
+        grid = placed_grid(runtime)
+        parent = {grid: resolve(runtime, grid, grid.full_region)}
+        moved = grid.box((8,), (12,))
+        runtime.wait_process(run_moves(runtime, [Move(grid, moved, 1, 2)]))
+        # writes what pid 1 still owns, reads what it no longer does: the
+        # check passes, and pid 1 learns the clip ``8..16 -> 1``
+        reader = TaskSpec(
+            name="reader",
+            reads={grid: grid.box((8,), (16,))},
+            writes={grid: grid.box((12,), (16,))},
+        )
+        assert ran_at(runtime, reader, 1, parent) == [1]
+        assert runtime.metrics.counter("sched.replaced") == 0
+        assert ran_at(runtime, writer(grid, 8, 12), origin=1) == [2]
+        assert runtime.metrics.counter("sched.replaced") == 1
+        assert runtime.process(2).executed_leaves == 1
+
+    def test_without_forget_the_stale_entry_re_places_forever(self, monkeypatch):
+        """The test above kills a landing that keeps its cache entries."""
+        monkeypatch.setattr(HierarchicalIndex, "forget", lambda *_args: None)
+        with pytest.raises(RecursionError):
+            self.test_a_stale_cache_entry_ends_after_one_replacement()
 
 
 # -- the clip names the owners a fresh lookup would --------------------------------
@@ -266,37 +326,98 @@ boxes = st.tuples(
 
 
 def grant(runtime, grid, pid, box):
-    """Give ``box`` to ``pid`` in the index, taking it from everyone else."""
+    """Move whatever is owned of ``box`` to ``pid``, from every other owner."""
     region = BoxSetRegion((box,))
-    index = runtime.index
+    moves = []
     for other in range(runtime.num_processes):
-        if other != pid:
-            index.update_ownership(
-                grid, other, index.leaf(grid, other).difference(region)
-            )
-    index.update_ownership(grid, pid, index.leaf(grid, pid).union(region))
+        part = runtime.index.leaf(grid, other).intersect(region)
+        if other != pid and not part.is_empty():
+            moves.append(Move(grid, part, other, pid))
+    runtime.wait_process(run_moves(runtime, moves))
 
 
-#: random ownership layouts, a parent lookup, moves after it, and a child
+#: random ownership layouts, a parent lookup, and a child
 CLIP_CASES = dict(
     num_processes=st.sampled_from([2, 3, 4, 8]),
     owned=st.booleans(),
     layout=st.lists(st.tuples(st.integers(0, 7), boxes), max_size=8),
     request=boxes,
     origin=st.integers(0, 7),
-    # a move of ``None`` hands the child's own box to the pid
-    moves=st.lists(
-        st.tuples(st.integers(0, 7), st.one_of(st.none(), boxes)), max_size=3
-    ),
     child=st.one_of(boxes, boxes.map(lambda b: ("inside", b))),
-    child_origin=st.integers(0, 7),
 )
 
 #: deterministic, so the mutant below fails it on every run
 CLIP_SETTINGS = dict(max_examples=150, deadline=None, derandomize=True, database=None)
 
+
+def laid_out(num_processes, owned, layout, request, origin, child):
+    """A runtime over a random layout, the parent's pieces of ``request``
+    and the child's region.  ``owned``: every cell starts owned (a block
+    each), else none does."""
+    runtime = make_runtime(nodes=num_processes)
+    grid = Grid((SIDE, SIDE), name="g")
+    if owned:
+        shares = grid.decompose(num_processes)
+    else:
+        shares = [grid.empty_region()] * num_processes
+    for pid, box in layout:
+        region = BoxSetRegion((box,))
+        shares = [share.difference(region) for share in shares]
+        shares[pid % num_processes] = shares[pid % num_processes].union(region)
+    runtime.register_item(grid, placement=shares)
+    requested = BoxSetRegion((request,))
+    parent = resolve(runtime, grid, requested, origin % num_processes)
+    child_box = child[1] if isinstance(child, tuple) else child
+    region = BoxSetRegion((child_box,))
+    if isinstance(child, tuple):
+        region = requested.intersect(region)
+    return runtime, grid, parent, child_box, region
+
+
+def check_reused_clip(**case):
+    """With no ownership move between the parent's lookup and the child's
+    placement, a reused clip is exactly who owns the child's region."""
+    runtime, grid, parent, _child_box, region = laid_out(**case)
+    index = runtime.index
+    record = Scheduler._reuse({grid: parent}, grid, region)
+    truth = shares(
+        grid,
+        [
+            (region.intersect(index.leaf(grid, pid)), pid)
+            for pid in range(runtime.num_processes)
+        ],
+    )
+    if record is not None:
+        assert same_shares(shares(grid, record), truth), (
+            "a reused clip names other owners than the index's leaves"
+        )
+    resolved = grid.empty_region()
+    for part, _pid in parent:
+        resolved = resolved.union(part)
+    if resolved.covers(region):
+        assert record is not None, "a clip that holds was refused"
+
+
+@given(**CLIP_CASES)
+@settings(**CLIP_SETTINGS)
+def test_a_reused_clip_names_the_owners_a_fresh_lookup_would(**case):
+    check_reused_clip(**case)
+
+
+# -- a task naming an owner of its writes is queued only where they are owned -------
+
+#: the clip cases, plus moves after the parent's lookup and the child's
+#: origin; a move of ``None`` hands the child's own box to the pid
+LANDING_CASES = dict(
+    CLIP_CASES,
+    moves=st.lists(
+        st.tuples(st.integers(0, 7), st.one_of(st.none(), boxes)), max_size=3
+    ),
+    child_origin=st.integers(0, 7),
+)
+
 #: after the parent's lookup, the child's box moves from pid 0 to pid 1
-CLIP_EXAMPLE = dict(
+LANDING_EXAMPLE = dict(
     num_processes=2,
     owned=True,
     layout=[],
@@ -308,72 +429,55 @@ CLIP_EXAMPLE = dict(
 )
 
 
-def check_reused_clip(
-    num_processes, owned, layout, request, origin, moves, child, child_origin
-):
-    """``owned``: every cell starts owned (a block each), else none does."""
-    runtime = make_runtime(nodes=num_processes)
-    grid = Grid((SIDE, SIDE), name="g")
-    runtime.register_item(grid)
-    index = runtime.index
-    if owned:
-        for pid, block in enumerate(grid.decompose(num_processes)):
-            index.update_ownership(grid, pid, block)
-    for pid, box in layout:
-        grant(runtime, grid, pid % num_processes, box)
-    requested = BoxSetRegion((request,))
-    parent = resolve(runtime, grid, requested, origin % num_processes)
-    child_box = child[1] if isinstance(child, tuple) else child
+def check_landing(moves, child_origin, **case):
+    """Place a writer of the child's region from its parent's lookup after
+    ``moves``, and record every queue it enters: whenever the lookup it
+    carries names a process owning all its writes, the process it is
+    queued at owns them at that moment.  The queues run nothing."""
+    runtime, grid, parent, child_box, region = laid_out(**case)
     for pid, box in moves:
-        grant(runtime, grid, pid % num_processes, box or child_box)
-    region = BoxSetRegion((child_box,))
-    if isinstance(child, tuple):
-        region = requested.intersect(region)
-    record = runtime.scheduler._reuse(
-        {grid: parent}, grid, region, child_origin % num_processes
+        grant(runtime, grid, pid % runtime.num_processes, box or child_box)
+    task = TaskSpec(name="child", writes={grid: region})
+    landed = []
+    for proc in runtime.processes:
+
+        def enqueue(task, treeture, variant, lookup=None, _pid=proc.pid):
+            named = runtime.scheduler._covering_writes(
+                task,
+                {item: Scheduler._owner_shares(p) for item, p in lookup.items()},
+            )
+            owns = runtime.index.leaf(grid, _pid).covers(region)
+            landed.append((named, owns))
+
+        proc.enqueue = enqueue
+    runtime.scheduler.assign(
+        task, origin=child_origin % runtime.num_processes, parent={grid: parent}
     )
-    truth = shares(
-        grid,
-        [
-            (region.intersect(index.leaf(grid, pid)), pid)
-            for pid in range(num_processes)
-        ],
+    runtime.run()
+    assert len(landed) == 1, "the task was not queued exactly once"
+    named, owns = landed[0]
+    assert named is None or owns, (
+        "a task naming an owner of its writes was queued where they are not"
     )
-    if record is not None:
-        assert same_shares(shares(grid, record), truth), (
-            "a reused clip names other owners than the index's leaves"
-        )
-    resolved = grid.empty_region()
-    for part, _pid in parent:
-        resolved = resolved.union(part)
-    if parent.epoch == index.ownership_version(grid) and resolved.covers(region):
-        assert record is not None, "a clip that still holds was refused"
 
 
-@given(**CLIP_CASES)
-@example(**CLIP_EXAMPLE)
+@given(**LANDING_CASES)
+@example(**LANDING_EXAMPLE)
 @settings(**CLIP_SETTINGS)
-def test_a_reused_clip_names_the_owners_a_fresh_lookup_would(**case):
-    check_reused_clip(**case)
+def test_a_task_naming_a_write_owner_is_queued_only_where_it_owns(**case):
+    check_landing(**case)
 
 
-def test_dropped_epoch_check_fails_the_clip_property(monkeypatch):
-    """The property above kills a scheduler that ignores the epoch."""
-    reuse = Scheduler._reuse
-
-    def ignoring_epochs(self, parent, item, region, origin):
-        pieces = parent.get(item) if parent else None
-        if isinstance(pieces, Resolution):
-            pieces.epoch = self.index.ownership_version(item)
-        return reuse(self, parent, item, region, origin)
+def test_dropped_landing_check_fails_the_landing_property(monkeypatch):
+    """The property above kills a scheduler whose landing checks nothing."""
 
     # the first failing example is enough: no shrinking
-    @given(**CLIP_CASES)
-    @example(**CLIP_EXAMPLE)
+    @given(**LANDING_CASES)
+    @example(**LANDING_EXAMPLE)
     @settings(**CLIP_SETTINGS, phases=[Phase.explicit, Phase.generate])
     def under_the_mutant(**case):
-        check_reused_clip(**case)
+        check_landing(**case)
 
-    monkeypatch.setattr(Scheduler, "_reuse", ignoring_epochs)
-    with pytest.raises(AssertionError, match="other owners"):
+    monkeypatch.setattr(Scheduler, "_misplaced", lambda *_args: False)
+    with pytest.raises(AssertionError, match="queued where they are not"):
         under_the_mutant()

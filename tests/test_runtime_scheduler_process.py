@@ -136,7 +136,9 @@ class TestWorkStealing:
         ]
         for t in treetures:
             runtime.wait(t)
-        assert runtime.metrics.counter("proc.steals") >= 1
+        # the burst of enqueues is offered to a peer once: one probe is in
+        # flight per process, and its steal takes half the queue
+        assert runtime.metrics.counter("proc.steals") == 1
         assert runtime.process(1).executed_leaves > 0
         # the first tasks start at once; the rest queue longest-first, and
         # every steal takes the end of that order, so the victim keeps a

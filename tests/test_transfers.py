@@ -167,7 +167,7 @@ def tracked(cache, item):
     """The replica region ``cache`` tracks for ``item``."""
     region = item.empty_region()
     for entry in cache.entries(item):
-        region = region.union(entry.region)
+        region = region.union(entry)
     return region
 
 
@@ -198,7 +198,7 @@ class TestReplicaCache:
         replica = manager.replica_region(grid)
         assert not replica.is_empty()
         assert tracked(cache, grid).same_elements(replica)
-        half = cache.entries(grid)[0].region
+        half = cache.entries(grid)[0]
         manager.drop_replica(grid, half)
         assert tracked(cache, grid).same_elements(replica.difference(half))
 
@@ -240,17 +240,18 @@ class TestReplicaCache:
         cache = manager.replica_cache
         remote = runtime.index.owned_region(grid, 1)
         self.replicate(runtime, grid, remote, target=0)
-        assert cache.entries(grid)
-        version = cache.entries(grid)[0].version
-        # bump the item's ownership epoch with an unrelated-item-safe
-        # no-payload change: re-register is not possible, so grow p1's
-        # leaf through the index directly
+        before = cache.entries(grid)
+        assert before
+        # the cache keeps no ownership epoch: an update of the owner's
+        # leaf, here a no-op one, leaves the tracked replica as it was
         runtime.index.update_ownership(
             grid, 1, runtime.index.owned_region(grid, 1)
-        )  # no-op: same elements, version unchanged
-        assert cache.entries(grid)[0].version == version
+        )
+        assert cache.entries(grid) == before
+        hits = runtime.metrics.counter("comms.replica_hits")
         cache.record_hit(grid, remote)
-        assert runtime.metrics.counter("comms.replica_revalidations") == 0
+        assert runtime.metrics.counter("comms.replica_hits") == hits + 1
+        assert tracked(cache, grid).same_elements(remote)
 
     def test_destroyed_item_leaves_no_cache_entries(self):
         """A destroyed item's replicas leave the cache with it, and a later
