@@ -27,7 +27,7 @@ and node cores, so data management overhead shows up in benchmark time.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Generator, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, NamedTuple
 
 from repro.items.base import DataItem, Fragment, FragmentPayload
 from repro.regions.base import Region
@@ -39,6 +39,7 @@ from repro.runtime.transfers import ReplicaCache, TransferPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.process import RuntimeProcess
     from repro.runtime.runtime import AllScaleRuntime
+    from repro.sim.engine import Future, SimEngine
 
 #: finished transfer plans kept per process for audits and property tests
 PLAN_LOG_LIMIT = 128
@@ -76,15 +77,19 @@ class Move(NamedTuple):
     dst: int
 
 
-class MoveError(RuntimeError):
-    """A move addressed to a process that is not alive."""
+class StagingError(RuntimeError):
+    """Process ``pid`` could not bring ``region`` of ``item`` into place for
+    ``task`` (``None``: a move outside any task); ``why`` says why."""
 
-    def __init__(self, item: DataItem, region: Region, pid: int) -> None:
+    def __init__(
+        self, item: DataItem, region: Region, pid: int, task: object, why: str
+    ) -> None:
+        name = f" for task {task.name!r}" if isinstance(task, TaskSpec) else ""
         super().__init__(
-            f"cannot move {region.size()} elements of {item.name!r} to "
-            f"process {pid}: it is not alive"
+            f"process {pid} could not stage {region.size()} elements of "
+            f"{item.name!r}{name}: {why}"
         )
-        self.item, self.region, self.pid = item, region, pid
+        self.item, self.region, self.pid, self.task = item, region, pid, task
 
 
 def cut_payload(
@@ -99,14 +104,38 @@ def cut_payload(
 
 
 def _guard_holds(
-    peer: "RuntimeProcess", item: DataItem, region: Region
+    peer: "RuntimeProcess", item: DataItem, region: Region, locked: Callable
 ) -> bool:
-    """The *(migrate)* guard at a live source: no lock on ``region`` and
-    none of its bytes still in flight there."""
+    """The source guard: ``locked`` finds no lock on ``region`` at ``peer``,
+    and none of its bytes are in flight there."""
     return not (
-        peer.locks.any_locked(item, region)
+        locked(item, region)
         or peer.data_manager.in_flight_region(item).overlaps(region)
     )
+
+
+def _at_source(
+    peer: "RuntimeProcess", item: DataItem, region: Region, writes_only: bool
+) -> Generator:
+    """Wait until the *(migrate)* guard holds at ``peer`` — the *(replicate)*
+    one, blocked by write locks only, if ``writes_only`` — then charge the
+    source's fragment-op overhead and start over unless it still holds.
+    Returns what ``peer`` then holds of ``region`` (owned bytes for a move,
+    present ones for a copy) for the caller to cut with no yield in
+    between; if it holds none, returns that at once, uncharged."""
+    locks, source = peer.locks, peer.data_manager
+    locked = locks.write_locked if writes_only else locks.any_locked
+    holds = source.present_region if writes_only else source.owned_region
+    while True:
+        while locked(item, region):
+            yield locks.released.wait()
+        while source.in_flight_region(item).overlaps(region):
+            yield source.in_flight.wait()
+        if holds(item).intersect(region).is_empty():
+            return item.empty_region()
+        yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
+        if _guard_holds(peer, item, region, locked):
+            return holds(item).intersect(region)
 
 
 def run_moves(runtime: "AllScaleRuntime", moves: Iterable[Move]) -> Generator:
@@ -136,27 +165,27 @@ def run_stored_moves(
     return sum(moved)
 
 
-class ChangeSignal:
-    """The futures waiting for the next change of one piece of a process's
-    bookkeeping; whoever changes it calls :meth:`wake`."""
+class Signal:
+    """Wake-all: the futures waiting for the next change of one piece of
+    bookkeeping; whoever changes it calls :meth:`fire`."""
 
-    def __init__(self, manager: "DataItemManager") -> None:
-        self.manager = manager
-        self._waiters: list = []
+    def __init__(self, engine: "SimEngine") -> None:
+        self.engine = engine
+        self._waiters: list["Future"] = []
 
-    def change(self):
-        """Future completing at the next :meth:`wake`."""
-        future = self.manager.process.runtime.engine.future()
+    def wait(self) -> "Future":
+        """Future completing at the next :meth:`fire`."""
+        future = self.engine.future()
         self._waiters.append(future)
         return future
 
-    def wake(self) -> None:
+    def fire(self) -> None:
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
             waiter.complete(None)
 
 
-class TransferMarkers(ChangeSignal):
+class TransferMarkers(Signal):
     """Per-item regions one kind of transfer has on the wire towards a
     process; its waiters wake at each :meth:`clear` (or node failure).
 
@@ -165,7 +194,8 @@ class TransferMarkers(ChangeSignal):
     """
 
     def __init__(self, manager: "DataItemManager", kind: str) -> None:
-        super().__init__(manager)
+        super().__init__(manager.process.runtime.engine)
+        self.manager = manager
         self.probe = manager.probe
         self.kind = kind
         self.regions: dict[DataItem, Region] = {}
@@ -190,7 +220,7 @@ class TransferMarkers(ChangeSignal):
             self.regions.pop(item, None)
         else:
             self.regions[item] = remaining
-        self.wake()
+        self.fire()
 
     def _publish(self, item: DataItem, region: Region) -> None:
         for notify in self.probe.table_publish:
@@ -220,7 +250,7 @@ class DataItemManager:
         # barrier waits for them, or the handover would meet a corpse;
         # ``handed_over`` wakes as each hands over or gives up
         self.incoming_moves = 0
-        self.handed_over = ChangeSignal(self)
+        self.handed_over = Signal(process.runtime.engine)
         self.replica_cache = ReplicaCache(self)
         self.plan_log: deque[TransferPlan] = deque(maxlen=PLAN_LOG_LIMIT)
 
@@ -292,10 +322,9 @@ class DataItemManager:
         self.replica_cache.note_dropped(item, region)
         self.index.update_ownership(item, self.pid, owned)
 
-    def export_owned(self, item: DataItem, region: Region) -> FragmentPayload:
-        """Cut owned data out for a migration; caller charges the transfer."""
+    def export_owned(self, item: DataItem, part: Region) -> FragmentPayload:
+        """Cut owned ``part`` out for a migration; caller charges the transfer."""
         owned = self.owned_region(item)
-        part = owned.intersect(region)
         fragment = self.fragment(item)
         payload = fragment.extract(part)
         for notify in self.probe.frag_write:
@@ -325,18 +354,20 @@ class DataItemManager:
         self.process.runtime.metrics.incr("dm.imports")
 
     def insert_replica(self, item: DataItem, payload: FragmentPayload) -> None:
-        """Splice replicated (read-only) data; ownership unchanged."""
+        """Splice what a landed replica still has registered here (an
+        invalidation or an ownership gain in transit drops the rest)."""
         runtime = self.process.runtime
-        self._splice(item, payload, "replica-in")
-        # anything that became locally *owned* while the payload was in
-        # transit (a concurrent write staging here) is not a replica
-        replicated = payload.region.difference(self.owned_region(item))
-        if not replicated.is_empty():
-            runtime.register_replica(item, self.pid, replicated)
+        registered = runtime.replica_holders(item).get(self.pid)
+        kept = payload.region.intersect(registered or item.empty_region())
+        if not kept.is_empty():
+            if not kept.same_elements(payload.region):
+                payload = cut_payload(item, payload, kept)
+            self._splice(item, payload, "replica-in")
         runtime.metrics.incr("dm.replicas_fetched")
 
     def drop_replica(self, item: DataItem, region: Region) -> None:
-        """Invalidate local replicated data (never touches owned data)."""
+        """Invalidate replicas of ``region`` here, landed or on the wire."""
+        self.process.runtime.unregister_replica(item, self.pid, region)
         victim = self.replica_region(item).intersect(region)
         if victim.is_empty():
             return
@@ -345,31 +376,25 @@ class DataItemManager:
             notify(self.pid, item, victim, "invalidate", None)
         fragment.resize(fragment.region.difference(victim))
         self.process.node.free(item.region_bytes(victim))
-        self.process.runtime.unregister_replica(item, self.pid, victim)
         self.replica_cache.note_dropped(item, victim)
         self.process.runtime.metrics.incr("dm.replicas_dropped")
 
     # -- requirement satisfaction (simulation processes) --------------------------------
 
     def requirements_hold(self, task: TaskSpec) -> bool:
-        """Do the *start* rule's data premises hold here, right now?
+        """Do the *start* rule's data premises hold here, right now?  The
+        check ``RuntimeProcess._run_leaf`` runs under lock: no yields, no
+        side effects, so a failed one holds the locks for no time."""
+        return self.unmet_requirement(task) is None
 
-        Synchronous re-verification run *after* lock acquisition: between
-        :meth:`ensure_for_task` completing and the locks being granted,
-        other simulation processes run — a remote task may re-replicate
-        part of the write set, or a concurrent migration may steal
-        ownership staged here.  Both races are invisible to the (already
-        satisfied) staging pass; catching them under lock and restaging
-        closes them.  Checks only — no yields, no side effects — so a
-        failed verification holds the just-acquired locks for zero
-        simulated time.
-        """
+    def unmet_requirement(self, task: TaskSpec) -> tuple[DataItem, Region] | None:
+        """The first item and elements failing a premise; ``None``: none."""
         runtime = self.process.runtime
         for item in task.accessed_items_ordered():
             write = task.write_region(item)
             if not write.is_empty():
                 if not self.owned_region(item).covers(write):
-                    return False
+                    return item, write.difference(self.owned_region(item))
                 hull = write.hull()
                 for pid, region in runtime.replica_holders(item).items():
                     if (
@@ -377,13 +402,13 @@ class DataItemManager:
                         and not bounds_disjoint(hull, region.hull())
                         and region.overlaps(write)
                     ):
-                        return False
+                        return item, region.intersect(write)
             accessed = task.accessed_region(item)
             if not self.present_region(item).covers(accessed):
-                return False
+                return item, accessed.difference(self.present_region(item))
             if self.in_flight_region(item).overlaps(accessed):
-                return False
-        return True
+                return item, accessed.intersect(self.in_flight_region(item))
+        return None
 
     def ensure_for_task(
         self, task: TaskSpec, hint: Lookup | None = None
@@ -414,7 +439,7 @@ class DataItemManager:
                 while runtime.write_intent_blocked(
                     item, write, task, against_reads=True
                 ):
-                    yield runtime.intent_change()
+                    yield runtime.intents.wait()
                 yield from runtime.invalidate_replicas(item, write, self.pid)
             read = task.read_region(item)
             if not read.is_empty():
@@ -439,7 +464,7 @@ class DataItemManager:
             # the wire is not usable yet
             accessed = task.accessed_region(item)
             while self.in_flight_region(item).overlaps(accessed):
-                yield self.in_flight.change()
+                yield self.in_flight.wait()
         self._finish_plan(plan)
 
     def _finish_plan(self, plan: TransferPlan) -> None:
@@ -467,7 +492,7 @@ class DataItemManager:
             while runtime.write_intent_blocked(
                 item, missing, task, against_reads=True
             ):
-                yield runtime.intent_change()
+                yield runtime.intents.wait()
             missing = region.difference(self.owned_region(item))
             if missing.is_empty():
                 return
@@ -503,10 +528,9 @@ class DataItemManager:
                 yield from self._first_touch(item, unresolved, grab, plan)
         missing = region.difference(self.owned_region(item))
         if not missing.is_empty():
-            raise RuntimeError(
-                f"process {self.pid} could not acquire ownership of "
-                f"{missing.size()} write elements of {item.name!r} after "
-                "repeated attempts (ownership thrashing?)"
+            raise StagingError(
+                item, missing, self.pid, task,
+                "lost it again on every attempt (ownership thrashing?)",
             )
 
     def _first_touch(
@@ -542,42 +566,30 @@ class DataItemManager:
         moves here from process ``src``.  Returns the bytes moved.
 
         The source is asked with a control message, and its bytes leave
-        only once the guard holds there (no lock on the region, none of its
-        bytes still in flight), re-checked after the source's overhead
-        yield.  Ownership is then handed over and the region marked in
-        flight here with no yield in between, so no element is ever owned
-        by no process — a window in which a concurrent first touch could
+        only once its guard holds at the cut (:func:`_at_source`).
+        Ownership is then handed over and the region marked in flight here
+        with no yield in between, so no element is ever owned by no
+        process — a window in which a concurrent first touch could
         re-allocate it; tasks and replica fetches wait on the marker until
         the payload lands.
         """
         runtime = self.process.runtime
         peer = runtime.process(src)
-        source = peer.data_manager
         self.incoming_moves += 1
         try:
             yield runtime.network.send(self.pid, src, CONTROL_MESSAGE_BYTES)
-            while True:
-                while peer.locks.any_locked(item, region):
-                    yield peer.locks.wait_for_change()
-                while source.in_flight_region(item).overlaps(region):
-                    yield source.in_flight.change()
-                part = source.owned_region(item).intersect(region)
-                if part.is_empty():
-                    return 0  # someone else migrated it away meanwhile
-                yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
-                # the guard must still hold where the effect applies: a
-                # source task may have taken its locks during the yield
-                if _guard_holds(peer, item, region):
-                    break
+            part = yield from _at_source(peer, item, region, writes_only=False)
+            if part.is_empty():
+                return 0  # someone else migrated it away meanwhile
             if self.process.failed:  # refused before the export: src keeps its bytes
-                raise MoveError(item, part, self.pid)
-            payload = source.export_owned(item, part)
+                raise StagingError(item, part, self.pid, None, "it is not alive")
+            payload = peer.data_manager.export_owned(item, part)
             # atomic handover: ownership (and the index) move now
             self._own(item, payload.region)
         finally:
             # handed over (the in-flight marker takes over) or given up
             self.incoming_moves -= 1
-            self.handed_over.wake()
+            self.handed_over.fire()
         yield from self._land_from(src, item, payload)
         runtime.metrics.incr("dm.migrations")
         runtime.metrics.incr("dm.migrated_bytes", payload.nbytes)
@@ -595,7 +607,7 @@ class DataItemManager:
         generator that ships it from the checkpoint ``payload`` and lands
         it (its result is the bytes moved)."""
         if self.process.failed:
-            raise MoveError(item, region, self.pid)
+            raise StagingError(item, region, self.pid, None, "it is not alive")
         self._own(item, region)
         origin = (self.pid + 1) % self.process.runtime.num_processes
         payload = cut_payload(item, payload, region)
@@ -694,7 +706,7 @@ class DataItemManager:
         # as we can re-fetch them; wait out its reservation rather than
         # burning retry attempts against it
         while runtime.write_intent_blocked(item, missing, task):
-            yield runtime.intent_change()
+            yield runtime.intents.wait()
         missing = want.difference(self.present_region(item))
         if missing.is_empty():
             return True
@@ -702,7 +714,7 @@ class DataItemManager:
         # those bytes on the wire towards this process — wait for them to
         # land instead of moving the same elements twice
         while self.fetching_region(item).overlaps(missing):
-            yield self.fetching.change()
+            yield self.fetching.wait()
             missing = want.difference(self.present_region(item))
             if missing.is_empty():
                 return True
@@ -788,10 +800,11 @@ class DataItemManager:
         """One replica fetch from one peer — the *(replicate)* rule.
 
         One control request, then every piece of ``parts`` the peer still
-        holds comes back as one payload.  ``bulk`` picks only the wire
-        accounting: one ``send_bulk`` of the per-piece sizes, charged once
-        on the NIC and announced as ``coalesced_transfer``, instead of a
-        plain ``send``.
+        holds once its guard holds (:func:`_at_source`) is cut, registered
+        here as a replica, and comes back as one payload.  ``bulk`` picks
+        only the wire accounting: one ``send_bulk`` of the per-piece sizes,
+        charged once on the NIC and announced as ``coalesced_transfer``,
+        instead of a plain ``send``.
         """
         runtime = self.process.runtime
         network = runtime.network
@@ -800,26 +813,24 @@ class DataItemManager:
         if plan is not None:
             plan.plan(item, region, owner, "replicate")
         yield network.send(self.pid, owner, CONTROL_MESSAGE_BYTES)
-        # (replicate) guard: no *write* locks at the source, and the
-        # source's bytes must have physically arrived
-        while peer.locks.write_locked(item, region):
-            yield peer.locks.wait_for_change()
-        while peer.data_manager.in_flight_region(item).overlaps(region):
-            yield peer.data_manager.in_flight.change()
         # the data may have moved away while we waited; take what is
         # still there and leave the rest to the stager's next attempt
-        present = peer.data_manager.present_region(item)
-        pieces = [part.intersect(present) for part in parts]
+        held = yield from _at_source(peer, item, region, writes_only=True)
+        pieces = [part.intersect(held) for part in parts]
         pieces = [piece for piece in pieces if not piece.is_empty()]
         if not pieces:
             # "not here" is a reply too
             yield network.send(owner, self.pid, CONTROL_MESSAGE_BYTES)
             return
         union = _union(pieces)
-        yield peer.node.interleave(FRAGMENT_OP_OVERHEAD)
         for notify in self.probe.frag_read:
             notify(owner, item, union, "replica-read")
         payload = peer.data_manager.fragment(item).extract(union)
+        # the copy exists from its cut: a writer verifying its locks while
+        # the bytes travel sees it, and its invalidation reaches them
+        runtime.register_replica(
+            item, self.pid, union.difference(self.owned_region(item))
+        )
         if bulk:
             sizes = [item.region_bytes(piece) for piece in pieces]
             for notify in self.probe.coalesced_transfer:

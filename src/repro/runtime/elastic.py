@@ -123,11 +123,11 @@ def _busy(process: "RuntimeProcess") -> Callable[[], object] | None:
     if process.active:
         return process._slot_free
     if manager.in_flight:
-        return manager.in_flight.change
+        return manager.in_flight.wait
     if manager.fetching:
-        return manager.fetching.change
+        return manager.fetching.wait
     if manager.incoming_moves:
-        return manager.handed_over.change
+        return manager.handed_over.wait
     return None
 
 

@@ -22,10 +22,11 @@ from typing import TYPE_CHECKING
 from repro.items.base import DataItem
 from repro.regions.base import Region
 from repro.regions.bounds import bounds_disjoint
+from repro.runtime.data_manager import Signal
 from repro.runtime.probe import INERT, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import Future, SimEngine
+    from repro.sim.engine import SimEngine
 
 
 @dataclass
@@ -42,11 +43,11 @@ class LockTable:
     def __init__(
         self, engine: "SimEngine", pid: int = -1, probe: Probe = INERT
     ) -> None:
-        self.engine = engine
         self.pid = pid
         self.probe = probe
         self._holds: list[_Hold] = []
-        self._waiters: list["Future"] = []
+        #: fires the next time any locks are released
+        self.released = Signal(engine)
 
     # -- queries -------------------------------------------------------------------
     #
@@ -166,20 +167,12 @@ class LockTable:
                 if hold.owner is owner:
                     notify(("locks", self.pid, hold.item.name), hold.region)
         self._holds = [h for h in self._holds if h.owner is not owner]
-        if len(self._holds) != before and self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for waiter in waiters:
-                waiter.complete(None)
-
-    def wait_for_change(self) -> "Future":
-        """Future completing the next time any locks are released."""
-        future = self.engine.future()
-        self._waiters.append(future)
-        return future
+        if len(self._holds) != before:
+            self.released.fire()
 
     @property
     def active_holds(self) -> int:
         return len(self._holds)
 
     def __repr__(self) -> str:
-        return f"LockTable({len(self._holds)} holds, {len(self._waiters)} waiting)"
+        return f"LockTable({len(self._holds)} holds)"

@@ -40,7 +40,7 @@ from repro.runtime.config import (
     TASK_SPAWN_OVERHEAD,
     TASK_START_OVERHEAD,
 )
-from repro.runtime.data_manager import DataItemManager
+from repro.runtime.data_manager import DataItemManager, StagingError
 from repro.runtime.locks import LockTable
 from repro.runtime.tasks import (
     Lookup,
@@ -249,17 +249,17 @@ class RuntimeProcess:
             notify(task, treeture, self.pid, engine.now)
         # stage data and take region locks.  Between staging completing and
         # the locks being granted other processes run, so the premises can
-        # be invalidated again (a remote read re-replicates the write set;
-        # a migration steals staged ownership) — hence stage, lock, then
-        # *re-verify under lock* and restage on failure.  The verification
-        # is synchronous: a failed round holds the locks for zero simulated
-        # time, so no deadlock can form through it.  A write-intent
-        # reservation covers the whole staging window: competing stagers
-        # defer to older intents, which turns the restage/re-fetch
-        # ping-pong between concurrent accessors of the same region from
-        # a livelock into a bounded wait.  The first staging fetches reads
-        # from the owners the placement lookup named; a restage looks up
-        # afresh.
+        # be invalidated again (a remote read copies the write set, seen
+        # from the copy's cut on; a migration steals staged ownership) —
+        # hence stage, lock, then *re-verify under lock* and restage on
+        # failure.  A failed round holds the locks for zero simulated time,
+        # so no deadlock can form through it.  A write-intent reservation
+        # covers the whole staging window: competing stagers defer to
+        # older intents, so writers that pull each other's rows stop
+        # stealing each other's staged ownership (``writer_straddle``),
+        # and a writer leaves alone the copies an older stager still
+        # fetches.  The first staging fetches reads from the owners the
+        # placement lookup named; a restage looks up afresh.
         intents = {
             item: task.write_region(item)
             for item in task.accessed_items_ordered()
@@ -281,16 +281,16 @@ class RuntimeProcess:
                 # take region locks; queue behind conflicting holders
                 while not self.locks.try_acquire(task, task.reads, task.writes):
                     self.runtime.metrics.incr("proc.lock_waits")
-                    yield self.locks.wait_for_change()
+                    yield self.locks.released.wait()
                 if self.data_manager.requirements_hold(task):
                     break
                 self.locks.release(task)
                 self.runtime.metrics.incr("proc.restages")
             else:
-                raise RuntimeError(
-                    f"task {task.name!r} at process {self.pid} could not "
-                    "hold its data requirements across lock acquisition "
-                    "after repeated restaging (requirement thrashing?)"
+                # nothing ran since the failed verification: it fails alike
+                raise StagingError(
+                    *self.data_manager.unmet_requirement(task), self.pid, task,
+                    "broken under lock on every restage (requirement thrashing?)",
                 )
         finally:
             # the verified locks take over protection from here

@@ -29,6 +29,7 @@ from repro.regions.bounds import NO_BOUNDS, Hull, bounds_disjoint
 from repro.regions.kernel import get_kernel
 from repro.runtime import sentinel
 from repro.runtime.config import CONTROL_MESSAGE_BYTES, RuntimeConfig
+from repro.runtime.data_manager import Signal
 from repro.runtime.index import HierarchicalIndex
 from repro.runtime.policies import DataAwarePolicy, SchedulingPolicy
 from repro.runtime.probe import Probe
@@ -157,7 +158,8 @@ class AllScaleRuntime:
         self._intent_writes: dict[DataItem, _IntentIndex] = {}
         self._intent_reads: dict[DataItem, _IntentIndex] = {}
         self._intent_seq = 0
-        self._intent_waiters: list = []
+        #: fires whenever an intent is set or cleared
+        self.intents = Signal(self.engine)
         #: optional periodic load balancer; created (but not started) when
         #: the config asks for it — drivers start it around the measured
         #: phase and stop it before returning, so the event loop drains
@@ -326,7 +328,8 @@ class AllScaleRuntime:
             key=lambda item: item.name,
         )
         for item in victims:
-            self.unregister_replica(item, pid, manager.replica_region(item))
+            # every copy registered here, landed or still on the wire
+            self.unregister_replica(item, pid, item.full_region)
             self.index.update_ownership(item, pid, item.empty_region())
         manager.fragments.clear()
         # transfers addressed to the corpse: the markers die with it (the
@@ -335,8 +338,8 @@ class AllScaleRuntime:
         # waiters re-check and find the regions present nowhere
         manager.in_flight.regions.clear()
         manager.fetching.regions.clear()
-        manager.in_flight.wake()
-        manager.fetching.wake()
+        manager.in_flight.fire()
+        manager.fetching.fire()
         process.node.memory_used = 0.0
         for notify in self.probe.process_failed:
             notify(pid)
@@ -362,6 +365,8 @@ class AllScaleRuntime:
     # -- replica registry ---------------------------------------------------------------
 
     def register_replica(self, item: DataItem, pid: int, region: Region) -> None:
+        if region.is_empty():
+            return
         for notify in self.probe.table_publish:
             notify(("rep", item.name), region)
         holders = self._replicas.setdefault(item, {})
@@ -424,7 +429,7 @@ class AllScaleRuntime:
                 if index is None:
                     index = table[item] = _IntentIndex()
                 index.add(self._intent_seq, key, region)
-        self._signal_intent_change()
+        self.intents.fire()
 
     def clear_write_intent(self, owner: object) -> None:
         entry = self._write_intents.get(id(owner))
@@ -434,7 +439,7 @@ class AllScaleRuntime:
                 for item in {**regions, **reads}:
                     notify(("intent", item.name), None)
             self._unindex_intent(id(owner))
-            self._signal_intent_change()
+            self.intents.fire()
 
     def _unindex_intent(self, key: int) -> None:
         _seq, _pid, regions, reads, _ref = self._write_intents.pop(key)
@@ -481,18 +486,6 @@ class AllScaleRuntime:
                 return True
         return False
 
-    def intent_change(self):
-        """Future completing the next time any intent is set or cleared."""
-        future = self.engine.future()
-        self._intent_waiters.append(future)
-        return future
-
-    def _signal_intent_change(self) -> None:
-        if self._intent_waiters:
-            waiters, self._intent_waiters = self._intent_waiters, []
-            for waiter in waiters:
-                waiter.complete(None)
-
     def invalidate_replicas(
         self, item: DataItem, region: Region, keeper: int
     ) -> Generator:
@@ -519,7 +512,7 @@ class AllScaleRuntime:
             yield self.network.send(keeper, pid, CONTROL_MESSAGE_BYTES)
             process = self.processes[pid]
             while process.locks.any_locked(item, overlap):
-                yield process.locks.wait_for_change()
+                yield process.locks.released.wait()
             process.data_manager.drop_replica(item, overlap)
             self.metrics.incr("dm.invalidations")
 

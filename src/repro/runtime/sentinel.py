@@ -704,20 +704,21 @@ class RuntimeSentinel:
                         item=item,
                         region=missing,
                     )
-                # replica registry mirrors fragment state
+                # present replicas ⊆ registered ⊆ present ∪ being fetched
                 registered = runtime.replica_holders(item).get(
                     process.pid, item.empty_region()
                 )
                 actual = manager.replica_region(item)
-                if not registered.same_elements(actual):
+                stray = actual.difference(registered).union(
+                    registered.difference(actual.union(manager.fetching_region(item)))
+                )
+                if not stray.is_empty():
                     self._report(
                         "replica_coherence",
                         f"replica registry for process {process.pid} "
                         "disagrees with its fragment",
                         item=item,
-                        region=registered.difference(actual).union(
-                            actual.difference(registered)
-                        ),
+                        region=stray,
                     )
             # hierarchy internal consistency: every level is the union of
             # its children; the root is the global coverage

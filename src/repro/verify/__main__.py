@@ -92,7 +92,6 @@ def _smoke(budget: int, as_json: bool) -> tuple[int, dict[str, Any]]:
             "bug": name,
             "scenario": found.scenario,
             "found": found.found,
-            "kind": found.kind,
             "evidence": found.evidence,
             "trace": found.trace.decisions if found.trace else None,
         }
@@ -107,7 +106,7 @@ def _smoke(budget: int, as_json: bool) -> tuple[int, dict[str, Any]]:
         if not as_json:
             if found.found:
                 print(
-                    f"rediscovered {name} ({found.kind}) in "
+                    f"rediscovered {name} in "
                     f"{found.explored.branches} branches; minimal trace "
                     f"{found.trace.decisions if found.trace else None}; "
                     f"replays clean on fixed code: {replay_clean}"

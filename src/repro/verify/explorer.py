@@ -66,10 +66,6 @@ class ExploreResult:
     fingerprints: list[str] = field(default_factory=list)
     #: deduplicated race-sanitizer findings across all branches
     races: list[Finding] = field(default_factory=list)
-    #: for each first-seen race, the decision list of the branch exposing it
-    race_traces: list[tuple[Finding, list[tuple[int, int]]]] = field(
-        default_factory=list
-    )
     #: (error message, full decision list) of every failing branch
     failures: list[tuple[str, list[tuple[int, int]]]] = field(
         default_factory=list
@@ -225,7 +221,6 @@ def explore(
             if finding.key() not in race_keys:
                 race_keys.add(finding.key())
                 result.races.append(finding)
-                result.race_traces.append((finding, run.decisions))
         # mine the unforced suffix for new branches, evolving the sleep set
         depth = len(forced)
         sleep = set(sleep0)

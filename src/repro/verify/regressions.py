@@ -19,8 +19,13 @@ schedule-dependent protocol bug fixed in this repo's history:
   could starve a pinned reader outright.
 * **migration dead-lettering** — a payload landing on a failed node was
   spliced onto the corpse.
-* **the (migrate) guard's re-check** — a migration exported bytes a
-  source task had locked during the export's overhead yield.
+* **the source guard's re-check** — a migration exported bytes a
+  source task had locked during the export's overhead yield; a replica
+  fetch cut bytes whose writer took its lock during that yield.  One
+  predicate re-checks both rules, so one revert covers both scenarios.
+* **replica registration at the cut** — a copy joined the replica
+  registry only on landing, so a writer verifying its locks while the
+  bytes travelled could not invalidate it.
 
 Two more reverts have no explorer scenario; a churn panel gate is
 their net instead (the uninitialized-read gate and the storm-landing
@@ -38,9 +43,11 @@ gate):
 Every revert is the smallest patch to the *fixed* code object, applied for
 the duration of a ``with`` block; nothing but the historical behaviour
 changes, so any failure the explorer finds under the revert is the
-historical bug.  The guard re-check and claim-first reverts patch steps of
-the one executor of every ownership move (``DataItemManager.migrate_in``
-and ``claim_stored``), so they move with it.
+historical bug.  The guard re-check revert patches the one source guard
+of every copy and live move (``data_manager._guard_holds``, re-checked in
+``_at_source``), and the claim-first revert the executor of every move
+from stable storage (``DataItemManager.claim_stored``), so they move with
+them.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterator
 from unittest.mock import patch
 
-from repro.analysis.findings import Finding
 from repro.verify.explorer import (
     DEFAULT_BUDGET,
     ExploreResult,
@@ -121,18 +127,42 @@ def revert_migration_dead_letter() -> Iterator[None]:
 
 @contextmanager
 def revert_migrate_guard_recheck() -> Iterator[None]:
-    """Revert the re-check of the *(migrate)* guard at its commit point.
+    """Revert the re-check of the source guard at its commit point.
 
-    Originally the executor checked the source's locks and in-flight
-    bytes, yielded the fragment-op overhead and exported without looking
-    again: a source task that took its locks inside that yield ran on
-    bytes that had just left, and its gather raised ``KeyError: window
-    ... not covered by fragment region`` (or, in a balancer-driven
-    stencil, silently read a stale halo).
+    Originally a move or a copy checked the source's locks and in-flight
+    bytes, yielded the fragment-op overhead and cut without looking
+    again.  A source task that took its locks inside that yield ran on
+    bytes that had just left (its gather raised ``KeyError: window ...
+    not covered by fragment region``, or, in a balancer-driven stencil,
+    silently read a stale halo), or wrote rows a copy of the old bytes
+    outlived.
     """
     from repro.runtime import data_manager
 
     with patch.object(data_manager, "_guard_holds", lambda *_: True):
+        yield
+
+
+@contextmanager
+def revert_replica_registration_at_cut() -> Iterator[None]:
+    """Revert registering a replica at its cut: it registers on landing.
+
+    A writer at the source that verified its locks while the copy's bytes
+    travelled saw no replica to invalidate, and a read ordered after the
+    write was served the old value from the landed copy.
+    """
+    from repro.runtime.data_manager import DataItemManager
+    from repro.runtime.runtime import AllScaleRuntime
+
+    register, insert = AllScaleRuntime.register_replica, DataItemManager.insert_replica
+
+    def land_then_register(self, item, payload) -> None:
+        copy = payload.region.difference(self.owned_region(item))
+        register(self.process.runtime, item, self.pid, copy)
+        insert(self, item, payload)
+
+    with patch.object(AllScaleRuntime, "register_replica", lambda *_: None), \
+            patch.object(DataItemManager, "insert_replica", land_then_register):
         yield
 
 
@@ -191,20 +221,13 @@ def revert_storm_hold() -> Iterator[None]:
 @dataclass(frozen=True)
 class KnownBug:
     """One historical bug: a revert, a scenario that can expose it, and
-    the signatures distinguishing it from unrelated findings.
-
-    A bug manifests either as an uncaught error (a protocol guard giving
-    up) or as a race-sanitizer finding (the unordered accesses the missing
-    protection was ordering); either counts as rediscovery.
-    """
+    the signatures distinguishing its failure from unrelated ones."""
 
     name: str
     scenario: str
     revert: Callable[[], Iterator[None]]
     #: error substrings, any of which identifies the bug's failure mode
     error_signatures: tuple[str, ...] = ()
-    #: race-message substrings, all of which must appear in one finding
-    race_signatures: tuple[str, ...] = ()
     #: the smallest exploration that finds the bug; :func:`rediscover`
     #: never explores fewer branches
     budget: int = DEFAULT_BUDGET
@@ -214,17 +237,9 @@ class KnownBug:
             signature in error for signature in self.error_signatures
         )
 
-    def matches_race(self, finding: "Finding") -> bool:
-        return bool(self.race_signatures) and all(
-            signature in finding.message
-            for signature in self.race_signatures
-        )
-
     def hits(self, run: RunResult) -> bool:
         """Does one re-executed run still exhibit this bug?"""
-        if self.matches_error(run.error):
-            return True
-        return any(self.matches_race(finding) for finding in run.races)
+        return self.matches_error(run.error)
 
 
 KNOWN_BUGS: dict[str, KnownBug] = {
@@ -232,17 +247,12 @@ KNOWN_BUGS: dict[str, KnownBug] = {
     for bug in (
         KnownBug(
             name="write_intent_livelock",
-            scenario="write_intent_chain",
+            scenario="writer_straddle",
             revert=revert_write_intents,
             error_signatures=(
                 "requirement thrashing?",
                 "ownership thrashing?",
             ),
-            # without intent reservations the writer's task write is
-            # unordered against the competing accesses it was supposed
-            # to defer to — the sanitizer sees the livelock's root
-            # cause even on schedules where no guard trips
-            race_signatures=("task:w1",),
         ),
         KnownBug(
             name="ownership_thrashing",
@@ -265,6 +275,18 @@ KNOWN_BUGS: dict[str, KnownBug] = {
             revert=revert_migrate_guard_recheck,
             error_signatures=("not covered by fragment region",),
         ),
+        KnownBug(
+            name="replicate_guard_recheck",
+            scenario="replica_vs_owner_write",
+            revert=revert_migrate_guard_recheck,
+            error_signatures=("read stale data",),
+        ),
+        KnownBug(
+            name="replica_registration_at_landing",
+            scenario="replica_vs_owner_write",
+            revert=revert_replica_registration_at_cut,
+            error_signatures=("read stale data",),
+        ),
     )
 }
 
@@ -277,8 +299,6 @@ class Rediscovery:
     scenario: str
     found: bool
     explored: ExploreResult
-    #: "failure" or "race", when found
-    kind: str | None = None
     evidence: str | None = None
     trace: DecisionTrace | None = None
 
@@ -296,18 +316,12 @@ def rediscover(
     scenario = get_scenario(bug.scenario)
     with bug.revert():
         explored = explore(scenario, budget=max(budget, bug.budget))
-        kind, evidence, decisions = None, None, None
+        evidence, decisions = None, None
         for error, failing_decisions in explored.failures:
             if bug.matches_error(error):
-                kind, evidence, decisions = "failure", error, failing_decisions
+                evidence, decisions = error, failing_decisions
                 break
-        if kind is None:
-            for finding, racy_decisions in explored.race_traces:
-                if bug.matches_race(finding):
-                    kind, evidence = "race", finding.message
-                    decisions = racy_decisions
-                    break
-        if kind is None or decisions is None:
+        if decisions is None:
             return Rediscovery(
                 bug=name,
                 scenario=bug.scenario,
@@ -325,7 +339,6 @@ def rediscover(
         scenario=bug.scenario,
         found=True,
         explored=explored,
-        kind=kind,
         evidence=evidence,
         trace=trace,
     )

@@ -96,6 +96,59 @@ def _drive(runtime: AllScaleRuntime, treetures: list[Any]) -> list[Any]:
     return values
 
 
+def _finish(runtime: AllScaleRuntime, *futures: Any) -> None:
+    """Run until every spawned driver in ``futures`` has returned."""
+    while not all(future.done for future in futures):
+        if runtime.engine.run(max_events=100_000) == 0:
+            raise RuntimeError("a scenario driver never completed")
+    runtime.check_ownership_invariants()
+
+
+def _rows(grid: Grid, lo: int, hi: int) -> Box:
+    return Box.of((lo, 0), (hi, grid.shape[1]))
+
+
+def _reader(grid: Grid, name: str, lo: int = 0, hi: int = 0) -> TaskSpec:
+    """A task returning the sum of rows ``lo``–``hi`` (0: the last)."""
+    rows = _rows(grid, lo, hi or grid.shape[0])
+    return TaskSpec(
+        name=name,
+        reads={grid: grid.box(rows.lo, rows.hi)},
+        flops=1e5,
+        size_hint=rows.size(),
+        body=lambda ctx: float(ctx.fragment(grid).gather(rows).sum()),
+    )
+
+
+def _writer(
+    grid: Grid, name: str, lo: int, hi: int, value: float, **spec: Any
+) -> TaskSpec:
+    """A task filling rows ``lo``–``hi`` with ``value`` and returning it."""
+    rows = _rows(grid, lo, hi)
+
+    def body(ctx: Any) -> float:
+        ctx.fragment(grid).scatter(rows, np.full(rows.widths(), value))
+        return value
+
+    spec.setdefault("size_hint", rows.size())
+    spec.setdefault("flops", 2e5)
+    return TaskSpec(
+        name=name, writes={grid: grid.box(rows.lo, rows.hi)}, body=body, **spec
+    )
+
+
+def _scenario(
+    runtime: AllScaleRuntime, run: Callable[[list[Any]], None]
+) -> ScenarioInstance:
+    """An instance whose ``run`` collects the results it fingerprints."""
+    results: list[Any] = []
+    return ScenarioInstance(
+        runtime.engine,
+        lambda: run(results),
+        lambda: _runtime_fingerprint(runtime, results),
+    )
+
+
 # -- scenario 1: migration under read ------------------------------------------------
 
 
@@ -103,42 +156,15 @@ def _migration_under_read() -> ScenarioInstance:
     runtime = _make_runtime(2)
     grid = Grid((4, 4), name="g")
     runtime.register_item(grid, placement=grid.decompose(2))
-    results: list[Any] = []
 
-    def write_body(ctx: Any) -> float:
-        ctx.fragment(grid).scatter(
-            Box.of((0, 0), (4, 4)), np.full((4, 4), 3.0)
-        )
-        return 3.0
-
-    def read_body(ctx: Any) -> float:
-        return float(ctx.fragment(grid).gather(Box.of((0, 0), (4, 4))).sum())
-
-    writer = TaskSpec(
-        name="whole-write",
-        writes={grid: grid.box((0, 0), (4, 4))},
-        flops=2e5,
-        size_hint=16,
-        body=write_body,
-    )
-    reader = TaskSpec(
-        name="whole-read",
-        reads={grid: grid.box((0, 0), (4, 4))},
-        flops=1e5,
-        size_hint=16,
-        body=read_body,
-    )
-
-    def run() -> None:
+    def run(results: list[Any]) -> None:
         treetures = [
-            runtime.submit(writer, origin=0),
-            runtime.submit(reader, origin=1),
+            runtime.submit(_writer(grid, "whole-write", 0, 4, 3.0), origin=0),
+            runtime.submit(_reader(grid, "whole-read"), origin=1),
         ]
         results.extend(_drive(runtime, treetures))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _scenario(runtime, run)
 
 
 # -- scenario 2: balancer churn vs pinned reads --------------------------------------
@@ -155,7 +181,6 @@ def _balancer_vs_pin(*phases: tuple[int, int]) -> ScenarioInstance:
     ]
     runtime.register_item(grid, placement=placement)
     contended = grid.box((2, 0), (6, 2))
-    results: list[Any] = []
 
     def churn(targets: tuple[int, int]) -> Generator:
         # balancer-style ownership migrations: each round pulls the
@@ -166,29 +191,13 @@ def _balancer_vs_pin(*phases: tuple[int, int]) -> ScenarioInstance:
             manager = runtime.process(target).data_manager
             yield from manager._acquire_ownership(grid, contended)
 
-    def read_body(ctx: Any) -> float:
-        return float(ctx.fragment(grid).gather(Box.of((0, 0), (6, 2))).sum())
-
-    reader = TaskSpec(
-        name="pinned-read",
-        reads={grid: grid.box((0, 0), (6, 2))},
-        flops=1e5,
-        size_hint=12,
-        body=read_body,
-    )
-
-    def run() -> None:
+    def run(results: list[Any]) -> None:
         churns = [runtime.spawn(churn(targets)) for targets in phases]
-        treeture = runtime.submit(reader, origin=0)
+        treeture = runtime.submit(_reader(grid, "pinned-read"), origin=0)
         results.extend(_drive(runtime, [treeture]))
-        while not all(future.done for future in churns):
-            if runtime.engine.run(max_events=100_000) == 0:
-                raise RuntimeError("churn driver never completed")
-        runtime.check_ownership_invariants()
+        _finish(runtime, *churns)
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _scenario(runtime, run)
 
 
 # -- scenario 2b: a migration away from a reading owner ------------------------------
@@ -203,34 +212,18 @@ def _migration_vs_owner_read() -> ScenarioInstance:
     """
     runtime = _make_runtime(2)
     grid = Grid((6, 2), name="g")
-    whole = grid.box((0, 0), (6, 2))
+    whole = grid.full_region
     runtime.register_item(grid, placement=[grid.empty_region(), whole])
-    results: list[Any] = []
 
-    def read_body(ctx: Any) -> float:
-        return float(ctx.fragment(grid).gather(Box.of((0, 0), (6, 2))).sum())
-
-    reader = TaskSpec(
-        name="owner-read",
-        reads={grid: whole},
-        flops=1e5,
-        size_hint=12,
-        body=read_body,
-    )
-
-    def run() -> None:
+    def run(results: list[Any]) -> None:
         migration = runtime.spawn(
             runtime.process(0).data_manager._acquire_ownership(grid, whole)
         )
+        reader = _reader(grid, "owner-read")
         results.extend(_drive(runtime, [runtime.submit(reader, origin=1)]))
-        while not migration.done:
-            if runtime.engine.run(max_events=100_000) == 0:
-                raise RuntimeError("migration never completed")
-        runtime.check_ownership_invariants()
+        _finish(runtime, migration)
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _scenario(runtime, run)
 
 
 # -- scenario 3: overlapping write-intent chain --------------------------------------
@@ -240,56 +233,74 @@ def _write_intent_chain() -> ScenarioInstance:
     runtime = _make_runtime(2)
     grid = Grid((6, 2), name="g")
     runtime.register_item(grid, placement=grid.decompose(2))
-    results: list[Any] = []
-
-    def scatter_body(lo: int, hi: int, value: float) -> Callable[[Any], float]:
-        def body(ctx: Any) -> float:
-            ctx.fragment(grid).scatter(
-                Box.of((lo, 0), (hi, 2)), np.full((hi - lo, 2), value)
-            )
-            return value
-
-        return body
-
-    def read_body(ctx: Any) -> float:
-        return float(ctx.fragment(grid).gather(Box.of((2, 0), (6, 2))).sum())
-
     # w1 writes the bottom and *reads* the top (its read premise is what a
     # younger writer must respect); w2's write overlaps w1's read
-    w1 = TaskSpec(
-        name="w1",
-        writes={grid: grid.box((0, 0), (3, 2))},
-        reads={grid: grid.box((3, 0), (6, 2))},
-        flops=2e5,
-        size_hint=12,
-        body=scatter_body(0, 3, 1.0),
-    )
-    w2 = TaskSpec(
-        name="w2",
-        writes={grid: grid.box((3, 0), (6, 2))},
-        flops=2e5,
-        size_hint=12,
-        body=scatter_body(3, 6, 2.0),
-    )
-    r1 = TaskSpec(
-        name="r1",
-        reads={grid: grid.box((2, 0), (6, 2))},
-        flops=1e5,
-        size_hint=8,
-        body=read_body,
-    )
+    top = grid.box((3, 0), (6, 2))
+    w1 = _writer(grid, "w1", 0, 3, 1.0, reads={grid: top}, size_hint=12)
+    w2 = _writer(grid, "w2", 3, 6, 2.0, size_hint=12)
 
-    def run() -> None:
+    def run(results: list[Any]) -> None:
         treetures = [
             runtime.submit(w1, origin=0),
             runtime.submit(w2, origin=1),
-            runtime.submit(r1, origin=0),
+            runtime.submit(_reader(grid, "r1", 2), origin=0),
         ]
         results.extend(_drive(runtime, treetures))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
+    return _scenario(runtime, run)
+
+
+# -- scenario 3b: two writers straddling the ownership boundary ---------------------
+
+
+def _writer_straddle() -> ScenarioInstance:
+    """Two writers each straddle the ownership boundary from its own side.
+
+    Each must pull the other's rows to stage: without an order between
+    their intents, each steals back what the other just staged.
+    """
+    runtime = _make_runtime(2)
+    grid = Grid((6, 2), name="g")
+    runtime.register_item(grid, placement=grid.decompose(2))
+
+    def run(results: list[Any]) -> None:
+        treetures = [
+            runtime.submit(_writer(grid, "w1", 1, 5, 1.0), origin=0),
+            runtime.submit(_writer(grid, "w2", 2, 6, 2.0), origin=1),
+        ]
+        results.extend(_drive(runtime, treetures))
+
+    return _scenario(runtime, run)
+
+
+# -- scenario 3c: a copy in transit against its owner's writer -----------------------
+
+
+def _replica_vs_owner_write() -> ScenarioInstance:
+    """A whole-grid reader copies the rows a writer on their owner writes.
+
+    Whichever of the two runs first, a read after both must see the
+    write: a copy cut before the write (or during the source's charge)
+    must be invalidated, even while its bytes are still on the wire.
+    """
+    runtime = _make_runtime(2)
+    grid = Grid((6, 2), name="g")
+    runtime.register_item(
+        grid, placement=[grid.box((0, 0), (4, 2)), grid.box((4, 0), (6, 2))]
     )
+
+    def run(results: list[Any]) -> None:
+        treetures = [
+            runtime.submit(_reader(grid, "R"), origin=0),
+            runtime.submit(_writer(grid, "W", 4, 6, 5.0), origin=1),
+        ]
+        results.extend(_drive(runtime, treetures))
+        after = _drive(runtime, [runtime.submit(_reader(grid, "R2"), origin=0)])
+        if after != [20.0]:
+            raise RuntimeError(f"R2 read stale data: {after[0]} != 20.0")
+        results.extend(after)
+
+    return _scenario(runtime, run)
 
 
 # -- scenario 4: replica cache invalidation under coalescing -------------------------
@@ -299,55 +310,16 @@ def _replica_cache_invalidation() -> ScenarioInstance:
     runtime = _make_runtime(2, comm_coalescing=True, replica_prefetch=True)
     grid = Grid((4, 2), name="g")
     runtime.register_item(grid, placement=grid.decompose(2))
-    results: list[Any] = []
 
-    def read_body(lo: int, hi: int) -> Callable[[Any], float]:
-        def body(ctx: Any) -> float:
-            return float(
-                ctx.fragment(grid).gather(Box.of((lo, 0), (hi, 2))).sum()
-            )
-
-        return body
-
-    def write_body(ctx: Any) -> float:
-        ctx.fragment(grid).scatter(
-            Box.of((2, 0), (4, 2)), np.full((2, 2), 7.0)
-        )
-        return 7.0
-
-    r1 = TaskSpec(
-        name="r1",
-        reads={grid: grid.box((0, 0), (4, 2))},
-        flops=1e5,
-        size_hint=8,
-        body=read_body(0, 4),
-    )
-    r2 = TaskSpec(
-        name="r2",
-        reads={grid: grid.box((1, 0), (4, 2))},
-        flops=1e5,
-        size_hint=6,
-        body=read_body(1, 4),
-    )
-    w1 = TaskSpec(
-        name="w1",
-        writes={grid: grid.box((2, 0), (4, 2))},
-        flops=2e5,
-        size_hint=4,
-        body=write_body,
-    )
-
-    def run() -> None:
+    def run(results: list[Any]) -> None:
         treetures = [
-            runtime.submit(r1, origin=0),
-            runtime.submit(r2, origin=1),
-            runtime.submit(w1, origin=0),
+            runtime.submit(_reader(grid, "r1"), origin=0),
+            runtime.submit(_reader(grid, "r2", 1), origin=1),
+            runtime.submit(_writer(grid, "w1", 2, 4, 7.0), origin=0),
         ]
         results.extend(_drive(runtime, treetures))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _scenario(runtime, run)
 
 
 # -- scenario 5: node failure during migration ---------------------------------------
@@ -370,36 +342,6 @@ def _node_failure_during_migration() -> ScenarioInstance:
     grid = Grid((6, 2), name="g")
     runtime.register_item(grid, placement=grid.decompose(3))
     resilience = ResilienceManager(runtime)
-    results: list[Any] = []
-
-    def seed(pid: int) -> TaskSpec:
-        region = runtime.process(pid).data_manager.owned_region(grid)
-
-        def body(ctx: Any) -> float:
-            for box in region.boxes:
-                ctx.fragment(grid).scatter(
-                    box, np.full(box.widths(), float(pid + 1))
-                )
-            return float(pid + 1)
-
-        return TaskSpec(
-            name=f"seed{pid}",
-            writes={grid: region},
-            flops=1e5,
-            size_hint=region.size(),
-            body=body,
-        )
-
-    def read_body(ctx: Any) -> float:
-        return float(ctx.fragment(grid).gather(Box.of((0, 0), (6, 2))).sum())
-
-    reader = TaskSpec(
-        name="survivor-read",
-        reads={grid: grid.box((0, 0), (6, 2))},
-        flops=1e5,
-        size_hint=12,
-        body=read_body,
-    )
 
     def choreography() -> Generator:
         snapshot = yield from resilience.checkpoint()
@@ -418,18 +360,21 @@ def _node_failure_during_migration() -> ScenarioInstance:
             yield 1e-7
         yield from resilience.recover_lost_data(snapshot)
 
-    def run() -> None:
-        seeds = [runtime.submit(seed(pid), origin=pid) for pid in range(3)]
+    def run(results: list[Any]) -> None:
+        seeds = [
+            runtime.submit(
+                _writer(grid, f"seed{pid}", 2 * pid, 2 * pid + 2, pid + 1.0,
+                        flops=1e5),
+                origin=pid,
+            )
+            for pid in range(3)
+        ]
         results.extend(_drive(runtime, seeds))
-        fate = runtime.spawn(choreography())
-        while not fate.done:
-            if runtime.engine.run(max_events=100_000) == 0:
-                raise RuntimeError("failure choreography never completed")
+        _finish(runtime, runtime.spawn(choreography()))
+        reader = _reader(grid, "survivor-read")
         results.extend(_drive(runtime, [runtime.submit(reader, origin=0)]))
 
-    return ScenarioInstance(
-        runtime.engine, run, lambda: _runtime_fingerprint(runtime, results)
-    )
+    return _scenario(runtime, run)
 
 
 # -- scenario 6: service admission races ---------------------------------------------
@@ -517,6 +462,18 @@ SCENARIOS: dict[str, Scenario] = {
             "two writers with overlapping write/read premises plus a "
             "reader exercise the write-intent total order (2 nodes)",
             _write_intent_chain,
+        ),
+        Scenario(
+            "writer_straddle",
+            "two writers each pull the other's boundary rows to stage "
+            "(2 nodes)",
+            _writer_straddle,
+        ),
+        Scenario(
+            "replica_vs_owner_write",
+            "a whole-grid reader's copy of the rows a writer on their "
+            "owner writes; a later read must see the write (2 nodes)",
+            _replica_vs_owner_write,
         ),
         Scenario(
             "replica_cache_invalidation",

@@ -57,7 +57,7 @@ class TestLockTable:
 
     def test_release_wakes_waiters(self):
         self.table.try_acquire("t1", {}, {self.grid: self.a})
-        waiter = self.table.wait_for_change()
+        waiter = self.table.released.wait()
         assert not waiter.done
         self.table.release("t1")
         assert waiter.done

@@ -22,7 +22,7 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.data_manager import (
     DataItemManager,
     Move,
-    MoveError,
+    StagingError,
     run_stored_moves,
 )
 from repro.runtime.elastic import drain, failure_storm, scale_out
@@ -239,7 +239,7 @@ class TestMovesToDepartedProcesses:
         runtime.wait_process(drain(runtime, 3))
         _pid, payload = snapshot.payloads["g"][0]
         moves = [Move(grid, payload.region, payload, 3)]
-        with pytest.raises(MoveError) as refused:
+        with pytest.raises(StagingError) as refused:
             runtime.wait_process(run_stored_moves(runtime, moves))
         assert refused.value.item is grid
         assert refused.value.region is payload.region
@@ -264,7 +264,7 @@ class TestMovesToDepartedProcesses:
         runtime.engine.spawn(manager.migrate_in(grid, block, src))
         runtime.engine.run(until=runtime.now + 0.01)
         runtime.fail_process(dst)
-        with pytest.raises(MoveError) as refused:
+        with pytest.raises(StagingError) as refused:
             runtime.run()
         assert refused.value.pid == dst
         assert refused.value.region.same_elements(block)

@@ -137,6 +137,8 @@ class TestSentinelCleanRuns:
         payload = runtime.process(1).data_manager.fragment(grid).extract(
             replicated
         )
+        # the cut registers the copy, its landing splices it
+        runtime.register_replica(grid, 0, replicated)
         runtime.process(0).data_manager.insert_replica(grid, payload)
         sentinel.verify_all()
         assert sentinel.violations == []
