@@ -58,7 +58,7 @@ for item in (field, field_next, px, py, pvx, pvy):
 
 
 def write_array(item, values):
-    """Parallel initialization — first touch distributes the item."""
+    """Parallel initialization — each task writes where the item was born."""
 
     def body(ctx, box):
         window = tuple(slice(l, h) for l, h in zip(box.lo, box.hi))

@@ -27,8 +27,8 @@ grid = Grid((N, N), name="values")
 runtime.register_item(grid)
 
 
-# initialize in parallel: each sub-range task writes its own block;
-# first touch spreads the grid evenly across the 4 nodes
+# initialize in parallel: each sub-range task writes its own block,
+# which registration already spread evenly across the 4 nodes
 def init_block(ctx, box: Box) -> None:
     rows = np.arange(box.lo[0], box.hi[0], dtype=np.float64)
     cols = np.arange(box.lo[1], box.hi[1], dtype=np.float64)

@@ -155,7 +155,8 @@ def ipic3d_program(
         items=[e_field, b_field, particles, xfer],
         measured_from=3,
     )
-    # initialization: first touch spreads fields and particle populations
+    # initialization: fields and particle populations, born spread at
+    # their home maps under the default policy (first touch otherwise)
     for item, cost in (
         (e_field, 3.0),
         (b_field, 3.0),

@@ -111,8 +111,10 @@ def stencil_program(
 ) -> TaskProgram:
     """The Fig. 6b program: the one declaration of a stencil run.
 
-    Two initialization sweeps (first touch spreads A and B across the
-    nodes through the scheduling policy), then — the measured window —
+    Two initialization sweeps (under the default policy A and B are
+    born spread at their home maps and each sweep writes in place; under
+    round-robin or random placement first touch spreads them wherever
+    the policy sends the tasks), then — the measured window —
     one update sweep per timestep, each ending in the ``swap(A, B)``
     barrier of Fig. 6b line 18.  Every sweep derives its granularity
     from the process count *at submission* (``regrain``), so after a

@@ -9,9 +9,10 @@ which already races the three online policies on three topologies.
 ``full`` runs the sizes EXPERIMENTS.md quotes.  The two TPC ablations
 (D, G) are >90 % of the wall, so the reduced modes shrink only them
 (:data:`TPC_SIZES`).  Everything simulated is pinned in
-``BENCH_ablations_baseline.json`` through :mod:`repro.bench.panel`;
-ablation A times host region operations (in CPU seconds of the
-process), so its rates sit under the ``wall_seconds*`` /
+``BENCH_ablations_baseline.json`` through :mod:`repro.bench.panel`.
+Ablation A's claim gates on a count, the words an operation reads
+(``words_per_op``); it also times the operations (in CPU seconds of the
+process) and reports those rates under the ``wall_seconds*`` /
 ``speedup_vs_*`` keys the exact diff skips.
 """
 
@@ -22,6 +23,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
+from statistics import fmean
 from typing import Callable
 
 from repro.api.access import box_region
@@ -95,6 +97,19 @@ def _seconds_per_op(*schemes: list) -> list[float]:
     ]
 
 
+def _words_per_op(regions: list) -> float:
+    """What one timed operation reads: both operands' 64-bit words,
+    averaged over the pairs :func:`_seconds_per_op` times."""
+    operands = regions[: len(regions) // 8]
+    return round(
+        sum(
+            fmean(r.representation_words() for r in side)
+            for side in (regions, operands)
+        ),
+        4,
+    )
+
+
 def run_regions(mode: str) -> Rows:
     """Operation cost and representation size under block-aligned
     partitions of a depth-12 tree; expressiveness under single nodes."""
@@ -121,6 +136,7 @@ def run_regions(mode: str) -> Rows:
     blocked_cost, flexible_cost = _seconds_per_op(blocked, flexible)
     return {
         BLOCKED: {
+            "words_per_op": _words_per_op(blocked),
             "wall_seconds_per_op": blocked_cost,
             "speedup_vs_flexible": round(flexible_cost / blocked_cost, 1),
             "representation_size": blocked[0].representation_size(),
@@ -129,6 +145,7 @@ def run_regions(mode: str) -> Rows:
             ).size(),
         },
         FLEXIBLE: {
+            "words_per_op": _words_per_op(flexible),
             "wall_seconds_per_op": flexible_cost,
             "speedup_vs_flexible": 1.0,
             "representation_size": max(r.representation_size() for r in flexible),
@@ -385,9 +402,10 @@ ABLATIONS = {
         run_regions,
         "scheme",
         {
-            # the paper's efficiency claim ...
+            # the paper's efficiency claim, on a count a busy neighbour
+            # cannot move (the host-time speedup is reported beside it) ...
             "bitmask operations are more than 10x cheaper": lambda r: (
-                r[BLOCKED]["speedup_vs_flexible"] > 10
+                r[FLEXIBLE]["words_per_op"] > 10 * r[BLOCKED]["words_per_op"]
             ),
             # ... and its flexibility claim
             "only the flexible scheme expresses a single node": lambda r: (

@@ -7,6 +7,12 @@ default) and once with transfer coalescing plus replica prefetch enabled
 lookups with their mean hops, and simulated wall-clock for both, plus
 the ``comms.*`` counters of the optimised run.
 
+Stencil and iPiC3D run with their data born where it is first touched
+(:class:`FirstTouchPolicy`): the flags group the index lookups and
+fetches that first touches make, and under the default policy, whose
+items are born at their homes, those apps make almost none (ROADMAP
+item 6a has both regimes' counts).  TPC runs under the default policy.
+
 The two runs must agree on *what* was computed and moved: identical
 work, identical data payload bytes.  Only message counts and timing may
 differ — that is the optimisation's contract (this panel's semantic
@@ -26,6 +32,7 @@ from repro.apps.stencil import StencilWorkload, stencil_allscale
 from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale
 from repro.bench.panel import Panel, render_table
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.policies import DataAwarePolicy
 from repro.sim.cluster import Cluster, meggie_like_spec
 
 #: fixed cluster size of the comms comparison (message effects are
@@ -50,6 +57,12 @@ _ON_COUNTERS = (
     "comms.moved_bytes",
     "comms.refetched_bytes",
 )
+
+
+class FirstTouchPolicy(DataAwarePolicy):
+    """The default policy, with items born where they are first touched."""
+
+    births_at_home = False
 
 
 @dataclass
@@ -206,12 +219,16 @@ def comms_panel(mode: str) -> CommsPanel:
     points = [
         _measure(
             "stencil",
-            lambda cfg: stencil_allscale(cluster(), stencil_wl, cfg),
+            lambda cfg: stencil_allscale(
+                cluster(), stencil_wl, cfg, policy=FirstTouchPolicy()
+            ),
             nodes,
         ),
         _measure(
             "ipic3d",
-            lambda cfg: ipic3d_allscale(cluster(), ipic3d_wl, cfg),
+            lambda cfg: ipic3d_allscale(
+                cluster(), ipic3d_wl, cfg, policy=FirstTouchPolicy()
+            ),
             nodes,
         ),
         _measure(

@@ -163,6 +163,10 @@ class BlockedTreeRegion(Region):
         """Space cost of the scheme in bits — constant per geometry."""
         return self._geometry.mask_length
 
+    def representation_words(self) -> int:
+        """64-bit words the bitmask occupies."""
+        return -(-self._geometry.mask_length // 64)
+
     # -- closure operations -------------------------------------------------------
 
     def _coerce(self, other: Region) -> "BlockedTreeRegion":

@@ -262,6 +262,11 @@ class TreeRegion(Region):
         """Number of switch points — the scheme's space cost (Fig. 4b)."""
         return len(self.marks)
 
+    def representation_words(self) -> int:
+        """64-bit words the representation occupies: one node id per
+        switch point."""
+        return len(self.marks)
+
     # -- closure operations -------------------------------------------------------
 
     def _coerce(self, other: Region) -> "TreeRegion":

@@ -677,6 +677,14 @@ class DataItemManager:
         holds.  Whatever that leaves missing goes to the fresh attempts.
         """
         want = missing
+        # rows migrating to this very process are owned here already: a
+        # lookup would name this process and find no peer to fetch from,
+        # so wait for them to land first
+        while self.in_flight_region(item).overlaps(missing):
+            yield self.in_flight.wait()
+            missing = want.difference(self.present_region(item))
+            if missing.is_empty():
+                return
         if hint and (yield from self._fetch_round(item, want, task, plan, hint)):
             return
         for _attempt in range(5):

@@ -8,12 +8,14 @@ The customizable scheduling policy makes two decisions per task:
   single process covers, which is what spreads work (and therefore data)
   across the system during the initialization phase.
 
-The default :class:`DataAwarePolicy` targets the process owning the
-largest share of the task's write set (falling back to the read set),
-and — for data present nowhere — derives an even-spreading *home hint*
-from the data item's structural decomposition, which is exactly how the
-paper's policy achieves an even initial distribution.  Round-robin and
-random policies exist for the scheduler ablation benchmark.
+The default :class:`DataAwarePolicy` has every item born at the even
+spread of its structural decomposition (its home map), which is how the
+paper's policy achieves an even initial distribution, and then targets
+the process owning the largest share of the task's write set (falling
+back to the read set); for data present nowhere it derives a *home
+hint* from the same decomposition.  Round-robin and random policies
+leave data to be born where it is first touched; they exist for the
+scheduler ablation benchmark.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ class SchedulingPolicy(ABC):
         registration.  ``None``: leave it to placement / first touch."""
         return None
 
+    #: allocate an item registered with neither a placement nor a planned
+    #: layout at its home map (``AllScaleRuntime.register_item``); without
+    #: it, data is born wherever it is first touched
+    births_at_home = False
+
     # -- shared granularity logic ------------------------------------------------
 
     def _should_split(self, task: TaskSpec) -> bool:
@@ -113,7 +120,16 @@ class SchedulingPolicy(ABC):
 
 
 class DataAwarePolicy(SchedulingPolicy):
-    """Default policy: follow the data; spread evenly on first touch."""
+    """Default policy: follow the data, which is born spread evenly.
+
+    Items are allocated at their home maps when they are registered
+    (``births_at_home``), so tasks find their data owned and go to it.
+    The home hint places tasks on data no one owns: items without a
+    ``decompose``, blocks of failed processes, and items a wrapping
+    :class:`~repro.placement.policy.PlannedPolicy` leaves unplanned.
+    """
+
+    births_at_home = True
 
     def pick_variant(self, task: TaskSpec, runtime: "AllScaleRuntime") -> str:
         if self._should_split(task):

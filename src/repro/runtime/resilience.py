@@ -185,6 +185,25 @@ class ResilienceManager:
         runtime.metrics.incr("resilience.recoveries")
         return restored
 
+    def _land(
+        self, snapshot: Checkpoint, by_name: dict[str, DataItem]
+    ) -> Iterator[Move]:
+        """The restore planner: each payload's owned pieces to their
+        owners, its unowned rest to ``live[pid % len(live)]``."""
+        live = self.runtime.alive_processes()
+        managers = [self.runtime.process(pid).data_manager for pid in live]
+        for item_name, entries in snapshot.payloads.items():
+            item = by_name[item_name]
+            for pid, payload in entries:
+                rest = payload.region
+                for owner, manager in zip(live, managers):
+                    part = rest.intersect(manager.owned_region(item))
+                    if not part.is_empty():
+                        yield Move(item, part, payload, owner)
+                        rest = rest.difference(part)
+                if not rest.is_empty():
+                    yield Move(item, rest, payload, live[pid % len(live)])
+
     def _adopt(self, snapshot: Checkpoint) -> Iterator[Move]:
         """The recovery planner: water-fill the lost parts over the
         survivors by owned bytes (every item summed).
@@ -277,11 +296,13 @@ class ResilienceManager:
         """Re-create the checkpointed distribution on this runtime.
 
         The target runtime may have a different process count, and some of
-        its processes may have left: the payloads fold onto the live ones,
-        payload ``pid`` onto ``live[pid % len(live)]`` — data items make the
-        re-decomposition safe, which is the point of the model's resilience
-        story.  Every payload is one stable-storage move, claimed before the
-        first yield and landed concurrently, the way recovery does.
+        its processes may have left.  A payload's piece some live process
+        owns already (an item born at its homes) lands at that owner; the
+        rest folds onto the live processes, payload ``pid`` onto
+        ``live[pid % len(live)]`` — data items make the re-decomposition
+        safe, which is the point of the model's resilience story.  Every
+        piece is one stable-storage move, claimed before the first yield
+        and landed concurrently, the way recovery does.
         """
         runtime = self.runtime
         by_name = {item.name: item for item in runtime.items}
@@ -291,13 +312,7 @@ class ResilienceManager:
                     f"checkpoint contains unknown item {item_name!r}; "
                     "register it before restoring"
                 )
-        live = runtime.alive_processes()
-        yield from run_stored_moves(runtime, (
-            Move(by_name[item_name], payload.region, payload,
-                 live[pid % len(live)])
-            for item_name, entries in snapshot.payloads.items()
-            for pid, payload in entries
-        ))
+        yield from run_stored_moves(runtime, self._land(snapshot, by_name))
         for notify in runtime.probe.restore:
             notify(snapshot)
         runtime.metrics.incr("resilience.restores")

@@ -201,15 +201,22 @@ class AllScaleRuntime:
         ``placement`` optionally pre-allocates region ``placement[p]`` at
         process ``p`` — the moral equivalent of an application whose
         initialization tasks have already spread the data (used by tests
-        and by apps that start from a known distribution).  Without it, no
-        memory is allocated until first touch, exactly like the *create*
-        rule.
+        and by apps that start from a known distribution).
 
         A policy carrying an offline :class:`~repro.placement.plan.
-        PlacementPlan` (``planned_layout``) overrides both defaults: the
+        PlacementPlan` (``planned_layout``) overrides ``placement``: the
         plan's layout for this item is pre-distributed, which is the
         planner's whole point — data starts where the plan wants the
         tasks to land.
+
+        Without either, a policy that ``births_at_home`` (the default
+        :class:`~repro.runtime.policies.DataAwarePolicy`) allocates the
+        item at its :meth:`home_map` — the *create* rule followed by an
+        *(init)* at every home, so no task has to look up data that no one
+        owns yet.  Blocks of failed processes, items without a
+        ``decompose`` and the other policies are left to first touch.
+        The allocation is uncharged in simulated time, like
+        ``placement``; its index-maintenance messages are charged.
         """
         if item in self._home_maps:
             raise ValueError(f"item {item.name!r} registered twice")
@@ -218,9 +225,14 @@ class AllScaleRuntime:
             placement = planned
             self.metrics.incr("placement.preplaced_items")
         self.index.register_item(item)
-        self._home_maps[item] = self._decompose(item)
+        homes = self._home_maps[item] = self._decompose(item)
         for notify in self.probe.item_registered:
             notify(item)
+        if placement is None and homes is not None and self.policy.births_at_home:
+            placement = [
+                item.empty_region() if process.failed else home
+                for process, home in zip(self.processes, homes)
+            ]
         if placement is not None:
             if len(placement) != self.num_processes:
                 raise ValueError(
@@ -232,7 +244,9 @@ class AllScaleRuntime:
                     self.processes[pid].data_manager.allocate(item, region)
 
     def home_map(self, item: DataItem) -> list[Region] | None:
-        """Structural even-spreading hint used by the default policy."""
+        """``item``'s even spread over the processes (``None`` without a
+        ``decompose``): where the default policy allocates it at
+        registration, and what a split with nothing owned cuts along."""
         return self._home_maps.get(item)
 
     def _decompose(self, item: DataItem) -> list[Region] | None:
@@ -270,10 +284,11 @@ class AllScaleRuntime:
 
         The cluster gains a (possibly heterogeneous) node, the index
         hierarchy grows to cover the new leaf, and the structural home
-        maps are recomputed over the new process count so first-touch
-        spreading includes the newcomer.  Existing ownership is untouched
-        — use :func:`repro.runtime.elastic.scale_out` to also migrate an
-        ownership share over.  Returns the new pid.
+        maps are recomputed over the new process count so items born
+        later, and first touches, include the newcomer.  Existing
+        ownership is untouched — use :func:`repro.runtime.elastic.
+        scale_out` to also migrate an ownership share over.  Returns the
+        new pid.
         """
         node_id = self.cluster.add_node(
             cores=cores,

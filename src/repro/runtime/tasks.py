@@ -159,7 +159,8 @@ class TaskProgram:
     phases: list[list[TaskSpec]] = field(default_factory=list)
     #: data items to register before phase 0 ...
     items: list[DataItem] = field(default_factory=list)
-    #: ... and, per item, an initial ownership (default: first touch)
+    #: ... and, per item, an initial ownership (default: the policy's —
+    #: the home map under the data-aware policy, else first touch)
     placement: dict[DataItem, list[Region]] = field(default_factory=dict)
     #: run the runtime in functional mode (bodies compute values)
     functional: bool = False

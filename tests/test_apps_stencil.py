@@ -239,3 +239,24 @@ class TestDataDistribution:
         )
         # round-robin ignores data: migrations inevitably happen
         assert result.extras["runtime"].metrics.counter("dm.migrations") > 0
+
+
+class TestBornAtHome:
+    """The data-aware policy allocates both buffers at their home maps at
+    registration, so the initialization sweeps look nothing up."""
+
+    WORKLOAD = StencilWorkload(n_per_node=4_000, timesteps=2)
+
+    def test_init_sweeps_look_up_only_their_roots(self):
+        init_only = replace(self.WORKLOAD, timesteps=0)
+        runtime = stencil_allscale(small_cluster(4), init_only).extras["runtime"]
+        assert runtime.index.lookups == 2  # init.stencil.A, init.stencil.B
+
+    def test_every_buffer_is_allocated_once_per_process(self):
+        runtime = stencil_allscale(
+            small_cluster(4), self.WORKLOAD
+        ).extras["runtime"]
+        metrics = runtime.metrics
+        assert metrics.counter("dm.allocations") == 2 * 4
+        assert metrics.counter("dm.uninitialized_reads") == 0
+        runtime.check_ownership_invariants()

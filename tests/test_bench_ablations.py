@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 
 from repro.bench import __main__ as bench_main
+from repro.bench import ablations
 from repro.bench.ablations import (
     ABLATIONS,
     BLOCKED,
@@ -21,6 +22,7 @@ from repro.bench.ablations import (
     ablations_panel,
 )
 from repro.bench.panel import MODES, check_panel, load_baseline
+from repro.regions.tree import TreeGeometry, TreeRegion
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +60,10 @@ def test_committed_file_pins_every_mode_and_ablation():
     for section in modes.values():
         assert list(section["ablations"]) == list(ABLATIONS)
         assert section["wall_seconds_total"] > 0
-    # ablation A's host rates are recorded under keys the diff skips
+    # ablation A's count is pinned; its host rates are recorded under
+    # keys the diff skips
     assert set(modes["full"]["ablations"]["A"]["rows"][BLOCKED]) == {
+        "words_per_op",
         "wall_seconds_per_op",
         "speedup_vs_flexible",
         "representation_size",
@@ -79,7 +83,7 @@ def test_drifted_cell_is_reported_by_path(smoke):
 @pytest.mark.parametrize(
     "key, path, value, claim",
     [
-        ("A", (BLOCKED, "speedup_vs_flexible"), 9.0, "bitmask operations are more"),
+        ("A", (BLOCKED, "words_per_op"), 9.0, "bitmask operations are more"),
         ("A", (FLEXIBLE, "smallest_region_nodes"), 3, "only the flexible scheme"),
         ("B", ("256", "max_hops"), 99, "max hops at 256 processes <= 3 x max"),
         ("B", ("16", "unresolved"), 2, "every lookup resolves its region"),
@@ -99,3 +103,27 @@ def test_violated_claim_is_reported_by_semantic(smoke, key, path, value, claim):
     problems = PANEL.semantic(_doctored(smoke, key, *path, value=value))
     assert problems and problems[0].startswith(f"{key}: claim violated: {claim}")
     assert all(problem.startswith(f"{key}: ") for problem in problems)
+
+
+def test_region_claim_gates_on_a_count_the_host_cannot_move(monkeypatch):
+    """Ablation A's efficiency claim reads words per operation, not host
+    seconds: a slow host leaves it true, and "blocked" regions that are
+    really flexible ones make it false."""
+    claim = ABLATIONS["A"].claims["bitmask operations are more than 10x cheaper"]
+    rows = ablations.run_regions("smoke")
+    assert claim(rows)
+    rows[BLOCKED]["speedup_vs_flexible"] = 0.5  # a busy neighbour
+    assert claim(rows)
+
+    class FlexibleAsBlocked:
+        @staticmethod
+        def of_blocks(geometry, blocks):
+            return TreeRegion.of_subtrees(
+                TreeGeometry(geometry.depth),
+                [geometry.block_root(block) for block in blocks],
+            )
+
+    monkeypatch.setattr(ablations, "BlockedTreeRegion", FlexibleAsBlocked)
+    swapped = ablations.run_regions("smoke")
+    assert swapped[BLOCKED]["words_per_op"] == swapped[FLEXIBLE]["words_per_op"]
+    assert not claim(swapped)

@@ -26,6 +26,7 @@ from repro.apps.stencil import (
 from repro.apps.tpc import TPCWorkload, make_problem, tpc_allscale
 from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.policies import RoundRobinPolicy
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskSpec
 from repro.runtime.tracing import ExecutionTracer
@@ -67,9 +68,9 @@ def comm_config(enabled: bool) -> RuntimeConfig:
     )
 
 
-def run_app(app: str, config: RuntimeConfig):
+def run_app(app: str, config: RuntimeConfig, policy=None):
     if app == "stencil":
-        return stencil_allscale(small_cluster(), STENCIL_WL, config)
+        return stencil_allscale(small_cluster(), STENCIL_WL, config, policy)
     if app == "ipic3d":
         return ipic3d_allscale(small_cluster(), IPIC_WL, config)
     if app == "tpc":
@@ -142,9 +143,9 @@ class TestGoldenTraces:
 class TestOffOnEquivalence:
     """Coalescing + prefetch change messages, never results or payload."""
 
-    def run_pair(self, app):
-        off = run_app(app, comm_config(False))
-        on = run_app(app, comm_config(True))
+    def run_pair(self, app, policy=None):
+        off = run_app(app, comm_config(False), policy)
+        on = run_app(app, comm_config(True), policy)
         return off, on
 
     @staticmethod
@@ -164,6 +165,10 @@ class TestOffOnEquivalence:
             values_on, sequential_reference(STENCIL_WL, NODES)
         )
         assert self.moved(off) == self.moved(on)
+        # born at its homes, the default stencil fetches each halo from
+        # one peer, so the flags have nothing to coalesce; round-robin
+        # placement leaves them lookups and fetches to cut
+        off, on = self.run_pair("stencil", RoundRobinPolicy())
         assert self.messages(on) < self.messages(off)
 
     def test_ipic3d_work_and_bytes_identical(self):

@@ -27,7 +27,8 @@ class TestMemoryPressure:
         )
         runtime = AllScaleRuntime(cluster, RuntimeConfig(functional=False))
         grid = Grid((64, 64), name="g")  # 32 kB item
-        runtime.register_item(grid)
+        # nothing allocated yet: the write's first touch overruns
+        runtime.register_item(grid, placement=[grid.empty_region()])
         task = TaskSpec(
             name="w", writes={grid: grid.full_region}, flops=1.0,
             size_hint=4096,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.apps.stencil import StencilWorkload, stencil_allscale
 from repro.items.grid import Grid
+from repro.placement import PlacementPlan, PlannedPolicy
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import (
     DataAwarePolicy,
@@ -178,3 +179,79 @@ class TestResetContract:
                     )
                 )
             assert outcomes[0] == outcomes[1], type(policy).__name__
+
+
+class TestBirth:
+    """Where a registered item's data is born: at its home map under the
+    data-aware policy, at the first toucher under the ablation baselines,
+    and wherever an explicit placement or a plan layout says."""
+
+    def owned(self, runtime, grid):
+        return [
+            runtime.process(pid).data_manager.owned_region(grid)
+            for pid in range(runtime.num_processes)
+        ]
+
+    def test_data_aware_items_are_born_at_their_homes(self):
+        runtime = make_runtime(nodes=4)
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid)
+        owned = self.owned(runtime, grid)
+        for region, home in zip(owned, runtime.home_map(grid)):
+            assert region.same_elements(home)
+        assert runtime.metrics.counter("dm.allocations") == 4
+        assert runtime.index.lookups == 0
+        runtime.check_ownership_invariants()
+
+    def test_a_failed_process_home_is_left_to_first_touch(self):
+        runtime = make_runtime(nodes=4)
+        runtime.fail_process(2)
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid)
+        owned = self.owned(runtime, grid)
+        assert owned[2].is_empty()
+        for pid in (0, 1, 3):
+            assert owned[pid].same_elements(runtime.home_map(grid)[pid])
+
+    def test_ablation_baselines_first_touch_at_the_toucher(self):
+        for policy in (RoundRobinPolicy(), RandomPolicy(seed=3)):
+            cluster = Cluster(
+                ClusterSpec(num_nodes=4, cores_per_node=2, flops_per_core=1e9)
+            )
+            runtime = AllScaleRuntime(
+                cluster, RuntimeConfig(functional=True), policy
+            )
+            grid = Grid((8, 8), name="g")
+            runtime.register_item(grid)
+            assert all(r.is_empty() for r in self.owned(runtime, grid))
+            region = runtime.home_map(grid)[2]
+            ran_at = []
+            runtime.wait(runtime.submit(_task(
+                writes={grid: region},
+                body=lambda ctx: ran_at.append(ctx.process_id),
+            )))
+            assert self.owned(runtime, grid)[ran_at[0]].covers(region)
+
+    def test_explicit_placement_precedes_the_home_map(self):
+        runtime = make_runtime(nodes=4)
+        grid = Grid((8, 8), name="g")
+        empty = grid.empty_region()
+        runtime.register_item(
+            grid, placement=[empty, empty, empty, grid.full_region]
+        )
+        owned = self.owned(runtime, grid)
+        assert owned[3].same_elements(grid.full_region)
+        assert all(region.is_empty() for region in owned[:3])
+
+    def test_a_plan_layout_precedes_the_home_map(self):
+        grid = Grid((8, 8), name="g")
+        layout = list(reversed(grid.decompose(4)))
+        plan = PlacementPlan(label="x", processes=4, layouts={"g": layout})
+        runtime = make_runtime(nodes=4, policy=PlannedPolicy(plan))
+        runtime.register_item(grid)
+        unplanned = Grid((8, 8), name="u")
+        runtime.register_item(unplanned)
+        for region, planned in zip(self.owned(runtime, grid), layout):
+            assert region.same_elements(planned)
+        # the planner's wrapper does not birth what its plan leaves out
+        assert all(r.is_empty() for r in self.owned(runtime, unplanned))

@@ -22,7 +22,7 @@ class TestAllocation:
     def test_first_touch_allocates_and_indexes(self):
         runtime = make_runtime(nodes=2)
         grid = Grid((8, 8), name="g")
-        runtime.register_item(grid)
+        runtime.register_item(grid, placement=[grid.empty_region()] * 2)
         manager = runtime.process(1).data_manager
         region = grid.box((0, 0), (4, 8))
         manager.allocate(grid, region)
@@ -229,6 +229,26 @@ class TestMigrationAndReplication:
         )
         runtime.wait(runtime.submit(task))
         assert runtime.metrics.counter("dm.replicated_bytes") > 0
+
+    def test_reads_migrating_here_wait_on_the_marker_not_on_lookups(self):
+        """Rows on their way to the reader's own process are owned there
+        already: the reader waits for them to land, without a lookup that
+        could only name itself, and without escalating."""
+        runtime = make_runtime(nodes=2)
+        grid = Grid((8, 8), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        rows = grid.decompose(2)[1]
+        here = runtime.process(0).data_manager
+        payload = runtime.process(1).data_manager.export_owned(grid, rows)
+        landing = here.claim_stored(grid, rows, payload)
+        assert here.in_flight_region(grid).same_elements(rows)
+        reader = TaskSpec(name="r", reads={grid: rows}, size_hint=1)
+        runtime.spawn(landing)
+        runtime.wait_process(here.ensure_for_task(reader))
+        assert runtime.index.lookups == 0
+        assert runtime.metrics.counter("dm.read_escalations") == 0
+        assert here.present_region(grid).covers(rows)
+        runtime.check_ownership_invariants()
 
 
 class TestDestroy:

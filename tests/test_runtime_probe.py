@@ -15,6 +15,7 @@ from repro.items.grid import Grid
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.index import HierarchicalIndex
 from repro.runtime.locks import LockTable
+from repro.runtime.policies import RoundRobinPolicy
 from repro.runtime.probe import EVENTS, INERT, Probe
 from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.sentinel import (
@@ -52,7 +53,7 @@ def small_cluster(nodes=2):
     )
 
 
-def run_stencil(observers):
+def run_stencil(observers, policy=None):
     """A 2-node functional stencil with ``observers(runtime)`` attached."""
     attached = []
 
@@ -73,6 +74,7 @@ def run_stencil(observers):
         small_cluster(),
         StencilWorkload(n_per_node=8, timesteps=2, functional=True),
         RuntimeConfig(),
+        policy,
         on_runtime=on_runtime,
     )
     runtime = result.extras["runtime"]
@@ -114,7 +116,12 @@ class TestEventStream:
                 assert {"task_locks_held", "task_finish"} <= set(stamp)
 
     def test_every_catalogue_event_kind_in_a_stencil_is_known(self):
-        _result, (recorder,) = run_stencil(lambda runtime: [Recorder()])
+        # round-robin: the data is born at first touch, inside the stream
+        # (the default policy allocates it at registration, before the
+        # observers attach)
+        _result, (recorder,) = run_stencil(
+            lambda runtime: [Recorder()], policy=RoundRobinPolicy()
+        )
         seen = {event for event, _args in recorder.stream}
         assert seen <= set(EVENTS)
         assert {"submit", "frag_write", "frag_read", "table_read",

@@ -182,7 +182,12 @@ def restore(runtime, grids, monkeypatch):
     snapshot = runtime.wait_process(ResilienceManager(runtime).checkpoint())
     fresh = make_runtime()
     for grid in grids:
-        fresh.register_item(Grid(grid.shape, name=grid.name))
+        # owned by no one: every payload is a gain (restoring onto items
+        # born at their homes is tested in test_runtime_services.py)
+        fresh.register_item(
+            Grid(grid.shape, name=grid.name),
+            placement=[grid.empty_region()] * fresh.num_processes,
+        )
     return fresh, lambda: fresh.wait_process(
         ResilienceManager(fresh).restore(snapshot)
     )

@@ -129,7 +129,7 @@ class TestSentinelCleanRuns:
         used to leave the stale entry in the replica registry."""
         runtime, sentinel = watched_runtime(nodes=2)
         grid = Grid((GRID_SIDE, GRID_SIDE), name="g")
-        runtime.register_item(grid)
+        runtime.register_item(grid, placement=[grid.empty_region()] * 2)
         home0 = grid.decompose(2)[0]
         # process 1 owns process 0's home block; 0 replicates a corner
         runtime.process(1).data_manager.allocate(grid, home0)

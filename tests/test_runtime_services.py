@@ -103,6 +103,24 @@ class TestResilience:
         values = self.read_grid(runtime2, grid2)
         assert np.all(values == 3.0)
 
+    def test_restore_lands_each_piece_at_its_current_owner(self):
+        runtime = make_runtime(nodes=2)
+        grid = Grid((6, 6), name="g")
+        runtime.register_item(grid)
+        self.fill_grid(runtime, grid, 5.0)  # consolidated at one process
+        snapshot = runtime.wait_process(ResilienceManager(runtime).checkpoint())
+        assert len(snapshot.payloads["g"]) == 1
+
+        fresh = make_runtime(nodes=3)
+        fresh_grid = Grid((6, 6), name="g")
+        fresh.register_item(fresh_grid)  # born at its three homes
+        fresh.wait_process(ResilienceManager(fresh).restore(snapshot))
+        for pid, home in enumerate(fresh.home_map(fresh_grid)):
+            owned = fresh.process(pid).data_manager.owned_region(fresh_grid)
+            assert owned.same_elements(home)
+        fresh.check_ownership_invariants()
+        assert np.all(self.read_grid(fresh, fresh_grid) == 5.0)
+
     def test_restore_unknown_item_rejected(self):
         runtime = make_runtime(nodes=1)
         grid = Grid((4, 4), name="g")

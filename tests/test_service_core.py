@@ -499,7 +499,7 @@ def test_cores_with_different_analysis_configs_share_nothing(analyses):
 SMOKE_REPLAY = {
     "events": 26,
     "jobs": 26,
-    "makespan": 0.11067177431999972,
+    "makespan": 0.11069453671999985,
     "total_node_seconds": 0.3003364266666667,
     "fairness_index": 0.818645419092335,
     "rejected_by_reason": {"analysis": 3, "quota": 3},
@@ -514,9 +514,9 @@ SMOKE_REPLAY = {
             "node_seconds": 0.12033418666666669,
             "observed_share": 0.40066464132311713,
             "configured_share": 0.5,
-            "mean_queue_wait": 0.050846258819999886,
-            "mean_turnaround": 0.05842001626333319,
-            "throughput_jobs_per_second": 72.2858203833306,
+            "mean_queue_wait": 0.05086357377999995,
+            "mean_turnaround": 0.05843305826333327,
+            "throughput_jobs_per_second": 72.27095606566274,
             "over_budget_jobs": 0,
         },
         "beta": {
@@ -528,9 +528,9 @@ SMOKE_REPLAY = {
             "node_seconds": 0.08000213333333332,
             "observed_share": 0.26637505886731816,
             "configured_share": 0.3333333333333333,
-            "mean_queue_wait": 0.05021294523999988,
-            "mean_turnaround": 0.0586031016444443,
-            "throughput_jobs_per_second": 54.21436528749795,
+            "mean_queue_wait": 0.05023089838666662,
+            "mean_turnaround": 0.058627728844444386,
+            "throughput_jobs_per_second": 54.20321704924706,
             "over_budget_jobs": 0,
         },
         "gamma": {
@@ -542,9 +542,9 @@ SMOKE_REPLAY = {
             "node_seconds": 0.10000010666666667,
             "observed_share": 0.33296029980956465,
             "configured_share": 0.16666666666666666,
-            "mean_queue_wait": 0.06952434485777761,
-            "mean_turnaround": 0.07459283663555537,
-            "throughput_jobs_per_second": 54.21436528749795,
+            "mean_queue_wait": 0.0695339846177777,
+            "mean_turnaround": 0.07460908708888879,
+            "throughput_jobs_per_second": 54.20321704924706,
             "over_budget_jobs": 0,
         },
     },

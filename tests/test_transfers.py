@@ -129,7 +129,8 @@ class TestPlanForTask:
     def test_static_plan_allocates_uninitialized(self):
         runtime = make_runtime(nodes=2)
         grid = Grid((8, 8), name="g")
-        runtime.register_item(grid)  # nothing owned anywhere yet
+        # nothing owned anywhere yet
+        runtime.register_item(grid, placement=[grid.empty_region()] * 2)
         task = TaskSpec(
             name="w", writes={grid: grid.full_region}, body=lambda ctx: None
         )
