@@ -44,10 +44,16 @@ def run_program(runtime: AllScaleRuntime, program: TaskProgram) -> Generator:
     Per phase: take the roots (``regrain``ed for
     ``runtime.num_processes`` if the program declares that — a count
     that keeps drained and failed processes, so a shrunk cluster keeps
-    its finer grain), submit them (at process 0, or
-    rotating over the processes that can take work now — on a static
-    cluster every pid, under churn skipping corpses and leavers), and
-    wait on the ``all_of`` barrier of their treetures.  The balancer runs
+    its finer grain), submit them all at once through
+    ``runtime.submit_all`` (at process 0, or rotating over the processes
+    that can take work now — on a static cluster every pid, under churn
+    skipping corpses and leavers), and wait on the ``all_of`` barrier of
+    their treetures.  With ``comm_coalescing`` on, the roots submitted at
+    one process are placed together, as siblings
+    (:meth:`~repro.runtime.scheduler.Scheduler.assign_all`): one
+    Algorithm-1 lookup per item and one parcel per destination for the
+    group; the barrier awaits every root, so no value arrives later than
+    one by one would deliver it.  The balancer runs
     from before phase 0 until after the last barrier; the clock starts at
     phase ``program.measured_from``.  Returns a :class:`ProgramRun`.
     """
@@ -65,10 +71,10 @@ def run_program(runtime: AllScaleRuntime, program: TaskProgram) -> Generator:
         origins = [0]
         if program.rotate_origins:
             origins = runtime.available_processes() or runtime.alive_processes()
-        treetures = [
-            runtime.submit(root, origin=origins[(submitted + k) % len(origins)])
-            for k, root in enumerate(roots)
-        ]
+        treetures = runtime.submit_all(
+            roots,
+            [origins[(submitted + k) % len(origins)] for k in range(len(roots))],
+        )
         submitted += len(roots)
         values.append(
             (yield runtime.engine.all_of([t.future for t in treetures]))

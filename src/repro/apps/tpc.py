@@ -21,9 +21,14 @@ The two ports differ exactly as the paper describes (§4.2):
 * :func:`tpc_allscale` — one small task per (query, sub-tree), forwarded
   by the scheduler to the owning locality.  "The resulting high inter-node
   communication overhead for transferring tasks diminishes overall
-  performance and grows dominant for larger node counts."  The
-  ``task_batch`` knob implements the aggregation the paper says is
-  "technically possible [but] not yet integrated" — the batching ablation.
+  performance and grows dominant for larger node counts."  The paper
+  says aggregation is "technically possible [but] not yet integrated";
+  it is here twice.  Below the task interface,
+  ``RuntimeConfig.comm_coalescing`` places a phase's queries submitted at
+  one process together: one index lookup per origin, one parcel per
+  destination, with the same tasks (the Fig. 7 runs leave it off).  Above
+  it, the ``task_batch`` knob merges queries into one task tree — the
+  batching ablation.
 * :func:`tpc_mpi` — the reference "aggregates multiple queries to reduce
   latency sensitivity and improve bandwidth utilization": per round, each
   rank groups a batch of queries by owner and exchanges them with two

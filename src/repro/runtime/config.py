@@ -51,10 +51,12 @@ class RuntimeConfig:
 
     # -- communication layer (coalescing & prefetch; bench --comms) -------------
     #: coalesce per-peer transfers into bulk messages: all pieces a staging
-    #: pass needs from one peer travel as one FragmentPayload, sibling
-    #: tasks of one split share one index lookup and one parcel per
-    #: destination.  Off by default to match the paper's prototype — the
-    #: same movement happens, message by message
+    #: pass needs from one peer travel as one FragmentPayload; sibling
+    #: tasks — the children of one split, or a phase's roots submitted at
+    #: one process — share one index lookup per item and one parcel per
+    #: destination (``Scheduler.assign_all``).  Off by default to match
+    #: the paper's prototype — the same movement happens, message by
+    #: message
     comm_coalescing: bool = False
     #: at assign time, fetch a task's remote read-only pieces concurrently
     #: (single fan-out, all_of join) so the transfers overlap dispatch;

@@ -184,18 +184,9 @@ class RuntimeProcess:
                 yield self.node.execute(TASK_SPAWN_OVERHEAD * len(children))
                 # the children are placed from this task's lookup where it
                 # still says who owns their data
-                scheduler = self.runtime.scheduler
-                if self.runtime.config.comm_coalescing and len(children) > 1:
-                    # co-scheduled siblings: one shared lookup, task
-                    # parcels coalesced per destination
-                    child_treetures = scheduler.assign_batch(
-                        children, origin=self.pid, parent=lookup
-                    )
-                else:
-                    child_treetures = [
-                        scheduler.assign(child, origin=self.pid, parent=lookup)
-                        for child in children
-                    ]
+                child_treetures = self.runtime.scheduler.assign_all(
+                    children, [self.pid] * len(children), parent=lookup
+                )
                 # their placements hold the lookup as long as they need
                 # it; the subtree below may run far longer
                 del lookup

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Generator
+from typing import Any, Generator, Sequence
 
 from repro.analysis import admission
 from repro.items.base import DataItem
@@ -549,6 +549,17 @@ class AllScaleRuntime:
         for notify in self.probe.submit:
             notify(task)
         return self.scheduler.assign(task, origin=origin, after=after)
+
+    def submit_all(
+        self, tasks: Sequence[TaskSpec], origins: Sequence[int]
+    ) -> list[Treeture]:
+        """Schedule root ``tasks``, the ``k``-th from ``origins[k]``, through
+        :meth:`Scheduler.assign_all`; returns their treetures in task order.
+        Each is announced as a submission, in order, before any is placed."""
+        for task in tasks:
+            for notify in self.probe.submit:
+                notify(task)
+        return self.scheduler.assign_all(tasks, origins)
 
     def spawn(self, gen: Generator):
         """Run an application driver as a simulation process."""

@@ -27,7 +27,7 @@ Remote dispatch ships the task closure as a network message.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from repro.items.base import DataItem
 from repro.regions.base import Region
@@ -90,6 +90,40 @@ class Scheduler:
             )
         return treeture
 
+    def assign_all(
+        self,
+        tasks: Sequence[TaskSpec],
+        origins: Sequence[int],
+        parent: Lookup | None = None,
+    ) -> list[Treeture]:
+        """Schedule ``tasks``, the ``k``-th from ``origins[k]``: a split's
+        children, or a phase's roots.  Returns the treetures in task order.
+
+        The one place placement reads ``comm_coalescing``.  Off, every task
+        goes through :meth:`assign`, in task order.  On, the tasks of one
+        origin are co-scheduled siblings: a group of two or more goes
+        through :meth:`assign_batch`, a group of one through
+        :meth:`assign`, and the groups go in order of their first task.
+        """
+        if not self.runtime.config.comm_coalescing:
+            return [
+                self.assign(task, origin, parent=parent)
+                for task, origin in zip(tasks, origins)
+            ]
+        groups: dict[int, list[int]] = {}
+        for k, origin in enumerate(origins):
+            groups.setdefault(origin, []).append(k)
+        placed: dict[int, Treeture] = {}
+        for origin, members in groups.items():
+            if len(members) == 1:
+                treetures = [self.assign(tasks[members[0]], origin, parent=parent)]
+            else:
+                treetures = self.assign_batch(
+                    [tasks[k] for k in members], origin, parent
+                )
+            placed.update(zip(members, treetures))
+        return [placed[k] for k in range(len(tasks))]
+
     def assign_batch(
         self,
         tasks: list[TaskSpec],
@@ -143,7 +177,7 @@ class Scheduler:
         target = self._choose_target(task, lookup, origin)
         # inline, not spawned: the task's dispatch events keep their order
         yield from self._dispatch_group(
-            target, [(task, treeture, variant, lookup)], origin, bulk=False
+            target, [(task, treeture, variant, lookup)], origin
         )
 
     def _assign_batch_process(
@@ -189,7 +223,7 @@ class Scheduler:
             )
         dispatchers = [
             runtime.engine.spawn(
-                self._dispatch_group(target, groups[target], origin, bulk=True)
+                self._dispatch_group(target, groups[target], origin)
             )
             for target in sorted(groups)
         ]
@@ -197,13 +231,14 @@ class Scheduler:
             yield runtime.engine.all_of(dispatchers)
 
     def _dispatch_group(
-        self, target: int, entries: list, origin: int, bulk: bool
+        self, target: int, entries: list, origin: int
     ) -> Generator:
         """Algorithm 2's dispatch of placed ``(task, treeture, variant,
-        lookup)`` entries to ``target``.  ``bulk`` picks only the wire
-        accounting: a batch's parcels coalesce into one ``send_bulk``,
-        charged once on the NIC, instead of a plain ``send``."""
+        lookup)`` entries to ``target``.  A parcel of several tasks
+        travels as one ``send_bulk``, charged once on the NIC; a parcel of
+        one is a plain ``send`` (the same charge), and no batch."""
         runtime = self.runtime
+        bulk = len(entries) > 1
         if target != origin:
             runtime.metrics.incr("sched.remote_dispatch", len(entries))
             if bulk:
@@ -446,8 +481,9 @@ class _ParcelReturn:
     """The completions of a parcel's tasks that landed at one process:
     they travel back to the origin together once the last of them has
     finished — one message for a plain parcel's one task, one bulk message
-    for a coalesced parcel's siblings.  Only a split awaits its children,
-    and it awaits all of them, so no one waits longer for a value."""
+    for a coalesced parcel's siblings.  Only a split awaits its children
+    and only a phase barrier its roots, each all of them, so no one waits
+    longer for a value."""
 
     def __init__(self, runtime: "AllScaleRuntime", target: int, origin: int):
         self.runtime = runtime

@@ -196,10 +196,13 @@ class TestExecuteProgram:
         )
 
         def lose_a_dependency(runtime):
-            submit = runtime.submit
+            assign = runtime.scheduler.assign
             never = Treeture(runtime.engine, "never")
-            runtime.submit = lambda task, origin=0, after=None: submit(
-                task, origin, [never] if task.name == "stuck-b" else after
+            runtime.scheduler.assign = (
+                lambda task, origin=0, after=None, parent=None: assign(
+                    task, origin, [never] if task.name == "stuck-b" else after,
+                    parent,
+                )
             )
 
         cluster = Cluster(ClusterSpec(num_nodes=2, cores_per_node=1))

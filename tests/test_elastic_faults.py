@@ -889,13 +889,13 @@ class TestChurnController:
         config = RuntimeConfig(functional=False, oversubscription=2)
         total = run(cluster(), workload, config).extras["runtime"].now
         seen = []
-        real_submit = AllScaleRuntime.submit
+        real_submit_all = AllScaleRuntime.submit_all
 
-        def spy(self, task, origin=0, after=None):
-            seen.append((task.granularity, self.num_processes))
-            return real_submit(self, task, origin=origin, after=after)
+        def spy(self, tasks, origins):
+            seen.extend((task.granularity, self.num_processes) for task in tasks)
+            return real_submit_all(self, tasks, origins)
 
-        monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+        monkeypatch.setattr(AllScaleRuntime, "submit_all", spy)
         joins = [
             ChurnEvent(at=total * 0.30, kind="join"),
             ChurnEvent(at=total * 0.55, kind="join"),
@@ -940,15 +940,16 @@ class TestChurnController:
             "runtime"
         ].now
         seen = []
-        real_submit = AllScaleRuntime.submit
+        real_submit_all = AllScaleRuntime.submit_all
 
-        def spy(self, task, origin=0, after=None):
-            seen.append(
+        def spy(self, tasks, origins):
+            seen.extend(
                 (task.granularity, self.num_processes, len(self.alive_processes()))
+                for task in tasks
             )
-            return real_submit(self, task, origin=origin, after=after)
+            return real_submit_all(self, tasks, origins)
 
-        monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+        monkeypatch.setattr(AllScaleRuntime, "submit_all", spy)
         drain = [ChurnEvent(at=total * 0.30, kind="drain")]
         stencil_allscale(
             cluster(),

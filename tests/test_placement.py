@@ -304,20 +304,23 @@ def _tpc(config):
 class TestDriverSubmitsTheProgram:
     """The planner pins tasks *by name* and the analyzer admits *by graph*:
     both read ``program.phases``, so what the driver hands to
-    ``AllScaleRuntime.submit`` must be exactly the program's roots."""
+    ``AllScaleRuntime.submit_all`` must be exactly the program's roots."""
 
     @pytest.mark.parametrize("app", [_stencil, _ipic3d, _tpc])
     def test_submissions_equal_all_roots(self, app, monkeypatch):
         # non-default oversubscription: the config must reach the builder
         build, run = app(RuntimeConfig(functional=False, oversubscription=2))
         submitted = []
-        real_submit = AllScaleRuntime.submit
+        real_submit_all = AllScaleRuntime.submit_all
 
-        def spy(self, task, origin=0, after=None):
-            submitted.append((task.name, task.granularity, origin))
-            return real_submit(self, task, origin=origin, after=after)
+        def spy(self, tasks, origins):
+            submitted.extend(
+                (task.name, task.granularity, origin)
+                for task, origin in zip(tasks, origins)
+            )
+            return real_submit_all(self, tasks, origins)
 
-        monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+        monkeypatch.setattr(AllScaleRuntime, "submit_all", spy)
         run()
         program = build()
         assert submitted == [

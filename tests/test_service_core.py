@@ -322,13 +322,13 @@ def _two_phase_program(racy: bool) -> TaskProgram:
 
 def test_registered_task_program_runs_and_racy_one_never_submits(monkeypatch):
     submitted = []
-    real_submit = AllScaleRuntime.submit
+    real_submit_all = AllScaleRuntime.submit_all
 
-    def spy(self, task, origin=0, after=None):
-        submitted.append(task.name)
-        return real_submit(self, task, origin=origin, after=after)
+    def spy(self, tasks, origins):
+        submitted.extend(task.name for task in tasks)
+        return real_submit_all(self, tasks, origins)
 
-    monkeypatch.setattr(AllScaleRuntime, "submit", spy)
+    monkeypatch.setattr(AllScaleRuntime, "submit_all", spy)
     register_kind("ones", lambda params: _two_phase_program(params["racy"]))
     try:
         core = small_core()

@@ -6,7 +6,7 @@ from repro.items.grid import Grid
 from repro.regions.box import Box
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.runtime import AllScaleRuntime
-from repro.runtime.tasks import TaskSpec
+from repro.runtime.tasks import TaskProgram, TaskSpec
 from repro.runtime.transfers import TransferPlan, plan_for_task
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.network import Network
@@ -359,3 +359,168 @@ class TestCoalescedDispatch:
             grid.box((16,), (20,))
         )
         assert runtime.index.lookups == 1  # the batch's shared lookup
+
+    def test_a_one_task_parcel_is_a_plain_send(self, monkeypatch):
+        runtime = make_runtime(functional=False, comm_coalescing=True)
+        grid = Grid((16,), name="g")
+        runtime.register_item(grid, placement=grid.decompose(2))
+        # one sibling for each process: each parcel carries one task
+        children = [
+            TaskSpec(name=f"c{k}", writes={grid: grid.box((8 * k,), (8 * k + 8,))})
+            for k in range(2)
+        ]
+        bulks = []
+        send_bulk = Network.send_bulk
+
+        def spy(network, src, dst, sizes):
+            bulks.append((src, dst, len(sizes)))
+            return send_bulk(network, src, dst, sizes)
+
+        monkeypatch.setattr(Network, "send_bulk", spy)
+        for treeture in runtime.scheduler.assign_batch(children, origin=0):
+            runtime.wait(treeture)
+        assert bulks == []
+        assert runtime.metrics.counter("sched.remote_dispatch") == 1
+        assert runtime.metrics.counter("comms.batched_dispatches") == 0
+        assert runtime.metrics.counter("comms.batched_tasks") == 0
+
+
+class TestCoalescedPhaseRoots:
+    """With ``comm_coalescing`` on, a phase's roots from one submission
+    origin are placed together: one lookup per item, each root where a
+    lookup of its own would have put it."""
+
+    NODES = 4
+    #: roots per phase; rotation continues across phases, so the last
+    #: phase gives origin 0 two roots and the other origins one each
+    PHASES = (8, 8, 5)
+    FLAGS = dict(comm_coalescing=True, replica_prefetch=True, index_caching=True)
+
+    def _program(self):
+        a = Grid((32,), name="a")
+        b = Grid((32,), name="b")
+        program = TaskProgram(
+            "roots",
+            items=[a, b],
+            placement={a: a.decompose(self.NODES), b: b.decompose(self.NODES)},
+            rotate_origins=True,
+        )
+        for phase, count in enumerate(self.PHASES):
+            # read-only roots: ownership never moves, so every phase's
+            # placement is decided by the same owners
+            program.add_phase(
+                *[
+                    TaskSpec(
+                        name=f"p{phase}r{k}",
+                        reads={
+                            a: a.box(((5 * k) % 27,), ((5 * k) % 27 + 5,)),
+                            b: b.box(((7 * k + 3) % 28,), ((7 * k + 3) % 28 + 4,)),
+                        },
+                        flops=1e5 * (k + 1),
+                        body=lambda _ctx, v=100 * phase + k: v,
+                        body_in_virtual=True,
+                    )
+                    for k in range(count)
+                ]
+            )
+        return program
+
+    def _run(self, monkeypatch, **flags):
+        from repro.api.program import execute_program
+        from repro.runtime.scheduler import Scheduler
+
+        log = []
+        landed = {}
+        assign, assign_batch = Scheduler.assign, Scheduler.assign_batch
+
+        def one(scheduler, task, origin=0, **kwargs):
+            log.append(("assign", origin, [task.name]))
+            return assign(scheduler, task, origin, **kwargs)
+
+        def batch(scheduler, tasks, origin=0, parent=None):
+            log.append(("assign_batch", origin, [task.name for task in tasks]))
+            return assign_batch(scheduler, tasks, origin, parent)
+
+        class Observer:
+            def on_submit(self, task):
+                log.append(("submit", task.name))
+
+            def on_task_enqueued(self, task, _treeture, pid, _variant, _now):
+                landed[task.name] = pid
+
+        def watch(runtime):
+            runtime.probe.attach(Observer())
+            scheduler = runtime.scheduler
+            lookup = scheduler._lookup
+
+            def counted(item, region, origin):
+                log.append(("lookup", origin, item.name))
+                return (yield from lookup(item, region, origin))
+
+            scheduler._lookup = counted
+
+        cluster = Cluster(
+            ClusterSpec(num_nodes=self.NODES, cores_per_node=2, flops_per_core=1e9)
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(Scheduler, "assign", one)
+            patch.setattr(Scheduler, "assign_batch", batch)
+            run = execute_program(
+                cluster, self._program(), RuntimeConfig(**flags), on_runtime=watch
+            )
+        return run, log, landed
+
+    @staticmethod
+    def _phases(log):
+        """The log cut at each phase's first submission."""
+        phases = []
+        for entry in log:
+            if entry[0] == "submit" and (not phases or phases[-1][-1][0] != "submit"):
+                phases.append([])
+            phases[-1].append(entry)
+        return phases
+
+    def test_roots_of_one_origin_share_one_lookup(self, monkeypatch):
+        on, log_on, landed_on = self._run(monkeypatch, **self.FLAGS)
+        off, log_off, landed_off = self._run(monkeypatch)
+        roots = [
+            [f"p{phase}r{k}" for k in range(count)]
+            for phase, count in enumerate(self.PHASES)
+        ]
+        assert on.values == off.values == [
+            [100 * phase + k for k in range(count)]
+            for phase, count in enumerate(self.PHASES)
+        ]
+        # every root lands where its own lookup placed it
+        assert landed_on == landed_off
+        assert set(landed_on) == {name for phase in roots for name in phase}
+        phases = self._phases(log_on)
+        assert len(phases) == len(self.PHASES)
+        submitted = 0
+        for names, entries in zip(roots, phases):
+            count = len(names)
+            # every root is announced, in order, before any is placed
+            assert entries[:count] == [("submit", name) for name in names]
+            origins = [(submitted + k) % self.NODES for k in range(count)]
+            submitted += count
+            lookups = [entry[1:] for entry in entries if entry[0] == "lookup"]
+            assert sorted(lookups) == sorted(
+                (origin, item) for origin in set(origins) for item in ("a", "b")
+            )
+            # one placement call per origin, in order of its first root
+            groups = {}
+            for name, origin in zip(names, origins):
+                groups.setdefault(origin, []).append(name)
+            calls = [entry for entry in entries if entry[0].startswith("assign")]
+            assert calls == [
+                ("assign_batch" if len(group) > 1 else "assign", origin, group)
+                for origin, group in groups.items()
+            ]
+        # the last phase's lone roots went through ``assign``
+        assert [call[0] for call in calls] == ["assign_batch"] + ["assign"] * 3
+        # with the flags off every root is placed on its own, in order
+        assert [e for e in log_off if e[0] == "assign"] == [
+            ("assign", (k % self.NODES), [name])
+            for k, name in enumerate(n for phase in roots for n in phase)
+        ]
+        assert not [e for e in log_off if e[0] == "assign_batch"]
