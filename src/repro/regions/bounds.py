@@ -22,10 +22,10 @@ A hull is tri-state:
   to the exact check.
 
 The region kernel gates its memo misses on the hull itself
-(:mod:`repro.regions.kernel`).  The runtime's tables — write intents, lock
-tables, the replica registry, home maps and index covers — read the raw
-``region.hull()`` too, per item, and reject an entry before they call the
-kernel at all: all regions of one item share a family, so tree hulls
+(:mod:`repro.regions.kernel`).  The runtime's tables — the write-intent
+reservation's linear scan, lock tables, the replica registry, home maps
+and index covers — read the raw ``region.hull()`` too, per item, and
+reject an entry before they call the kernel at all: all regions of one item share a family, so tree hulls
 reject as well as box hulls, and a pair across spaces is never rejected.
 The sentinel and the static analyzer read it through :func:`corner_bounds`,
 which only passes on hulls over element addresses.

@@ -432,14 +432,7 @@ class DataItemManager:
                 yield from self._acquire_ownership(
                     item, write, task=task, plan=plan
                 )
-                # exclusive writes: no replicas of the write set elsewhere.
-                # Defer to older stagers whose *read* premise overlaps the
-                # write first — invalidating replicas they are still
-                # fetching ping-pongs against their re-fetch forever.
-                while runtime.write_intent_blocked(
-                    item, write, task, against_reads=True
-                ):
-                    yield runtime.intents.wait()
+                # exclusive writes: no replicas of the write set elsewhere
                 yield from runtime.invalidate_replicas(item, write, self.pid)
             read = task.read_region(item)
             if not read.is_empty():
@@ -486,12 +479,8 @@ class DataItemManager:
             if missing.is_empty():
                 return
             # defer to older staging writers instead of stealing their
-            # freshly migrated ownership back (livelock otherwise); the
-            # read premise counts too — migrating ownership from under an
-            # older stager's read set disturbs what it already verified
-            while runtime.write_intent_blocked(
-                item, missing, task, against_reads=True
-            ):
+            # freshly migrated ownership back (livelock otherwise)
+            while runtime.write_intent_blocked(item, missing, task):
                 yield runtime.intents.wait()
             missing = region.difference(self.owned_region(item))
             if missing.is_empty():
@@ -685,10 +674,10 @@ class DataItemManager:
             missing = want.difference(self.present_region(item))
             if missing.is_empty():
                 return
-        if hint and (yield from self._fetch_round(item, want, task, plan, hint)):
+        if hint and (yield from self._fetch_round(item, want, plan, hint)):
             return
         for _attempt in range(5):
-            if (yield from self._fetch_round(item, want, task, plan)):
+            if (yield from self._fetch_round(item, want, plan)):
                 return
         missing = want.difference(self.present_region(item))
         if missing.is_empty():
@@ -699,7 +688,6 @@ class DataItemManager:
         self,
         item: DataItem,
         want: Region,
-        task: object,
         plan: TransferPlan | None,
         hint: OwnerMap | None = None,
     ) -> Generator:
@@ -707,14 +695,6 @@ class DataItemManager:
         ``want`` from the owners ``hint`` names (``None``: a fresh lookup
         finds them).  Returns True when nothing was missing."""
         runtime = self.process.runtime
-        missing = want.difference(self.present_region(item))
-        if missing.is_empty():
-            return True
-        # a staging writer invalidates replicas of its write set as fast
-        # as we can re-fetch them; wait out its reservation rather than
-        # burning retry attempts against it
-        while runtime.write_intent_blocked(item, missing, task):
-            yield runtime.intents.wait()
         missing = want.difference(self.present_region(item))
         if missing.is_empty():
             return True
@@ -901,11 +881,6 @@ class DataItemManager:
                     continue
                 missing = readonly.difference(taken)
                 if missing.is_empty():
-                    continue
-                # don't race a staging writer for the same bytes: the copy
-                # would be invalidated before the task arrives, and staging
-                # re-fetches whatever is still missing anyway
-                if runtime.write_intent_blocked(item, missing, None):
                     continue
                 for owner, parts in _by_owner(
                     clip(lookup.get(item, ()), missing), self.pid

@@ -245,24 +245,18 @@ class RuntimeProcess:
         # hence stage, lock, then *re-verify under lock* and restage on
         # failure.  A failed round holds the locks for zero simulated time,
         # so no deadlock can form through it.  A write-intent reservation
-        # covers the whole staging window: competing stagers defer to
-        # older intents, so writers that pull each other's rows stop
-        # stealing each other's staged ownership (``writer_straddle``),
-        # and a writer leaves alone the copies an older stager still
-        # fetches.  The first staging fetches reads from the owners the
-        # placement lookup named; a restage looks up afresh.
+        # covers the whole staging window: a writer pulling ownership
+        # defers to older intents, so writers that pull each other's rows
+        # stop stealing each other's staged ownership (``writer_straddle``).
+        # The first staging fetches reads from the owners the placement
+        # lookup named; a restage looks up afresh.
         intents = {
             item: task.write_region(item)
             for item in task.accessed_items_ordered()
             if not task.write_region(item).is_empty()
         }
         if intents:
-            reads = {
-                item: task.read_region(item)
-                for item in task.accessed_items_ordered()
-                if not task.read_region(item).is_empty()
-            }
-            self.runtime.register_write_intent(task, self.pid, intents, reads)
+            self.runtime.register_write_intent(task, intents)
         try:
             for _attempt in range(16):
                 yield from self.data_manager.ensure_for_task(task, lookup)

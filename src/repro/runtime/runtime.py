@@ -19,13 +19,12 @@ invalidated before the write starts).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from typing import Any, Generator, Sequence
 
 from repro.analysis import admission
 from repro.items.base import DataItem
 from repro.regions.base import Region
-from repro.regions.bounds import NO_BOUNDS, Hull, bounds_disjoint
+from repro.regions.bounds import bounds_disjoint
 from repro.regions.kernel import get_kernel
 from repro.runtime import sentinel
 from repro.runtime.config import CONTROL_MESSAGE_BYTES, RuntimeConfig
@@ -43,75 +42,6 @@ from repro.sim.cluster import Cluster
 #: is the runtime layer's one sanctioned upward import: the env vars must
 #: work from entry points that import neither module.
 AUTO_ATTACHED = (sentinel.ENABLEMENT, admission.ENABLEMENT)
-
-
-class _IntentIndex:
-    """One item's live intent regions of one kind (write or read premise).
-
-    Entries ``(seq, key, region, hull)`` are kept sorted by their hull's
-    ``lo`` on axis 0, and the window is the widest live hull on that axis,
-    so an entry whose ``lo`` is at most ``q.lo - window`` or at least
-    ``q.hi`` cannot reach the query's hull ``q``.  A query visits only the
-    entries in between.  All regions of one item share a family and so a
-    hull space; hulls without corners (``NO_BOUNDS``) sit in ``loose``,
-    which every query visits.
-    """
-
-    __slots__ = ("los", "entries", "widths", "loose")
-
-    def __init__(self) -> None:
-        self.los: list[int] = []
-        self.entries: list[tuple[int, int, Region, Hull]] = []
-        #: the sorted entries' axis-0 widths, ascending: the window is last
-        self.widths: list[int] = []
-        self.loose: list[tuple[int, int, Region, Hull]] = []
-
-    def add(self, seq: int, key: int, region: Region) -> None:
-        hull = region.hull()
-        if hull is None:
-            return  # empty: overlaps nothing
-        entry = (seq, key, region, hull)
-        if hull is NO_BOUNDS:
-            self.loose.append(entry)
-            return
-        lo = hull[1][0]
-        at = bisect_right(self.los, lo)
-        self.los.insert(at, lo)
-        self.entries.insert(at, entry)
-        insort(self.widths, hull[2][0] - lo)
-
-    def remove(self, key: int, region: Region) -> None:
-        hull = region.hull()
-        if hull is None:
-            return
-        if hull is NO_BOUNDS:
-            self.loose = [e for e in self.loose if e[1] != key]
-            return
-        at = bisect_left(self.los, hull[1][0])
-        while self.entries[at][1] != key:
-            at += 1
-        del self.los[at], self.entries[at]
-        widths = self.widths
-        del widths[bisect_left(widths, hull[2][0] - hull[1][0])]
-
-    def blocks(self, region: Region, hull: Hull, before: float) -> bool:
-        """Does an entry older than ``before`` overlap ``region``?"""
-        if hull is NO_BOUNDS:
-            candidates = self.entries
-        else:
-            window = self.widths[-1] if self.widths else 0
-            start = bisect_right(self.los, hull[1][0] - window)
-            stop = bisect_left(self.los, hull[2][0], start)
-            candidates = self.entries[start:stop]
-        for entries in (candidates, self.loose):
-            for seq, _key, other, other_hull in entries:
-                if (
-                    seq < before
-                    and not bounds_disjoint(hull, other_hull)
-                    and other.overlaps(region)
-                ):
-                    return True
-        return False
 
 
 class AllScaleRuntime:
@@ -146,17 +76,11 @@ class AllScaleRuntime:
         #: registered items, in registration order, with their home maps
         self._home_maps: dict[DataItem, list[Region] | None] = {}
         self._replicas: dict[DataItem, dict[int, Region]] = {}
-        #: staging write intents: id(task) -> (seq, pid, {item: write
-        #: region}, {item: read premise}, task ref — pins the id).
-        #: Registered while a leaf stages its write set, cleared once its
-        #: locks are verified; competing stagers defer to *older* intents.
-        self._write_intents: dict[
-            int, tuple[int, int, dict, dict, object]
-        ] = {}
-        #: the same intents per item, hull-sorted: write regions and read
-        #: premises apart, so a check visits only nearby entries
-        self._intent_writes: dict[DataItem, _IntentIndex] = {}
-        self._intent_reads: dict[DataItem, _IntentIndex] = {}
+        #: staging write intents: id(task) -> (seq, {item: write region},
+        #: task ref — pins the id).  Registered while a leaf stages its
+        #: write set, cleared once its locks are verified; a writer pulling
+        #: ownership defers to *older* overlapping intents.
+        self._write_intents: dict[int, tuple[int, dict, object]] = {}
         self._intent_seq = 0
         #: fires whenever an intent is set or cleared
         self.intents = Signal(self.engine)
@@ -407,80 +331,38 @@ class AllScaleRuntime:
 
     # -- write-intent reservations ----------------------------------------------------
     #
-    # Staging is lock-free, so a writer repeatedly invalidating the replicas
-    # a reader keeps re-fetching (or two writers stealing each other's
-    # staged ownership) can ping-pong indefinitely: a livelock the
-    # randomized-DAG sweep reproduced.  Intents break the symmetry with a
-    # total order — a stager only ever waits for strictly *older* intents,
-    # so the oldest one always makes progress and the wait graph is acyclic.
+    # Staging is lock-free, so two writers stealing each other's staged
+    # ownership can ping-pong indefinitely: a livelock the randomized-DAG
+    # sweep and ``writer_straddle`` reproduce.  Intents break the symmetry
+    # with a total order — a writer pulling ownership only ever waits for
+    # strictly *older* intents, so the oldest one always makes progress and
+    # the wait graph is acyclic.  Nothing else consults the table.
 
-    def register_write_intent(
-        self, owner: object, pid: int, regions: dict, reads: dict | None = None
-    ) -> None:
-        """Reserve ``regions`` ({item: write region}) while ``owner`` stages.
-
-        ``reads`` ({item: read region}) records the stager's read premise:
-        younger *writers* must not invalidate replicas an older stager is
-        still fetching, or the pair ping-pongs re-fetch against
-        invalidation until the fetch loop gives up.
-        """
+    def register_write_intent(self, owner: object, regions: dict) -> None:
+        """Reserve ``regions`` ({item: write region}) while ``owner`` stages."""
         for notify in self.probe.table_publish:
-            for item in {**regions, **(reads or {})}:
+            for item in regions:
                 notify(("intent", item.name), None)
         self._intent_seq += 1
-        key = id(owner)
-        if key in self._write_intents:
-            self._unindex_intent(key)
-        reads = reads or {}
-        self._write_intents[key] = (
-            self._intent_seq, pid, dict(regions), dict(reads), owner
-        )
-        for table, kind in (
-            (self._intent_writes, regions),
-            (self._intent_reads, reads),
-        ):
-            for item, region in kind.items():
-                index = table.get(item)
-                if index is None:
-                    index = table[item] = _IntentIndex()
-                index.add(self._intent_seq, key, region)
+        self._write_intents[id(owner)] = (self._intent_seq, dict(regions), owner)
         self.intents.fire()
 
     def clear_write_intent(self, owner: object) -> None:
-        entry = self._write_intents.get(id(owner))
+        entry = self._write_intents.pop(id(owner), None)
         if entry is not None:
             for notify in self.probe.table_publish:
-                _seq, _pid, regions, reads, _ref = entry
-                for item in {**regions, **reads}:
+                for item in entry[1]:
                     notify(("intent", item.name), None)
-            self._unindex_intent(id(owner))
             self.intents.fire()
 
-    def _unindex_intent(self, key: int) -> None:
-        _seq, _pid, regions, reads, _ref = self._write_intents.pop(key)
-        for table, kind in (
-            (self._intent_writes, regions),
-            (self._intent_reads, reads),
-        ):
-            for item, region in kind.items():
-                table[item].remove(key, region)
-
     def write_intent_blocked(
-        self,
-        item: DataItem,
-        region: Region,
-        owner: object,
-        against_reads: bool = False,
+        self, item: DataItem, region: Region, owner: object
     ) -> bool:
         """True while an intent ``owner`` must defer to overlaps ``region``.
 
-        Pure readers (no intent of their own) defer to every staging
-        writer; intent holders defer only to older intents.  With
-        ``against_reads`` the check additionally defers to older intents'
-        *read* premises — used on the write path (ownership acquisition
-        and replica invalidation), where proceeding would destroy
-        replicas an older stager is still assembling.  Readers never
-        block on reads, so the reader-side gates leave it off.
+        Intent holders defer only to older intents; anyone else (a pure
+        reader's read escalation, an acquisition without a task) defers to
+        every intent.
         """
         for notify in self.probe.table_read:
             notify(("intent", item.name), None)
@@ -490,14 +372,14 @@ class AllScaleRuntime:
         # intent seqs are unique: "older than the owner's own" also skips it
         before = own[0] if own is not None else math.inf
         hull = region.hull()
-        if hull is None:
-            return False
-        index = self._intent_writes.get(item)
-        if index is not None and index.blocks(region, hull, before):
-            return True
-        if against_reads:
-            index = self._intent_reads.get(item)
-            if index is not None and index.blocks(region, hull, before):
+        for seq, regions, _ref in self._write_intents.values():
+            other = regions.get(item)
+            if (
+                other is not None
+                and seq < before
+                and not bounds_disjoint(hull, other.hull())
+                and other.overlaps(region)
+            ):
                 return True
         return False
 

@@ -7,11 +7,10 @@ replayable decision trace.  One revert is provided per
 schedule-dependent protocol bug fixed in this repo's history:
 
 * **write-intent reservations** — originally there were none: staging is
-  lock-free, so a writer repeatedly invalidating the replicas a reader
-  keeps re-fetching (or two writers stealing each other's staged
-  ownership) could ping-pong until a staging loop gave up ("requirement
-  thrashing" / "ownership thrashing").  The fix broke the symmetry with
-  a total order over intents; the revert makes ``write_intent_blocked``
+  lock-free, so two writers stealing each other's staged ownership could
+  ping-pong until a staging loop gave up ("ownership thrashing").  The
+  fix broke the symmetry with a total order over intents, consulted by a
+  writer pulling ownership; the revert makes ``write_intent_blocked``
   answer ``False`` unconditionally, restoring the free-for-all.
 * **read escalation** — originally, a replica fetch that lost every
   attempt against concurrent ownership migration raised instead of
@@ -74,9 +73,7 @@ def revert_write_intents() -> Iterator[None]:
     """Revert the write-intent reservation fix (intents never block)."""
     from repro.runtime.runtime import AllScaleRuntime
 
-    def reverted(
-        self, item, region, owner, against_reads: bool = False
-    ) -> bool:
+    def reverted(self, item, region, owner) -> bool:
         # keep the sync edge so the happens-before relation stays sound
         # while the guard itself is disabled
         for notify in self.probe.table_read:

@@ -233,8 +233,8 @@ def _write_intent_chain() -> ScenarioInstance:
     runtime = _make_runtime(2)
     grid = Grid((6, 2), name="g")
     runtime.register_item(grid, placement=grid.decompose(2))
-    # w1 writes the bottom and *reads* the top (its read premise is what a
-    # younger writer must respect); w2's write overlaps w1's read
+    # w1 writes the bottom and reads the top; w2's write overlaps w1's
+    # read, so w2 invalidates the replicas w1 fetches and w1 re-fetches
     top = grid.box((3, 0), (6, 2))
     w1 = _writer(grid, "w1", 0, 3, 1.0, reads={grid: top}, size_hint=12)
     w2 = _writer(grid, "w2", 3, 6, 2.0, size_hint=12)
@@ -459,8 +459,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "write_intent_chain",
-            "two writers with overlapping write/read premises plus a "
-            "reader exercise the write-intent total order (2 nodes)",
+            "a writer invalidates the replicas an older writer reads, "
+            "next to a reader of both (2 nodes)",
             _write_intent_chain,
         ),
         Scenario(

@@ -16,6 +16,7 @@ from repro.regions.box import Box
 from repro.runtime.balancer import LoadBalancer
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.policies import RoundRobinPolicy
+from repro.runtime.runtime import AllScaleRuntime
 from repro.runtime.tasks import TaskSpec
 from repro.sim.cluster import Cluster, ClusterSpec, meggie_like_spec
 
@@ -228,6 +229,33 @@ class TestDataDistribution:
         metrics = result.extras["runtime"].metrics
         assert metrics.counter("dm.replicas_fetched") > 0
         assert metrics.counter("dm.invalidations") > 0  # step-to-step halos
+
+    def test_owning_writers_never_consult_the_reservation(self, monkeypatch):
+        """Counted, not timed: under the data-aware policy every writer
+        owns its write set, and only a writer pulling ownership consults
+        the write-intent reservation — so a run that fetches halos and
+        invalidates replicas on every sweep never asks it."""
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(AllScaleRuntime, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(AllScaleRuntime, name, wrapper)
+
+        counted("register_write_intent")
+        counted("write_intent_blocked")
+        workload = StencilWorkload(n_per_node=32, timesteps=2, functional=False)
+        result = stencil_allscale(small_cluster(4), workload)
+        metrics = result.extras["runtime"].metrics
+        assert metrics.counter("dm.migrations") == 0
+        assert metrics.counter("dm.replicas_fetched") > 0
+        assert metrics.counter("dm.invalidations") > 0
+        assert calls["register_write_intent"] > 0
+        assert calls["write_intent_blocked"] == 0
 
     def test_policy_injection(self):
         workload = StencilWorkload(n_per_node=24, timesteps=1, functional=False)

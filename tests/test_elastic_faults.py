@@ -623,7 +623,7 @@ class TestFaultMatrix:
         victim = 2
         doomed = runtime.process(victim).data_manager.owned_region(grid)
         stager = object()
-        runtime.register_write_intent(stager, 1, {grid: doomed})
+        runtime.register_write_intent(stager, {grid: doomed})
         runtime.fail_process(victim)
         runtime.wait_process(resilience.recover_lost_data(snapshot))
         assert owned_coverage(runtime, grid).same_elements(grid.full_region)

@@ -40,9 +40,7 @@ def _program(regions):
     owner = st.integers(0, OWNERS - 1)
     return st.lists(
         st.one_of(
-            st.tuples(
-                st.just("register"), owner, regions, st.none() | regions
-            ),
+            st.tuples(st.just("register"), owner, regions),
             st.tuples(st.just("clear"), owner),
             st.tuples(st.just("acquire"), owner, regions, regions),
             st.tuples(st.just("release"), owner),
@@ -55,14 +53,14 @@ def _elements(region) -> frozenset:
     return frozenset(region.elements())
 
 
-def _oracle_blocked(intents, query, owner, against_reads) -> bool:
-    """The pre-index scan: every other intent, older ones only for an
-    intent holder, write regions (and read premises) by element set."""
+def _oracle_blocked(intents, query, owner) -> bool:
+    """Every other intent, older ones only for an intent holder, write
+    regions by element set."""
     own = intents.get(owner)
-    for other, (seq, write, read) in intents.items():
+    for other, (seq, write) in intents.items():
         if other is owner or (own is not None and seq > own[0]):
             continue
-        if write & query or (against_reads and read & query):
+        if write & query:
             return True
     return False
 
@@ -99,22 +97,16 @@ def test_tables_answer_like_the_linear_scan(family):
         )
         table = LockTable(SimEngine())
         owners = [object() for _ in range(OWNERS)]
-        #: owner -> (seq, write elements, read-premise elements)
+        #: owner -> (seq, write elements)
         intents: dict = {}
         seq = 0
         for op, who, *args in program:
             owner = owners[who]
             if op == "register":
-                write, read = args
-                runtime.register_write_intent(
-                    owner, 0, {item: write}, None if read is None else {item: read}
-                )
+                (write,) = args
+                runtime.register_write_intent(owner, {item: write})
                 seq += 1
-                intents[owner] = (
-                    seq,
-                    _elements(write),
-                    frozenset() if read is None else _elements(read),
-                )
+                intents[owner] = (seq, _elements(write))
             elif op == "clear":
                 runtime.clear_write_intent(owner)
                 intents.pop(owner, None)
@@ -126,12 +118,9 @@ def test_tables_answer_like_the_linear_scan(family):
             for query in queries:
                 wanted = _elements(query)
                 for asker in (None, *owners):
-                    for against_reads in (False, True):
-                        assert runtime.write_intent_blocked(
-                            item, query, asker, against_reads
-                        ) == _oracle_blocked(
-                            intents, wanted, asker, against_reads
-                        )
+                    assert runtime.write_intent_blocked(
+                        item, query, asker
+                    ) == _oracle_blocked(intents, wanted, asker)
                     assert table.conflicts(
                         {}, {item: query}, owner=asker
                     ) == _oracle_locks(table, item, wanted, asker)
@@ -151,7 +140,7 @@ def test_tables_answer_like_the_linear_scan(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_intent_search_reaches_back_by_the_window(family):
     """An older intent whose hull starts below the query's and reaches
-    into it blocks: the sorted search starts ``window`` before ``q.lo``."""
+    into it blocks: the hull check rejects only provably disjoint pairs."""
     item = FAMILIES[family][0]()
     if family == "box":
         older, query = item.box((0, 0), (4, 8)), item.box((2, 0), (6, 8))
@@ -162,7 +151,7 @@ def test_intent_search_reaches_back_by_the_window(family):
     runtime = AllScaleRuntime(
         Cluster(ClusterSpec(num_nodes=1, cores_per_node=1))
     )
-    runtime.register_write_intent(object(), 0, {item: older})
+    runtime.register_write_intent(object(), {item: older})
     assert runtime.write_intent_blocked(item, query, None)
 
 
@@ -202,6 +191,17 @@ class TestCountedHullRejects:
         assert not table.conflicts({grid: query}, {})
         assert not table.any_locked(grid, query)
         assert not table.write_locked(grid, query)
+        assert self._kernel_counts() == before
+
+    def test_write_intent_walk(self):
+        grid, blocks, query = self._blocks()
+        runtime = AllScaleRuntime(
+            Cluster(ClusterSpec(num_nodes=1, cores_per_node=1))
+        )
+        for block in blocks:
+            runtime.register_write_intent(object(), {grid: block})
+        before = self._kernel_counts()
+        assert not runtime.write_intent_blocked(grid, query, None)
         assert self._kernel_counts() == before
 
     def test_invalidate_replicas_walk(self):
